@@ -312,17 +312,6 @@ class Chart:
             raise ValueError("exhaustion parameter eps must be positive")
         return self.sigma_at(p) >= eps
 
-    def sigma_mu_at(self, p, mu0: float, mu_end: float) -> float:
-        """Multi-weight sigma^mu restricted to this chart: rho^mu0 * r^mu_end."""
-        p = self.validate_point(p)
-        if self.kind == INTERMEDIATE_CUSP:
-            return math.cos(p[1]) ** mu0 * p[0] ** mu_end
-        if self.kind == MAXIMAL_CUSP:
-            return p[0] ** mu_end
-        if self.kind == COLLAR:
-            return p[0] ** mu0
-        raise NotImplementedError("weighted norms use the blown-up charts")
-
 
 # -- Schauder rescaling maps ------------------------------------------------
 

@@ -557,7 +557,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except weights.AdmissibilityObstruction as exc:
         print(f"obstruction: {exc.reason}", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    except solver.NonConvergence as exc:
+    except (solver.NonConvergence, charts.ChartDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -365,23 +365,16 @@ def indicial_blocks(
     t = s - 2.0
 
     def extract_general(Cin):
-        vals = []
-        for rho in rhos:
-            p = np.concatenate(([rho], y_ref))
-            r_field = SymTensorField(chart, lambda q, C=Cin: (q[0] ** t) * C)
-            vals.append(L_at(h, r_field, p, step) / rho ** t)
-        vals = np.array(vals)
-        degree = len(rhos) - 2
-        V = np.vander(rhos, degree + 1, increasing=True)
-        flat = vals.reshape(len(rhos), -1)
-        coef, *_ = np.linalg.lstsq(V, flat, rcond=None)
-        resid = float(np.abs(V @ coef - flat).max())
-        scale = float(np.abs(flat).max()) or 1.0
-        if resid / scale > resid_tol:
+        r_field = SymTensorField(chart, lambda q: (q[0] ** t) * Cin)
+        vals = [L_at(h, r_field, np.concatenate(([rho], y_ref)), step)
+                for rho in rhos]
+        c0, resid, scale = _fit_leading_coefficient(rhos, np.array(vals), t)
+        rel = resid / (scale or 1.0)
+        if rel > resid_tol:
             raise IndicialExtractionFailure(
-                f"indicial extraction residual {resid / scale:.2e} at s = {s}"
+                f"indicial extraction residual {rel:.2e} at s = {s}"
             )
-        return coef[0].reshape(n, n)
+        return c0
 
     out_nn = extract_general(e_nn)
     out_nt = extract_general(e_nt)

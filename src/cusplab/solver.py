@@ -124,10 +124,6 @@ class Grid2D:
         rho = self.meshes()[0]
         return rho ** w.mu0
 
-    def volume_weight(self) -> np.ndarray:
-        """Reduced volume density W on nodes (transverse factors dropped)."""
-        return self._coefficients()[0]
-
     def _coefficients(self):
         """(W, [A_1, A_2, ...]) with W the reduced volume density and A_d the
         flux coefficient W * h^{dd} along each active axis."""
@@ -290,10 +286,13 @@ class SparseOperator:
         k = self.matrix.shape[0]
         if k <= 400:
             return float(np.linalg.eigvalsh(self.matrix.toarray())[0])
-        vals = spla.eigsh(
-            self.matrix, k=1, which="SA", tol=tol, maxiter=5000,
-            return_eigenvectors=False,
-        )
+        try:
+            vals = spla.eigsh(
+                self.matrix, k=1, which="SA", tol=tol, maxiter=5000,
+                return_eigenvectors=False,
+            )
+        except spla.ArpackNoConvergence as exc:
+            raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
         return float(vals[0])
 
 

@@ -52,10 +52,6 @@ class WeightVector:
             if not (1 <= f <= self.n - 1):
                 raise ValueError(f"cusp rank {f} outside [1, {self.n - 1}]")
 
-    @property
-    def n_cusps(self) -> int:
-        return len(self.ranks)
-
 
 @dataclass(frozen=True)
 class EstimateMargin:

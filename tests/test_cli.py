@@ -54,6 +54,11 @@ class TestCurvatureCommand:
         payload = json.loads((tmp_path / "curvature_summary.json").read_text())
         assert payload["status"] == "pass"
 
+    def test_stencil_failure_is_numerical(self, tmp_path, capsys):
+        # a step this large pushes the stencil out of the chart ranges
+        assert run(tmp_path, "curvature", "--step", "0.5") == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_perturbed_metric_fails(self, tmp_path):
         code = run(tmp_path, "curvature", "--n", "4", "--perturb", "0.05")
         assert code == EXIT_NUMERICAL

@@ -365,6 +365,22 @@ class TestSweepErrorRecording:
                              [0.2], nodes=16)
 
 
+class TestCoercivityProbeFailure:
+    def test_arpack_nonconvergence_becomes_nonconvergence(self, monkeypatch):
+        import cusplab.solver as sv
+
+        def failing(*args, **kwargs):
+            raise sv.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                              np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(sv.spla, "eigsh", failing)
+        grid = cusp_grid(CUSP, 0.1, nodes=24)
+        op = assemble(grid, -2.0)
+        assert op.n_unknowns > 400
+        with pytest.raises(NonConvergence):
+            solve_dirichlet(op, np.ones(grid.shape))
+
+
 class TestTensorModeNorm:
     def test_pointwise_metric_norm_reduction(self):
         chart = Chart.collar(4, edge=2.5)

@@ -30,6 +30,7 @@ from cusplab.tensorcalc import (
     tensor_norm,
     StencilError,
 )
+from cusplab import tensorcalc
 from cusplab.weights import barrier_cusp
 
 COLLAR4 = Chart.collar(4)
@@ -443,3 +444,73 @@ class TestDeTurck:
         A2_ref = christoffels_at(h, P4) - christoffels_at(gen, P4)
         assert np.abs(A2 - A2_ref).max() < 1e-5
         assert np.abs(A2 - A2.transpose(0, 2, 1)).max() < 1e-12
+
+
+class TestJetKernel:
+    """One stencil per field and operator: exact on quadratics, and the
+    number of metric evaluations per operator stays flat."""
+
+    @staticmethod
+    def _quadratic(seed=0, n=4):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n, n))
+        a = rng.standard_normal((n, n, n, n))
+        a = 0.5 * (a + a.transpose(1, 0, 2, 3))  # a[k, l] symmetric Hessian
+        c = c @ c.T + n * np.eye(n)
+
+        def ev(q):
+            return c + np.einsum("k,kij->ij", q, b) + 0.5 * np.einsum(
+                "k,l,klij->ij", q, q, a)
+
+        def grad(q):
+            return b + np.einsum("l,klij->kij", q, a)
+
+        return ev, grad, a
+
+    def test_exact_on_quadratic_components(self):
+        ev, grad, hess = self._quadratic()
+        hs = coordinate_steps(chart_metric(COLLAR4), P4, 0.05)
+        f0, d, dd = tensorcalc._jet(ev, P4, hs)
+        assert np.abs(f0 - ev(P4)).max() == 0.0
+        assert np.abs(d - grad(P4)).max() < 1e-9 * np.abs(grad(P4)).max()
+        assert np.abs(dd - hess).max() < 1e-9 * np.abs(hess).max()
+
+    def test_inverse_jet(self):
+        ev, grad, _ = self._quadratic(seed=1)
+        hs = coordinate_steps(chart_metric(COLLAR4), P4, 0.05)
+        jet = tensorcalc._jet(ev, P4, hs)
+        inv = np.linalg.inv(ev(P4))
+        ijet = tensorcalc._jinv(jet)
+        want = -np.einsum("ij,ajk,kl->ail", inv, grad(P4), inv)
+        assert np.abs(ijet[0] - inv).max() == 0.0
+        assert np.abs(ijet[1] - want).max() < 1e-9 * np.abs(want).max()
+        # M M^{-1} = I to second order: both derivatives vanish
+        one = tensorcalc._jeinsum("ij,jk->ik", jet, ijet)
+        assert np.abs(one[0] - np.eye(4)).max() < 1e-12
+        assert np.abs(one[1]).max() < 1e-9 and np.abs(one[2]).max() < 1e-9
+
+    def test_metric_evaluations_per_operator(self, monkeypatch):
+        calls = [0]
+        original = Chart.metric_at
+
+        def counted(self, p):
+            calls[0] += 1
+            return original(self, p)
+
+        monkeypatch.setattr(Chart, "metric_at", counted)
+        chart = COLLAR4
+        h = chart_metric(chart)
+        g = MetricField(
+            chart,
+            lambda q: chart.metric_at(q) * (1 + 0.1 * math.sin(q[1] + q[0])),
+            "g",
+        )
+        Q_at(g, h, P4)
+        assert calls[0] <= 70
+        calls[0] = 0
+        ricci_at(h, P4)
+        assert calls[0] <= 35
+
+    def test_one_field_type(self):
+        assert MetricField is SymTensorField is tensorcalc.Tensor3Field
