@@ -308,13 +308,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
                  table)
     rep.write_csv("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
                              "error"], table)
+    probes = {"min_eigenvalues": [r.min_eigenvalue for r in rows]}
     failures = [r for r in rows if r.error is not None]
     if failures:
         rep.error = {"type": "NonConvergence",
                      "message": failures[0].error,
                      "eps": failures[0].eps}
         print(f"solver failure at eps = {failures[0].eps}: {failures[0].error}")
-        rep.finish("numerical-failure")
+        rep.finish("numerical-failure", probes)
         return EXIT_NUMERICAL
     factor = solver.plateau_factor(rows)
     mms_worst = max(r.mms_error for r in rows)
@@ -324,7 +325,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rep.check("plateau_factor", factor, 2.0, factor <= 2.0,
                   "uniform-inverse-bound")
     rep.finish("pass" if rep.all_passed else "fail",
-               {"plateau_factor": factor})
+               {"plateau_factor": factor, **probes})
     return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
 
 

@@ -11,7 +11,7 @@ apply whenever the weighted form is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -125,38 +125,40 @@ class Grid2D:
         return rho ** w.mu0
 
     def _coefficients(self):
-        """(W, [A_1, A_2, ...]) with W the reduced volume density and A_d the
-        flux coefficient W * h^{dd} along each active axis."""
-        kind = self.chart.kind
-        n = self.chart.n
-        if kind == INTERMEDIATE_CUSP:
-            f, b = self.chart.f, self.chart.b
-            r, th = self.meshes()
-            W = r ** (f - 1) * np.sin(th) ** (b - 1) / np.cos(th) ** n
-            c2 = np.cos(th) ** 2
-            return W, [W * r * r * c2, W * c2]
-        if kind == COLLAR:
-            rho = self.meshes()[0]
-            W = rho ** (-float(n))
-            A = W * rho * rho
-            return W, [A, A.copy()]
-        if kind == MAXIMAL_CUSP:
-            r = self.axes[0]
-            W = r ** (n - 2.0)
-            return W, [W * r * r]
-        raise ValueError(f"no reduced operator for chart kind {kind!r}")
+        """(W, [A_1, A_2, ...]) on the nodes; see _flux_coefficients."""
+        return _flux_coefficients(self.chart, self.axes)
 
     def _coefficients_midpoint(self, axis: int) -> np.ndarray:
         """Flux coefficient A_axis evaluated at staggered midpoints."""
         mid_axes = list(self.axes)
         a = self.axes[axis]
         mid_axes[axis] = 0.5 * (a[1:] + a[:-1])
-        sub = Grid2D.__new__(Grid2D)  # bypass validation for the staggered grid
-        object.__setattr__(sub, "chart", self.chart)
-        object.__setattr__(sub, "axis_names", self.axis_names)
-        object.__setattr__(sub, "axes", tuple(np.asarray(ax) for ax in mid_axes))
-        object.__setattr__(sub, "eps", self.eps)
-        return sub._coefficients()[1][axis]
+        return _flux_coefficients(self.chart, mid_axes)[1][axis]
+
+
+def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
+    """(W, [A_1, A_2, ...]) on the tensor grid of the given axes, with W the
+    reduced volume density and A_d the flux coefficient W * h^{dd} along
+    each active axis."""
+    kind = chart.kind
+    n = chart.n
+    meshes = np.meshgrid(*axes, indexing="ij")
+    if kind == INTERMEDIATE_CUSP:
+        f, b = chart.f, chart.b
+        r, th = meshes
+        W = r ** (f - 1) * np.sin(th) ** (b - 1) / np.cos(th) ** n
+        c2 = np.cos(th) ** 2
+        return W, [W * r * r * c2, W * c2]
+    if kind == COLLAR:
+        rho = meshes[0]
+        W = rho ** (-float(n))
+        A = W * rho * rho
+        return W, [A, A.copy()]
+    if kind == MAXIMAL_CUSP:
+        r = meshes[0]
+        W = r ** (n - 2.0)
+        return W, [W * r * r]
+    raise ValueError(f"no reduced operator for chart kind {kind!r}")
 
 
 def cusp_grid(
@@ -256,6 +258,9 @@ class SparseOperator:
     matrix is the symmetric weighted form L = -D^T C D + K diag(W) acting on
     interior unknowns; cross couples interior rows to boundary nodes; the
     pointwise operator is diag(1/W) (L u_int + cross u_bdy).
+
+    The operator is factored at most once: the coercivity decision, the
+    eigenvalue probe and every direct solve share one sparse LU.
     """
 
     grid: Grid2D
@@ -265,6 +270,10 @@ class SparseOperator:
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
     boundary: np.ndarray
+    _lu: Optional[spla.SuperLU] = field(default=None, init=False, repr=False,
+                                        compare=False)
+    min_eigenvalue: Optional[float] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def pattern_symmetric(self) -> bool:
@@ -281,19 +290,55 @@ class SparseOperator:
         out = self.matrix @ v[self.interior] + self.cross @ v[self.boundary]
         return out / self.weight
 
-    def smallest_eigenvalue(self, tol: float = 1e-4) -> float:
-        """Cheap estimate of the smallest eigenvalue of the symmetric form."""
-        k = self.matrix.shape[0]
-        if k <= 400:
-            return float(np.linalg.eigvalsh(self.matrix.toarray())[0])
-        try:
-            vals = spla.eigsh(
-                self.matrix, k=1, which="SA", tol=tol, maxiter=5000,
-                return_eigenvectors=False,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
-        return float(vals[0])
+    def factor(self) -> spla.SuperLU:
+        """Sparse LU of the symmetric form, computed on first use.
+
+        SuperLU's symmetric mode orders A + A^T and prefers diagonal pivots,
+        so for a symmetric matrix without zero pivots P A P^T = L D L^T with
+        U = D L^T.
+        """
+        if self._lu is None:
+            try:
+                self._lu = spla.splu(
+                    self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise NonConvergence(f"sparse factorization failed: {exc}") from exc
+        return self._lu
+
+    def smallest_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the symmetric form, cached on the operator.
+
+        With the pivots on the diagonal, Sylvester's law of inertia makes the
+        number of nonpositive pivots of L D L^T the number of nonpositive
+        eigenvalues; IndefiniteOperator reports it when it is not zero.
+        Otherwise the smallest eigenvalue is the one nearest 0, found by
+        shift-invert Lanczos on the cached factorization.
+        """
+        if self.min_eigenvalue is None:
+            lu = self.factor()
+            if not np.array_equal(lu.perm_r, lu.perm_c):
+                raise NonConvergence(
+                    "sparse factorization pivoted off the diagonal; "
+                    "its inertia does not count eigenvalues")
+            count = int(np.count_nonzero(lu.U.diagonal() <= 0))
+            if count:
+                raise IndefiniteOperator(
+                    f"symmetrized operator has {count} nonpositive eigenvalues "
+                    "(inertia of its L D L^T factorization); the discrete "
+                    "problem is not coercive")
+            inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve,
+                                          dtype=float)
+            try:
+                vals = spla.eigsh(
+                    self.matrix, k=1, sigma=0.0, which="LM", OPinv=inverse,
+                    tol=1e-4, return_eigenvectors=False,
+                )
+            except spla.ArpackNoConvergence as exc:
+                raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
+            self.min_eigenvalue = float(vals[0])
+        return self.min_eigenvalue
 
 
 def assemble(grid: Grid2D, K: float) -> SparseOperator:
@@ -305,33 +350,35 @@ def assemble(grid: Grid2D, K: float) -> SparseOperator:
     """
     shape = grid.shape
     ntot = int(np.prod(shape))
-    W, _ = grid._coefficients()
-    Wf = np.asarray(W, dtype=float).reshape(-1)
+    W = np.asarray(grid._coefficients()[0], dtype=float)
     interior = grid.interior_mask().reshape(-1)
+    nodes = np.arange(ntot).reshape(shape)
 
+    diag = K * W
     rows, cols, vals = [], [], []
-    diag = K * Wf.copy()
-
-    strides = np.array([int(np.prod(shape[d + 1 :])) for d in range(grid.ndim)])
     for axis in range(grid.ndim):
         dx = grid.spacing[axis]
-        Amid = np.asarray(grid._coefficients_midpoint(axis), dtype=float)
-        # walk every grid edge along this axis
-        it = np.ndindex(*[s - (1 if d == axis else 0) for d, s in enumerate(shape)])
-        for idx in it:
-            jdx = list(idx)
-            jdx[axis] += 1
-            i = int(np.dot(idx, strides))
-            j = int(np.dot(jdx, strides))
-            a = float(Amid[idx]) / (dx * dx)
-            diag[i] += a
-            diag[j] += a
-            rows += [i, j]
-            cols += [j, i]
-            vals += [-a, -a]
+        a = np.asarray(grid._coefficients_midpoint(axis), dtype=float) / (dx * dx)
+        # every edge along this axis joins node lo to node hi
+        lo = [slice(None)] * grid.ndim
+        hi = [slice(None)] * grid.ndim
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        diag[hi] += a
+        diag[lo] += a
+        rows += [nodes[lo], nodes[hi]]
+        cols += [nodes[hi], nodes[lo]]
+        vals += [-a, -a]
+    rows.append(nodes)
+    cols.append(nodes)
+    vals.append(diag)
 
-    L_all = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsr()
-    L_all += sp.diags(diag)
+    L_all = sp.coo_matrix(
+        (np.concatenate([v.reshape(-1) for v in vals]),
+         (np.concatenate([r.reshape(-1) for r in rows]),
+          np.concatenate([c.reshape(-1) for c in cols]))),
+        shape=(ntot, ntot),
+    ).tocsr()
 
     int_idx = np.flatnonzero(interior)
     bdy_idx = np.flatnonzero(~interior)
@@ -342,7 +389,7 @@ def assemble(grid: Grid2D, K: float) -> SparseOperator:
         K=K,
         matrix=L_int,
         cross=cross,
-        weight=Wf[int_idx],
+        weight=W.reshape(-1)[int_idx],
         interior=int_idx,
         boundary=bdy_idx,
     )
@@ -359,8 +406,8 @@ def solve_dirichlet(
 
     method 'auto' uses a sparse direct factorization for moderate sizes and
     diagonally preconditioned conjugate gradients beyond that.  For K < 0
-    the smallest eigenvalue of the symmetric form is estimated first and an
-    IndefiniteOperator error raised when it is not positive.
+    coercivity is checked first (SparseOperator.smallest_eigenvalue) and an
+    IndefiniteOperator error raised when the symmetric form is not positive.
     """
     fv = f.values if isinstance(f, DiscreteField) else np.asarray(f, dtype=float)
     fv = fv.reshape(-1)
@@ -380,7 +427,7 @@ def solve_dirichlet(
     if method == "auto":
         method = "direct" if ndof <= 60_000 else "cg"
     if method == "direct":
-        u_int = spla.spsolve(op.matrix.tocsc(), rhs)
+        u_int = op.factor().solve(rhs)
     elif method == "cg":
         pre = sp.diags(1.0 / op.matrix.diagonal())
         cap = int(50 * math.sqrt(ndof)) + 10
@@ -452,6 +499,7 @@ class SweepRow:
     mms_error: float
     shape: tuple[int, ...]
     error: Optional[str] = None
+    min_eigenvalue: Optional[float] = None  # coercivity probe, when one ran
 
 
 def exhaustion_sweep(
@@ -503,7 +551,8 @@ def exhaustion_sweep(
             rows.append(SweepRow(eps, math.nan, math.nan, math.nan, math.nan,
                                  grid.shape, error=str(exc)))
             continue
-        rows.append(SweepRow(eps, nu, nf, nu / nf, mms, grid.shape))
+        rows.append(SweepRow(eps, nu, nf, nu / nf, mms, grid.shape,
+                             min_eigenvalue=op.min_eigenvalue))
     return rows
 
 

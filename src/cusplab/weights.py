@@ -148,14 +148,13 @@ def maximal_margin(K: float, mu: float, n: int) -> EstimateMargin:
 
 def mu0_window(n: int, K: float = -2.0) -> Window:
     """Weights at the infinite-volume face compatible with both the square
-    integrability cutoff nu > (n-1)/2 and a positive barrier margin."""
-    disc = (n - 1) ** 2 + 4.0 * K
-    if disc <= 0:
+    integrability cutoff nu > (n-1)/2 and a positive barrier margin, i.e.
+    the part of (nu_-, nu_+) above the cutoff; empty for a double root."""
+    try:
+        lo_root, hi_root = indicial_roots(K, n)
+    except NoRealIndicialRoots:
         return Window()
-    lo_root = ((n - 1) - math.sqrt(disc)) / 2.0
-    hi_root = ((n - 1) + math.sqrt(disc)) / 2.0
-    lo = max((n - 1) / 2.0, lo_root)
-    return Window(lo, hi_root) if lo < hi_root else Window()
+    return Window(max((n - 1) / 2.0, lo_root), hi_root)
 
 
 def cusp_weight_window(n: int, f: int, mu0: float, K: float = -2.0) -> Window:

@@ -75,6 +75,18 @@ class TestSolveAndSweep:
         assert len(rows) == 3
         payload = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert payload["plateau_factor"] <= 2.0
+        assert len(payload["min_eigenvalues"]) == 2
+        assert all(lam > 0 for lam in payload["min_eigenvalues"])
+
+    def test_solve_at_256_nodes(self, tmp_path):
+        # the ARPACK smallest-algebraic probe used to exhaust its iteration
+        # cap on this grid; shift-invert on the factorization converges
+        code = run(tmp_path, "solve", "--nodes", "256", "--eps", "0.05")
+        assert code == EXIT_PASS
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["status"] == "pass"
+        (check,) = payload["checks"]
+        assert check["name"] == "barrier_ratio" and check["passed"]
 
     def test_indefinite_flag_reports_numerical_failure(self, tmp_path):
         code = run(tmp_path, "solve", "--expect-indefinite", "--nodes", "16")

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cusplab.charts import Chart
 from cusplab.solver import (
     DiscreteField,
     IndefiniteOperator,
+    _flux_coefficients,
     NonConvergence,
     SupportViolation,
     assemble,
@@ -103,6 +106,116 @@ class TestAssembly:
         got = op.apply_to_values(vals)
         want = ((K - mu * (mu + 3)) * vals)[grid.interior_mask()]
         assert np.abs(got - want).max() < 5e-3
+
+
+def _edge_loop_assemble(grid, K):
+    """Reference assembly: one Python iteration per grid edge."""
+    shape = grid.shape
+    ntot = int(np.prod(shape))
+    Wf = np.asarray(grid._coefficients()[0], dtype=float).reshape(-1)
+    rows, cols, vals = [], [], []
+    diag = K * Wf.copy()
+    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(grid.ndim)])
+    for axis in range(grid.ndim):
+        dx = grid.spacing[axis]
+        mid_axes = list(grid.axes)
+        a = grid.axes[axis]
+        mid_axes[axis] = 0.5 * (a[1:] + a[:-1])
+        Amid = _flux_coefficients(grid.chart, mid_axes)[1][axis]
+        it = np.ndindex(*[s - (1 if d == axis else 0) for d, s in enumerate(shape)])
+        for idx in it:
+            jdx = list(idx)
+            jdx[axis] += 1
+            i = int(np.dot(idx, strides))
+            j = int(np.dot(jdx, strides))
+            c = float(Amid[idx]) / (dx * dx)
+            diag[i] += c
+            diag[j] += c
+            rows += [i, j]
+            cols += [j, i]
+            vals += [-c, -c]
+    L_all = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsr()
+    L_all += sp.diags(diag)
+    interior = grid.interior_mask().reshape(-1)
+    int_idx = np.flatnonzero(interior)
+    bdy_idx = np.flatnonzero(~interior)
+    return L_all[int_idx][:, int_idx], L_all[int_idx][:, bdy_idx]
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("grid", [
+        cusp_grid(CUSP, 0.1, nodes=12),
+        collar_grid(Chart.collar(4), 0.05, nodes=10),
+        maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=16),
+    ], ids=["cusp", "collar", "maximal"])
+    def test_matches_edge_loop(self, grid):
+        op = assemble(grid, -2.0)
+        ref_matrix, ref_cross = _edge_loop_assemble(grid, -2.0)
+        for got, want in ((op.matrix, ref_matrix), (op.cross, ref_cross)):
+            assert got.shape == want.shape
+            scale = np.abs(want.toarray()).max()
+            assert np.abs((got - want).toarray()).max() <= 1e-14 * scale
+
+
+class TestFactorOnce:
+    def test_one_factorization_and_one_probe_per_grid(self, monkeypatch):
+        import cusplab.solver as sv
+
+        calls = {"splu": 0, "eigsh": 0}
+
+        def counted(name):
+            orig = getattr(sv.spla, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sv.spla, name, counted(name))
+        eps_list = [0.2, 0.1, 0.05, 0.025]
+        rows = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
+                                eps_list, nodes=24)
+        assert calls == {"splu": len(eps_list), "eigsh": len(eps_list)}
+        assert all(r.min_eigenvalue > 0 for r in rows)
+
+    @pytest.mark.parametrize("K, eps, nodes", [
+        (-50.0, 0.1, 20), (-50.0, 0.1, 48), (-8.0, 0.025, 40),
+    ])
+    def test_indefinite_message_counts_nonpositive_eigenvalues(self, K, eps, nodes):
+        op = assemble(cusp_grid(CUSP, eps, nodes=nodes), K)
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        want = int(np.count_nonzero(dense <= 0))
+        assert want > 0
+        with pytest.raises(IndefiniteOperator) as exc:
+            solve_dirichlet(op, np.ones(op.grid.shape))
+        match = re.search(r"(\d+) nonpositive eigenvalues", str(exc.value))
+        assert match is not None and int(match.group(1)) == want
+
+    @pytest.mark.parametrize("block", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                             ids=["off-diagonal-pivots", "singular"])
+    def test_unusable_factorization_is_nonconvergence(self, block):
+        import dataclasses
+
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=12), -2.0)
+        matrix = sp.csr_matrix(np.kron(np.eye(op.n_unknowns // 2), block))
+        op = dataclasses.replace(op, matrix=matrix)
+        with pytest.raises(NonConvergence) as exc:
+            op.smallest_eigenvalue()
+        assert not isinstance(exc.value, IndefiniteOperator)
+
+    @pytest.mark.parametrize("nodes", [16, 40])
+    def test_smallest_eigenvalue_matches_dense_and_is_cached(self, nodes, monkeypatch):
+        import cusplab.solver as sv
+
+        op = assemble(cusp_grid(CUSP, 0.05, nodes=nodes), -2.0)
+        want = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        lam = op.smallest_eigenvalue()
+        assert lam == pytest.approx(want, rel=1e-6)
+        assert op.min_eigenvalue == lam
+        monkeypatch.setattr(sv.spla, "eigsh", None)  # a second probe would fail
+        assert op.smallest_eigenvalue() == lam
 
 
 class TestSolve:

@@ -98,6 +98,11 @@ class TestWindows:
     def test_dimension_three_empty(self):
         assert mu0_window(3).empty
 
+    def test_double_and_complex_roots_give_empty_windows(self):
+        assert indicial_roots(-2.25, 4) == pytest.approx((1.5, 1.5))
+        assert mu0_window(4, K=-2.25).empty
+        assert mu0_window(4, K=-3.0).empty
+
     def test_cusp_window_examples(self):
         w = cusp_weight_window(4, 1, 1.75)
         assert w.hi == pytest.approx((-1 + math.sqrt(7.0)) / 2, abs=1e-12)
