@@ -124,7 +124,6 @@ class Chart:
     trunc_fraction: float = 0.2
     h_u: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     h_u_name: str = "euclidean"
-    g_flat: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -255,9 +254,8 @@ class Chart:
             return out
         if self.kind == MAXIMAL_CUSP:
             r = p[0]
-            gN = self.g_flat if self.g_flat is not None else np.eye(n - 1)
             out[0, 0] = 1.0 / (r * r)
-            out[1:, 1:] = r * r * gN
+            out[1:, 1:] = r * r * np.eye(n - 1)
             return out
         if self.kind == COLLAR:
             rho = p[0]
@@ -285,8 +283,7 @@ class Chart:
                 dens *= math.sqrt(_round_sphere_det(p[2 : 1 + self.b]))
             return dens
         if self.kind == MAXIMAL_CUSP:
-            gN = self.g_flat if self.g_flat is not None else np.eye(n - 1)
-            return p[0] ** (n - 2) * math.sqrt(np.linalg.det(gN))
+            return p[0] ** (n - 2)
         if self.kind == COLLAR:
             rho = p[0]
             return math.sqrt(np.linalg.det(self.h_u(rho, p[1:]))) / rho ** n

@@ -42,7 +42,6 @@ class RunConfig:
     n: int = 4
     f: int = 1
     ranks: tuple[int, ...] = (1,)
-    chart_kind: str = charts.INTERMEDIATE_CUSP
     K: float = -2.0
     mu0: Optional[float] = None
     weights_mode: str = "auto"
@@ -62,6 +61,10 @@ class RunConfig:
             raise ValueError("n must be >= 2")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps list must be strictly decreasing")
+        if len(self.refinements) < 2:
+            raise ValueError("an identity order needs at least two refinements")
+        if self.stages < 1:
+            raise ValueError("stages must be >= 1")
         for value, name in ((self.nodes, "nodes"), (self.step, "step"),
                             (self.tolerance, "tolerance")):
             if value <= 0:
@@ -561,6 +564,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (solver.NonConvergence, charts.ChartDomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -66,20 +66,18 @@ class BoundaryData:
     qhat maps tangential coordinates y to symmetric (n-1)x(n-1) component
     matrices, supported strictly inside the cutoff plateau; psi_y is the
     tangential cutoff profile (a function of y[0]) with support interval
-    y_support, and the radial cutoff equals 1 for rho < delta/2.
+    y_support, and the radial cutoff equals 1 for rho <= 1/2 and 0 for
+    rho >= 1.
     """
 
     chart: Chart
     qhat: Callable[[np.ndarray], np.ndarray]
     psi_y: Callable[[float], float]
     y_support: tuple[float, float]
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.chart.kind != COLLAR:
             raise ValueError("boundary data lives on a collar chart")
-        if not (0 < self.delta <= self.chart.edge):
-            raise ValueError("delta must lie in (0, chart edge]")
 
     @property
     def n(self) -> int:
@@ -90,12 +88,7 @@ class BoundaryData:
         return self.chart.h_u(0.0, np.asarray(y, dtype=float))
 
     def psi_rho(self, rho: float) -> float:
-        half = self.delta / 2.0
-        if rho <= half:
-            return 1.0
-        if rho >= self.delta:
-            return 0.0
-        return 1.0 - smooth_step((rho - half) / half)
+        return plateau_bump(rho)
 
     def psi(self, rho: float, y: np.ndarray) -> float:
         return self.psi_rho(rho) * float(self.psi_y(float(np.asarray(y)[0])))
@@ -119,49 +112,48 @@ class BoundaryData:
                 raise PositivityError("qhat support leaks outside the cutoff plateau")
 
     def _reference_y(self) -> np.ndarray:
-        """A tangential base point in the middle of the coordinate ranges."""
-        rng = self.chart.coordinate_ranges()[1:]
-        out = []
-        for lo, hi in rng:
-            if math.isinf(lo) or math.isinf(hi):
-                out.append(0.3)
-            else:
-                out.append(0.5 * (lo + hi))
-        return np.array(out)
+        return _reference_y(self.chart)
+
+
+def _reference_y(chart: Chart) -> np.ndarray:
+    """A tangential base point in the middle of the coordinate ranges (0.3
+    on an unbounded range)."""
+    out = []
+    for lo, hi in chart.coordinate_ranges()[1:]:
+        if math.isinf(lo) or math.isinf(hi):
+            out.append(0.3)
+        else:
+            out.append(0.5 * (lo + hi))
+    return np.array(out)
 
 
 def seeded_boundary_data(
     chart: Chart,
     seed: int = 0,
     amplitude: float = 0.05,
-    q_halfwidth: float = 0.25,
-    psi_halfwidth: float = 0.45,
-    center: Optional[float] = None,
 ) -> BoundaryData:
     """Boundary data with a seeded random symmetric coefficient matrix times
-    a smooth bump in the first tangential coordinate; sup of the component
-    matrix equals `amplitude`."""
+    a smooth bump of half-width 0.25 in the first tangential coordinate,
+    inside a cutoff plateau of half-width 0.45 around the reference point;
+    sup of the component matrix equals `amplitude`."""
     rng = np.random.default_rng(seed)
     n = chart.n
     A = rng.standard_normal((n - 1, n - 1))
     A = 0.5 * (A + A.T)
     A *= amplitude / np.abs(A).max()
-    rngs = chart.coordinate_ranges()[1]
-    if center is None:
-        center = 0.3 if math.isinf(rngs[0]) else 0.5 * (rngs[0] + rngs[1])
+    center = float(_reference_y(chart)[0])
 
     def qhat(y):
-        return A * smooth_bump((float(np.asarray(y)[0]) - center) / q_halfwidth)
+        return A * smooth_bump((float(np.asarray(y)[0]) - center) / 0.25)
 
     def psi_y(t):
-        return plateau_bump((t - center) / psi_halfwidth,
-                            inner=q_halfwidth / psi_halfwidth)
+        return plateau_bump((t - center) / 0.45, inner=0.25 / 0.45)
 
     bd = BoundaryData(
         chart=chart,
         qhat=qhat,
         psi_y=psi_y,
-        y_support=(center - psi_halfwidth, center + psi_halfwidth),
+        y_support=(center - 0.45, center + 0.45),
     )
     bd.validate()
     return bd
@@ -298,16 +290,16 @@ class IndicialBlocks:
     mv: float
     mt: float
 
-    def singular(self, tol: float = 1e-4) -> bool:
+    def singular(self) -> bool:
         scale = max(np.abs(self.m2).max(), abs(self.mv), abs(self.mt), 1e-3)
         return (
-            abs(np.linalg.det(self.m2)) < tol * scale ** 2
-            or abs(self.mv) < tol * scale
-            or abs(self.mt) < tol * scale
+            abs(np.linalg.det(self.m2)) < 1e-4 * scale ** 2
+            or abs(self.mv) < 1e-4 * scale
+            or abs(self.mt) < 1e-4 * scale
         )
 
-    def solve(self, R: np.ndarray, hhat: np.ndarray, tol: float = 1e-4) -> np.ndarray:
-        if self.singular(tol):
+    def solve(self, R: np.ndarray, hhat: np.ndarray) -> np.ndarray:
+        if self.singular():
             raise CharacteristicExponentHit(
                 f"indicial matrix singular at exponent s = {self.s}"
             )
@@ -329,18 +321,13 @@ def _indicial_probe_rhos(count: int = 5, base: float = 0.05) -> np.ndarray:
     return base * 0.5 ** np.arange(count)
 
 
-def indicial_blocks(
-    s: float,
-    chart: Chart,
-    y_ref: Optional[np.ndarray] = None,
-    step: float = DEFAULT_STEP,
-    resid_tol: float = 1e-3,
-) -> IndicialBlocks:
+def indicial_blocks(s: float, chart: Chart) -> IndicialBlocks:
     """Assemble the indicial action of the linearized operator numerically.
 
     The operator is applied to rho^{s-2} times frozen component matrices of
-    each type; the leading coefficient as rho -> 0 is extracted by a
-    polynomial fit over geometric samples.  The normalization is the
+    each type at the reference point of the chart; the leading coefficient
+    as rho -> 0 is extracted by a polynomial fit over geometric samples
+    (relative fit residual at most 1e-3).  The normalization is the
     invariant one: the pure-trace input rho^s * h reproduces the scalar
     zeroth-order action at s = 0.
     """
@@ -348,10 +335,7 @@ def indicial_blocks(
         raise ValueError("indicial analysis runs on a collar chart")
     n = chart.n
     h = chart_metric(chart)
-    if y_ref is None:
-        rng = chart.coordinate_ranges()[1:]
-        y_ref = np.array([0.3 if math.isinf(lo) else 0.5 * (lo + hi)
-                          for lo, hi in rng])
+    y_ref = _reference_y(chart)
     hhat = chart.h_u(0.0, y_ref)
 
     e_nn = np.zeros((n, n)); e_nn[0, 0] = 1.0
@@ -366,11 +350,11 @@ def indicial_blocks(
 
     def extract_general(Cin):
         r_field = SymTensorField(chart, lambda q: (q[0] ** t) * Cin)
-        vals = [L_at(h, r_field, np.concatenate(([rho], y_ref)), step)
+        vals = [L_at(h, r_field, np.concatenate(([rho], y_ref)), DEFAULT_STEP)
                 for rho in rhos]
         c0, resid, scale = _fit_leading_coefficient(rhos, np.array(vals), t)
         rel = resid / (scale or 1.0)
-        if rel > resid_tol:
+        if rel > 1e-3:
             raise IndicialExtractionFailure(
                 f"indicial extraction residual {rel:.2e} at s = {s}"
             )
@@ -400,33 +384,32 @@ def indicial_matrix(
     s: float,
     n: int = 4,
     chart: Optional[Chart] = None,
-    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """4x4 indicial type matrix at invariant exponent s, on the component
     types (normal-normal, normal-tangential, tangential trace, tangential
     trace-free)."""
     chart = chart if chart is not None else Chart.collar(n)
-    return indicial_blocks(s, chart, step=step).as_matrix()
+    return indicial_blocks(s, chart).as_matrix()
 
 
 # -- coefficient extraction and correction steps --------------------------------
 
 
+DEFAULT_EXTRACTION_RHOS = 0.4 * 0.5 ** np.arange(6)
+EXTRACTION_STEP = 5e-4  # finite-difference step of every residual evaluation
+
+
 @dataclass
 class _BackgroundCache:
     chart: Chart
-    step: float
     values: dict = field(default_factory=dict)
 
     def q_hh(self, p: np.ndarray) -> np.ndarray:
         key = tuple(np.round(p, 12))
         if key not in self.values:
             h = chart_metric(self.chart)
-            self.values[key] = Q_at(h, h, p, self.step)
+            self.values[key] = Q_at(h, h, p, EXTRACTION_STEP)
         return self.values[key]
-
-
-DEFAULT_EXTRACTION_RHOS = 0.4 * 0.5 ** np.arange(6)
 
 
 def extract_residual_coefficient(
@@ -434,8 +417,6 @@ def extract_residual_coefficient(
     g_1: ExpansionMetric,
     t: int,
     y: np.ndarray,
-    rhos: Sequence[float] = DEFAULT_EXTRACTION_RHOS,
-    step: float = 5e-4,
     cache: Optional[_BackgroundCache] = None,
 ):
     """Leading Taylor coefficient {Q(g_j, g_1)}_t of the residual at fixed y.
@@ -444,15 +425,13 @@ def extract_residual_coefficient(
     subtracted first: it vanishes identically in exact arithmetic, and the
     subtraction cancels the dominant finite-difference truncation error.
     """
-    chart = g_j.chart
-    cache = cache or _BackgroundCache(chart, step)
+    cache = cache or _BackgroundCache(g_j.chart)
     gl, gr = g_j.field, g_1.field
-    rhos = np.asarray(rhos, dtype=float)
     vals = []
-    for rho in rhos:
+    for rho in DEFAULT_EXTRACTION_RHOS:
         p = np.concatenate(([rho], y))
-        vals.append(Q_at(gl, gr, p, step) - cache.q_hh(p))
-    return _fit_leading_coefficient(rhos, np.array(vals), t)
+        vals.append(Q_at(gl, gr, p, EXTRACTION_STEP) - cache.q_hh(p))
+    return _fit_leading_coefficient(DEFAULT_EXTRACTION_RHOS, np.array(vals), t)
 
 
 class _SplineCoefficient:
@@ -476,44 +455,39 @@ class _SplineCoefficient:
 def correction_step(
     g_j: ExpansionMetric,
     g_1: ExpansionMetric,
-    step: float = 5e-4,
-    grid_points: int = 41,
-    iterations: int = 2,
-    rhos: Sequence[float] = DEFAULT_EXTRACTION_RHOS,
     cache: Optional[_BackgroundCache] = None,
-    indicial_tol: float = 1e-4,
 ) -> ExpansionMetric:
     """One order-raising step: cancel the leading residual coefficient.
 
     The residual coefficient at the current component exponent is extracted
-    on a tangential grid, the indicial blocks inverted pointwise, and the
-    correction re-extracted once so that quadratic cross terms at the same
-    order are swept up as well.  Coefficients vanish identically outside the
-    cutoff support.  Raises CharacteristicExponentHit at a singular
-    exponent.
+    on a 41-point tangential grid, the indicial blocks inverted pointwise,
+    and the correction re-extracted once so that quadratic cross terms at
+    the same order are swept up as well.  Coefficients vanish identically
+    outside the cutoff support.  Raises CharacteristicExponentHit at a
+    singular exponent.
     """
     bd = g_j.bd
     chart = g_j.chart
     t = g_j.order - 2  # residual component exponent: -1 for stage 1, then 0, 1, ...
     s_inv = float(t + 2)
-    blocks = indicial_blocks(s_inv, chart, step=DEFAULT_STEP)
-    if blocks.singular(indicial_tol):
+    blocks = indicial_blocks(s_inv, chart)
+    if blocks.singular():
         raise CharacteristicExponentHit(
             f"stage {g_j.order + 1} sits at a characteristic exponent "
             f"(s = {s_inv}); the construction stops here"
         )
-    cache = cache or _BackgroundCache(chart, step)
+    cache = cache or _BackgroundCache(chart)
     lo, hi = bd.y_support
     pad = 0.02 * (hi - lo)
-    ygrid = np.linspace(lo - pad, hi + pad, grid_points)
+    ygrid = np.linspace(lo - pad, hi + pad, 41)
     y_ref = bd._reference_y()
     n = bd.n
 
-    coeff = np.zeros((grid_points, n, n))
+    coeff = np.zeros((len(ygrid), n, n))
     current = g_j
-    for _ in range(max(iterations, 1)):
+    for _ in range(2):
         raw = np.zeros_like(coeff)
-        resids = np.zeros(grid_points)
+        resids = np.zeros(len(ygrid))
         scale = 0.0
         for i, t_y in enumerate(ygrid):
             y = y_ref.copy()
@@ -521,7 +495,7 @@ def correction_step(
             if not (lo < t_y < hi):
                 continue
             c, resid, sc = extract_residual_coefficient(
-                current, g_1, t, y, rhos=rhos, step=step, cache=cache
+                current, g_1, t, y, cache=cache
             )
             raw[i] = c
             resids[i] = resid
@@ -537,7 +511,7 @@ def correction_step(
                 continue
             y = y_ref.copy()
             y[0] = t_y
-            new_vals[i] = blocks.solve(-raw[i], bd.hhat(y), indicial_tol)
+            new_vals[i] = blocks.solve(-raw[i], bd.hhat(y))
         coeff = coeff + new_vals
         fn = _SplineCoefficient(ygrid, coeff, (lo, hi))
         current = ExpansionMetric(
@@ -553,16 +527,14 @@ def correction_step(
 def S_map(
     bd: BoundaryData,
     stages: Optional[int] = None,
-    step: float = 5e-4,
-    **kw,
 ) -> list[ExpansionMetric]:
     """Build the expansion ladder g_1, g_2, ..., up to stage n - 1 (or the
     first characteristic exponent, whichever comes first)."""
     cap = bd.n - 1 if stages is None else min(stages, bd.n - 1)
     out = [T_map(bd)]
-    cache = _BackgroundCache(bd.chart, step)
+    cache = _BackgroundCache(bd.chart)
     while out[-1].order < cap:
-        out.append(correction_step(out[-1], out[0], step=step, cache=cache, **kw))
+        out.append(correction_step(out[-1], out[0], cache=cache))
     return out
 
 
@@ -583,19 +555,17 @@ def vanishing_order(
     gR: MetricField | ExpansionMetric,
     rho_samples: Sequence[float],
     y_samples: Sequence[np.ndarray],
-    step: float = 5e-4,
-    subtract_background: bool = True,
-    floor: float = 1e-13,
 ) -> VanishingOrderFit:
-    """Least-squares slope of log |Q(gL, gR)|_h against log rho.
+    """Least-squares slope of log |Q(gL, gR) - Q(h, h)|_h against log rho.
 
-    Samples with all values below the floor are reported with an infinite
-    sentinel slope and excluded from the headline maximum.
+    Values at or below the floor 1e-13 are left out of the fit; samples with
+    all values below it are reported with an infinite sentinel slope and
+    excluded from the headline maximum.
     """
     fl = gL.field if isinstance(gL, ExpansionMetric) else gL
     fr = gR.field if isinstance(gR, ExpansionMetric) else gR
     chart = fl.chart
-    cache = _BackgroundCache(chart, step)
+    cache = _BackgroundCache(chart)
     rho_samples = np.asarray(sorted(rho_samples, reverse=True), dtype=float)
 
     per_y = []
@@ -605,16 +575,14 @@ def vanishing_order(
         norms = []
         for rho in rho_samples:
             p = np.concatenate(([rho], y))
-            q = Q_at(fl, fr, p, step)
-            if subtract_background:
-                q = q - cache.q_hh(p)
+            q = Q_at(fl, fr, p, EXTRACTION_STEP) - cache.q_hh(p)
             norms.append(tensor_norm(chart.metric_at(p), q))
         norms = np.array(norms)
-        if norms.max() < floor:
+        if norms.max() < 1e-13:
             per_y.append({"y": y.tolist(), "slope": SLOPE_SENTINEL,
                           "residual": 0.0, "norms": norms.tolist()})
             continue
-        keep = norms > floor
+        keep = norms > 1e-13
         logr = np.log(rho_samples[keep])
         logn = np.log(norms[keep])
         slope, intercept = np.polyfit(logr, logn, 1)

@@ -114,13 +114,13 @@ class Grid2D:
         r = self.meshes()[0]
         return r.copy()
 
-    def sigma_mu(self, w: WeightVector, end_index: int = 0) -> np.ndarray:
-        """Multi-weight sigma^mu on nodes."""
+    def sigma_mu(self, w: WeightVector) -> np.ndarray:
+        """Multi-weight sigma^mu on nodes (the cusp weight of end 0)."""
         if self.chart.kind == INTERMEDIATE_CUSP:
             r, th = self.meshes()
-            return np.cos(th) ** w.mu0 * r ** w.mus[end_index]
+            return np.cos(th) ** w.mu0 * r ** w.mus[0]
         if self.chart.kind == MAXIMAL_CUSP:
-            return self.axes[0] ** w.mus[end_index]
+            return self.axes[0] ** w.mus[0]
         rho = self.meshes()[0]
         return rho ** w.mu0
 
@@ -161,27 +161,20 @@ def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
     raise ValueError(f"no reduced operator for chart kind {kind!r}")
 
 
-def cusp_grid(
-    chart: Chart,
-    eps: float,
-    nodes: int = 48,
-    r_max: Optional[float] = None,
-    theta_min: float = 0.2,
-) -> Grid2D:
+def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
     """Inscribed rectangle of the exhaustion domain on a cusp chart:
-    r in [sqrt(eps), r_max], theta0 in [theta_min, arccos(sqrt(eps))], so the
+    r in [sqrt(eps), edge], theta0 in [0.2, arccos(sqrt(eps))], so the
     corner node realizes sigma = eps exactly."""
     if chart.kind != INTERMEDIATE_CUSP:
         raise ValueError("cusp_grid needs an intermediate-rank cusp chart")
-    r_max = chart.edge if r_max is None else r_max
     r_lo = math.sqrt(eps)
     th_hi = math.acos(math.sqrt(eps))
-    if not (r_lo < r_max and theta_min < th_hi):
+    if not (r_lo < chart.edge and 0.2 < th_hi):
         raise ValueError(f"eps = {eps} leaves no room in the chart")
     return Grid2D(
         chart,
         ("r", "theta0"),
-        (np.linspace(r_lo, r_max, nodes), np.linspace(theta_min, th_hi, nodes)),
+        (np.linspace(r_lo, chart.edge, nodes), np.linspace(0.2, th_hi, nodes)),
         eps,
     )
 
@@ -190,16 +183,14 @@ def collar_grid(
     chart: Chart,
     eps: float,
     nodes: int = 48,
-    rho_max: Optional[float] = None,
     y_range: tuple[float, float] = (-1.0, 1.0),
 ) -> Grid2D:
     if chart.kind != COLLAR:
         raise ValueError("collar_grid needs a collar chart")
-    rho_max = chart.edge if rho_max is None else rho_max
     return Grid2D(
         chart,
         ("rho", "y"),
-        (np.linspace(eps, rho_max, nodes), np.linspace(*y_range, nodes)),
+        (np.linspace(eps, chart.edge, nodes), np.linspace(*y_range, nodes)),
         eps,
     )
 
@@ -219,12 +210,10 @@ def compact_patch_grid(
     )
 
 
-def maximal_grid(chart: Chart, eps: float, nodes: int = 64,
-                 r_max: Optional[float] = None) -> Grid2D:
+def maximal_grid(chart: Chart, eps: float, nodes: int = 64) -> Grid2D:
     if chart.kind != MAXIMAL_CUSP:
         raise ValueError("maximal_grid needs a maximal-rank cusp chart")
-    r_max = chart.edge if r_max is None else r_max
-    return Grid2D(chart, ("r",), (np.linspace(eps, r_max, nodes),), eps)
+    return Grid2D(chart, ("r",), (np.linspace(eps, chart.edge, nodes),), eps)
 
 
 @dataclass
@@ -400,7 +389,6 @@ def solve_dirichlet(
     f: DiscreteField | np.ndarray,
     rtol: float = 1e-8,
     method: str = "auto",
-    check_coercivity: Optional[bool] = None,
 ) -> DiscreteField:
     """Solve (Delta + K) u = f with zero Dirichlet data on all grid sides.
 
@@ -413,9 +401,7 @@ def solve_dirichlet(
     fv = fv.reshape(-1)
     rhs = op.weight * fv[op.interior]
 
-    if check_coercivity is None:
-        check_coercivity = op.K < 0
-    if check_coercivity:
+    if op.K < 0:
         lam = op.smallest_eigenvalue()
         if lam <= 0:
             raise IndefiniteOperator(
@@ -455,10 +441,10 @@ def solve_dirichlet(
     return DiscreteField(op.grid, full.reshape(op.grid.shape))
 
 
-def weighted_sup_norm(u: DiscreteField, w: WeightVector, end_index: int = 0) -> float:
+def weighted_sup_norm(u: DiscreteField, w: WeightVector) -> float:
     """Weighted sup norm max |u| / sigma^mu over the grid nodes; tensor-mode
     fields are reduced to the pointwise metric norm of their components."""
-    smu = u.grid.sigma_mu(w, end_index)
+    smu = u.grid.sigma_mu(w)
     if u.is_tensor:
         vals = _pointwise_tensor_norm(u)
     else:
@@ -477,15 +463,15 @@ def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
 # -- exhaustion sweep ---------------------------------------------------------
 
 
-def default_bump_recipe(w: WeightVector, end_index: int = 0,
-                        box=((0.55, 0.85), (0.45, 1.0))):
-    """sigma^mu times a smooth bump supported in a fixed coordinate box."""
-    (r0, r1), (t0, t1) = box
+def default_bump_recipe(w: WeightVector):
+    """sigma^mu times a smooth bump supported in the coordinate box
+    r in [0.55, 0.85], theta0 in [0.45, 1]."""
+    (r0, r1), (t0, t1) = (0.55, 0.85), (0.45, 1.0)
 
     def recipe(r, th):
         br = np.vectorize(smooth_bump)((2 * r - (r0 + r1)) / (r1 - r0))
         bt = np.vectorize(smooth_bump)((2 * th - (t0 + t1)) / (t1 - t0))
-        return np.cos(th) ** w.mu0 * r ** w.mus[end_index] * br * bt
+        return np.cos(th) ** w.mu0 * r ** w.mus[0] * br * bt
 
     return recipe
 
@@ -509,8 +495,6 @@ def exhaustion_sweep(
     f_recipe: Callable,
     eps_list: Sequence[float],
     nodes: int = 48,
-    theta_min: float = 0.2,
-    mms_recipe: Optional[Callable] = None,
     on_error: str = "raise",
 ) -> list[SweepRow]:
     """Dirichlet solves over a shrinking family of truncation parameters.
@@ -518,8 +502,9 @@ def exhaustion_sweep(
     For each eps the fixed source recipe is sampled on the inscribed grid of
     {sigma >= eps}, the problem solved, and the weighted-norm ratio
     |u|_mu / |f|_mu recorded; uniform boundedness of this ratio is the
-    quantity of interest.  A manufactured solution (same recipe by default)
-    is pushed through the assembled operator to measure the solver error.
+    quantity of interest.  The sampled source doubles as a manufactured
+    solution: it is pushed through the assembled operator and solved for
+    again to measure the solver error.
 
     Solver failures propagate per eps: with on_error='record' the row keeps
     the error message and the sweep continues, so partial tables survive.
@@ -528,10 +513,9 @@ def exhaustion_sweep(
         raise ValueError("eps_list must be strictly decreasing")
     if on_error not in ("raise", "record"):
         raise ValueError("on_error must be 'raise' or 'record'")
-    mms_recipe = mms_recipe or f_recipe
     rows = []
     for eps in eps_list:
-        grid = cusp_grid(chart, eps, nodes=nodes, theta_min=theta_min)
+        grid = cusp_grid(chart, eps, nodes=nodes)
         op = assemble(grid, K)
         f = sample_field(grid, f_recipe)
         try:
@@ -539,12 +523,11 @@ def exhaustion_sweep(
             nu = weighted_sup_norm(u, w)
             nf = weighted_sup_norm(f, w)
 
-            u_star = sample_field(grid, mms_recipe)
             rhs = np.zeros(grid.shape)
-            rhs[grid.interior_mask()] = op.apply_to_values(u_star.values)
+            rhs[grid.interior_mask()] = op.apply_to_values(f.values)
             u_sol = solve_dirichlet(op, DiscreteField(grid, rhs))
-            scale = float(np.abs(u_star.values).max()) or 1.0
-            mms = float(np.abs(u_sol.values - u_star.values).max()) / scale
+            scale = float(np.abs(f.values).max()) or 1.0
+            mms = float(np.abs(u_sol.values - f.values).max()) / scale
         except NonConvergence as exc:
             if on_error == "raise":
                 raise
@@ -579,27 +562,21 @@ def maximum_principle_check(
     grid: Grid2D,
     K: float,
     w: WeightVector,
-    end_index: int = 0,
-    sigma_core: Optional[float] = None,
-    tol_constant: float = 50.0,
 ) -> MaxPrincipleReport:
     """Evaluate the discrete (Delta + K) sigma^mu / sigma^mu over interior
-    nodes (optionally outside a compact core sigma > sigma_core) and compare
-    its minimum against the closed-form margin."""
-    smu = grid.sigma_mu(w, end_index)
+    nodes and compare its minimum against the closed-form margin, within
+    50 h^2 for the largest spacing h."""
+    smu = grid.sigma_mu(w)
     op = assemble(grid, K)
     ratio = op.apply_to_values(smu) / smu.reshape(-1)[op.interior]
-    if sigma_core is not None:
-        keep = grid.sigma().reshape(-1)[op.interior] <= sigma_core
-        ratio = ratio[keep]
     spc = max(grid.spacing)
     if grid.chart.kind == INTERMEDIATE_CUSP:
-        delta = cusp_margin(K, w.mus[end_index], w.mu0, grid.chart.f, w.n).delta
+        delta = cusp_margin(K, w.mus[0], w.mu0, grid.chart.f, w.n).delta
     elif grid.chart.kind == MAXIMAL_CUSP:
-        delta = maximal_margin(K, w.mus[end_index], w.n).delta
+        delta = maximal_margin(K, w.mus[0], w.n).delta
     else:
         delta = h0_margin(K, w.mu0, w.n).delta
-    tol = tol_constant * spc * spc
+    tol = 50.0 * spc * spc
     min_ratio = float(ratio.min())
     return MaxPrincipleReport(
         min_ratio=min_ratio,
@@ -659,20 +636,20 @@ def _trapezoid_weights(grid: Grid2D) -> np.ndarray:
     return np.multiply.outer(*ws) if grid.ndim == 2 else ws[0]
 
 
-def check_support_margin(grid: Grid2D, values: np.ndarray, margin: int = 3):
-    """Raise SupportViolation unless the field vanishes within `margin`
-    nodes of every grid side."""
+def check_support_margin(grid: Grid2D, values: np.ndarray):
+    """Raise SupportViolation unless the field vanishes within 3 nodes of
+    every grid side."""
     v = np.abs(values)
     while v.ndim > grid.ndim:
         v = v.max(axis=-1)
     for axis in range(grid.ndim):
         sl_lo = [slice(None)] * grid.ndim
         sl_hi = [slice(None)] * grid.ndim
-        sl_lo[axis] = slice(0, margin)
-        sl_hi[axis] = slice(-margin, None)
+        sl_lo[axis] = slice(0, 3)
+        sl_hi[axis] = slice(-3, None)
         if v[tuple(sl_lo)].max() > 0 or v[tuple(sl_hi)].max() > 0:
             raise SupportViolation(
-                f"field support reaches within {margin} nodes of the boundary"
+                "field support reaches within 3 nodes of the boundary"
             )
 
 
@@ -693,8 +670,7 @@ class KoisoResult:
     slack: float               # pairing - (n + K) |u|^2
 
 
-def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0,
-                     support_margin: int = 3) -> KoisoResult:
+def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoResult:
     """Trapezoid quadrature of the tensor integration-by-parts identity on a
     compact hyperbolic collar patch.
 
@@ -708,7 +684,7 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0,
     vals = u.values
     if vals.shape != grid.shape + (n, n):
         raise ValueError("tensor field must have shape grid.shape + (n, n)")
-    check_support_margin(grid, vals, support_margin)
+    check_support_margin(grid, vals)
 
     rho = grid.meshes()[0]
     dv = rho ** (-float(n)) * _trapezoid_weights(grid)
@@ -762,12 +738,11 @@ def random_bump_tensor(
     grid: Grid2D,
     rng: np.random.Generator,
     trace_free: bool = True,
-    margin_fraction: float = 0.2,
 ) -> DiscreteField:
     """Seeded smooth compactly supported symmetric tensor field on the patch.
 
     The bump geometry is fixed in physical coordinates (support strictly
-    inside the patch by margin_fraction of each side), so the same seed
+    inside the patch by a fifth of each side), so the same seed
     samples the same function on every refinement of the patch.  With
     trace_free=True the constant coefficient matrices are Euclidean
     trace-free, which makes the field pointwise trace-free for the conformal
@@ -775,8 +750,8 @@ def random_bump_tensor(
     """
     n = grid.chart.n
     rho, y = grid.meshes()
-    lo = [ax[0] + margin_fraction * (ax[-1] - ax[0]) for ax in grid.axes]
-    hi = [ax[-1] - margin_fraction * (ax[-1] - ax[0]) for ax in grid.axes]
+    lo = [ax[0] + 0.2 * (ax[-1] - ax[0]) for ax in grid.axes]
+    hi = [ax[-1] - 0.2 * (ax[-1] - ax[0]) for ax in grid.axes]
 
     def bump(center, width):
         tr = (2 * rho - 2 * center[0]) / width[0]
@@ -895,6 +870,9 @@ def schauder_coefficient_scan(
 
 
 def default_scan_families(n: int = 4, f: int = 1) -> list[ScanFamily]:
+    if not 1 <= f <= n - 2:
+        raise ValueError(f"scan families need a cusp rank 1 <= f <= n - 2, "
+                         f"got f = {f} at n = {n}")
     return [
         ScanFamily("near_axis", "cusp_near_axis", n, f=f, ratio=0.5, C=1.0),
         ScanFamily("off_axis", "cusp_off_axis", n, f=f, ratio=5.0),

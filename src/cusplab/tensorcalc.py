@@ -389,14 +389,13 @@ def L_at(
     r: SymTensorField,
     p,
     step: float = DEFAULT_STEP,
-    constants: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """Linearized gauge-adjusted operator at a hyperbolic background:
     L r = ((Delta + K1)(u h) + (Delta + K2) r_0) / 2 on the trace split
-    r = u h + r_0, with (K1, K2) = (2(n-1), -2) by default.  Delta is
-    linear, so this is (Delta r + K1 u h + K2 r_0) / 2."""
+    r = u h + r_0, with (K1, K2) = (2(n-1), -2).  Delta is linear, so this
+    is (Delta r + K1 u h + K2 r_0) / 2."""
     n = h.chart.n
-    k1, k2 = constants if constants is not None else (2.0 * (n - 1), -2.0)
+    k1, k2 = 2.0 * (n - 1), -2.0
     H, R = _metric_jets(h, p, step, r)
     h0, r0 = H[0], R[0]
     uh = float(np.trace(np.linalg.inv(h0) @ r0)) / n * h0

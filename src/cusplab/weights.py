@@ -16,6 +16,8 @@ CUSP_ANCHOR = "cusp-barrier"
 MAXIMAL_ANCHOR = "maximal-cusp-barrier"
 H0_ANCHOR = "infinite-volume-face-barrier"
 
+DELTA_MIN = 1e-6  # smallest barrier margin accepted as positive
+
 
 class AdmissibilityObstruction(Exception):
     """No admissible weight vector exists for the requested end structure."""
@@ -243,7 +245,6 @@ def admissible_weights(
     ranks,
     K: float = -2.0,
     mu0: Optional[float] = None,
-    delta_min: float = 1e-6,
     double_check_K: Optional[float] = None,
 ) -> tuple[WeightVector, AdmissibilityReport]:
     """Search for a weight vector with positive barrier margins on every end.
@@ -288,7 +289,7 @@ def admissible_weights(
     for i, f in enumerate(ranks):
         win = cusp_weight_window(n, f, mu0, K)
         cand_margin = cusp_margin(K, candidate, mu0, f, n)
-        inside = win.contains(candidate) and cand_margin.delta >= delta_min
+        inside = win.contains(candidate) and cand_margin.delta >= DELTA_MIN
         if win.empty:
             end = EndReport(i, f, None, candidate, False, cand_margin, None, None)
             report.ends.append(end)
@@ -313,9 +314,9 @@ def admissible_weights(
     vector = WeightVector(mu0=mu0, mus=tuple(chosen_mus), ranks=ranks, n=n)
     report.l2_ok = l2_cutoff_check(vector)
 
-    if report.min_margin < delta_min:
+    if report.min_margin < DELTA_MIN:
         report.obstruction = (
-            f"margins fell below delta_min = {delta_min}: {report.min_margin}"
+            f"margins fell below delta_min = {DELTA_MIN}: {report.min_margin}"
         )
         raise AdmissibilityObstruction(report.obstruction, report)
     if not report.l2_ok:

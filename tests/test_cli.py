@@ -47,6 +47,33 @@ class TestWeightsCommand:
         assert run(tmp_path, "weights", "--n", "0", "--ranks", "1") == EXIT_USAGE
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--nodes", "4"),
+        ("koiso", "--refine", "5,9"),
+        ("sweep", "--eps", "0.99"),
+        ("curvature", "--n", "2"),
+        ("sweep", "--f", "3"),
+        ("solve", "--weights", "1"),
+        ("weights", "--ranks", "0"),
+        ("schauder", "--n", "2"),
+        ("schauder", "--f", "3"),
+    ], ids=" ".join)
+    def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("koiso", "--refine", "17"),
+        ("expand", "--stages", "0"),
+    ], ids=" ".join)
+    def test_meaningless_run_rejected(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert not (tmp_path / f"{argv[0]}_summary.json").exists()
+
+
 class TestCurvatureCommand:
     def test_pass_and_artifacts(self, tmp_path):
         assert run(tmp_path, "curvature", "--n", "4") == EXIT_PASS

@@ -319,6 +319,19 @@ class TestSweep:
             exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
                              [0.1, 0.2], nodes=16)
 
+    def test_source_sampled_once_per_grid(self):
+        recipe = default_bump_recipe(W41)
+        calls = []
+
+        def counted(r, th):
+            calls.append(r.shape)
+            return recipe(r, th)
+
+        eps_list = [0.2, 0.1, 0.05, 0.025]
+        rows = exhaustion_sweep(CUSP, -2.0, W41, counted, eps_list, nodes=24)
+        assert len(calls) == len(eps_list)
+        assert all(r.mms_error <= 1e-12 for r in rows)
+
 
 class TestMaximumPrincipleCheck:
     def test_zero_weight_gives_K_exactly(self):
