@@ -33,6 +33,15 @@ EXIT_USAGE = 1
 EXIT_OBSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
+# exceptions that end a run with EXIT_NUMERICAL (StencilError is a
+# ChartDomainError)
+NUMERICAL_FAILURES = (
+    solver.NonConvergence,
+    charts.ChartDomainError,
+    expansion.CharacteristicExponentHit,
+    expansion.IndicialExtractionFailure,
+)
+
 
 @dataclass
 class RunConfig:
@@ -65,10 +74,18 @@ class RunConfig:
             raise ValueError("an identity order needs at least two refinements")
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
+        for value, name in ((self.K, "K"), (self.step, "step"),
+                            (self.tolerance, "tolerance"), (self.mu0, "mu0"),
+                            (self.perturb, "perturb")):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for value, name in ((self.nodes, "nodes"), (self.step, "step"),
                             (self.tolerance, "tolerance")):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if abs(self.perturb) >= 1:
+            # (1 + perturb sin) g_ii must stay positive
+            raise ValueError("perturb must lie in (-1, 1)")
 
 
 class Report:
@@ -81,6 +98,7 @@ class Report:
         self.checks: list[dict] = []
         self.tables: dict[str, str] = {}
         self.error: Optional[dict] = None
+        self.extra: dict = {}
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     def check(self, name: str, value: float, tolerance: float, passed: bool,
@@ -102,7 +120,7 @@ class Report:
             writer.writerows(rows)
         self.tables[name] = str(path)
 
-    def finish(self, status: str, extra: Optional[dict] = None) -> None:
+    def finish(self, status: str) -> None:
         payload = {
             "subcommand": self.cfg.subcommand,
             "status": status,
@@ -114,9 +132,8 @@ class Report:
             "checks": self.checks,
             "tables": self.tables,
             "error": self.error,
+            **self.extra,
         }
-        if extra:
-            payload.update(extra)
         path = self.cfg.out_dir / f"{self.cfg.subcommand}_summary.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, default=_jsonify)
@@ -154,18 +171,8 @@ def _fmt(v) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_weights(cfg: RunConfig) -> int:
-    rep = Report(cfg)
-    try:
-        vector, wrep = weights.admissible_weights(cfg.n, cfg.ranks, K=cfg.K,
-                                                  mu0=cfg.mu0)
-    except weights.AdmissibilityObstruction as exc:
-        rep.error = {"type": type(exc).__name__, "reason": exc.reason}
-        detail = exc.report.to_dict() if exc.report else {}
-        print(f"obstruction: {exc.reason}")
-        rep.finish("obstruction", {"report": detail})
-        return EXIT_OBSTRUCTION
-
+def cmd_weights(cfg: RunConfig, rep: Report) -> None:
+    _, wrep = weights.admissible_weights(cfg.n, cfg.ranks, K=cfg.K, mu0=cfg.mu0)
     d = wrep.to_dict()
     rows = []
     for e in d["ends"]:
@@ -187,8 +194,7 @@ def cmd_weights(cfg: RunConfig) -> int:
               weights.L2_ANCHOR)
     rep.check("min_margin", d["min_margin"], 0.0, d["min_margin"] > 0,
               weights.CUSP_ANCHOR)
-    rep.finish("pass" if rep.all_passed else "fail", {"report": d})
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
+    rep.extra["report"] = d
 
 
 def _sample_chart_points(chart: Chart, count: int, rng) -> list[np.ndarray]:
@@ -217,8 +223,7 @@ def _all_chart_kinds(n: int, f: int) -> list[Chart]:
     ]
 
 
-def cmd_curvature(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_curvature(cfg: RunConfig, rep: Report) -> None:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst, worst_order = 0.0, math.inf
@@ -252,8 +257,6 @@ def cmd_curvature(cfg: RunConfig) -> int:
               "constant-curvature-identity")
     rep.check("richardson_order", worst_order, 1.9, worst_order >= 1.9,
               "second-order-differencing")
-    rep.finish("pass" if rep.all_passed else "fail")
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
 
 
 def _resolve_weights(cfg: RunConfig) -> weights.WeightVector:
@@ -265,22 +268,14 @@ def _resolve_weights(cfg: RunConfig) -> weights.WeightVector:
     return weights.WeightVector(mu0=mus[0], mus=mus[1:], ranks=(cfg.f,), n=cfg.n)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_solve(cfg: RunConfig, rep: Report) -> None:
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     grid = solver.cusp_grid(chart, cfg.eps_list[0], nodes=cfg.nodes)
     K = -50.0 if cfg.expect_indefinite else cfg.K
     op = solver.assemble(grid, K)
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
-    try:
-        u = solver.solve_dirichlet(op, f_field)
-    except solver.NonConvergence as exc:
-        rep.error = {"type": type(exc).__name__, "message": str(exc),
-                     "residual": exc.residual}
-        print(f"solver failure: {exc}")
-        rep.finish("numerical-failure")
-        return EXIT_NUMERICAL
+    u = solver.solve_dirichlet(op, f_field)
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
     mp = solver.maximum_principle_check(grid, K, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
@@ -289,12 +284,9 @@ def cmd_solve(cfg: RunConfig) -> int:
               weights.CUSP_ANCHOR)
     rep.write_csv("solve", ["eps", "ratio", "min_barrier_ratio"],
                   [[cfg.eps_list[0], ratio, mp.min_ratio]])
-    rep.finish("pass" if rep.all_passed else "fail")
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_sweep(cfg: RunConfig, rep: Report) -> None:
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     margin = weights.cusp_margin(cfg.K, w.mus[0], w.mu0, cfg.f, cfg.n)
@@ -311,15 +303,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
                  table)
     rep.write_csv("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
                              "error"], table)
-    probes = {"min_eigenvalues": [r.min_eigenvalue for r in rows]}
+    rep.extra["min_eigenvalues"] = [r.min_eigenvalue for r in rows]
     failures = [r for r in rows if r.error is not None]
     if failures:
-        rep.error = {"type": "NonConvergence",
-                     "message": failures[0].error,
-                     "eps": failures[0].eps}
-        print(f"solver failure at eps = {failures[0].eps}: {failures[0].error}")
-        rep.finish("numerical-failure", probes)
-        return EXIT_NUMERICAL
+        raise solver.NonConvergence(
+            f"at eps = {failures[0].eps}: {failures[0].error}")
     factor = solver.plateau_factor(rows)
     mms_worst = max(r.mms_error for r in rows)
     rep.check("mms_error", mms_worst, 1e-6, mms_worst <= 1e-6,
@@ -327,13 +315,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if assert_plateau:
         rep.check("plateau_factor", factor, 2.0, factor <= 2.0,
                   "uniform-inverse-bound")
-    rep.finish("pass" if rep.all_passed else "fail",
-               {"plateau_factor": factor, **probes})
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
+    rep.extra["plateau_factor"] = factor
 
 
-def cmd_koiso(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_koiso(cfg: RunConfig, rep: Report) -> None:
     chart = Chart.collar(cfg.n, edge=2.5)
     gaps, rows = [], []
     for nodes in cfg.refinements:
@@ -361,12 +346,9 @@ def cmd_koiso(cfg: RunConfig) -> int:
     rep.check("lower_bound_slack", worst, bound, worst >= bound,
               "improved-tensor-lower-bound")
     print(f"identity order {order:.3f}; worst slack {worst:.3e} >= {bound:.3e}")
-    rep.finish("pass" if rep.all_passed else "fail")
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
 
 
-def cmd_schauder(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_schauder(cfg: RunConfig, rep: Report) -> None:
     fams = solver.default_scan_families(cfg.n, cfg.f)
     rows = solver.schauder_coefficient_scan(fams, cfg.eps_list)
     table = [[r.family, r.eps, r.min_eig, r.max_eig, r.cond, r.max_coeff_diff]
@@ -379,22 +361,13 @@ def cmd_schauder(cfg: RunConfig) -> int:
     worst = max(spread.values())
     rep.check("cond_spread", worst, 0.05, worst < 0.05,
               "uniform-rescaled-coefficients")
-    rep.finish("pass" if rep.all_passed else "fail", {"spread": spread})
-    return EXIT_PASS if rep.all_passed else EXIT_NUMERICAL
+    rep.extra["spread"] = spread
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    rep = Report(cfg)
+def cmd_expand(cfg: RunConfig, rep: Report) -> None:
     chart = Chart.collar(cfg.n, h_u="round_sphere")
     bd = expansion.seeded_boundary_data(chart, seed=cfg.seed, amplitude=0.05)
-    try:
-        stages = expansion.S_map(bd, stages=cfg.stages)
-    except (expansion.CharacteristicExponentHit,
-            expansion.IndicialExtractionFailure) as exc:
-        rep.error = {"type": type(exc).__name__, "message": str(exc)}
-        print(f"expansion failure: {exc}")
-        rep.finish("numerical-failure")
-        return EXIT_NUMERICAL
+    stages = expansion.S_map(bd, stages=cfg.stages)
     rhos = [2.0 ** (-k) for k in range(3, 9)]
     center = 0.5 * (bd.y_support[0] + bd.y_support[1])
     y0 = bd._reference_y()
@@ -405,24 +378,21 @@ def cmd_expand(cfg: RunConfig) -> int:
         ys.append(y)
     thresholds = {1: 0.9, 2: 1.85, 3: 2.7}
     rows = []
-    ok = True
     for g in stages:
         fit = expansion.vanishing_order(g, stages[0], rhos, ys)
         gauge = expansion.gauge_term_norm(
             g, [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)],
             step=cfg.step)
         thr = thresholds.get(g.order, 0.0)
-        ok &= rep.check(f"stage{g.order}_slope", fit.slope, thr,
+        rep.check(f"stage{g.order}_slope", fit.slope, thr,
                         fit.slope >= thr, "residual-vanishing-order")
         gauge_bound = 10.0 * cfg.step ** 2
-        ok &= rep.check(f"stage{g.order}_gauge", gauge, gauge_bound,
-                        gauge <= gauge_bound, "gauge-term-vanishing")
+        rep.check(f"stage{g.order}_gauge", gauge, gauge_bound,
+                  gauge <= gauge_bound, "gauge-term-vanishing")
         for d in fit.per_y:
             rows.append([g.order, d["y"][0], d["slope"], d["residual"]])
     _print_table(["stage", "y", "slope", "residual"], rows)
     rep.write_csv("slopes", ["stage", "y", "slope", "residual"], rows)
-    rep.finish("pass" if ok else "fail")
-    return EXIT_PASS if ok else EXIT_NUMERICAL
 
 
 COMMANDS = {
@@ -556,17 +526,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    rep = Report(cfg)
     try:
-        return COMMANDS[cfg.subcommand](cfg)
+        COMMANDS[cfg.subcommand](cfg, rep)
+        status, code = (("pass", EXIT_PASS) if rep.all_passed
+                        else ("fail", EXIT_NUMERICAL))
     except weights.AdmissibilityObstruction as exc:
+        status, code = "obstruction", EXIT_OBSTRUCTION
+        rep.error = {"type": type(exc).__name__, "reason": exc.reason}
+        if exc.report:
+            rep.extra["report"] = exc.report.to_dict()
         print(f"obstruction: {exc.reason}", file=sys.stderr)
-        return EXIT_OBSTRUCTION
-    except (solver.NonConvergence, charts.ChartDomainError) as exc:
+    except NUMERICAL_FAILURES as exc:
+        status, code = "numerical-failure", EXIT_NUMERICAL
+        rep.error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, solver.NonConvergence):
+            rep.error["residual"] = exc.residual
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:
+        status, code = "configuration-error", EXIT_USAGE
+        rep.error = {"type": type(exc).__name__, "message": str(exc)}
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rep.finish(status)
+    return code
 
 
 if __name__ == "__main__":

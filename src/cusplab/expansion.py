@@ -12,6 +12,7 @@ characteristic exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -208,8 +209,10 @@ class ExpansionMetric:
     def chart(self) -> Chart:
         return self.bd.chart
 
-    @property
+    @functools.cached_property
     def field(self) -> MetricField:
+        """The metric as one field object, built once, so both slots of
+        Q_at(g.field, g.field, p) share a jet."""
         bd = self.bd
         terms = self.terms
 

@@ -4,8 +4,8 @@ The reduced operator Delta + K is assembled in flux (divergence) form on
 structured 2D grids over the (r, theta0), (rho, y) or (r,) coordinates; for
 data independent of the remaining angles the reduction is exact because the
 transverse Laplacian blocks annihilate such functions.  Multiplying through
-by the volume density gives a symmetric matrix, so conjugate gradients
-apply whenever the weighted form is positive.
+by the volume density gives a symmetric matrix, which is factored once
+per operator (sparse LU) for the coercivity check and every solve.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .weights import (
 
 
 class NonConvergence(RuntimeError):
-    """Iterative solve exceeded its cap or left a large residual."""
+    """A factorization, eigenvalue probe or solve failed, or a solve left a
+    large residual."""
 
     def __init__(self, message: str, residual: float = math.nan):
         super().__init__(message)
@@ -249,7 +250,7 @@ class SparseOperator:
     pointwise operator is diag(1/W) (L u_int + cross u_bdy).
 
     The operator is factored at most once: the coercivity decision, the
-    eigenvalue probe and every direct solve share one sparse LU.
+    eigenvalue probe and every solve share one sparse LU.
     """
 
     grid: Grid2D
@@ -280,7 +281,8 @@ class SparseOperator:
         return out / self.weight
 
     def factor(self) -> spla.SuperLU:
-        """Sparse LU of the symmetric form, computed on first use.
+        """Sparse LU of the symmetric form, computed on first use; every
+        Dirichlet solve on this operator is one back-substitution with it.
 
         SuperLU's symmetric mode orders A + A^T and prefers diagonal pivots,
         so for a symmetric matrix without zero pivots P A P^T = L D L^T with
@@ -303,7 +305,8 @@ class SparseOperator:
         number of nonpositive pivots of L D L^T the number of nonpositive
         eigenvalues; IndefiniteOperator reports it when it is not zero.
         Otherwise the smallest eigenvalue is the one nearest 0, found by
-        shift-invert Lanczos on the cached factorization.
+        shift-invert Lanczos on the cached factorization from a fixed start
+        vector, so the value repeats run to run.
         """
         if self.min_eigenvalue is None:
             lu = self.factor()
@@ -322,7 +325,8 @@ class SparseOperator:
             try:
                 vals = spla.eigsh(
                     self.matrix, k=1, sigma=0.0, which="LM", OPinv=inverse,
-                    tol=1e-4, return_eigenvectors=False,
+                    tol=1e-4, v0=np.ones(self.n_unknowns),
+                    return_eigenvectors=False,
                 )
             except spla.ArpackNoConvergence as exc:
                 raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
@@ -384,18 +388,14 @@ def assemble(grid: Grid2D, K: float) -> SparseOperator:
     )
 
 
-def solve_dirichlet(
-    op: SparseOperator,
-    f: DiscreteField | np.ndarray,
-    rtol: float = 1e-8,
-    method: str = "auto",
-) -> DiscreteField:
+def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> DiscreteField:
     """Solve (Delta + K) u = f with zero Dirichlet data on all grid sides.
 
-    method 'auto' uses a sparse direct factorization for moderate sizes and
-    diagonally preconditioned conjugate gradients beyond that.  For K < 0
-    coercivity is checked first (SparseOperator.smallest_eigenvalue) and an
-    IndefiniteOperator error raised when the symmetric form is not positive.
+    The solve is one back-substitution with the operator's cached sparse LU
+    (SparseOperator.factor).  For K < 0 coercivity is checked first
+    (SparseOperator.smallest_eigenvalue) and an IndefiniteOperator error
+    raised when the symmetric form is not positive.  A pointwise residual
+    above 1e-8 |f| raises NonConvergence with that residual.
     """
     fv = f.values if isinstance(f, DiscreteField) else np.asarray(f, dtype=float)
     fv = fv.reshape(-1)
@@ -409,35 +409,15 @@ def solve_dirichlet(
                 "the discrete problem is not coercive", residual=math.nan
             )
 
-    ndof = op.n_unknowns
-    if method == "auto":
-        method = "direct" if ndof <= 60_000 else "cg"
-    if method == "direct":
-        u_int = op.factor().solve(rhs)
-    elif method == "cg":
-        pre = sp.diags(1.0 / op.matrix.diagonal())
-        cap = int(50 * math.sqrt(ndof)) + 10
-        u_int, info = spla.cg(op.matrix, rhs, rtol=min(rtol, 1e-10), atol=0.0,
-                              maxiter=cap, M=pre)
-        if info != 0:
-            res = float(np.linalg.norm(op.matrix @ u_int - rhs))
-            raise NonConvergence(
-                f"conjugate gradients hit the iteration cap {cap} "
-                f"(residual {res:.3e})", residual=res)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     full = np.zeros(int(np.prod(op.grid.shape)))
-    full[op.interior] = u_int
+    full[op.interior] = op.factor().solve(rhs)
 
     resid = op.apply_to_values(full) - fv[op.interior]
-    fscale = float(np.abs(fv[op.interior]).max()) or 1.0
+    tol = 1e-8 * (float(np.abs(fv[op.interior]).max()) or 1.0)
     rinf = float(np.abs(resid).max())
-    if rinf > max(rtol * fscale, 1e-30):
-        raise NonConvergence(
-            f"residual {rinf:.3e} exceeds rtol * |f| = {rtol * fscale:.3e}",
-            residual=rinf,
-        )
+    if rinf > max(tol, 1e-30):
+        raise NonConvergence(f"residual {rinf:.3e} exceeds 1e-8 * |f| = {tol:.3e}",
+                             residual=rinf)
     return DiscreteField(op.grid, full.reshape(op.grid.shape))
 
 

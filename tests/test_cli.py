@@ -58,6 +58,10 @@ class TestBadInput:
         ("weights", "--ranks", "0"),
         ("schauder", "--n", "2"),
         ("schauder", "--f", "3"),
+        ("koiso", "--K", "nan"),
+        ("solve", "--K", "nan"),
+        ("curvature", "--perturb", "1e200"),
+        ("curvature", "--perturb", "1"),
     ], ids=" ".join)
     def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
@@ -72,6 +76,25 @@ class TestBadInput:
     def test_meaningless_run_rejected(self, tmp_path, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
+
+
+class TestEveryCommandWritesItsSummary:
+    @pytest.mark.parametrize("argv, code, status", [
+        (("sweep", "--K", "-50"), EXIT_OBSTRUCTION, "obstruction"),
+        (("solve", "--K", "-50"), EXIT_OBSTRUCTION, "obstruction"),
+        (("expand", "--step", "0.5", "--stages", "1"), EXIT_NUMERICAL,
+         "numerical-failure"),
+        (("curvature", "--step", "0.5"), EXIT_NUMERICAL, "numerical-failure"),
+        (("sweep", "--K", "-8", "--weights", "2.5,0.5", "--eps", "0.2,0.025",
+          "--nodes", "40"), EXIT_NUMERICAL, "numerical-failure"),
+        (("solve", "--nodes", "4"), EXIT_USAGE, "configuration-error"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_failed_run_leaves_summary(self, tmp_path, capsys, argv, code, status):
+        assert run(tmp_path, *argv) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        payload = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+        assert payload["status"] == status
+        assert payload["error"]["type"]
 
 
 class TestCurvatureCommand:

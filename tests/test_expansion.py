@@ -212,6 +212,25 @@ class TestCorrectionLadder:
             assert gauge_term_norm(g, pts, step=1e-3) < 10 * 1e-3 ** 2
 
 
+class TestFieldReuse:
+    def test_both_slots_of_Q_share_one_stencil(self, monkeypatch):
+        from cusplab.tensorcalc import Q_at
+
+        g1 = T_map(seeded_boundary_data(ROUND, seed=3))
+        p = np.concatenate(([0.2], g1.bd._reference_y()))
+        calls = [0]
+        original = Chart.metric_at
+
+        def counted(self, q):
+            calls[0] += 1
+            return original(self, q)
+
+        monkeypatch.setattr(Chart, "metric_at", counted)
+        assert g1.field is g1.field
+        Q_at(g1.field, g1.field, p)
+        assert calls[0] <= 35
+
+
 class TestVanishingOrderFit:
     def test_exact_solution_sentinel(self):
         h = chart_metric(ROUND)

@@ -217,6 +217,11 @@ class TestFactorOnce:
         monkeypatch.setattr(sv.spla, "eigsh", None)  # a second probe would fail
         assert op.smallest_eigenvalue() == lam
 
+    def test_probe_repeats_on_fresh_operators(self):
+        grid = cusp_grid(CUSP, 0.05, nodes=48)
+        values = {assemble(grid, -2.0).smallest_eigenvalue() for _ in range(8)}
+        assert len(values) == 1
+
 
 class TestSolve:
     def test_zero_source(self):
@@ -234,15 +239,6 @@ class TestSolve:
         u = solve_dirichlet(op, DiscreteField(grid, rhs))
         err = np.abs(u.values - u_star.values).max() / np.abs(u_star.values).max()
         assert err < 1e-6
-
-    def test_cg_agrees_with_direct(self):
-        grid = cusp_grid(CUSP, 0.1, nodes=24)
-        op = assemble(grid, -2.0)
-        f = sample_field(grid, default_bump_recipe(W41))
-        ud = solve_dirichlet(op, f, method="direct")
-        uc = solve_dirichlet(op, f, method="cg")
-        scale = np.abs(ud.values).max()
-        assert np.abs(ud.values - uc.values).max() < 1e-7 * scale
 
     def test_discrete_maximum_principle(self):
         # monotone flux discretization: K >= 0 and f >= 0 give u >= 0
@@ -264,22 +260,41 @@ class TestSolve:
         grid = cusp_grid(CUSP, 0.1, nodes=24)
         op = assemble(grid, -2.0)
         f = sample_field(grid, default_bump_recipe(W41))
-        import scipy.sparse.linalg as spla
+        op.smallest_eigenvalue()  # the coercivity probe runs on the true factor
+        lu = op.factor()
+
+        class WrongSolve:  # the cached factor returns a perturbed solution
+            def solve(self, rhs):
+                return lu.solve(rhs) * (1.0 + 1e-3)
+
+        op._lu = WrongSolve()
+        with pytest.raises(NonConvergence) as exc:
+            solve_dirichlet(op, f)
+        assert math.isfinite(exc.value.residual)
+
+    def test_every_solve_reuses_the_one_factorization(self, monkeypatch):
+        # 254^2 = 64,516 unknowns at K = 6, where no coercivity probe runs
         import cusplab.solver as sv
 
-        orig = spla.cg
+        grid = cusp_grid(CUSP, 0.05, nodes=256)
+        op = assemble(grid, 6.0)
+        calls = []
+        original = sv.spla.splu
 
-        def capped(A, b, **kw):
-            kw["maxiter"] = 2
-            return orig(A, b, **kw)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-        sv.spla.cg = capped
-        try:
-            with pytest.raises(NonConvergence) as exc:
-                solve_dirichlet(op, f, method="cg")
-            assert math.isfinite(exc.value.residual)
-        finally:
-            sv.spla.cg = orig
+        monkeypatch.setattr(sv.spla, "splu", counted)
+        u_star = sample_field(grid, default_bump_recipe(W41))
+        rhs = np.zeros(grid.shape)
+        rhs[grid.interior_mask()] = op.apply_to_values(u_star.values)
+        u1 = solve_dirichlet(op, rhs)
+        u2 = solve_dirichlet(op, 2.0 * rhs)
+        assert len(calls) == 1
+        assert np.array_equal(2.0 * u1.values, u2.values)
+        err = np.abs(u1.values - u_star.values).max() / np.abs(u_star.values).max()
+        assert err < 1e-12
 
 
 class TestWeightedNorm:
