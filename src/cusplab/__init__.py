@@ -9,7 +9,6 @@ from .charts import (
     Chart,
     ChartDomainError,
     RescalingCase,
-    chart_from_config,
     rescaled_metric_at,
 )
 from .tensorcalc import (
@@ -37,7 +36,6 @@ __all__ = [
     "Chart",
     "ChartDomainError",
     "RescalingCase",
-    "chart_from_config",
     "rescaled_metric_at",
     "MetricField",
     "SymTensorField",

@@ -24,6 +24,9 @@ UPPER_HALF_SPACE = "upper_half_space"
 
 _KINDS = (INTERMEDIATE_CUSP, MAXIMAL_CUSP, COLLAR, UPPER_HALF_SPACE)
 
+POLE_MARGIN = 1e-3  # excludes the coordinate-singular polar axes
+TRUNC_FRACTION = 0.2  # where sigma blends to 1 near the chart edge
+
 
 class ChartDomainError(ValueError):
     """Point lies outside the chart's valid coordinate ranges."""
@@ -112,16 +115,12 @@ class Chart:
     kind selects the family; n is the manifold dimension; f the cusp rank
     (cusp kinds and the pre-blow-up chart).  edge is the outer coordinate
     value of the defining-function direction (r, rho or u range (0, edge]).
-    pole_margin excludes the coordinate-singular polar axes, and
-    trunc_fraction fixes where sigma blends to 1 near the chart edge.
     """
 
     kind: str
     n: int
     f: Optional[int] = None
     edge: float = 1.0
-    pole_margin: float = 1e-3
-    trunc_fraction: float = 0.2
     h_u: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     h_u_name: str = "euclidean"
 
@@ -190,7 +189,7 @@ class Chart:
     def coordinate_ranges(self) -> list[tuple[float, float]]:
         """Open/closed bounds actually enforced by validate_point."""
         big = math.inf
-        m = self.pole_margin
+        m = POLE_MARGIN
         if self.kind == INTERMEDIATE_CUSP:
             rng = [(0.0, self.edge), (m, math.pi / 2 - m)]
             rng += [(m, math.pi - m)] * max(self.b - 2, 0)
@@ -294,14 +293,11 @@ class Chart:
         """Total boundary defining function, smoothly truncated to 1 toward
         the chart edge and deep interior."""
         p = self.validate_point(p)
+        sigma = truncate_bdf(p[0], self.edge, TRUNC_FRACTION)
         if self.kind == INTERMEDIATE_CUSP:
-            return truncate_bdf(p[0], self.edge, self.trunc_fraction) * math.cos(p[1])
-        if self.kind == MAXIMAL_CUSP:
-            return truncate_bdf(p[0], self.edge, self.trunc_fraction)
-        if self.kind == COLLAR:
-            return truncate_bdf(p[0], self.edge, self.trunc_fraction)
-        u = p[0]  # u = r * rho descends to the total defining function here
-        return truncate_bdf(u, self.edge, self.trunc_fraction)
+            return sigma * math.cos(p[1])
+        # r, rho, or u = r * rho, which descends to the total defining function
+        return sigma
 
     def in_exhaustion(self, p, eps: float) -> bool:
         """Membership in the superlevel exhaustion domain {sigma >= eps}."""
@@ -395,50 +391,3 @@ def rescaled_metric_at(case: RescalingCase, q) -> np.ndarray:
     out[1 : 1 + bdim, 1 : 1 + bdim] = math.exp(-2.0 * s) * np.eye(bdim)
     out[1 + bdim :, 1 + bdim :] = coeff * np.eye(case.f)
     return out
-
-
-# -- text configuration ------------------------------------------------------
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key = value configuration lines; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def chart_from_config(text: str) -> Chart:
-    """Build a chart from a structured text configuration.
-
-    Recognised keys: kind, n, f, edge (aliases r_max / rho_max / u_max),
-    pole_margin, trunc_fraction, h_u.
-    """
-    cfg = parse_config_text(text)
-    try:
-        kind = cfg["kind"]
-        n = int(cfg["n"])
-    except KeyError as exc:
-        raise ValueError(f"chart config missing key {exc}") from exc
-    kw = {}
-    for key in ("edge", "r_max", "rho_max", "u_max"):
-        if key in cfg:
-            kw["edge"] = float(cfg[key])
-    if "pole_margin" in cfg:
-        kw["pole_margin"] = float(cfg["pole_margin"])
-    if "trunc_fraction" in cfg:
-        kw["trunc_fraction"] = float(cfg["trunc_fraction"])
-    if kind == INTERMEDIATE_CUSP:
-        return Chart.intermediate_cusp(n, int(cfg["f"]), **kw)
-    if kind == MAXIMAL_CUSP:
-        return Chart.maximal_cusp(n, **kw)
-    if kind == COLLAR:
-        return Chart.collar(n, h_u=cfg.get("h_u", "euclidean"), **kw)
-    if kind == UPPER_HALF_SPACE:
-        return Chart.upper_half_space(n, int(cfg["f"]), **kw)
-    raise ValueError(f"unknown chart kind {kind!r}")

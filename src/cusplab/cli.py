@@ -6,8 +6,12 @@ object per run) plus CSV tables into the output directory, and exits with:
 obstruction (an expected negative result such as an inadmissible end
 structure), and 3 on numerical failure.
 
-Flags override the key = value config file; the output directory resolves
-as --out-dir, then $CUSPLAB_OUT, then ./cusplab_out.
+``OPTIONS`` declares every option once: its name (the config-file key, the
+attribute and the summary key), flag, parser, default and the subcommands
+that read it. A subcommand accepts only the flags it reads. Flags override
+the key = value config file; a file key that names no option is an error,
+and a key of other subcommands only is skipped. The output directory
+resolves as --out-dir, then $CUSPLAB_OUT, then ./cusplab_out.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import charts, expansion, solver, tensorcalc, weights
-from .charts import Chart, parse_config_text
+from .charts import Chart
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -43,56 +47,96 @@ NUMERICAL_FAILURES = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration of one subcommand run."""
+# -- options -------------------------------------------------------------------
 
-    subcommand: str
-    n: int = 4
-    f: int = 1
-    ranks: tuple[int, ...] = (1,)
-    K: float = -2.0
-    mu0: Optional[float] = None
-    weights_mode: str = "auto"
-    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    nodes: int = 48
-    refinements: tuple[int, ...] = (17, 33, 65)
-    step: float = 1e-3
-    tolerance: float = 1e-4
-    seed: int = 0
-    stages: int = 3
-    perturb: float = 0.0
-    expect_indefinite: bool = False
-    out_dir: Path = field(default_factory=lambda: Path("cusplab_out"))
 
-    def validate(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ValueError("eps list must be strictly decreasing")
-        if len(self.refinements) < 2:
-            raise ValueError("an identity order needs at least two refinements")
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
-        for value, name in ((self.K, "K"), (self.step, "step"),
-                            (self.tolerance, "tolerance"), (self.mu0, "mu0"),
-                            (self.perturb, "perturb")):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        for value, name in ((self.nodes, "nodes"), (self.step, "step"),
-                            (self.tolerance, "tolerance")):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if abs(self.perturb) >= 1:
-            # (1 + perturb sin) g_ii must stay positive
-            raise ValueError("perturb must lie in (-1, 1)")
+def _checked(parse: Callable, ok: Callable, message: str) -> Callable:
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(message)
+        return value
+    return checked
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _boolean(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("must be true or false")
+    return word in ("1", "true", "yes")
+
+
+_finite = _checked(float, math.isfinite, "must be finite")
+_decreasing = _checked(lambda text: tuple(float(x) for x in text.split(",")),
+                       lambda v: all(b < a for a, b in zip(v, v[1:])),
+                       "must be strictly decreasing")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: ``name`` is its config-file key, attribute and summary
+    key; ``parse`` turns flag and file text alike into the value or raises
+    ValueError; ``commands`` are the subcommands that read it. A name has
+    one entry per meaning (``eps`` is an exhaustion level for solve and
+    sweep, a rescaling scale for schauder)."""
+
+    name: str
+    flag: str
+    parse: Callable[[str], object]
+    default: object
+    commands: tuple[str, ...]
+    help: Optional[str] = None
+
+
+OPTIONS = (
+    Option("n", "--n", _checked(int, lambda v: v >= 2, "must be >= 2"), 4,
+           ("weights", "curvature", "solve", "sweep", "koiso", "schauder",
+            "expand")),
+    Option("f", "--f", int, 1, ("curvature", "solve", "sweep", "schauder")),
+    Option("ranks", "--ranks", _ints, (1,), ("weights",),
+           "comma-separated cusp ranks"),
+    Option("K", "--K", _finite, -2.0, ("weights", "solve", "sweep", "koiso")),
+    Option("mu0", "--mu0", _finite, None, ("weights", "solve", "sweep")),
+    Option("weights_mode", "--weights", str, "auto", ("solve", "sweep"),
+           "'auto' or mu0,mu1,... explicit values"),
+    Option("eps", "--eps", _decreasing, (0.2, 0.1, 0.05, 0.025),
+           ("solve", "sweep"),
+           "comma-separated decreasing exhaustion levels (solve: the first)"),
+    Option("eps", "--eps", _decreasing, (1e-1, 1e-2, 1e-3, 1e-4),
+           ("schauder",), "comma-separated decreasing rescaling scales"),
+    Option("nodes", "--nodes", _checked(int, lambda v: v > 0, "must be positive"),
+           48, ("solve", "sweep")),
+    Option("refine", "--refine",
+           _checked(_ints, lambda v: len(v) >= 2,
+                    "an identity order needs at least two refinements"),
+           (17, 33, 65), ("koiso",), "comma-separated node counts"),
+    Option("step", "--step", _checked(_finite, lambda v: v > 0, "must be positive"),
+           1e-3, ("curvature", "expand")),
+    Option("seed", "--seed", int, 0, ("curvature", "koiso", "expand")),
+    Option("stages", "--stages", _checked(int, lambda v: v >= 1, "must be >= 1"),
+           3, ("expand",)),
+    # (1 + perturb sin) g_ii must stay positive
+    Option("perturb", "--perturb",
+           _checked(_finite, lambda v: abs(v) < 1, "must lie in (-1, 1)"), 0.0,
+           ("curvature",), "deliberately break the metric by this amplitude"),
+    Option("expect_indefinite", "--expect-indefinite", _boolean, False,
+           ("solve",), "flag an intentionally indefinite configuration"),
+)
+
+
+def options_of(subcommand: str) -> list[Option]:
+    return [opt for opt in OPTIONS if subcommand in opt.commands]
 
 
 class Report:
     """Accumulates checks and streams artifacts so that partial results
     survive an abnormal exit."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: argparse.Namespace):
         self.cfg = cfg
         self.started = time.time()
         self.checks: list[dict] = []
@@ -112,7 +156,13 @@ class Report:
         })
         return passed
 
-    def write_csv(self, name: str, header: list[str], rows: list[list]):
+    def table(self, name: str, header: list[str], rows: list[list]):
+        """Print the table and write it as ``<sub>_<name>.csv``."""
+        widths = [max(len(h), *(len(_fmt(r[i])) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(header)]
+        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        for r in rows:
+            print("  ".join(_fmt(v).ljust(w) for v, w in zip(r, widths)))
         path = self.cfg.out_dir / f"{self.cfg.subcommand}_{name}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -154,14 +204,6 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _print_table(header: list[str], rows: list[list]):
-    widths = [max(len(str(h)), *(len(_fmt(r[i])) for r in rows)) if rows else len(str(h))
-              for i, h in enumerate(header)]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(_fmt(v).ljust(w) for v, w in zip(r, widths)))
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
@@ -171,7 +213,8 @@ def _fmt(v) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_weights(cfg: RunConfig, rep: Report) -> None:
+def cmd_weights(cfg: argparse.Namespace, rep: Report) -> None:
+    """Admissible weight search and windows."""
     _, wrep = weights.admissible_weights(cfg.n, cfg.ranks, K=cfg.K, mu0=cfg.mu0)
     d = wrep.to_dict()
     rows = []
@@ -185,11 +228,8 @@ def cmd_weights(cfg: RunConfig, rep: Report) -> None:
         ])
     print(f"face window: {d['mu0_window']}, chosen mu0 = {d['mu0']}, "
           f"face margin = {d['h0_margin']['delta']:.6g}")
-    _print_table(
-        ["end", "rank", "mu_max", "candidate", "inside", "cand_margin",
-         "chosen", "margin"], rows)
-    rep.write_csv("ends", ["end", "rank", "mu_max", "candidate", "inside",
-                           "cand_margin", "chosen", "margin"], rows)
+    rep.table("ends", ["end", "rank", "mu_max", "candidate", "inside",
+                       "cand_margin", "chosen", "margin"], rows)
     rep.check("l2_cutoff", float(d["l2_ok"]), 1.0, bool(d["l2_ok"]),
               weights.L2_ANCHOR)
     rep.check("min_margin", d["min_margin"], 0.0, d["min_margin"] > 0,
@@ -223,7 +263,8 @@ def _all_chart_kinds(n: int, f: int) -> list[Chart]:
     ]
 
 
-def cmd_curvature(cfg: RunConfig, rep: Report) -> None:
+def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
+    """Constant-curvature identity checks."""
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst, worst_order = 0.0, math.inf
@@ -251,15 +292,14 @@ def cmd_curvature(cfg: RunConfig, rep: Report) -> None:
         rows.append([chart.kind, defect1, defect2, order])
         worst = max(worst, defect1)
         worst_order = min(worst_order, order)
-    _print_table(["chart", "defect(step)", "defect(step/2)", "order"], rows)
-    rep.write_csv("defects", ["chart", "defect_step", "defect_half", "order"], rows)
-    rep.check("max_defect", worst, cfg.tolerance, worst <= cfg.tolerance,
+    rep.table("defects", ["chart", "defect_step", "defect_half", "order"], rows)
+    rep.check("max_defect", worst, 1e-4, worst <= 1e-4,
               "constant-curvature-identity")
     rep.check("richardson_order", worst_order, 1.9, worst_order >= 1.9,
               "second-order-differencing")
 
 
-def _resolve_weights(cfg: RunConfig) -> weights.WeightVector:
+def _resolve_weights(cfg: argparse.Namespace) -> weights.WeightVector:
     if cfg.weights_mode == "auto":
         vector, _ = weights.admissible_weights(cfg.n, (cfg.f,), K=cfg.K,
                                                mu0=cfg.mu0)
@@ -268,10 +308,11 @@ def _resolve_weights(cfg: RunConfig) -> weights.WeightVector:
     return weights.WeightVector(mu0=mus[0], mus=mus[1:], ranks=(cfg.f,), n=cfg.n)
 
 
-def cmd_solve(cfg: RunConfig, rep: Report) -> None:
+def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
+    """Single Dirichlet solve."""
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
-    grid = solver.cusp_grid(chart, cfg.eps_list[0], nodes=cfg.nodes)
+    grid = solver.cusp_grid(chart, cfg.eps[0], nodes=cfg.nodes)
     K = -50.0 if cfg.expect_indefinite else cfg.K
     op = solver.assemble(grid, K)
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
@@ -282,11 +323,12 @@ def cmd_solve(cfg: RunConfig, rep: Report) -> None:
           f"{mp.min_ratio:.6g} vs closed form {mp.closed_form_delta:.6g}")
     rep.check("barrier_ratio", mp.min_ratio, mp.tolerance, mp.passed,
               weights.CUSP_ANCHOR)
-    rep.write_csv("solve", ["eps", "ratio", "min_barrier_ratio"],
-                  [[cfg.eps_list[0], ratio, mp.min_ratio]])
+    rep.table("solve", ["eps", "ratio", "min_barrier_ratio"],
+              [[cfg.eps[0], ratio, mp.min_ratio]])
 
 
-def cmd_sweep(cfg: RunConfig, rep: Report) -> None:
+def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
+    """Exhaustion sweep of Dirichlet solves."""
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     margin = weights.cusp_margin(cfg.K, w.mus[0], w.mu0, cfg.f, cfg.n)
@@ -295,14 +337,12 @@ def cmd_sweep(cfg: RunConfig, rep: Report) -> None:
         print(f"warning: inadmissible weights (margin {margin.delta:.4g} <= 0); "
               "ratios recorded but boundedness not asserted")
     rows = solver.exhaustion_sweep(
-        chart, cfg.K, w, solver.default_bump_recipe(w), cfg.eps_list,
+        chart, cfg.K, w, solver.default_bump_recipe(w), cfg.eps,
         nodes=cfg.nodes, on_error="record")
     table = [[r.eps, r.norm_u, r.norm_f, r.ratio, r.mms_error, r.error or ""]
              for r in rows]
-    _print_table(["eps", "|u|_mu", "|f|_mu", "ratio", "mms_error", "error"],
-                 table)
-    rep.write_csv("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
-                             "error"], table)
+    rep.table("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
+                         "error"], table)
     rep.extra["min_eigenvalues"] = [r.min_eigenvalue for r in rows]
     failures = [r for r in rows if r.error is not None]
     if failures:
@@ -318,10 +358,11 @@ def cmd_sweep(cfg: RunConfig, rep: Report) -> None:
     rep.extra["plateau_factor"] = factor
 
 
-def cmd_koiso(cfg: RunConfig, rep: Report) -> None:
+def cmd_koiso(cfg: argparse.Namespace, rep: Report) -> None:
+    """Tensor quadrature identity."""
     chart = Chart.collar(cfg.n, edge=2.5)
     gaps, rows = [], []
-    for nodes in cfg.refinements:
+    for nodes in cfg.refine:
         grid = solver.compact_patch_grid(chart, nodes, (1.0, 2.0), (-0.5, 0.5))
         u = solver.random_bump_tensor(grid, np.random.default_rng(cfg.seed))
         res = solver.koiso_quadrature(grid, u, K=cfg.K)
@@ -329,14 +370,13 @@ def cmd_koiso(cfg: RunConfig, rep: Report) -> None:
         level_order = (math.log2(gaps[-2] / gaps[-1]) if len(gaps) > 1
                        else math.nan)
         rows.append([nodes, res.lhs, res.rhs, res.gap, res.slack, level_order])
-    _print_table(["nodes", "lhs", "rhs", "gap", "slack", "order"], rows)
-    rep.write_csv("identity", ["nodes", "lhs", "rhs", "gap", "slack", "order"],
-                  rows)
-    spacings = [1.0 / (k - 1) for k in cfg.refinements]
+    rep.table("identity", ["nodes", "lhs", "rhs", "gap", "slack", "order"],
+              rows)
+    spacings = [1.0 / (k - 1) for k in cfg.refine]
     order = float(np.polyfit(np.log(spacings), np.log(gaps), 1)[0])
     rep.check("identity_order", order, 1.8, order >= 1.8,
               "tensor-integration-by-parts")
-    grid = solver.compact_patch_grid(chart, cfg.refinements[-1], (1.0, 2.0),
+    grid = solver.compact_patch_grid(chart, cfg.refine[-1], (1.0, 2.0),
                                      (-0.5, 0.5))
     worst = math.inf
     for seed in range(20):
@@ -348,15 +388,14 @@ def cmd_koiso(cfg: RunConfig, rep: Report) -> None:
     print(f"identity order {order:.3f}; worst slack {worst:.3e} >= {bound:.3e}")
 
 
-def cmd_schauder(cfg: RunConfig, rep: Report) -> None:
+def cmd_schauder(cfg: argparse.Namespace, rep: Report) -> None:
+    """Rescaled-metric uniformity scan."""
     fams = solver.default_scan_families(cfg.n, cfg.f)
-    rows = solver.schauder_coefficient_scan(fams, cfg.eps_list)
+    rows = solver.schauder_coefficient_scan(fams, cfg.eps)
     table = [[r.family, r.eps, r.min_eig, r.max_eig, r.cond, r.max_coeff_diff]
              for r in rows]
-    _print_table(["family", "eps", "min_eig", "max_eig", "cond", "coeff_diff"],
-                 table)
-    rep.write_csv("scan", ["family", "eps", "min_eig", "max_eig", "cond",
-                           "coeff_diff"], table)
+    rep.table("scan", ["family", "eps", "min_eig", "max_eig", "cond",
+                       "coeff_diff"], table)
     spread = solver.condition_number_spread(rows)
     worst = max(spread.values())
     rep.check("cond_spread", worst, 0.05, worst < 0.05,
@@ -364,7 +403,8 @@ def cmd_schauder(cfg: RunConfig, rep: Report) -> None:
     rep.extra["spread"] = spread
 
 
-def cmd_expand(cfg: RunConfig, rep: Report) -> None:
+def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
+    """Boundary expansion ladder."""
     chart = Chart.collar(cfg.n, h_u="round_sphere")
     bd = expansion.seeded_boundary_data(chart, seed=cfg.seed, amplitude=0.05)
     stages = expansion.S_map(bd, stages=cfg.stages)
@@ -391,8 +431,7 @@ def cmd_expand(cfg: RunConfig, rep: Report) -> None:
                   gauge <= gauge_bound, "gauge-term-vanishing")
         for d in fit.per_y:
             rows.append([g.order, d["y"][0], d["slope"], d["residual"]])
-    _print_table(["stage", "y", "slope", "residual"], rows)
-    rep.write_csv("slopes", ["stage", "y", "slope", "residual"], rows)
+    rep.table("slopes", ["stage", "y", "slope", "residual"], rows)
 
 
 COMMANDS = {
@@ -414,104 +453,56 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=Path, help="key = value configuration file")
     ap.add_argument("--out-dir", type=Path, help="artifact directory")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--f", type=int)
-        p.add_argument("--K", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--step", type=float)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--eps", type=str, help="comma-separated decreasing list")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        for opt in options_of(name):
+            # every value stays text until _load_config parses it, flag or
+            # file alike; an absent flag leaves None
+            if opt.parse is _boolean:
+                p.add_argument(opt.flag, dest=opt.name, action="store_const",
+                               const="true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, dest=opt.name, help=opt.help)
         # accepted after the subcommand as well; absent leaves the top-level
         # value untouched
         p.add_argument("--out-dir", type=Path, default=argparse.SUPPRESS)
         p.add_argument("--config", type=Path, default=argparse.SUPPRESS)
-
-    p = sub.add_parser("weights", help="admissible weight search and windows")
-    p.add_argument("--ranks", type=str, help="comma-separated cusp ranks")
-    p.add_argument("--mu0", type=float)
-    common(p)
-
-    p = sub.add_parser("curvature", help="constant-curvature identity checks")
-    p.add_argument("--perturb", type=float, default=None,
-                   help="deliberately break the metric by this amplitude")
-    common(p)
-
-    p = sub.add_parser("solve", help="single Dirichlet solve")
-    p.add_argument("--weights", dest="weights_mode", type=str,
-                   help="'auto' or mu0,mu1,... explicit values")
-    p.add_argument("--expect-indefinite", dest="expect_indefinite",
-                   action="store_const", const=True, default=None,
-                   help="flag an intentionally indefinite configuration")
-    common(p)
-
-    p = sub.add_parser("sweep", help="exhaustion sweep of Dirichlet solves")
-    p.add_argument("--weights", dest="weights_mode", type=str)
-    common(p)
-
-    p = sub.add_parser("koiso", help="tensor quadrature identity")
-    p.add_argument("--refine", type=str, help="comma-separated node counts")
-    common(p)
-
-    p = sub.add_parser("schauder", help="rescaled-metric uniformity scan")
-    common(p)
-
-    p = sub.add_parser("expand", help="boundary expansion ladder")
-    p.add_argument("--stages", type=int)
-    common(p)
     return ap
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
+def parse_config_text(text: str) -> dict[str, str]:
+    """Flat key = value configuration lines; '#' starts a comment."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
+
+
+def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     file_values: dict[str, str] = {}
     if args.config:
         file_values = parse_config_text(Path(args.config).read_text())
-
-    def pick(name: str, cast, current):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return cast(flag) if not isinstance(flag, bool) else flag
-        if name in file_values:
-            return cast(file_values[name])
-        return current
-
-    as_is = lambda v: v
-    cfg.n = pick("n", int, cfg.n)
-    cfg.f = pick("f", int, cfg.f)
-    cfg.K = pick("K", float, cfg.K)
-    cfg.seed = pick("seed", int, cfg.seed)
-    cfg.step = pick("step", float, cfg.step)
-    cfg.tolerance = pick("tolerance", float, cfg.tolerance)
-    cfg.nodes = pick("nodes", int, cfg.nodes)
-    cfg.mu0 = pick("mu0", float, cfg.mu0)
-    cfg.stages = pick("stages", int, cfg.stages)
-    cfg.perturb = pick("perturb", float, cfg.perturb)
-    cfg.weights_mode = pick("weights_mode", as_is, cfg.weights_mode)
-    cfg.expect_indefinite = bool(
-        pick("expect_indefinite",
-             lambda v: str(v).lower() in ("1", "true", "yes"),
-             cfg.expect_indefinite)
-    )
-
-    ranks = pick("ranks", as_is, None)
-    if ranks is not None:
-        cfg.ranks = tuple(int(x) for x in str(ranks).split(","))
-    eps = pick("eps", as_is, None)
-    if eps is not None:
-        cfg.eps_list = tuple(float(x) for x in str(eps).split(","))
-    elif cfg.subcommand == "schauder":
-        cfg.eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
-    refine = pick("refine", as_is, None)
-    if refine is not None:
-        cfg.refinements = tuple(int(x) for x in str(refine).split(","))
-
-    out = args.out_dir or os.environ.get("CUSPLAB_OUT")
-    if out:
-        cfg.out_dir = Path(out)
-    cfg.validate()
+    unknown = sorted(set(file_values) - {opt.name for opt in OPTIONS})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    cfg = argparse.Namespace(subcommand=args.subcommand)
+    for opt in options_of(args.subcommand):
+        text = getattr(args, opt.name)
+        if text is None:
+            text = file_values.get(opt.name)
+        try:
+            value = opt.default if text is None else opt.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{opt.name}: {exc}") from None
+        setattr(cfg, opt.name, value)
+    cfg.out_dir = Path(args.out_dir or os.environ.get("CUSPLAB_OUT")
+                       or "cusplab_out")
     return cfg
 
 

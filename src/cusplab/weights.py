@@ -13,7 +13,6 @@ from typing import Optional
 
 L2_ANCHOR = "l2-cutoff"
 CUSP_ANCHOR = "cusp-barrier"
-MAXIMAL_ANCHOR = "maximal-cusp-barrier"
 H0_ANCHOR = "infinite-volume-face-barrier"
 
 DELTA_MIN = 1e-6  # smallest barrier margin accepted as positive
@@ -107,8 +106,7 @@ def barrier_cusp(K: float, mu: float, nu: float, f: int, n: int) -> tuple[float,
     if b < 1:
         raise ValueError("maximal-rank end: use barrier_maximal instead")
     c_cos = K - (mu * mu + f * mu - b * nu)
-    c_sin = K - nu * (nu - (n - 1))
-    return c_cos, c_sin
+    return c_cos, barrier_H0(K, nu, n)
 
 
 def barrier_maximal(K: float, mu: float, n: int) -> float:
@@ -167,18 +165,23 @@ def cusp_weight_window(n: int, f: int, mu0: float, K: float = -2.0) -> Window:
     c = (n - 1 - f) * mu0 + K
     if c <= 0:
         return Window()
-    mu_star = (-f + math.sqrt(f * f + 4.0 * c)) / 2.0
-    return Window(0.0, mu_star)
+    return Window(0.0, _quadratic_roots(f, c)[1])
 
 
 def indicial_roots(K: float, n: int) -> tuple[float, float]:
     """Ascending real roots of nu(nu - (n-1)) = K."""
-    disc = (n - 1) ** 2 + 4.0 * K
-    if disc < 0:
+    roots = _quadratic_roots(-(n - 1), K)
+    if roots is None:
         raise NoRealIndicialRoots(f"no real indicial roots for K={K}, n={n}")
-    lo = ((n - 1) - math.sqrt(disc)) / 2.0
-    hi = ((n - 1) + math.sqrt(disc)) / 2.0
-    return lo, hi
+    return roots
+
+
+def _quadratic_roots(p: float, q: float) -> Optional[tuple[float, float]]:
+    """Ascending real roots of x^2 + p x = q, or None when there are none."""
+    disc = p * p + 4.0 * q
+    if disc < 0:
+        return None
+    return (-p - math.sqrt(disc)) / 2.0, (-p + math.sqrt(disc)) / 2.0
 
 
 @dataclass

@@ -8,9 +8,7 @@ from cusplab.charts import (
     ChartDomainError,
     RescalingCase,
     RescalingCaseError,
-    chart_from_config,
     rescaled_metric_at,
-    round_sphere_metric,
     truncate_bdf,
 )
 
@@ -189,33 +187,6 @@ class TestRescaling:
             rescaled_metric_at(case, [0.9, 0.9, 0.0, 0.0])
         with pytest.raises(ChartDomainError):
             rescaled_metric_at(case, [-0.1, 0.0, 0.0, 0.0])
-
-
-class TestConfig:
-    def test_round_trip(self):
-        text = """
-        # cusp example
-        kind = intermediate_cusp
-        n = 5
-        f = 2
-        edge = 0.8
-        pole_margin = 1e-4
-        """
-        chart = chart_from_config(text)
-        assert chart.kind == "intermediate_cusp"
-        assert (chart.n, chart.f, chart.edge) == (5, 2, 0.8)
-        assert chart.pole_margin == 1e-4
-
-    def test_collar_family_choice(self):
-        chart = chart_from_config("kind = collar\nn = 4\nh_u = round_sphere")
-        y = np.array([1.2, 1.0, 0.4])
-        assert np.allclose(chart.h_u(0.0, y), round_sphere_metric(y))
-
-    def test_missing_keys(self):
-        with pytest.raises(ValueError):
-            chart_from_config("kind = collar")
-        with pytest.raises(ValueError):
-            chart_from_config("n = 4")
 
 
 def sample_points(chart, count, rng):

@@ -158,13 +158,13 @@ class TestSchauderCommand:
 class TestConfigResolution:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 5\nranks = 1,2\nseed = 7\n")
+        cfg.write_text("n = 5\nranks = 1,2\nmu0 = 1.6\n")
         code = main(["--config", str(cfg), "--out-dir", str(tmp_path),
                      "weights", "--n", "4", "--ranks", "1"])
         assert code == EXIT_PASS
         payload = json.loads((tmp_path / "weights_summary.json").read_text())
         assert payload["config"]["n"] == 4  # the flag wins over the file
-        assert payload["config"]["seed"] == 7
+        assert payload["config"]["mu0"] == 1.6
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path / "envout"))
@@ -193,12 +193,6 @@ class TestConfigAliases:
         code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "solve"])
         assert code == EXIT_NUMERICAL
 
-    def test_chart_range_alias(self):
-        from cusplab.charts import chart_from_config
-
-        chart = chart_from_config("kind = maximal_cusp\nn = 4\nr_max = 0.7")
-        assert chart.edge == 0.7
-
 
 class TestInadmissibleSweep:
     def test_ratios_recorded_but_not_asserted(self, tmp_path, capsys):
@@ -220,3 +214,135 @@ class TestInadmissibleSweep:
                      "--out-dir", str(tmp_path / "late")])
         assert code == EXIT_PASS
         assert (tmp_path / "late" / "weights_summary.json").exists()
+
+
+# the options each subcommand reads, as its summary's `config` records them
+READS = {
+    "weights": {"n", "ranks", "K", "mu0"},
+    "curvature": {"n", "f", "seed", "step", "perturb"},
+    "solve": {"n", "f", "K", "mu0", "weights_mode", "eps", "nodes",
+              "expect_indefinite"},
+    "sweep": {"n", "f", "K", "mu0", "weights_mode", "eps", "nodes"},
+    "koiso": {"n", "K", "refine", "seed"},
+    "schauder": {"n", "f", "eps"},
+    "expand": {"n", "seed", "stages", "step"},
+}
+
+SMALL_RUNS = {
+    "weights": ("--n", "5", "--ranks", "1,2"),
+    "curvature": ("--n", "3"),
+    "solve": ("--nodes", "16"),
+    "sweep": ("--nodes", "16", "--eps", "0.2,0.1"),
+    "koiso": ("--refine", "17,33"),
+    "schauder": ("--eps", "0.1,0.01"),
+    "expand": ("--stages", "1"),
+}
+
+
+class ReadRecorder:
+    """Stands in for a run's configuration and records each option read."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+def accepted_options(subcommand):
+    from cusplab.cli import build_parser
+
+    (subparsers,) = [a for a in build_parser()._actions if a.choices]
+    return {a.dest for a in subparsers.choices[subcommand]._actions
+            if a.dest not in ("help", "out_dir", "config")}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("argv", [
+        ("weights", "--f", "1"), ("weights", "--seed", "1"),
+        ("weights", "--step", "0.001"), ("weights", "--tolerance", "1"),
+        ("weights", "--nodes", "16"), ("weights", "--eps", "0.2,0.1"),
+        ("curvature", "--K", "-2"), ("curvature", "--nodes", "16"),
+        ("curvature", "--eps", "0.2,0.1"), ("curvature", "--tolerance", "10"),
+        ("solve", "--seed", "1"), ("solve", "--step", "0.001"),
+        ("solve", "--tolerance", "1"),
+        ("sweep", "--seed", "1"), ("sweep", "--step", "0.001"),
+        ("sweep", "--tolerance", "1"),
+        ("koiso", "--f", "1"), ("koiso", "--step", "0.001"),
+        ("koiso", "--tolerance", "1"), ("koiso", "--nodes", "16"),
+        ("koiso", "--eps", "0.2,0.1"),
+        ("schauder", "--K", "-2"), ("schauder", "--seed", "1"),
+        ("schauder", "--step", "0.001"), ("schauder", "--tolerance", "1"),
+        ("schauder", "--nodes", "16"),
+        ("expand", "--f", "1"), ("expand", "--K", "-2"),
+        ("expand", "--tolerance", "1"), ("expand", "--nodes", "16"),
+        ("expand", "--eps", "0.2,0.1"),
+    ], ids=" ".join)
+    def test_flag_the_command_never_reads_is_rejected(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert not (tmp_path / f"{argv[0]}_summary.json").exists()
+
+    @pytest.mark.parametrize("sub, text", [
+        ("sweep", "nodse = 96\n"),
+        ("solve", "expect_indefinite = ture\nnodes = 16\n"),
+    ])
+    def test_bad_config_key_or_value_is_rejected(self, tmp_path, capsys, sub,
+                                                 text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path), sub])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / f"{sub}_summary.json").exists()
+
+    def test_keys_of_other_commands_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stages = 0\nseed = 7\nn = 5\nranks = 1,2\n")
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                     "weights"])
+        assert code == EXIT_PASS
+        payload = json.loads((tmp_path / "weights_summary.json").read_text())
+        assert payload["config"]["n"] == 5
+        assert "stages" not in payload["config"]
+        assert "seed" not in payload["config"]
+
+    @pytest.mark.parametrize("mu0", ["1.75", "1.6"])
+    def test_mu0_flag_equals_config_key(self, tmp_path, mu0):
+        small = ["--nodes", "20", "--eps", "0.2,0.1"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mu0 = {mu0}\n")
+        payloads = []
+        for out, argv in ((tmp_path / "flag", ["sweep", "--mu0", mu0, *small]),
+                          (tmp_path / "file", ["--config", str(cfg), "sweep",
+                                               *small])):
+            assert main(["--out-dir", str(out), *argv]) == EXIT_PASS
+            p = json.loads((out / "sweep_summary.json").read_text())
+            del p["elapsed_seconds"]
+            p["config"].pop("out_dir")
+            p.pop("tables")  # artifact paths differ by construction
+            payloads.append(p)
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["config"]["mu0"] == float(mu0)
+
+    @pytest.mark.parametrize("sub", sorted(READS))
+    def test_command_reads_every_option_it_accepts_and_records_only_those(
+            self, tmp_path, monkeypatch, sub):
+        import cusplab.cli as cli
+
+        command = cli.COMMANDS[sub]
+        recorders = []
+
+        def recorded(cfg, rep):
+            recorders.append(ReadRecorder(cfg))
+            command(recorders[-1], rep)
+
+        monkeypatch.setitem(cli.COMMANDS, sub, recorded)
+        run(tmp_path, sub, *SMALL_RUNS[sub])
+        payload = json.loads((tmp_path / f"{sub}_summary.json").read_text())
+        assert payload["error"] is None
+        assert set(payload["config"]) == READS[sub] | {"subcommand", "out_dir"}
+        assert accepted_options(sub) == READS[sub]
+        assert recorders[0].read >= READS[sub]
