@@ -11,6 +11,7 @@ domains {sigma >= eps}.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -36,15 +37,35 @@ class RescalingCaseError(ValueError):
     """Rescaling-case invariants violated (base point vs eps mismatch)."""
 
 
-def smooth_step(t: float) -> float:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, strictly monotone between."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    return a / (a + b)
+def batched(fn):
+    """Mark fn as array-native: it takes one point (n,) or an (N, n) array of
+    points and returns the values, stacked on a leading axis for an array."""
+    fn.batched = True
+    return fn
+
+
+def at_points(fn, p) -> np.ndarray:
+    """fn at one point (n,) or at each row of an (N, n) array, values stacked.
+
+    An array-native callable (marked with `batched`) gets the whole array in
+    one call. Any other callable is taken to be pointwise and gets the rows
+    one at a time: this is the one fallback for user-supplied callables.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1 or getattr(fn, "batched", False):
+        return np.asarray(fn(p), dtype=float)
+    return np.stack([np.asarray(fn(q), dtype=float) for q in p])
+
+
+def smooth_step(t):
+    """C-infinity step, elementwise: 0 for t <= 0, 1 for t >= 1, strictly
+    monotone between."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    s = np.where(inside, t, 0.5)  # keeps exp finite where it is masked out
+    a = np.exp(-1.0 / s)
+    b = np.exp(-1.0 / (1.0 - s))
+    return np.where(inside, a / (a + b), np.where(t >= 1.0, 1.0, 0.0))[()]
 
 
 def truncate_bdf(x: float, edge: float, fraction: float) -> float:
@@ -59,26 +80,30 @@ def truncate_bdf(x: float, edge: float, fraction: float) -> float:
     return (1.0 - s) * x + s
 
 
-def smooth_bump(t: float) -> float:
-    """C-infinity bump on (-1, 1), equal to 1 at t = 0, identically 0 outside."""
-    if abs(t) >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - t * t))
+def smooth_bump(t):
+    """C-infinity bump on (-1, 1), elementwise: 1 at t = 0, identically 0
+    outside."""
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < 1.0
+    s = np.where(inside, t, 0.0)
+    return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - s * s)), 0.0)[()]
 
 
-def round_sphere_metric(angles: np.ndarray) -> np.ndarray:
-    """Round metric on S^d in spherical coordinates (d = len(angles)).
+def round_sphere_metric(angles) -> np.ndarray:
+    """Round metric on S^d in spherical coordinates (d = angles.shape[-1]),
+    for one point or for each row of an array of points.
 
     Coordinates are (xi_1, ..., xi_d) with xi_1..xi_{d-1} polar and xi_d
     azimuthal; the component matrix is diag(1, sin^2 xi_1, sin^2 xi_1
     sin^2 xi_2, ...).
     """
-    d = len(angles)
-    g = np.zeros((d, d))
-    acc = 1.0
+    angles = np.asarray(angles, dtype=float)
+    d = angles.shape[-1]
+    g = np.zeros(angles.shape + (d,))
+    acc = np.ones(angles.shape[:-1])
     for k in range(d):
-        g[k, k] = acc
-        acc *= math.sin(angles[k]) ** 2
+        g[..., k, k] = acc
+        acc = acc * np.sin(angles[..., k]) ** 2
     return g
 
 
@@ -91,15 +116,27 @@ def _round_sphere_det(angles: np.ndarray) -> float:
     return det
 
 
-def euclidean_collar_family(rho: float, y: np.ndarray) -> np.ndarray:
+# A collar family maps (rho, y) to the tangential block: one point, or
+# arrays rho (N,) and y (N, n-1) to (N, n-1, n-1).
+
+
+def euclidean_collar_family(rho, y) -> np.ndarray:
     """Default boundary family: the identity for every rho."""
-    return np.eye(len(y))
+    y = np.asarray(y, dtype=float)
+    d = y.shape[-1]
+    return np.broadcast_to(np.eye(d), y.shape[:-1] + (d, d)).copy()
 
 
-def round_collar_family(rho: float, y: np.ndarray) -> np.ndarray:
+def round_collar_family(rho, y) -> np.ndarray:
     """Family (1 - rho^2/4)^2 * round(S^{n-1}); the collar metric it induces
     is exactly hyperbolic (ball model in normal form around the boundary)."""
-    return (1.0 - rho * rho / 4.0) ** 2 * round_sphere_metric(y)
+    rho = np.asarray(rho, dtype=float)
+    return _matrix_scale((1.0 - rho * rho / 4.0) ** 2) * round_sphere_metric(y)
+
+
+def _matrix_scale(s) -> np.ndarray:
+    """A scalar per point, shaped to multiply a stack of matrices."""
+    return np.asarray(s)[..., None, None]
 
 
 H_U_FAMILIES = {
@@ -208,22 +245,38 @@ class Chart:
             return rng
         return [(0.0, self.edge)] + [(-big, big)] * (self.n - 1)
 
+    @functools.cached_property
+    def coordinate_bounds(self) -> np.ndarray:
+        """coordinate_ranges() as the two arrays (lo, hi)."""
+        return np.array(self.coordinate_ranges()).T
+
     def validate_point(self, p) -> np.ndarray:
+        """p as a float array, one point (n,) or an (N, n) array of points.
+        Raises ChartDomainError naming the first point outside the chart."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.n,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.n:
             raise ChartDomainError(
                 f"point has {p.shape} coordinates, chart expects ({self.n},)"
             )
-        if not np.all(np.isfinite(p)):
-            raise ChartDomainError("non-finite coordinate")
-        for x, (lo, hi), name in zip(p, self.coordinate_ranges(), self.coordinate_names):
-            if x <= lo and lo == 0.0:
-                raise ChartDomainError(f"degenerate point: {name} = {x} <= 0")
-            if not (lo <= x <= hi):
-                raise ChartDomainError(
-                    f"{name} = {x} outside allowed range [{lo}, {hi}]"
-                )
+        lo, hi = self.coordinate_bounds
+        ok = np.isfinite(p) & (lo <= p) & (p <= hi) & ((p > lo) | (lo != 0.0))
+        if not ok.all():
+            for q in p.reshape(-1, self.n):
+                reason = self._outside(q)
+                if reason:
+                    raise ChartDomainError(f"{reason} at point {q}")
         return p
+
+    def _outside(self, q: np.ndarray) -> Optional[str]:
+        """Why the one point q lies outside the chart, or None."""
+        if not np.all(np.isfinite(q)):
+            return "non-finite coordinate"
+        for x, (lo, hi), name in zip(q, self.coordinate_ranges(), self.coordinate_names):
+            if x <= lo and lo == 0.0:
+                return f"degenerate point: {name} = {x} <= 0"
+            if not (lo <= x <= hi):
+                return f"{name} = {x} outside allowed range [{lo}, {hi}]"
+        return None
 
     def contains(self, p) -> bool:
         try:
@@ -234,38 +287,40 @@ class Chart:
 
     # -- metric data -------------------------------------------------------
 
+    @batched
     def metric_at(self, p) -> np.ndarray:
-        """Exact closed-form metric components at p (symmetric positive definite)."""
+        """Exact closed-form metric components (symmetric positive definite)
+        at one point (n,), or stacked (N, n, n) at the rows of an (N, n)
+        array."""
         p = self.validate_point(p)
-        n, out = self.n, np.zeros((self.n, self.n))
+        n = self.n
+        out = np.zeros(p.shape + (n,))
+        x = p[..., 0]
         if self.kind == INTERMEDIATE_CUSP:
-            r, th = p[0], p[1]
-            c2 = math.cos(th) ** 2
-            out[0, 0] = 1.0 / (r * r * c2)
-            out[1, 1] = 1.0 / c2
-            if self.b >= 2:
-                ang = p[2 : 1 + self.b]
-                out[2 : 1 + self.b, 2 : 1 + self.b] = (
-                    math.sin(th) ** 2 / c2
-                ) * round_sphere_metric(ang)
-            w0 = 1 + self.b
-            out[w0:, w0:] = (r * r / c2) * np.eye(self.f)
+            b, th = self.b, p[..., 1]
+            c2 = np.cos(th) ** 2
+            out[..., 0, 0] = 1.0 / (x * x * c2)
+            out[..., 1, 1] = 1.0 / c2
+            if b >= 2:
+                out[..., 2 : 1 + b, 2 : 1 + b] = _matrix_scale(
+                    np.sin(th) ** 2 / c2
+                ) * round_sphere_metric(p[..., 2 : 1 + b])
+            out[..., 1 + b :, 1 + b :] = _matrix_scale(x * x / c2) * np.eye(self.f)
             return out
         if self.kind == MAXIMAL_CUSP:
-            r = p[0]
-            out[0, 0] = 1.0 / (r * r)
-            out[1:, 1:] = r * r * np.eye(n - 1)
+            out[..., 0, 0] = 1.0 / (x * x)
+            out[..., 1:, 1:] = _matrix_scale(x * x) * np.eye(n - 1)
             return out
         if self.kind == COLLAR:
-            rho = p[0]
-            out[0, 0] = 1.0
-            out[1:, 1:] = self.h_u(rho, p[1:])
-            return out / (rho * rho)
-        u, v = p[0], p[1 : 1 + self.b]
-        s2 = u * u + float(v @ v)
-        out[: 1 + self.b, : 1 + self.b] = np.eye(1 + self.b)
-        out[1 + self.b :, 1 + self.b :] = s2 * s2 * np.eye(self.f)
-        return out / (u * u)
+            out[..., 0, 0] = 1.0
+            out[..., 1:, 1:] = self.h_u(x, p[..., 1:])
+            return out / _matrix_scale(x * x)
+        b = self.b
+        v = p[..., 1 : 1 + b]
+        s2 = x * x + np.einsum("...i,...i->...", v, v)
+        out[..., : 1 + b, : 1 + b] = np.eye(1 + b)
+        out[..., 1 + b :, 1 + b :] = _matrix_scale(s2 * s2) * np.eye(self.f)
+        return out / _matrix_scale(x * x)
 
     def volume_density_at(self, p) -> float:
         """sqrt(det h) from the closed-form determinant of each family."""

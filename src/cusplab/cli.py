@@ -313,12 +313,13 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     grid = solver.cusp_grid(chart, cfg.eps[0], nodes=cfg.nodes)
-    K = -50.0 if cfg.expect_indefinite else cfg.K
-    op = solver.assemble(grid, K)
+    if cfg.expect_indefinite:
+        cfg.K = -50.0  # the K this run uses, and so the K its summary records
+    op = solver.assemble(grid, cfg.K)
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
     u = solver.solve_dirichlet(op, f_field)
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
-    mp = solver.maximum_principle_check(grid, K, w)
+    mp = solver.maximum_principle_check(grid, cfg.K, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
           f"{mp.min_ratio:.6g} vs closed form {mp.closed_form_delta:.6g}")
     rep.check("barrier_ratio", mp.min_ratio, mp.tolerance, mp.passed,
@@ -501,6 +502,9 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
         except ValueError as exc:
             raise ValueError(f"{opt.name}: {exc}") from None
         setattr(cfg, opt.name, value)
+    if getattr(cfg, "weights_mode", "auto") != "auto" and cfg.mu0 is not None:
+        raise ValueError("mu0: explicit --weights give mu0 as their first "
+                         "value; set one or the other")
     cfg.out_dir = Path(args.out_dir or os.environ.get("CUSPLAB_OUT")
                        or "cusplab_out")
     return cfg

@@ -8,6 +8,15 @@ coefficient of the residual is extracted numerically and cancelled by
 inverting the (numerically assembled) indicial type matrix of the
 linearized operator.  The construction stops one order before the first
 characteristic exponent.
+
+Boundary data, expansion metrics and their coefficients evaluate whole
+point arrays: `qhat`, the cutoffs and every coefficient of y take one
+tangential point or an (N, n-1) array, and `ExpansionMetric.field` is an
+array-native field.  Each correction iteration therefore samples its
+41 y x 6 rho extraction grid, and each vanishing-order fit its rho x y
+grid, in a few batched `Q_at` calls; the background Q(h, h) is computed
+once per point and cached.  User-supplied pointwise callables (a `qhat`
+or coefficient on one y) go through `charts.at_points`.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .charts import Chart, COLLAR, smooth_bump, smooth_step
+from .charts import Chart, COLLAR, at_points, batched, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
     MetricField,
@@ -50,14 +59,12 @@ class PositivityError(ValueError):
 # -- boundary data -------------------------------------------------------------
 
 
-def plateau_bump(t: float, inner: float = 0.5) -> float:
-    """Smooth plateau on (-1, 1): identically 1 on [-inner, inner], 0 outside."""
-    a = abs(t)
-    if a <= inner:
-        return 1.0
-    if a >= 1.0:
-        return 0.0
-    return 1.0 - smooth_step((a - inner) / (1.0 - inner))
+def plateau_bump(t, inner: float = 0.5):
+    """Smooth plateau on (-1, 1), elementwise: identically 1 on
+    [-inner, inner], 0 outside."""
+    a = np.abs(np.asarray(t, dtype=float))
+    return np.where(a <= inner, 1.0,
+                    1.0 - smooth_step((a - inner) / (1.0 - inner)))[()]
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,11 @@ class BoundaryData:
     """Compactly supported boundary perturbation on a collar patch.
 
     qhat maps tangential coordinates y to symmetric (n-1)x(n-1) component
-    matrices, supported strictly inside the cutoff plateau; psi_y is the
-    tangential cutoff profile (a function of y[0]) with support interval
-    y_support, and the radial cutoff equals 1 for rho <= 1/2 and 0 for
-    rho >= 1.
+    matrices, supported strictly inside the cutoff plateau (one y, or an
+    (N, n-1) array if marked with `charts.batched`); psi_y is the
+    tangential cutoff profile, an elementwise function of y[..., 0], with
+    support interval y_support, and the radial cutoff equals 1 for
+    rho <= 1/2 and 0 for rho >= 1.
     """
 
     chart: Chart
@@ -91,8 +99,8 @@ class BoundaryData:
     def psi_rho(self, rho: float) -> float:
         return plateau_bump(rho)
 
-    def psi(self, rho: float, y: np.ndarray) -> float:
-        return self.psi_rho(rho) * float(self.psi_y(float(np.asarray(y)[0])))
+    def psi(self, rho, y: np.ndarray):
+        return self.psi_rho(rho) * self.psi_y(np.asarray(y)[..., 0])
 
     def validate(self, samples: int = 25):
         """Positivity of hhat + qhat and compact support inside the cutoff."""
@@ -144,8 +152,10 @@ def seeded_boundary_data(
     A *= amplitude / np.abs(A).max()
     center = float(_reference_y(chart)[0])
 
+    @batched
     def qhat(y):
-        return A * smooth_bump((float(np.asarray(y)[0]) - center) / 0.25)
+        bump = smooth_bump((np.asarray(y)[..., 0] - center) / 0.25)
+        return np.asarray(bump)[..., None, None] * A
 
     def psi_y(t):
         return plateau_bump((t - center) / 0.45, inner=0.25 / 0.45)
@@ -164,8 +174,9 @@ def seeded_boundary_data(
 
 
 def _embed_tangential(n: int, q_tan: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[1:, 1:] = q_tan
+    """Tangential blocks (one, or stacked) as n x n component matrices."""
+    out = np.zeros(q_tan.shape[:-2] + (n, n))
+    out[..., 1:, 1:] = q_tan
     return out
 
 
@@ -174,13 +185,15 @@ def extend(bd: BoundaryData) -> MetricField:
     metric plus the cutoff times the tangential, radially parallel extension
     of qhat (normal components: rho-rho equals 1, mixed equal 0)."""
 
+    @batched
     def ev(p):
-        rho, y = p[0], p[1:]
+        rho, y = p[..., 0], p[..., 1:]
         n = bd.n
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[1:, 1:] = bd.chart.h_u(rho, y)
-        return out + bd.psi(rho, y) * _embed_tangential(n, bd.qhat(y))
+        out = np.zeros(p.shape[:-1] + (n, n))
+        out[..., 0, 0] = 1.0
+        out[..., 1:, 1:] = bd.chart.h_u(rho, y)
+        psi = np.asarray(bd.psi(rho, y))[..., None, None]
+        return out + psi * _embed_tangential(n, at_points(bd.qhat, y))
 
     return MetricField(bd.chart, ev, "E(g-hat)")
 
@@ -211,23 +224,23 @@ class ExpansionMetric:
 
     @functools.cached_property
     def field(self) -> MetricField:
-        """The metric as one field object, built once, so both slots of
-        Q_at(g.field, g.field, p) share a jet."""
+        """The metric as one array-native field object, built once, so both
+        slots of Q_at(g.field, g.field, p) share a jet."""
         bd = self.bd
         terms = self.terms
 
+        @batched
         def ev(p):
-            rho, y = p[0], p[1:]
-            out = bd.chart.metric_at(p).copy()
+            rho, y = p[..., 0], p[..., 1:]
+            out = bd.chart.metric_at(p)
             if not terms:
                 return out
             psi_r = bd.psi_rho(rho)
-            if psi_r == 0.0:
-                return out
             t0, c0 = terms[0]
-            out += (rho ** t0) * psi_r * bd.psi_y(float(y[0])) * c0(y)
+            scale = (rho ** t0) * psi_r * bd.psi_y(y[..., 0])
+            out += scale[..., None, None] * at_points(c0, y)
             for t, coeff in terms[1:]:
-                out += (rho ** t) * psi_r * coeff(y)
+                out += ((rho ** t) * psi_r)[..., None, None] * at_points(coeff, y)
             return out
 
         return MetricField(bd.chart, ev, f"g_{self.order}")
@@ -236,27 +249,32 @@ class ExpansionMetric:
 def T_map(bd: BoundaryData) -> ExpansionMetric:
     """Conformal rescaling of the extension: h + rho^{-2} psi qbar."""
     n = bd.n
-    return ExpansionMetric(
-        bd=bd,
-        terms=((-2, lambda y: _embed_tangential(n, bd.qhat(y))),),
-        order=1,
-    )
+
+    @batched
+    def qbar(y):
+        return _embed_tangential(n, at_points(bd.qhat, y))
+
+    return ExpansionMetric(bd=bd, terms=((-2, qbar),), order=1)
 
 
 # -- numerical indicial machinery ----------------------------------------------
 
 
 def _fit_leading_coefficient(rhos: np.ndarray, values: np.ndarray, t: int):
-    """Least-squares polynomial fit of values ~ rho^t (c0 + c1 rho + ...);
-    returns (c0, absolute fit residual, data scale)."""
+    """Least-squares polynomial fit of values ~ rho^t (c0 + c1 rho + ...),
+    where values[..., r, :, :] is sampled at rhos[r] and leading axes hold
+    independent samples; returns (c0, absolute fit residual, data scale),
+    each with those leading axes."""
+    lead = values.shape[:-3]
     scaled = values / rhos[:, None, None] ** t
     degree = max(len(rhos) - 2, 1)
     V = np.vander(rhos, degree + 1, increasing=True)
-    flat = scaled.reshape(len(rhos), -1)
-    coef, *_ = np.linalg.lstsq(V, flat, rcond=None)
-    resid = float(np.abs(V @ coef - flat).max())
-    scale = float(np.abs(flat).max())
-    c0 = coef[0].reshape(values.shape[1:])
+    flat = np.moveaxis(scaled.reshape(lead + (len(rhos), -1)), -2, 0)
+    columns = flat.reshape(len(rhos), -1)
+    coef, *_ = np.linalg.lstsq(V, columns, rcond=None)
+    resid = np.abs(V @ coef - columns).reshape(flat.shape).max(axis=(0, -1))
+    scale = np.abs(flat).max(axis=(0, -1))
+    c0 = coef[0].reshape(lead + values.shape[-2:])
     return c0, resid, scale
 
 
@@ -349,13 +367,14 @@ def indicial_blocks(s: float, chart: Chart) -> IndicialBlocks:
     e_tf = _embed_tangential(n, tf)
 
     rhos = _indicial_probe_rhos()
+    points = _grid_points(rhos, y_ref[None])[0]
     t = s - 2.0
 
     def extract_general(Cin):
-        r_field = SymTensorField(chart, lambda q: (q[0] ** t) * Cin)
-        vals = [L_at(h, r_field, np.concatenate(([rho], y_ref)), DEFAULT_STEP)
-                for rho in rhos]
-        c0, resid, scale = _fit_leading_coefficient(rhos, np.array(vals), t)
+        r_field = SymTensorField(
+            chart, batched(lambda q: (q[..., 0] ** t)[..., None, None] * Cin))
+        vals = L_at(h, r_field, points, DEFAULT_STEP)
+        c0, resid, scale = _fit_leading_coefficient(rhos, vals, t)
         rel = resid / (scale or 1.0)
         if rel > 1e-3:
             raise IndicialExtractionFailure(
@@ -402,17 +421,36 @@ DEFAULT_EXTRACTION_RHOS = 0.4 * 0.5 ** np.arange(6)
 EXTRACTION_STEP = 5e-4  # finite-difference step of every residual evaluation
 
 
+def _grid_points(rhos, ys: np.ndarray) -> np.ndarray:
+    """The points (rho, y) for each row y of ys and each rho: (M, R, n)."""
+    rhos = np.asarray(rhos, dtype=float)
+    shape = (len(ys), len(rhos))
+    return np.concatenate([np.broadcast_to(rhos[None, :, None], shape + (1,)),
+                           np.broadcast_to(ys[:, None, :], shape + ys.shape[1:])],
+                          axis=2)
+
+
 @dataclass
 class _BackgroundCache:
     chart: Chart
     values: dict = field(default_factory=dict)
 
     def q_hh(self, p: np.ndarray) -> np.ndarray:
-        key = tuple(np.round(p, 12))
-        if key not in self.values:
+        """Q(h, h) on the background at each row of p, each point computed
+        once, in one batched call for the points not seen before."""
+        keys = [tuple(np.round(q, 12)) for q in p]
+        new = [i for i, key in enumerate(keys) if key not in self.values]
+        if new:
             h = chart_metric(self.chart)
-            self.values[key] = Q_at(h, h, p, EXTRACTION_STEP)
-        return self.values[key]
+            for i, value in zip(new, Q_at(h, h, p[new], EXTRACTION_STEP)):
+                self.values[keys[i]] = value
+        return np.array([self.values[key] for key in keys])
+
+
+def _residuals(gl: MetricField, gr: MetricField, points: np.ndarray,
+               cache: _BackgroundCache) -> np.ndarray:
+    """Q(gl, gr) - Q(h, h) at the rows of points."""
+    return Q_at(gl, gr, points, EXTRACTION_STEP) - cache.q_hh(points)
 
 
 def extract_residual_coefficient(
@@ -424,35 +462,41 @@ def extract_residual_coefficient(
 ):
     """Leading Taylor coefficient {Q(g_j, g_1)}_t of the residual at fixed y.
 
-    The same-point evaluation of the operator on the exact background is
-    subtracted first: it vanishes identically in exact arithmetic, and the
-    subtraction cancels the dominant finite-difference truncation error.
+    y is one tangential point (n-1,) or an (M, n-1) array; all M x 6
+    extraction points are evaluated in one batched call, and each y gets its
+    own fit, returned stacked.  The same-point evaluation of the operator on
+    the exact background is subtracted first: it vanishes identically in
+    exact arithmetic, and the subtraction cancels the dominant
+    finite-difference truncation error.
     """
     cache = cache or _BackgroundCache(g_j.chart)
-    gl, gr = g_j.field, g_1.field
-    vals = []
-    for rho in DEFAULT_EXTRACTION_RHOS:
-        p = np.concatenate(([rho], y))
-        vals.append(Q_at(gl, gr, p, EXTRACTION_STEP) - cache.q_hh(p))
-    return _fit_leading_coefficient(DEFAULT_EXTRACTION_RHOS, np.array(vals), t)
+    y = np.asarray(y, dtype=float)
+    ys = np.atleast_2d(y)
+    points = _grid_points(DEFAULT_EXTRACTION_RHOS, ys)
+    vals = _residuals(g_j.field, g_1.field,
+                      points.reshape(-1, points.shape[-1]), cache)
+    fit = _fit_leading_coefficient(
+        DEFAULT_EXTRACTION_RHOS, vals.reshape(points.shape[:2] + vals.shape[1:]), t)
+    return fit if y.ndim == 2 else tuple(part[0] for part in fit)
 
 
 class _SplineCoefficient:
     """Componentwise cubic-spline coefficient in the first tangential
-    coordinate, identically zero outside the cutoff support."""
+    coordinate, identically zero outside the cutoff support; evaluates one
+    y or an (N, n-1) array."""
+
+    batched = True
 
     def __init__(self, grid: np.ndarray, values: np.ndarray,
                  support: tuple[float, float]):
         self.support = support
         self.spline = CubicSpline(grid, values, axis=0, bc_type="natural")
-        self.n = values.shape[1]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        t = float(np.asarray(y)[0])
+        t = np.asarray(y, dtype=float)[..., 0]
         lo, hi = self.support
-        if not (lo < t < hi):
-            return np.zeros((self.n, self.n))
-        return self.spline(t)
+        inside = (lo < t) & (t < hi)
+        return np.where(inside[..., None, None], self.spline(t), 0.0)
 
 
 def correction_step(
@@ -463,11 +507,11 @@ def correction_step(
     """One order-raising step: cancel the leading residual coefficient.
 
     The residual coefficient at the current component exponent is extracted
-    on a 41-point tangential grid, the indicial blocks inverted pointwise,
-    and the correction re-extracted once so that quadratic cross terms at
-    the same order are swept up as well.  Coefficients vanish identically
-    outside the cutoff support.  Raises CharacteristicExponentHit at a
-    singular exponent.
+    on a 41-point tangential grid (all its extraction points in one batched
+    evaluation), the indicial blocks inverted pointwise, and the correction
+    re-extracted once so that quadratic cross terms at the same order are
+    swept up as well.  Coefficients vanish identically outside the cutoff
+    support.  Raises CharacteristicExponentHit at a singular exponent.
     """
     bd = g_j.bd
     chart = g_j.chart
@@ -483,38 +527,25 @@ def correction_step(
     lo, hi = bd.y_support
     pad = 0.02 * (hi - lo)
     ygrid = np.linspace(lo - pad, hi + pad, 41)
-    y_ref = bd._reference_y()
+    inside = (lo < ygrid) & (ygrid < hi)
+    ys = np.tile(bd._reference_y(), (int(inside.sum()), 1))
+    ys[:, 0] = ygrid[inside]
+    hhats = bd.hhat(ys)
     n = bd.n
 
     coeff = np.zeros((len(ygrid), n, n))
     current = g_j
     for _ in range(2):
-        raw = np.zeros_like(coeff)
-        resids = np.zeros(len(ygrid))
-        scale = 0.0
-        for i, t_y in enumerate(ygrid):
-            y = y_ref.copy()
-            y[0] = t_y
-            if not (lo < t_y < hi):
-                continue
-            c, resid, sc = extract_residual_coefficient(
-                current, g_1, t, y, cache=cache
-            )
-            raw[i] = c
-            resids[i] = resid
-            scale = max(scale, sc)
+        raw, resids, scales = extract_residual_coefficient(
+            current, g_1, t, ys, cache=cache)
+        scale = float(scales.max())
         if scale > 0 and resids.max() > 0.05 * scale:
             raise IndicialExtractionFailure(
                 f"residual coefficient extraction unstable (fit residual "
                 f"{resids.max():.2e} vs scale {scale:.2e}) at stage {g_j.order}"
             )
         new_vals = np.zeros_like(coeff)
-        for i, t_y in enumerate(ygrid):
-            if not (lo < t_y < hi):
-                continue
-            y = y_ref.copy()
-            y[0] = t_y
-            new_vals[i] = blocks.solve(-raw[i], bd.hhat(y))
+        new_vals[inside] = [blocks.solve(-r, hh) for r, hh in zip(raw, hhats)]
         coeff = coeff + new_vals
         fn = _SplineCoefficient(ygrid, coeff, (lo, hi))
         current = ExpansionMetric(
@@ -568,19 +599,15 @@ def vanishing_order(
     fl = gL.field if isinstance(gL, ExpansionMetric) else gL
     fr = gR.field if isinstance(gR, ExpansionMetric) else gR
     chart = fl.chart
-    cache = _BackgroundCache(chart)
     rho_samples = np.asarray(sorted(rho_samples, reverse=True), dtype=float)
+    ys = np.array(y_samples, dtype=float)
+    points = _grid_points(rho_samples, ys).reshape(-1, chart.n)
+    q = _residuals(fl, fr, points, _BackgroundCache(chart))
+    all_norms = tensor_norm(chart.metric_at(points), q).reshape(len(ys), -1)
 
     per_y = []
     slopes = []
-    for y in y_samples:
-        y = np.asarray(y, dtype=float)
-        norms = []
-        for rho in rho_samples:
-            p = np.concatenate(([rho], y))
-            q = Q_at(fl, fr, p, EXTRACTION_STEP) - cache.q_hh(p)
-            norms.append(tensor_norm(chart.metric_at(p), q))
-        norms = np.array(norms)
+    for y, norms in zip(ys, all_norms):
         if norms.max() < 1e-13:
             per_y.append({"y": y.tolist(), "slope": SLOPE_SENTINEL,
                           "residual": 0.0, "norms": norms.tolist()})
@@ -606,9 +633,6 @@ def gauge_term_norm(
     """Max |gauge term of Q(g, g)|_h over the sampled points (vanishes in
     exact arithmetic when both slots agree)."""
     f = g.field if isinstance(g, ExpansionMetric) else g
-    worst = 0.0
-    for p in points:
-        p = np.asarray(p, dtype=float)
-        val = Q_gauge_at(f, f, p, step)
-        worst = max(worst, tensor_norm(f.chart.metric_at(p), val))
-    return worst
+    points = np.array(points, dtype=float)
+    val = Q_gauge_at(f, f, points, step)
+    return float(tensor_norm(f.chart.metric_at(points), val).max())

@@ -449,8 +449,8 @@ def default_bump_recipe(w: WeightVector):
     (r0, r1), (t0, t1) = (0.55, 0.85), (0.45, 1.0)
 
     def recipe(r, th):
-        br = np.vectorize(smooth_bump)((2 * r - (r0 + r1)) / (r1 - r0))
-        bt = np.vectorize(smooth_bump)((2 * th - (t0 + t1)) / (t1 - t0))
+        br = smooth_bump((2 * r - (r0 + r1)) / (r1 - r0))
+        bt = smooth_bump((2 * th - (t0 + t1)) / (t1 - t0))
         return np.cos(th) ** w.mu0 * r ** w.mus[0] * br * bt
 
     return recipe
@@ -736,7 +736,7 @@ def random_bump_tensor(
     def bump(center, width):
         tr = (2 * rho - 2 * center[0]) / width[0]
         ty = (2 * y - 2 * center[1]) / width[1]
-        return np.vectorize(smooth_bump)(tr) * np.vectorize(smooth_bump)(ty)
+        return smooth_bump(tr) * smooth_bump(ty)
 
     vals = np.zeros(grid.shape + (n, n))
     for _ in range(2):

@@ -1,17 +1,32 @@
 """Finite-difference tensor calculus on chart metrics.
 
-Every operator is evaluated pointwise from one derivative kernel: `_jet`
-samples a field once on a single central-and-mixed stencil around p and
-returns its 2-jet (value, first and second partial derivatives), from
-1 + 2n + 2n(n-1) evaluations.  The operators are then product-rule algebra
-on jets (`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives
-come from the metric's 2-jet, covariant derivatives lower a jet's order by
-one, and nothing is differenced twice.  Steps are scaled per coordinate by
-the local metric diagonal, so stencils shrink toward degenerate chart
-boundaries and accuracy is uniform in the geometric (unit-frame) sense.
+Every operator is evaluated from one derivative kernel: `_jet` samples a
+field on a single central-and-mixed stencil around each point and returns
+its 2-jet (value, first and second partial derivatives), from
+1 + 2n + 2n(n-1) points per point.  The stencils of a whole point set are
+one array, so an array-native field is called once per set.  The operators
+are then product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel
+symbols and their derivatives come from the metric's 2-jet, covariant
+derivatives lower a jet's order by one, and nothing is differenced twice.
+Steps are scaled per coordinate by the local metric diagonal, so stencils
+shrink toward degenerate chart boundaries and accuracy is uniform in the
+geometric (unit-frame) sense.
 
-A jet is a tuple (value, d, dd) with d[a, ...] = d_a value and
-dd[a, b, ...] = d_a d_b value; shorter tuples are jets of lower order, and
+Points: every public operator takes one point p of shape (n,) and returns
+its value, or an (N, n) array of points and returns the N values stacked
+on a leading axis.  A single point is the one-point case of the same
+algebra.  Point sets are evaluated in chunks of at most BATCH_CAP points,
+which bounds the memory of the stencil arrays.
+
+Fields: a field maps points to component arrays.  An array-native field
+(`chart_metric`, `ExpansionMetric.field`, anything marked with
+`charts.batched`) takes the (N, n) stencil array in one call and returns
+(N, ...).  Any other callable, such as a lambda on one point, is sampled
+one point at a time through `charts.at_points`, the one fallback.
+
+A jet is a tuple (value, d, dd) with d[..., a, :] = d_a value and
+dd[..., a, b, :] = d_a d_b value, where the leading `...` is the batch of
+points (empty for one point); shorter tuples are jets of lower order, and
 combining jets keeps the lowest order present.
 
 Sign conventions, fixed once and used everywhere:
@@ -24,14 +39,17 @@ Sign conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, ChartDomainError
+from .charts import Chart, ChartDomainError, at_points, batched
 
 DEFAULT_STEP = 1e-3
+BATCH_CAP = 48  # points per operator evaluation; bounds peak memory
 
 
 class StencilError(ChartDomainError):
@@ -42,14 +60,21 @@ class StencilError(ChartDomainError):
 class MetricField:
     """A map from chart points to component arrays: a metric (symmetric
     positive definite), a symmetric 2-tensor or a rank-3 tensor.
-    SymTensorField and Tensor3Field name the same class."""
+    SymTensorField and Tensor3Field name the same class.
+
+    eval takes one point, or the whole (N, n) array if it is marked with
+    `charts.batched`; calling the field accepts one point or an (N, n) array
+    either way.
+    """
 
     chart: Chart
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
+    batched = True  # a class attribute: calling a field takes arrays
+
     def __call__(self, p) -> np.ndarray:
-        return self.eval(np.asarray(p, dtype=float))
+        return at_points(self.eval, p)
 
 
 SymTensorField = Tensor3Field = MetricField
@@ -60,57 +85,101 @@ def chart_metric(chart: Chart, label: str = "h") -> MetricField:
     return MetricField(chart, chart.metric_at, label)
 
 
-def coordinate_steps(g: MetricField, p: np.ndarray, step: float) -> np.ndarray:
-    """Per-coordinate steps step / sqrt(g_ii(p)); checks ~double-stencil room."""
-    gp = g(p)
-    diag = np.diag(gp)
-    if np.any(diag <= 0):
+def coordinate_steps(g: MetricField, p, step: float) -> np.ndarray:
+    """Per-coordinate steps step / sqrt(g_ii(p)) at one point (n,) or at each
+    row of an (N, n) array; checks ~double-stencil room."""
+    p = np.asarray(p, dtype=float)
+    diag = np.diagonal(g(p), axis1=-2, axis2=-1)
+    bad = np.atleast_2d(diag <= 0).any(axis=1)
+    if bad.any():
+        q = np.atleast_2d(p)[np.argmax(bad)]
         raise StencilError(
-            f"metric field {g.label!r} has a nonpositive diagonal at {p}"
+            f"metric field {g.label!r} has a nonpositive diagonal at {q}"
         )
     h = step / np.sqrt(diag)
-    ranges = g.chart.coordinate_ranges()
-    for i, (lo, hi) in enumerate(ranges):
-        if p[i] - 2.2 * h[i] <= lo or p[i] + 2.2 * h[i] >= hi:
-            raise StencilError(
-                f"stencil around coordinate {i} (value {p[i]}, step {h[i]}) "
-                f"leaves the range ({lo}, {hi}); reduce step or move inward"
-            )
+    lo, hi = g.chart.coordinate_bounds
+    leaves = (p - 2.2 * h <= lo) | (p + 2.2 * h >= hi)
+    if leaves.any():
+        k, i = np.argwhere(np.atleast_2d(leaves))[0]
+        q, hq = np.atleast_2d(p)[k], np.atleast_2d(h)[k]
+        raise StencilError(
+            f"stencil around coordinate {i} (value {q[i]}, step {hq[i]}) "
+            f"of the point {q} leaves the range ({lo[i]}, {hi[i]}); "
+            "reduce step or move inward"
+        )
     return h
+
+
+def _on_points(op):
+    """The public form of an operator body written for an (N, n) array p:
+    p may also be one point (n,), which gives unstacked values, and a point
+    set is evaluated in chunks of at most BATCH_CAP points."""
+    signature = inspect.signature(op)
+
+    @functools.wraps(op)
+    def on_points(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        p = np.asarray(bound.arguments["p"], dtype=float)
+        points = p.reshape(-1, p.shape[-1])
+        parts = []
+        for start in range(0, len(points), BATCH_CAP):
+            bound.arguments["p"] = points[start:start + BATCH_CAP]
+            out = op(*bound.args, **bound.kwargs)
+            parts.append(out if isinstance(out, tuple) else (out,))
+        out = tuple(np.concatenate(chunks) for chunks in zip(*parts))
+        if p.ndim == 1:
+            out = tuple(x[0] for x in out)
+        return out if len(out) > 1 else out[0]
+
+    return on_points
 
 
 # -- the jet kernel -------------------------------------------------------------
 
 
-def _jet(field, p: np.ndarray, h: np.ndarray):
-    """2-jet of an array-valued callable at p: central differences for the
-    gradient and pure second derivatives, the four-point mixed stencil for
-    the cross derivatives."""
-    n = len(p)
+@functools.lru_cache(maxsize=None)
+def _stencil(n: int):
+    """Offsets of the stencil in units of the steps: the centre, +e_i, -e_i,
+    then (+e_i +e_j, +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j."""
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mixed = [si * eye[i] + sj * eye[j] for i, j in pairs
+             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.vstack([np.zeros((1, n)), eye, -eye, mixed]), pairs
 
-    def at(*shifts):
-        q = p.copy()
-        for i, sign in shifts:
-            q[i] += sign * h[i]
-        return np.asarray(field(q), dtype=float)
 
-    f0 = at()
-    fp = [at((i, 1)) for i in range(n)]
-    fm = [at((i, -1)) for i in range(n)]
-    d = np.stack([(fp[i] - fm[i]) / (2.0 * h[i]) for i in range(n)])
-    dd = np.empty((n, n) + f0.shape)
+def _jet(field, p, h):
+    """2-jet of an array-valued callable at one point p (n,) or at each row
+    of an (N, n) array, with steps h of the same shape: central differences
+    for the gradient and pure second derivatives, the four-point mixed
+    stencil for the cross derivatives.  The stencil points of every row are
+    one array, so an array-native field is called once."""
+    p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
+    n, lead = p.shape[-1], p.ndim - 1
+    offsets, pairs = _stencil(n)
+    points = p[..., None, :] + offsets * h[..., None, :]
+    vals = at_points(field, points.reshape(-1, n))
+    vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
+    f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+    tail = (None,) * (f0.ndim - lead)
+
+    def hh(i):  # the step in coordinate i, shaped like the values
+        return h[(..., i) + tail]
+
+    d = np.stack([(fp[i] - fm[i]) / (2.0 * hh(i)) for i in range(n)], axis=lead)
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        dd[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / h[i] ** 2
-        for j in range(i + 1, n):
-            dd[i, j] = dd[j, i] = (
-                at((i, 1), (j, 1)) - at((i, 1), (j, -1))
-                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))
-            ) / (4.0 * h[i] * h[j])
+        rows[i][i] = (fp[i] - 2.0 * f0 + fm[i]) / hh(i) ** 2
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = vals[2 * n + 1 + 4 * k:2 * n + 5 + 4 * k]
+        rows[i][j] = rows[j][i] = (pp - pm - mp + mm) / (4.0 * hh(i) * hh(j))
+    dd = np.stack([np.stack(row, axis=lead) for row in rows], axis=lead)
     return f0, d, dd
 
 
 def _jeinsum(spec: str, *jets):
-    """np.einsum over jets by the product rule, to the lowest order given."""
+    """np.einsum over jets by the product rule, to the lowest order given;
+    spec names the tensor indices, the batch axes lead every operand."""
     ins, out = spec.split("->")
     subs = ins.split(",")
     order = min(len(j) for j in jets)
@@ -125,9 +194,10 @@ def _jeinsum(spec: str, *jets):
             ops[k] = comp
             terms[k] = letters + terms[k]
             lead += letters
-        return np.einsum(",".join(terms) + "->" + lead + out, *ops)
+        return np.einsum(
+            ",".join("..." + t for t in terms) + "->..." + lead + out, *ops)
 
-    res = [np.einsum(spec, *vals)]
+    res = [term({})]
     if order > 1:
         res.append(sum(term({k: ("Y", j[1])}) for k, j in enumerate(jets)))
     if order > 2:
@@ -135,24 +205,27 @@ def _jeinsum(spec: str, *jets):
         for k in range(len(jets)):
             for m in range(k + 1, len(jets)):
                 x = term({k: ("Y", jets[k][1]), m: ("Z", jets[m][1])})
-                dd = dd + x + x.swapaxes(0, 1)
+                dd = dd + x + x.swapaxes(-len(out) - 2, -len(out) - 1)
         res.append(dd)
     return tuple(res)
 
 
 def _jinv(jet):
-    """Jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated once more."""
+    """Jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated once
+    more (stacked matrix products; an axis of None broadcasts over a
+    derivative index)."""
     inv = np.linalg.inv(jet[0])
     res = [inv]
     if len(jet) > 1:
-        d = -np.einsum("ij,ajk,kl->ail", inv, jet[1], inv)
+        ia = inv[..., None, :, :]
+        d = -(ia @ jet[1] @ ia)
         res.append(d)
     if len(jet) > 2:
-        res.append(
-            -np.einsum("aij,bjk,kl->abil", d, jet[1], inv)
-            - np.einsum("ij,bjk,akl->abil", inv, jet[1], d)
-            - np.einsum("ij,abjk,kl->abil", inv, jet[2], inv)
-        )
+        inv2 = inv[..., None, None, :, :]
+        d_a = d[..., :, None, :, :]  # d_a M^-1 at (a, b)
+        dm_b = jet[1][..., None, :, :, :]  # d_b M at (a, b)
+        res.append(-(d_a @ dm_b @ inv2) - (inv2 @ dm_b @ d_a)
+                   - (inv2 @ jet[2] @ inv2))
     return tuple(res)
 
 
@@ -165,13 +238,12 @@ def _jlin(*terms):
 
 
 def _sym(t: np.ndarray) -> np.ndarray:
-    return 0.5 * (t + t.T)
+    return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
 def _metric_jets(g: MetricField, p, step: float, *fields):
-    """Steps from g at p, then the jets of g and of each further field on
-    that one stencil (a field identical to g reuses g's jet)."""
-    p = np.asarray(p, dtype=float)
+    """Steps from g at the points p, then the jets of g and of each further
+    field on that one stencil (a field identical to g reuses g's jet)."""
     h = coordinate_steps(g, p, step)
     G = _jet(g, p, h)
     return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
@@ -181,7 +253,7 @@ def _metric_jets(g: MetricField, p, step: float, *fields):
 
 
 def _christoffel(G):
-    """1-jet of Gamma[k, i, j] = Gamma^k_ij from the metric's 2-jet."""
+    """1-jet of Gamma[..., k, i, j] = Gamma^k_ij from the metric's 2-jet."""
 
     def first_kind(dg):  # dg[..., a, b, c] = d_a g_bc -> Gamma_{l,ij}
         return 0.5 * (
@@ -192,25 +264,36 @@ def _christoffel(G):
 
 
 def _riemann_up(gam) -> np.ndarray:
-    """R[l, k, i, j] = R^l_kij
+    """R[..., l, k, i, j] = R^l_kij
     = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
     g0, dg = gam
     return (
-        np.einsum("iljk->lkij", dg)
-        - np.einsum("jlik->lkij", dg)
-        + np.einsum("lim,mjk->lkij", g0, g0)
-        - np.einsum("ljm,mik->lkij", g0, g0)
+        np.einsum("...iljk->...lkij", dg)
+        - np.einsum("...jlik->...lkij", dg)
+        + np.einsum("...lim,...mjk->...lkij", g0, g0)
+        - np.einsum("...ljm,...mik->...lkij", g0, g0)
     )
 
 
 def _ricci(gam) -> np.ndarray:
-    return _sym(np.einsum("kikj->ij", _riemann_up(gam)))
+    return _sym(np.einsum("...kikj->...ij", _riemann_up(gam)))
+
+
+def _riemann_down(G, gam) -> np.ndarray:
+    """Lowered curvature riem[..., i, j, k, l] = <R(e_i, e_j) e_k, e_l>."""
+    return np.einsum("...lm,...mkij->...ijkl", G[0], _riemann_up(gam))
+
+
+def _indices(gam, T) -> str:
+    """Index letters for the tensor slots of T (its batch axes excluded);
+    the batch rank is read off the Christoffel jet."""
+    return "abcdefgh"[: T[0].ndim - (gam[0].ndim - 3)]
 
 
 def _nabla(gam, T):
-    """Jet of nabla T, nab[k, i1, ...] = nabla_k T_{i1 ...}, for a covariant
-    tensor jet T; one order lower than T."""
-    idx = "abcdefgh"[: T[0].ndim]
+    """Jet of nabla T, nab[..., k, i1, ...] = nabla_k T_{i1 ...}, for a
+    covariant tensor jet T; one order lower than T."""
+    idx = _indices(gam, T)
     out = T[1:]
     for s, i in enumerate(idx):
         slot = idx[:s] + "m" + idx[s + 1:]
@@ -220,8 +303,14 @@ def _nabla(gam, T):
 
 def _rough_laplacian(G, gam, U) -> np.ndarray:
     """-g^{lk} nabla_l nabla_k U for a covariant tensor jet U (scalars too)."""
+    idx = _indices(gam, U)
     nab2 = _nabla(gam, _nabla(gam, U))[0]
-    return -np.einsum("lk,lk...->...", np.linalg.inv(G[0]), nab2)
+    return -np.einsum(f"...lk,...lk{idx}->...{idx}", np.linalg.inv(G[0]), nab2)
+
+
+def _g_trace(g0: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """tr_g t, per point, shaped to multiply a stack of matrices."""
+    return np.trace(np.linalg.inv(g0) @ t0, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _divergence(Ginv, gam, T):
@@ -236,37 +325,47 @@ def _deltastar(gam, W) -> np.ndarray:
 
 def _trace_reversal(Ginv, G, T):
     """Jet of G_g t = t - (tr_g t / 2) g."""
-    return _jlin((1.0, T), (-0.5, _jeinsum("kl,kl,ij->ij", Ginv, T, G)))
+    tr = _jeinsum("kl,kl->", Ginv, T)
+    return _jlin((1.0, T), (-0.5, _jeinsum(",ij->ij", tr, G)))
 
 
 def _gauge_covector(G, T, gam):
     """1-jet of omega = g t^{-1} delta_g(G_g t)."""
     Ginv = _jinv(G)
     div = _divergence(Ginv, gam, _trace_reversal(Ginv, G, T))
-    return _jeinsum("ij,jk,k->i", G, _jinv(T[:2]), div)
+    return _jeinsum("ij,j->i", _jeinsum("ij,jk->ik", G, _jinv(T[:2])), div)
 
 
+# -- operators ----------------------------------------------------------------
+# Each body below is written for an (N, n) array of points; `_on_points`
+# lets p be one point as well and caps the points per evaluation.
+
+
+@_on_points
 def christoffels_at(g: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij of g at p."""
     (G,) = _metric_jets(g, p, step)
     return _christoffel(G)[0]
 
 
+@_on_points
 def ricci_at(g: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Ricci tensor of g at p from the 2-jet of g."""
     (G,) = _metric_jets(g, p, step)
     return _ricci(_christoffel(G))
 
 
+@_on_points
 def riemann_at(g: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Lowered curvature riem[i,j,k,l] = <R(e_i, e_j) e_k, e_l>.
 
     On a hyperbolic metric this equals -(g_jk g_il - g_ik g_jl).
     """
     (G,) = _metric_jets(g, p, step)
-    return np.einsum("lm,mkij->ijkl", G[0], _riemann_up(_christoffel(G)))
+    return _riemann_down(G, _christoffel(G))
 
 
+@_on_points
 def difference_tensor_at(
     g: MetricField, h: MetricField, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
@@ -274,8 +373,8 @@ def difference_tensor_at(
     A = Gamma(h) - Gamma(g), from covariant derivatives of e = g - h."""
     H, G = _metric_jets(h, p, step, g)
     nab = _nabla(_christoffel(H), _jlin((1.0, G), (-1.0, H)))[0]
-    t = nab + nab.transpose(1, 0, 2) - np.einsum("mij->ijm", nab)
-    return -0.5 * np.einsum("pm,ijm->pij", np.linalg.inv(G[0]), t)
+    t = nab + np.swapaxes(nab, -3, -2) - np.einsum("...mij->...ijm", nab)
+    return -0.5 * np.einsum("...pm,...ijm->...pij", np.linalg.inv(G[0]), t)
 
 
 def difference_tensor_field(
@@ -283,21 +382,23 @@ def difference_tensor_field(
 ) -> Tensor3Field:
     """The connection-difference tensor as an evaluable field."""
     return Tensor3Field(
-        g.chart, lambda p: difference_tensor_at(g, h, p, step), "A"
+        g.chart, batched(lambda p: difference_tensor_at(g, h, p, step)), "A"
     )
 
 
 # -- Laplacians ---------------------------------------------------------------
 
 
+@_on_points
 def laplacian_scalar_at(
     g: MetricField, u: Callable[[np.ndarray], float], p, step: float = DEFAULT_STEP
 ) -> float:
     """Nonnegative Laplace-Beltrami operator on functions."""
     G, U = _metric_jets(g, p, step, u)
-    return float(_rough_laplacian(G, _christoffel(G), U))
+    return _rough_laplacian(G, _christoffel(G), U)
 
 
+@_on_points
 def rough_laplacian_tensor_at(
     g: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
@@ -306,42 +407,44 @@ def rough_laplacian_tensor_at(
     return _sym(_rough_laplacian(G, _christoffel(G), U))
 
 
+@_on_points
 def lichnerowicz_at(
     h: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
     """Lichnerowicz Laplacian nabla*nabla u + 2 Rc-action - 2 Rm-action,
     with the curvature terms from the 2-jet of h."""
     H, U = _metric_jets(h, p, step, u)
-    h0, u0 = H[0], U[0]
-    hinv = np.linalg.inv(h0)
+    u0 = U[0]
+    hinv = np.linalg.inv(H[0])
     gam = _christoffel(H)
     ric = _ricci(gam)
-    riem = np.einsum("lm,mkij->ijkl", h0, _riemann_up(gam))
+    riem = _riemann_down(H, gam)
     rc_u = 0.5 * (ric @ hinv @ u0 + u0 @ hinv @ ric)
-    rm_u = np.einsum("kijl,kl->ij", riem, hinv @ u0 @ hinv)
+    rm_u = np.einsum("...kijl,...kl->...ij", riem, hinv @ u0 @ hinv)
     return _sym(_rough_laplacian(H, gam, U) + 2.0 * rc_u - 2.0 * rm_u)
 
 
+@_on_points
 def lichnerowicz_hyperbolic_at(
     h: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
     """Closed form on a hyperbolic background: nabla*nabla u - 2n u + 2 (tr u) h."""
     H, U = _metric_jets(h, p, step, u)
     h0, u0 = H[0], U[0]
-    tr = float(np.trace(np.linalg.inv(h0) @ u0))
     lap = _sym(_rough_laplacian(H, _christoffel(H), U))
-    return lap - 2.0 * h.chart.n * u0 + 2.0 * tr * h0
+    return lap - 2.0 * h.chart.n * u0 + 2.0 * _g_trace(h0, u0) * h0
 
 
 # -- Bianchi machinery and the gauge-adjusted operator ------------------------
 
 
 def g_trace_reversal(g0: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """G_g t = t - (tr_g t / 2) g, the algebraic trace reversal."""
-    tr = float(np.trace(np.linalg.inv(g0) @ t0))
-    return t0 - 0.5 * tr * g0
+    """G_g t = t - (tr_g t / 2) g, the algebraic trace reversal (one point,
+    or stacks of matrices)."""
+    return t0 - 0.5 * _g_trace(g0, t0) * g0
 
 
+@_on_points
 def divergence_at(
     g: MetricField, t, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
@@ -350,6 +453,7 @@ def divergence_at(
     return _divergence(_jinv(G), _christoffel(G), T)[0]
 
 
+@_on_points
 def deltastar_at(
     g: MetricField, omega, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
@@ -358,6 +462,7 @@ def deltastar_at(
     return _deltastar(_christoffel(G), W)
 
 
+@_on_points
 def bianchi_ops_at(g: MetricField, t, p, step: float = DEFAULT_STEP):
     """Divergence, trace reversal and the symmetrized-gradient closure of the
     Bianchi chain: returns (delta_g t, G_g t, delta*_g(delta_g(G_g t)))."""
@@ -368,6 +473,7 @@ def bianchi_ops_at(g: MetricField, t, p, step: float = DEFAULT_STEP):
             _deltastar(gam, _divergence(Ginv, gam, rev)))
 
 
+@_on_points
 def Q_gauge_at(g: MetricField, t, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Only the gauge term delta*_g(g t^{-1} delta_g(G_g t)) of Q."""
     G, T = _metric_jets(g, p, step, t)
@@ -375,6 +481,7 @@ def Q_gauge_at(g: MetricField, t, p, step: float = DEFAULT_STEP) -> np.ndarray:
     return _deltastar(gam, _gauge_covector(G, T, gam))
 
 
+@_on_points
 def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Gauge-adjusted Einstein operator
     Q(g, t) = Rc(g) + (n-1) g - delta*_g(g t^{-1}(delta_g(G_g t)))."""
@@ -384,6 +491,7 @@ def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.nd
     return _ricci(gam) + (g.chart.n - 1.0) * G[0] - gauge
 
 
+@_on_points
 def L_at(
     h: MetricField,
     r: SymTensorField,
@@ -398,11 +506,12 @@ def L_at(
     k1, k2 = 2.0 * (n - 1), -2.0
     H, R = _metric_jets(h, p, step, r)
     h0, r0 = H[0], R[0]
-    uh = float(np.trace(np.linalg.inv(h0) @ r0)) / n * h0
+    uh = _g_trace(h0, r0) / n * h0
     lap = _sym(_rough_laplacian(H, _christoffel(H), R))
     return 0.5 * (lap + k1 * uh + k2 * (r0 - uh))
 
 
+@_on_points
 def deturck_field_at(
     g: MetricField, tau: MetricField, p, step: float = DEFAULT_STEP
 ) -> np.ndarray:
@@ -414,11 +523,15 @@ def deturck_field_at(
 # -- norms --------------------------------------------------------------------
 
 
-def tensor_norm(g0: np.ndarray, t0: np.ndarray) -> float:
-    """Pointwise norm |t|_g of a symmetric 2-tensor."""
+def tensor_norm(g0: np.ndarray, t0: np.ndarray):
+    """Pointwise norm |t|_g of a symmetric 2-tensor (one point, or per point
+    of stacked matrices)."""
     ginv = np.linalg.inv(g0)
-    return float(np.sqrt(abs(np.einsum("ik,jl,ij,kl->", ginv, ginv, t0, t0))))
+    return np.sqrt(np.abs(np.einsum("...ik,...jl,...ij,...kl->...",
+                                    ginv, ginv, t0, t0)))[()]
 
 
-def covector_norm(g0: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sqrt(abs(v @ np.linalg.inv(g0) @ v)))
+def covector_norm(g0: np.ndarray, v: np.ndarray):
+    """Pointwise norm |v|_g of a covector (one point, or per point)."""
+    return np.sqrt(np.abs(np.einsum("...i,...ij,...j->...",
+                                    v, np.linalg.inv(g0), v)))[()]

@@ -193,6 +193,25 @@ class TestConfigAliases:
         code = main(["--config", str(cfg), "--out-dir", str(tmp_path), "solve"])
         assert code == EXIT_NUMERICAL
 
+    def test_expect_indefinite_records_the_K_it_runs_at(self, tmp_path):
+        code = run(tmp_path, "solve", "--expect-indefinite", "--nodes", "16")
+        assert code == EXIT_NUMERICAL
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["config"]["K"] == -50.0
+        assert payload["error"]["type"] == "IndefiniteOperator"
+
+
+class TestExpandSeeds:
+    @pytest.mark.parametrize("seed", ["106", "1285638640"])
+    def test_seeds_that_once_left_the_stencil_pass(self, tmp_path, seed):
+        code = run(tmp_path, "expand", "--n", "4", "--stages", "3",
+                   "--seed", seed)
+        assert code == EXIT_PASS
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        assert payload["status"] == "pass" and payload["error"] is None
+        assert len(payload["checks"]) == 6
+        assert all(c["passed"] for c in payload["checks"])
+
 
 class TestInadmissibleSweep:
     def test_ratios_recorded_but_not_asserted(self, tmp_path, capsys):
@@ -308,6 +327,23 @@ class TestOptionTable:
         assert payload["config"]["n"] == 5
         assert "stages" not in payload["config"]
         assert "seed" not in payload["config"]
+
+    @pytest.mark.parametrize("sub", ["solve", "sweep"])
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_mu0_beside_explicit_weights_is_rejected(self, tmp_path, capsys,
+                                                     sub, where):
+        argv = [sub, "--weights", "2.5,0.5", "--eps", "0.2,0.1", "--nodes", "20"]
+        if where == "flag":
+            argv += ["--mu0", "1.6"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("mu0 = 1.6\n")
+            argv = ["--config", str(cfg), *argv]
+        assert main(["--out-dir", str(tmp_path), *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: mu0")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / f"{sub}_summary.json").exists()
 
     @pytest.mark.parametrize("mu0", ["1.75", "1.6"])
     def test_mu0_flag_equals_config_key(self, tmp_path, mu0):

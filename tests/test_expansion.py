@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -213,22 +214,40 @@ class TestCorrectionLadder:
 
 
 class TestFieldReuse:
-    def test_both_slots_of_Q_share_one_stencil(self, monkeypatch):
+    def test_both_slots_of_Q_share_one_stencil(self, metric_points):
         from cusplab.tensorcalc import Q_at
 
         g1 = T_map(seeded_boundary_data(ROUND, seed=3))
         p = np.concatenate(([0.2], g1.bd._reference_y()))
-        calls = [0]
-        original = Chart.metric_at
-
-        def counted(self, q):
-            calls[0] += 1
-            return original(self, q)
-
-        monkeypatch.setattr(Chart, "metric_at", counted)
+        metric_points[0] = 0
         assert g1.field is g1.field
         Q_at(g1.field, g1.field, p)
-        assert calls[0] <= 35
+        assert 33 <= metric_points[0] <= 35
+
+
+    def test_field_calls_per_correction_iteration(self, monkeypatch):
+        # each iteration evaluates its 39 (inside) y x 6 rho extraction points
+        # in chunks of BATCH_CAP: per chunk, the first slot's field is called
+        # once for the steps and every distinct field once for its stencils
+        from cusplab.tensorcalc import BATCH_CAP, MetricField
+
+        g1 = T_map(seeded_boundary_data(ROUND, seed=3))
+        calls = []
+        original = MetricField.__call__
+
+        def recorded(self, p):
+            calls.append((self.label, len(np.atleast_2d(p))))
+            return original(self, p)
+
+        monkeypatch.setattr(MetricField, "__call__", recorded)
+        correction_step(g1, g1)
+        chunks = math.ceil(39 * 6 / BATCH_CAP)
+        stencils = Counter(label for label, rows in calls if rows > BATCH_CAP)
+        steps = Counter(label for label, rows in calls if rows <= BATCH_CAP)
+        # iteration 1: Q(g_1, g_1), one shared field; iteration 2: Q(g_2, g_1)
+        assert stencils["g_1"] == 2 * chunks and stencils["g_2"] == chunks
+        assert steps["g_1"] == chunks and steps["g_2"] == chunks
+        assert max(rows for _, rows in calls) <= BATCH_CAP * 33
 
 
 class TestVanishingOrderFit:

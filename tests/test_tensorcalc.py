@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cusplab.charts import Chart
+from cusplab.charts import Chart, ChartDomainError
 from cusplab.tensorcalc import (
+    BATCH_CAP,
     MetricField,
     SymTensorField,
     Q_at,
@@ -490,15 +491,9 @@ class TestJetKernel:
         assert np.abs(one[0] - np.eye(4)).max() < 1e-12
         assert np.abs(one[1]).max() < 1e-9 and np.abs(one[2]).max() < 1e-9
 
-    def test_metric_evaluations_per_operator(self, monkeypatch):
-        calls = [0]
-        original = Chart.metric_at
-
-        def counted(self, p):
-            calls[0] += 1
-            return original(self, p)
-
-        monkeypatch.setattr(Chart, "metric_at", counted)
+    def test_metric_evaluations_per_operator(self, metric_points):
+        # one stencil (33 points at n = 4) per field, plus the point the
+        # steps are read from
         chart = COLLAR4
         h = chart_metric(chart)
         g = MetricField(
@@ -507,10 +502,63 @@ class TestJetKernel:
             "g",
         )
         Q_at(g, h, P4)
-        assert calls[0] <= 70
-        calls[0] = 0
+        assert 2 * 33 <= metric_points[0] <= 70
+        metric_points[0] = 0
         ricci_at(h, P4)
-        assert calls[0] <= 35
+        assert 33 <= metric_points[0] <= 35
 
     def test_one_field_type(self):
         assert MetricField is SymTensorField is tensorcalc.Tensor3Field
+
+
+class TestPointSets:
+    """A point set is the stack of its one-point values, in chunks of at
+    most BATCH_CAP points, and a bad point fails the set as it fails alone."""
+
+    def test_batched_operators_equal_one_point_calls(self):
+        from cusplab.expansion import (DEFAULT_EXTRACTION_RHOS, T_map,
+                                       _grid_points, correction_step,
+                                       seeded_boundary_data)
+
+        chart = Chart.collar(4, h_u="round_sphere")
+        bd = seeded_boundary_data(chart, seed=3)
+        g1 = T_map(bd)
+        g2 = correction_step(g1, g1)
+        h = chart_metric(chart)
+        # the 41 y x 6 rho extraction grid of a correction step (246 points)
+        ys = np.tile(bd._reference_y(), (41, 1))
+        lo, hi = bd.y_support
+        ys[:, 0] = np.linspace(lo - 0.02 * (hi - lo), hi + 0.02 * (hi - lo), 41)
+        points = _grid_points(DEFAULT_EXTRACTION_RHOS, ys).reshape(-1, 4)
+        assert len(points) > BATCH_CAP
+        for op in (lambda p: Q_at(g2.field, g1.field, p, 5e-4),
+                   lambda p: L_at(h, g2.field, p),
+                   lambda p: ricci_at(g1.field, p)):
+            batch = op(points)
+            single = np.array([op(p) for p in points])
+            assert batch.shape == single.shape == (len(points), 4, 4)
+            scale = np.abs(single).max(axis=(1, 2))
+            err = np.abs(batch - single).max(axis=(1, 2))
+            assert (err <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("field, bad, error", [
+        # a point outside the chart
+        (chart_metric(COLLAR4), [-0.2, 0.2, -0.1, 0.3], ChartDomainError),
+        # a stencil that leaves the chart
+        (flat_field(), [1e-4, 0.2, -0.1, 0.3], StencilError),
+        # a nonpositive metric diagonal
+        (MetricField(COLLAR4, lambda q: np.diag([1.0, 1.0, 1.0,
+                                                 1.0 if q[1] < 0.5 else -1.0])),
+         [0.4, 0.7, -0.1, 0.3], StencilError),
+    ], ids=["outside", "stencil", "diagonal"])
+    def test_bad_point_in_a_batch_fails_as_it_fails_alone(self, field, bad,
+                                                          error):
+        points = np.tile(P4, (60, 1))
+        points[50] = bad
+        with pytest.raises(error) as alone:
+            Q_at(field, field, points[50])
+        with pytest.raises(error) as batch:
+            Q_at(field, field, points)
+        assert type(batch.value) is type(alone.value)
+        assert str(batch.value) == str(alone.value)
+        assert str(points[50]) in str(batch.value)
