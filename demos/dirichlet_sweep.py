@@ -8,6 +8,7 @@ Run with: python demos/dirichlet_sweep.py
 
 from cusplab import Chart, admissible_weights
 from cusplab.solver import (
+    assemble,
     cusp_grid,
     default_bump_recipe,
     exhaustion_sweep,
@@ -33,7 +34,7 @@ print()
 
 print("discrete barrier ratio vs closed-form margin:")
 grid = cusp_grid(chart, 0.05, nodes=48)
-mp = maximum_principle_check(grid, -2.0, w)
+mp = maximum_principle_check(assemble(grid, -2.0), w)
 print(f"  min nodal (Delta + K) sigma^mu / sigma^mu = {mp.min_ratio:.4f}")
 print(f"  closed-form margin delta                  = {mp.closed_form_delta:.4f}")
 print(f"  within tolerance {mp.tolerance:.1e}: {mp.passed}")

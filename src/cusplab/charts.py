@@ -6,7 +6,12 @@ conformally compact collar near the infinite-volume face, and the
 pre-blow-up upper-half-space picture of a cusp.  Every chart carries exact
 closed-form metric components, the volume density, the (truncated) total
 boundary defining function sigma, and membership tests for the exhaustion
-domains {sigma >= eps}.
+domains {sigma >= eps}; the boundary rescalings of the Schauder step carry
+their pulled-back metrics.
+
+Every chart quantity takes one point (n,) or an (N, n) array of points and
+returns one value (or matrix) per point, stacked on a leading axis for an
+array: one point is the one-point case of the same array algebra.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,16 +73,13 @@ def smooth_step(t):
     return np.where(inside, a / (a + b), np.where(t >= 1.0, 1.0, 0.0))[()]
 
 
-def truncate_bdf(x: float, edge: float, fraction: float) -> float:
+def truncate_bdf(x, edge: float, fraction: float):
     """Smoothly blend a boundary defining function to 1 over the outer
-    ``fraction`` of its tubular neighbourhood [0, edge]."""
+    ``fraction`` of its tubular neighbourhood [0, edge], elementwise."""
+    x = np.asarray(x, dtype=float)
     lo = (1.0 - fraction) * edge
-    if x <= lo:
-        return x
-    if x >= edge:
-        return 1.0
     s = smooth_step((x - lo) / (edge - lo))
-    return (1.0 - s) * x + s
+    return np.where(x <= lo, x, np.where(x >= edge, 1.0, (1.0 - s) * x + s))[()]
 
 
 def smooth_bump(t):
@@ -105,15 +107,6 @@ def round_sphere_metric(angles) -> np.ndarray:
         g[..., k, k] = acc
         acc = acc * np.sin(angles[..., k]) ** 2
     return g
-
-
-def _round_sphere_det(angles: np.ndarray) -> float:
-    det = 1.0
-    acc = 1.0
-    for k in range(len(angles)):
-        det *= acc
-        acc *= math.sin(angles[k]) ** 2
-    return det
 
 
 # A collar family maps (rho, y) to the tangential block: one point, or
@@ -152,13 +145,13 @@ class Chart:
     kind selects the family; n is the manifold dimension; f the cusp rank
     (cusp kinds and the pre-blow-up chart).  edge is the outer coordinate
     value of the defining-function direction (r, rho or u range (0, edge]).
+    h_u_name names the collar family, a key of H_U_FAMILIES.
     """
 
     kind: str
     n: int
     f: Optional[int] = None
     edge: float = 1.0
-    h_u: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     h_u_name: str = "euclidean"
 
     def __post_init__(self):
@@ -176,8 +169,9 @@ class Chart:
                 raise ValueError("upper-half-space chart needs rank 1 <= f <= n-1")
         if self.edge <= 0:
             raise ValueError("edge must be positive")
-        if self.kind == COLLAR and self.h_u is None:
-            object.__setattr__(self, "h_u", H_U_FAMILIES[self.h_u_name])
+        if self.h_u_name not in H_U_FAMILIES:
+            raise ValueError(f"unknown collar family {self.h_u_name!r}; "
+                             f"known: {', '.join(H_U_FAMILIES)}")
         if self.kind == COLLAR and self.h_u_name == "round_sphere" and self.edge >= 2:
             raise ValueError("round-sphere collar degenerates at rho = 2")
 
@@ -192,16 +186,19 @@ class Chart:
         return cls(MAXIMAL_CUSP, n, f=n - 1, **kw)
 
     @classmethod
-    def collar(cls, n: int, h_u: str | Callable = "euclidean", **kw) -> "Chart":
-        if callable(h_u):
-            return cls(COLLAR, n, h_u=h_u, h_u_name="custom", **kw)
-        return cls(COLLAR, n, h_u=H_U_FAMILIES[h_u], h_u_name=h_u, **kw)
+    def collar(cls, n: int, h_u: str = "euclidean", **kw) -> "Chart":
+        return cls(COLLAR, n, h_u_name=h_u, **kw)
 
     @classmethod
     def upper_half_space(cls, n: int, f: int, **kw) -> "Chart":
         return cls(UPPER_HALF_SPACE, n, f=f, **kw)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def h_u(self):
+        """The collar family named by h_u_name."""
+        return H_U_FAMILIES[self.h_u_name]
 
     @property
     def b(self) -> int:
@@ -261,22 +258,20 @@ class Chart:
         lo, hi = self.coordinate_bounds
         ok = np.isfinite(p) & (lo <= p) & (p <= hi) & ((p > lo) | (lo != 0.0))
         if not ok.all():
-            for q in p.reshape(-1, self.n):
-                reason = self._outside(q)
-                if reason:
-                    raise ChartDomainError(f"{reason} at point {q}")
+            ok = ok.reshape(-1, self.n)
+            i = int(np.argmin(ok.all(axis=1)))  # the first point outside
+            j = int(np.argmin(ok[i]))  # and its first coordinate outside
+            q = p.reshape(-1, self.n)[i]
+            x, name = q[j], self.coordinate_names[j]
+            lo, hi = self.coordinate_ranges()[j]
+            if not np.isfinite(q).all():
+                reason = "non-finite coordinate"
+            elif x <= lo and lo == 0.0:
+                reason = f"degenerate point: {name} = {x} <= 0"
+            else:
+                reason = f"{name} = {x} outside allowed range [{lo}, {hi}]"
+            raise ChartDomainError(f"{reason} at point {q}")
         return p
-
-    def _outside(self, q: np.ndarray) -> Optional[str]:
-        """Why the one point q lies outside the chart, or None."""
-        if not np.all(np.isfinite(q)):
-            return "non-finite coordinate"
-        for x, (lo, hi), name in zip(q, self.coordinate_ranges(), self.coordinate_names):
-            if x <= lo and lo == 0.0:
-                return f"degenerate point: {name} = {x} <= 0"
-            if not (lo <= x <= hi):
-                return f"{name} = {x} outside allowed range [{lo}, {hi}]"
-        return None
 
     def contains(self, p) -> bool:
         try:
@@ -322,40 +317,46 @@ class Chart:
         out[..., 1 + b :, 1 + b :] = _matrix_scale(s2 * s2) * np.eye(self.f)
         return out / _matrix_scale(x * x)
 
-    def volume_density_at(self, p) -> float:
-        """sqrt(det h) from the closed-form determinant of each family."""
+    @batched
+    def volume_density_at(self, p):
+        """sqrt(det h) from the closed-form determinant of each family, at
+        one point (a scalar) or at each row of an (N, n) array."""
         p = self.validate_point(p)
+        if p.ndim == 1:  # the one-row array, so a point and a batch agree bit for bit
+            return self.volume_density_at(p[None])[0]
         n = self.n
+        x = p[..., 0]
         if self.kind == INTERMEDIATE_CUSP:
-            r, th = p[0], p[1]
-            dens = (
-                r ** (self.f - 1)
-                * math.sin(th) ** (self.b - 1)
-                / math.cos(th) ** n
-            )
+            th = p[..., 1]
+            dens = x ** (self.f - 1) * np.sin(th) ** (self.b - 1) / np.cos(th) ** n
             if self.b >= 2:
-                dens *= math.sqrt(_round_sphere_det(p[2 : 1 + self.b]))
+                dens = dens * np.sqrt(
+                    np.linalg.det(round_sphere_metric(p[..., 2 : 1 + self.b])))
             return dens
         if self.kind == MAXIMAL_CUSP:
-            return p[0] ** (n - 2)
+            return x ** (n - 2)
         if self.kind == COLLAR:
-            rho = p[0]
-            return math.sqrt(np.linalg.det(self.h_u(rho, p[1:]))) / rho ** n
-        u, v = p[0], p[1 : 1 + self.b]
-        return (u * u + float(v @ v)) ** self.f / u ** n
+            return np.sqrt(np.linalg.det(self.h_u(x, p[..., 1:]))) / x ** n
+        v = p[..., 1 : 1 + self.b]
+        return (x * x + np.einsum("...i,...i->...", v, v)) ** self.f / x ** n
 
-    def sigma_at(self, p) -> float:
+    @batched
+    def sigma_at(self, p):
         """Total boundary defining function, smoothly truncated to 1 toward
-        the chart edge and deep interior."""
+        the chart edge and deep interior, at one point or each row of an
+        (N, n) array."""
         p = self.validate_point(p)
-        sigma = truncate_bdf(p[0], self.edge, TRUNC_FRACTION)
+        if p.ndim == 1:
+            return self.sigma_at(p[None])[0]
+        sigma = truncate_bdf(p[..., 0], self.edge, TRUNC_FRACTION)
         if self.kind == INTERMEDIATE_CUSP:
-            return sigma * math.cos(p[1])
+            return sigma * np.cos(p[..., 1])
         # r, rho, or u = r * rho, which descends to the total defining function
         return sigma
 
-    def in_exhaustion(self, p, eps: float) -> bool:
-        """Membership in the superlevel exhaustion domain {sigma >= eps}."""
+    def in_exhaustion(self, p, eps: float):
+        """Membership in the superlevel exhaustion domain {sigma >= eps}, at
+        one point or each row of an (N, n) array."""
         if eps <= 0:
             raise ValueError("exhaustion parameter eps must be positive")
         return self.sigma_at(p) >= eps
@@ -374,7 +375,8 @@ class RescalingCase:
 
     v0 holds the transverse part of the base boundary point (eps, v0, z0);
     the z0 block never enters the pulled-back metric.  The near-axis case
-    requires |v0| <= C * eps, the off-axis case eps < |v0| < 1.
+    requires |v0| <= eps, the off-axis case eps < |v0| < 1.  The collar case
+    rescales the Euclidean collar family.
     """
 
     case: str
@@ -382,8 +384,6 @@ class RescalingCase:
     eps: float
     v0: np.ndarray = field(default_factory=lambda: np.zeros(0))
     f: Optional[int] = None
-    C: float = 1.0
-    h_u: Callable[[float, np.ndarray], np.ndarray] = euclidean_collar_family
 
     def __post_init__(self):
         object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float))
@@ -392,9 +392,9 @@ class RescalingCase:
         r = float(np.linalg.norm(self.v0))
         if self.case == CUSP_NEAR_AXIS:
             self._need_rank()
-            if r > self.C * self.eps:
+            if r > self.eps:
                 raise RescalingCaseError(
-                    f"near-axis case needs |v0| <= C*eps, got |v0|={r}, C*eps={self.C * self.eps}"
+                    f"near-axis case needs |v0| <= eps, got |v0|={r}, eps={self.eps}"
                 )
         elif self.case == CUSP_OFF_AXIS:
             self._need_rank()
@@ -414,35 +414,31 @@ class RescalingCase:
             )
 
 
-def in_half_ball(q) -> bool:
-    q = np.asarray(q, dtype=float)
-    return q[0] >= 0.0 and float(q @ q) < 1.0
-
-
 def rescaled_metric_at(case: RescalingCase, q) -> np.ndarray:
     """Pullback of the hyperbolic metric under the boundary rescaling map,
-    evaluated at q = (s, p, q) in the reference half-ball B+."""
+    evaluated at q = (s, p, q) in the reference half-ball B+: one point (n,)
+    gives one matrix, an (N, n) array the stacked (N, n, n) matrices."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (case.n,):
+    if q.ndim not in (1, 2) or q.shape[-1] != case.n:
         raise ChartDomainError(f"reference point needs {case.n} coordinates")
-    if not in_half_ball(q):
+    if q.ndim == 1:  # the one-row array, so a point and a batch agree bit for bit
+        return rescaled_metric_at(case, q[None])[0]
+    s = q[..., 0]
+    if not ((s >= 0.0) & (np.einsum("...i,...i->...", q, q) < 1.0)).all():
         raise ChartDomainError("reference point outside the unit half-ball B+")
-    s = q[0]
-    e2s = math.exp(2.0 * s)
-    out = np.zeros((case.n, case.n))
-    out[0, 0] = 1.0
+    shrink = np.exp(-2.0 * s)
+    out = np.zeros(q.shape + (case.n,))
+    out[..., 0, 0] = 1.0
     if case.case == COLLAR_CASE:
-        pvec = q[1:]
-        out[1:, 1:] = math.exp(-2.0 * s) * case.h_u(
-            case.eps * math.exp(s), case.v0 + case.eps * pvec
+        out[..., 1:, 1:] = _matrix_scale(shrink) * euclidean_collar_family(
+            case.eps * np.exp(s), case.v0 + case.eps * q[..., 1:]
         )
         return out
     bdim = case.n - 1 - case.f
-    pvec = q[1 : 1 + bdim]
-    shifted = case.v0 / case.eps + pvec
-    coeff = math.exp(-2.0 * s) * (e2s + float(shifted @ shifted)) ** 2
+    shifted = case.v0 / case.eps + q[..., 1 : 1 + bdim]
+    coeff = shrink * (np.exp(2.0 * s) + np.einsum("...i,...i->...", shifted, shifted)) ** 2
     if case.case == CUSP_OFF_AXIS:
-        coeff /= (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
-    out[1 : 1 + bdim, 1 : 1 + bdim] = math.exp(-2.0 * s) * np.eye(bdim)
-    out[1 + bdim :, 1 + bdim :] = coeff * np.eye(case.f)
+        coeff = coeff / (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
+    out[..., 1 : 1 + bdim, 1 : 1 + bdim] = _matrix_scale(shrink) * np.eye(bdim)
+    out[..., 1 + bdim :, 1 + bdim :] = _matrix_scale(coeff) * np.eye(case.f)
     return out

@@ -319,7 +319,7 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
     u = solver.solve_dirichlet(op, f_field)
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
-    mp = solver.maximum_principle_check(grid, cfg.K, w)
+    mp = solver.maximum_principle_check(op, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
           f"{mp.min_ratio:.6g} vs closed form {mp.closed_form_delta:.6g}")
     rep.check("barrier_ratio", mp.min_ratio, mp.tolerance, mp.passed,

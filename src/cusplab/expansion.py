@@ -99,9 +99,6 @@ class BoundaryData:
     def psi_rho(self, rho: float) -> float:
         return plateau_bump(rho)
 
-    def psi(self, rho, y: np.ndarray):
-        return self.psi_rho(rho) * self.psi_y(np.asarray(y)[..., 0])
-
     def validate(self, samples: int = 25):
         """Positivity of hhat + qhat and compact support inside the cutoff."""
         lo, hi = self.y_support
@@ -178,24 +175,6 @@ def _embed_tangential(n: int, q_tan: np.ndarray) -> np.ndarray:
     out = np.zeros(q_tan.shape[:-2] + (n, n))
     out[..., 1:, 1:] = q_tan
     return out
-
-
-def extend(bd: BoundaryData) -> MetricField:
-    """Extension E of the perturbed boundary metric: the compactified collar
-    metric plus the cutoff times the tangential, radially parallel extension
-    of qhat (normal components: rho-rho equals 1, mixed equal 0)."""
-
-    @batched
-    def ev(p):
-        rho, y = p[..., 0], p[..., 1:]
-        n = bd.n
-        out = np.zeros(p.shape[:-1] + (n, n))
-        out[..., 0, 0] = 1.0
-        out[..., 1:, 1:] = bd.chart.h_u(rho, y)
-        psi = np.asarray(bd.psi(rho, y))[..., None, None]
-        return out + psi * _embed_tangential(n, at_points(bd.qhat, y))
-
-    return MetricField(bd.chart, ev, "E(g-hat)")
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,9 @@ class SupportViolation(ValueError):
 class Grid2D:
     """Structured grid over the two active coordinates of a truncated chart.
 
-    axes holds the node coordinates per active axis (the maximal-rank cusp
-    uses a single axis).  Every node satisfies sigma >= eps by construction;
+    axes holds the node coordinates per active axis, the chart's leading
+    coordinates in order (the maximal-rank cusp uses a single axis).  Every
+    node lies in the chart's coordinate ranges and satisfies sigma >= eps;
     all outer sides carry Dirichlet data.
     """
 
@@ -59,12 +60,17 @@ class Grid2D:
     eps: float
 
     def __post_init__(self):
-        for ax in self.axes:
+        ranges = self.chart.coordinate_ranges()
+        for name, ax, (lo, hi) in zip(self.axis_names, self.axes, ranges):
             if len(ax) < 8:
                 raise ValueError("grids need at least 8 nodes per axis")
             d = np.diff(ax)
             if not np.allclose(d, d[0], rtol=1e-12, atol=0):
                 raise ValueError("grid spacing must be uniform per axis")
+            out = ax[(ax < lo) | (ax > hi) | ((ax <= lo) & (lo == 0.0))]
+            if out.size:
+                raise ValueError(f"grid axis {name} has a node at {out[0]}, "
+                                 f"outside the chart's range [{lo}, {hi}]")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         sig = self.sigma()
@@ -151,6 +157,7 @@ def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
         c2 = np.cos(th) ** 2
         return W, [W * r * r * c2, W * c2]
     if kind == COLLAR:
+        _require_euclidean_collar(chart)
         rho = meshes[0]
         W = rho ** (-float(n))
         A = W * rho * rho
@@ -160,6 +167,14 @@ def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
         W = r ** (n - 2.0)
         return W, [W * r * r]
     raise ValueError(f"no reduced operator for chart kind {kind!r}")
+
+
+def _require_euclidean_collar(chart: Chart) -> None:
+    """The closed-form collar densities, Christoffels and norms in this module
+    hold for the Euclidean collar family only."""
+    if chart.h_u_name != "euclidean":
+        raise ValueError(f"this collar formula assumes the Euclidean family, "
+                         f"the chart has {chart.h_u_name!r}")
 
 
 def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
@@ -436,6 +451,7 @@ def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
     grid = u.grid
     if grid.chart.kind != COLLAR:
         raise NotImplementedError("tensor-mode norms are used on collar patches")
+    _require_euclidean_collar(grid.chart)
     rho = grid.meshes()[0]
     return rho ** 2 * np.sqrt(np.einsum("xyij,xyij->xy", u.values, u.values))
 
@@ -538,16 +554,12 @@ class MaxPrincipleReport:
     nodes_checked: int
 
 
-def maximum_principle_check(
-    grid: Grid2D,
-    K: float,
-    w: WeightVector,
-) -> MaxPrincipleReport:
-    """Evaluate the discrete (Delta + K) sigma^mu / sigma^mu over interior
+def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrincipleReport:
+    """Evaluate the assembled (Delta + K) sigma^mu / sigma^mu over interior
     nodes and compare its minimum against the closed-form margin, within
     50 h^2 for the largest spacing h."""
+    grid, K = op.grid, op.K
     smu = grid.sigma_mu(w)
-    op = assemble(grid, K)
     ratio = op.apply_to_values(smu) / smu.reshape(-1)[op.interior]
     spc = max(grid.spacing)
     if grid.chart.kind == INTERMEDIATE_CUSP:
@@ -593,17 +605,19 @@ def _grid_partials(grid: Grid2D, comp: np.ndarray) -> list[np.ndarray]:
 
 
 def _covariant_derivative(grid: Grid2D, u: np.ndarray) -> np.ndarray:
-    """nabla_k u_ij on the collar patch; derivative index first."""
+    """nabla u on the collar patch for a covariant tensor u of any rank on
+    the nodes (node axes, then the slots); derivative index first,
+    nab[x, y, k, i, ...] = nabla_k u_{i ...}."""
+    _require_euclidean_collar(grid.chart)
     n = grid.chart.n
-    rho = grid.meshes()[0]
-    gam = _collar_christoffels(n, rho)
-    d_active = _grid_partials(grid, u)
-    shp = u.shape[:-2]
-    nab = np.zeros(shp + (n, n, n))
-    nab[..., 0, :, :] = d_active[0]
-    nab[..., 1, :, :] = d_active[1]
-    nab -= np.einsum("...mki,...mj->...kij", gam, u)
-    nab -= np.einsum("...mkj,...im->...kij", gam, u)
+    gam = _collar_christoffels(n, grid.meshes()[0])
+    idx = "ijpqrs"[: u.ndim - 2]
+    nab = np.zeros(grid.shape + (n,) + u.shape[2:])
+    for axis, d in enumerate(_grid_partials(grid, u)):
+        nab[:, :, axis] = d
+    for s, c in enumerate(idx):
+        slot = idx[:s] + "m" + idx[s + 1:]
+        nab -= np.einsum(f"...mk{c},...{slot}->...k{idx}", gam, u)
     return nab
 
 
@@ -688,14 +702,7 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoRe
     rhs = 0.5 * t_sq + div_sq - tr_sq + n * u_sq
 
     # second route: pair u against the discrete rough Laplacian plus K
-    gam = _collar_christoffels(n, rho)
-    d2 = np.stack(_grid_partials(grid, nab), axis=-4)  # (x, y, l(active), k, i, j)
-    nab2 = np.zeros(grid.shape + (n, n, n, n))
-    nab2[..., 0, :, :, :] = d2[..., 0, :, :, :]
-    nab2[..., 1, :, :, :] = d2[..., 1, :, :, :]
-    nab2 -= np.einsum("...mlk,...mij->...lkij", gam, nab)
-    nab2 -= np.einsum("...mli,...kmj->...lkij", gam, nab)
-    nab2 -= np.einsum("...mlj,...kim->...lkij", gam, nab)
+    nab2 = _covariant_derivative(grid, nab)
     rough = -np.einsum("xy,xyllij->xyij", up2, nab2)
     p2u = rough + K * vals
     pairing = float(np.sum(dv * up2 ** 2 * np.einsum("xyij,xyij->xy", vals, p2u)))
@@ -766,8 +773,6 @@ class ScanFamily:
     n: int
     f: Optional[int] = None
     ratio: float = 0.0
-    C: float = 1.0
-    h_u: Callable = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -783,16 +788,12 @@ class ScanRow:
 def half_ball_lattice(points_per_axis: int = 9) -> np.ndarray:
     """Lattice over (s, t_p, t_q) inside the unit half-ball: s >= 0 along the
     radial direction, t_p along a fixed transverse direction, t_q along a
-    fixed cusp direction."""
+    fixed cusp direction; points in lexicographic (s, t_p, t_q) order."""
     s = np.linspace(0.0, 0.9, points_per_axis)
     t = np.linspace(-0.9, 0.9, points_per_axis)
-    pts = []
-    for a in s:
-        for b in t:
-            for c in t:
-                if a * a + b * b + c * c < 0.995:
-                    pts.append((a, b, c))
-    return np.array(pts)
+    a, b, c = np.meshgrid(s, t, t, indexing="ij")
+    inside = a * a + b * b + c * c < 0.995
+    return np.stack([a[inside], b[inside], c[inside]], axis=1)
 
 
 def schauder_coefficient_scan(
@@ -801,8 +802,10 @@ def schauder_coefficient_scan(
     points_per_axis: int = 9,
 ) -> list[ScanRow]:
     """Extremal eigenvalues and first-difference coefficient variation of the
-    rescaled metrics over a fixed reference lattice, per family and eps."""
-    from .charts import RescalingCase, rescaled_metric_at, euclidean_collar_family
+    rescaled metrics over a fixed reference lattice, per family and eps.  The
+    lattice's t_q runs along the last coordinate on the collar and along the
+    first cusp direction otherwise."""
+    from .charts import RescalingCase, rescaled_metric_at
 
     lattice = half_ball_lattice(points_per_axis)
     rows = []
@@ -810,28 +813,19 @@ def schauder_coefficient_scan(
         for eps in eps_list:
             if fam.case == "collar":
                 v0 = np.full(fam.n - 1, fam.ratio * eps / math.sqrt(fam.n - 1))
-                case = RescalingCase(
-                    "collar", fam.n, eps, v0=v0,
-                    h_u=fam.h_u or euclidean_collar_family,
-                )
-                bdim = fam.n - 1
+                case = RescalingCase("collar", fam.n, eps, v0=v0)
+                tq_axis = fam.n - 1
             else:
-                bdim = fam.n - 1 - fam.f
-                v0 = np.zeros(bdim)
+                v0 = np.zeros(fam.n - 1 - fam.f)
                 if fam.ratio > 0:
                     v0[0] = fam.ratio * eps
-                case = RescalingCase(fam.case, fam.n, eps, v0=v0, f=fam.f, C=fam.C)
-            mats = []
-            for s, tp, tq in lattice:
-                q = np.zeros(fam.n)
-                q[0] = s
-                q[1] = tp
-                if fam.case != "collar" and fam.f is not None and bdim < fam.n - 1:
-                    q[1 + bdim] = tq
-                else:
-                    q[-1] = tq
-                mats.append(rescaled_metric_at(case, q))
-            mats = np.array(mats)
+                case = RescalingCase(fam.case, fam.n, eps, v0=v0, f=fam.f)
+                tq_axis = fam.n - fam.f
+            q = np.zeros((len(lattice), fam.n))
+            q[:, 0] = lattice[:, 0]
+            q[:, 1] = lattice[:, 1]
+            q[:, tq_axis] = lattice[:, 2]
+            mats = rescaled_metric_at(case, q)
             eigs = np.linalg.eigvalsh(mats)
             coeff_diff = float(
                 np.abs(np.diff(mats.reshape(len(mats), -1), axis=0)).max()
@@ -854,7 +848,7 @@ def default_scan_families(n: int = 4, f: int = 1) -> list[ScanFamily]:
         raise ValueError(f"scan families need a cusp rank 1 <= f <= n - 2, "
                          f"got f = {f} at n = {n}")
     return [
-        ScanFamily("near_axis", "cusp_near_axis", n, f=f, ratio=0.5, C=1.0),
+        ScanFamily("near_axis", "cusp_near_axis", n, f=f, ratio=0.5),
         ScanFamily("off_axis", "cusp_off_axis", n, f=f, ratio=5.0),
         ScanFamily("collar", "collar", n, ratio=0.0),
     ]

@@ -11,6 +11,17 @@ from cusplab.charts import (
     rescaled_metric_at,
     truncate_bdf,
 )
+from cusplab.solver import half_ball_lattice
+
+EVERY_KIND = [
+    Chart.intermediate_cusp(4, 1),
+    Chart.intermediate_cusp(5, 1),
+    Chart.intermediate_cusp(5, 2),
+    Chart.maximal_cusp(4),
+    Chart.collar(4),
+    Chart.collar(4, h_u="round_sphere"),
+    Chart.upper_half_space(4, 2),
+]
 
 
 @pytest.fixture
@@ -187,6 +198,65 @@ class TestRescaling:
             rescaled_metric_at(case, [0.9, 0.9, 0.0, 0.0])
         with pytest.raises(ChartDomainError):
             rescaled_metric_at(case, [-0.1, 0.0, 0.0, 0.0])
+
+
+class TestBatchedEqualsSingle:
+    """An (N, n) array gives, row by row, exactly the one-point values."""
+
+    @pytest.mark.parametrize("chart", EVERY_KIND,
+                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+    def test_chart_quantities(self, chart, rng):
+        pts = np.array(sample_points(chart, 12, rng))
+        # the last rows reach into the truncation band and to the edge
+        pts[-3:, 0] = chart.edge * np.array([0.85, 0.95, 1.0])
+        for quantity in (chart.volume_density_at, chart.sigma_at):
+            batch = quantity(pts)
+            assert batch.shape == (len(pts),)
+            assert np.array_equal(batch, [quantity(p) for p in pts])
+        eps = float(np.median(chart.sigma_at(pts)))
+        inside = chart.in_exhaustion(pts, eps)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(inside, [chart.in_exhaustion(p, eps) for p in pts])
+
+    @pytest.mark.parametrize("case", [
+        RescalingCase("cusp_near_axis", 4, eps=0.01, v0=[0.005, 0.0], f=1),
+        RescalingCase("cusp_off_axis", 4, eps=0.01, v0=[0.3, 0.1], f=1),
+        RescalingCase("collar", 4, eps=0.01, v0=[0.01, 0.0, -0.02]),
+    ], ids=lambda c: c.case)
+    def test_rescaled_metric(self, case):
+        lattice = half_ball_lattice(5)
+        q = np.zeros((len(lattice), 4))
+        q[:, [0, 1, 3]] = lattice
+        batch = rescaled_metric_at(case, q)
+        assert batch.shape == (len(q), 4, 4)
+        assert np.array_equal(batch, [rescaled_metric_at(case, p) for p in q])
+
+    def test_rescaled_metric_rejects_any_row_outside(self):
+        case = RescalingCase("collar", 4, eps=0.01, v0=np.zeros(3))
+        with pytest.raises(ChartDomainError):
+            rescaled_metric_at(case, [[0.0, 0.0, 0.0, 0.0], [0.5, 0.9, 0.0, 0.0]])
+
+    def test_half_ball_lattice_order(self):
+        s = np.linspace(0.0, 0.9, 9)
+        t = np.linspace(-0.9, 0.9, 9)
+        want = [(a, b, c) for a in s for b in t for c in t
+                if a * a + b * b + c * c < 0.995]
+        got = half_ball_lattice(9)
+        assert len(want) == 397
+        assert np.array_equal(got, np.array(want))
+
+
+class TestCollarFamilies:
+    def test_family_looked_up_by_name(self):
+        from cusplab.charts import H_U_FAMILIES
+
+        chart = Chart.collar(4, h_u="round_sphere")
+        assert chart.h_u is H_U_FAMILIES["round_sphere"]
+        assert Chart.collar(4).h_u_name == "euclidean"
+
+    def test_unknown_family_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown collar family 'hyperbolic'"):
+            Chart.collar(4, h_u="hyperbolic")
 
 
 def sample_points(chart, count, rng):

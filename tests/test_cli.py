@@ -138,6 +138,21 @@ class TestSolveAndSweep:
         (check,) = payload["checks"]
         assert check["name"] == "barrier_ratio" and check["passed"]
 
+    def test_solve_assembles_its_operator_once(self, tmp_path, monkeypatch):
+        # the barrier check reuses the operator the solve assembled
+        import cusplab.solver as sv
+
+        calls = []
+        original = sv.assemble
+
+        def counted(grid, K):
+            calls.append(K)
+            return original(grid, K)
+
+        monkeypatch.setattr(sv, "assemble", counted)
+        assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
+        assert calls == [-2.0]
+
     def test_indefinite_flag_reports_numerical_failure(self, tmp_path):
         code = run(tmp_path, "solve", "--expect-indefinite", "--nodes", "16")
         assert code == EXIT_NUMERICAL
@@ -153,6 +168,21 @@ class TestSchauderCommand:
         assert run(tmp_path, "schauder") == EXIT_PASS
         payload = json.loads((tmp_path / "schauder_summary.json").read_text())
         assert max(payload["spread"].values()) < 0.05
+
+    def test_one_rescaling_call_per_family_and_eps(self, tmp_path, monkeypatch):
+        import cusplab.charts as charts
+
+        shapes = []
+        original = charts.rescaled_metric_at
+
+        def counted(case, q):
+            shapes.append(q.shape)
+            return original(case, q)
+
+        monkeypatch.setattr(charts, "rescaled_metric_at", counted)
+        assert run(tmp_path, "schauder") == EXIT_PASS
+        # three families at four eps, each over the whole 397-point lattice
+        assert shapes == [(397, 4)] * 12
 
 
 class TestConfigResolution:

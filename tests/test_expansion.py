@@ -13,7 +13,6 @@ from cusplab.expansion import (
     S_map,
     T_map,
     correction_step,
-    extend,
     gauge_term_norm,
     indicial_blocks,
     indicial_matrix,
@@ -43,6 +42,13 @@ def zero_data(chart=ROUND):
                         psi_y=bd.psi_y, y_support=bd.y_support)
 
 
+def extension(bd):
+    """The extension E of the perturbed boundary metric: rho^2 times the
+    stage-1 metric T_map(bd)."""
+    g1 = T_map(bd).field
+    return lambda p: p[0] ** 2 * g1(p)
+
+
 def mid_point(bd, rho=0.2, dy=0.0):
     y = bd._reference_y()
     y[0] = 0.5 * (bd.y_support[0] + bd.y_support[1]) + dy
@@ -52,23 +58,23 @@ def mid_point(bd, rho=0.2, dy=0.0):
 class TestExtension:
     def test_zero_data_returns_compactified_metric(self, bdata):
         bd0 = zero_data()
-        E = extend(bd0)
+        E = extension(bd0)
         p = mid_point(bd0)
         assert np.allclose(E(p), p[0] ** 2 * ROUND.metric_at(p), atol=1e-14)
 
     def test_coordinate_form_is_tangential(self, bdata):
-        E = extend(bdata)
+        E = extension(bdata)
         p = mid_point(bdata)
         y = p[1:]
-        diff = E(p) - extend(zero_data())(p)
+        diff = E(p) - extension(zero_data())(p)
         # psi = 1 here, so the difference is exactly the tangential block
         assert np.allclose(diff[1:, 1:], bdata.qhat(y), atol=1e-14)
         assert diff[0, 0] == 0.0
         assert np.abs(diff[0, 1:]).max() == 0.0
 
     def test_support_of_extension(self, bdata):
-        E = extend(bdata)
-        Ez = extend(zero_data())
+        E = extension(bdata)
+        Ez = extension(zero_data())
         y_out = bdata._reference_y()
         y_out[0] = bdata.y_support[1] + 0.05
         p = np.concatenate(([0.2], y_out))

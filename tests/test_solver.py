@@ -352,12 +352,12 @@ class TestMaximumPrincipleCheck:
     def test_zero_weight_gives_K_exactly(self):
         grid = cusp_grid(CUSP, 0.1, nodes=16)
         w0 = WeightVector(mu0=0.0, mus=(0.0,), ranks=(1,), n=4)
-        rep = maximum_principle_check(grid, -2.0, w0)
+        rep = maximum_principle_check(assemble(grid, -2.0), w0)
         assert rep.min_ratio == pytest.approx(-2.0, abs=1e-11)
 
     def test_admissible_weights_match_closed_form(self):
         grid = cusp_grid(CUSP, 0.1, nodes=48)
-        rep = maximum_principle_check(grid, -2.0, W41)
+        rep = maximum_principle_check(assemble(grid, -2.0), W41)
         assert rep.passed
         assert rep.min_ratio >= rep.closed_form_delta - rep.tolerance
         # the discrete infimum approaches but does not undershoot the margin
@@ -367,8 +367,8 @@ class TestMaximumPrincipleCheck:
         chart = Chart.maximal_cusp(4)
         grid = maximal_grid(chart, 0.05, nodes=64)
         w = WeightVector(mu0=1.75, mus=(0.5,), ranks=(3,), n=4)
-        rep = maximum_principle_check(grid, -2.0, w)
         op = assemble(grid, -2.0)
+        rep = maximum_principle_check(op, w)
         smu = grid.sigma_mu(w)
         ratio = op.apply_to_values(smu) / smu[op.interior]
         assert ratio.max() < 0  # negative everywhere: no positive weights work
@@ -533,3 +533,39 @@ class TestTensorModeNorm:
         u = DiscreteField(grid, vals)
         want = float((rho ** 2 / rho ** 1.75).max())
         assert weighted_sup_norm(u, w) == pytest.approx(want, rel=1e-12)
+
+
+class TestGridsLieInTheirChart:
+    def test_cusp_radius_beyond_the_edge(self):
+        from cusplab.solver import Grid2D
+
+        axes = (np.linspace(0.5, 2.0, 12), np.linspace(0.2, 1.0, 12))
+        with pytest.raises(ValueError, match=r"axis r has a node at 1\.0\d*, outside"):
+            Grid2D(CUSP, ("r", "theta0"), axes, 0.1)
+
+    def test_round_collar_polar_angle_below_the_pole(self):
+        chart = Chart.collar(4, h_u="round_sphere")
+        with pytest.raises(ValueError, match=r"axis y has a node at -1\.0, outside"):
+            collar_grid(chart, 0.1)
+
+
+class TestEuclideanCollarOnly:
+    ROUND = Chart.collar(4, h_u="round_sphere", edge=1.9)
+
+    def test_flux_coefficients(self):
+        axes = (np.linspace(0.5, 1.0, 8), np.linspace(1.0, 1.5, 8))
+        with pytest.raises(ValueError, match="Euclidean family"):
+            _flux_coefficients(self.ROUND, axes)
+
+    def test_koiso_quadrature(self):
+        grid = compact_patch_grid(self.ROUND, 17, (1.0, 1.5), (0.5, 1.5))
+        u = random_bump_tensor(grid, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Euclidean family"):
+            koiso_quadrature(grid, u)
+
+    def test_tensor_norm(self):
+        grid = compact_patch_grid(self.ROUND, 17, (1.0, 1.5), (0.5, 1.5))
+        u = DiscreteField(grid, np.ones(grid.shape + (4, 4)))
+        w = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
+        with pytest.raises(ValueError, match="Euclidean family"):
+            weighted_sup_norm(u, w)
