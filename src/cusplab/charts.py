@@ -38,6 +38,16 @@ class ChartDomainError(ValueError):
     """Point lies outside the chart's valid coordinate ranges."""
 
 
+class NonConvergence(RuntimeError):
+    """A factorization, eigenvalue probe or solve failed, or a solve left a
+    large residual (raised by the solver; defined here so that the exit-code
+    map needs no solver import)."""
+
+    def __init__(self, message: str, residual: float = math.nan):
+        super().__init__(message)
+        self.residual = residual
+
+
 class RescalingCaseError(ValueError):
     """Rescaling-case invariants violated (base point vs eps mismatch)."""
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import charts, expansion, solver, tensorcalc, weights
+from . import charts, expansion, tensorcalc, weights
 from .charts import Chart
 
 EXIT_PASS = 0
@@ -38,9 +38,10 @@ EXIT_OBSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 # exceptions that end a run with EXIT_NUMERICAL (StencilError is a
-# ChartDomainError)
+# ChartDomainError). The solver, and with it scipy, is imported only by the
+# subcommands that solve: solve, sweep, koiso and schauder.
 NUMERICAL_FAILURES = (
-    solver.NonConvergence,
+    charts.NonConvergence,
     charts.ChartDomainError,
     expansion.CharacteristicExponentHit,
     expansion.IndicialExtractionFailure,
@@ -274,9 +275,11 @@ def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
         if cfg.perturb:
             bump = cfg.perturb
 
+            @charts.batched
             def ev(p, chart=chart, bump=bump):
                 g = chart.metric_at(p)
-                return g + bump * math.sin(3.0 * p[0]) * np.diag(np.diag(g))
+                wave = bump * np.sin(3.0 * p[..., 0])
+                return g + wave[..., None, None] * (g * np.eye(chart.n))
 
             h = tensorcalc.MetricField(chart, ev, "perturbed")
         defect1 = defect2 = 0.0
@@ -310,6 +313,8 @@ def _resolve_weights(cfg: argparse.Namespace) -> weights.WeightVector:
 
 def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     """Single Dirichlet solve."""
+    from . import solver
+
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     grid = solver.cusp_grid(chart, cfg.eps[0], nodes=cfg.nodes)
@@ -330,6 +335,8 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
 
 def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
     """Exhaustion sweep of Dirichlet solves."""
+    from . import solver
+
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     margin = weights.cusp_margin(cfg.K, w.mus[0], w.mu0, cfg.f, cfg.n)
@@ -361,6 +368,8 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
 
 def cmd_koiso(cfg: argparse.Namespace, rep: Report) -> None:
     """Tensor quadrature identity."""
+    from . import solver
+
     chart = Chart.collar(cfg.n, edge=2.5)
     gaps, rows = [], []
     for nodes in cfg.refine:
@@ -391,6 +400,8 @@ def cmd_koiso(cfg: argparse.Namespace, rep: Report) -> None:
 
 def cmd_schauder(cfg: argparse.Namespace, rep: Report) -> None:
     """Rescaled-metric uniformity scan."""
+    from . import solver
+
     fams = solver.default_scan_families(cfg.n, cfg.f)
     rows = solver.schauder_coefficient_scan(fams, cfg.eps)
     table = [[r.family, r.eps, r.min_eig, r.max_eig, r.cond, r.max_coeff_diff]
@@ -535,7 +546,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NUMERICAL_FAILURES as exc:
         status, code = "numerical-failure", EXIT_NUMERICAL
         rep.error = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, solver.NonConvergence):
+        if isinstance(exc, charts.NonConvergence):
             rep.error["residual"] = exc.residual
         print(f"numerical failure: {exc}", file=sys.stderr)
     except ValueError as exc:

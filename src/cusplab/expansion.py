@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .charts import Chart, COLLAR, at_points, batched, smooth_bump, smooth_step
 from .tensorcalc import (
@@ -258,24 +257,27 @@ def _fit_leading_coefficient(rhos: np.ndarray, values: np.ndarray, t: int):
 
 
 def decompose_types(C: np.ndarray, hhat: np.ndarray):
-    """Split a symmetric component matrix into (normal-normal, normal-
-    tangential, tangential trace, tangential trace-free) parts."""
-    nm1 = hhat.shape[0]
-    a = float(C[0, 0])
-    V = C[0, 1:].copy()
-    tang = C[1:, 1:]
-    tau = float(np.trace(np.linalg.inv(hhat) @ tang))
-    tfree = tang - (tau / nm1) * hhat
+    """Split a symmetric component matrix, or a stack of them with their
+    hhat (one, or stacked alike), into (normal-normal, normal-tangential,
+    tangential trace, tangential trace-free) parts."""
+    nm1 = hhat.shape[-1]
+    a = C[..., 0, 0]
+    V = C[..., 0, 1:].copy()
+    tang = C[..., 1:, 1:]
+    tau = np.trace(np.linalg.inv(hhat) @ tang, axis1=-2, axis2=-1)
+    tfree = tang - (tau / nm1)[..., None, None] * hhat
     return a, V, tau, tfree
 
 
 def recompose_types(a, V, tau, tfree, hhat: np.ndarray) -> np.ndarray:
-    nm1 = hhat.shape[0]
-    C = np.zeros((nm1 + 1, nm1 + 1))
-    C[0, 0] = a
-    C[0, 1:] = V
-    C[1:, 0] = V
-    C[1:, 1:] = (tau / nm1) * hhat + tfree
+    """Inverse of decompose_types, one matrix or stacked."""
+    nm1 = hhat.shape[-1]
+    tau = np.asarray(tau)
+    C = np.zeros(tau.shape + (nm1 + 1, nm1 + 1))
+    C[..., 0, 0] = a
+    C[..., 0, 1:] = V
+    C[..., 1:, 0] = V
+    C[..., 1:, 1:] = (tau / nm1)[..., None, None] * hhat + tfree
     return C
 
 
@@ -299,13 +301,17 @@ class IndicialBlocks:
         )
 
     def solve(self, R: np.ndarray, hhat: np.ndarray) -> np.ndarray:
+        """The type-matrix preimage of R: one component matrix, or a stack
+        of them with their hhat stacked alike."""
         if self.singular():
             raise CharacteristicExponentHit(
                 f"indicial matrix singular at exponent s = {self.s}"
             )
         a_r, V_r, tau_r, tf_r = decompose_types(R, hhat)
-        a_x, tau_x = np.linalg.solve(self.m2, np.array([a_r, tau_r]))
-        return recompose_types(a_x, V_r / self.mv, tau_x, tf_r / self.mt, hhat)
+        rhs = np.stack((a_r, tau_r), axis=-1)
+        x = np.linalg.solve(self.m2, rhs[..., None])[..., 0]
+        return recompose_types(x[..., 0], V_r / self.mv, x[..., 1],
+                               tf_r / self.mt, hhat)
 
     def as_matrix(self) -> np.ndarray:
         """Full 4x4 matrix on type coordinates (nn, nt, trace, trace-free)."""
@@ -459,23 +465,78 @@ def extract_residual_coefficient(
     return fit if y.ndim == 2 else tuple(part[0] for part in fit)
 
 
+def _natural_spline_coefficients(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power coefficients, highest first, of the natural cubic spline through
+    the columns of y (len(grid), m): an (intervals, 4, m) block.
+
+    They equal scipy's CubicSpline(grid, y, axis=0, bc_type="natural") bit
+    for bit. The node slopes solve the tridiagonal system CubicSpline
+    assembles; it is strictly diagonally dominant, so it is eliminated as
+    LAPACK dgtsv does it, with no row interchanges. The coefficients are
+    then formed as CubicHermiteSpline forms them.
+    """
+    dx = np.diff(grid)
+    dxr = dx[:, None]
+    dy = np.diff(y, axis=0)
+    slope = dy / dxr
+    # diagonal d, superdiagonal du and subdiagonal dl; the first and last
+    # rows hold the zero second derivative at the ends
+    d = np.empty(len(grid))
+    d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du = np.concatenate(([dx[0]], dx[:-1]))
+    dl = np.concatenate((dx[1:], [dx[-1]]))
+    s = np.empty(y.shape)
+    s[0], s[-1] = 3 * dy[0], 3 * dy[-1]
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    for k in range(len(grid) - 1):
+        fact = dl[k] / d[k]
+        d[k + 1] -= fact * du[k]
+        s[k + 1] -= fact * s[k]
+    s[-1] /= d[-1]
+    for k in range(len(grid) - 2, -1, -1):
+        s[k] = (s[k] - du[k] * s[k + 1]) / d[k]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]),
+                    axis=1)
+
+
 class _SplineCoefficient:
-    """Componentwise cubic-spline coefficient in the first tangential
+    """Componentwise natural cubic spline in the first tangential
     coordinate, identically zero outside the cutoff support; evaluates one
-    y or an (N, n-1) array."""
+    y or an (N, n-1) array.
+
+    Values equal scipy's CubicSpline(grid, values, axis=0,
+    bc_type="natural") bit for bit: the interval is found and the cubic
+    summed in PPoly's order, from one gather of the coefficient block. A
+    stencil array repeats each first tangential coordinate many times (a
+    1,584-point chunk of the expand ladder holds about 100 distinct ones),
+    so the spline is evaluated once per distinct coordinate.
+    """
 
     batched = True
 
     def __init__(self, grid: np.ndarray, values: np.ndarray,
                  support: tuple[float, float]):
         self.support = support
-        self.spline = CubicSpline(grid, values, axis=0, bc_type="natural")
+        self.grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=float)
+        self.shape = values.shape[1:]
+        self.coefficients = _natural_spline_coefficients(
+            self.grid, values.reshape(len(self.grid), -1))
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         t = np.asarray(y, dtype=float)[..., 0]
+        distinct, at = np.unique(t.ravel(), return_inverse=True)
         lo, hi = self.support
-        inside = (lo < t) & (t < hi)
-        return np.where(inside[..., None, None], self.spline(t), 0.0)
+        i = np.clip(np.searchsorted(self.grid, distinct, side="right") - 1,
+                    0, len(self.grid) - 2)
+        z = (distinct - self.grid[i])[:, None]
+        c = self.coefficients[i]
+        z2 = z * z
+        value = c[:, 3] + c[:, 2] * z + c[:, 1] * z2 + c[:, 0] * (z2 * z)
+        value[~((lo < distinct) & (distinct < hi))] = 0.0
+        return value[at].reshape(t.shape + self.shape)
 
 
 def correction_step(
@@ -524,7 +585,7 @@ def correction_step(
                 f"{resids.max():.2e} vs scale {scale:.2e}) at stage {g_j.order}"
             )
         new_vals = np.zeros_like(coeff)
-        new_vals[inside] = [blocks.solve(-r, hh) for r, hh in zip(raw, hhats)]
+        new_vals[inside] = blocks.solve(-raw, hhats)
         coeff = coeff + new_vals
         fn = _SplineCoefficient(ygrid, coeff, (lo, hi))
         current = ExpansionMetric(

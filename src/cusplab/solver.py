@@ -18,22 +18,20 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .charts import Chart, INTERMEDIATE_CUSP, MAXIMAL_CUSP, COLLAR, smooth_bump
+from .charts import (
+    Chart,
+    INTERMEDIATE_CUSP,
+    MAXIMAL_CUSP,
+    COLLAR,
+    NonConvergence,
+    smooth_bump,
+)
 from .weights import (
     WeightVector,
     cusp_margin,
     h0_margin,
     maximal_margin,
 )
-
-
-class NonConvergence(RuntimeError):
-    """A factorization, eigenvalue probe or solve failed, or a solve left a
-    large residual."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
 
 
 class IndefiniteOperator(NonConvergence):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -412,3 +416,48 @@ class TestOptionTable:
         assert set(payload["config"]) == READS[sub] | {"subcommand", "out_dir"}
         assert accepted_options(sub) == READS[sub]
         assert recorders[0].read >= READS[sub]
+
+
+# Prints whether scipy is loaded after `import cusplab.cli` and after each
+# in-process run, with the run's exit code.
+SCIPY_PROBE = """
+import json, sys
+import cusplab.cli as cli
+seen = [[None, "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(["--out-dir", sys.argv[2], *argv])
+    seen.append([code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def probe_scipy(tmp_path, runs):
+    import cusplab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cusplab.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestScipyLoadsOnlyToSolve:
+    def test_import_expand_curvature_and_weights_stay_scipy_free(self, tmp_path):
+        seen = probe_scipy(tmp_path, [
+            ["expand", "--n", "4", "--stages", "2"],  # one correction step
+            ["curvature", "--n", "4", "--perturb", "0.05"],
+            ["weights", "--n", "5", "--ranks", "1,2"],
+        ])
+        assert seen == [[None, False], [EXIT_PASS, False],
+                        [EXIT_NUMERICAL, False], [EXIT_PASS, False]]
+
+    def test_sweep_loads_scipy(self, tmp_path):
+        seen = probe_scipy(tmp_path, [["sweep", *SMALL_RUNS["sweep"]]])
+        assert seen == [[None, False], [EXIT_PASS, True]]
+
+    def test_solver_failures_are_the_exit_map_class(self):
+        from cusplab import charts, cli, solver
+
+        assert solver.NonConvergence is charts.NonConvergence
+        assert issubclass(solver.IndefiniteOperator, charts.NonConvergence)
+        assert charts.NonConvergence in cli.NUMERICAL_FAILURES

@@ -12,10 +12,14 @@ from cusplab.expansion import (
     PositivityError,
     S_map,
     T_map,
+    _SplineCoefficient,
+    _reference_y,
     correction_step,
+    decompose_types,
     gauge_term_norm,
     indicial_blocks,
     indicial_matrix,
+    recompose_types,
     seeded_boundary_data,
     vanishing_order,
 )
@@ -163,6 +167,67 @@ class TestIndicialStructure:
         b = indicial_blocks(1.0, ROUND)
         assert b.mv == pytest.approx(a.mv, abs=2e-4)
         assert b.mt == pytest.approx(a.mt, abs=2e-4)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stacked_solve_equals_one_matrix_at_a_time(self, n, rng):
+        chart = Chart.collar(n, h_u="round_sphere")
+        blocks = indicial_blocks(1.0, chart)
+        ys = np.tile(_reference_y(chart), (9, 1))
+        ys[:, 0] += rng.uniform(-0.4, 0.4, 9)
+        hhats = chart.h_u(0.0, ys)
+        R = rng.standard_normal((9, n, n))
+        R = R + np.swapaxes(R, -1, -2)
+        stacked = blocks.solve(R, hhats)
+        one_at_a_time = np.array([blocks.solve(r, h) for r, h in zip(R, hhats)])
+        assert np.array_equal(stacked, one_at_a_time)
+        # the preimage maps back onto R under the type matrix
+        a, V, tau, tfree = decompose_types(stacked, hhats)
+        back = recompose_types(
+            blocks.m2[0, 0] * a + blocks.m2[0, 1] * tau, blocks.mv * V,
+            blocks.m2[1, 0] * a + blocks.m2[1, 1] * tau, blocks.mt * tfree, hhats)
+        assert np.allclose(back, R, rtol=1e-10, atol=1e-10)
+
+
+class TestSplineCoefficient:
+    """The natural cubic spline of the correction coefficients equals
+    scipy's CubicSpline, the reference it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("amplitude", [1e-8, 1e-3, 1.0, 10.0])
+    def test_equals_scipy_natural_cubic_spline(self, n, amplitude, rng):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        lo, hi = sorted(rng.uniform(-1.0, 2.0, 2))
+        pad = 0.02 * (hi - lo)
+        grid = np.linspace(lo - pad, hi + pad, 41)
+        values = amplitude * rng.standard_normal((41, n, n))
+        ours = _SplineCoefficient(grid, values, (lo, hi))
+        reference = interpolate.CubicSpline(grid, values, axis=0,
+                                            bc_type="natural")
+        assert np.array_equal(
+            ours.coefficients,
+            np.moveaxis(reference.c, 0, 1).reshape(ours.coefficients.shape))
+        t = np.concatenate([
+            rng.uniform(lo, hi, 300),
+            grid[(lo < grid) & (grid < hi)],  # the knots
+            [np.nextafter(lo, hi), np.nextafter(hi, lo)],  # next to the edges
+            lo + (hi - lo) * 1e-9 * np.arange(1, 4),
+            hi - (hi - lo) * 1e-9 * np.arange(1, 4),
+        ])
+        y = np.column_stack([t, rng.uniform(0.0, 1.0, (len(t), n - 2))])
+        got = ours(y)
+        assert got.shape == (len(t), n, n)
+        assert np.array_equal(got, reference(t))
+        assert np.array_equal(ours(y[7]), got[7])
+
+    def test_zero_outside_the_support(self, rng):
+        grid = np.linspace(-0.1, 1.1, 41)
+        ours = _SplineCoefficient(grid, rng.standard_normal((41, 4, 4)),
+                                  (0.0, 1.0))
+        t = np.array([-0.1, -0.05, 0.0, 1.0, 1.05, 1.1, -3.0, 4.0])
+        y = np.column_stack([t, np.zeros((len(t), 2))])
+        out = ours(y)
+        assert np.all(out == 0.0)
+        assert not np.signbit(out).any()
 
 
 class TestCorrectionLadder:
