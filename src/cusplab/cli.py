@@ -322,7 +322,10 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
         cfg.K = -50.0  # the K this run uses, and so the K its summary records
     op = solver.assemble(grid, cfg.K)
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
-    u = solver.solve_dirichlet(op, f_field)
+    try:
+        u = solver.solve_dirichlet(op, f_field)
+    finally:  # the coercivity probe's estimate; null when K >= 0 or it failed
+        rep.extra["min_eigenvalue"] = op.min_eigenvalue
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
     mp = solver.maximum_principle_check(op, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "

@@ -4,12 +4,15 @@ The reduced operator Delta + K is assembled in flux (divergence) form on
 structured 2D grids over the (r, theta0), (rho, y) or (r,) coordinates; for
 data independent of the remaining angles the reduction is exact because the
 transverse Laplacian blocks annihilate such functions.  Multiplying through
-by the volume density gives a symmetric matrix, which is factored once
-per operator (sparse LU) for the coercivity check and every solve.
+by the volume density gives a symmetric matrix.  Every such operator is a
+Kronecker sum of 1-D tridiagonal factors, so it is factored once by fast
+diagonalization (one generalized eigendecomposition per axis), and that
+factorization serves the coercivity check and every solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -17,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .charts import (
     Chart,
@@ -141,30 +145,40 @@ class Grid2D:
         return _flux_coefficients(self.chart, mid_axes)[1][axis]
 
 
+def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
+    """Per-axis 1-D factors of the reduced volume density W and of the flux
+    coefficients A_d = W * h^{dd}: W = w[0] x w[1] and A_d = a[d][0] x a[d][1]
+    (outer products), where the factors on axis e depend on axes[e] only."""
+    kind = chart.kind
+    n = chart.n
+    if kind == INTERMEDIATE_CUSP:
+        f, b = chart.f, chart.b
+        r, th = axes
+        w_r = r ** (f - 1)
+        c = np.cos(th)
+        w_th = np.sin(th) ** (b - 1) / c ** n
+        a_th = w_th * c * c
+        return (w_r, w_th), [(w_r * r * r, a_th), (w_r, a_th)]
+    if kind == COLLAR:
+        _require_euclidean_collar(chart)
+        rho, y = axes
+        w_rho = rho ** (-float(n))
+        one = np.ones(len(y))
+        return (w_rho, one), [(w_rho * rho * rho, one)] * 2
+    if kind == MAXIMAL_CUSP:
+        (r,) = axes
+        w = r ** (n - 2.0)
+        return (w,), [(w * r * r,)]
+    raise ValueError(f"no reduced operator for chart kind {kind!r}")
+
+
 def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
     """(W, [A_1, A_2, ...]) on the tensor grid of the given axes, with W the
     reduced volume density and A_d the flux coefficient W * h^{dd} along
     each active axis."""
-    kind = chart.kind
-    n = chart.n
-    meshes = np.meshgrid(*axes, indexing="ij")
-    if kind == INTERMEDIATE_CUSP:
-        f, b = chart.f, chart.b
-        r, th = meshes
-        W = r ** (f - 1) * np.sin(th) ** (b - 1) / np.cos(th) ** n
-        c2 = np.cos(th) ** 2
-        return W, [W * r * r * c2, W * c2]
-    if kind == COLLAR:
-        _require_euclidean_collar(chart)
-        rho = meshes[0]
-        W = rho ** (-float(n))
-        A = W * rho * rho
-        return W, [A, A.copy()]
-    if kind == MAXIMAL_CUSP:
-        r = meshes[0]
-        W = r ** (n - 2.0)
-        return W, [W * r * r]
-    raise ValueError(f"no reduced operator for chart kind {kind!r}")
+    w, a = _flux_factors(chart, axes)
+    return (functools.reduce(np.multiply.outer, w),
+            [functools.reduce(np.multiply.outer, a_d) for a_d in a])
 
 
 def _require_euclidean_collar(chart: Chart) -> None:
@@ -254,16 +268,89 @@ def sample_field(grid: Grid2D, fn: Callable) -> DiscreteField:
     return DiscreteField(grid, fn(*pts))
 
 
+@dataclass(frozen=True)
+class SeparableFactor:
+    """Fast-diagonalization factorization of a separable Dirichlet operator
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+    The operator is a Kronecker sum L = S_0 x M_1 + M_0 x S_1 of symmetric
+    tridiagonal S_d and positive diagonal M_d.  Each axis has one generalized
+    eigendecomposition S_d V_d = M_d V_d diag(lam_d) with V_d^T M_d V_d = I,
+    so (V_0 x V_1)^T L (V_0 x V_1) = diag(lam_0[i] + lam_1[j]), the pencil.
+    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, and by Sylvester's law
+    of inertia L has as many nonpositive eigenvalues as the pencil has
+    nonpositive entries.  A 1-D operator carries a second axis with one node,
+    V = [[1]] and lam = [0].
+    """
+
+    vectors: tuple[np.ndarray, np.ndarray]
+    pencil: np.ndarray  # lam_0[i] + lam_1[j] on the interior nodes
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        v0, v1 = self.vectors
+        y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
+        return (v0 @ y @ v1.T).reshape(-1)
+
+
+def _axis_eigenpairs(stiffness: np.ndarray, dx: float, potential: np.ndarray | float,
+                     mass: np.ndarray):
+    """(lam, V) with (T + diag(potential)) V = diag(mass) V diag(lam) and
+    V^T diag(mass) V = I on the interior nodes of one axis, T the Dirichlet
+    flux stencil with edge coefficients stiffness / dx^2 at the midpoints."""
+    a = stiffness / (dx * dx)
+    s = 1.0 / np.sqrt(mass)
+    lam, y = eigh_tridiagonal((a[:-1] + a[1:] + potential) * s * s,
+                              -a[1:-1] * s[:-1] * s[1:])
+    return lam, s[:, None] * y
+
+
+def _separable_factor(grid: Grid2D, K: float) -> SeparableFactor:
+    """The operator assemble(grid, K) builds, factored axis by axis.
+
+    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] (_flux_factors) the
+    interior matrix is T_0 x diag(a[0][1]) + diag(a[1][0]) x T_1
+    + K diag(w_0) x diag(w_1), T_d the flux stencil of a[d][d].  The K W term
+    joins the axis whose partner's mass is also its W factor: theta0 on the
+    cusp (w_r = a[1][0]), rho on the Euclidean collar (w_y = a[0][1] = 1).
+    """
+    inner = [ax[1:-1] for ax in grid.axes]
+    w, a = _flux_factors(grid.chart, inner)
+    a_mid = _flux_factors(grid.chart, [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes])[1]
+    if grid.ndim == 1:  # L = T_0 + K diag(w_0)
+        masses, fold = (np.ones(len(inner[0])),), 0
+    else:
+        masses = (a[1][0], a[0][1])
+        fold = 1 if np.array_equal(w[0], masses[0]) else 0
+        if not np.array_equal(w[1 - fold], masses[1 - fold]):
+            raise ValueError(f"K W is not separable on a {grid.chart.kind} grid")
+    try:
+        pairs = [_axis_eigenpairs(a_mid[d][d], grid.spacing[d],
+                                  K * w[d] if d == fold else 0.0, masses[d])
+                 for d in range(grid.ndim)]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
+    if grid.ndim == 1:
+        pairs.append((np.zeros(1), np.ones((1, 1))))
+    (lam0, v0), (lam1, v1) = pairs
+    pencil = lam0[:, None] + lam1[None, :]
+    if not np.all(np.isfinite(pencil) & (pencil != 0)):
+        raise NonConvergence("separable factorization is singular: a pencil "
+                             "eigenvalue lam_i + mu_j is zero or not finite")
+    return SeparableFactor((v0, v1), pencil)
+
+
 @dataclass
 class SparseOperator:
     """Discrete Delta + K with Dirichlet rows eliminated.
 
-    matrix is the symmetric weighted form L = -D^T C D + K diag(W) acting on
-    interior unknowns; cross couples interior rows to boundary nodes; the
+    matrix is the symmetric weighted form L = D^T C D + K diag(W) acting on
+    interior unknowns (D the edge differences, C the midpoint flux
+    coefficients); cross couples interior rows to boundary nodes; the
     pointwise operator is diag(1/W) (L u_int + cross u_bdy).
 
     The operator is factored at most once: the coercivity decision, the
-    eigenvalue probe and every solve share one sparse LU.
+    eigenvalue probe and every solve share one SeparableFactor, built from
+    the grid's per-axis coefficient factors rather than from matrix.
     """
 
     grid: Grid2D
@@ -273,8 +360,8 @@ class SparseOperator:
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
     boundary: np.ndarray
-    _lu: Optional[spla.SuperLU] = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _factorization: Optional[SeparableFactor] = field(default=None, init=False,
+                                                      repr=False, compare=False)
     min_eigenvalue: Optional[float] = field(default=None, init=False, repr=False,
                                             compare=False)
 
@@ -293,47 +380,34 @@ class SparseOperator:
         out = self.matrix @ v[self.interior] + self.cross @ v[self.boundary]
         return out / self.weight
 
-    def factor(self) -> spla.SuperLU:
-        """Sparse LU of the symmetric form, computed on first use; every
-        Dirichlet solve on this operator is one back-substitution with it.
-
-        SuperLU's symmetric mode orders A + A^T and prefers diagonal pivots,
-        so for a symmetric matrix without zero pivots P A P^T = L D L^T with
-        U = D L^T.
-        """
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(
-                    self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
-                )
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise NonConvergence(f"sparse factorization failed: {exc}") from exc
-        return self._lu
+    def factor(self) -> SeparableFactor:
+        """Fast-diagonalization factorization of the symmetric form, computed
+        on first use from one generalized tridiagonal eigendecomposition per
+        axis; every Dirichlet solve on this operator applies it.  A zero or
+        non-finite pencil eigenvalue raises NonConvergence."""
+        if self._factorization is None:
+            self._factorization = _separable_factor(self.grid, self.K)
+        return self._factorization
 
     def smallest_eigenvalue(self) -> float:
         """Smallest eigenvalue of the symmetric form, cached on the operator.
 
-        With the pivots on the diagonal, Sylvester's law of inertia makes the
-        number of nonpositive pivots of L D L^T the number of nonpositive
-        eigenvalues; IndefiniteOperator reports it when it is not zero.
-        Otherwise the smallest eigenvalue is the one nearest 0, found by
-        shift-invert Lanczos on the cached factorization from a fixed start
-        vector, so the value repeats run to run.
+        The factorization is a congruence to the diagonal pencil, so by
+        Sylvester's law of inertia the number of nonpositive pencil entries
+        is the number of nonpositive eigenvalues; IndefiniteOperator reports
+        it when it is not zero.  Otherwise the smallest eigenvalue is the one
+        nearest 0, found by shift-invert Lanczos with the factorization's
+        solve from a fixed start vector, so the value repeats run to run.
         """
         if self.min_eigenvalue is None:
-            lu = self.factor()
-            if not np.array_equal(lu.perm_r, lu.perm_c):
-                raise NonConvergence(
-                    "sparse factorization pivoted off the diagonal; "
-                    "its inertia does not count eigenvalues")
-            count = int(np.count_nonzero(lu.U.diagonal() <= 0))
+            fac = self.factor()
+            count = int(np.count_nonzero(fac.pencil <= 0))
             if count:
                 raise IndefiniteOperator(
                     f"symmetrized operator has {count} nonpositive eigenvalues "
-                    "(inertia of its L D L^T factorization); the discrete "
+                    "(inertia of its fast-diagonalization pencil); the discrete "
                     "problem is not coercive")
-            inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve,
+            inverse = spla.LinearOperator(self.matrix.shape, matvec=fac.solve,
                                           dtype=float)
             try:
                 vals = spla.eigsh(
@@ -341,7 +415,7 @@ class SparseOperator:
                     tol=1e-4, v0=np.ones(self.n_unknowns),
                     return_eigenvectors=False,
                 )
-            except spla.ArpackNoConvergence as exc:
+            except spla.ArpackError as exc:
                 raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
             self.min_eigenvalue = float(vals[0])
         return self.min_eigenvalue
@@ -404,11 +478,13 @@ def assemble(grid: Grid2D, K: float) -> SparseOperator:
 def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> DiscreteField:
     """Solve (Delta + K) u = f with zero Dirichlet data on all grid sides.
 
-    The solve is one back-substitution with the operator's cached sparse LU
-    (SparseOperator.factor).  For K < 0 coercivity is checked first
+    The solve applies the operator's cached fast-diagonalization factor
+    (SparseOperator.factor) and refines once against the assembled matrix,
+    x += solve(rhs - A x).  For K < 0 coercivity is checked first
     (SparseOperator.smallest_eigenvalue) and an IndefiniteOperator error
     raised when the symmetric form is not positive.  A pointwise residual
-    above 1e-8 |f| raises NonConvergence with that residual.
+    above 1e-8 |f|, or a non-finite one, raises NonConvergence with that
+    residual.
     """
     fv = f.values if isinstance(f, DiscreteField) else np.asarray(f, dtype=float)
     fv = fv.reshape(-1)
@@ -422,13 +498,16 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
                 "the discrete problem is not coercive", residual=math.nan
             )
 
+    fac = op.factor()
+    x = fac.solve(rhs)
+    x += fac.solve(rhs - op.matrix @ x)
     full = np.zeros(int(np.prod(op.grid.shape)))
-    full[op.interior] = op.factor().solve(rhs)
+    full[op.interior] = x
 
     resid = op.apply_to_values(full) - fv[op.interior]
     tol = 1e-8 * (float(np.abs(fv[op.interior]).max()) or 1.0)
     rinf = float(np.abs(resid).max())
-    if rinf > max(tol, 1e-30):
+    if not rinf <= tol:  # a NaN residual fails too
         raise NonConvergence(f"residual {rinf:.3e} exceeds 1e-8 * |f| = {tol:.3e}",
                              residual=rinf)
     return DiscreteField(op.grid, full.reshape(op.grid.shape))

@@ -157,6 +157,19 @@ class TestSolveAndSweep:
         assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
         assert calls == [-2.0]
 
+    def test_solve_records_min_eigenvalue(self, tmp_path):
+        from cusplab.charts import Chart
+        from cusplab.solver import assemble, cusp_grid
+
+        grid = cusp_grid(Chart.intermediate_cusp(4, 1), 0.2, nodes=24)
+        want = assemble(grid, -2.0).smallest_eigenvalue()
+        assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["min_eigenvalue"] == want > 0
+        assert run(tmp_path, "solve", "--nodes", "24", "--K", "6") == EXIT_PASS
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["min_eigenvalue"] is None
+
     def test_indefinite_flag_reports_numerical_failure(self, tmp_path):
         code = run(tmp_path, "solve", "--expect-indefinite", "--nodes", "16")
         assert code == EXIT_NUMERICAL

@@ -1,9 +1,11 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cusplab.charts import Chart
 from cusplab.solver import (
@@ -157,27 +159,48 @@ class TestVectorizedAssembly:
             assert np.abs((got - want).toarray()).max() <= 1e-14 * scale
 
 
+def _count_calls(monkeypatch, owner, names):
+    """Wrap owner.<name> for each name; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name))
+    return calls
+
+
+def _zero_eigh(d, e):
+    return np.zeros(len(d)), np.eye(len(d))
+
+
+def _nan_eigh(d, e):
+    return np.full(len(d), np.nan), np.eye(len(d))
+
+
+def _failing_eigh(d, e):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
 class TestFactorOnce:
     def test_one_factorization_and_one_probe_per_grid(self, monkeypatch):
         import cusplab.solver as sv
 
-        calls = {"splu": 0, "eigsh": 0}
-
-        def counted(name):
-            orig = getattr(sv.spla, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return orig(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(sv.spla, name, counted(name))
+        # one factorization is one tridiagonal eigendecomposition per axis
+        factors = _count_calls(monkeypatch, sv, ["eigh_tridiagonal"])
+        probes = _count_calls(monkeypatch, sv.spla, ["eigsh"])
         eps_list = [0.2, 0.1, 0.05, 0.025]
         rows = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
                                 eps_list, nodes=24)
-        assert calls == {"splu": len(eps_list), "eigsh": len(eps_list)}
+        assert factors == {"eigh_tridiagonal": 2 * len(eps_list)}
+        assert probes == {"eigsh": len(eps_list)}
         assert all(r.min_eigenvalue > 0 for r in rows)
 
     @pytest.mark.parametrize("K, eps, nodes", [
@@ -193,14 +216,14 @@ class TestFactorOnce:
         match = re.search(r"(\d+) nonpositive eigenvalues", str(exc.value))
         assert match is not None and int(match.group(1)) == want
 
-    @pytest.mark.parametrize("block", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-                             ids=["off-diagonal-pivots", "singular"])
-    def test_unusable_factorization_is_nonconvergence(self, block):
-        import dataclasses
+    @pytest.mark.parametrize("eigh", [_zero_eigh, _nan_eigh, _failing_eigh],
+                             ids=["singular", "non-finite-pencil",
+                                  "eigensolver-failure"])
+    def test_unusable_factorization_is_nonconvergence(self, eigh, monkeypatch):
+        import cusplab.solver as sv
 
+        monkeypatch.setattr(sv, "eigh_tridiagonal", eigh)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=12), -2.0)
-        matrix = sp.csr_matrix(np.kron(np.eye(op.n_unknowns // 2), block))
-        op = dataclasses.replace(op, matrix=matrix)
         with pytest.raises(NonConvergence) as exc:
             op.smallest_eigenvalue()
         assert not isinstance(exc.value, IndefiniteOperator)
@@ -221,6 +244,66 @@ class TestFactorOnce:
         grid = cusp_grid(CUSP, 0.05, nodes=48)
         values = {assemble(grid, -2.0).smallest_eigenvalue() for _ in range(8)}
         assert len(values) == 1
+
+
+class TestSeparableFactor:
+    GRIDS = {
+        "cusp": cusp_grid(CUSP, 0.1, nodes=16),
+        "collar": collar_grid(Chart.collar(4), 0.1, nodes=14),
+        "maximal": maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=40),
+    }
+
+    @pytest.mark.parametrize("K", [-2.0, 6.0, -50.0])
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_matches_sparse_and_dense_references(self, kind, K):
+        op = assemble(self.GRIDS[kind], K)
+        fac = op.factor()
+        b = np.random.default_rng(1).standard_normal(op.n_unknowns)
+        want = spla.spsolve(op.matrix.tocsc(), b)
+        assert np.abs(fac.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        count = int(np.count_nonzero(dense <= 0))
+        assert int(np.count_nonzero(fac.pencil <= 0)) == count
+        if count:
+            with pytest.raises(IndefiniteOperator, match=f"has {count} nonpositive"):
+                op.smallest_eigenvalue()
+        else:
+            assert op.smallest_eigenvalue() == pytest.approx(dense[0], rel=1e-6)
+
+
+def _nan_solve(factor, rhs):
+    return np.full(rhs.size, np.nan)
+
+
+@pytest.fixture(params=["nan-solve", "zero-pencil"])
+def broken_factor(request, monkeypatch):
+    import cusplab.solver as sv
+
+    if request.param == "nan-solve":
+        monkeypatch.setattr(sv.SeparableFactor, "solve", _nan_solve)
+    else:
+        monkeypatch.setattr(sv, "eigh_tridiagonal", _zero_eigh)
+    return request.param
+
+
+class TestBrokenFactorIsNonConvergence:
+    """A factor whose solves return NaN, or whose pencil has a zero
+    eigenvalue, ends as NonConvergence, never as a usage error."""
+
+    @pytest.mark.parametrize("K", ["1", "-2"])  # without and with the probe
+    def test_cli_exits_numerical(self, broken_factor, K, tmp_path):
+        from cusplab.cli import EXIT_NUMERICAL, main
+
+        code = main(["--out-dir", str(tmp_path), "solve", "--K", K, "--nodes", "24"])
+        assert code == EXIT_NUMERICAL
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["error"]["type"] == "NonConvergence"
+
+    def test_sweep_records_the_rows(self, broken_factor):
+        rows = exhaustion_sweep(CUSP, 1.0, W41, default_bump_recipe(W41),
+                                [0.2, 0.1], nodes=16, on_error="record")
+        assert len(rows) == 2
+        assert all(r.error is not None and math.isnan(r.ratio) for r in rows)
 
 
 class TestSolve:
@@ -257,17 +340,16 @@ class TestSolve:
         assert isinstance(exc.value, NonConvergence)
 
     def test_nonconvergence_reports_residual(self):
+        import dataclasses
+
         grid = cusp_grid(CUSP, 0.1, nodes=24)
         op = assemble(grid, -2.0)
         f = sample_field(grid, default_bump_recipe(W41))
         op.smallest_eigenvalue()  # the coercivity probe runs on the true factor
-        lu = op.factor()
-
-        class WrongSolve:  # the cached factor returns a perturbed solution
-            def solve(self, rhs):
-                return lu.solve(rhs) * (1.0 + 1e-3)
-
-        op._lu = WrongSolve()
+        # the cached factor's solves come out 1e-3 too large; one refinement
+        # step leaves a 1e-6 relative error, far above the 1e-8 residual test
+        fac = op.factor()
+        op._factorization = dataclasses.replace(fac, pencil=fac.pencil / (1.0 + 1e-3))
         with pytest.raises(NonConvergence) as exc:
             solve_dirichlet(op, f)
         assert math.isfinite(exc.value.residual)
@@ -278,20 +360,13 @@ class TestSolve:
 
         grid = cusp_grid(CUSP, 0.05, nodes=256)
         op = assemble(grid, 6.0)
-        calls = []
-        original = sv.spla.splu
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sv.spla, "splu", counted)
+        calls = _count_calls(monkeypatch, sv, ["eigh_tridiagonal"])
         u_star = sample_field(grid, default_bump_recipe(W41))
         rhs = np.zeros(grid.shape)
         rhs[grid.interior_mask()] = op.apply_to_values(u_star.values)
         u1 = solve_dirichlet(op, rhs)
         u2 = solve_dirichlet(op, 2.0 * rhs)
-        assert len(calls) == 1
+        assert calls == {"eigh_tridiagonal": 2}  # one factorization: r and theta0
         assert np.array_equal(2.0 * u1.values, u2.values)
         err = np.abs(u1.values - u_star.values).max() / np.abs(u_star.values).max()
         assert err < 1e-12
@@ -346,6 +421,13 @@ class TestSweep:
         rows = exhaustion_sweep(CUSP, -2.0, W41, counted, eps_list, nodes=24)
         assert len(calls) == len(eps_list)
         assert all(r.mms_error <= 1e-12 for r in rows)
+
+    def test_manufactured_solution_to_roundoff(self):
+        # the solve refines once against the assembled matrix; without that
+        # step the fast-diagonalization solve leaves about 1e-13 here
+        rows = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
+                                [0.2, 0.1, 0.05, 0.025], nodes=96)
+        assert max(r.mms_error for r in rows) <= 1e-14
 
 
 class TestMaximumPrincipleCheck:
