@@ -77,6 +77,16 @@ _decreasing = _checked(lambda text: tuple(float(x) for x in text.split(",")),
                        "must be strictly decreasing")
 
 
+def _weights_mode(text: str) -> str:
+    """'auto' or comma-separated finite numbers, kept as the text given."""
+    try:
+        if text == "auto" or all(math.isfinite(float(x)) for x in text.split(",")):
+            return text
+    except ValueError:
+        pass
+    raise ValueError("must be 'auto' or comma-separated finite numbers")
+
+
 @dataclass(frozen=True)
 class Option:
     """One option: ``name`` is its config-file key, attribute and summary
@@ -102,7 +112,7 @@ OPTIONS = (
            "comma-separated cusp ranks"),
     Option("K", "--K", _finite, -2.0, ("weights", "solve", "sweep", "koiso")),
     Option("mu0", "--mu0", _finite, None, ("weights", "solve", "sweep")),
-    Option("weights_mode", "--weights", str, "auto", ("solve", "sweep"),
+    Option("weights_mode", "--weights", _weights_mode, "auto", ("solve", "sweep"),
            "'auto' or mu0,mu1,... explicit values"),
     Option("eps", "--eps", _decreasing, (0.2, 0.1, 0.05, 0.025),
            ("solve", "sweep"),

@@ -1,13 +1,15 @@
 """Discrete Dirichlet problems on truncated chart grids.
 
-The reduced operator Delta + K is assembled in flux (divergence) form on
+The reduced operator Delta + K is discretized in flux (divergence) form on
 structured 2D grids over the (r, theta0), (rho, y) or (r,) coordinates; for
 data independent of the remaining angles the reduction is exact because the
 transverse Laplacian blocks annihilate such functions.  Multiplying through
-by the volume density gives a symmetric matrix.  Every such operator is a
-Kronecker sum of 1-D tridiagonal factors, so it is factored once by fast
-diagonalization (one generalized eigendecomposition per axis), and that
-factorization serves the coercivity check and every solve.
+by the volume density gives a symmetric form, and every such form is a
+Kronecker sum of 1-D tridiagonal stencils, one per axis, built once per
+grid.  The sparse matrix, the pointwise apply with Dirichlet data and the
+fast-diagonalization factor (one generalized eigendecomposition per axis,
+serving the coercivity check and every solve) are all read off those
+stencils.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,8 +115,12 @@ class Grid2D:
         return self.meshes()
 
     def sigma(self) -> np.ndarray:
-        """Raw defining-function product on nodes (no edge truncation: the
-        grid sits inside the tubular neighbourhood)."""
+        """Raw defining-function product on nodes, without edge truncation.
+
+        This is not Chart.sigma_at, which blends to 1 over the outer
+        TRUNC_FRACTION of the chart: the two agree only on nodes with r (or
+        rho) <= (1 - TRUNC_FRACTION) * edge, and grids run to the edge, where
+        they differ by up to about 0.05 at eps = 0.05."""
         if self.chart.kind == INTERMEDIATE_CUSP:
             r, th = self.meshes()
             return r * np.cos(th)
@@ -132,17 +138,6 @@ class Grid2D:
             return self.axes[0] ** w.mus[0]
         rho = self.meshes()[0]
         return rho ** w.mu0
-
-    def _coefficients(self):
-        """(W, [A_1, A_2, ...]) on the nodes; see _flux_coefficients."""
-        return _flux_coefficients(self.chart, self.axes)
-
-    def _coefficients_midpoint(self, axis: int) -> np.ndarray:
-        """Flux coefficient A_axis evaluated at staggered midpoints."""
-        mid_axes = list(self.axes)
-        a = self.axes[axis]
-        mid_axes[axis] = 0.5 * (a[1:] + a[:-1])
-        return _flux_coefficients(self.chart, mid_axes)[1][axis]
 
 
 def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
@@ -170,15 +165,6 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
         w = r ** (n - 2.0)
         return (w,), [(w * r * r,)]
     raise ValueError(f"no reduced operator for chart kind {kind!r}")
-
-
-def _flux_coefficients(chart: Chart, axes: Sequence[np.ndarray]):
-    """(W, [A_1, A_2, ...]) on the tensor grid of the given axes, with W the
-    reduced volume density and A_d the flux coefficient W * h^{dd} along
-    each active axis."""
-    w, a = _flux_factors(chart, axes)
-    return (functools.reduce(np.multiply.outer, w),
-            [functools.reduce(np.multiply.outer, a_d) for a_d in a])
 
 
 def _require_euclidean_collar(chart: Chart) -> None:
@@ -292,74 +278,88 @@ class SeparableFactor:
         return (v0 @ y @ v1.T).reshape(-1)
 
 
-def _axis_eigenpairs(stiffness: np.ndarray, dx: float, potential: np.ndarray | float,
-                     mass: np.ndarray):
-    """(lam, V) with (T + diag(potential)) V = diag(mass) V diag(lam) and
-    V^T diag(mass) V = I on the interior nodes of one axis, T the Dirichlet
-    flux stencil with edge coefficients stiffness / dx^2 at the midpoints."""
-    a = stiffness / (dx * dx)
-    s = 1.0 / np.sqrt(mass)
-    lam, y = eigh_tridiagonal((a[:-1] + a[1:] + potential) * s * s,
-                              -a[1:-1] * s[:-1] * s[1:])
-    return lam, s[:, None] * y
+class _AxisStencil(NamedTuple):
+    """One axis of the reduced operator.  coupling holds the midpoint flux
+    coefficients c = A_d / dx^2 between all N nodes of the axis (N - 1
+    values); potential (the axis's share of K W, else zeros) and mass (the
+    factor this axis lends to the other axis's stencil) hold values on its
+    N - 2 interior nodes."""
+
+    coupling: np.ndarray
+    potential: np.ndarray
+    mass: np.ndarray
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        c = self.coupling
+        return c[:-1] + c[1:] + self.potential
+
+    def tridiagonal(self) -> sp.dia_matrix:
+        """T = tridiag(-c, c[:-1] + c[1:] + potential, -c), the Dirichlet
+        flux stencil on the interior nodes."""
+        off = -self.coupling[1:-1]
+        return sp.diags([off, self.diagonal, off], [-1, 0, 1])
+
+    def eigenpairs(self):
+        """(lam, V) with T V = diag(mass) V diag(lam) and V^T diag(mass) V = I."""
+        s = 1.0 / np.sqrt(self.mass)
+        lam, y = eigh_tridiagonal(self.diagonal * s * s,
+                                  -self.coupling[1:-1] * s[:-1] * s[1:])
+        return lam, s[:, None] * y
 
 
-def _separable_factor(grid: Grid2D, K: float) -> SeparableFactor:
-    """The operator assemble(grid, K) builds, factored axis by axis.
+def _axis_stencils(grid: Grid2D, K: float):
+    """(stencils, w): the per-axis stencils of assemble(grid, K) and the
+    factors of W on the interior nodes, from one _flux_factors call on the
+    interior nodes and one on the midpoints.
 
-    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] (_flux_factors) the
-    interior matrix is T_0 x diag(a[0][1]) + diag(a[1][0]) x T_1
-    + K diag(w_0) x diag(w_1), T_d the flux stencil of a[d][d].  The K W term
-    joins the axis whose partner's mass is also its W factor: theta0 on the
-    cusp (w_r = a[1][0]), rho on the Euclidean collar (w_y = a[0][1] = 1).
+    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] the interior matrix is
+    T_0 x diag(a[0][1]) + diag(a[1][0]) x T_1 + K diag(w_0) x diag(w_1),
+    T_d the flux stencil of a[d][d].  The K W term joins the axis whose
+    partner's mass is also its W factor: theta0 on the cusp (w_r = a[1][0]),
+    rho on the Euclidean collar (w_y = a[0][1] = 1).  A one-axis operator is
+    T_0 + K diag(w_0) with unit mass.
     """
     inner = [ax[1:-1] for ax in grid.axes]
     w, a = _flux_factors(grid.chart, inner)
     a_mid = _flux_factors(grid.chart, [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes])[1]
-    if grid.ndim == 1:  # L = T_0 + K diag(w_0)
+    if grid.ndim == 1:
         masses, fold = (np.ones(len(inner[0])),), 0
     else:
         masses = (a[1][0], a[0][1])
         fold = 1 if np.array_equal(w[0], masses[0]) else 0
         if not np.array_equal(w[1 - fold], masses[1 - fold]):
             raise ValueError(f"K W is not separable on a {grid.chart.kind} grid")
-    try:
-        pairs = [_axis_eigenpairs(a_mid[d][d], grid.spacing[d],
-                                  K * w[d] if d == fold else 0.0, masses[d])
-                 for d in range(grid.ndim)]
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
-    if grid.ndim == 1:
-        pairs.append((np.zeros(1), np.ones((1, 1))))
-    (lam0, v0), (lam1, v1) = pairs
-    pencil = lam0[:, None] + lam1[None, :]
-    if not np.all(np.isfinite(pencil) & (pencil != 0)):
-        raise NonConvergence("separable factorization is singular: a pencil "
-                             "eigenvalue lam_i + mu_j is zero or not finite")
-    return SeparableFactor((v0, v1), pencil)
+    stencils = tuple(
+        _AxisStencil(a_mid[d][d] / (dx * dx),
+                     K * w[d] if d == fold else np.zeros(len(inner[d])), masses[d])
+        for d, dx in enumerate(grid.spacing))
+    return stencils, w
 
 
 @dataclass
 class SparseOperator:
-    """Discrete Delta + K with Dirichlet rows eliminated.
+    """Discrete Delta + K with Dirichlet rows eliminated, built from one
+    stencil per axis (coupling c_d, potential p_d, mass m_d).
 
-    matrix is the symmetric weighted form L = D^T C D + K diag(W) acting on
-    interior unknowns (D the edge differences, C the midpoint flux
-    coefficients); cross couples interior rows to boundary nodes; the
-    pointwise operator is diag(1/W) (L u_int + cross u_bdy).
+    matrix is the symmetric weighted form on the interior unknowns, the
+    Kronecker sum L = T_0 x diag(m_1) + diag(m_0) x T_1 of the tridiagonals
+    T_d = tridiag(-c_d, c_d[:-1] + c_d[1:] + p_d, -c_d); weight is the volume
+    density W on the interior nodes, and the pointwise operator is
+    diag(1/W) L with the Dirichlet values entering through the edge
+    couplings (apply_to_values).
 
     The operator is factored at most once: the coercivity decision, the
-    eigenvalue probe and every solve share one SeparableFactor, built from
-    the grid's per-axis coefficient factors rather than from matrix.
+    eigenvalue probe and every solve share one SeparableFactor, whose
+    eigenpairs come from the same stencils.
     """
 
     grid: Grid2D
     K: float
     matrix: sp.csr_matrix
-    cross: sp.csr_matrix
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
-    boundary: np.ndarray
+    stencils: tuple[_AxisStencil, ...]
     _factorization: Optional[SeparableFactor] = field(default=None, init=False,
                                                       repr=False, compare=False)
     min_eigenvalue: Optional[float] = field(default=None, init=False, repr=False,
@@ -375,18 +375,40 @@ class SparseOperator:
         return len(self.interior)
 
     def apply_to_values(self, values: np.ndarray) -> np.ndarray:
-        """(Delta + K) applied to node values, returned on interior nodes."""
-        v = values.reshape(-1)
-        out = self.matrix @ v[self.interior] + self.cross @ v[self.boundary]
-        return out / self.weight
+        """(Delta + K) applied to node values, returned on interior nodes:
+        matrix acts on the interior values, and the Dirichlet values enter
+        through each stencil's two edge couplings, scaled by the other
+        axis's mass; the sum is divided by W."""
+        v = values.reshape(self.grid.shape)
+        core = (slice(1, -1),) * v.ndim
+        out = (self.matrix @ v[core].reshape(-1)).reshape(v[core].shape)
+        for d, st in enumerate(self.stencils):
+            other_mass = self.stencils[1 - d].mass if v.ndim == 2 else 1.0
+            for side in (0, -1):
+                face, row = list(core), [slice(None)] * v.ndim
+                face[d], row[d] = side, side
+                out[tuple(row)] -= st.coupling[side] * v[tuple(face)] * other_mass
+        return out.reshape(-1) / self.weight
 
     def factor(self) -> SeparableFactor:
         """Fast-diagonalization factorization of the symmetric form, computed
-        on first use from one generalized tridiagonal eigendecomposition per
-        axis; every Dirichlet solve on this operator applies it.  A zero or
-        non-finite pencil eigenvalue raises NonConvergence."""
+        on first use from each stencil's generalized tridiagonal
+        eigendecomposition; every Dirichlet solve on this operator applies
+        it.  A failed eigendecomposition or a zero or non-finite pencil
+        eigenvalue raises NonConvergence."""
         if self._factorization is None:
-            self._factorization = _separable_factor(self.grid, self.K)
+            try:
+                pairs = [st.eigenpairs() for st in self.stencils]
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
+            if len(pairs) == 1:
+                pairs.append((np.zeros(1), np.ones((1, 1))))
+            (lam0, v0), (lam1, v1) = pairs
+            pencil = lam0[:, None] + lam1[None, :]
+            if not np.all(np.isfinite(pencil) & (pencil != 0)):
+                raise NonConvergence("separable factorization is singular: a pencil "
+                                     "eigenvalue lam_i + mu_j is zero or not finite")
+            self._factorization = SeparableFactor((v0, v1), pencil)
         return self._factorization
 
     def smallest_eigenvalue(self) -> float:
@@ -424,54 +446,25 @@ class SparseOperator:
 def assemble(grid: Grid2D, K: float) -> SparseOperator:
     """Second-order flux-form discretization of Delta + K on the grid.
 
-    The matrix built here is the weighted symmetric form: row i holds
-    W_i ((Delta + K) u)_i, with midpoint flux coefficients, so applying it to
-    a constant returns exactly K * W * const.
+    The matrix is the weighted symmetric form, row i holding
+    W_i ((Delta + K) u)_i: the Kronecker sum T_0 x diag(m_1) + diag(m_0) x T_1
+    of the per-axis Dirichlet stencils (T_0 alone on a one-axis grid), so
+    applying it to a constant returns K * W * const.
     """
-    shape = grid.shape
-    ntot = int(np.prod(shape))
-    W = np.asarray(grid._coefficients()[0], dtype=float)
-    interior = grid.interior_mask().reshape(-1)
-    nodes = np.arange(ntot).reshape(shape)
-
-    diag = K * W
-    rows, cols, vals = [], [], []
-    for axis in range(grid.ndim):
-        dx = grid.spacing[axis]
-        a = np.asarray(grid._coefficients_midpoint(axis), dtype=float) / (dx * dx)
-        # every edge along this axis joins node lo to node hi
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        diag[hi] += a
-        diag[lo] += a
-        rows += [nodes[lo], nodes[hi]]
-        cols += [nodes[hi], nodes[lo]]
-        vals += [-a, -a]
-    rows.append(nodes)
-    cols.append(nodes)
-    vals.append(diag)
-
-    L_all = sp.coo_matrix(
-        (np.concatenate([v.reshape(-1) for v in vals]),
-         (np.concatenate([r.reshape(-1) for r in rows]),
-          np.concatenate([c.reshape(-1) for c in cols]))),
-        shape=(ntot, ntot),
-    ).tocsr()
-
-    int_idx = np.flatnonzero(interior)
-    bdy_idx = np.flatnonzero(~interior)
-    L_int = L_all[int_idx][:, int_idx].tocsr()
-    cross = L_all[int_idx][:, bdy_idx].tocsr()
+    stencils, w = _axis_stencils(grid, K)
+    if grid.ndim == 1:
+        matrix = stencils[0].tridiagonal().tocsr()
+    else:
+        s0, s1 = stencils
+        matrix = (sp.kron(s0.tridiagonal(), sp.diags(s1.mass), format="csr")
+                  + sp.kron(sp.diags(s0.mass), s1.tridiagonal(), format="csr"))
     return SparseOperator(
         grid=grid,
         K=K,
-        matrix=L_int,
-        cross=cross,
-        weight=W.reshape(-1)[int_idx],
-        interior=int_idx,
-        boundary=bdy_idx,
+        matrix=matrix,
+        weight=functools.reduce(np.multiply.outer, w).reshape(-1),
+        interior=np.flatnonzero(grid.interior_mask()),
+        stencils=stencils,
     )
 
 

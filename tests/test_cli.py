@@ -66,6 +66,9 @@ class TestBadInput:
         ("solve", "--K", "nan"),
         ("curvature", "--perturb", "1e200"),
         ("curvature", "--perturb", "1"),
+        ("solve", "--weights", "nan,0.5"),
+        ("solve", "--weights", "1.75,abc"),
+        ("sweep", "--weights", "1.75,inf"),
     ], ids=" ".join)
     def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
@@ -76,6 +79,9 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ("koiso", "--refine", "17"),
         ("expand", "--stages", "0"),
+        ("solve", "--weights", "nan,0.5"),
+        ("solve", "--weights", "1.75,abc"),
+        ("sweep", "--weights", "1.75,inf"),
     ], ids=" ".join)
     def test_meaningless_run_rejected(self, tmp_path, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from cusplab.charts import Chart
 from cusplab.solver import (
     DiscreteField,
     IndefiniteOperator,
-    _flux_coefficients,
+    _flux_factors,
     NonConvergence,
     SupportViolation,
     assemble,
@@ -111,10 +112,13 @@ class TestAssembly:
 
 
 def _edge_loop_assemble(grid, K):
-    """Reference assembly: one Python iteration per grid edge."""
+    """Reference assembly: one Python iteration per grid edge.  Returns the
+    interior block, the full interior rows (interior by all nodes) and W on
+    all nodes."""
     shape = grid.shape
     ntot = int(np.prod(shape))
-    Wf = np.asarray(grid._coefficients()[0], dtype=float).reshape(-1)
+    w, _ = _flux_factors(grid.chart, grid.axes)
+    Wf = functools.reduce(np.multiply.outer, w).reshape(-1)
     rows, cols, vals = [], [], []
     diag = K * Wf.copy()
     strides = np.array([int(np.prod(shape[d + 1:])) for d in range(grid.ndim)])
@@ -123,7 +127,8 @@ def _edge_loop_assemble(grid, K):
         mid_axes = list(grid.axes)
         a = grid.axes[axis]
         mid_axes[axis] = 0.5 * (a[1:] + a[:-1])
-        Amid = _flux_coefficients(grid.chart, mid_axes)[1][axis]
+        Amid = functools.reduce(np.multiply.outer,
+                                _flux_factors(grid.chart, mid_axes)[1][axis])
         it = np.ndindex(*[s - (1 if d == axis else 0) for d, s in enumerate(shape)])
         for idx in it:
             jdx = list(idx)
@@ -138,10 +143,8 @@ def _edge_loop_assemble(grid, K):
             vals += [-c, -c]
     L_all = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsr()
     L_all += sp.diags(diag)
-    interior = grid.interior_mask().reshape(-1)
-    int_idx = np.flatnonzero(interior)
-    bdy_idx = np.flatnonzero(~interior)
-    return L_all[int_idx][:, int_idx], L_all[int_idx][:, bdy_idx]
+    int_idx = np.flatnonzero(grid.interior_mask())
+    return L_all[int_idx][:, int_idx], L_all[int_idx], Wf
 
 
 class TestVectorizedAssembly:
@@ -151,12 +154,75 @@ class TestVectorizedAssembly:
         maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=16),
     ], ids=["cusp", "collar", "maximal"])
     def test_matches_edge_loop(self, grid):
+        rng = np.random.default_rng(7)
+        interior = grid.interior_mask().reshape(-1)
+        for K in (-2.0, 6.0):
+            op = assemble(grid, K)
+            ref_matrix, ref_rows, W = _edge_loop_assemble(grid, K)
+            assert op.matrix.shape == ref_matrix.shape
+            scale = np.abs(ref_matrix.toarray()).max()
+            assert np.abs((op.matrix - ref_matrix).toarray()).max() <= 1e-14 * scale
+            # the Dirichlet couplings: full rows on random node values
+            v = rng.standard_normal(grid.shape)
+            want = (ref_rows @ v.reshape(-1)) / W[interior]
+            got = op.apply_to_values(v)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestOneConstruction:
+    def test_flux_factors_evaluated_once_on_nodes_and_once_on_midpoints(
+            self, monkeypatch):
+        import cusplab.solver as sv
+
+        calls = _count_calls(monkeypatch, sv, ["_flux_factors"])
+        grid = cusp_grid(CUSP, 0.1, nodes=24)
         op = assemble(grid, -2.0)
-        ref_matrix, ref_cross = _edge_loop_assemble(grid, -2.0)
-        for got, want in ((op.matrix, ref_matrix), (op.cross, ref_cross)):
-            assert got.shape == want.shape
-            scale = np.abs(want.toarray()).max()
-            assert np.abs((got - want).toarray()).max() <= 1e-14 * scale
+        f = sample_field(grid, default_bump_recipe(W41))
+        solve_dirichlet(op, f)  # K < 0: factors and probes
+        op.apply_to_values(f.values)
+        assert op.min_eigenvalue is not None
+        assert calls["_flux_factors"] == 2
+
+
+class TestGridGeometryMatchesChart:
+    """Grid2D.sigma and the operator's W against the chart's own functions.
+
+    Chart.sigma_at blends to 1 over the outer TRUNC_FRACTION of the chart,
+    so the two agree only on the nodes below that band; W is the chart's
+    volume density with the transverse polar angles at pi/2."""
+
+    GRIDS = [
+        cusp_grid(CUSP, 0.05, nodes=16),
+        cusp_grid(Chart.intermediate_cusp(5, 2), 0.05, nodes=16),
+        maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=16),
+        collar_grid(Chart.collar(4), 0.05, nodes=16),
+    ]
+    IDS = ["cusp41", "cusp52", "maximal", "collar"]
+
+    @staticmethod
+    def _chart_points(grid):
+        """Every node as a chart point; the other coordinates at pi/2."""
+        pts = np.full(grid.shape + (grid.chart.n,), math.pi / 2)
+        for d, mesh in enumerate(grid._uv()):
+            pts[..., d] = mesh
+        return pts.reshape(-1, grid.chart.n)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_sigma_below_the_truncation_band(self, grid):
+        from cusplab.charts import TRUNC_FRACTION
+
+        pts = self._chart_points(grid)
+        inside = pts[:, 0] <= (1.0 - TRUNC_FRACTION) * grid.chart.edge
+        assert inside.any() and not inside.all()
+        got = grid.sigma().reshape(-1)[inside]
+        want = grid.chart.sigma_at(pts[inside])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
+    def test_weight_is_the_volume_density(self, grid):
+        op = assemble(grid, -2.0)
+        want = grid.chart.volume_density_at(self._chart_points(grid)[op.interior])
+        assert np.abs(op.weight - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _count_calls(monkeypatch, owner, names):
@@ -635,9 +701,9 @@ class TestEuclideanCollarOnly:
     ROUND = Chart.collar(4, h_u="round_sphere", edge=1.9)
 
     def test_flux_coefficients(self):
-        axes = (np.linspace(0.5, 1.0, 8), np.linspace(1.0, 1.5, 8))
+        grid = compact_patch_grid(self.ROUND, 8, (0.5, 1.0), (1.0, 1.5))
         with pytest.raises(ValueError, match="Euclidean family"):
-            _flux_coefficients(self.ROUND, axes)
+            assemble(grid, -2.0)
 
     def test_koiso_quadrature(self):
         grid = compact_patch_grid(self.ROUND, 17, (1.0, 1.5), (0.5, 1.5))
