@@ -334,8 +334,10 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
     try:
         u = solver.solve_dirichlet(op, f_field)
-    finally:  # the coercivity probe's estimate; null when K >= 0 or it failed
+    finally:  # the coercivity probe's estimate and steps; null when K >= 0
         rep.extra["min_eigenvalue"] = op.min_eigenvalue
+        rep.extra["probe_steps"] = op.probe_steps
+        rep.extra["blas_threads"] = solver.blas_thread_cap()
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
     mp = solver.maximum_principle_check(op, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
@@ -365,6 +367,8 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
     rep.table("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
                          "error"], table)
     rep.extra["min_eigenvalues"] = [r.min_eigenvalue for r in rows]
+    rep.extra["probe_steps"] = [r.probe_steps for r in rows]
+    rep.extra["blas_threads"] = solver.blas_thread_cap()
     failures = [r for r in rows if r.error is not None]
     if failures:
         raise solver.NonConvergence(

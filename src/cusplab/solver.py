@@ -10,13 +10,23 @@ grid.  The sparse matrix, the pointwise apply with Dirichlet data and the
 fast-diagonalization factor (one generalized eigendecomposition per axis,
 serving the coercivity check and every solve) are all read off those
 stencils.
+
+The factor's dense products are small (one side of the grid squared), and
+OpenBLAS spreads even these over every thread it has for no gain in wall
+time; they run with the OpenBLAS instance numpy loaded capped at one
+thread, restored afterwards.  When numpy loaded no OpenBLAS the solver can
+find, BLAS is left as it is.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -48,6 +58,63 @@ class SupportViolation(ValueError):
     """A nominally compactly supported field touches the grid boundary."""
 
 
+# -- OpenBLAS thread cap -------------------------------------------------------
+
+# Thread-count entry points of the 64-bit-integer OpenBLAS bundled with numpy's
+# wheels: scipy-openblas from numpy 2.0 on, plain OpenBLAS before.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS library numpy loaded,
+    or None.  The library is looked up among the shared objects bundled with
+    numpy and bound only if it is already loaded (RTLD_NOLOAD), so no second
+    copy of OpenBLAS is ever loaded."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path), mode=noload)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is None or set_ is None:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def blas_thread_cap() -> Optional[int]:
+    """Thread count the solver's dense products run with: 1, or None when no
+    OpenBLAS was found and BLAS is left as it is."""
+    return None if _openblas_threads() is None else 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Cap OpenBLAS at one thread for the block; the previous count is
+    restored however the block ends."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Structured grid over the two active coordinates of a truncated chart.
@@ -68,8 +135,10 @@ class Grid2D:
         for name, ax, (lo, hi) in zip(self.axis_names, self.axes, ranges):
             if len(ax) < 8:
                 raise ValueError("grids need at least 8 nodes per axis")
+            # spacings of a uniform axis differ by the rounding of its node
+            # coordinates, a few ulp of its largest |node|
             d = np.diff(ax)
-            if not np.allclose(d, d[0], rtol=1e-12, atol=0):
+            if not np.allclose(d, d[0], rtol=0, atol=8 * np.spacing(np.abs(ax).max())):
                 raise ValueError("grid spacing must be uniform per axis")
             out = ax[(ax < lo) | (ax > hi) | ((ax <= lo) & (lo == 0.0))]
             if out.size:
@@ -77,8 +146,10 @@ class Grid2D:
                                  f"outside the chart's range [{lo}, {hi}]")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        sig = self.sigma()
-        if sig.min() < self.eps - 1e-12:
+        # sigma is an outer product of per-axis factors, so its least value
+        # on the grid is one of the products of their extremes
+        extremes = [np.array([f.min(), f.max()]) for f in self._sigma_factors()]
+        if functools.reduce(np.multiply.outer, extremes).min() < self.eps - 1e-12:
             raise ValueError("grid leaves the exhaustion domain sigma >= eps")
 
     @property
@@ -114,6 +185,16 @@ class Grid2D:
             return (self.axes[0],)
         return self.meshes()
 
+    def _sigma_factors(self) -> tuple[np.ndarray, ...]:
+        """Per-axis factors of sigma: r cos(theta0) on the cusp, rho on the
+        collar, r on the maximal cusp."""
+        if self.chart.kind == INTERMEDIATE_CUSP:
+            r, th = self.axes
+            return r, np.cos(th)
+        if self.chart.kind == MAXIMAL_CUSP:
+            return self.axes
+        return self.axes[0], np.ones(len(self.axes[1]))
+
     def sigma(self) -> np.ndarray:
         """Raw defining-function product on nodes, without edge truncation.
 
@@ -121,13 +202,7 @@ class Grid2D:
         TRUNC_FRACTION of the chart: the two agree only on nodes with r (or
         rho) <= (1 - TRUNC_FRACTION) * edge, and grids run to the edge, where
         they differ by up to about 0.05 at eps = 0.05."""
-        if self.chart.kind == INTERMEDIATE_CUSP:
-            r, th = self.meshes()
-            return r * np.cos(th)
-        if self.chart.kind == MAXIMAL_CUSP:
-            return self.axes[0].copy()
-        r = self.meshes()[0]
-        return r.copy()
+        return np.array(functools.reduce(np.multiply.outer, self._sigma_factors()))
 
     def sigma_mu(self, w: WeightVector) -> np.ndarray:
         """Multi-weight sigma^mu on nodes (the cusp weight of end 0)."""
@@ -263,19 +338,26 @@ class SeparableFactor:
     tridiagonal S_d and positive diagonal M_d.  Each axis has one generalized
     eigendecomposition S_d V_d = M_d V_d diag(lam_d) with V_d^T M_d V_d = I,
     so (V_0 x V_1)^T L (V_0 x V_1) = diag(lam_0[i] + lam_1[j]), the pencil.
-    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, and by Sylvester's law
-    of inertia L has as many nonpositive eigenvalues as the pencil has
-    nonpositive entries.  A 1-D operator carries a second axis with one node,
-    V = [[1]] and lam = [0].
+    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, four dense products on
+    one BLAS thread, and by Sylvester's law of inertia L has as many
+    nonpositive eigenvalues as the pencil has nonpositive entries.  With
+    V = V_0 x V_1 and P = diag(pencil), L^{-1} = V P^{-1} V^T = C C^T for
+    C = V P^{-1/2}, so for a positive pencil the Gram form
+    C^T C = P^{-1/2} (G_0 x G_1) P^{-1/2}, G_d = V_d^T V_d, has exactly the
+    spectrum of L^{-1} and is applied with two dense products.  A 1-D
+    operator carries a second axis with one node, V = G = [[1]] and
+    lam = [0].
     """
 
     vectors: tuple[np.ndarray, np.ndarray]
+    grams: tuple[np.ndarray, np.ndarray]  # G_d = V_d^T V_d
     pencil: np.ndarray  # lam_0[i] + lam_1[j] on the interior nodes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         v0, v1 = self.vectors
-        y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
-        return (v0 @ y @ v1.T).reshape(-1)
+        with _one_blas_thread():
+            y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
+            return (v0 @ y @ v1.T).reshape(-1)
 
 
 class _AxisStencil(NamedTuple):
@@ -364,6 +446,8 @@ class SparseOperator:
                                                       repr=False, compare=False)
     min_eigenvalue: Optional[float] = field(default=None, init=False, repr=False,
                                             compare=False)
+    probe_steps: Optional[int] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def pattern_symmetric(self) -> bool:
@@ -408,7 +492,8 @@ class SparseOperator:
             if not np.all(np.isfinite(pencil) & (pencil != 0)):
                 raise NonConvergence("separable factorization is singular: a pencil "
                                      "eigenvalue lam_i + mu_j is zero or not finite")
-            self._factorization = SeparableFactor((v0, v1), pencil)
+            self._factorization = SeparableFactor((v0, v1), (v0.T @ v0, v1.T @ v1),
+                                                  pencil)
         return self._factorization
 
     def smallest_eigenvalue(self) -> float:
@@ -417,9 +502,13 @@ class SparseOperator:
         The factorization is a congruence to the diagonal pencil, so by
         Sylvester's law of inertia the number of nonpositive pencil entries
         is the number of nonpositive eigenvalues; IndefiniteOperator reports
-        it when it is not zero.  Otherwise the smallest eigenvalue is the one
-        nearest 0, found by shift-invert Lanczos with the factorization's
-        solve from a fixed start vector, so the value repeats run to run.
+        it when it is not zero.  Otherwise the smallest eigenvalue is
+        1 / theta_max for the largest eigenvalue theta_max of the factor's
+        Gram form B = P^{-1/2} (G_0 x G_1) P^{-1/2}, which has the spectrum of
+        L^{-1} (SeparableFactor).  Lanczos finds theta_max from a fixed start
+        vector, so the value repeats run to run; each step applies B as
+        Z -> s (G_0 (s Z) G_1), s = pencil^{-1/2}, two dense products on one
+        BLAS thread.  probe_steps records the number of B applications.
         """
         if self.min_eigenvalue is None:
             fac = self.factor()
@@ -429,17 +518,26 @@ class SparseOperator:
                     f"symmetrized operator has {count} nonpositive eigenvalues "
                     "(inertia of its fast-diagonalization pencil); the discrete "
                     "problem is not coercive")
-            inverse = spla.LinearOperator(self.matrix.shape, matvec=fac.solve,
-                                          dtype=float)
+            s = 1.0 / np.sqrt(fac.pencil)
+            g0, g1 = fac.grams
+            steps = 0
+
+            def gram_form(z):
+                nonlocal steps
+                steps += 1
+                return (s * (g0 @ (s * z.reshape(s.shape)) @ g1)).reshape(-1)
+
+            form = spla.LinearOperator(self.matrix.shape, matvec=gram_form, dtype=float)
             try:
-                vals = spla.eigsh(
-                    self.matrix, k=1, sigma=0.0, which="LM", OPinv=inverse,
-                    tol=1e-4, v0=np.ones(self.n_unknowns),
-                    return_eigenvectors=False,
-                )
+                with _one_blas_thread():
+                    vals = spla.eigsh(form, k=1, which="LA", tol=1e-4,
+                                      v0=np.ones(self.n_unknowns),
+                                      return_eigenvectors=False)
             except spla.ArpackError as exc:
                 raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
-            self.min_eigenvalue = float(vals[0])
+            finally:
+                self.probe_steps = steps
+            self.min_eigenvalue = float(1.0 / vals[0])
         return self.min_eigenvalue
 
 
@@ -552,6 +650,7 @@ class SweepRow:
     shape: tuple[int, ...]
     error: Optional[str] = None
     min_eigenvalue: Optional[float] = None  # coercivity probe, when one ran
+    probe_steps: Optional[int] = None  # its operator applications
 
 
 def exhaustion_sweep(
@@ -598,10 +697,11 @@ def exhaustion_sweep(
             if on_error == "raise":
                 raise
             rows.append(SweepRow(eps, math.nan, math.nan, math.nan, math.nan,
-                                 grid.shape, error=str(exc)))
+                                 grid.shape, error=str(exc), probe_steps=op.probe_steps))
             continue
         rows.append(SweepRow(eps, nu, nf, nu / nf, mms, grid.shape,
-                             min_eigenvalue=op.min_eigenvalue))
+                             min_eigenvalue=op.min_eigenvalue,
+                             probe_steps=op.probe_steps))
     return rows
 
 

@@ -140,7 +140,7 @@ class TestSolveAndSweep:
 
     def test_solve_at_256_nodes(self, tmp_path):
         # the ARPACK smallest-algebraic probe used to exhaust its iteration
-        # cap on this grid; shift-invert on the factorization converges
+        # cap on this grid; Lanczos on the factor's Gram form converges
         code = run(tmp_path, "solve", "--nodes", "256", "--eps", "0.05")
         assert code == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
@@ -175,6 +175,27 @@ class TestSolveAndSweep:
         assert run(tmp_path, "solve", "--nodes", "24", "--K", "6") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
         assert payload["min_eigenvalue"] is None
+
+    def test_summaries_record_probe_steps_and_blas_threads(self, tmp_path):
+        from cusplab.solver import _openblas_threads
+
+        cap = None if _openblas_threads() is None else 1
+        assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["probe_steps"] > 0
+        assert payload["blas_threads"] == cap
+        assert run(tmp_path, "solve", "--nodes", "24", "--K", "6") == EXIT_PASS
+        payload = json.loads((tmp_path / "solve_summary.json").read_text())
+        assert payload["probe_steps"] is None
+        assert run(tmp_path, "sweep", "--eps", "0.2,0.1,0.05", "--nodes", "24") == EXIT_PASS
+        payload = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert len(payload["probe_steps"]) == 3
+        assert all(steps > 0 for steps in payload["probe_steps"])
+        assert payload["blas_threads"] == cap
+        assert run(tmp_path, "sweep", "--eps", "0.2,0.1", "--nodes", "24",
+                   "--K", "6") == EXIT_PASS
+        payload = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert payload["probe_steps"] == [None, None]
 
     def test_indefinite_flag_reports_numerical_failure(self, tmp_path):
         code = run(tmp_path, "solve", "--expect-indefinite", "--nodes", "16")

@@ -56,6 +56,34 @@ class TestGrids:
         m = maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=16)
         assert m.ndim == 1
 
+    def test_large_uniform_grids_construct(self):
+        # np.linspace spacings on these axes differ by up to 1.3e-12 relative,
+        # the rounding of the node coordinates; nothing is assembled here
+        g = cusp_grid(CUSP, 0.1, nodes=4096)
+        assert g.shape == (4096, 4096)
+        c = collar_grid(Chart.collar(4), 0.05, nodes=16384)
+        assert c.shape == (16384, 16384)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nonuniform_axis_rejected(self, axis):
+        from cusplab.solver import Grid2D
+
+        axes = [ax.copy() for ax in cusp_grid(CUSP, 0.1, nodes=64).axes]
+        axes[axis][20] += 1e-9 * (axes[axis][1] - axes[axis][0])
+        with pytest.raises(ValueError, match="spacing must be uniform"):
+            Grid2D(CUSP, ("r", "theta0"), tuple(axes), 0.1)
+
+    @pytest.mark.parametrize("chart, axes", [
+        (CUSP, (np.linspace(0.3, 0.9, 12), np.linspace(0.2, 1.3, 12))),
+        (Chart.collar(4), (np.linspace(0.09, 0.9, 12), np.linspace(-1.0, 1.0, 12))),
+    ], ids=["cusp-corner", "collar-face"])
+    def test_grid_below_eps_rejected(self, chart, axes):
+        from cusplab.solver import Grid2D
+
+        names = ("r", "theta0") if chart is CUSP else ("rho", "y")
+        with pytest.raises(ValueError, match="leaves the exhaustion domain"):
+            Grid2D(chart, names, axes, 0.1)
+
 
 class TestAssembly:
     def test_constant_maps_to_K_exactly(self):
@@ -310,6 +338,109 @@ class TestFactorOnce:
         grid = cusp_grid(CUSP, 0.05, nodes=48)
         values = {assemble(grid, -2.0).smallest_eigenvalue() for _ in range(8)}
         assert len(values) == 1
+
+
+class TestGramProbe:
+    """The coercivity probe runs Lanczos on the factor's Gram form
+    P^{-1/2} (G_0 x G_1) P^{-1/2}, which has the spectrum of L^{-1}."""
+
+    GRIDS = {
+        "cusp": cusp_grid(CUSP, 0.05, nodes=40),
+        "collar": collar_grid(Chart.collar(4), 0.05, nodes=30),
+        "maximal": maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=200),
+    }
+
+    @pytest.mark.parametrize("K", [-2.0, 1.0])
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_matches_dense_eigenvalue(self, kind, K):
+        op = assemble(self.GRIDS[kind], K)
+        want = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        assert op.smallest_eigenvalue() == pytest.approx(want, rel=1e-9)
+        assert op.probe_steps > 0
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_gram_form_has_the_spectrum_of_the_inverse(self, kind):
+        op = assemble(self.GRIDS[kind], -2.0)
+        fac = op.factor()
+        v0, v1 = fac.vectors
+        c = np.kron(v0, v1) / np.sqrt(fac.pencil.reshape(-1))
+        assert np.allclose(c @ c.T, np.linalg.inv(op.matrix.toarray()), rtol=0,
+                           atol=1e-12 * np.abs(c @ c.T).max())
+        g0, g1 = fac.grams
+        assert np.array_equal(g0, v0.T @ v0) and np.array_equal(g1, v1.T @ v1)
+
+    def test_probe_makes_no_factor_solve(self, monkeypatch):
+        import cusplab.solver as sv
+
+        def refuse(self, rhs):
+            raise AssertionError("the probe called SeparableFactor.solve")
+
+        monkeypatch.setattr(sv.SeparableFactor, "solve", refuse)
+        op = assemble(self.GRIDS["cusp"], -2.0)
+        assert op.smallest_eigenvalue() > 0
+
+    def test_no_probe_no_steps(self):
+        op = assemble(self.GRIDS["cusp"], 6.0)
+        solve_dirichlet(op, np.ones(op.grid.shape))
+        assert op.probe_steps is None and op.min_eigenvalue is None
+
+
+@pytest.fixture
+def blas_threads():
+    """The solver's OpenBLAS (get, set) pair, set to two threads for the test
+    so that a cap left in place shows; the prior count comes back after."""
+    import cusplab.solver as sv
+
+    threads = sv._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS the solver can bind; "
+                    "the solver leaves BLAS as it is")
+    get, set_ = threads
+    prior = get()
+    set_(2)
+    yield get
+    set_(prior)
+
+
+class TestBlasThreadCap:
+    def test_cap_reported(self, blas_threads):
+        from cusplab.solver import blas_thread_cap
+
+        assert blas_thread_cap() == 1
+
+    def test_probe_runs_on_one_thread(self, blas_threads, monkeypatch):
+        import cusplab.solver as sv
+
+        seen, eigsh = [], sv.spla.eigsh
+
+        def watched(*args, **kwargs):
+            seen.append(blas_threads())
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sv.spla, "eigsh", watched)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
+        op.smallest_eigenvalue()
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_after_solve(self, blas_threads):
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=24), 6.0)
+        solve_dirichlet(op, np.ones(op.grid.shape))
+        assert blas_threads() == 2
+
+    def test_count_restored_after_nonconvergence(self, blas_threads, monkeypatch):
+        import cusplab.solver as sv
+
+        def failing(*args, **kwargs):
+            raise sv.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                              np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(sv.spla, "eigsh", failing)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
+        with pytest.raises(NonConvergence):
+            op.smallest_eigenvalue()
+        assert blas_threads() == 2
+        assert op.probe_steps == 0
 
 
 class TestSeparableFactor:
