@@ -337,7 +337,7 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     finally:  # the coercivity probe's estimate and steps; null when K >= 0
         rep.extra["min_eigenvalue"] = op.min_eigenvalue
         rep.extra["probe_steps"] = op.probe_steps
-        rep.extra["blas_threads"] = solver.blas_thread_cap()
+        rep.extra["blas_threads"] = solver.solve_blas_threads(max(grid.shape))
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
     mp = solver.maximum_principle_check(op, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
@@ -368,7 +368,7 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
                          "error"], table)
     rep.extra["min_eigenvalues"] = [r.min_eigenvalue for r in rows]
     rep.extra["probe_steps"] = [r.probe_steps for r in rows]
-    rep.extra["blas_threads"] = solver.blas_thread_cap()
+    rep.extra["blas_threads"] = solver.solve_blas_threads(cfg.nodes)
     failures = [r for r in rows if r.error is not None]
     if failures:
         raise solver.NonConvergence(

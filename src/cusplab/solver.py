@@ -11,11 +11,14 @@ fast-diagonalization factor (one generalized eigendecomposition per axis,
 serving the coercivity check and every solve) are all read off those
 stencils.
 
-The factor's dense products are small (one side of the grid squared), and
-OpenBLAS spreads even these over every thread it has for no gain in wall
-time; they run with the OpenBLAS instance numpy loaded capped at one
-thread, restored afterwards.  When numpy loaded no OpenBLAS the solver can
-find, BLAS is left as it is.
+The factor's dense products are (n - 2) x (n - 2) on a grid of n nodes per
+axis.  Timed on 2 vCPUs, the OpenBLAS instance numpy loaded ran them faster
+capped at one thread than on both in the coercivity probe at every size
+tried (96 to 1536 nodes) and in the solves up to 768 nodes, and slower in
+the solves from 896 nodes.  So the probe, and the solves on grids of up to
+ONE_THREAD_NODES nodes per axis, run capped, the previous count restored
+afterwards; wider solves keep every thread.  When numpy loaded no OpenBLAS
+the solver can find, BLAS is left as it is.
 """
 
 from __future__ import annotations
@@ -92,18 +95,32 @@ def _openblas_threads():
     return None
 
 
-def blas_thread_cap() -> Optional[int]:
-    """Thread count the solver's dense products run with: 1, or None when no
-    OpenBLAS was found and BLAS is left as it is."""
-    return None if _openblas_threads() is None else 1
+# Widest grid, in nodes per axis, whose factor solves run on one OpenBLAS
+# thread.  Timed on 2 vCPUs with `sweep --K 6` (solves only, no probe):
+# capped it took 0.69 s against 0.97 s at 640 nodes and 1.10 s against
+# 1.25 s at 768, but 1.67 s against 1.60 s at 896 and 2.43 s against 2.08 s
+# at 1024.  The probe is capped at every size: it was faster capped on every
+# grid timed, 96 to 1536 nodes (5.2 s against 5.6 s at 1536).
+ONE_THREAD_NODES = 832
+
+
+def solve_blas_threads(nodes: int) -> Optional[int]:
+    """OpenBLAS thread count of the factor solves on a grid whose widest axis
+    has `nodes` nodes: 1 up to ONE_THREAD_NODES, the count of numpy's
+    OpenBLAS above, None when no OpenBLAS was found and BLAS is left as it
+    is."""
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    return 1 if nodes <= ONE_THREAD_NODES else threads[0]()
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Cap OpenBLAS at one thread for the block; the previous count is
-    restored however the block ends."""
+def _one_blas_thread(cap: bool = True):
+    """Cap OpenBLAS at one thread for the block when cap is true; the
+    previous count is restored however the block ends."""
     threads = _openblas_threads()
-    if threads is None:
+    if threads is None or not cap:
         yield
         return
     get, set_ = threads
@@ -338,8 +355,9 @@ class SeparableFactor:
     tridiagonal S_d and positive diagonal M_d.  Each axis has one generalized
     eigendecomposition S_d V_d = M_d V_d diag(lam_d) with V_d^T M_d V_d = I,
     so (V_0 x V_1)^T L (V_0 x V_1) = diag(lam_0[i] + lam_1[j]), the pencil.
-    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, four dense products on
-    one BLAS thread, and by Sylvester's law of inertia L has as many
+    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, four dense products
+    (on one BLAS thread up to ONE_THREAD_NODES nodes per axis), and by
+    Sylvester's law of inertia L has as many
     nonpositive eigenvalues as the pencil has nonpositive entries.  With
     V = V_0 x V_1 and P = diag(pencil), L^{-1} = V P^{-1} V^T = C C^T for
     C = V P^{-1/2}, so for a positive pencil the Gram form
@@ -350,12 +368,12 @@ class SeparableFactor:
     """
 
     vectors: tuple[np.ndarray, np.ndarray]
-    grams: tuple[np.ndarray, np.ndarray]  # G_d = V_d^T V_d
     pencil: np.ndarray  # lam_0[i] + lam_1[j] on the interior nodes
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         v0, v1 = self.vectors
-        with _one_blas_thread():
+        # the grid's nodes per axis are the interior's plus its two boundary nodes
+        with _one_blas_thread(max(self.pencil.shape) + 2 <= ONE_THREAD_NODES):
             y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
             return (v0 @ y @ v1.T).reshape(-1)
 
@@ -492,8 +510,7 @@ class SparseOperator:
             if not np.all(np.isfinite(pencil) & (pencil != 0)):
                 raise NonConvergence("separable factorization is singular: a pencil "
                                      "eigenvalue lam_i + mu_j is zero or not finite")
-            self._factorization = SeparableFactor((v0, v1), (v0.T @ v0, v1.T @ v1),
-                                                  pencil)
+            self._factorization = SeparableFactor((v0, v1), pencil)
         return self._factorization
 
     def smallest_eigenvalue(self) -> float:
@@ -519,7 +536,6 @@ class SparseOperator:
                     "(inertia of its fast-diagonalization pencil); the discrete "
                     "problem is not coercive")
             s = 1.0 / np.sqrt(fac.pencil)
-            g0, g1 = fac.grams
             steps = 0
 
             def gram_form(z):
@@ -530,6 +546,7 @@ class SparseOperator:
             form = spla.LinearOperator(self.matrix.shape, matvec=gram_form, dtype=float)
             try:
                 with _one_blas_thread():
+                    g0, g1 = (v.T @ v for v in fac.vectors)
                     vals = spla.eigsh(form, k=1, which="LA", tol=1e-4,
                                       v0=np.ones(self.n_unknowns),
                                       return_eigenvectors=False)

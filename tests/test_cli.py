@@ -177,9 +177,10 @@ class TestSolveAndSweep:
         assert payload["min_eigenvalue"] is None
 
     def test_summaries_record_probe_steps_and_blas_threads(self, tmp_path):
-        from cusplab.solver import _openblas_threads
+        from cusplab.solver import solve_blas_threads
 
-        cap = None if _openblas_threads() is None else 1
+        cap = solve_blas_threads(24)
+        assert cap in (None, 1)
         assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
         assert payload["probe_steps"] > 0

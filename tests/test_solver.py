@@ -366,8 +366,9 @@ class TestGramProbe:
         c = np.kron(v0, v1) / np.sqrt(fac.pencil.reshape(-1))
         assert np.allclose(c @ c.T, np.linalg.inv(op.matrix.toarray()), rtol=0,
                            atol=1e-12 * np.abs(c @ c.T).max())
-        g0, g1 = fac.grams
-        assert np.array_equal(g0, v0.T @ v0) and np.array_equal(g1, v1.T @ v1)
+        s = 1.0 / np.sqrt(fac.pencil.reshape(-1))
+        gram_form = s[:, None] * np.kron(v0.T @ v0, v1.T @ v1) * s[None, :]
+        assert np.allclose(c.T @ c, gram_form, rtol=0, atol=1e-12 * np.abs(gram_form).max())
 
     def test_probe_makes_no_factor_solve(self, monkeypatch):
         import cusplab.solver as sv
@@ -404,9 +405,28 @@ def blas_threads():
 
 class TestBlasThreadCap:
     def test_cap_reported(self, blas_threads):
-        from cusplab.solver import blas_thread_cap
+        from cusplab.solver import ONE_THREAD_NODES, solve_blas_threads
 
-        assert blas_thread_cap() == 1
+        assert solve_blas_threads(ONE_THREAD_NODES) == 1
+        assert solve_blas_threads(ONE_THREAD_NODES + 1) == 2
+
+    @pytest.mark.parametrize("nodes, calls", [(10, [1, 2]), (11, [])])
+    def test_solve_capped_up_to_threshold(self, blas_threads, monkeypatch, nodes, calls):
+        import cusplab.solver as sv
+
+        get, set_ = sv._openblas_threads()
+        seen = []
+
+        def recording_set(n):
+            seen.append(n)
+            set_(n)
+
+        monkeypatch.setattr(sv, "_openblas_threads", lambda: (get, recording_set))
+        monkeypatch.setattr(sv, "ONE_THREAD_NODES", 10)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=nodes), 6.0)
+        solve_dirichlet(op, np.ones(op.grid.shape))
+        assert seen == calls * 2  # the solve and its refinement step
+        assert blas_threads() == 2
 
     def test_probe_runs_on_one_thread(self, blas_threads, monkeypatch):
         import cusplab.solver as sv
