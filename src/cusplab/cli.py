@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -122,8 +123,10 @@ OPTIONS = (
     Option("nodes", "--nodes", _checked(int, lambda v: v > 0, "must be positive"),
            48, ("solve", "sweep")),
     Option("refine", "--refine",
-           _checked(_ints, lambda v: len(v) >= 2,
-                    "an identity order needs at least two refinements"),
+           _checked(_ints,
+                    lambda v: len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])),
+                    "an identity order needs at least two strictly increasing "
+                    "node counts"),
            (17, 33, 65), ("koiso",), "comma-separated node counts"),
     Option("step", "--step", _checked(_finite, lambda v: v > 0, "must be positive"),
            1e-3, ("curvature", "expand")),
@@ -197,7 +200,8 @@ class Report:
         }
         path = self.cfg.out_dir / f"{self.cfg.subcommand}_summary.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=_jsonify)
+            json.dump(_finite_or_null(payload), fh, indent=2, default=_jsonify,
+                      allow_nan=False)
         print(f"summary: {path}")
 
     @property
@@ -205,11 +209,23 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float written as None (JSON null): JSON
+    has no NaN or Infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _finite_or_null(obj.tolist())
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _jsonify(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -328,10 +344,11 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     chart = Chart.intermediate_cusp(cfg.n, cfg.f)
     w = _resolve_weights(cfg)
     grid = solver.cusp_grid(chart, cfg.eps[0], nodes=cfg.nodes)
+    f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
+    solver.check_source(f_field)
     if cfg.expect_indefinite:
         cfg.K = -50.0  # the K this run uses, and so the K its summary records
     op = solver.assemble(grid, cfg.K)
-    f_field = solver.sample_field(grid, solver.default_bump_recipe(w))
     try:
         u = solver.solve_dirichlet(op, f_field)
     finally:  # the coercivity probe's estimate and steps; null when K >= 0
@@ -474,7 +491,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: main runs every call on it."""
     ap = argparse.ArgumentParser(
         prog="cusplab",
         description="verification runs for hyperbolic metrics with cusp ends",

@@ -6,10 +6,10 @@ data independent of the remaining angles the reduction is exact because the
 transverse Laplacian blocks annihilate such functions.  Multiplying through
 by the volume density gives a symmetric form, and every such form is a
 Kronecker sum of 1-D tridiagonal stencils, one per axis, built once per
-grid.  The sparse matrix, the pointwise apply with Dirichlet data and the
-fast-diagonalization factor (one generalized eigendecomposition per axis,
-serving the coercivity check and every solve) are all read off those
-stencils.
+grid (a one-axis grid gets a second axis of one node).  No matrix is
+assembled: the form's product, the pointwise apply with Dirichlet data and
+the fast-diagonalization factor (one generalized eigendecomposition per
+axis, serving the coercivity check and every solve) all read the stencils.
 
 The factor's dense products are (n - 2) x (n - 2) on a grid of n nodes per
 axis.  Timed on 2 vCPUs, the OpenBLAS instance numpy loaded ran them faster
@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
@@ -45,6 +44,7 @@ from .charts import (
     NonConvergence,
     smooth_bump,
 )
+from .tensorcalc import _nabla
 from .weights import (
     WeightVector,
     cusp_margin,
@@ -185,14 +185,8 @@ class Grid2D:
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     def interior_mask(self) -> np.ndarray:
-        m = np.ones(self.shape, dtype=bool)
-        for d in range(self.ndim):
-            idx_lo = [slice(None)] * self.ndim
-            idx_hi = [slice(None)] * self.ndim
-            idx_lo[d] = 0
-            idx_hi[d] = -1
-            m[tuple(idx_lo)] = False
-            m[tuple(idx_hi)] = False
+        m = np.zeros(self.shape, dtype=bool)
+        m[(slice(1, -1),) * self.ndim] = True
         return m
 
     # -- chart-geometry samples on nodes ---------------------------------
@@ -346,6 +340,19 @@ def sample_field(grid: Grid2D, fn: Callable) -> DiscreteField:
     return DiscreteField(grid, fn(*pts))
 
 
+def check_source(f: DiscreteField) -> None:
+    """Raise ValueError unless the sampled source is zero on every boundary
+    node, where the solves impose zero data (SupportViolation), and nonzero
+    on some interior node, or |f|_mu = 0 leaves |u|_mu / |f|_mu undefined."""
+    inner = f.grid.interior_mask()
+    if np.any(f.values[~inner]):
+        raise SupportViolation(f"at eps = {f.grid.eps}: the source is nonzero on a "
+                               "boundary node, where the solve imposes zero data")
+    if not np.any(f.values[inner]):
+        raise ValueError(f"at eps = {f.grid.eps}: the source is zero on every "
+                         "interior node of the grid")
+
+
 @dataclass(frozen=True)
 class SeparableFactor:
     """Fast-diagonalization factorization of a separable Dirichlet operator
@@ -394,12 +401,6 @@ class _AxisStencil(NamedTuple):
         c = self.coupling
         return c[:-1] + c[1:] + self.potential
 
-    def tridiagonal(self) -> sp.dia_matrix:
-        """T = tridiag(-c, c[:-1] + c[1:] + potential, -c), the Dirichlet
-        flux stencil on the interior nodes."""
-        off = -self.coupling[1:-1]
-        return sp.diags([off, self.diagonal, off], [-1, 0, 1])
-
     def eigenpairs(self):
         """(lam, V) with T V = diag(mass) V diag(lam) and V^T diag(mass) V = I."""
         s = 1.0 / np.sqrt(self.mass)
@@ -413,12 +414,13 @@ def _axis_stencils(grid: Grid2D, K: float):
     factors of W on the interior nodes, from one _flux_factors call on the
     interior nodes and one on the midpoints.
 
-    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] the interior matrix is
+    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] the interior form is
     T_0 x diag(a[0][1]) + diag(a[1][0]) x T_1 + K diag(w_0) x diag(w_1),
     T_d the flux stencil of a[d][d].  The K W term joins the axis whose
     partner's mass is also its W factor: theta0 on the cusp (w_r = a[1][0]),
     rho on the Euclidean collar (w_y = a[0][1] = 1).  A one-axis operator is
-    T_0 + K diag(w_0) with unit mass.
+    T_0 + K diag(w_0) with unit mass, and its second stencil has one node,
+    unit mass and no couplings.
     """
     inner = [ax[1:-1] for ax in grid.axes]
     w, a = _flux_factors(grid.chart, inner)
@@ -430,24 +432,27 @@ def _axis_stencils(grid: Grid2D, K: float):
         fold = 1 if np.array_equal(w[0], masses[0]) else 0
         if not np.array_equal(w[1 - fold], masses[1 - fold]):
             raise ValueError(f"K W is not separable on a {grid.chart.kind} grid")
-    stencils = tuple(
+    stencils = [
         _AxisStencil(a_mid[d][d] / (dx * dx),
                      K * w[d] if d == fold else np.zeros(len(inner[d])), masses[d])
-        for d, dx in enumerate(grid.spacing))
-    return stencils, w
+        for d, dx in enumerate(grid.spacing)]
+    if grid.ndim == 1:
+        stencils.append(_AxisStencil(np.zeros(2), np.zeros(1), np.ones(1)))
+    return tuple(stencils), w
 
 
 @dataclass
 class SparseOperator:
-    """Discrete Delta + K with Dirichlet rows eliminated, built from one
-    stencil per axis (coupling c_d, potential p_d, mass m_d).
+    """Discrete Delta + K with Dirichlet rows eliminated, kept as one
+    stencil per axis (coupling c_d, potential p_d, mass m_d) and never
+    assembled.
 
-    matrix is the symmetric weighted form on the interior unknowns, the
-    Kronecker sum L = T_0 x diag(m_1) + diag(m_0) x T_1 of the tridiagonals
-    T_d = tridiag(-c_d, c_d[:-1] + c_d[1:] + p_d, -c_d); weight is the volume
-    density W on the interior nodes, and the pointwise operator is
-    diag(1/W) L with the Dirichlet values entering through the edge
-    couplings (apply_to_values).
+    The symmetric weighted form on the interior unknowns is the Kronecker
+    sum L = T_0 x diag(m_1) + diag(m_0) x T_1 of the tridiagonals
+    T_d = tridiag(-c_d, c_d[:-1] + c_d[1:] + p_d, -c_d), applied by form;
+    weight is the volume density W on the interior nodes, and the pointwise
+    operator is diag(1/W) L with the Dirichlet values entering through the
+    edge couplings (apply_to_values).
 
     The operator is factored at most once: the coercivity decision, the
     eigenvalue probe and every solve share one SeparableFactor, whose
@@ -456,7 +461,6 @@ class SparseOperator:
 
     grid: Grid2D
     K: float
-    matrix: sp.csr_matrix
     weight: np.ndarray
     interior: np.ndarray  # flat indices of interior nodes
     stencils: tuple[_AxisStencil, ...]
@@ -468,28 +472,42 @@ class SparseOperator:
                                        compare=False)
 
     @property
-    def pattern_symmetric(self) -> bool:
-        d = (self.matrix - self.matrix.T).tocoo()
-        return len(d.data) == 0 or float(np.abs(d.data).max()) < 1e-10
-
-    @property
     def n_unknowns(self) -> int:
         return len(self.interior)
 
+    def form(self, x: np.ndarray) -> np.ndarray:
+        """L x for interior values x in flat node order, stencil by stencil:
+        row (i, j) sums from zero its terms at (i-1, j), (i, j-1), (i, j),
+        (i, j+1), (i+1, j) in turn, with couplings (-c_0) m_1 and m_0 (-c_1)
+        and diagonal d_0[i] m_1[j] + m_0[i] d_1[j], as a CSR product with the
+        assembled L would, to the last bit."""
+        s0, s1 = self.stencils
+        m0, m1 = s0.mass[:, None], s1.mass
+        x = x.reshape(len(m0), len(m1))
+        off0 = -s0.coupling[1:-1, None] * m1
+        off1 = m0 * -s1.coupling[1:-1]
+        out = np.zeros(x.shape)
+        out[1:] += off0 * x[:-1]
+        out[:, 1:] += off1 * x[:, :-1]
+        out += (s0.diagonal[:, None] * m1 + m0 * s1.diagonal) * x
+        out[:, :-1] += off1 * x[:, 1:]
+        out[:-1] += off0 * x[1:]
+        return out.reshape(-1)
+
     def apply_to_values(self, values: np.ndarray) -> np.ndarray:
         """(Delta + K) applied to node values, returned on interior nodes:
-        matrix acts on the interior values, and the Dirichlet values enter
+        form acts on the interior values, and the Dirichlet values enter
         through each stencil's two edge couplings, scaled by the other
         axis's mass; the sum is divided by W."""
         v = values.reshape(self.grid.shape)
         core = (slice(1, -1),) * v.ndim
-        out = (self.matrix @ v[core].reshape(-1)).reshape(v[core].shape)
-        for d, st in enumerate(self.stencils):
-            other_mass = self.stencils[1 - d].mass if v.ndim == 2 else 1.0
+        out = self.form(v[core]).reshape(len(self.stencils[0].mass), -1)
+        for d in range(v.ndim):
             for side in (0, -1):
                 face, row = list(core), [slice(None)] * v.ndim
                 face[d], row[d] = side, side
-                out[tuple(row)] -= st.coupling[side] * v[tuple(face)] * other_mass
+                out[tuple(row)] -= (self.stencils[d].coupling[side] * v[tuple(face)]
+                                    * self.stencils[1 - d].mass)
         return out.reshape(-1) / self.weight
 
     def factor(self) -> SeparableFactor:
@@ -500,12 +518,9 @@ class SparseOperator:
         eigenvalue raises NonConvergence."""
         if self._factorization is None:
             try:
-                pairs = [st.eigenpairs() for st in self.stencils]
+                (lam0, v0), (lam1, v1) = [st.eigenpairs() for st in self.stencils]
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
-            if len(pairs) == 1:
-                pairs.append((np.zeros(1), np.ones((1, 1))))
-            (lam0, v0), (lam1, v1) = pairs
             pencil = lam0[:, None] + lam1[None, :]
             if not np.all(np.isfinite(pencil) & (pencil != 0)):
                 raise NonConvergence("separable factorization is singular: a pencil "
@@ -543,7 +558,7 @@ class SparseOperator:
                 steps += 1
                 return (s * (g0 @ (s * z.reshape(s.shape)) @ g1)).reshape(-1)
 
-            form = spla.LinearOperator(self.matrix.shape, matvec=gram_form, dtype=float)
+            form = spla.LinearOperator((self.n_unknowns,) * 2, gram_form, dtype=float)
             try:
                 with _one_blas_thread():
                     g0, g1 = (v.T @ v for v in fac.vectors)
@@ -561,22 +576,15 @@ class SparseOperator:
 def assemble(grid: Grid2D, K: float) -> SparseOperator:
     """Second-order flux-form discretization of Delta + K on the grid.
 
-    The matrix is the weighted symmetric form, row i holding
-    W_i ((Delta + K) u)_i: the Kronecker sum T_0 x diag(m_1) + diag(m_0) x T_1
-    of the per-axis Dirichlet stencils (T_0 alone on a one-axis grid), so
-    applying it to a constant returns K * W * const.
+    The operator is its per-axis Dirichlet stencils; its weighted symmetric
+    form (SparseOperator.form), row i holding W_i ((Delta + K) u)_i, is the
+    Kronecker sum T_0 x diag(m_1) + diag(m_0) x T_1 of their tridiagonals,
+    so applying it to a constant returns K * W * const.
     """
     stencils, w = _axis_stencils(grid, K)
-    if grid.ndim == 1:
-        matrix = stencils[0].tridiagonal().tocsr()
-    else:
-        s0, s1 = stencils
-        matrix = (sp.kron(s0.tridiagonal(), sp.diags(s1.mass), format="csr")
-                  + sp.kron(sp.diags(s0.mass), s1.tridiagonal(), format="csr"))
     return SparseOperator(
         grid=grid,
         K=K,
-        matrix=matrix,
         weight=functools.reduce(np.multiply.outer, w).reshape(-1),
         interior=np.flatnonzero(grid.interior_mask()),
         stencils=stencils,
@@ -587,12 +595,12 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
     """Solve (Delta + K) u = f with zero Dirichlet data on all grid sides.
 
     The solve applies the operator's cached fast-diagonalization factor
-    (SparseOperator.factor) and refines once against the assembled matrix,
-    x += solve(rhs - A x).  For K < 0 coercivity is checked first
-    (SparseOperator.smallest_eigenvalue) and an IndefiniteOperator error
-    raised when the symmetric form is not positive.  A pointwise residual
-    above 1e-8 |f|, or a non-finite one, raises NonConvergence with that
-    residual.
+    (SparseOperator.factor) and refines once against the symmetric form,
+    x += solve(rhs - L x) (SparseOperator.form).  For K < 0 coercivity is
+    checked first (SparseOperator.smallest_eigenvalue) and an
+    IndefiniteOperator error raised when the symmetric form is not positive.
+    A pointwise residual above 1e-8 |f|, or a non-finite one, raises
+    NonConvergence with that residual.
     """
     fv = f.values if isinstance(f, DiscreteField) else np.asarray(f, dtype=float)
     fv = fv.reshape(-1)
@@ -608,7 +616,7 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
 
     fac = op.factor()
     x = fac.solve(rhs)
-    x += fac.solve(rhs - op.matrix @ x)
+    x += fac.solve(rhs - op.form(x))
     full = np.zeros(int(np.prod(op.grid.shape)))
     full[op.interior] = x
 
@@ -624,12 +632,8 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
 def weighted_sup_norm(u: DiscreteField, w: WeightVector) -> float:
     """Weighted sup norm max |u| / sigma^mu over the grid nodes; tensor-mode
     fields are reduced to the pointwise metric norm of their components."""
-    smu = u.grid.sigma_mu(w)
-    if u.is_tensor:
-        vals = _pointwise_tensor_norm(u)
-    else:
-        vals = np.abs(u.values)
-    return float((vals / smu).max())
+    vals = _pointwise_tensor_norm(u) if u.is_tensor else np.abs(u.values)
+    return float((vals / u.grid.sigma_mu(w)).max())
 
 
 def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
@@ -690,6 +694,8 @@ def exhaustion_sweep(
 
     Solver failures propagate per eps: with on_error='record' the row keeps
     the error message and the sweep continues, so partial tables survive.
+    A source that leaves the grid or touches its boundary raises ValueError
+    (check_source) in either mode.
     """
     if any(b >= a for a, b in zip(eps_list, list(eps_list)[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -698,8 +704,9 @@ def exhaustion_sweep(
     rows = []
     for eps in eps_list:
         grid = cusp_grid(chart, eps, nodes=nodes)
-        op = assemble(grid, K)
         f = sample_field(grid, f_recipe)
+        check_source(f)
+        op = assemble(grid, K)
         try:
             u = solve_dirichlet(op, f)
             nu = weighted_sup_norm(u, w)
@@ -785,27 +792,22 @@ def _collar_christoffels(n: int, rho: np.ndarray) -> np.ndarray:
 
 def _grid_partials(grid: Grid2D, comp: np.ndarray) -> list[np.ndarray]:
     """Central differences of node arrays along the two active axes."""
-    out = []
-    for axis in range(grid.ndim):
-        out.append(np.gradient(comp, grid.spacing[axis], axis=axis, edge_order=2))
-    return out
+    return [np.gradient(comp, h, axis=axis, edge_order=2)
+            for axis, h in enumerate(grid.spacing)]
 
 
 def _covariant_derivative(grid: Grid2D, u: np.ndarray) -> np.ndarray:
     """nabla u on the collar patch for a covariant tensor u of any rank on
     the nodes (node axes, then the slots); derivative index first,
-    nab[x, y, k, i, ...] = nabla_k u_{i ...}."""
+    nab[x, y, k, i, ...] = nabla_k u_{i ...}.  The grid differences give
+    du (zero along the inactive coordinates) and tensorcalc's nabla adds
+    the closed-form Christoffel terms."""
     _require_euclidean_collar(grid.chart)
     n = grid.chart.n
-    gam = _collar_christoffels(n, grid.meshes()[0])
-    idx = "ijpqrs"[: u.ndim - 2]
-    nab = np.zeros(grid.shape + (n,) + u.shape[2:])
+    du = np.zeros(grid.shape + (n,) + u.shape[2:])
     for axis, d in enumerate(_grid_partials(grid, u)):
-        nab[:, :, axis] = d
-    for s, c in enumerate(idx):
-        slot = idx[:s] + "m" + idx[s + 1:]
-        nab -= np.einsum(f"...mk{c},...{slot}->...k{idx}", gam, u)
-    return nab
+        du[:, :, axis] = d
+    return _nabla((_collar_christoffels(n, grid.meshes()[0]),), (u, du))[0]
 
 
 def _trapezoid_weights(grid: Grid2D) -> np.ndarray:
@@ -814,7 +816,7 @@ def _trapezoid_weights(grid: Grid2D) -> np.ndarray:
         w = np.full(len(ax), d)
         w[0] = w[-1] = d / 2.0
         ws.append(w)
-    return np.multiply.outer(*ws) if grid.ndim == 2 else ws[0]
+    return functools.reduce(np.multiply.outer, ws)
 
 
 def check_support_margin(grid: Grid2D, values: np.ndarray):
@@ -823,15 +825,10 @@ def check_support_margin(grid: Grid2D, values: np.ndarray):
     v = np.abs(values)
     while v.ndim > grid.ndim:
         v = v.max(axis=-1)
-    for axis in range(grid.ndim):
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[axis] = slice(0, 3)
-        sl_hi[axis] = slice(-3, None)
-        if v[tuple(sl_lo)].max() > 0 or v[tuple(sl_hi)].max() > 0:
-            raise SupportViolation(
-                "field support reaches within 3 nodes of the boundary"
-            )
+    band = np.ones(grid.shape, dtype=bool)
+    band[(slice(3, -3),) * grid.ndim] = False
+    if v[band].max() > 0:
+        raise SupportViolation("field support reaches within 3 nodes of the boundary")
 
 
 @dataclass

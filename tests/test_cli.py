@@ -19,6 +19,10 @@ def run(tmp_path, *argv):
     return main(["--out-dir", str(tmp_path), *argv])
 
 
+def _no_constant(name):
+    raise ValueError(f"summary holds {name}, which is not JSON")
+
+
 class TestWeightsCommand:
     def test_reference_pass(self, tmp_path, capsys):
         assert run(tmp_path, "weights", "--n", "5", "--ranks", "1,2") == EXIT_PASS
@@ -69,6 +73,10 @@ class TestBadInput:
         ("solve", "--weights", "nan,0.5"),
         ("solve", "--weights", "1.75,abc"),
         ("sweep", "--weights", "1.75,inf"),
+        ("sweep", "--eps", "0.8"),
+        ("solve", "--eps", "0.8"),
+        ("sweep", "--eps", "0.6,0.5,0.3"),
+        ("solve", "--eps", "0.3"),
     ], ids=" ".join)
     def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
@@ -78,6 +86,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("argv", [
         ("koiso", "--refine", "17"),
+        ("koiso", "--refine", "17,17"),
+        ("koiso", "--refine", "33,17,65"),
         ("expand", "--stages", "0"),
         ("solve", "--weights", "nan,0.5"),
         ("solve", "--weights", "1.75,abc"),
@@ -98,11 +108,16 @@ class TestEveryCommandWritesItsSummary:
         (("sweep", "--K", "-8", "--weights", "2.5,0.5", "--eps", "0.2,0.025",
           "--nodes", "40"), EXIT_NUMERICAL, "numerical-failure"),
         (("solve", "--nodes", "4"), EXIT_USAGE, "configuration-error"),
+        (("solve", "--expect-indefinite", "--nodes", "16"), EXIT_NUMERICAL,
+         "numerical-failure"),
+        (("sweep", "--eps", "0.8"), EXIT_USAGE, "configuration-error"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_failed_run_leaves_summary(self, tmp_path, capsys, argv, code, status):
         assert run(tmp_path, *argv) == code
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        payload = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text())
+        # strict JSON: NaN and Infinity are written as null
+        payload = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text(),
+                             parse_constant=_no_constant)
         assert payload["status"] == status
         assert payload["error"]["type"]
 
@@ -240,6 +255,15 @@ class TestConfigResolution:
         payload = json.loads((tmp_path / "weights_summary.json").read_text())
         assert payload["config"]["n"] == 4  # the flag wins over the file
         assert payload["config"]["mu0"] == 1.6
+
+    def test_parser_reused_across_calls_keeps_no_values(self, tmp_path):
+        from cusplab.cli import build_parser
+
+        assert build_parser() is build_parser()
+        assert run(tmp_path / "a", "weights", "--n", "5", "--ranks", "1,2") == EXIT_PASS
+        assert run(tmp_path / "b", "weights") == EXIT_PASS
+        payload = json.loads((tmp_path / "b" / "weights_summary.json").read_text())
+        assert payload["config"]["n"] == 4 and payload["config"]["ranks"] == [1]
 
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CUSPLAB_OUT", str(tmp_path / "envout"))

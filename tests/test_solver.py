@@ -85,13 +85,29 @@ class TestGrids:
             Grid2D(chart, names, axes, 0.1)
 
 
+def _dense_form(op):
+    """The symmetric form as a dense array, one SparseOperator.form call per
+    identity column."""
+    return np.stack([op.form(e) for e in np.eye(op.n_unknowns)], axis=1)
+
+
+def _kron_csr(op):
+    """The symmetric form assembled from the stencils as a CSR matrix,
+    kron(T_0, diag(m_1)) + kron(diag(m_0), T_1)."""
+    t0, t1 = (sp.diags([-st.coupling[1:-1], st.diagonal, -st.coupling[1:-1]],
+                       [-1, 0, 1]) for st in op.stencils)
+    m0, m1 = (sp.diags(st.mass) for st in op.stencils)
+    return sp.kron(t0, m1, format="csr") + sp.kron(m0, t1, format="csr")
+
+
 class TestAssembly:
     def test_constant_maps_to_K_exactly(self):
         grid = cusp_grid(CUSP, 0.1, nodes=16)
         op = assemble(grid, -2.0)
         out = op.apply_to_values(np.full(grid.shape, 3.0))
         assert np.abs(out + 6.0).max() < 1e-11
-        assert op.pattern_symmetric
+        dense = _dense_form(op)
+        assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("K", [-2.0, 6.0])
     def test_cusp_barrier_consistency_order(self, K):
@@ -187,14 +203,37 @@ class TestVectorizedAssembly:
         for K in (-2.0, 6.0):
             op = assemble(grid, K)
             ref_matrix, ref_rows, W = _edge_loop_assemble(grid, K)
-            assert op.matrix.shape == ref_matrix.shape
-            scale = np.abs(ref_matrix.toarray()).max()
-            assert np.abs((op.matrix - ref_matrix).toarray()).max() <= 1e-14 * scale
+            dense, ref = _dense_form(op), ref_matrix.toarray()
+            assert dense.shape == ref.shape
+            assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
             # the Dirichlet couplings: full rows on random node values
             v = rng.standard_normal(grid.shape)
             want = (ref_rows @ v.reshape(-1)) / W[interior]
             got = op.apply_to_values(v)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestStencilForm:
+    """SparseOperator.form sums each row as a CSR product with the matrix
+    assembled from the same stencils does, so the two agree to the bit."""
+
+    GRIDS = {
+        "cusp41": cusp_grid(CUSP, 0.1, nodes=16),
+        "cusp52": cusp_grid(Chart.intermediate_cusp(5, 2), 0.05, nodes=48),
+        "collar": collar_grid(Chart.collar(4), 0.05, nodes=20),
+        "maximal": maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=96),
+    }
+
+    @pytest.mark.parametrize("K", [-2.0, 6.0])
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_equals_kron_csr_product(self, kind, K):
+        op = assemble(self.GRIDS[kind], K)
+        matrix = _kron_csr(op)
+        assert matrix.shape == (op.n_unknowns,) * 2
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.standard_normal(op.n_unknowns)
+            assert np.array_equal(op.form(x), matrix @ x)
 
 
 class TestOneConstruction:
@@ -302,7 +341,7 @@ class TestFactorOnce:
     ])
     def test_indefinite_message_counts_nonpositive_eigenvalues(self, K, eps, nodes):
         op = assemble(cusp_grid(CUSP, eps, nodes=nodes), K)
-        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        dense = np.linalg.eigvalsh(_dense_form(op))
         want = int(np.count_nonzero(dense <= 0))
         assert want > 0
         with pytest.raises(IndefiniteOperator) as exc:
@@ -327,7 +366,7 @@ class TestFactorOnce:
         import cusplab.solver as sv
 
         op = assemble(cusp_grid(CUSP, 0.05, nodes=nodes), -2.0)
-        want = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        want = np.linalg.eigvalsh(_dense_form(op))[0]
         lam = op.smallest_eigenvalue()
         assert lam == pytest.approx(want, rel=1e-6)
         assert op.min_eigenvalue == lam
@@ -354,7 +393,7 @@ class TestGramProbe:
     @pytest.mark.parametrize("kind", list(GRIDS))
     def test_matches_dense_eigenvalue(self, kind, K):
         op = assemble(self.GRIDS[kind], K)
-        want = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        want = np.linalg.eigvalsh(_dense_form(op))[0]
         assert op.smallest_eigenvalue() == pytest.approx(want, rel=1e-9)
         assert op.probe_steps > 0
 
@@ -364,7 +403,7 @@ class TestGramProbe:
         fac = op.factor()
         v0, v1 = fac.vectors
         c = np.kron(v0, v1) / np.sqrt(fac.pencil.reshape(-1))
-        assert np.allclose(c @ c.T, np.linalg.inv(op.matrix.toarray()), rtol=0,
+        assert np.allclose(c @ c.T, np.linalg.inv(_dense_form(op)), rtol=0,
                            atol=1e-12 * np.abs(c @ c.T).max())
         s = 1.0 / np.sqrt(fac.pencil.reshape(-1))
         gram_form = s[:, None] * np.kron(v0.T @ v0, v1.T @ v1) * s[None, :]
@@ -476,9 +515,9 @@ class TestSeparableFactor:
         op = assemble(self.GRIDS[kind], K)
         fac = op.factor()
         b = np.random.default_rng(1).standard_normal(op.n_unknowns)
-        want = spla.spsolve(op.matrix.tocsc(), b)
+        want = spla.spsolve(_edge_loop_assemble(op.grid, K)[0].tocsc(), b)
         assert np.abs(fac.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
-        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        dense = np.linalg.eigvalsh(_dense_form(op))
         count = int(np.count_nonzero(dense <= 0))
         assert int(np.count_nonzero(fac.pencil <= 0)) == count
         if count:
@@ -626,6 +665,20 @@ class TestSweep:
             exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
                              [0.1, 0.2], nodes=16)
 
+    @pytest.mark.parametrize("eps_list, message", [
+        ([0.8], "zero on every interior node"),
+        ([0.6, 0.5, 0.3], "nonzero on a boundary node"),
+        ([0.3], "nonzero on a boundary node"),
+    ], ids=["bump-off-the-grid", "bump-on-the-boundary", "theta-edge-below-1"])
+    @pytest.mark.parametrize("on_error", ["raise", "record"])
+    def test_source_off_the_grid_or_on_its_boundary_rejected(self, eps_list,
+                                                            message, on_error):
+        # the bump lives in r in [0.55, 0.85], theta0 in [0.45, 1]; the grid
+        # of eps has r >= sqrt(eps) and theta0 <= arccos(sqrt(eps))
+        with pytest.raises(ValueError, match=f"eps = {eps_list[0]}: .*{message}"):
+            exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41), eps_list,
+                             nodes=24, on_error=on_error)
+
     def test_source_sampled_once_per_grid(self):
         recipe = default_bump_recipe(W41)
         calls = []
@@ -640,7 +693,7 @@ class TestSweep:
         assert all(r.mms_error <= 1e-12 for r in rows)
 
     def test_manufactured_solution_to_roundoff(self):
-        # the solve refines once against the assembled matrix; without that
+        # the solve refines once against the symmetric form; without that
         # step the fast-diagonalization solve leaves about 1e-13 here
         rows = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
                                 [0.2, 0.1, 0.05, 0.025], nodes=96)
@@ -782,11 +835,12 @@ class TestOperatorInvariants:
         grid = cusp_grid(CUSP, 0.1, nodes=16)
         for K in (0.0, 1.0, 6.0):
             op = assemble(grid, K)
-            assert op.matrix.diagonal().min() > 0
+            assert np.diag(_dense_form(op)).min() > 0
 
     def test_symmetry_flag(self):
         grid = cusp_grid(CUSP, 0.1, nodes=16)
-        assert assemble(grid, -2.0).pattern_symmetric
+        dense = _dense_form(assemble(grid, -2.0))
+        assert np.array_equal(dense, dense.T)
 
 
 class TestSweepErrorRecording:
