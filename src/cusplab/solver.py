@@ -181,20 +181,15 @@ class Grid2D:
     def spacing(self) -> tuple[float, ...]:
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
+    @property
+    def interior(self) -> tuple[slice, ...]:
+        """Index of the interior nodes, the unknowns of every solve."""
+        return (slice(1, -1),) * self.ndim
+
     def meshes(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
-    def interior_mask(self) -> np.ndarray:
-        m = np.zeros(self.shape, dtype=bool)
-        m[(slice(1, -1),) * self.ndim] = True
-        return m
-
     # -- chart-geometry samples on nodes ---------------------------------
-
-    def _uv(self):
-        if self.ndim == 1:
-            return (self.axes[0],)
-        return self.meshes()
 
     def _sigma_factors(self) -> tuple[np.ndarray, ...]:
         """Per-axis factors of sigma: r cos(theta0) on the cusp, rho on the
@@ -216,14 +211,14 @@ class Grid2D:
         return np.array(functools.reduce(np.multiply.outer, self._sigma_factors()))
 
     def sigma_mu(self, w: WeightVector) -> np.ndarray:
-        """Multi-weight sigma^mu on nodes (the cusp weight of end 0)."""
-        if self.chart.kind == INTERMEDIATE_CUSP:
-            r, th = self.meshes()
-            return np.cos(th) ** w.mu0 * r ** w.mus[0]
-        if self.chart.kind == MAXIMAL_CUSP:
-            return self.axes[0] ** w.mus[0]
-        rho = self.meshes()[0]
-        return rho ** w.mu0
+        """Multi-weight sigma^mu on nodes (the cusp weight of end 0): each
+        factor of sigma raised to the weight of its end, r to mu_1 and
+        cos(theta0) or rho to mu0 (the collar's unit factor to mu0 too), and
+        their outer product taken as in sigma.  The maximal cusp's one
+        factor r takes the first weight only."""
+        mu = (w.mu0, w.mu0) if self.chart.kind == COLLAR else (w.mus[0], w.mu0)
+        return functools.reduce(
+            np.multiply.outer, [f ** m for f, m in zip(self._sigma_factors(), mu)])
 
 
 def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
@@ -287,12 +282,7 @@ def collar_grid(
 ) -> Grid2D:
     if chart.kind != COLLAR:
         raise ValueError("collar_grid needs a collar chart")
-    return Grid2D(
-        chart,
-        ("rho", "y"),
-        (np.linspace(eps, chart.edge, nodes), np.linspace(*y_range, nodes)),
-        eps,
-    )
+    return compact_patch_grid(chart, nodes, (eps, chart.edge), y_range)
 
 
 def compact_patch_grid(
@@ -336,19 +326,18 @@ class DiscreteField:
 
 
 def sample_field(grid: Grid2D, fn: Callable) -> DiscreteField:
-    pts = grid._uv()
-    return DiscreteField(grid, fn(*pts))
+    return DiscreteField(grid, fn(*grid.meshes()))
 
 
 def check_source(f: DiscreteField) -> None:
     """Raise ValueError unless the sampled source is zero on every boundary
     node, where the solves impose zero data (SupportViolation), and nonzero
     on some interior node, or |f|_mu = 0 leaves |u|_mu / |f|_mu undefined."""
-    inner = f.grid.interior_mask()
-    if np.any(f.values[~inner]):
+    inner = f.values[f.grid.interior]
+    if np.count_nonzero(f.values) > np.count_nonzero(inner):
         raise SupportViolation(f"at eps = {f.grid.eps}: the source is nonzero on a "
                                "boundary node, where the solve imposes zero data")
-    if not np.any(f.values[inner]):
+    if not np.any(inner):
         raise ValueError(f"at eps = {f.grid.eps}: the source is zero on every "
                          "interior node of the grid")
 
@@ -382,7 +371,7 @@ class SeparableFactor:
         # the grid's nodes per axis are the interior's plus its two boundary nodes
         with _one_blas_thread(max(self.pencil.shape) + 2 <= ONE_THREAD_NODES):
             y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
-            return (v0 @ y @ v1.T).reshape(-1)
+            return (v0 @ y @ v1.T).reshape(rhs.shape)
 
 
 class _AxisStencil(NamedTuple):
@@ -445,14 +434,16 @@ def _axis_stencils(grid: Grid2D, K: float):
 class SparseOperator:
     """Discrete Delta + K with Dirichlet rows eliminated, kept as one
     stencil per axis (coupling c_d, potential p_d, mass m_d) and never
-    assembled.
+    assembled.  The name stays from when a sparse matrix was assembled:
+    bench/layer_trace.py patches SparseOperator.smallest_eigenvalue.
 
-    The symmetric weighted form on the interior unknowns is the Kronecker
-    sum L = T_0 x diag(m_1) + diag(m_0) x T_1 of the tridiagonals
-    T_d = tridiag(-c_d, c_d[:-1] + c_d[1:] + p_d, -c_d), applied by form;
-    weight is the volume density W on the interior nodes, and the pointwise
-    operator is diag(1/W) L with the Dirichlet values entering through the
-    edge couplings (apply_to_values).
+    The symmetric weighted form on the interior unknowns (grid.interior) is
+    the Kronecker sum L = T_0 x diag(m_1) + diag(m_0) x T_1 of the
+    tridiagonals T_d = tridiag(-c_d, c_d[:-1] + c_d[1:] + p_d, -c_d),
+    applied by form from its couplings and diagonal, built once with the
+    operator; weight is the volume density W on the interior nodes, shaped
+    like them, and the pointwise operator is diag(1/W) L with the Dirichlet
+    values entering through the edge couplings (apply_to_values).
 
     The operator is factored at most once: the coercivity decision, the
     eigenvalue probe and every solve share one SeparableFactor, whose
@@ -462,8 +453,11 @@ class SparseOperator:
     grid: Grid2D
     K: float
     weight: np.ndarray
-    interior: np.ndarray  # flat indices of interior nodes
-    stencils: tuple[_AxisStencil, ...]
+    stencils: tuple[_AxisStencil, _AxisStencil]
+    # form's couplings (-c_0) m_1 and m_0 (-c_1), and its diagonal
+    _couplings: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                      compare=False)
+    _diagonal: np.ndarray = field(init=False, repr=False, compare=False)
     _factorization: Optional[SeparableFactor] = field(default=None, init=False,
                                                       repr=False, compare=False)
     min_eigenvalue: Optional[float] = field(default=None, init=False, repr=False,
@@ -471,44 +465,48 @@ class SparseOperator:
     probe_steps: Optional[int] = field(default=None, init=False, repr=False,
                                        compare=False)
 
+    def __post_init__(self):
+        s0, s1 = self.stencils
+        m0, m1 = s0.mass[:, None], s1.mass
+        self._couplings = (-s0.coupling[1:-1, None] * m1, m0 * -s1.coupling[1:-1])
+        self._diagonal = s0.diagonal[:, None] * m1 + m0 * s1.diagonal
+
     @property
     def n_unknowns(self) -> int:
-        return len(self.interior)
+        return self.weight.size
 
     def form(self, x: np.ndarray) -> np.ndarray:
-        """L x for interior values x in flat node order, stencil by stencil:
-        row (i, j) sums from zero its terms at (i-1, j), (i, j-1), (i, j),
+        """L x for interior values x (flat in node order or shaped like the
+        interior; returned in the shape given), stencil by stencil: row
+        (i, j) sums from zero its terms at (i-1, j), (i, j-1), (i, j),
         (i, j+1), (i+1, j) in turn, with couplings (-c_0) m_1 and m_0 (-c_1)
         and diagonal d_0[i] m_1[j] + m_0[i] d_1[j], as a CSR product with the
         assembled L would, to the last bit."""
-        s0, s1 = self.stencils
-        m0, m1 = s0.mass[:, None], s1.mass
-        x = x.reshape(len(m0), len(m1))
-        off0 = -s0.coupling[1:-1, None] * m1
-        off1 = m0 * -s1.coupling[1:-1]
-        out = np.zeros(x.shape)
-        out[1:] += off0 * x[:-1]
-        out[:, 1:] += off1 * x[:, :-1]
-        out += (s0.diagonal[:, None] * m1 + m0 * s1.diagonal) * x
-        out[:, :-1] += off1 * x[:, 1:]
-        out[:-1] += off0 * x[1:]
-        return out.reshape(-1)
+        off0, off1 = self._couplings
+        y = np.reshape(x, self._diagonal.shape)
+        out = np.zeros(y.shape)
+        out[1:] += off0 * y[:-1]
+        out[:, 1:] += off1 * y[:, :-1]
+        out += self._diagonal * y
+        out[:, :-1] += off1 * y[:, 1:]
+        out[:-1] += off0 * y[1:]
+        return out.reshape(np.shape(x))
 
     def apply_to_values(self, values: np.ndarray) -> np.ndarray:
-        """(Delta + K) applied to node values, returned on interior nodes:
-        form acts on the interior values, and the Dirichlet values enter
-        through each stencil's two edge couplings, scaled by the other
-        axis's mass; the sum is divided by W."""
+        """(Delta + K) applied to node values, returned on the interior nodes
+        in their shape: form acts on the interior values, and the Dirichlet
+        values enter through each stencil's two edge couplings, scaled by the
+        other axis's mass; the sum is divided by W."""
         v = values.reshape(self.grid.shape)
-        core = (slice(1, -1),) * v.ndim
-        out = self.form(v[core]).reshape(len(self.stencils[0].mass), -1)
+        inner = self.grid.interior
+        out = self.form(v[inner]).reshape(self._diagonal.shape)
         for d in range(v.ndim):
             for side in (0, -1):
-                face, row = list(core), [slice(None)] * v.ndim
+                face, row = list(inner), [slice(None)] * v.ndim
                 face[d], row[d] = side, side
                 out[tuple(row)] -= (self.stencils[d].coupling[side] * v[tuple(face)]
                                     * self.stencils[1 - d].mass)
-        return out.reshape(-1) / self.weight
+        return out.reshape(self.weight.shape) / self.weight
 
     def factor(self) -> SeparableFactor:
         """Fast-diagonalization factorization of the symmetric form, computed
@@ -582,13 +580,9 @@ def assemble(grid: Grid2D, K: float) -> SparseOperator:
     so applying it to a constant returns K * W * const.
     """
     stencils, w = _axis_stencils(grid, K)
-    return SparseOperator(
-        grid=grid,
-        K=K,
-        weight=functools.reduce(np.multiply.outer, w).reshape(-1),
-        interior=np.flatnonzero(grid.interior_mask()),
-        stencils=stencils,
-    )
+    return SparseOperator(grid=grid, K=K,
+                          weight=functools.reduce(np.multiply.outer, w),
+                          stencils=stencils)
 
 
 def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> DiscreteField:
@@ -597,36 +591,31 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
     The solve applies the operator's cached fast-diagonalization factor
     (SparseOperator.factor) and refines once against the symmetric form,
     x += solve(rhs - L x) (SparseOperator.form).  For K < 0 coercivity is
-    checked first (SparseOperator.smallest_eigenvalue) and an
-    IndefiniteOperator error raised when the symmetric form is not positive.
+    checked first (SparseOperator.smallest_eigenvalue, which raises
+    IndefiniteOperator when the symmetric form is not positive).
     A pointwise residual above 1e-8 |f|, or a non-finite one, raises
     NonConvergence with that residual.
     """
     fv = f.values if isinstance(f, DiscreteField) else np.asarray(f, dtype=float)
-    fv = fv.reshape(-1)
-    rhs = op.weight * fv[op.interior]
+    fi = fv.reshape(op.grid.shape)[op.grid.interior]
+    rhs = op.weight * fi
 
     if op.K < 0:
-        lam = op.smallest_eigenvalue()
-        if lam <= 0:
-            raise IndefiniteOperator(
-                f"symmetrized operator has smallest eigenvalue {lam:.3e} <= 0; "
-                "the discrete problem is not coercive", residual=math.nan
-            )
+        op.smallest_eigenvalue()
 
     fac = op.factor()
     x = fac.solve(rhs)
     x += fac.solve(rhs - op.form(x))
-    full = np.zeros(int(np.prod(op.grid.shape)))
-    full[op.interior] = x
+    full = np.zeros(op.grid.shape)
+    full[op.grid.interior] = x
 
-    resid = op.apply_to_values(full) - fv[op.interior]
-    tol = 1e-8 * (float(np.abs(fv[op.interior]).max()) or 1.0)
+    resid = op.apply_to_values(full) - fi
+    tol = 1e-8 * (float(np.abs(fi).max()) or 1.0)
     rinf = float(np.abs(resid).max())
     if not rinf <= tol:  # a NaN residual fails too
         raise NonConvergence(f"residual {rinf:.3e} exceeds 1e-8 * |f| = {tol:.3e}",
                              residual=rinf)
-    return DiscreteField(op.grid, full.reshape(op.grid.shape))
+    return DiscreteField(op.grid, full)
 
 
 def weighted_sup_norm(u: DiscreteField, w: WeightVector) -> float:
@@ -689,8 +678,8 @@ def exhaustion_sweep(
     {sigma >= eps}, the problem solved, and the weighted-norm ratio
     |u|_mu / |f|_mu recorded; uniform boundedness of this ratio is the
     quantity of interest.  The sampled source doubles as a manufactured
-    solution: it is pushed through the assembled operator and solved for
-    again to measure the solver error.
+    solution: the stencil form applies Delta + K to it (apply_to_values) and
+    the result is solved for again to measure the solver error.
 
     Solver failures propagate per eps: with on_error='record' the row keeps
     the error message and the sweep continues, so partial tables survive.
@@ -713,7 +702,7 @@ def exhaustion_sweep(
             nf = weighted_sup_norm(f, w)
 
             rhs = np.zeros(grid.shape)
-            rhs[grid.interior_mask()] = op.apply_to_values(f.values)
+            rhs[grid.interior] = op.apply_to_values(f.values)
             u_sol = solve_dirichlet(op, DiscreteField(grid, rhs))
             scale = float(np.abs(f.values).max()) or 1.0
             mms = float(np.abs(u_sol.values - f.values).max()) / scale
@@ -749,12 +738,13 @@ class MaxPrincipleReport:
 
 
 def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrincipleReport:
-    """Evaluate the assembled (Delta + K) sigma^mu / sigma^mu over interior
-    nodes and compare its minimum against the closed-form margin, within
-    50 h^2 for the largest spacing h."""
+    """Apply the operator's stencil form to sigma^mu (apply_to_values),
+    evaluate (Delta + K) sigma^mu / sigma^mu over the interior nodes and
+    compare its minimum against the closed-form margin, within 50 h^2 for
+    the largest spacing h."""
     grid, K = op.grid, op.K
     smu = grid.sigma_mu(w)
-    ratio = op.apply_to_values(smu) / smu.reshape(-1)[op.interior]
+    ratio = op.apply_to_values(smu) / smu[grid.interior]
     spc = max(grid.spacing)
     if grid.chart.kind == INTERMEDIATE_CUSP:
         delta = cusp_margin(K, w.mus[0], w.mu0, grid.chart.f, w.n).delta
@@ -790,12 +780,6 @@ def _collar_christoffels(n: int, rho: np.ndarray) -> np.ndarray:
     return gam
 
 
-def _grid_partials(grid: Grid2D, comp: np.ndarray) -> list[np.ndarray]:
-    """Central differences of node arrays along the two active axes."""
-    return [np.gradient(comp, h, axis=axis, edge_order=2)
-            for axis, h in enumerate(grid.spacing)]
-
-
 def _covariant_derivative(grid: Grid2D, u: np.ndarray) -> np.ndarray:
     """nabla u on the collar patch for a covariant tensor u of any rank on
     the nodes (node axes, then the slots); derivative index first,
@@ -805,8 +789,8 @@ def _covariant_derivative(grid: Grid2D, u: np.ndarray) -> np.ndarray:
     _require_euclidean_collar(grid.chart)
     n = grid.chart.n
     du = np.zeros(grid.shape + (n,) + u.shape[2:])
-    for axis, d in enumerate(_grid_partials(grid, u)):
-        du[:, :, axis] = d
+    for axis, h in enumerate(grid.spacing):
+        du[:, :, axis] = np.gradient(u, h, axis=axis, edge_order=2)
     return _nabla((_collar_christoffels(n, grid.meshes()[0]),), (u, du))[0]
 
 
@@ -821,14 +805,11 @@ def _trapezoid_weights(grid: Grid2D) -> np.ndarray:
 
 def check_support_margin(grid: Grid2D, values: np.ndarray):
     """Raise SupportViolation unless the field vanishes within 3 nodes of
-    every grid side."""
-    v = np.abs(values)
-    while v.ndim > grid.ndim:
-        v = v.max(axis=-1)
-    band = np.ones(grid.shape, dtype=bool)
-    band[(slice(3, -3),) * grid.ndim] = False
-    if v[band].max() > 0:
-        raise SupportViolation("field support reaches within 3 nodes of the boundary")
+    every grid side; the message names the grid's node counts."""
+    if np.count_nonzero(values) > np.count_nonzero(values[(slice(3, -3),) * grid.ndim]):
+        nodes = " x ".join(map(str, grid.shape))
+        raise SupportViolation(f"field support reaches within 3 nodes of the "
+                               f"boundary of the {nodes}-node grid")
 
 
 @dataclass
@@ -839,7 +820,6 @@ class KoisoResult:
     lhs: float                 # |nabla u|^2
     rhs: float                 # |T|^2/2 + |div u|^2 - |tr u|^2 + n |u|^2
     gap: float
-    grad_sq: float
     t_sq: float
     div_sq: float
     tr_sq: float
@@ -869,7 +849,7 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoRe
     up2 = rho ** 2  # inverse metric is rho^2 * identity here
 
     nab = _covariant_derivative(grid, vals)
-    grad_sq = float(np.sum(dv * up2 ** 3 * np.einsum("xykij,xykij->xy", nab, nab)))
+    lhs = float(np.sum(dv * up2 ** 3 * np.einsum("xykij,xykij->xy", nab, nab)))
 
     T = nab - np.einsum("...kij->...ikj", nab)  # T_ijk = nabla_k u_ij - nabla_i u_jk, slots (k,i,j)
     t_sq = float(np.sum(dv * up2 ** 3 * np.einsum("xykij,xykij->xy", T, T)))
@@ -882,7 +862,6 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoRe
 
     u_sq = float(np.sum(dv * up2 ** 2 * np.einsum("xyij,xyij->xy", vals, vals)))
 
-    lhs = grad_sq
     rhs = 0.5 * t_sq + div_sq - tr_sq + n * u_sq
 
     # second route: pair u against the discrete rough Laplacian plus K
@@ -895,7 +874,6 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoRe
         lhs=lhs,
         rhs=rhs,
         gap=abs(lhs - rhs),
-        grad_sq=grad_sq,
         t_sq=t_sq,
         div_sq=div_sq,
         tr_sq=tr_sq,

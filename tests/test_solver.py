@@ -16,6 +16,7 @@ from cusplab.solver import (
     NonConvergence,
     SupportViolation,
     assemble,
+    check_source,
     collar_grid,
     compact_patch_grid,
     condition_number_spread,
@@ -122,7 +123,7 @@ class TestAssembly:
             cc = K - (mu * mu + mu - 2 * nu)
             cs = K - nu * (nu - 3)
             want = ((cc * np.cos(th) ** 2 + cs * np.sin(th) ** 2) * vals)[
-                grid.interior_mask()
+                grid.interior
             ]
             errs.append(np.abs(got - want).max())
         order = math.log2(errs[0] / errs[1])
@@ -139,7 +140,7 @@ class TestAssembly:
             rho = grid.meshes()[0]
             vals = rho ** nu
             got = op.apply_to_values(vals)
-            want = ((K - nu * (nu - 3)) * vals)[grid.interior_mask()]
+            want = ((K - nu * (nu - 3)) * vals)[grid.interior]
             errs.append(np.abs(got - want).max())
         assert math.log2(errs[0] / errs[1]) >= 1.9
 
@@ -151,7 +152,7 @@ class TestAssembly:
         r = grid.axes[0]
         vals = r ** mu
         got = op.apply_to_values(vals)
-        want = ((K - mu * (mu + 3)) * vals)[grid.interior_mask()]
+        want = ((K - mu * (mu + 3)) * vals)[grid.interior]
         assert np.abs(got - want).max() < 5e-3
 
 
@@ -187,7 +188,7 @@ def _edge_loop_assemble(grid, K):
             vals += [-c, -c]
     L_all = sp.coo_matrix((vals, (rows, cols)), shape=(ntot, ntot)).tocsr()
     L_all += sp.diags(diag)
-    int_idx = np.flatnonzero(grid.interior_mask())
+    int_idx = np.arange(ntot).reshape(shape)[grid.interior].reshape(-1)
     return L_all[int_idx][:, int_idx], L_all[int_idx], Wf
 
 
@@ -199,7 +200,6 @@ class TestVectorizedAssembly:
     ], ids=["cusp", "collar", "maximal"])
     def test_matches_edge_loop(self, grid):
         rng = np.random.default_rng(7)
-        interior = grid.interior_mask().reshape(-1)
         for K in (-2.0, 6.0):
             op = assemble(grid, K)
             ref_matrix, ref_rows, W = _edge_loop_assemble(grid, K)
@@ -208,8 +208,8 @@ class TestVectorizedAssembly:
             assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
             # the Dirichlet couplings: full rows on random node values
             v = rng.standard_normal(grid.shape)
-            want = (ref_rows @ v.reshape(-1)) / W[interior]
-            got = op.apply_to_values(v)
+            want = (ref_rows @ v.reshape(-1)) / W.reshape(grid.shape)[grid.interior].reshape(-1)
+            got = op.apply_to_values(v).reshape(-1)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -268,17 +268,18 @@ class TestGridGeometryMatchesChart:
 
     @staticmethod
     def _chart_points(grid):
-        """Every node as a chart point; the other coordinates at pi/2."""
+        """Every node as a chart point, in the grid's shape; the other
+        coordinates at pi/2."""
         pts = np.full(grid.shape + (grid.chart.n,), math.pi / 2)
-        for d, mesh in enumerate(grid._uv()):
+        for d, mesh in enumerate(grid.meshes()):
             pts[..., d] = mesh
-        return pts.reshape(-1, grid.chart.n)
+        return pts
 
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_sigma_below_the_truncation_band(self, grid):
         from cusplab.charts import TRUNC_FRACTION
 
-        pts = self._chart_points(grid)
+        pts = self._chart_points(grid).reshape(-1, grid.chart.n)
         inside = pts[:, 0] <= (1.0 - TRUNC_FRACTION) * grid.chart.edge
         assert inside.any() and not inside.all()
         got = grid.sigma().reshape(-1)[inside]
@@ -288,8 +289,62 @@ class TestGridGeometryMatchesChart:
     @pytest.mark.parametrize("grid", GRIDS, ids=IDS)
     def test_weight_is_the_volume_density(self, grid):
         op = assemble(grid, -2.0)
-        want = grid.chart.volume_density_at(self._chart_points(grid)[op.interior])
+        pts = self._chart_points(grid)[grid.interior].reshape(-1, grid.chart.n)
+        want = grid.chart.volume_density_at(pts).reshape(op.weight.shape)
         assert np.abs(op.weight - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestSigmaMu:
+    """Grid2D.sigma_mu, the outer product of sigma's axis factors each
+    raised to its end's weight, equals its closed form on meshes."""
+
+    W52, _ = admissible_weights(5, (2,))
+    MAXIMAL_W = WeightVector(mu0=1.75, mus=(0.5,), ranks=(3,), n=4)
+    COLLAR_W = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
+
+    @staticmethod
+    def _cusp(grid, w):
+        r, th = grid.meshes()
+        return np.cos(th) ** w.mu0 * r ** w.mus[0]
+
+    @pytest.mark.parametrize("grid, w, closed_form", [
+        (cusp_grid(CUSP, 0.05, nodes=48), W41, _cusp),
+        (cusp_grid(Chart.intermediate_cusp(5, 2), 0.05, nodes=48), W52, _cusp),
+        (maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=48), MAXIMAL_W,
+         lambda grid, w: grid.meshes()[0] ** w.mus[0]),
+        (collar_grid(Chart.collar(4), 0.05, nodes=48), COLLAR_W,
+         lambda grid, w: grid.meshes()[0] ** w.mu0),
+    ], ids=["cusp41", "cusp52", "maximal", "collar"])
+    def test_equals_closed_form(self, grid, w, closed_form):
+        got = grid.sigma_mu(w)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, closed_form(grid, w))
+
+
+class TestCheckSource:
+    """check_source on the one-axis maximal grid, whose interior is
+    grid.interior = (slice(1, -1),)."""
+
+    GRID = maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=16)
+
+    def test_interior_source_accepted(self):
+        vals = np.zeros(self.GRID.shape)
+        vals[7] = 1.0
+        check_source(DiscreteField(self.GRID, vals))
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_nonzero_end_node_is_support_violation(self, end):
+        vals = np.zeros(self.GRID.shape)
+        vals[7] = 1.0
+        vals[end] = 1e-300
+        with pytest.raises(SupportViolation, match="nonzero on a boundary node"):
+            check_source(DiscreteField(self.GRID, vals))
+
+    def test_zero_interior_rejected(self):
+        vals = np.zeros(self.GRID.shape)
+        with pytest.raises(ValueError, match="zero on every interior node") as exc:
+            check_source(DiscreteField(self.GRID, vals))
+        assert not isinstance(exc.value, SupportViolation)
 
 
 def _count_calls(monkeypatch, owner, names):
@@ -528,7 +583,7 @@ class TestSeparableFactor:
 
 
 def _nan_solve(factor, rhs):
-    return np.full(rhs.size, np.nan)
+    return np.full(rhs.shape, np.nan)
 
 
 @pytest.fixture(params=["nan-solve", "zero-pencil"])
@@ -574,7 +629,7 @@ class TestSolve:
         op = assemble(grid, -2.0)
         u_star = sample_field(grid, default_bump_recipe(W41))
         rhs = np.zeros(grid.shape)
-        rhs[grid.interior_mask()] = op.apply_to_values(u_star.values)
+        rhs[grid.interior] = op.apply_to_values(u_star.values)
         u = solve_dirichlet(op, DiscreteField(grid, rhs))
         err = np.abs(u.values - u_star.values).max() / np.abs(u_star.values).max()
         assert err < 1e-6
@@ -619,7 +674,7 @@ class TestSolve:
         calls = _count_calls(monkeypatch, sv, ["eigh_tridiagonal"])
         u_star = sample_field(grid, default_bump_recipe(W41))
         rhs = np.zeros(grid.shape)
-        rhs[grid.interior_mask()] = op.apply_to_values(u_star.values)
+        rhs[grid.interior] = op.apply_to_values(u_star.values)
         u1 = solve_dirichlet(op, rhs)
         u2 = solve_dirichlet(op, 2.0 * rhs)
         assert calls == {"eigh_tridiagonal": 2}  # one factorization: r and theta0
@@ -722,7 +777,7 @@ class TestMaximumPrincipleCheck:
         op = assemble(grid, -2.0)
         rep = maximum_principle_check(op, w)
         smu = grid.sigma_mu(w)
-        ratio = op.apply_to_values(smu) / smu[op.interior]
+        ratio = op.apply_to_values(smu) / smu[grid.interior]
         assert ratio.max() < 0  # negative everywhere: no positive weights work
         assert rep.closed_form_delta < 0
 
@@ -758,7 +813,8 @@ class TestKoiso:
         grid = self.patch(17)
         vals = np.zeros(grid.shape + (4, 4))
         vals[1, 5, 0, 0] = 1.0  # one node away from the rho side
-        with pytest.raises(SupportViolation):
+        with pytest.raises(SupportViolation,
+                           match="within 3 nodes of the boundary of the 17 x 17-node grid"):
             koiso_quadrature(grid, DiscreteField(grid, vals))
 
     def test_divergence_adjointness_by_quadrature(self):
