@@ -464,8 +464,9 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         ys.append(y)
     thresholds = {1: 0.9, 2: 1.85, 3: 2.7}
     rows = []
+    background = expansion._BackgroundCache(chart)  # Q(h, h) on the samples
     for g in stages:
-        fit = expansion.vanishing_order(g, stages[0], rhos, ys)
+        fit = expansion.vanishing_order(g, stages[0], rhos, ys, background)
         gauge = expansion.gauge_term_norm(
             g, [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)],
             step=cfg.step)

@@ -15,7 +15,7 @@ tangential point or an (N, n-1) array, and `ExpansionMetric.field` is an
 array-native field.  Each correction iteration therefore samples its
 41 y x 6 rho extraction grid, and each vanishing-order fit its rho x y
 grid, in a few batched `Q_at` calls; the background Q(h, h) is computed
-once per point and cached.  User-supplied pointwise callables (a `qhat`
+once per point set and cached.  User-supplied pointwise callables (a `qhat`
 or coefficient on one y) go through `charts.at_points`.
 """
 
@@ -421,15 +421,14 @@ class _BackgroundCache:
     values: dict = field(default_factory=dict)
 
     def q_hh(self, p: np.ndarray) -> np.ndarray:
-        """Q(h, h) on the background at each row of p, each point computed
-        once, in one batched call for the points not seen before."""
-        keys = [tuple(np.round(q, 12)) for q in p]
-        new = [i for i, key in enumerate(keys) if key not in self.values]
-        if new:
+        """Q(h, h) on the background at the rows of p, computed in one
+        batched call the first time this point set (rounded to 1e-12) is
+        seen."""
+        key = (p.shape, np.round(p, 12).tobytes())
+        if key not in self.values:
             h = chart_metric(self.chart)
-            for i, value in zip(new, Q_at(h, h, p[new], EXTRACTION_STEP)):
-                self.values[keys[i]] = value
-        return np.array([self.values[key] for key in keys])
+            self.values[key] = Q_at(h, h, p, EXTRACTION_STEP)
+        return self.values[key]
 
 
 def _residuals(gl: MetricField, gr: MetricField, points: np.ndarray,
@@ -629,12 +628,14 @@ def vanishing_order(
     gR: MetricField | ExpansionMetric,
     rho_samples: Sequence[float],
     y_samples: Sequence[np.ndarray],
+    cache: Optional[_BackgroundCache] = None,
 ) -> VanishingOrderFit:
     """Least-squares slope of log |Q(gL, gR) - Q(h, h)|_h against log rho.
 
     Values at or below the floor 1e-13 are left out of the fit; samples with
     all values below it are reported with an infinite sentinel slope and
-    excluded from the headline maximum.
+    excluded from the headline maximum.  Fits of several metrics on the same
+    samples can share one cache, so Q(h, h) is computed once.
     """
     fl = gL.field if isinstance(gL, ExpansionMetric) else gL
     fr = gR.field if isinstance(gR, ExpansionMetric) else gR
@@ -642,7 +643,7 @@ def vanishing_order(
     rho_samples = np.asarray(sorted(rho_samples, reverse=True), dtype=float)
     ys = np.array(y_samples, dtype=float)
     points = _grid_points(rho_samples, ys).reshape(-1, chart.n)
-    q = _residuals(fl, fr, points, _BackgroundCache(chart))
+    q = _residuals(fl, fr, points, cache or _BackgroundCache(chart))
     all_norms = tensor_norm(chart.metric_at(points), q).reshape(len(ys), -1)
 
     per_y = []

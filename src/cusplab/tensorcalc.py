@@ -4,10 +4,14 @@ Every operator is evaluated from one derivative kernel: `_jet` samples a
 field on a single central-and-mixed stencil around each point and returns
 its 2-jet (value, first and second partial derivatives), from
 1 + 2n + 2n(n-1) points per point.  The stencils of a whole point set are
-one array, so an array-native field is called once per set.  The operators
-are then product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel
-symbols and their derivatives come from the metric's 2-jet, covariant
-derivatives lower a jet's order by one, and nothing is differenced twice.
+one array, so an array-native field is called once per set; a metric is
+called once more on the points themselves, whose values give the steps and
+the stencil's centre.  The operators are then product-rule algebra on jets
+(`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives come from
+the metric's 2-jet, covariant derivatives lower a jet's order by one, and
+nothing is differenced twice.  Every two-operand contraction, each
+product-rule term included, is one stacked matrix product over the batch
+axes (`_contract`); np.einsum is left for permutations and traces.
 Steps are scaled per coordinate by the local metric diagonal, so stencils
 shrink toward degenerate chart boundaries and accuracy is uniform in the
 geometric (unit-frame) sense.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,11 +90,12 @@ def chart_metric(chart: Chart, label: str = "h") -> MetricField:
     return MetricField(chart, chart.metric_at, label)
 
 
-def coordinate_steps(g: MetricField, p, step: float) -> np.ndarray:
+def coordinate_steps(g: MetricField, p, step: float, g0=None) -> np.ndarray:
     """Per-coordinate steps step / sqrt(g_ii(p)) at one point (n,) or at each
-    row of an (N, n) array; checks ~double-stencil room."""
+    row of an (N, n) array; checks ~double-stencil room.  g0, the values of
+    g at p when the caller has them, saves evaluating g again."""
     p = np.asarray(p, dtype=float)
-    diag = np.diagonal(g(p), axis1=-2, axis2=-1)
+    diag = np.diagonal(g(p) if g0 is None else g0, axis1=-2, axis2=-1)
     bad = np.atleast_2d(diag <= 0).any(axis=1)
     if bad.any():
         q = np.atleast_2d(p)[np.argmax(bad)]
@@ -140,73 +146,106 @@ def _on_points(op):
 @functools.lru_cache(maxsize=None)
 def _stencil(n: int):
     """Offsets of the stencil in units of the steps: the centre, +e_i, -e_i,
-    then (+e_i +e_j, +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j."""
+    then (+e_i +e_j, +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j,
+    and the pairs as two index arrays (i, j)."""
     eye = np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mixed = [si * eye[i] + sj * eye[j] for i, j in pairs
+    i, j = np.triu_indices(n, 1)
+    mixed = [si * eye[a] + sj * eye[b] for a, b in zip(i, j)
              for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.vstack([np.zeros((1, n)), eye, -eye, mixed]), pairs
+    return np.vstack([np.zeros((1, n)), eye, -eye, *mixed]), (i, j)
 
 
-def _jet(field, p, h):
+def _jet(field, p, h, f0=None):
     """2-jet of an array-valued callable at one point p (n,) or at each row
     of an (N, n) array, with steps h of the same shape: central differences
     for the gradient and pure second derivatives, the four-point mixed
     stencil for the cross derivatives.  The stencil points of every row are
-    one array, so an array-native field is called once."""
+    one array, so an array-native field is called once; f0, the field's
+    values at p when the caller has them, is the stencil's centre and is not
+    evaluated again."""
     p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
     n, lead = p.shape[-1], p.ndim - 1
-    offsets, pairs = _stencil(n)
+    offsets, (i, j) = _stencil(n)
+    if f0 is not None:
+        offsets = offsets[1:]
     points = p[..., None, :] + offsets * h[..., None, :]
     vals = at_points(field, points.reshape(-1, n))
     vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
-    f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
-    tail = (None,) * (f0.ndim - lead)
-
-    def hh(i):  # the step in coordinate i, shaped like the values
-        return h[(..., i) + tail]
-
-    d = np.stack([(fp[i] - fm[i]) / (2.0 * hh(i)) for i in range(n)], axis=lead)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = (fp[i] - 2.0 * f0 + fm[i]) / hh(i) ** 2
-    for k, (i, j) in enumerate(pairs):
-        pp, pm, mp, mm = vals[2 * n + 1 + 4 * k:2 * n + 5 + 4 * k]
-        rows[i][j] = rows[j][i] = (pp - pm - mp + mm) / (4.0 * hh(i) * hh(j))
-    dd = np.stack([np.stack(row, axis=lead) for row in rows], axis=lead)
-    return f0, d, dd
+    if f0 is None:
+        f0, vals = vals[0], vals[1:]
+    fp, fm = vals[:n], vals[n:2 * n]
+    # hs[i] is the step in coordinate i, shaped like the values
+    hs = np.moveaxis(h, -1, 0).reshape(
+        h.shape[-1:] + h.shape[:-1] + (1,) * (f0.ndim - lead))
+    d = (fp - fm) / (2.0 * hs)
+    dd = np.empty((n, n) + f0.shape)
+    diag = np.arange(n)
+    dd[diag, diag] = (fp - 2.0 * f0 + fm) / hs ** 2
+    pp, pm, mp, mm = vals[2 * n:].reshape((-1, 4) + f0.shape).swapaxes(0, 1)
+    dd[i, j] = dd[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
+    return f0, np.moveaxis(d, 0, lead), np.moveaxis(dd, (0, 1), (lead, lead + 1))
 
 
-def _jeinsum(spec: str, *jets):
-    """np.einsum over jets by the product rule, to the lowest order given;
-    spec names the tensor indices, the batch axes lead every operand."""
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(spec: str, ndim_x: int, ndim_y: int):
+    """How `_contract` lays out two operands of the given ranks for one
+    stacked matrix product: the axis orders of x and y, which of x's tensor
+    axes size the kept, free and summed groups (x's tensor axes come
+    ordered kept, free, summed; y's kept, summed, free), and the axis order
+    that takes the product's (kept, free x, free y) tensor axes to `out`."""
     ins, out = spec.split("->")
-    subs = ins.split(",")
-    order = min(len(j) for j in jets)
-    vals = [j[0] for j in jets]
+    sx, sy = ins.split(",")
+    kept = [c for c in out if c in sx and c in sy]
+    free_x = [c for c in sx if c not in sy]
+    free_y = [c for c in sy if c not in sx]
+    summed = [c for c in sx if c in sy and c not in out]
+    if (len(set(sx)) < len(sx) or len(set(sy)) < len(sy)
+            or sorted(kept + free_x + free_y) != sorted(out)):
+        raise ValueError(f"{spec!r} is not a contraction of two operands")
+    bx, by = ndim_x - len(sx), ndim_y - len(sy)
+    axes_x = tuple(range(bx)) + tuple(
+        bx + sx.index(c) for c in kept + free_x + summed)
+    axes_y = tuple(range(by)) + tuple(
+        by + sy.index(c) for c in kept + summed + free_y)
+    product = kept + free_x + free_y
+    batch = max(bx, by)
+    axes_out = tuple(range(batch)) + tuple(batch + product.index(c) for c in out)
+    return axes_x, axes_y, bx, by, len(kept), len(free_x), len(free_y), axes_out
 
-    def term(parts):
-        # parts: {operand index: (derivative letters, jet component)}
-        ops = list(vals)
-        terms = list(subs)
-        lead = ""
-        for k, (letters, comp) in parts.items():
-            ops[k] = comp
-            terms[k] = letters + terms[k]
-            lead += letters
-        return np.einsum(
-            ",".join("..." + t for t in terms) + "->..." + lead + out, *ops)
 
-    res = [term({})]
+def _contract(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.einsum of two operands with leading batch axes, spec written for
+    their tensor axes only ("kl,lij->kij" for "...kl,...lij->...kij"), as one
+    stacked matrix product: each operand is transposed and reshaped to
+    (batch, kept, free, summed) blocks, and the batch axes broadcast as
+    einsum's ellipsis does.  The layout is planned once per spec and rank."""
+    axes_x, axes_y, bx, by, nk, nfx, nfy, axes_out = _contraction_plan(
+        spec, x.ndim, y.ndim)
+    x, y = x.transpose(axes_x), y.transpose(axes_y)
+    tx, ty = x.shape[bx:], y.shape[by:]
+    kept, free_x, free_y = tx[:nk], tx[nk:nk + nfx], ty[len(ty) - nfy:]
+    k, fx = math.prod(kept), math.prod(free_x)
+    out = np.matmul(x.reshape(x.shape[:bx] + (k, fx, -1)),
+                    y.reshape(y.shape[:by] + (k, -1, math.prod(free_y))))
+    return out.reshape(out.shape[:-3] + kept + free_x + free_y).transpose(axes_out)
+
+
+def _jeinsum(spec: str, x, y):
+    """The contraction `spec` of two jets by the product rule, to the lower
+    order of the two; spec names the tensor indices, the batch axes lead
+    every operand."""
+    ins, out = spec.split("->")
+    sx, sy = ins.split(",")
+    order = min(len(x), len(y))
+    res = [_contract(spec, x[0], y[0])]
     if order > 1:
-        res.append(sum(term({k: ("Y", j[1])}) for k, j in enumerate(jets)))
+        res.append(_contract(f"Y{sx},{sy}->Y{out}", x[1], y[0])
+                   + _contract(f"{sx},Y{sy}->Y{out}", x[0], y[1]))
     if order > 2:
-        dd = sum(term({k: ("YZ", j[2])}) for k, j in enumerate(jets))
-        for k in range(len(jets)):
-            for m in range(k + 1, len(jets)):
-                x = term({k: ("Y", jets[k][1]), m: ("Z", jets[m][1])})
-                dd = dd + x + x.swapaxes(-len(out) - 2, -len(out) - 1)
-        res.append(dd)
+        cross = _contract(f"Y{sx},Z{sy}->YZ{out}", x[1], y[1])
+        res.append(_contract(f"YZ{sx},{sy}->YZ{out}", x[2], y[0])
+                   + _contract(f"{sx},YZ{sy}->YZ{out}", x[0], y[2])
+                   + cross + cross.swapaxes(-len(out) - 2, -len(out) - 1))
     return tuple(res)
 
 
@@ -243,24 +282,29 @@ def _sym(t: np.ndarray) -> np.ndarray:
 
 def _metric_jets(g: MetricField, p, step: float, *fields):
     """Steps from g at the points p, then the jets of g and of each further
-    field on that one stencil (a field identical to g reuses g's jet)."""
-    h = coordinate_steps(g, p, step)
-    G = _jet(g, p, h)
+    field on that one stencil (a field identical to g reuses g's jet).  g
+    is evaluated at p once: its values give the steps and the centre of its
+    stencil."""
+    g0 = g(p)
+    h = coordinate_steps(g, p, step, g0)
+    G = _jet(g, p, h, g0)
     return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
 
 
 # -- connection and curvature on jets -------------------------------------------
 
 
-def _christoffel(G):
-    """1-jet of Gamma[..., k, i, j] = Gamma^k_ij from the metric's 2-jet."""
+def _christoffel(G, Ginv=None):
+    """1-jet of Gamma[..., k, i, j] = Gamma^k_ij from the metric's 2-jet
+    (and the jet of its inverse, if the caller has it)."""
 
     def first_kind(dg):  # dg[..., a, b, c] = d_a g_bc -> Gamma_{l,ij}
         return 0.5 * (
             np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
         )
 
-    return _jeinsum("kl,lij->kij", _jinv(G[:2]), tuple(map(first_kind, G[1:])))
+    Ginv = _jinv(G[:2]) if Ginv is None else Ginv[:2]
+    return _jeinsum("kl,lij->kij", Ginv, tuple(map(first_kind, G[1:])))
 
 
 def _riemann_up(gam) -> np.ndarray:
@@ -270,8 +314,8 @@ def _riemann_up(gam) -> np.ndarray:
     return (
         np.einsum("...iljk->...lkij", dg)
         - np.einsum("...jlik->...lkij", dg)
-        + np.einsum("...lim,...mjk->...lkij", g0, g0)
-        - np.einsum("...ljm,...mik->...lkij", g0, g0)
+        + _contract("lim,mjk->lkij", g0, g0)
+        - _contract("ljm,mik->lkij", g0, g0)
     )
 
 
@@ -281,7 +325,7 @@ def _ricci(gam) -> np.ndarray:
 
 def _riemann_down(G, gam) -> np.ndarray:
     """Lowered curvature riem[..., i, j, k, l] = <R(e_i, e_j) e_k, e_l>."""
-    return np.einsum("...lm,...mkij->...ijkl", G[0], _riemann_up(gam))
+    return _contract("lm,mkij->ijkl", G[0], _riemann_up(gam))
 
 
 def _indices(gam, T) -> str:
@@ -305,7 +349,7 @@ def _rough_laplacian(G, gam, U) -> np.ndarray:
     """-g^{lk} nabla_l nabla_k U for a covariant tensor jet U (scalars too)."""
     idx = _indices(gam, U)
     nab2 = _nabla(gam, _nabla(gam, U))[0]
-    return -np.einsum(f"...lk,...lk{idx}->...{idx}", np.linalg.inv(G[0]), nab2)
+    return -_contract(f"lk,lk{idx}->{idx}", np.linalg.inv(G[0]), nab2)
 
 
 def _g_trace(g0: np.ndarray, t0: np.ndarray) -> np.ndarray:
@@ -329,9 +373,9 @@ def _trace_reversal(Ginv, G, T):
     return _jlin((1.0, T), (-0.5, _jeinsum(",ij->ij", tr, G)))
 
 
-def _gauge_covector(G, T, gam):
-    """1-jet of omega = g t^{-1} delta_g(G_g t)."""
-    Ginv = _jinv(G)
+def _gauge_covector(G, Ginv, T, gam):
+    """1-jet of omega = g t^{-1} delta_g(G_g t), from the jets of g and of
+    its inverse."""
     div = _divergence(Ginv, gam, _trace_reversal(Ginv, G, T))
     return _jeinsum("ij,j->i", _jeinsum("ij,jk->ik", G, _jinv(T[:2])), div)
 
@@ -374,7 +418,7 @@ def difference_tensor_at(
     H, G = _metric_jets(h, p, step, g)
     nab = _nabla(_christoffel(H), _jlin((1.0, G), (-1.0, H)))[0]
     t = nab + np.swapaxes(nab, -3, -2) - np.einsum("...mij->...ijm", nab)
-    return -0.5 * np.einsum("...pm,...ijm->...pij", np.linalg.inv(G[0]), t)
+    return -0.5 * _contract("pm,ijm->pij", np.linalg.inv(G[0]), t)
 
 
 def difference_tensor_field(
@@ -420,7 +464,7 @@ def lichnerowicz_at(
     ric = _ricci(gam)
     riem = _riemann_down(H, gam)
     rc_u = 0.5 * (ric @ hinv @ u0 + u0 @ hinv @ ric)
-    rm_u = np.einsum("...kijl,...kl->...ij", riem, hinv @ u0 @ hinv)
+    rm_u = _contract("kijl,kl->ij", riem, hinv @ u0 @ hinv)
     return _sym(_rough_laplacian(H, gam, U) + 2.0 * rc_u - 2.0 * rm_u)
 
 
@@ -450,7 +494,8 @@ def divergence_at(
 ) -> np.ndarray:
     """delta_g t = -tr_12 nabla t, a covector."""
     G, T = _metric_jets(g, p, step, t)
-    return _divergence(_jinv(G), _christoffel(G), T)[0]
+    Ginv = _jinv(G)
+    return _divergence(Ginv, _christoffel(G, Ginv), T)[0]
 
 
 @_on_points
@@ -467,7 +512,8 @@ def bianchi_ops_at(g: MetricField, t, p, step: float = DEFAULT_STEP):
     """Divergence, trace reversal and the symmetrized-gradient closure of the
     Bianchi chain: returns (delta_g t, G_g t, delta*_g(delta_g(G_g t)))."""
     G, T = _metric_jets(g, p, step, t)
-    Ginv, gam = _jinv(G), _christoffel(G)
+    Ginv = _jinv(G)
+    gam = _christoffel(G, Ginv)
     rev = _trace_reversal(Ginv, G, T)
     return (_divergence(Ginv, gam, T)[0], rev[0],
             _deltastar(gam, _divergence(Ginv, gam, rev)))
@@ -477,8 +523,9 @@ def bianchi_ops_at(g: MetricField, t, p, step: float = DEFAULT_STEP):
 def Q_gauge_at(g: MetricField, t, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Only the gauge term delta*_g(g t^{-1} delta_g(G_g t)) of Q."""
     G, T = _metric_jets(g, p, step, t)
-    gam = _christoffel(G)
-    return _deltastar(gam, _gauge_covector(G, T, gam))
+    Ginv = _jinv(G)
+    gam = _christoffel(G, Ginv)
+    return _deltastar(gam, _gauge_covector(G, Ginv, T, gam))
 
 
 @_on_points
@@ -486,8 +533,9 @@ def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.nd
     """Gauge-adjusted Einstein operator
     Q(g, t) = Rc(g) + (n-1) g - delta*_g(g t^{-1}(delta_g(G_g t)))."""
     G, T = _metric_jets(g, p, step, t)
-    gam = _christoffel(G)
-    gauge = _deltastar(gam, _gauge_covector(G, T, gam))
+    Ginv = _jinv(G)
+    gam = _christoffel(G, Ginv)
+    gauge = _deltastar(gam, _gauge_covector(G, Ginv, T, gam))
     return _ricci(gam) + (g.chart.n - 1.0) * G[0] - gauge
 
 
@@ -517,7 +565,8 @@ def deturck_field_at(
 ) -> np.ndarray:
     """Gauge-breaking covector omega = g tau^{-1} delta_g(G_g tau) at p."""
     G, T = _metric_jets(g, p, step, tau)
-    return _gauge_covector(G, T, _christoffel(G))[0]
+    Ginv = _jinv(G)
+    return _gauge_covector(G, Ginv, T, _christoffel(G, Ginv))[0]
 
 
 # -- norms --------------------------------------------------------------------

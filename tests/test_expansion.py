@@ -320,6 +320,28 @@ class TestFieldReuse:
         assert steps["g_1"] == chunks and steps["g_2"] == chunks
         assert max(rows for _, rows in calls) <= BATCH_CAP * 33
 
+    def test_background_once_per_point_set_in_expand(self, monkeypatch,
+                                                      tmp_path):
+        # one expand run samples Q(h, h) on two point sets: the extraction
+        # grid of every correction step and the vanishing-order grid of
+        # every stage
+        from cusplab import expansion
+        from cusplab.cli import main
+
+        sets = []
+        q_at = expansion.Q_at
+
+        def recorded(g, t, p, *args):
+            if g is t and g.eval == g.chart.metric_at:
+                sets.append(np.round(p, 12).tobytes())
+            return q_at(g, t, p, *args)
+
+        monkeypatch.setattr(expansion, "Q_at", recorded)
+        code = main(["--out-dir", str(tmp_path), "expand", "--n", "4",
+                     "--stages", "3", "--seed", "3"])
+        assert code == 0
+        assert len(sets) == len(set(sets)) == 2
+
 
 class TestVanishingOrderFit:
     def test_exact_solution_sentinel(self):

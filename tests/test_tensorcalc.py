@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab.charts import Chart, ChartDomainError
+from cusplab.charts import Chart, ChartDomainError, at_points, batched
 from cusplab.tensorcalc import (
     BATCH_CAP,
     MetricField,
@@ -509,6 +509,147 @@ class TestJetKernel:
 
     def test_one_field_type(self):
         assert MetricField is SymTensorField is tensorcalc.Tensor3Field
+
+    @staticmethod
+    def _reference_jet(field, p, h):
+        """The per-coordinate loop the vectorized stencil differences replace."""
+        p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
+        n, lead = p.shape[-1], p.ndim - 1
+        offsets, _ = tensorcalc._stencil(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        points = p[..., None, :] + offsets * h[..., None, :]
+        vals = at_points(field, points.reshape(-1, n))
+        vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]),
+                           lead, 0)
+        f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
+        tail = (None,) * (f0.ndim - lead)
+
+        def hh(i):
+            return h[(..., i) + tail]
+
+        d = np.stack([(fp[i] - fm[i]) / (2.0 * hh(i)) for i in range(n)],
+                     axis=lead)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = (fp[i] - 2.0 * f0 + fm[i]) / hh(i) ** 2
+        for k, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = vals[2 * n + 1 + 4 * k:2 * n + 5 + 4 * k]
+            rows[i][j] = rows[j][i] = (pp - pm - mp + mm) / (4.0 * hh(i) * hh(j))
+        dd = np.stack([np.stack(row, axis=lead) for row in rows], axis=lead)
+        return f0, d, dd
+
+    @pytest.mark.parametrize("points", [P4, np.array([P4 + 0.01 * k for k in range(7)])],
+                             ids=["point", "array"])
+    @pytest.mark.parametrize("field", [
+        chart_metric(COLLAR4),
+        lambda q: np.sin(q[0] + q[1] * q[2]) + q[3] ** 3,
+        lambda q: np.outer(q, q) * np.exp(q[0]),
+    ], ids=["metric", "scalar", "matrix"])
+    def test_vectorized_jet_equals_the_coordinate_loop(self, field, points):
+        hs = coordinate_steps(chart_metric(COLLAR4), points, 0.05)
+        want = self._reference_jet(field, points, hs)
+        for f0 in (None, want[0]):
+            got = tensorcalc._jet(field, points, hs, f0)
+            assert all(a.shape == b.shape and np.array_equal(a, b)
+                       for a, b in zip(got, want))
+
+    def test_metric_jets_evaluate_g_at_p_once(self):
+        # per chunk: g once on its points (the steps and the stencil's
+        # centre) and once on the 32 offset points; a second field once on
+        # all 33 stencil points
+        rows = {"g": [], "t": []}
+
+        def counted(label, scale):
+            @batched
+            def ev(q):
+                rows[label].append(len(np.atleast_2d(q)))
+                return COLLAR4.metric_at(q) * scale
+            return MetricField(COLLAR4, ev, label)
+
+        g, t = counted("g", 1.0), counted("t", 1.1)
+        points = np.array([P4 + [0.001 * k, 0, 0, 0] for k in range(BATCH_CAP + 4)])
+        Q_at(g, g, points)
+        assert rows["g"] == [BATCH_CAP, 32 * BATCH_CAP, 4, 32 * 4]
+        rows["g"].clear()
+        Q_at(g, t, points)
+        assert rows["g"] == [BATCH_CAP, 32 * BATCH_CAP, 4, 32 * 4]
+        assert rows["t"] == [33 * BATCH_CAP, 33 * 4]
+        rows["g"].clear()
+        tensorcalc._metric_jets(g, P4, 1e-3)
+        assert rows["g"] == [1, 32]
+
+
+def _product_rule_specs(spec):
+    """A contraction and the ones `_jeinsum` forms from it by the product
+    rule (derivative letters Y, Z lead the differentiated operands)."""
+    ins, out = spec.split("->")
+    x, y = ins.split(",")
+    return [spec, f"Y{x},{y}->Y{out}", f"{x},Y{y}->Y{out}",
+            f"YZ{x},{y}->YZ{out}", f"{x},YZ{y}->YZ{out}", f"Y{x},Z{y}->YZ{out}"]
+
+
+def _nabla_specs(rank):
+    idx = "abc"[:rank]
+    return [f"mk{i},{idx[:s]}m{idx[s + 1:]}->k{idx}" for s, i in enumerate(idx)]
+
+
+# every contraction of the jet algebra: the `_jeinsum` specs with their
+# product-rule forms, then the direct `_contract` calls on jet values
+JET_SPECS = sorted({
+    *(s for base in ["kl,lij->kij", "ki,kij->j", "kl,kl->", ",ij->ij",
+                     "ij,j->i", "ij,jk->ik",
+                     *(x for r in range(4) for x in _nabla_specs(r))]
+      for s in _product_rule_specs(base)),
+    "lim,mjk->lkij", "ljm,mik->lkij", "lm,mkij->ijkl", "pm,ijm->pij",
+    "kijl,kl->ij", "lk,lk->", "lk,lka->a", "lk,lkab->ab",
+})
+
+
+class TestContraction:
+    """`_contract` is np.einsum as one stacked matrix product."""
+
+    @pytest.mark.parametrize("batch", [(), (7,), (5, 3)],
+                             ids=["point", "points", "grid"])
+    @pytest.mark.parametrize("spec", JET_SPECS)
+    def test_equals_einsum(self, spec, batch, rng):
+        ins, out = spec.split("->")
+        x, y = (np.asarray(rng.standard_normal(batch + (4,) * len(s)))
+                for s in ins.split(","))
+        full = ",".join("..." + s for s in ins.split(",")) + "->..." + out
+        got = tensorcalc._contract(spec, x, y)
+        want = np.einsum(full, x, y)
+        scale = np.einsum(full, np.abs(x), np.abs(y))
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+    def test_every_spec_of_the_operators_is_covered(self, monkeypatch):
+        # record the contractions the operators and the grid covariant
+        # derivative really make
+        from cusplab import solver
+
+        seen = set()
+        contract = tensorcalc._contract
+
+        def recorded(spec, x, y):
+            seen.add(spec)
+            return contract(spec, x, y)
+
+        monkeypatch.setattr(tensorcalc, "_contract", recorded)
+        h = chart_metric(COLLAR4)
+        g = MetricField(COLLAR4, lambda q: COLLAR4.metric_at(q)
+                        * (1 + 0.1 * math.sin(q[1])), "g")
+        w = MetricField(COLLAR4, lambda q: np.array([1.0, q[1], q[2] ** 2, q[0]]))
+        for op in (Q_at, L_at, lichnerowicz_at, difference_tensor_at,
+                   rough_laplacian_tensor_at, lichnerowicz_hyperbolic_at,
+                   bianchi_ops_at, deturck_field_at, divergence_at):
+            op(g, h, P4)
+        riemann_at(g, P4)
+        laplacian_scalar_at(g, lambda q: q[1] ** 2, P4)
+        deltastar_at(g, w, P4)
+        grid = solver.collar_grid(COLLAR4, 0.05, nodes=12)
+        u = np.random.default_rng(0).standard_normal(grid.shape + (4, 4))
+        solver._covariant_derivative(grid, solver._covariant_derivative(grid, u))
+        assert "mkc,abm->kabc" in seen and seen <= set(JET_SPECS)
 
 
 class TestPointSets:
