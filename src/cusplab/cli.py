@@ -73,8 +73,10 @@ def _boolean(text: str) -> bool:
 
 
 _finite = _checked(float, math.isfinite, "must be finite")
-_decreasing = _checked(lambda text: tuple(float(x) for x in text.split(",")),
-                       lambda v: all(b < a for a, b in zip(v, v[1:])),
+_positives = _checked(lambda text: tuple(float(x) for x in text.split(",")),
+                      lambda v: all(math.isfinite(x) and x > 0 for x in v),
+                      "must be finite and positive")
+_decreasing = _checked(_positives, lambda v: all(b < a for a, b in zip(v, v[1:])),
                        "must be strictly decreasing")
 
 
@@ -590,6 +592,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         status, code = "configuration-error", EXIT_USAGE
         rep.error = {"type": type(exc).__name__, "message": str(exc)}
         print(f"configuration error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy raises a subclass naming the allocation
+        status, code = "configuration-error", EXIT_USAGE
+        message = f"out of memory: {str(exc) or 'an allocation failed'}"
+        rep.error = {"type": "MemoryError", "message": message}
+        print(f"configuration error: {message}", file=sys.stderr)
     rep.finish(status)
     return code
 

@@ -13,12 +13,13 @@ axis, serving the coercivity check and every solve) all read the stencils.
 
 The factor's dense products are (n - 2) x (n - 2) on a grid of n nodes per
 axis.  Timed on 2 vCPUs, the OpenBLAS instance numpy loaded ran them faster
-capped at one thread than on both in the coercivity probe at every size
-tried (96 to 1536 nodes) and in the solves up to 768 nodes, and slower in
-the solves from 896 nodes.  So the probe, and the solves on grids of up to
-ONE_THREAD_NODES nodes per axis, run capped, the previous count restored
-afterwards; wider solves keep every thread.  When numpy loaded no OpenBLAS
-the solver can find, BLAS is left as it is.
+capped at one thread than on both in the solves up to 768 nodes, and slower
+in the solves from 896 nodes; the coercivity probe ran as fast or faster
+capped up to 1024 nodes and took more wall but less CPU time capped at
+1536.  So the probe, and the solves on grids of up to ONE_THREAD_NODES
+nodes per axis, run capped, the previous count restored afterwards; wider
+solves keep every thread.  When numpy loaded no OpenBLAS the solver can
+find, BLAS is left as it is.
 """
 
 from __future__ import annotations
@@ -99,9 +100,23 @@ def _openblas_threads():
 # thread.  Timed on 2 vCPUs with `sweep --K 6` (solves only, no probe):
 # capped it took 0.69 s against 0.97 s at 640 nodes and 1.10 s against
 # 1.25 s at 768, but 1.67 s against 1.60 s at 896 and 2.43 s against 2.08 s
-# at 1024.  The probe is capped at every size: it was faster capped on every
-# grid timed, 96 to 1536 nodes (5.2 s against 5.6 s at 1536).
+# at 1024.  The probe is capped at every size.  Timed with its 10-vector
+# basis on cusp grids at eps 0.05, capped against uncapped (medians): 0.004 s
+# either way at 96 nodes, 0.63 s against 0.87 s at 768 and 1.72 s either way
+# at 1024, but 4.1 s against 3.8 s wall (6.0 s against 7.4 s CPU) at 1536.
 ONE_THREAD_NODES = 832
+
+# Lanczos basis of the coercivity probe.  ARPACK builds the whole basis
+# before its first convergence test, so a probe makes PROBE_BASIS + 1
+# Gram-form applications (21 at ARPACK's default basis of 20).  Ten is the
+# smallest basis that keeps a margin at K = -2: on cusp, collar and
+# maximal-cusp grids of 16^2 to 192^2 and 30 to 1024 nodes it moved
+# lambda_min from the default basis's value by at most 6e-16 relative, where
+# 9 vectors moved the collar by 1e-13 and 8 by 2e-11.  The top of the Gram
+# form's spectrum stands less apart as K grows: on the collar at 14 and 30
+# nodes ten vectors move lambda_min by up to 8e-13 for K in (-2, 0) and by
+# up to 7e-12 at K = 1.
+PROBE_BASIS = 10
 
 
 def solve_blas_threads(nodes: int) -> Optional[int]:
@@ -538,7 +553,13 @@ class SparseOperator:
         L^{-1} (SeparableFactor).  Lanczos finds theta_max from a fixed start
         vector, so the value repeats run to run; each step applies B as
         Z -> s (G_0 (s Z) G_1), s = pencil^{-1/2}, two dense products on one
-        BLAS thread.  probe_steps records the number of B applications.
+        BLAS thread.  The Lanczos basis holds PROBE_BASIS = 10 vectors (every
+        unknown on smaller grids), so a probe applies B 11 times.  Ten
+        suffice because theta_max lies well clear of the rest of B's
+        spectrum, which crowds towards zero: at K = -2 they give it within
+        6e-16 of ARPACK's default 20-vector basis.  The gap narrows as K
+        grows (figures at PROBE_BASIS); solve_dirichlet runs the probe at
+        K < 0 only.  probe_steps records the number of B applications.
         """
         if self.min_eigenvalue is None:
             fac = self.factor()
@@ -561,6 +582,7 @@ class SparseOperator:
                 with _one_blas_thread():
                     g0, g1 = (v.T @ v for v in fac.vectors)
                     vals = spla.eigsh(form, k=1, which="LA", tol=1e-4,
+                                      ncv=min(PROBE_BASIS, self.n_unknowns),
                                       v0=np.ones(self.n_unknowns),
                                       return_eigenvectors=False)
             except spla.ArpackError as exc:

@@ -97,6 +97,23 @@ class TestBadInput:
         assert run(tmp_path, *argv) == EXIT_USAGE
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--eps", "-1"),
+        ("solve", "--eps", "0"),
+        ("solve", "--eps", "nan"),
+        ("sweep", "--eps", "inf,0.1"),
+        ("sweep", "--eps", "0.1,nan"),
+        ("sweep", "--eps", "0.2,-0.1"),
+        ("schauder", "--eps", "-1"),
+        ("schauder", "--eps", "0.1,-inf"),
+        ("schauder", "--eps", "nan"),
+    ], ids=" ".join)
+    def test_eps_must_be_finite_and_positive(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "configuration error: eps: must be finite and positive\n")
+        assert not (tmp_path / f"{argv[0]}_summary.json").exists()
+
 
 class TestEveryCommandWritesItsSummary:
     @pytest.mark.parametrize("argv, code, status", [
@@ -120,6 +137,29 @@ class TestEveryCommandWritesItsSummary:
                              parse_constant=_no_constant)
         assert payload["status"] == status
         assert payload["error"]["type"]
+
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+         "and data type float64",
+         "out of memory: Unable to allocate 74.5 GiB for an array with shape "
+         "(100000, 100000) and data type float64"),
+        ("", "out of memory: an allocation failed"),
+    ], ids=["numpy-allocation", "bare"])
+    @pytest.mark.parametrize("subcommand", ["solve", "sweep"])
+    def test_memory_error_leaves_summary(self, tmp_path, capsys, monkeypatch,
+                                         subcommand, message, want):
+        import cusplab.solver as sv
+
+        def out_of_memory(grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(sv.Grid2D, "meshes", out_of_memory)
+        assert run(tmp_path, subcommand, "--nodes", "16") == EXIT_USAGE
+        assert capsys.readouterr().err == f"configuration error: {want}\n"
+        payload = json.loads((tmp_path / f"{subcommand}_summary.json").read_text(),
+                             parse_constant=_no_constant)
+        assert payload["status"] == "configuration-error"
+        assert payload["error"] == {"type": "MemoryError", "message": want}
 
 
 class TestCurvatureCommand:
@@ -192,21 +232,20 @@ class TestSolveAndSweep:
         assert payload["min_eigenvalue"] is None
 
     def test_summaries_record_probe_steps_and_blas_threads(self, tmp_path):
-        from cusplab.solver import solve_blas_threads
+        from cusplab.solver import PROBE_BASIS, solve_blas_threads
 
         cap = solve_blas_threads(24)
         assert cap in (None, 1)
         assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
-        assert payload["probe_steps"] > 0
+        assert payload["probe_steps"] == PROBE_BASIS + 1 == 11
         assert payload["blas_threads"] == cap
         assert run(tmp_path, "solve", "--nodes", "24", "--K", "6") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
         assert payload["probe_steps"] is None
         assert run(tmp_path, "sweep", "--eps", "0.2,0.1,0.05", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "sweep_summary.json").read_text())
-        assert len(payload["probe_steps"]) == 3
-        assert all(steps > 0 for steps in payload["probe_steps"])
+        assert payload["probe_steps"] == [11, 11, 11]
         assert payload["blas_threads"] == cap
         assert run(tmp_path, "sweep", "--eps", "0.2,0.1", "--nodes", "24",
                    "--K", "6") == EXIT_PASS

@@ -434,6 +434,15 @@ class TestFactorOnce:
         assert len(values) == 1
 
 
+def _gram_form(op):
+    """The probe's Gram form P^{-1/2} (G_0 x G_1) P^{-1/2} as a function of a
+    flat vector."""
+    fac = op.factor()
+    s = 1.0 / np.sqrt(fac.pencil)
+    g0, g1 = (v.T @ v for v in fac.vectors)
+    return lambda z: (s * (g0 @ (s * z.reshape(s.shape)) @ g1)).reshape(-1)
+
+
 class TestGramProbe:
     """The coercivity probe runs Lanczos on the factor's Gram form
     P^{-1/2} (G_0 x G_1) P^{-1/2}, which has the spectrum of L^{-1}."""
@@ -451,6 +460,23 @@ class TestGramProbe:
         want = np.linalg.eigvalsh(_dense_form(op))[0]
         assert op.smallest_eigenvalue() == pytest.approx(want, rel=1e-9)
         assert op.probe_steps > 0
+
+    @pytest.mark.parametrize("K", [-2.0, 1.0])
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_basis_matches_arpack_default(self, kind, K):
+        import cusplab.solver as sv
+
+        op = assemble(self.GRIDS[kind], K)
+        lam = op.smallest_eigenvalue()
+        assert op.probe_steps == sv.PROBE_BASIS + 1 == 11
+        # ARPACK's default basis for k = 1 is min(n, 20) vectors
+        want = spla.eigsh(spla.LinearOperator((op.n_unknowns,) * 2, _gram_form(op)),
+                          k=1, which="LA", tol=1e-4, v0=np.ones(op.n_unknowns),
+                          return_eigenvectors=False)
+        # at K = 1, where no solve runs the probe, the top of the Gram form's
+        # spectrum stands less apart and the collar reads 3.6e-12
+        assert lam == pytest.approx(1.0 / want[0], rel=1e-12 if K < 0 else 1e-11,
+                                    abs=0)
 
     @pytest.mark.parametrize("kind", list(GRIDS))
     def test_gram_form_has_the_spectrum_of_the_inverse(self, kind):
