@@ -15,8 +15,12 @@ tangential point or an (N, n-1) array, and `ExpansionMetric.field` is an
 array-native field.  Each correction iteration therefore samples its
 41 y x 6 rho extraction grid, and each vanishing-order fit its rho x y
 grid, in a few batched `Q_at` calls; the background Q(h, h) is computed
-once per point set and cached.  User-supplied pointwise callables (a `qhat`
-or coefficient on one y) go through `charts.at_points`.
+once per point set and cached.  In Q(g_j, g_1) the two slots share one
+ladder: g_1's terms begin g_j's, and the field adds its terms in order, so
+g_1's values are g_j's partial sum after g_1's terms, bit for bit, and the
+longer ladder is evaluated once per stencil for both slots (`_Ladder`).
+User-supplied pointwise callables (a `qhat` or coefficient on one y) go
+through `charts.at_points`.
 """
 
 from __future__ import annotations
@@ -176,6 +180,62 @@ def _embed_tangential(n: int, q_tan: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Ladder:
+    """The values of an expansion metric: the background metric with its
+    terms added in order.  An array-native field eval.
+
+    A ladder whose terms begin with another ladder's terms (the same
+    callables, on the same boundary data) passes through that ladder's
+    values on the way: after the shared terms, its running sum is the other
+    ladder's value bit for bit.  `joint` evaluates both in that one pass.
+    """
+
+    batched = True
+
+    def __init__(self, bd: BoundaryData, terms):
+        self.bd = bd
+        self.terms = terms
+
+    def __call__(self, p) -> np.ndarray:
+        return self._sums(np.asarray(p, dtype=float), len(self.terms))[1]
+
+    def _sums(self, p: np.ndarray, k: int):
+        """(the sum after the first k terms, the full sum) at p."""
+        bd = self.bd
+        rho, y = p[..., 0], p[..., 1:]
+        out = bd.chart.metric_at(p)
+        prefix = None
+        psi_r = bd.psi_rho(rho) if self.terms else None
+        for i, (t, coeff) in enumerate(self.terms):
+            scale = (rho ** t) * psi_r
+            if i == 0:
+                scale = scale * bd.psi_y(y[..., 0])
+            term = scale[..., None, None] * at_points(coeff, y)
+            if i == k:  # the prefix ends here: add into a new array
+                prefix, out = out, out + term
+            else:
+                out += term
+        return (out if prefix is None else prefix), out
+
+    def joint(self, other):
+        """p -> (self's values, other's values) from one pass of the longer
+        ladder, if other is a ladder on the same boundary data and one
+        ladder's terms are a prefix of the other's; otherwise None."""
+        if not isinstance(other, _Ladder) or other.bd is not self.bd:
+            return None
+        short, full = sorted((self, other), key=lambda ladder: len(ladder.terms))
+        if any(a[0] != b[0] or a[1] is not b[1]
+               for a, b in zip(short.terms, full.terms)):
+            return None
+        k = len(short.terms)
+
+        def both(p):
+            prefix, out = full._sums(np.asarray(p, dtype=float), k)
+            return (out, prefix) if full is self else (prefix, out)
+
+        return both
+
+
 @dataclass(frozen=True)
 class ExpansionMetric:
     """Conformally rescaled extension plus power-law correction terms.
@@ -203,25 +263,11 @@ class ExpansionMetric:
     @functools.cached_property
     def field(self) -> MetricField:
         """The metric as one array-native field object, built once, so both
-        slots of Q_at(g.field, g.field, p) share a jet."""
-        bd = self.bd
-        terms = self.terms
-
-        @batched
-        def ev(p):
-            rho, y = p[..., 0], p[..., 1:]
-            out = bd.chart.metric_at(p)
-            if not terms:
-                return out
-            psi_r = bd.psi_rho(rho)
-            t0, c0 = terms[0]
-            scale = (rho ** t0) * psi_r * bd.psi_y(y[..., 0])
-            out += scale[..., None, None] * at_points(c0, y)
-            for t, coeff in terms[1:]:
-                out += ((rho ** t) * psi_r)[..., None, None] * at_points(coeff, y)
-            return out
-
-        return MetricField(bd.chart, ev, f"g_{self.order}")
+        slots of Q_at(g.field, g.field, p) share a jet.  The fields of two
+        stages of one ladder share their evaluations: in Q_at(g_j.field,
+        g_1.field, p), g_1's values are g_j's partial sums."""
+        return MetricField(self.bd.chart, _Ladder(self.bd, self.terms),
+                           f"g_{self.order}")
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:

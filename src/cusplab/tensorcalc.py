@@ -6,7 +6,12 @@ its 2-jet (value, first and second partial derivatives), from
 1 + 2n + 2n(n-1) points per point.  The stencils of a whole point set are
 one array, so an array-native field is called once per set; a metric is
 called once more on the points themselves, whose values give the steps and
-the stencil's centre.  The operators are then product-rule algebra on jets
+the stencil's centre.  Sampling and differencing are two steps
+(`_stencil_points`, `_differences`), so two fields that one evaluation
+yields together share it: with two stages of one expansion ladder in the
+two slots of Q, the longer ladder is evaluated once at the points and once
+on the off-centre stencil points, and the shorter ladder's values are its
+partial sums (`_joint`).  The operators are then product-rule algebra on jets
 (`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives come from
 the metric's 2-jet, covariant derivatives lower a jet's order by one, and
 nothing is differenced twice.  Every two-operand contraction, each
@@ -26,7 +31,10 @@ Fields: a field maps points to component arrays.  An array-native field
 (`chart_metric`, `ExpansionMetric.field`, anything marked with
 `charts.batched`) takes the (N, n) stencil array in one call and returns
 (N, ...).  Any other callable, such as a lambda on one point, is sampled
-one point at a time through `charts.at_points`, the one fallback.
+one point at a time through `charts.at_points`, the one fallback.  A
+field's eval may also offer `joint(other_eval)`: a callable p -> (its
+values, the other eval's values) from one evaluation, or None when it has
+none for that eval.
 
 A jet is a tuple (value, d, dd) with d[..., a, :] = d_a value and
 dd[..., a, b, :] = d_a d_b value, where the leading `...` is the batch of
@@ -155,24 +163,31 @@ def _stencil(n: int):
     return np.vstack([np.zeros((1, n)), eye, -eye, *mixed]), (i, j)
 
 
-def _jet(field, p, h, f0=None):
-    """2-jet of an array-valued callable at one point p (n,) or at each row
-    of an (N, n) array, with steps h of the same shape: central differences
-    for the gradient and pure second derivatives, the four-point mixed
-    stencil for the cross derivatives.  The stencil points of every row are
-    one array, so an array-native field is called once; f0, the field's
-    values at p when the caller has them, is the stencil's centre and is not
-    evaluated again."""
-    p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
-    n, lead = p.shape[-1], p.ndim - 1
-    offsets, (i, j) = _stencil(n)
-    if f0 is not None:
+def _stencil_points(p: np.ndarray, h: np.ndarray, centre: bool) -> np.ndarray:
+    """The stencil around each row of p (or around one point p) with steps h
+    of the same shape: shape p.shape[:-1] + (S, n), the centre first, or
+    left out when centre is false."""
+    offsets, _ = _stencil(p.shape[-1])
+    if not centre:
         offsets = offsets[1:]
-    points = p[..., None, :] + offsets * h[..., None, :]
-    vals = at_points(field, points.reshape(-1, n))
-    vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
-    if f0 is None:
-        f0, vals = vals[0], vals[1:]
+    return p[..., None, :] + offsets * h[..., None, :]
+
+
+def _by_offset(vals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values taken at points.reshape(-1, n), stacked with the stencil
+    offset as their leading axis."""
+    lead = points.ndim - 2
+    return np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
+
+
+def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray):
+    """2-jet from the values f0 at the stencil centres and vals at the
+    off-centre stencil points (the offset axis leading, as `_by_offset`
+    stacks them), with steps h: central differences for the gradient and
+    pure second derivatives, the four-point mixed stencil for the cross
+    derivatives."""
+    n, lead = h.shape[-1], h.ndim - 1
+    _, (i, j) = _stencil(n)
     fp, fm = vals[:n], vals[n:2 * n]
     # hs[i] is the step in coordinate i, shaped like the values
     hs = np.moveaxis(h, -1, 0).reshape(
@@ -184,6 +199,20 @@ def _jet(field, p, h, f0=None):
     pp, pm, mp, mm = vals[2 * n:].reshape((-1, 4) + f0.shape).swapaxes(0, 1)
     dd[i, j] = dd[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
     return f0, np.moveaxis(d, 0, lead), np.moveaxis(dd, (0, 1), (lead, lead + 1))
+
+
+def _jet(field, p, h, f0=None):
+    """2-jet of an array-valued callable at one point p (n,) or at each row
+    of an (N, n) array, with steps h of the same shape.  The stencil points
+    of every row are one array, so an array-native field is called once;
+    f0, the field's values at p when the caller has them, is the stencil's
+    centre and is not evaluated again."""
+    p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
+    points = _stencil_points(p, h, centre=f0 is None)
+    vals = _by_offset(at_points(field, points.reshape(-1, p.shape[-1])), points)
+    if f0 is None:
+        f0, vals = vals[0], vals[1:]
+    return _differences(f0, vals, h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,15 +309,37 @@ def _sym(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
+def _joint(g: MetricField, fields):
+    """p -> (values of g, values of the one further field) from one
+    evaluation, if g's eval offers one for that field's eval
+    (`eval.joint(other)`, as the partial sums of one expansion ladder do);
+    otherwise None."""
+    if len(fields) != 1 or fields[0] is g:
+        return None
+    joint = getattr(g.eval, "joint", None)
+    other = getattr(fields[0], "eval", None)
+    return None if joint is None or other is None else joint(other)
+
+
 def _metric_jets(g: MetricField, p, step: float, *fields):
     """Steps from g at the points p, then the jets of g and of each further
     field on that one stencil (a field identical to g reuses g's jet).  g
     is evaluated at p once: its values give the steps and the centre of its
-    stencil."""
-    g0 = g(p)
-    h = coordinate_steps(g, p, step, g0)
-    G = _jet(g, p, h, g0)
-    return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
+    stencil.  A further field that g evaluates jointly (`_joint`) is sampled
+    in g's passes, once at p and once on the off-centre stencil points, and
+    each field's values are differenced on their own."""
+    joint = _joint(g, fields)
+    if joint is None:
+        g0 = g(p)
+        h = coordinate_steps(g, p, step, g0)
+        G = _jet(g, p, h, g0)
+        return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
+    centres = joint(p)
+    h = coordinate_steps(g, p, step, centres[0])
+    points = _stencil_points(p, h, centre=False)
+    stencils = joint(points.reshape(-1, p.shape[-1]))
+    return tuple(_differences(f0, _by_offset(vals, points), h)
+                 for f0, vals in zip(centres, stencils))
 
 
 # -- connection and curvature on jets -------------------------------------------

@@ -257,7 +257,8 @@ def admissible_weights(
     defaults to 1/(n-2) when strictly inside its window; otherwise half the
     window width is used and the failed closed-form candidate is kept in the
     report.  Raises AdmissibilityObstruction (maximal-rank cusp, or an empty
-    cusp window) or DimensionTooSmall (empty mu0 window).
+    cusp window), DimensionTooSmall (empty mu0 window) or ValueError (a rank
+    outside 1..n-1).
     """
     ranks = tuple(int(f) for f in ranks)
     report = AdmissibilityReport(
@@ -265,11 +266,11 @@ def admissible_weights(
     )
 
     for i, f in enumerate(ranks):
-        if f >= n - 1:
+        if not 1 <= f <= n - 1:
+            raise ValueError(f"invalid cusp rank {f}: must lie in 1..n-1")
+        if f == n - 1:
             report.obstruction = f"end {i}: maximal-rank cusp (f = {f} = n - 1)"
             raise AdmissibilityObstruction(report.obstruction, report)
-        if not (1 <= f):
-            raise ValueError(f"invalid cusp rank {f}")
 
     win0 = mu0_window(n, K)
     report.mu0_window = win0.as_tuple()

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,16 @@ class TestWeightsCommand:
 
     def test_maximal_rank_obstruction(self, tmp_path):
         assert run(tmp_path, "weights", "--n", "4", "--ranks", "1,3") == EXIT_OBSTRUCTION
+
+    @pytest.mark.parametrize("ranks", ["9", "1,4"])
+    def test_rank_above_n_minus_1_is_a_usage_error(self, tmp_path, capsys, ranks):
+        assert run(tmp_path, "weights", "--n", "4", "--ranks", ranks) == EXIT_USAGE
+        bad = ranks.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"configuration error: invalid cusp rank {bad}: must lie in 1..n-1\n")
+        payload = json.loads((tmp_path / "weights_summary.json").read_text())
+        assert payload["status"] == "configuration-error"
+        assert payload["error"]["type"] == "ValueError"
 
     def test_window_reported_for_explicit_mu0(self, tmp_path, capsys):
         assert run(tmp_path, "weights", "--n", "4", "--ranks", "1",
@@ -113,6 +124,14 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "configuration error: eps: must be finite and positive\n")
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
+
+
+    @pytest.mark.parametrize("subcommand", ["curvature", "koiso", "expand"])
+    def test_seed_must_be_non_negative(self, tmp_path, capsys, subcommand):
+        assert run(tmp_path, subcommand, "--seed", "-1") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "configuration error: seed: must be non-negative\n")
+        assert not (tmp_path / f"{subcommand}_summary.json").exists()
 
 
 class TestEveryCommandWritesItsSummary:
@@ -322,6 +341,59 @@ class TestConfigResolution:
             p["config"].pop("out_dir")
             p.pop("tables")  # artifact paths differ by construction
         assert pa == pb
+
+
+EXPAND_LADDER = ("expand", "--n", "4", "--stages", "3", "--seed", "3")
+
+
+def _run_record(out_dir):
+    """A run's summary without its timing and paths, and its CSV bytes."""
+    payload = json.loads((out_dir / "expand_summary.json").read_text())
+    del payload["elapsed_seconds"]
+    payload["config"].pop("out_dir")
+    payload.pop("tables")
+    return payload, {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+
+
+class TestResidentHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's")
+    def test_expand_ops_do_not_refault_the_heap(self, tmp_path):
+        import resource
+
+        from cusplab import cli
+
+        cli._keep_heap_resident.cache_clear()
+        assert run(tmp_path, *EXPAND_LADDER) == EXIT_PASS  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            assert run(tmp_path, *EXPAND_LADDER) == EXIT_PASS
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 5 < 500
+
+    def test_without_glibc_the_run_is_unchanged(self, tmp_path, capsys,
+                                                monkeypatch):
+        import ctypes
+
+        from cusplab import cli
+
+        assert run(tmp_path / "glibc", *EXPAND_LADDER) == EXIT_PASS
+        err = capsys.readouterr().err
+        opened = []
+
+        def no_libc(name, *args, **kwargs):
+            opened.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        cli._keep_heap_resident.cache_clear()
+        try:
+            assert run(tmp_path / "none", *EXPAND_LADDER) == EXIT_PASS
+        finally:
+            cli._keep_heap_resident.cache_clear()
+        assert opened == ["libc.so.6"]
+        assert capsys.readouterr().err == err
+        assert _run_record(tmp_path / "none") == _run_record(tmp_path / "glibc")
 
 
 class TestConfigAliases:

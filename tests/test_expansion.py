@@ -294,31 +294,92 @@ class TestFieldReuse:
         assert g1.field is g1.field
         Q_at(g1.field, g1.field, p)
         assert 33 <= metric_points[0] <= 35
+        # two stages of one ladder share it: g_1's values are g_2's partial
+        # sums
+        g2 = correction_step(g1, g1)
+        metric_points[0] = 0
+        Q_at(g2.field, g1.field, p)
+        assert 33 <= metric_points[0] <= 35
 
 
     def test_field_calls_per_correction_iteration(self, monkeypatch):
         # each iteration evaluates its 39 (inside) y x 6 rho extraction points
-        # in chunks of BATCH_CAP: per chunk, the first slot's field is called
-        # once for the steps and every distinct field once for its stencils
-        from cusplab.tensorcalc import BATCH_CAP, MetricField
+        # in chunks of BATCH_CAP: per chunk, the longer ladder is evaluated
+        # once at the points (steps and both centres) and once on the
+        # off-centre stencil points, and the shorter ladder's values are its
+        # partial sums
+        from cusplab import expansion
+        from cusplab.tensorcalc import BATCH_CAP
 
         g1 = T_map(seeded_boundary_data(ROUND, seed=3))
         calls = []
-        original = MetricField.__call__
+        original = expansion._Ladder._sums
 
-        def recorded(self, p):
-            calls.append((self.label, len(np.atleast_2d(p))))
-            return original(self, p)
+        def recorded(self, p, k):
+            calls.append((f"g_{len(self.terms)}", len(np.atleast_2d(p))))
+            return original(self, p, k)
 
-        monkeypatch.setattr(MetricField, "__call__", recorded)
+        monkeypatch.setattr(expansion._Ladder, "_sums", recorded)
         correction_step(g1, g1)
         chunks = math.ceil(39 * 6 / BATCH_CAP)
         stencils = Counter(label for label, rows in calls if rows > BATCH_CAP)
         steps = Counter(label for label, rows in calls if rows <= BATCH_CAP)
-        # iteration 1: Q(g_1, g_1), one shared field; iteration 2: Q(g_2, g_1)
-        assert stencils["g_1"] == 2 * chunks and stencils["g_2"] == chunks
-        assert steps["g_1"] == chunks and steps["g_2"] == chunks
-        assert max(rows for _, rows in calls) <= BATCH_CAP * 33
+        # iteration 1: Q(g_1, g_1), one shared field; iteration 2: Q(g_2, g_1),
+        # one shared ladder
+        assert stencils == {"g_1": chunks, "g_2": chunks}
+        assert steps == {"g_1": chunks, "g_2": chunks}
+        assert max(rows for _, rows in calls) <= BATCH_CAP * 32
+
+    def test_shared_ladder_equals_separate_evaluation(self, monkeypatch):
+        # Q(g_2, g_1) on the extraction grid, with g_1's values taken from
+        # g_2's partial sums, equals the same call with g_1 re-wrapped as a
+        # plain field that shares nothing
+        from cusplab import expansion
+        from cusplab.tensorcalc import MetricField, Q_at
+
+        g1 = T_map(seeded_boundary_data(ROUND, seed=3))
+        seen = []
+        q_at = expansion.Q_at
+
+        def recorded(g, t, p, *args):
+            seen.append((g, t, p, args))
+            return q_at(g, t, p, *args)
+
+        monkeypatch.setattr(expansion, "Q_at", recorded)
+        g2 = correction_step(g1, g1)
+        (gl, gr, points, args), = [c for c in seen if c[1] is not c[0]
+                                   and c[1] is g1.field]
+        plain = MetricField(g1.chart, g1.field, g1.field.label)
+        assert gl.eval.joint(gr.eval) is not None
+        assert gl.eval.joint(plain.eval) is None
+        assert len(points) == 39 * 6
+        shared = Q_at(gl, gr, points, *args)
+        assert np.array_equal(shared, Q_at(gl, plain, points, *args))
+        # and with the slots swapped, the shorter ladder first
+        assert np.array_equal(Q_at(g1.field, g2.field, points, *args),
+                              Q_at(plain, g2.field, points, *args))
+
+    def test_only_prefix_ladders_of_one_boundary_datum_share(self):
+        bd = seeded_boundary_data(ROUND, seed=3)
+        g1 = T_map(bd)
+        g2 = correction_step(g1, g1)
+        p = np.array([[0.2, *bd._reference_y()], [0.1, *bd._reference_y()]])
+        g2_values = g2.field(p)
+        g1_values = g1.field(p)
+        for a, b, want in ((g2, g1, (g2_values, g1_values)),
+                           (g1, g2, (g1_values, g2_values)),
+                           (g1, ExpansionMetric(bd, g1.terms, 1),
+                            (g1_values, g1_values))):
+            both = a.field.eval.joint(b.field.eval)
+            assert all(np.array_equal(x, y) for x, y in zip(both(p), want))
+        # another boundary datum, or the same exponents with other callables
+        other = T_map(seeded_boundary_data(ROUND, seed=4))
+        assert g2.field.eval.joint(other.field.eval) is None
+        assert g2.field.eval.joint(T_map(bd).field.eval) is None
+        rewired = ExpansionMetric(bd, ((-2, g1.terms[0][1]),
+                                       (g2.terms[1][0], lambda y: 0.0)), 2)
+        assert g2.field.eval.joint(rewired.field.eval) is None
+        assert rewired.field.eval.joint(g1.field.eval) is not None
 
     def test_background_once_per_point_set_in_expand(self, monkeypatch,
                                                       tmp_path):

@@ -200,6 +200,15 @@ class TestAdmissibleWeights:
             admissible_weights(4, (3,))
         assert "maximal" in exc.value.reason
 
+    @pytest.mark.parametrize("ranks, bad", [((9,), 9), ((1, 4), 4), ((0,), 0),
+                                            ((-1, 3), -1)])
+    def test_rank_outside_range_is_invalid_not_obstructed(self, ranks, bad):
+        # only f = n - 1 is the maximal-rank obstruction
+        with pytest.raises(ValueError) as exc:
+            admissible_weights(4, ranks)
+        assert not isinstance(exc.value, AdmissibilityObstruction)
+        assert str(exc.value) == f"invalid cusp rank {bad}: must lie in 1..n-1"
+
     def test_dimension_three_too_small(self):
         with pytest.raises(DimensionTooSmall):
             admissible_weights(3, (1,))
