@@ -24,12 +24,13 @@ print(f"boundary data: sup |qhat| = 0.05, cutoff support "
       f"({bd.y_support[0]:.3f}, {bd.y_support[1]:.3f})")
 print()
 
-print("indicial block scalars (trace-free tangential part hits zero at the")
-print("characteristic exponent s = n - 1 = 3):")
+print("indicial block scalars (K - s(s - (n-1)))/2 in closed form; the")
+print("trace-free tangential block (K = 0) hits zero at the characteristic")
+print("exponent s = n - 1 = 3:")
 for s in (1.0, 2.0, 3.0):
-    b = indicial_blocks(s, chart)
-    print(f"  s={s}: normal-tangential {b.mv:+.4f}, trace-free {b.mt:+.4f}, "
-          f"singular: {b.singular()}")
+    b = indicial_blocks(s, chart.n)
+    print(f"  s={s}: normal-normal/trace {b.m2:+.4f}, normal-tangential "
+          f"{b.mv:+.4f}, trace-free {b.mt:+.4f}, singular: {b.singular()}")
 print()
 
 print("building the expansion ladder (two indicial solves)...")

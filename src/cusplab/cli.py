@@ -466,6 +466,16 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         y[0] = center + dy
         ys.append(y)
     thresholds = {1: 0.9, 2: 1.85, 3: 2.7}
+    # each correction stage: its exponent, the closed-form block scalars it
+    # divided by, and its largest |coefficient| on the tangential grid
+    rep.extra["stages"] = []
+    for g in stages[1:]:
+        t, coeff = g.terms[-1]
+        blocks = expansion.indicial_blocks(t + 2.0, cfg.n)
+        rep.extra["stages"].append({
+            "order": g.order, "s": blocks.s, "m2": blocks.m2, "mv": blocks.mv,
+            "mt": blocks.mt, "max_coefficient": float(np.abs(coeff.values).max()),
+        })
     rows = []
     background = expansion._BackgroundCache(chart)  # Q(h, h) on the samples
     for g in stages:

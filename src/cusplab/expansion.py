@@ -5,9 +5,9 @@ A compactly supported perturbation of the boundary metric on a collar patch
 is extended into the interior, conformally rescaled, and then corrected
 order by order in the defining function: at each stage the leading Taylor
 coefficient of the residual is extracted numerically and cancelled by
-inverting the (numerically assembled) indicial type matrix of the
-linearized operator.  The construction stops one order before the first
-characteristic exponent.
+inverting the indicial operator of the linearized operator, whose three
+block scalars are closed-form quadratics in the exponent.  The construction
+stops one order before the first characteristic exponent.
 
 Boundary data, expansion metrics and their coefficients evaluate whole
 point arrays: `qhat`, the cutoffs and every coefficient of y take one
@@ -36,13 +36,12 @@ from .charts import Chart, COLLAR, at_points, batched, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
     MetricField,
-    SymTensorField,
-    L_at,
     Q_at,
     Q_gauge_at,
     chart_metric,
     tensor_norm,
 )
+from .weights import barrier_H0
 
 SLOPE_SENTINEL = math.inf
 
@@ -52,7 +51,7 @@ class IndicialExtractionFailure(RuntimeError):
 
 
 class CharacteristicExponentHit(RuntimeError):
-    """The indicial matrix is singular at the requested exponent."""
+    """A block of the indicial operator vanishes at the requested exponent."""
 
 
 class PositivityError(ValueError):
@@ -281,25 +280,7 @@ def T_map(bd: BoundaryData) -> ExpansionMetric:
     return ExpansionMetric(bd=bd, terms=((-2, qbar),), order=1)
 
 
-# -- numerical indicial machinery ----------------------------------------------
-
-
-def _fit_leading_coefficient(rhos: np.ndarray, values: np.ndarray, t: int):
-    """Least-squares polynomial fit of values ~ rho^t (c0 + c1 rho + ...),
-    where values[..., r, :, :] is sampled at rhos[r] and leading axes hold
-    independent samples; returns (c0, absolute fit residual, data scale),
-    each with those leading axes."""
-    lead = values.shape[:-3]
-    scaled = values / rhos[:, None, None] ** t
-    degree = max(len(rhos) - 2, 1)
-    V = np.vander(rhos, degree + 1, increasing=True)
-    flat = np.moveaxis(scaled.reshape(lead + (len(rhos), -1)), -2, 0)
-    columns = flat.reshape(len(rhos), -1)
-    coef, *_ = np.linalg.lstsq(V, columns, rcond=None)
-    resid = np.abs(V @ coef - columns).reshape(flat.shape).max(axis=(0, -1))
-    scale = np.abs(flat).max(axis=(0, -1))
-    c0 = coef[0].reshape(lead + values.shape[-2:])
-    return c0, resid, scale
+# -- indicial operator ----------------------------------------------------------
 
 
 def decompose_types(C: np.ndarray, hhat: np.ndarray):
@@ -327,122 +308,60 @@ def recompose_types(a, V, tau, tfree, hhat: np.ndarray) -> np.ndarray:
     return C
 
 
-@dataclass
+def _block_constants(n: int):
+    """(attribute, block, K) of the three indicial blocks: each block scalar
+    is (K - s(s - (n-1)))/2, the barrier quadratic with that block's K."""
+    return (("m2", "normal-normal/trace", 2.0 * (n - 1)),
+            ("mv", "normal-tangential", float(n)),
+            ("mt", "trace-free", 0.0))
+
+
+@dataclass(frozen=True)
 class IndicialBlocks:
-    """Block scalars of the indicial type matrix at one exponent: a 2x2 on
-    (normal-normal, tangential trace), and scalars on the normal-tangential
-    and tangential trace-free parts."""
+    """Block scalars of the indicial operator of the linearized operator at
+    exponent s in dimension n: m2 acts on the normal-normal part and the
+    tangential trace alike, mv on the normal-tangential part, mt on the
+    tangential trace-free part."""
 
     s: float
-    m2: np.ndarray
+    n: int
+    m2: float
     mv: float
     mt: float
 
+    def vanishing(self) -> Optional[str]:
+        """'<block> block (K = ...) vanishes at s = ...' for the first block
+        scalar that is 0, or None."""
+        for attr, block, K in _block_constants(self.n):
+            if getattr(self, attr) == 0.0:
+                at = {-1: " = n - 1", 0: " = n"}.get(self.s - self.n, "")
+                return f"{block} block (K = {K:g}) vanishes at s = {self.s:g}{at}"
+        return None
+
     def singular(self) -> bool:
-        scale = max(np.abs(self.m2).max(), abs(self.mv), abs(self.mt), 1e-3)
-        return (
-            abs(np.linalg.det(self.m2)) < 1e-4 * scale ** 2
-            or abs(self.mv) < 1e-4 * scale
-            or abs(self.mt) < 1e-4 * scale
-        )
+        return self.vanishing() is not None
 
     def solve(self, R: np.ndarray, hhat: np.ndarray) -> np.ndarray:
-        """The type-matrix preimage of R: one component matrix, or a stack
-        of them with their hhat stacked alike."""
-        if self.singular():
-            raise CharacteristicExponentHit(
-                f"indicial matrix singular at exponent s = {self.s}"
-            )
+        """The preimage of R under the indicial operator: one component
+        matrix, or a stack of them with their hhat stacked alike."""
+        vanishing = self.vanishing()
+        if vanishing:
+            raise CharacteristicExponentHit(vanishing)
         a_r, V_r, tau_r, tf_r = decompose_types(R, hhat)
-        rhs = np.stack((a_r, tau_r), axis=-1)
-        x = np.linalg.solve(self.m2, rhs[..., None])[..., 0]
-        return recompose_types(x[..., 0], V_r / self.mv, x[..., 1],
+        return recompose_types(a_r / self.m2, V_r / self.mv, tau_r / self.m2,
                                tf_r / self.mt, hhat)
 
-    def as_matrix(self) -> np.ndarray:
-        """Full 4x4 matrix on type coordinates (nn, nt, trace, trace-free)."""
-        out = np.zeros((4, 4))
-        out[0, 0], out[0, 2] = self.m2[0]
-        out[2, 0], out[2, 2] = self.m2[1]
-        out[1, 1] = self.mv
-        out[3, 3] = self.mt
-        return out
 
-
-def _indicial_probe_rhos(count: int = 5, base: float = 0.05) -> np.ndarray:
-    return base * 0.5 ** np.arange(count)
-
-
-def indicial_blocks(s: float, chart: Chart) -> IndicialBlocks:
-    """Assemble the indicial action of the linearized operator numerically.
-
-    The operator is applied to rho^{s-2} times frozen component matrices of
-    each type at the reference point of the chart; the leading coefficient
-    as rho -> 0 is extracted by a polynomial fit over geometric samples
-    (relative fit residual at most 1e-3).  The normalization is the
-    invariant one: the pure-trace input rho^s * h reproduces the scalar
-    zeroth-order action at s = 0.
-    """
-    if chart.kind != COLLAR:
-        raise ValueError("indicial analysis runs on a collar chart")
-    n = chart.n
-    h = chart_metric(chart)
-    y_ref = _reference_y(chart)
-    hhat = chart.h_u(0.0, y_ref)
-
-    e_nn = np.zeros((n, n)); e_nn[0, 0] = 1.0
-    e_nt = np.zeros((n, n)); e_nt[0, 1] = e_nt[1, 0] = 1.0
-    e_tr = _embed_tangential(n, hhat)
-    tf = np.zeros((n - 1, n - 1))
-    tf[0, 0], tf[1, 1] = hhat[0, 0], -hhat[1, 1]
-    e_tf = _embed_tangential(n, tf)
-
-    rhos = _indicial_probe_rhos()
-    points = _grid_points(rhos, y_ref[None])[0]
-    t = s - 2.0
-
-    def extract_general(Cin):
-        r_field = SymTensorField(
-            chart, batched(lambda q: (q[..., 0] ** t)[..., None, None] * Cin))
-        vals = L_at(h, r_field, points, DEFAULT_STEP)
-        c0, resid, scale = _fit_leading_coefficient(rhos, vals, t)
-        rel = resid / (scale or 1.0)
-        if rel > 1e-3:
-            raise IndicialExtractionFailure(
-                f"indicial extraction residual {rel:.2e} at s = {s}"
-            )
-        return c0
-
-    out_nn = extract_general(e_nn)
-    out_nt = extract_general(e_nt)
-    out_tr = extract_general(e_tr)
-    out_tf = extract_general(e_tf)
-
-    a1, _, tau1, _ = decompose_types(out_nn, hhat)
-    a2, _, tau2, _ = decompose_types(out_tr, hhat)
-    nm1 = n - 1
-    m2 = np.array([[a1, a2 / nm1], [tau1, tau2 / nm1]])
-
-    _, V_nt, _, _ = decompose_types(out_nt, hhat)
-    mv = float(V_nt[0] / e_nt[0, 1])
-
-    _, _, _, tf_out = decompose_types(out_tf, hhat)
-    denom = float(np.einsum("ij,ij->", tf, tf))
-    mt = float(np.einsum("ij,ij->", tf_out, tf) / denom)
-
-    return IndicialBlocks(s=s, m2=m2, mv=mv, mt=mt)
-
-
-def indicial_matrix(
-    s: float,
-    n: int = 4,
-    chart: Optional[Chart] = None,
-) -> np.ndarray:
-    """4x4 indicial type matrix at invariant exponent s, on the component
-    types (normal-normal, normal-tangential, tangential trace, tangential
-    trace-free)."""
-    chart = chart if chart is not None else Chart.collar(n)
-    return indicial_blocks(s, chart).as_matrix()
+def indicial_blocks(s: float, n: int) -> IndicialBlocks:
+    """The indicial operator at exponent s in dimension n, in closed form:
+    applied to rho^{s-2} times a frozen component matrix, the linearized
+    operator returns rho^{s-2} times a block scalar times it, at leading
+    order (Graham & Lee, Adv. Math. 1991; Mazzeo & Melrose, J. Funct. Anal.
+    1987).  Each block scalar is half the barrier quadratic
+    `weights.barrier_H0` with its own K; its zeros are
+    `weights.indicial_roots(K, n)`."""
+    return IndicialBlocks(s=s, n=n, **{
+        attr: 0.5 * barrier_H0(K, s, n) for attr, _, K in _block_constants(n)})
 
 
 # -- coefficient extraction and correction steps --------------------------------
@@ -459,6 +378,24 @@ def _grid_points(rhos, ys: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(rhos[None, :, None], shape + (1,)),
                            np.broadcast_to(ys[:, None, :], shape + ys.shape[1:])],
                           axis=2)
+
+
+def _fit_leading_coefficient(rhos: np.ndarray, values: np.ndarray, t: int):
+    """Least-squares polynomial fit of values ~ rho^t (c0 + c1 rho + ...),
+    where values[..., r, :, :] is sampled at rhos[r] and leading axes hold
+    independent samples; returns (c0, absolute fit residual, data scale),
+    each with those leading axes."""
+    lead = values.shape[:-3]
+    scaled = values / rhos[:, None, None] ** t
+    degree = max(len(rhos) - 2, 1)
+    V = np.vander(rhos, degree + 1, increasing=True)
+    flat = np.moveaxis(scaled.reshape(lead + (len(rhos), -1)), -2, 0)
+    columns = flat.reshape(len(rhos), -1)
+    coef, *_ = np.linalg.lstsq(V, columns, rcond=None)
+    resid = np.abs(V @ coef - columns).reshape(flat.shape).max(axis=(0, -1))
+    scale = np.abs(flat).max(axis=(0, -1))
+    c0 = coef[0].reshape(lead + values.shape[-2:])
+    return c0, resid, scale
 
 
 @dataclass
@@ -567,6 +504,7 @@ class _SplineCoefficient:
         self.grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         self.shape = values.shape[1:]
+        self.values = values  # at the grid nodes
         self.coefficients = _natural_spline_coefficients(
             self.grid, values.reshape(len(self.grid), -1))
 
@@ -593,22 +531,20 @@ def correction_step(
 
     The residual coefficient at the current component exponent is extracted
     on a 41-point tangential grid (all its extraction points in one batched
-    evaluation), the indicial blocks inverted pointwise, and the correction
+    evaluation), divided pointwise by the closed-form indicial block scalar
+    of each component type (`indicial_blocks`), and the correction
     re-extracted once so that quadratic cross terms at the same order are
     swept up as well.  Coefficients vanish identically outside the cutoff
     support.  Raises CharacteristicExponentHit at a singular exponent.
     """
     bd = g_j.bd
-    chart = g_j.chart
     t = g_j.order - 2  # residual component exponent: -1 for stage 1, then 0, 1, ...
-    s_inv = float(t + 2)
-    blocks = indicial_blocks(s_inv, chart)
-    if blocks.singular():
+    blocks = indicial_blocks(float(t + 2), bd.n)
+    vanishing = blocks.vanishing()
+    if vanishing:
         raise CharacteristicExponentHit(
-            f"stage {g_j.order + 1} sits at a characteristic exponent "
-            f"(s = {s_inv}); the construction stops here"
-        )
-    cache = cache or _BackgroundCache(chart)
+            f"stage {g_j.order + 1}: {vanishing}; the construction stops here")
+    cache = cache or _BackgroundCache(g_j.chart)
     lo, hi = bd.y_support
     pad = 0.02 * (hi - lo)
     ygrid = np.linspace(lo - pad, hi + pad, 41)

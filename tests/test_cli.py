@@ -396,6 +396,24 @@ class TestResidentHeap:
         assert _run_record(tmp_path / "none") == _run_record(tmp_path / "glibc")
 
 
+class TestExpandStages:
+    def test_summary_records_each_correction_stage(self, tmp_path):
+        assert run(tmp_path, *EXPAND_LADDER) == EXIT_PASS
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        stages = payload["stages"]
+        assert [set(st) for st in stages] == [
+            {"order", "s", "m2", "mv", "mt", "max_coefficient"}] * 2
+        assert [(st["order"], st["s"]) for st in stages] == [(2, 1.0), (3, 2.0)]
+        # the closed-form block scalars (K - s(s - 3))/2 at n = 4
+        assert [(st["m2"], st["mv"], st["mt"]) for st in stages] == [
+            (4.0, 3.0, 1.0), (4.0, 3.0, 1.0)]
+        assert all(st["max_coefficient"] >= 0 for st in stages)
+        # stage 2 is a no-op up to the extraction's noise; stage 3 is not
+        assert stages[0]["max_coefficient"] < 1e-4
+        assert stages[1]["max_coefficient"] > 0.1
+        assert len(list(tmp_path.glob("*.csv"))) == 1  # the slopes table only
+
+
 class TestConfigAliases:
     def test_expect_indefinite_via_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cusplab.charts import Chart
+from cusplab.charts import Chart, batched
 from cusplab.expansion import (
     BoundaryData,
     CharacteristicExponentHit,
@@ -13,17 +13,19 @@ from cusplab.expansion import (
     S_map,
     T_map,
     _SplineCoefficient,
+    _embed_tangential,
+    _fit_leading_coefficient,
+    _grid_points,
     _reference_y,
     correction_step,
     decompose_types,
     gauge_term_norm,
     indicial_blocks,
-    indicial_matrix,
     recompose_types,
     seeded_boundary_data,
     vanishing_order,
 )
-from cusplab.tensorcalc import chart_metric
+from cusplab.tensorcalc import L_at, SymTensorField, chart_metric
 from cusplab.weights import indicial_roots
 
 ROUND = Chart.collar(4, h_u="round_sphere")
@@ -117,6 +119,52 @@ class TestConformalRescaling:
                             order=1)
 
 
+def stencil_blocks(s, chart, step=1e-3):
+    """Test oracle: the indicial blocks extracted from the finite-difference
+    operator.  L_at is applied to rho^{s-2} times frozen component matrices
+    of each type at the chart's reference point, and the leading coefficient
+    as rho -> 0 is fitted over five geometric samples.  Returns the 2x2
+    block on (normal-normal, tangential trace / (n-1)) and the
+    normal-tangential and trace-free scalars."""
+    n = chart.n
+    h = chart_metric(chart)
+    y_ref = _reference_y(chart)
+    hhat = chart.h_u(0.0, y_ref)
+    e_nn = np.zeros((n, n))
+    e_nn[0, 0] = 1.0
+    e_nt = np.zeros((n, n))
+    e_nt[0, 1] = e_nt[1, 0] = 1.0
+    tf = np.zeros((n - 1, n - 1))
+    tf[0, 0], tf[1, 1] = hhat[0, 0], -hhat[1, 1]
+    rhos = 0.05 * 0.5 ** np.arange(5)
+    points = _grid_points(rhos, y_ref[None])[0]
+    t = s - 2.0
+
+    def leading(C):
+        field = SymTensorField(
+            chart, batched(lambda q: (q[..., 0] ** t)[..., None, None] * C))
+        c0, resid, scale = _fit_leading_coefficient(
+            rhos, L_at(h, field, points, step), t)
+        assert resid / scale <= 1e-3
+        return decompose_types(c0, hhat)
+
+    a_nn, _, tau_nn, _ = leading(e_nn)
+    a_tr, _, tau_tr, _ = leading(_embed_tangential(n, hhat))
+    m2 = np.array([[a_nn, a_tr / (n - 1)], [tau_nn, tau_tr / (n - 1)]])
+    mv = leading(e_nt)[1][0]
+    tf_out = leading(_embed_tangential(n, tf))[3]
+    mt = np.einsum("ij,ij->", tf_out, tf) / np.einsum("ij,ij->", tf, tf)
+    return m2, float(mv), float(mt)
+
+
+def oracle_gap(s, chart, step=1e-3):
+    """Largest gap between the oracle's blocks and the closed forms."""
+    m2, mv, mt = stencil_blocks(s, chart, step)
+    closed = indicial_blocks(s, chart.n)
+    return max(np.abs(m2 - closed.m2 * np.eye(2)).max(),
+               abs(mv - closed.mv), abs(mt - closed.mt))
+
+
 class TestIndicialStructure:
     # closed forms for the conformally flat model, lam(s) = -s(s - (n-1)):
     # trace direction (lam + 2(n-1))/2, normal-tangential (lam + n)/2,
@@ -126,52 +174,96 @@ class TestIndicialStructure:
     def test_block_scalars_match_closed_forms(self, s):
         n = 4
         lam = -s * (s - (n - 1))
-        blocks = indicial_blocks(s, FLAT)
-        hdir = np.array([1.0, n - 1.0])
-        tr_num = blocks.m2 @ hdir / hdir
-        assert tr_num == pytest.approx([0.5 * (lam + 2 * (n - 1))] * 2, abs=2e-4)
-        assert blocks.mv == pytest.approx(0.5 * (lam + n), abs=2e-4)
-        assert blocks.mt == pytest.approx(0.5 * lam, abs=2e-4)
+        blocks = indicial_blocks(s, n)
+        assert blocks.m2 == pytest.approx(0.5 * (lam + 2 * (n - 1)), abs=1e-14)
+        assert blocks.mv == pytest.approx(0.5 * (lam + n), abs=1e-14)
+        assert blocks.mt == pytest.approx(0.5 * lam, abs=1e-14)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.0, 3.5])
+    @pytest.mark.parametrize("family", ["euclidean", "round_sphere"])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_stencil_oracle_converges_to_closed_forms(self, n, family, s):
+        # the gap is the stencil's O(step^2) error: halving the step cuts it
+        # about 4x
+        chart = Chart.collar(n, h_u=family)
+        gap = oracle_gap(s, chart, 1e-3)
+        assert gap <= 3e-5
+        assert oracle_gap(s, chart, 5e-4) <= gap / 3
 
     def test_zero_exponent_acts_by_zeroth_order_constant_on_trace(self):
         # rho^0 times the metric is parallel, so only the constant term acts
-        blocks = indicial_blocks(0.0, FLAT)
+        assert indicial_blocks(0.0, 4).m2 == 3.0
+        m2, _, _ = stencil_blocks(0.0, FLAT)
         hdir = np.array([1.0, 3.0])
-        out = blocks.m2 @ hdir
-        assert out == pytest.approx(3.0 * hdir, abs=2e-4)
+        assert m2 @ hdir == pytest.approx(3.0 * hdir, abs=2e-4)
 
     def test_trace_block_singular_at_matching_indicial_roots(self):
         # the pure-trace block reproduces the scalar exponents for the
-        # shifted constant 2(n-1)
+        # shifted constant 2(n-1), in closed form and on the stencil
         n = 4
         for root in indicial_roots(2.0 * (n - 1), n):
-            blocks = indicial_blocks(root, FLAT)
-            hdir = np.array([1.0, n - 1.0])
-            out = blocks.m2 @ hdir
-            assert np.abs(out).max() < 5e-4
+            assert abs(indicial_blocks(root, n).m2) < 1e-14
+            m2, _, _ = stencil_blocks(root, FLAT)
+            assert np.abs(m2 @ np.array([1.0, n - 1.0])).max() < 5e-4
 
     def test_trace_free_block_singular_at_stage_cap(self):
-        blocks = indicial_blocks(3.0, FLAT)  # s = n - 1
+        blocks = indicial_blocks(3.0, 4)  # s = n - 1
+        assert blocks.mt == 0.0
         assert blocks.singular()
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_block_zeros_are_the_indicial_roots(self, n):
+        for attr, K in (("m2", 2.0 * (n - 1)), ("mv", float(n)), ("mt", 0.0)):
+            for root in indicial_roots(K, n):
+                assert abs(getattr(indicial_blocks(root, n), attr)) < 1e-13
+        assert indicial_roots(0.0, n) == (0.0, n - 1.0)
+        assert indicial_roots(float(n), n) == (-1.0, float(n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_integer_exponents_singular_exactly_at_n_minus_1_and_n(self, n):
+        singular = [s for s in range(1, n + 1)
+                    if indicial_blocks(float(s), n).singular()]
+        assert singular == [n - 1, n]
+
+    def test_vanishing_block_named(self, rng):
+        R = rng.standard_normal((4, 4))
+        R = R + R.T
+        hhat = FLAT.h_u(0.0, _reference_y(FLAT))
+        with pytest.raises(CharacteristicExponentHit,
+                           match=r"^trace-free block \(K = 0\) vanishes at "
+                                 r"s = 3 = n - 1$"):
+            indicial_blocks(3.0, 4).solve(R, hhat)
+        with pytest.raises(CharacteristicExponentHit,
+                           match=r"^normal-tangential block \(K = 4\) "
+                                 r"vanishes at s = 4 = n$"):
+            indicial_blocks(4.0, 4).solve(R, hhat)
+        assert indicial_blocks(2.0, 4).vanishing() is None
+
     def test_quadratic_dependence_on_exponent(self):
+        # each block is (K - s(s - (n-1)))/2: quadratic in s with leading
+        # coefficient -1/2 and constant K/2
+        n = 4
         svals = np.array([0.3, 0.8, 1.3, 1.9, 2.6])
-        mats = np.array([indicial_matrix(s, 4, FLAT) for s in svals])
+        blocks = [indicial_blocks(s, n) for s in svals]
+        scalars = np.array([[b.m2, b.mv, b.mt] for b in blocks])
         V = np.vander(svals, 3, increasing=True)
-        flat = mats.reshape(len(svals), -1)
-        coef, *_ = np.linalg.lstsq(V, flat, rcond=None)
-        assert np.abs(V @ coef - flat).max() < 1e-6
+        coef, *_ = np.linalg.lstsq(V, scalars, rcond=None)
+        assert np.abs(V @ coef - scalars).max() < 1e-12
+        assert coef[2] == pytest.approx([-0.5] * 3, abs=1e-12)
+        assert coef[1] == pytest.approx([0.5 * (n - 1)] * 3, abs=1e-12)
+        assert coef[0] == pytest.approx([n - 1, 0.5 * n, 0.0], abs=1e-12)
 
     def test_round_family_shares_the_scalars(self):
-        a = indicial_blocks(1.0, FLAT)
-        b = indicial_blocks(1.0, ROUND)
-        assert b.mv == pytest.approx(a.mv, abs=2e-4)
-        assert b.mt == pytest.approx(a.mt, abs=2e-4)
+        flat = stencil_blocks(1.0, FLAT)
+        round_ = stencil_blocks(1.0, ROUND)
+        assert round_[0] == pytest.approx(flat[0], abs=2e-4)
+        assert round_[1] == pytest.approx(flat[1], abs=2e-4)
+        assert round_[2] == pytest.approx(flat[2], abs=2e-4)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_stacked_solve_equals_one_matrix_at_a_time(self, n, rng):
         chart = Chart.collar(n, h_u="round_sphere")
-        blocks = indicial_blocks(1.0, chart)
+        blocks = indicial_blocks(1.0, n)
         ys = np.tile(_reference_y(chart), (9, 1))
         ys[:, 0] += rng.uniform(-0.4, 0.4, 9)
         hhats = chart.h_u(0.0, ys)
@@ -180,11 +272,10 @@ class TestIndicialStructure:
         stacked = blocks.solve(R, hhats)
         one_at_a_time = np.array([blocks.solve(r, h) for r, h in zip(R, hhats)])
         assert np.array_equal(stacked, one_at_a_time)
-        # the preimage maps back onto R under the type matrix
+        # the preimage maps back onto R under the indicial operator
         a, V, tau, tfree = decompose_types(stacked, hhats)
-        back = recompose_types(
-            blocks.m2[0, 0] * a + blocks.m2[0, 1] * tau, blocks.mv * V,
-            blocks.m2[1, 0] * a + blocks.m2[1, 1] * tau, blocks.mt * tfree, hhats)
+        back = recompose_types(blocks.m2 * a, blocks.mv * V, blocks.m2 * tau,
+                               blocks.mt * tfree, hhats)
         assert np.allclose(back, R, rtol=1e-10, atol=1e-10)
 
 
@@ -263,7 +354,9 @@ class TestCorrectionLadder:
             assert np.abs(coeff(y_out)).max() == 0.0
 
     def test_characteristic_exponent_stops_construction(self, bdata, ladder):
-        with pytest.raises(CharacteristicExponentHit):
+        with pytest.raises(CharacteristicExponentHit,
+                           match=r"^stage 4: trace-free block \(K = 0\) "
+                                 r"vanishes at s = 3 = n - 1; "):
             correction_step(ladder[-1], ladder[0])
 
     def test_stage_cap(self, bdata):
@@ -427,10 +520,10 @@ def test_dimension_five_ladder_reaches_its_characteristic_exponent():
     # one dimension up: three solves are allowed and the trace-free block
     # goes singular exactly at s = n - 1 = 4
     chart = Chart.collar(5, h_u="round_sphere")
-    assert not indicial_blocks(3.0, chart).singular()
-    assert indicial_blocks(4.0, chart).singular()
+    assert not indicial_blocks(3.0, 5).singular()
+    assert indicial_blocks(4.0, 5).singular()
     bd = seeded_boundary_data(chart, seed=2, amplitude=0.05)
-    stages = S_map(bd, stages=4)
+    stages = S_map(bd, stages=10)  # n - 1 caps the ladder
     assert [g.order for g in stages] == [1, 2, 3, 4]
     rhos = [2.0 ** (-k) for k in range(3, 9)]
     center = 0.5 * (bd.y_support[0] + bd.y_support[1])
