@@ -134,7 +134,9 @@ def round_collar_family(rho, y) -> np.ndarray:
     """Family (1 - rho^2/4)^2 * round(S^{n-1}); the collar metric it induces
     is exactly hyperbolic (ball model in normal form around the boundary)."""
     rho = np.asarray(rho, dtype=float)
-    return _matrix_scale((1.0 - rho * rho / 4.0) ** 2) * round_sphere_metric(y)
+    g = round_sphere_metric(y)
+    g *= _matrix_scale((1.0 - rho * rho / 4.0) ** 2)
+    return g
 
 
 def _matrix_scale(s) -> np.ndarray:
@@ -319,7 +321,8 @@ class Chart:
         if self.kind == COLLAR:
             out[..., 0, 0] = 1.0
             out[..., 1:, 1:] = self.h_u(x, p[..., 1:])
-            return out / _matrix_scale(x * x)
+            out /= _matrix_scale(x * x)
+            return out
         b = self.b
         v = p[..., 1 : 1 + b]
         s2 = x * x + np.einsum("...i,...i->...", v, v)

@@ -452,6 +452,12 @@ def cmd_schauder(cfg: argparse.Namespace, rep: Report) -> None:
     rep.extra["spread"] = spread
 
 
+# The residual vanishing order each stage of the expand ladder must reach:
+# stage j decays like rho^j, less the slack of the differencing.  A ladder
+# that would run past the last declared stage is a usage error.
+STAGE_SLOPES = {1: 0.9, 2: 1.85, 3: 2.7, 4: 3.7}
+
+
 def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
     """Boundary expansion ladder."""
     chart = Chart.collar(cfg.n, h_u="round_sphere")
@@ -465,7 +471,6 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         y = y0.copy()
         y[0] = center + dy
         ys.append(y)
-    thresholds = {1: 0.9, 2: 1.85, 3: 2.7}
     # each correction stage: its exponent, the closed-form block scalars it
     # divided by, and its largest |coefficient| on the tangential grid
     rep.extra["stages"] = []
@@ -483,7 +488,7 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         gauge = expansion.gauge_term_norm(
             g, [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)],
             step=cfg.step)
-        thr = thresholds.get(g.order, 0.0)
+        thr = STAGE_SLOPES[g.order]
         rep.check(f"stage{g.order}_slope", fit.slope, thr,
                         fit.slope >= thr, "residual-vanishing-order")
         gauge_bound = 10.0 * cfg.step ** 2
@@ -566,6 +571,13 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(cfg, "weights_mode", "auto") != "auto" and cfg.mu0 is not None:
         raise ValueError("mu0: explicit --weights give mu0 as their first "
                          "value; set one or the other")
+    if cfg.subcommand == "expand":
+        top = min(cfg.stages, cfg.n - 1)  # S_map stops at stage n - 1
+        if top not in STAGE_SLOPES:
+            raise ValueError(f"stages: stage {top} of the n = {cfg.n} ladder has "
+                             f"no declared slope threshold (stages 1-"
+                             f"{max(STAGE_SLOPES)} do); pass --stages "
+                             f"{max(STAGE_SLOPES)} or fewer")
     cfg.out_dir = Path(args.out_dir or os.environ.get("CUSPLAB_OUT")
                        or "cusplab_out")
     return cfg
@@ -575,15 +587,15 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
 # glibc's own dynamic rule raises the mmap threshold to on 64-bit (32 MiB),
 # and twice that for the trim threshold, as that rule pairs them.  Left
 # dynamic, the trim threshold sits near twice the largest freed mmapped
-# block.  A 48-point chunk of Q(g_3, g_1) peaks at about 1.3 MB of live
-# numpy temporaries (tracemalloc), so the heap top went back to the OS after
-# every chunk and was faulted in again for the next.  In process, after
-# warm-up, on 2 vCPUs: an expand --n 4 --stages 3 op fell from about 6,700
-# minor faults and 11-19 ms of system time to under 10 faults and under
-# 2 ms, a sweep --nodes 96 op from about 1,100 faults to 1-2.  In fresh
-# processes, the peak RSS of sweep --K 6 --nodes 1024 (238 MB) and koiso
-# (116 MB) did not move; that of solve --nodes 512 --eps 0.05 rose by
-# 0.3 MB, to 123.4 MB.
+# block.  A pass of Q(g_3, g_1) peaks at about 2.2 MB of live numpy
+# temporaries (tracemalloc; 1.3 MB in the 48-point passes these figures were
+# taken with), so the heap top went back to the OS after every pass and was
+# faulted in again for the next.  In process, after warm-up, on 2 vCPUs: an
+# expand --n 4 --stages 3 op fell from about 6,700 minor faults and 11-19 ms
+# of system time to under 10 faults and under 2 ms, a sweep --nodes 96 op
+# from about 1,100 faults to 1-2.  In fresh processes, the peak RSS of
+# sweep --K 6 --nodes 1024 (238 MB) and koiso (116 MB) did not move; that
+# of solve --nodes 512 --eps 0.05 rose by 0.3 MB, to 123.4 MB.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
 
@@ -592,7 +604,7 @@ TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
 def _keep_heap_resident() -> None:
     """Raise glibc's mmap and trim thresholds to their dynamic maxima, once
     per process, so freed numpy temporaries stay on the heap for the next
-    chunk; a silent no-op where libc is not glibc."""
+    pass; a silent no-op where libc is not glibc."""
     import ctypes
 
     try:

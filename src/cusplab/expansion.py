@@ -61,6 +61,14 @@ class PositivityError(ValueError):
 # -- boundary data -------------------------------------------------------------
 
 
+def of_first_coordinate(fn):
+    """Mark fn, a function of tangential points y, as depending on y[..., 0]
+    alone: an expansion metric evaluates it once per distinct first
+    coordinate of a point array and gathers the values."""
+    fn.first_coordinate = True
+    return fn
+
+
 def plateau_bump(t, inner: float = 0.5):
     """Smooth plateau on (-1, 1), elementwise: identically 1 on
     [-inner, inner], 0 outside."""
@@ -75,7 +83,8 @@ class BoundaryData:
 
     qhat maps tangential coordinates y to symmetric (n-1)x(n-1) component
     matrices, supported strictly inside the cutoff plateau (one y, or an
-    (N, n-1) array if marked with `charts.batched`); psi_y is the
+    (N, n-1) array if marked with `charts.batched`; a qhat of y[..., 0]
+    alone may be marked with `of_first_coordinate`); psi_y is the
     tangential cutoff profile, an elementwise function of y[..., 0], with
     support interval y_support, and the radial cutoff equals 1 for
     rho <= 1/2 and 0 for rho >= 1.
@@ -151,6 +160,7 @@ def seeded_boundary_data(
     A *= amplitude / np.abs(A).max()
     center = float(_reference_y(chart)[0])
 
+    @of_first_coordinate
     @batched
     def qhat(y):
         bump = smooth_bump((np.asarray(y)[..., 0] - center) / 0.25)
@@ -199,22 +209,36 @@ class _Ladder:
         return self._sums(np.asarray(p, dtype=float), len(self.terms))[1]
 
     def _sums(self, p: np.ndarray, k: int):
-        """(the sum after the first k terms, the full sum) at p."""
+        """(the sum after the first k terms, the full sum) at p.
+
+        Each term is coeff(y) * scale, added in order.  A stencil array
+        repeats each first tangential coordinate many times, so psi_y and
+        the coefficients that depend on it alone (`of_first_coordinate`)
+        are evaluated once per distinct value and gathered."""
         bd = self.bd
-        rho, y = p[..., 0], p[..., 1:]
-        out = bd.chart.metric_at(p)
+        q = p.reshape(-1, p.shape[-1])
+        rho, y = q[:, 0], q[:, 1:]
+        out = bd.chart.metric_at(q)
         prefix = None
-        psi_r = bd.psi_rho(rho) if self.terms else None
+        if self.terms:
+            psi_r = bd.psi_rho(rho)
+            distinct, first, at = np.unique(y[:, 0], return_index=True,
+                                            return_inverse=True)
         for i, (t, coeff) in enumerate(self.terms):
             scale = (rho ** t) * psi_r
             if i == 0:
-                scale = scale * bd.psi_y(y[..., 0])
-            term = scale[..., None, None] * at_points(coeff, y)
+                scale = scale * bd.psi_y(distinct)[at]
+            if getattr(coeff, "first_coordinate", False):
+                term = at_points(coeff, y[first])[at]
+                term *= scale[:, None, None]
+            else:
+                term = at_points(coeff, y) * scale[:, None, None]
             if i == k:  # the prefix ends here: add into a new array
                 prefix, out = out, out + term
             else:
                 out += term
-        return (out if prefix is None else prefix), out
+        shape = p.shape[:-1] + out.shape[1:]
+        return (out if prefix is None else prefix).reshape(shape), out.reshape(shape)
 
     def joint(self, other):
         """p -> (self's values, other's values) from one pass of the longer
@@ -277,6 +301,8 @@ def T_map(bd: BoundaryData) -> ExpansionMetric:
     def qbar(y):
         return _embed_tangential(n, at_points(bd.qhat, y))
 
+    if getattr(bd.qhat, "first_coordinate", False):
+        qbar = of_first_coordinate(qbar)
     return ExpansionMetric(bd=bd, terms=((-2, qbar),), order=1)
 
 
@@ -491,12 +517,15 @@ class _SplineCoefficient:
     Values equal scipy's CubicSpline(grid, values, axis=0,
     bc_type="natural") bit for bit: the interval is found and the cubic
     summed in PPoly's order, from one gather of the coefficient block. A
-    stencil array repeats each first tangential coordinate many times (a
-    1,584-point chunk of the expand ladder holds about 100 distinct ones),
-    so the spline is evaluated once per distinct coordinate.
+    stencil array repeats each first tangential coordinate many times, so
+    the spline is evaluated once per distinct coordinate.  An expansion
+    metric hands it those distinct coordinates only (`of_first_coordinate`):
+    a 117-point pass of the n = 4 expand ladder has 3,744 stencil points
+    with about 250 distinct first coordinates.
     """
 
     batched = True
+    first_coordinate = True
 
     def __init__(self, grid: np.ndarray, values: np.ndarray,
                  support: tuple[float, float]):
@@ -522,6 +551,20 @@ class _SplineCoefficient:
         return value[at].reshape(t.shape + self.shape)
 
 
+def _extraction_grid(bd: BoundaryData):
+    """The tangential grid of a correction step: 41 values of the first
+    tangential coordinate across the cutoff support padded by 2% each side,
+    the mask of those strictly inside it, and the inside ones as (M, n-1)
+    points y through the reference point."""
+    lo, hi = bd.y_support
+    pad = 0.02 * (hi - lo)
+    ygrid = np.linspace(lo - pad, hi + pad, 41)
+    inside = (lo < ygrid) & (ygrid < hi)
+    ys = np.tile(bd._reference_y(), (int(inside.sum()), 1))
+    ys[:, 0] = ygrid[inside]
+    return ygrid, inside, ys
+
+
 def correction_step(
     g_j: ExpansionMetric,
     g_1: ExpansionMetric,
@@ -545,12 +588,7 @@ def correction_step(
         raise CharacteristicExponentHit(
             f"stage {g_j.order + 1}: {vanishing}; the construction stops here")
     cache = cache or _BackgroundCache(g_j.chart)
-    lo, hi = bd.y_support
-    pad = 0.02 * (hi - lo)
-    ygrid = np.linspace(lo - pad, hi + pad, 41)
-    inside = (lo < ygrid) & (ygrid < hi)
-    ys = np.tile(bd._reference_y(), (int(inside.sum()), 1))
-    ys[:, 0] = ygrid[inside]
+    ygrid, inside, ys = _extraction_grid(bd)
     hhats = bd.hhat(ys)
     n = bd.n
 
@@ -568,7 +606,7 @@ def correction_step(
         new_vals = np.zeros_like(coeff)
         new_vals[inside] = blocks.solve(-raw, hhats)
         coeff = coeff + new_vals
-        fn = _SplineCoefficient(ygrid, coeff, (lo, hi))
+        fn = _SplineCoefficient(ygrid, coeff, bd.y_support)
         current = ExpansionMetric(
             bd=bd,
             terms=g_j.terms + ((t, fn),),

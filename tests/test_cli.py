@@ -12,6 +12,9 @@ from cusplab.cli import (
     EXIT_OBSTRUCTION,
     EXIT_PASS,
     EXIT_USAGE,
+    STAGE_SLOPES,
+    _load_config,
+    build_parser,
     main,
 )
 
@@ -88,6 +91,7 @@ class TestBadInput:
         ("solve", "--eps", "0.8"),
         ("sweep", "--eps", "0.6,0.5,0.3"),
         ("solve", "--eps", "0.3"),
+        ("expand", "--n", "6", "--stages", "5"),
     ], ids=" ".join)
     def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
@@ -100,6 +104,7 @@ class TestBadInput:
         ("koiso", "--refine", "17,17"),
         ("koiso", "--refine", "33,17,65"),
         ("expand", "--stages", "0"),
+        ("expand", "--n", "7", "--stages", "6"),
         ("solve", "--weights", "nan,0.5"),
         ("solve", "--weights", "1.75,abc"),
         ("sweep", "--weights", "1.75,inf"),
@@ -412,6 +417,31 @@ class TestExpandStages:
         assert stages[0]["max_coefficient"] < 1e-4
         assert stages[1]["max_coefficient"] > 0.1
         assert len(list(tmp_path.glob("*.csv"))) == 1  # the slopes table only
+
+    def test_stage_four_is_checked_against_its_threshold(self, tmp_path):
+        assert STAGE_SLOPES[4] == 3.7
+        assert run(tmp_path, "expand", "--n", "5", "--stages", "4",
+                   "--seed", "0") == EXIT_PASS
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert [checks[f"stage{j}_slope"]["tolerance"] for j in (1, 2, 3, 4)] == [
+            STAGE_SLOPES[j] for j in (1, 2, 3, 4)]
+        assert checks["stage4_slope"]["value"] >= 3.7
+
+    def test_stage_without_a_threshold_is_a_usage_error(self, tmp_path, capsys):
+        # n = 6 would reach stage 5, which declares no slope threshold
+        assert 5 not in STAGE_SLOPES
+        assert run(tmp_path, "expand", "--n", "6", "--stages", "5") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "configuration error: stages: stage 5 of the n = 6 ladder has no "
+            "declared slope threshold (stages 1-4 do); pass --stages 4 or "
+            "fewer\n")
+        assert not (tmp_path / "expand_summary.json").exists()
+
+    def test_stages_past_n_minus_one_are_capped_not_rejected(self):
+        # the n = 4 ladder stops at stage 3 whatever --stages asks for
+        args = build_parser().parse_args(["expand", "--n", "4", "--stages", "9"])
+        assert _load_config(args).stages == 9
 
 
 class TestConfigAliases:

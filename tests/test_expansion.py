@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -397,10 +396,10 @@ class TestFieldReuse:
 
     def test_field_calls_per_correction_iteration(self, monkeypatch):
         # each iteration evaluates its 39 (inside) y x 6 rho extraction points
-        # in chunks of BATCH_CAP: per chunk, the longer ladder is evaluated
-        # once at the points (steps and both centres) and once on the
-        # off-centre stencil points, and the shorter ladder's values are its
-        # partial sums
+        # in ceil(234 / BATCH_CAP) passes of near-equal size, the longer ones
+        # first: per pass, the longer ladder is evaluated once at the points
+        # (steps and both centres) and once on the off-centre stencil
+        # points, and the shorter ladder's values are its partial sums
         from cusplab import expansion
         from cusplab.tensorcalc import BATCH_CAP
 
@@ -414,14 +413,14 @@ class TestFieldReuse:
 
         monkeypatch.setattr(expansion._Ladder, "_sums", recorded)
         correction_step(g1, g1)
-        chunks = math.ceil(39 * 6 / BATCH_CAP)
-        stencils = Counter(label for label, rows in calls if rows > BATCH_CAP)
-        steps = Counter(label for label, rows in calls if rows <= BATCH_CAP)
+        passes = math.ceil(39 * 6 / BATCH_CAP)
+        base, longer = divmod(39 * 6, passes)
+        sizes = [base + 1] * longer + [base] * (passes - longer)
+        rows = [r for size in sizes for r in (size, 32 * size)]
         # iteration 1: Q(g_1, g_1), one shared field; iteration 2: Q(g_2, g_1),
         # one shared ladder
-        assert stencils == {"g_1": chunks, "g_2": chunks}
-        assert steps == {"g_1": chunks, "g_2": chunks}
-        assert max(rows for _, rows in calls) <= BATCH_CAP * 32
+        assert calls == ([("g_1", r) for r in rows] + [("g_2", r) for r in rows])
+        assert max(sizes) <= BATCH_CAP
 
     def test_shared_ladder_equals_separate_evaluation(self, monkeypatch):
         # Q(g_2, g_1) on the extraction grid, with g_1's values taken from

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -554,9 +555,10 @@ class TestJetKernel:
                        for a, b in zip(got, want))
 
     def test_metric_jets_evaluate_g_at_p_once(self):
-        # per chunk: g once on its points (the steps and the stencil's
+        # per pass: g once on its points (the steps and the stencil's
         # centre) and once on the 32 offset points; a second field once on
-        # all 33 stencil points
+        # all 33 stencil points.  BATCH_CAP + 5 points run in two balanced
+        # passes, the first one point longer
         rows = {"g": [], "t": []}
 
         def counted(label, scale):
@@ -567,13 +569,15 @@ class TestJetKernel:
             return MetricField(COLLAR4, ev, label)
 
         g, t = counted("g", 1.0), counted("t", 1.1)
-        points = np.array([P4 + [0.001 * k, 0, 0, 0] for k in range(BATCH_CAP + 4)])
+        points = np.array([P4 + [0.001 * k, 0, 0, 0] for k in range(BATCH_CAP + 5)])
+        a, b = (BATCH_CAP + 6) // 2, (BATCH_CAP + 5) // 2
+        assert a == b + 1
         Q_at(g, g, points)
-        assert rows["g"] == [BATCH_CAP, 32 * BATCH_CAP, 4, 32 * 4]
+        assert rows["g"] == [a, 32 * a, b, 32 * b]
         rows["g"].clear()
         Q_at(g, t, points)
-        assert rows["g"] == [BATCH_CAP, 32 * BATCH_CAP, 4, 32 * 4]
-        assert rows["t"] == [33 * BATCH_CAP, 33 * 4]
+        assert rows["g"] == [a, 32 * a, b, 32 * b]
+        assert rows["t"] == [33 * a, 33 * b]
         rows["g"].clear()
         tensorcalc._metric_jets(g, P4, 1e-3)
         assert rows["g"] == [1, 32]
@@ -652,9 +656,63 @@ class TestContraction:
         assert "mkc,abm->kabc" in seen and seen <= set(JET_SPECS)
 
 
+# The tracemalloc peak of one Q(g_3, g_1) call on the 234-point extraction
+# set, declared so that the passes cannot grow unnoticed: it reads 2.22 MB
+# in two 117-point passes (BATCH_CAP = 128), 4.4 MB in one 234-point pass
+# and 1.2 MB in 48-point passes.
+PASS_PEAK_BYTES = 2_500_000
+
+
+@pytest.fixture(scope="module")
+def extraction_set():
+    """Stages 1 and 3 of the seed-3 ladder at n = 4 and the 39 y x 6 rho
+    extraction points of its correction steps."""
+    from cusplab.expansion import (DEFAULT_EXTRACTION_RHOS, S_map,
+                                   _extraction_grid, _grid_points,
+                                   seeded_boundary_data)
+
+    bd = seeded_boundary_data(Chart.collar(4, h_u="round_sphere"), seed=3,
+                              amplitude=0.05)
+    g1, _, g3 = S_map(bd, stages=3)
+    _, _, ys = _extraction_grid(bd)
+    return g1, g3, _grid_points(DEFAULT_EXTRACTION_RHOS, ys).reshape(-1, 4)
+
+
 class TestPointSets:
-    """A point set is the stack of its one-point values, in chunks of at
-    most BATCH_CAP points, and a bad point fails the set as it fails alone."""
+    """A point set is the stack of its one-point values, in balanced passes
+    of at most BATCH_CAP points, and a bad point fails the set as it fails
+    alone."""
+
+    @pytest.mark.parametrize("size", [1, 17, 117, 234])
+    @pytest.mark.parametrize("op", ["Q(g_3, g_1)", "L(h, g_3)", "Rc(g_3)"])
+    def test_values_do_not_depend_on_the_passes(self, extraction_set,
+                                                monkeypatch, op, size):
+        # the set in its own passes (two of 117 points) against pieces of
+        # `size` consecutive points, each in one pass, concatenated: the
+        # same bits.  Q(g_3, g_1) takes the shared-ladder path
+        g1, g3, points = extraction_set
+        assert len(points) == 234
+        assert tensorcalc._joint(g3.field, (g1.field,)) is not None
+        h = chart_metric(g1.chart)
+        f = {"Q(g_3, g_1)": lambda p: Q_at(g3.field, g1.field, p, 5e-4),
+             "L(h, g_3)": lambda p: L_at(h, g3.field, p),
+             "Rc(g_3)": lambda p: ricci_at(g3.field, p)}[op]
+        whole = f(points)
+        monkeypatch.setattr(tensorcalc, "BATCH_CAP", len(points))
+        pieces = np.concatenate([f(points[i:i + size])
+                                 for i in range(0, len(points), size)])
+        assert np.array_equal(pieces, whole)
+
+    def test_heap_peak_of_the_extraction_set(self, extraction_set):
+        g1, g3, points = extraction_set
+        Q_at(g3.field, g1.field, points, 5e-4)  # contraction plans built
+        tracemalloc.start()
+        try:
+            Q_at(g3.field, g1.field, points, 5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PASS_PEAK_BYTES
 
     def test_batched_operators_equal_one_point_calls(self):
         from cusplab.expansion import (DEFAULT_EXTRACTION_RHOS, T_map,
