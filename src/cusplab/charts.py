@@ -69,6 +69,10 @@ def at_points(fn, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim == 1 or getattr(fn, "batched", False):
         return np.asarray(fn(p), dtype=float)
+    if len(p) == 0:
+        raise ValueError(
+            f"a pointwise callable cannot be evaluated on the empty point set "
+            f"of shape {p.shape}: it has no value to give the stack its shape")
     return np.stack([np.asarray(fn(q), dtype=float) for q in p])
 
 

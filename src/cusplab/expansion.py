@@ -15,10 +15,14 @@ tangential point or an (N, n-1) array, and `ExpansionMetric.field` is an
 array-native field.  Each correction iteration therefore samples its
 41 y x 6 rho extraction grid, and each vanishing-order fit its rho x y
 grid, in a few batched `Q_at` calls; the background Q(h, h) is computed
-once per point set and cached.  In Q(g_j, g_1) the two slots share one
-ladder: g_1's terms begin g_j's, and the field adds its terms in order, so
-g_1's values are g_j's partial sum after g_1's terms, bit for bit, and the
-longer ladder is evaluated once per stencil for both slots (`_Ladder`).
+once per point set and cached.  Q(h, h), and Q(g_1, g_1) in stage 1's
+extraction and its vanishing-order fit, have both slots on one field, so
+`Q_at` forms them as Rc + (n-1) g with no gauge term (it vanishes there);
+`gauge_term_norm` computes that term in full, as a check.  In Q(g_j, g_1)
+the two slots share one ladder: g_1's terms begin g_j's, and the field adds
+its terms in order, so g_1's values are g_j's partial sum after g_1's terms,
+bit for bit, and the longer ladder is evaluated once per stencil for both
+slots (`_Ladder`).
 User-supplied pointwise callables (a `qhat` or coefficient on one y) go
 through `charts.at_points`.
 """

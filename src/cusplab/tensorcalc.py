@@ -14,7 +14,9 @@ on the off-centre stencil points, and the shorter ladder's values are its
 partial sums (`_joint`).  The operators are then product-rule algebra on jets
 (`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives come from
 the metric's 2-jet, covariant derivatives lower a jet's order by one, and
-nothing is differenced twice.  Every two-operand contraction, each
+nothing is differenced twice.  The inverse metric is needed to first order
+only, and the Ricci tensor is contracted from the Christoffel 1-jet without
+forming the curvature tensor.  Every two-operand contraction, each
 product-rule term included, is one stacked matrix product over the batch
 axes (`_contract`); np.einsum is left for permutations and traces.
 Steps are scaled per coordinate by the local metric diagonal, so stencils
@@ -48,7 +50,12 @@ Sign conventions, fixed once and used everywhere:
   * divergence of a symmetric 2-tensor is delta t = -tr_12 (nabla t), and
     delta* (the symmetrized covariant derivative) is its formal adjoint;
   * the lowered curvature array is riem[i,j,k,l] = <R(e_i,e_j)e_k, e_l>,
-    which on a hyperbolic metric equals -(g_jk g_il - g_ik g_jl).
+    which on a hyperbolic metric equals -(g_jk g_il - g_ik g_jl);
+  * G_g t = t - (tr_g t / 2) g is the trace reversal, and
+    delta_g(G_g t) = delta_g t + d(tr_g t) / 2, since delta_g(f g) = -df;
+  * Q(g, g) = Rc(g) + (n-1) g: nabla g = 0 makes G_g g = (1 - n/2) g
+    divergence-free, so `Q_at` forms no gauge term when both slots hold the
+    same field object (`Q_gauge_at` forms it in full).
 """
 
 from __future__ import annotations
@@ -204,7 +211,7 @@ def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray):
     dd = np.empty((n, n) + f0.shape)
     diag = np.arange(n)
     dd[diag, diag] = (fp - 2.0 * f0 + fm) / hs ** 2
-    pp, pm, mp, mm = vals[2 * n:].reshape((-1, 4) + f0.shape).swapaxes(0, 1)
+    pp, pm, mp, mm = vals[2 * n:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
     dd[i, j] = dd[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
     return f0, np.moveaxis(d, 0, lead), np.moveaxis(dd, (0, 1), (lead, lead + 1))
 
@@ -261,9 +268,9 @@ def _contract(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = x.transpose(axes_x), y.transpose(axes_y)
     tx, ty = x.shape[bx:], y.shape[by:]
     kept, free_x, free_y = tx[:nk], tx[nk:nk + nfx], ty[len(ty) - nfy:]
-    k, fx = math.prod(kept), math.prod(free_x)
-    out = np.matmul(x.reshape(x.shape[:bx] + (k, fx, -1)),
-                    y.reshape(y.shape[:by] + (k, -1, math.prod(free_y))))
+    k, fx, s = math.prod(kept), math.prod(free_x), math.prod(tx[nk + nfx:])
+    out = np.matmul(x.reshape(x.shape[:bx] + (k, fx, s)),
+                    y.reshape(y.shape[:by] + (k, s, math.prod(free_y))))
     return out.reshape(out.shape[:-3] + kept + free_x + free_y).transpose(axes_out)
 
 
@@ -290,25 +297,14 @@ def _jeinsum(spec: str, x, y):
 
 
 def _jinv(jet):
-    """Jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated once
-    more (stacked matrix products; an axis of None broadcasts over a
-    derivative index)."""
+    """1-jet of the matrix inverse from the first two orders of a jet:
+    d M^-1 = -M^-1 dM M^-1 (stacked matrix products; an axis of None
+    broadcasts over the derivative index).  The one second derivative of
+    g^-1 the operators need, inside tr_g t, is `_g_trace_jet`'s identity."""
     inv = np.linalg.inv(jet[0])
-    res = [inv]
-    if len(jet) > 1:
-        ia = inv[..., None, :, :]
-        d = ia @ jet[1] @ ia
-        res.append(np.negative(d, out=d))
-    if len(jet) > 2:
-        inv2 = inv[..., None, None, :, :]
-        d_a = d[..., :, None, :, :]  # d_a M^-1 at (a, b)
-        dm_b = jet[1][..., None, :, :, :]  # d_b M at (a, b)
-        # -(A + B + C), one array; bit for bit the (-A - B) - C it stands for
-        dd = d_a @ dm_b @ inv2
-        dd += inv2 @ dm_b @ d_a
-        dd += inv2 @ jet[2] @ inv2
-        res.append(np.negative(dd, out=dd))
-    return tuple(res)
+    ia = inv[..., None, :, :]
+    d = ia @ jet[1] @ ia
+    return inv, np.negative(d, out=d)
 
 
 def _jlin(*terms):
@@ -373,7 +369,7 @@ def _christoffel(G, Ginv=None):
             np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
         )
 
-    Ginv = _jinv(G[:2]) if Ginv is None else Ginv[:2]
+    Ginv = _jinv(G) if Ginv is None else Ginv
     return _jeinsum("kl,lij->kij", Ginv, tuple(map(first_kind, G[1:])))
 
 
@@ -390,7 +386,15 @@ def _riemann_up(gam) -> np.ndarray:
 
 
 def _ricci(gam) -> np.ndarray:
-    return _sym(np.einsum("...kikj->...ij", _riemann_up(gam)))
+    """Ric_ij = d_k G^k_ji - d_j G^k_ki + G^k_km G^m_ji - G^k_jm G^m_ki, the
+    trace R^k_ikj contracted from the Christoffel 1-jet directly."""
+    g0, dg = gam
+    return _sym(
+        np.einsum("...kkji->...ij", dg)
+        - np.einsum("...jkki->...ij", dg)
+        + _contract("m,mji->ij", np.einsum("...kkm->...m", g0), g0)
+        - _contract("kjm,mki->ij", g0, g0)
+    )
 
 
 def _riemann_down(G, gam) -> np.ndarray:
@@ -439,23 +443,42 @@ def _deltastar(gam, W) -> np.ndarray:
     return _sym(_nabla(gam, W)[0])
 
 
-def _trace_reversal(Ginv, G, T):
-    """Jet of G_g t = t - (tr_g t / 2) g."""
-    tr = _jeinsum("kl,kl->", Ginv, T)
-    return _jlin((1.0, T), (-0.5, _jeinsum(",ij->ij", tr, G)))
+def _g_trace_jet(Ginv, G, T):
+    """2-jet of tr_g t = g^{kl} t_kl for symmetric g and t, from the 1-jet
+    of g^{-1}.  The second derivatives of g^{-1} enter only through
+
+      tr(d_a d_b g^{-1} t) = -tr(d_a g^{-1} d_b g g^{-1} t)
+                             - tr(g^{-1} d_b g d_a g^{-1} t)
+                             - tr(g^{-1} d_a d_b g g^{-1} t),
+
+    whose first two terms are equal for symmetric g and t.  With
+    w_ab = tr(d_a g^{-1} (d_b t - d_b g g^{-1} t)) this gives
+    d_a d_b tr_g t = w_ab + w_ba + tr(g^{-1} d_a d_b t)
+                     - tr(d_a d_b g g^{-1} t g^{-1})."""
+    ginv, dginv = Ginv
+    tr, dtr = _jeinsum("kl,kl->", Ginv, T[:2])
+    m = ginv @ T[0]  # g^{-1} t
+    w = _contract("akl,bkl->ab", dginv, T[1] - _contract("bkm,ml->bkl", G[1], m))
+    ddtr = w + np.swapaxes(w, -1, -2)
+    ddtr += _contract("kl,abkl->ab", ginv, T[2])
+    ddtr -= _contract("abkl,kl->ab", G[2], m @ ginv)
+    return tr, dtr, ddtr
+
+
+def _reversed_divergence(Ginv, G, T, div):
+    """1-jet of delta_g(G_g t) = delta_g t + d(tr_g t) / 2, from div, the
+    1-jet of delta_g t."""
+    return _jlin((1.0, div), (0.5, _g_trace_jet(Ginv, G, T)[1:]))
 
 
 def _gauge_parts(g: MetricField, t, p, step: float):
     """(the Christoffel 1-jet of g, g at p, the 1-jet of the gauge covector
     omega = g t^{-1} delta_g(G_g t)) at the points p, from one pair of
-    metric jets.  The second derivatives of g, g^{-1} and t are let go
-    after the trace reversal, their last use."""
+    metric jets."""
     G, T = _metric_jets(g, p, step, t)
     Ginv = _jinv(G)
     gam = _christoffel(G, Ginv)
-    rev = _trace_reversal(Ginv, G, T)
-    G, Ginv, T = G[:2], Ginv[:2], T[:2]
-    div = _divergence(Ginv, gam, rev)
+    div = _reversed_divergence(Ginv, G, T, _divergence(Ginv, gam, T))
     return gam, G[0], _jeinsum("ij,j->i", _jeinsum("ij,jk->ik", G, _jinv(T)), div)
 
 
@@ -587,15 +610,18 @@ def deltastar_at(
 
 
 @_on_points
-def bianchi_ops_at(g: MetricField, t, p, step: float = DEFAULT_STEP):
+def bianchi_ops_at(
+    g: MetricField, t: SymTensorField, p, step: float = DEFAULT_STEP
+):
     """Divergence, trace reversal and the symmetrized-gradient closure of the
-    Bianchi chain: returns (delta_g t, G_g t, delta*_g(delta_g(G_g t)))."""
+    Bianchi chain: returns (delta_g t, G_g t, delta*_g(delta_g(G_g t))).
+    t must be symmetric: the 2-jet of tr_g t (`_g_trace_jet`) uses that."""
     G, T = _metric_jets(g, p, step, t)
     Ginv = _jinv(G)
     gam = _christoffel(G, Ginv)
-    rev = _trace_reversal(Ginv, G, T)
-    return (_divergence(Ginv, gam, T)[0], rev[0],
-            _deltastar(gam, _divergence(Ginv, gam, rev)))
+    div = _divergence(Ginv, gam, T)
+    return (div[0], g_trace_reversal(G[0], T[0]),
+            _deltastar(gam, _reversed_divergence(Ginv, G, T, div)))
 
 
 @_on_points
@@ -608,7 +634,14 @@ def Q_gauge_at(g: MetricField, t, p, step: float = DEFAULT_STEP) -> np.ndarray:
 @_on_points
 def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Gauge-adjusted Einstein operator
-    Q(g, t) = Rc(g) + (n-1) g - delta*_g(g t^{-1}(delta_g(G_g t)))."""
+    Q(g, t) = Rc(g) + (n-1) g - delta*_g(g t^{-1}(delta_g(G_g t))).
+
+    Q(g, g) = Rc(g) + (n-1) g comes from g's jet alone: nabla g = 0, so
+    G_g g = (1 - n/2) g has no divergence and the gauge term vanishes.
+    `Q_gauge_at` still computes that term in full, as a check."""
+    if t is g:
+        (G,) = _metric_jets(g, p, step)
+        return _ricci(_christoffel(G)) + (g.chart.n - 1.0) * G[0]
     gam, g0, omega = _gauge_parts(g, t, p, step)
     gauge = _deltastar(gam, omega)
     return _ricci(gam) + (g.chart.n - 1.0) * g0 - gauge

@@ -460,6 +460,15 @@ class TestConfigAliases:
 
 
 class TestExpandSeeds:
+    @pytest.mark.parametrize("seed", range(41))
+    def test_every_check_passes(self, tmp_path, seed):
+        # criterion 8's ladder on 41 seeds, not only seed 3
+        assert run(tmp_path, "expand", "--n", "4", "--stages", "3",
+                   "--seed", str(seed)) == EXIT_PASS
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        assert len(payload["checks"]) == 6
+        assert all(check["passed"] for check in payload["checks"])
+
     @pytest.mark.parametrize("seed", ["106", "1285638640"])
     def test_seeds_that_once_left_the_stencil_pass(self, tmp_path, seed):
         code = run(tmp_path, "expand", "--n", "4", "--stages", "3",

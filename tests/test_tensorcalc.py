@@ -313,6 +313,49 @@ class TestGaugeAdjusted:
         want = 3 * (c2 - 1.0) * chart.metric_at(P4)
         assert tensor_norm(chart.metric_at(P4), got - want) < 1e-4
 
+    @pytest.mark.parametrize("points", [P4, np.array([P4 + 0.01 * k for k in range(7)])],
+                             ids=["point", "array"])
+    @pytest.mark.parametrize("field", [
+        chart_metric(COLLAR4),
+        MetricField(COLLAR4, lambda q: COLLAR4.metric_at(q)
+                    * (1 + 0.1 * math.sin(q[1] + q[0])), "g"),
+    ], ids=["array-native", "pointwise"])
+    def test_Q_of_g_and_g_is_ricci_plus_metric(self, field, points):
+        # Q(g, g) has no gauge term: the same bits as Rc(g) + (n - 1) g
+        want = ricci_at(field, points) + 3.0 * field(points)
+        assert np.array_equal(Q_at(field, field, points), want)
+
+    def test_Q_of_g_and_g_on_the_ladder(self, extraction_set):
+        g1, _, points = extraction_set
+        want = ricci_at(g1.field, points, 5e-4) + 3.0 * g1.field(points)
+        assert np.array_equal(Q_at(g1.field, g1.field, points, 5e-4), want)
+
+    def test_the_gauge_check_still_computes_the_gauge_term(self, monkeypatch,
+                                                          extraction_set):
+        # Q(g, g) skips the gauge term; Q_gauge_at, deturck_field_at and
+        # expansion.gauge_term_norm, which checks that term, must not
+        from cusplab.expansion import gauge_term_norm
+
+        calls = []
+        parts = tensorcalc._gauge_parts
+
+        def counted(*args):
+            calls.append(args[0].label)
+            return parts(*args)
+
+        monkeypatch.setattr(tensorcalc, "_gauge_parts", counted)
+        _, g3, _ = extraction_set
+        h = chart_metric(COLLAR4)
+        Q_at(h, h, P4)
+        assert calls == []
+        Q_gauge_at(h, h, P4)
+        deturck_field_at(h, h, P4)
+        assert calls == ["h", "h"]
+        calls.clear()
+        points = [np.concatenate(([r], g3.bd._reference_y())) for r in (0.15, 0.35)]
+        assert gauge_term_norm(g3, points) <= 10 * 1e-3 ** 2
+        assert calls == ["g_3"]
+
 
 class TestLinearizedOperator:
     def test_metric_multiples(self):
@@ -487,10 +530,11 @@ class TestJetKernel:
         want = -np.einsum("ij,ajk,kl->ail", inv, grad(P4), inv)
         assert np.abs(ijet[0] - inv).max() == 0.0
         assert np.abs(ijet[1] - want).max() < 1e-9 * np.abs(want).max()
-        # M M^{-1} = I to second order: both derivatives vanish
+        # M M^{-1} = I to first order: the derivative vanishes
         one = tensorcalc._jeinsum("ij,jk->ik", jet, ijet)
+        assert len(ijet) == len(one) == 2
         assert np.abs(one[0] - np.eye(4)).max() < 1e-12
-        assert np.abs(one[1]).max() < 1e-9 and np.abs(one[2]).max() < 1e-9
+        assert np.abs(one[1]).max() < 1e-9
 
     def test_metric_evaluations_per_operator(self, metric_points):
         # one stencil (33 points at n = 4) per field, plus the point the
@@ -600,12 +644,15 @@ def _nabla_specs(rank):
 # every contraction of the jet algebra: the `_jeinsum` specs with their
 # product-rule forms, then the direct `_contract` calls on jet values
 JET_SPECS = sorted({
-    *(s for base in ["kl,lij->kij", "ki,kij->j", "kl,kl->", ",ij->ij",
+    *(s for base in ["kl,lij->kij", "ki,kij->j", "kl,kl->",
+                     ",ij->ij",  # the trace-reversal oracle of TestSecondOrderOracle
                      "ij,j->i", "ij,jk->ik",
                      *(x for r in range(4) for x in _nabla_specs(r))]
       for s in _product_rule_specs(base)),
     "lim,mjk->lkij", "ljm,mik->lkij", "lm,mkij->ijkl", "pm,ijm->pij",
     "kijl,kl->ij", "lk,lk->", "lk,lka->a", "lk,lkab->ab",
+    "m,mji->ij", "kjm,mki->ij",  # Ricci
+    "akl,bkl->ab", "bkm,ml->bkl", "kl,abkl->ab", "abkl,kl->ab",  # tr_g t
 })
 
 
@@ -657,9 +704,9 @@ class TestContraction:
 
 
 # The tracemalloc peak of one Q(g_3, g_1) call on the 234-point extraction
-# set, declared so that the passes cannot grow unnoticed: it reads 2.22 MB
+# set, declared so that the passes cannot grow unnoticed: it reads 2.23 MB
 # in two 117-point passes (BATCH_CAP = 128), 4.4 MB in one 234-point pass
-# and 1.2 MB in 48-point passes.
+# and 0.96 MB in 48-point passes.
 PASS_PEAK_BYTES = 2_500_000
 
 
@@ -761,3 +808,115 @@ class TestPointSets:
         assert type(batch.value) is type(alone.value)
         assert str(batch.value) == str(alone.value)
         assert str(points[50]) in str(batch.value)
+
+    @pytest.mark.parametrize("op", [
+        lambda g, t, p: christoffels_at(g, p),
+        lambda g, t, p: ricci_at(g, p),
+        lambda g, t, p: riemann_at(g, p),
+        difference_tensor_at,
+        lambda g, t, p: laplacian_scalar_at(g, batched(lambda q: q[:, 1] ** 2), p),
+        rough_laplacian_tensor_at,
+        lichnerowicz_at,
+        lichnerowicz_hyperbolic_at,
+        divergence_at,
+        lambda g, t, p: deltastar_at(g, batched(lambda q: q ** 2), p),
+        bianchi_ops_at,
+        Q_gauge_at,
+        Q_at,
+        lambda g, t, p: Q_at(g, g, p),
+        L_at,
+        deturck_field_at,
+    ], ids=["christoffels", "ricci", "riemann", "difference_tensor",
+            "laplacian_scalar", "rough_laplacian_tensor", "lichnerowicz",
+            "lichnerowicz_hyperbolic", "divergence", "deltastar", "bianchi_ops",
+            "Q_gauge", "Q", "Q(g, g)", "L", "deturck_field"])
+    def test_empty_point_set(self, op):
+        # array-native fields give the (0, ...) stack of the values; a
+        # pointwise field has none to stack and names the empty set
+        h = chart_metric(COLLAR4)
+        g = MetricField(COLLAR4, batched(lambda q: 1.1 * COLLAR4.metric_at(q)), "g")
+        one, empty = (op(g, h, p) for p in (P4[None], np.empty((0, 4))))
+        if not isinstance(one, tuple):
+            one, empty = (one,), (empty,)
+        assert [x.shape for x in empty] == [(0,) + x.shape[1:] for x in one]
+        pointwise = MetricField(COLLAR4, lambda q: 1.1 * COLLAR4.metric_at(q), "g")
+        with pytest.raises(ValueError, match=r"empty point set of shape \(0, 4\)"):
+            op(pointwise, h, np.empty((0, 4)))
+
+
+# The oracle for `_g_trace_jet` and `_reversed_divergence`: the second order
+# of the inverse-metric jet, and the 2-jet of the trace reversal formed from
+# it by the product rule.
+
+
+def _inverse_2jet(jet):
+    """2-jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated
+    once more."""
+    inv, d = tensorcalc._jinv(jet)
+    inv2 = inv[..., None, None, :, :]
+    d_a = d[..., :, None, :, :]  # d_a M^-1 at (a, b)
+    dm_b = jet[1][..., None, :, :, :]  # d_b M at (a, b)
+    dd = d_a @ dm_b @ inv2 + inv2 @ dm_b @ d_a + inv2 @ jet[2] @ inv2
+    return inv, d, -dd
+
+
+def _trace_reversal(Ginv, G, T):
+    """2-jet of G_g t = t - (tr_g t / 2) g, from the 2-jet of g^{-1}."""
+    tr = tensorcalc._jeinsum("kl,kl->", Ginv, T)
+    return tensorcalc._jlin((1.0, T), (-0.5, tensorcalc._jeinsum(",ij->ij", tr, G)))
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestSecondOrderOracle:
+    """The trace identity and the direct Ricci contraction agree with the
+    routes they replace to 1e-12, relative to each array's largest entry."""
+
+    @staticmethod
+    def _symmetric_field(chart):
+        # a symmetric 2-tensor field with no definite sign
+        @batched
+        def ev(q):
+            a = np.sin(2 * q[:, 1]) * np.cos(q[:, 2])
+            b = np.cos(q[:, 0] + q[:, 3])
+            z = np.zeros_like(a)
+            m = np.array([[1 + 0.3 * a, 0.2 * b, 0.1 * a, z],
+                          [0.2 * b, -0.5 + 0.1 * a, 0.05 * b, 0.1 * a],
+                          [0.1 * a, 0.05 * b, 0.4 + z, z],
+                          [z, 0.1 * a, z, -0.2 + 0.2 * b]])
+            return np.moveaxis(m, (0, 1), (-2, -1)) / q[:, 0, None, None] ** 2
+        return MetricField(chart, ev, "r")
+
+    @pytest.mark.parametrize("slot", ["g_1", "r"])
+    def test_trace_jet_and_gauge_covector(self, extraction_set, slot):
+        g1, g3, points = extraction_set
+        t = g1.field if slot == "g_1" else self._symmetric_field(g1.chart)
+        G, T = tensorcalc._metric_jets(g3.field, points, 5e-4, t)
+        Ginv, Ginv2 = tensorcalc._jinv(G), _inverse_2jet(G)
+        got = tensorcalc._g_trace_jet(Ginv, G, T)
+        want = tensorcalc._jeinsum("kl,kl->", Ginv2, T)
+        assert len(got) == len(want) == 3
+        assert all(_relative_gap(a, b) <= 1e-12 for a, b in zip(got, want))
+        gam = tensorcalc._christoffel(G, Ginv)
+        got = tensorcalc._reversed_divergence(
+            Ginv, G, T, tensorcalc._divergence(Ginv, gam, T))
+        want = tensorcalc._divergence(Ginv, gam, _trace_reversal(Ginv2, G, T))
+        assert len(got) == len(want) == 2
+        assert all(_relative_gap(a, b) <= 1e-12 for a, b in zip(got, want))
+        if slot == "g_1":
+            # the gauge covector omega = g t^{-1} delta_g(G_g t)
+            omega = deturck_field_at(g3.field, t, points, 5e-4)
+            want = G[0] @ np.linalg.inv(T[0]) @ want[0][..., None]
+            assert _relative_gap(omega, want[..., 0]) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["g_3", "h"])
+    def test_ricci_is_the_trace_of_the_curvature(self, extraction_set, field):
+        g1, g3, points = extraction_set
+        g = g3.field if field == "g_3" else chart_metric(g1.chart)
+        (G,) = tensorcalc._metric_jets(g, points, 5e-4)
+        gam = tensorcalc._christoffel(G)
+        want = tensorcalc._sym(np.einsum("...kikj->...ij",
+                                         tensorcalc._riemann_up(gam)))
+        assert _relative_gap(tensorcalc._ricci(gam), want) <= 1e-12
