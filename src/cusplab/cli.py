@@ -11,7 +11,9 @@ attribute and the summary key), flag, parser, default and the subcommands
 that read it. A subcommand accepts only the flags it reads. Flags override
 the key = value config file; a file key that names no option is an error,
 and a key of other subcommands only is skipped. The output directory
-resolves as --out-dir, then $CUSPLAB_OUT, then ./cusplab_out.
+resolves as --out-dir, then $CUSPLAB_OUT, then ./cusplab_out; it is made
+with the configuration, and one that cannot be made is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -160,7 +162,6 @@ class Report:
         self.tables: dict[str, str] = {}
         self.error: Optional[dict] = None
         self.extra: dict = {}
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     def check(self, name: str, value: float, tolerance: float, passed: bool,
               claim: str) -> bool:
@@ -580,6 +581,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
                              f"{max(STAGE_SLOPES)} or fewer")
     cfg.out_dir = Path(args.out_dir or os.environ.get("CUSPLAB_OUT")
                        or "cusplab_out")
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 

@@ -114,11 +114,12 @@ class BoundaryData:
     def psi_rho(self, rho: float) -> float:
         return plateau_bump(rho)
 
-    def validate(self, samples: int = 25):
-        """Positivity of hhat + qhat and compact support inside the cutoff."""
+    def validate(self):
+        """Positivity of hhat + qhat at 25 points across the cutoff support,
+        and compact support inside the cutoff."""
         lo, hi = self.y_support
         mid = self._reference_y()
-        for t in np.linspace(lo - 1e-9, hi + 1e-9, samples):
+        for t in np.linspace(lo - 1e-9, hi + 1e-9, 25):
             y = mid.copy()
             y[0] = min(max(t, lo + 1e-12), hi - 1e-12)
             g = self.hhat(y) + self.qhat(y)
@@ -520,12 +521,12 @@ class _SplineCoefficient:
 
     Values equal scipy's CubicSpline(grid, values, axis=0,
     bc_type="natural") bit for bit: the interval is found and the cubic
-    summed in PPoly's order, from one gather of the coefficient block. A
-    stencil array repeats each first tangential coordinate many times, so
-    the spline is evaluated once per distinct coordinate.  An expansion
-    metric hands it those distinct coordinates only (`of_first_coordinate`):
-    a 117-point pass of the n = 4 expand ladder has 3,744 stencil points
-    with about 250 distinct first coordinates.
+    summed in PPoly's order, from one gather of the coefficient block, at
+    each point it is given.  A stencil array repeats each first tangential
+    coordinate many times; an expansion metric hands the spline the
+    distinct ones only (`of_first_coordinate`): a 117-point pass of the
+    n = 4 expand ladder has 3,744 stencil points with about 250 distinct
+    first coordinates.
     """
 
     batched = True
@@ -543,16 +544,16 @@ class _SplineCoefficient:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         t = np.asarray(y, dtype=float)[..., 0]
-        distinct, at = np.unique(t.ravel(), return_inverse=True)
+        x = t.ravel()
         lo, hi = self.support
-        i = np.clip(np.searchsorted(self.grid, distinct, side="right") - 1,
+        i = np.clip(np.searchsorted(self.grid, x, side="right") - 1,
                     0, len(self.grid) - 2)
-        z = (distinct - self.grid[i])[:, None]
+        z = (x - self.grid[i])[:, None]
         c = self.coefficients[i]
         z2 = z * z
         value = c[:, 3] + c[:, 2] * z + c[:, 1] * z2 + c[:, 0] * (z2 * z)
-        value[~((lo < distinct) & (distinct < hi))] = 0.0
-        return value[at].reshape(t.shape + self.shape)
+        value[~((lo < x) & (x < hi))] = 0.0
+        return value.reshape(t.shape + self.shape)
 
 
 def _extraction_grid(bd: BoundaryData):

@@ -289,15 +289,10 @@ def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
     )
 
 
-def collar_grid(
-    chart: Chart,
-    eps: float,
-    nodes: int = 48,
-    y_range: tuple[float, float] = (-1.0, 1.0),
-) -> Grid2D:
+def collar_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
     if chart.kind != COLLAR:
         raise ValueError("collar_grid needs a collar chart")
-    return compact_patch_grid(chart, nodes, (eps, chart.edge), y_range)
+    return compact_patch_grid(chart, nodes, (eps, chart.edge), (-1.0, 1.0))
 
 
 def compact_patch_grid(
@@ -756,7 +751,6 @@ class MaxPrincipleReport:
     closed_form_delta: float
     tolerance: float
     passed: bool
-    nodes_checked: int
 
 
 def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrincipleReport:
@@ -781,7 +775,6 @@ def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrinciple
         closed_form_delta=delta,
         tolerance=tol,
         passed=min_ratio >= delta - tol,
-        nodes_checked=int(ratio.size),
     )
 
 

@@ -49,8 +49,6 @@ Sign conventions, fixed once and used everywhere:
   * Laplacian is the nonnegative rough Laplacian, Delta = nabla* nabla;
   * divergence of a symmetric 2-tensor is delta t = -tr_12 (nabla t), and
     delta* (the symmetrized covariant derivative) is its formal adjoint;
-  * the lowered curvature array is riem[i,j,k,l] = <R(e_i,e_j)e_k, e_l>,
-    which on a hyperbolic metric equals -(g_jk g_il - g_ik g_jl);
   * G_g t = t - (tr_g t / 2) g is the trace reversal, and
     delta_g(G_g t) = delta_g t + d(tr_g t) / 2, since delta_g(f g) = -df;
   * Q(g, g) = Rc(g) + (n-1) g: nabla g = 0 makes G_g g = (1 - n/2) g
@@ -68,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, ChartDomainError, at_points, batched
+from .charts import Chart, ChartDomainError, at_points
 
 DEFAULT_STEP = 1e-3
 # Points per pass of an operator.  It bounds the heap of a pass: one
@@ -357,7 +355,7 @@ def _metric_jets(g: MetricField, p, step: float, *fields):
                  for f0, vals in zip(centres, stencils))
 
 
-# -- connection and curvature on jets -------------------------------------------
+# -- connection and Ricci curvature on jets ------------------------------------
 
 
 def _christoffel(G, Ginv=None):
@@ -373,18 +371,6 @@ def _christoffel(G, Ginv=None):
     return _jeinsum("kl,lij->kij", Ginv, tuple(map(first_kind, G[1:])))
 
 
-def _riemann_up(gam) -> np.ndarray:
-    """R[..., l, k, i, j] = R^l_kij
-    = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    g0, dg = gam
-    return (
-        np.einsum("...iljk->...lkij", dg)
-        - np.einsum("...jlik->...lkij", dg)
-        + _contract("lim,mjk->lkij", g0, g0)
-        - _contract("ljm,mik->lkij", g0, g0)
-    )
-
-
 def _ricci(gam) -> np.ndarray:
     """Ric_ij = d_k G^k_ji - d_j G^k_ki + G^k_km G^m_ji - G^k_jm G^m_ki, the
     trace R^k_ikj contracted from the Christoffel 1-jet directly."""
@@ -395,11 +381,6 @@ def _ricci(gam) -> np.ndarray:
         + _contract("m,mji->ij", np.einsum("...kkm->...m", g0), g0)
         - _contract("kjm,mki->ij", g0, g0)
     )
-
-
-def _riemann_down(G, gam) -> np.ndarray:
-    """Lowered curvature riem[..., i, j, k, l] = <R(e_i, e_j) e_k, e_l>."""
-    return _contract("lm,mkij->ijkl", G[0], _riemann_up(gam))
 
 
 def _indices(gam, T) -> str:
@@ -501,37 +482,6 @@ def ricci_at(g: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     return _ricci(_christoffel(G))
 
 
-@_on_points
-def riemann_at(g: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Lowered curvature riem[i,j,k,l] = <R(e_i, e_j) e_k, e_l>.
-
-    On a hyperbolic metric this equals -(g_jk g_il - g_ik g_jl).
-    """
-    (G,) = _metric_jets(g, p, step)
-    return _riemann_down(G, _christoffel(G))
-
-
-@_on_points
-def difference_tensor_at(
-    g: MetricField, h: MetricField, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Difference tensor A[k, i, j] between the connections of h and g,
-    A = Gamma(h) - Gamma(g), from covariant derivatives of e = g - h."""
-    H, G = _metric_jets(h, p, step, g)
-    nab = _nabla(_christoffel(H), _jlin((1.0, G), (-1.0, H)))[0]
-    t = nab + np.swapaxes(nab, -3, -2) - np.einsum("...mij->...ijm", nab)
-    return -0.5 * _contract("pm,ijm->pij", np.linalg.inv(G[0]), t)
-
-
-def difference_tensor_field(
-    g: MetricField, h: MetricField, step: float = DEFAULT_STEP
-) -> Tensor3Field:
-    """The connection-difference tensor as an evaluable field."""
-    return Tensor3Field(
-        g.chart, batched(lambda p: difference_tensor_at(g, h, p, step)), "A"
-    )
-
-
 # -- Laplacians ---------------------------------------------------------------
 
 
@@ -544,84 +494,7 @@ def laplacian_scalar_at(
     return _rough_laplacian(G, _christoffel(G), U)
 
 
-@_on_points
-def rough_laplacian_tensor_at(
-    g: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Componentwise nabla* nabla on symmetric 2-tensors."""
-    G, U = _metric_jets(g, p, step, u)
-    return _sym(_rough_laplacian(G, _christoffel(G), U))
-
-
-@_on_points
-def lichnerowicz_at(
-    h: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Lichnerowicz Laplacian nabla*nabla u + 2 Rc-action - 2 Rm-action,
-    with the curvature terms from the 2-jet of h."""
-    H, U = _metric_jets(h, p, step, u)
-    u0 = U[0]
-    hinv = np.linalg.inv(H[0])
-    gam = _christoffel(H)
-    ric = _ricci(gam)
-    riem = _riemann_down(H, gam)
-    rc_u = 0.5 * (ric @ hinv @ u0 + u0 @ hinv @ ric)
-    rm_u = _contract("kijl,kl->ij", riem, hinv @ u0 @ hinv)
-    return _sym(_rough_laplacian(H, gam, U) + 2.0 * rc_u - 2.0 * rm_u)
-
-
-@_on_points
-def lichnerowicz_hyperbolic_at(
-    h: MetricField, u: SymTensorField, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Closed form on a hyperbolic background: nabla*nabla u - 2n u + 2 (tr u) h."""
-    H, U = _metric_jets(h, p, step, u)
-    h0, u0 = H[0], U[0]
-    lap = _sym(_rough_laplacian(H, _christoffel(H), U))
-    return lap - 2.0 * h.chart.n * u0 + 2.0 * _g_trace(h0, u0) * h0
-
-
-# -- Bianchi machinery and the gauge-adjusted operator ------------------------
-
-
-def g_trace_reversal(g0: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """G_g t = t - (tr_g t / 2) g, the algebraic trace reversal (one point,
-    or stacks of matrices)."""
-    return t0 - 0.5 * _g_trace(g0, t0) * g0
-
-
-@_on_points
-def divergence_at(
-    g: MetricField, t, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """delta_g t = -tr_12 nabla t, a covector."""
-    G, T = _metric_jets(g, p, step, t)
-    Ginv = _jinv(G)
-    return _divergence(Ginv, _christoffel(G, Ginv), T)[0]
-
-
-@_on_points
-def deltastar_at(
-    g: MetricField, omega, p, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """delta*_g omega = symmetrized covariant derivative of a 1-form."""
-    G, W = _metric_jets(g, p, step, omega)
-    return _deltastar(_christoffel(G), W)
-
-
-@_on_points
-def bianchi_ops_at(
-    g: MetricField, t: SymTensorField, p, step: float = DEFAULT_STEP
-):
-    """Divergence, trace reversal and the symmetrized-gradient closure of the
-    Bianchi chain: returns (delta_g t, G_g t, delta*_g(delta_g(G_g t))).
-    t must be symmetric: the 2-jet of tr_g t (`_g_trace_jet`) uses that."""
-    G, T = _metric_jets(g, p, step, t)
-    Ginv = _jinv(G)
-    gam = _christoffel(G, Ginv)
-    div = _divergence(Ginv, gam, T)
-    return (div[0], g_trace_reversal(G[0], T[0]),
-            _deltastar(gam, _reversed_divergence(Ginv, G, T, div)))
+# -- the gauge-adjusted operator and its linearization ------------------------
 
 
 @_on_points

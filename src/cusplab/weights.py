@@ -62,10 +62,6 @@ class EstimateMargin:
     end_kind: str
     parameters: dict = field(default_factory=dict)
 
-    @property
-    def positive(self) -> bool:
-        return self.delta > 0
-
 
 @dataclass(frozen=True)
 class Window:
@@ -248,7 +244,6 @@ def admissible_weights(
     ranks,
     K: float = -2.0,
     mu0: Optional[float] = None,
-    double_check_K: Optional[float] = None,
 ) -> tuple[WeightVector, AdmissibilityReport]:
     """Search for a weight vector with positive barrier margins on every end.
 
@@ -326,15 +321,5 @@ def admissible_weights(
     if not report.l2_ok:
         report.obstruction = "selected vector fails the square-integrability cutoff"
         raise AdmissibilityObstruction(report.obstruction, report)
-
-    if double_check_K is not None:
-        extra = [h0_margin(double_check_K, mu0, n).delta]
-        extra += [
-            cusp_margin(double_check_K, m, mu0, f, n).delta
-            for m, f in zip(chosen_mus, ranks)
-        ]
-        report.notes.append(
-            f"margins re-checked at K = {double_check_K}: min = {min(extra):.6g}"
-        )
 
     return vector, report

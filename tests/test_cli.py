@@ -130,6 +130,24 @@ class TestBadInput:
             "configuration error: eps: must be finite and positive\n")
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,
+                                         source, below):
+        # an existing file, or a path below one, cannot be the output directory
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = str(blocker / "out" if below else blocker)
+        if source == "env":
+            monkeypatch.setenv("CUSPLAB_OUT", out)
+            argv = ["weights"]
+        else:
+            argv = ["--out-dir", out, "weights"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
 
     @pytest.mark.parametrize("subcommand", ["curvature", "koiso", "expand"])
     def test_seed_must_be_non_negative(self, tmp_path, capsys, subcommand):
@@ -438,9 +456,10 @@ class TestExpandStages:
             "fewer\n")
         assert not (tmp_path / "expand_summary.json").exists()
 
-    def test_stages_past_n_minus_one_are_capped_not_rejected(self):
+    def test_stages_past_n_minus_one_are_capped_not_rejected(self, tmp_path):
         # the n = 4 ladder stops at stage 3 whatever --stages asks for
-        args = build_parser().parse_args(["expand", "--n", "4", "--stages", "9"])
+        args = build_parser().parse_args(["--out-dir", str(tmp_path), "expand",
+                                          "--n", "4", "--stages", "9"])
         assert _load_config(args).stages == 9
 
 

@@ -135,7 +135,7 @@ class TestAssembly:
         nu, K = 1.6, -2.0
         errs = []
         for nodes in (17, 33):
-            grid = collar_grid(chart, 0.1, nodes=nodes, y_range=(-0.5, 0.5))
+            grid = compact_patch_grid(chart, nodes, (0.1, chart.edge), (-0.5, 0.5))
             op = assemble(grid, K)
             rho = grid.meshes()[0]
             vals = rho ** nu

@@ -7,28 +7,19 @@ import pytest
 from cusplab.charts import Chart, ChartDomainError, at_points, batched
 from cusplab.tensorcalc import (
     BATCH_CAP,
+    DEFAULT_STEP,
     MetricField,
     SymTensorField,
     Q_at,
     Q_gauge_at,
     L_at,
-    bianchi_ops_at,
     chart_metric,
     christoffels_at,
     coordinate_steps,
     covector_norm,
-    deltastar_at,
     deturck_field_at,
-    difference_tensor_at,
-    difference_tensor_field,
-    divergence_at,
-    g_trace_reversal,
     laplacian_scalar_at,
-    lichnerowicz_at,
-    lichnerowicz_hyperbolic_at,
     ricci_at,
-    riemann_at,
-    rough_laplacian_tensor_at,
     tensor_norm,
     StencilError,
 )
@@ -42,6 +33,135 @@ P4 = np.array([0.4, 0.2, -0.1, 0.3])
 def flat_field(chart=COLLAR4):
     n = chart.n
     return MetricField(chart, lambda p: np.eye(n), "flat")
+
+
+# -- reference operators ------------------------------------------------------
+# Tensor operators that no subcommand runs, kept as oracles for the calculus
+# behind Q and L.  They are written on tensorcalc's jet algebra and wrapped by
+# its `_on_points`, so point sets, bad points and empty sets behave as in the
+# shipped operators.  The lowered curvature array is
+# riem[i,j,k,l] = <R(e_i,e_j)e_k, e_l>, which on a hyperbolic metric equals
+# -(g_jk g_il - g_ik g_jl).  `_inverse_2jet` and `_trace_reversal` are the
+# second-order routes that `_g_trace_jet` and `_reversed_divergence` replace.
+
+
+def _riemann_up(gam):
+    """R[..., l, k, i, j] = R^l_kij
+    = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+    g0, dg = gam
+    return (np.einsum("...iljk->...lkij", dg) - np.einsum("...jlik->...lkij", dg)
+            + tensorcalc._contract("lim,mjk->lkij", g0, g0)
+            - tensorcalc._contract("ljm,mik->lkij", g0, g0))
+
+
+def _riemann_down(G, up):
+    """riem[..., i, j, k, l] from R^l_kij and the metric's jet G."""
+    return tensorcalc._contract("lm,mkij->ijkl", G[0], up)
+
+
+@tensorcalc._on_points
+def _riemann_at(g, p, step=DEFAULT_STEP):
+    (G,) = tensorcalc._metric_jets(g, p, step)
+    return _riemann_down(G, _riemann_up(tensorcalc._christoffel(G)))
+
+
+@tensorcalc._on_points
+def _difference_tensor_at(g, h, p, step=DEFAULT_STEP):
+    """A[k, i, j] = Gamma(h) - Gamma(g), from covariant derivatives of
+    e = g - h."""
+    H, G = tensorcalc._metric_jets(h, p, step, g)
+    e = tensorcalc._jlin((1.0, G), (-1.0, H))
+    nab = tensorcalc._nabla(tensorcalc._christoffel(H), e)[0]
+    t = nab + np.swapaxes(nab, -3, -2) - np.einsum("...mij->...ijm", nab)
+    return -0.5 * tensorcalc._contract("pm,ijm->pij", np.linalg.inv(G[0]), t)
+
+
+def _difference_tensor_field(g, h, step=DEFAULT_STEP):
+    return MetricField(g.chart, batched(lambda p: _difference_tensor_at(g, h, p, step)),
+                       "A")
+
+
+@tensorcalc._on_points
+def _rough_laplacian_tensor_at(g, u, p, step=DEFAULT_STEP):
+    """Componentwise nabla* nabla on symmetric 2-tensors."""
+    G, U = tensorcalc._metric_jets(g, p, step, u)
+    lap = tensorcalc._rough_laplacian(G, tensorcalc._christoffel(G), U)
+    return tensorcalc._sym(lap)
+
+
+@tensorcalc._on_points
+def _lichnerowicz_at(h, u, p, step=DEFAULT_STEP):
+    """nabla*nabla u + 2 Rc-action - 2 Rm-action; the curvature tensor is
+    formed once from the 2-jet of h, and Ricci is its trace."""
+    H, U = tensorcalc._metric_jets(h, p, step, u)
+    gam = tensorcalc._christoffel(H)
+    up = _riemann_up(gam)
+    ric = tensorcalc._sym(np.einsum("...kikj->...ij", up))
+    hinv, u0 = np.linalg.inv(H[0]), U[0]
+    rc_u = 0.5 * (ric @ hinv @ u0 + u0 @ hinv @ ric)
+    rm_u = tensorcalc._contract("kijl,kl->ij", _riemann_down(H, up),
+                                hinv @ u0 @ hinv)
+    lap = tensorcalc._rough_laplacian(H, gam, U)
+    return tensorcalc._sym(lap + 2.0 * rc_u - 2.0 * rm_u)
+
+
+@tensorcalc._on_points
+def _lichnerowicz_hyperbolic_at(h, u, p, step=DEFAULT_STEP):
+    """Closed form on a hyperbolic background: nabla*nabla u - 2n u + 2 (tr u) h."""
+    H, U = tensorcalc._metric_jets(h, p, step, u)
+    h0, u0 = H[0], U[0]
+    lap = tensorcalc._sym(
+        tensorcalc._rough_laplacian(H, tensorcalc._christoffel(H), U))
+    return lap - 2.0 * h.chart.n * u0 + 2.0 * tensorcalc._g_trace(h0, u0) * h0
+
+
+def _g_trace_reversal(g0, t0):
+    """G_g t = t - (tr_g t / 2) g on values (one point, or stacked)."""
+    return t0 - 0.5 * tensorcalc._g_trace(g0, t0) * g0
+
+
+@tensorcalc._on_points
+def _divergence_at(g, t, p, step=DEFAULT_STEP):
+    """delta_g t = -tr_12 nabla t, a covector."""
+    G, T = tensorcalc._metric_jets(g, p, step, t)
+    Ginv = tensorcalc._jinv(G)
+    return tensorcalc._divergence(Ginv, tensorcalc._christoffel(G, Ginv), T)[0]
+
+
+@tensorcalc._on_points
+def _deltastar_at(g, omega, p, step=DEFAULT_STEP):
+    """delta*_g omega, the symmetrized covariant derivative of a 1-form."""
+    G, W = tensorcalc._metric_jets(g, p, step, omega)
+    return tensorcalc._deltastar(tensorcalc._christoffel(G), W)
+
+
+@tensorcalc._on_points
+def _bianchi_ops_at(g, t, p, step=DEFAULT_STEP):
+    """(delta_g t, G_g t, delta*_g(delta_g(G_g t))) for a symmetric t."""
+    G, T = tensorcalc._metric_jets(g, p, step, t)
+    Ginv = tensorcalc._jinv(G)
+    gam = tensorcalc._christoffel(G, Ginv)
+    div = tensorcalc._divergence(Ginv, gam, T)
+    closure = tensorcalc._deltastar(
+        gam, tensorcalc._reversed_divergence(Ginv, G, T, div))
+    return div[0], _g_trace_reversal(G[0], T[0]), closure
+
+
+def _inverse_2jet(jet):
+    """2-jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated
+    once more."""
+    inv, d = tensorcalc._jinv(jet)
+    inv2 = inv[..., None, None, :, :]
+    d_a = d[..., :, None, :, :]  # d_a M^-1 at (a, b)
+    dm_b = jet[1][..., None, :, :, :]  # d_b M at (a, b)
+    dd = d_a @ dm_b @ inv2 + inv2 @ dm_b @ d_a + inv2 @ jet[2] @ inv2
+    return inv, d, -dd
+
+
+def _trace_reversal(Ginv, G, T):
+    """2-jet of G_g t = t - (tr_g t / 2) g, from the 2-jet of g^{-1}."""
+    tr = tensorcalc._jeinsum("kl,kl->", Ginv, T)
+    return tensorcalc._jlin((1.0, T), (-0.5, tensorcalc._jeinsum(",ij->ij", tr, G)))
 
 
 class TestChristoffels:
@@ -102,7 +222,7 @@ class TestCurvature:
     def test_riemann_constant_curvature_form(self):
         h = chart_metric(COLLAR4)
         hp = h(P4)
-        riem = riemann_at(h, P4)
+        riem = _riemann_at(h, P4)
         want = -(np.einsum("jk,il->ijkl", hp, hp) - np.einsum("ik,jl->ijkl", hp, hp))
         scale = np.abs(want).max()
         assert np.abs(riem - want).max() < 1e-4 * scale
@@ -146,7 +266,7 @@ def _ricci_via_split(g, h, p, step):
     )  # nabD[a, l, j, k] = nabla^h_a D^l_jk
     hp = h(p)
     hinv = np.linalg.inv(hp)
-    low_h = riemann_at(h, p, step)  # <R(e_i,e_j)e_k, e_l>
+    low_h = _riemann_at(h, p, step)  # <R(e_i,e_j)e_k, e_l>
     up_h = np.einsum("lm,ijkm->lkij", hinv, low_h)
     up_g = (
         up_h
@@ -190,13 +310,13 @@ class TestLaplacians:
 
     def test_rough_laplacian_flat_constant(self):
         u = SymTensorField(COLLAR4, lambda p: np.diag([1.0, 2.0, 3.0, 4.0]))
-        got = rough_laplacian_tensor_at(flat_field(), u, P4)
+        got = _rough_laplacian_tensor_at(flat_field(), u, P4)
         assert np.abs(got).max() < 1e-10
 
     def test_metric_is_parallel(self):
         h = chart_metric(COLLAR4)
         u = SymTensorField(COLLAR4, COLLAR4.metric_at)
-        got = rough_laplacian_tensor_at(h, u, P4)
+        got = _rough_laplacian_tensor_at(h, u, P4)
         assert tensor_norm(h(P4), got) < 1e-8
 
     def test_conformal_factor_pulls_out(self):
@@ -206,7 +326,7 @@ class TestLaplacians:
             return math.sin(q[0] + q[1]) * math.cos(q[2])
 
         u = SymTensorField(COLLAR4, lambda q: phi(q) * COLLAR4.metric_at(q))
-        got = rough_laplacian_tensor_at(h, u, P4)
+        got = _rough_laplacian_tensor_at(h, u, P4)
         want = laplacian_scalar_at(h, phi, P4) * h(P4)
         assert tensor_norm(h(P4), got - want) < 1e-4
 
@@ -215,7 +335,7 @@ class TestLichnerowicz:
     def test_metric_direction_annihilated(self):
         h = chart_metric(COLLAR4)
         u = SymTensorField(COLLAR4, COLLAR4.metric_at)
-        for op in (lichnerowicz_at, lichnerowicz_hyperbolic_at):
+        for op in (_lichnerowicz_at, _lichnerowicz_hyperbolic_at):
             assert tensor_norm(h(P4), op(h, u, P4)) < 1e-4
 
     def test_trace_free_reduction(self):
@@ -226,14 +346,14 @@ class TestLichnerowicz:
             return a * np.diag([1.0, -1.0, 2.0, -2.0])
 
         uf = SymTensorField(COLLAR4, u)
-        got = lichnerowicz_at(h, uf, P4)
-        want = rough_laplacian_tensor_at(h, uf, P4) - 8.0 * u(P4)
+        got = _lichnerowicz_at(h, uf, P4)
+        want = _rough_laplacian_tensor_at(h, uf, P4) - 8.0 * u(P4)
         assert tensor_norm(h(P4), got - want) < 1e-4
 
     def test_zero(self):
         h = chart_metric(COLLAR4)
         u = SymTensorField(COLLAR4, lambda q: np.zeros((4, 4)))
-        assert np.abs(lichnerowicz_at(h, u, P4)).max() < 1e-12
+        assert np.abs(_lichnerowicz_at(h, u, P4)).max() < 1e-12
 
     def test_general_matches_hyperbolic_closed_form(self):
         h = chart_metric(COLLAR4)
@@ -248,8 +368,8 @@ class TestLichnerowicz:
             ]) / q[0] ** 2
 
         uf = SymTensorField(COLLAR4, u)
-        a = lichnerowicz_at(h, uf, P4)
-        b = lichnerowicz_hyperbolic_at(h, uf, P4)
+        a = _lichnerowicz_at(h, uf, P4)
+        b = _lichnerowicz_hyperbolic_at(h, uf, P4)
         assert tensor_norm(h(P4), a - b) < 1e-4
 
 
@@ -257,26 +377,26 @@ class TestBianchiOps:
     def test_trace_reversal_of_metric(self):
         h = chart_metric(COLLAR4)
         hp = h(P4)
-        assert np.allclose(g_trace_reversal(hp, hp), (1 - 2.0) * hp)
+        assert np.allclose(_g_trace_reversal(hp, hp), (1 - 2.0) * hp)
 
     def test_trace_free_fixed(self):
         hp = chart_metric(COLLAR4)(P4)
         t = np.diag([1.0, -1.0, 2.0, -2.0]) / P4[0] ** 2
-        assert np.allclose(g_trace_reversal(hp, t), t)
+        assert np.allclose(_g_trace_reversal(hp, t), t)
 
     def test_deltastar_of_zero(self):
         h = chart_metric(COLLAR4)
-        got = deltastar_at(h, lambda q: np.zeros(4), P4)
+        got = _deltastar_at(h, lambda q: np.zeros(4), P4)
         assert np.abs(got).max() < 1e-14
 
     def test_divergence_of_metric_vanishes(self):
         h = chart_metric(COLLAR4)
-        got = divergence_at(h, h, P4)
+        got = _divergence_at(h, h, P4)
         assert covector_norm(h(P4), got) < 1e-8
 
     def test_combined(self):
         h = chart_metric(COLLAR4)
-        div, grev, dstar = bianchi_ops_at(h, h, P4)
+        div, grev, dstar = _bianchi_ops_at(h, h, P4)
         hp = h(P4)
         assert covector_norm(hp, div) < 1e-8
         assert np.allclose(grev, -hp)
@@ -478,14 +598,14 @@ class TestDeTurck:
         chart = COLLAR4
         h = chart_metric(chart)
         g = MetricField(chart, lambda q: 1.21 * chart.metric_at(q), "c2h")
-        A = difference_tensor_at(g, h, P4)
+        A = _difference_tensor_at(g, h, P4)
         assert np.abs(A).max() < 1e-6
         gen = MetricField(
             chart,
             lambda q: chart.metric_at(q) * (1 + 0.1 * math.sin(q[1] + q[0])),
             "g",
         )
-        A2 = difference_tensor_field(gen, h)(P4)
+        A2 = _difference_tensor_field(gen, h)(P4)
         A2_ref = christoffels_at(h, P4) - christoffels_at(gen, P4)
         assert np.abs(A2 - A2_ref).max() < 1e-5
         assert np.abs(A2 - A2.transpose(0, 2, 1)).max() < 1e-12
@@ -649,8 +769,11 @@ JET_SPECS = sorted({
                      "ij,j->i", "ij,jk->ik",
                      *(x for r in range(4) for x in _nabla_specs(r))]
       for s in _product_rule_specs(base)),
+    # only the reference operators use these five: curvature, difference
+    # tensor, Lichnerowicz
     "lim,mjk->lkij", "ljm,mik->lkij", "lm,mkij->ijkl", "pm,ijm->pij",
-    "kijl,kl->ij", "lk,lk->", "lk,lka->a", "lk,lkab->ab",
+    "kijl,kl->ij",
+    "lk,lk->", "lk,lka->a", "lk,lkab->ab",
     "m,mji->ij", "kjm,mki->ij",  # Ricci
     "akl,bkl->ab", "bkm,ml->bkl", "kl,abkl->ab", "abkl,kl->ab",  # tr_g t
 })
@@ -674,8 +797,8 @@ class TestContraction:
         assert (np.abs(got - want) <= 1e-13 * scale).all()
 
     def test_every_spec_of_the_operators_is_covered(self, monkeypatch):
-        # record the contractions the operators and the grid covariant
-        # derivative really make
+        # record the contractions the operators, the reference operators and
+        # the grid covariant derivative really make
         from cusplab import solver
 
         seen = set()
@@ -690,13 +813,13 @@ class TestContraction:
         g = MetricField(COLLAR4, lambda q: COLLAR4.metric_at(q)
                         * (1 + 0.1 * math.sin(q[1])), "g")
         w = MetricField(COLLAR4, lambda q: np.array([1.0, q[1], q[2] ** 2, q[0]]))
-        for op in (Q_at, L_at, lichnerowicz_at, difference_tensor_at,
-                   rough_laplacian_tensor_at, lichnerowicz_hyperbolic_at,
-                   bianchi_ops_at, deturck_field_at, divergence_at):
+        for op in (Q_at, L_at, _lichnerowicz_at, _difference_tensor_at,
+                   _rough_laplacian_tensor_at, _lichnerowicz_hyperbolic_at,
+                   _bianchi_ops_at, deturck_field_at, _divergence_at):
             op(g, h, P4)
-        riemann_at(g, P4)
+        _riemann_at(g, P4)
         laplacian_scalar_at(g, lambda q: q[1] ** 2, P4)
-        deltastar_at(g, w, P4)
+        _deltastar_at(g, w, P4)
         grid = solver.collar_grid(COLLAR4, 0.05, nodes=12)
         u = np.random.default_rng(0).standard_normal(grid.shape + (4, 4))
         solver._covariant_derivative(grid, solver._covariant_derivative(grid, u))
@@ -812,15 +935,15 @@ class TestPointSets:
     @pytest.mark.parametrize("op", [
         lambda g, t, p: christoffels_at(g, p),
         lambda g, t, p: ricci_at(g, p),
-        lambda g, t, p: riemann_at(g, p),
-        difference_tensor_at,
+        lambda g, t, p: _riemann_at(g, p),
+        _difference_tensor_at,
         lambda g, t, p: laplacian_scalar_at(g, batched(lambda q: q[:, 1] ** 2), p),
-        rough_laplacian_tensor_at,
-        lichnerowicz_at,
-        lichnerowicz_hyperbolic_at,
-        divergence_at,
-        lambda g, t, p: deltastar_at(g, batched(lambda q: q ** 2), p),
-        bianchi_ops_at,
+        _rough_laplacian_tensor_at,
+        _lichnerowicz_at,
+        _lichnerowicz_hyperbolic_at,
+        _divergence_at,
+        lambda g, t, p: _deltastar_at(g, batched(lambda q: q ** 2), p),
+        _bianchi_ops_at,
         Q_gauge_at,
         Q_at,
         lambda g, t, p: Q_at(g, g, p),
@@ -842,28 +965,6 @@ class TestPointSets:
         pointwise = MetricField(COLLAR4, lambda q: 1.1 * COLLAR4.metric_at(q), "g")
         with pytest.raises(ValueError, match=r"empty point set of shape \(0, 4\)"):
             op(pointwise, h, np.empty((0, 4)))
-
-
-# The oracle for `_g_trace_jet` and `_reversed_divergence`: the second order
-# of the inverse-metric jet, and the 2-jet of the trace reversal formed from
-# it by the product rule.
-
-
-def _inverse_2jet(jet):
-    """2-jet of the matrix inverse: d M^-1 = -M^-1 dM M^-1, differentiated
-    once more."""
-    inv, d = tensorcalc._jinv(jet)
-    inv2 = inv[..., None, None, :, :]
-    d_a = d[..., :, None, :, :]  # d_a M^-1 at (a, b)
-    dm_b = jet[1][..., None, :, :, :]  # d_b M at (a, b)
-    dd = d_a @ dm_b @ inv2 + inv2 @ dm_b @ d_a + inv2 @ jet[2] @ inv2
-    return inv, d, -dd
-
-
-def _trace_reversal(Ginv, G, T):
-    """2-jet of G_g t = t - (tr_g t / 2) g, from the 2-jet of g^{-1}."""
-    tr = tensorcalc._jeinsum("kl,kl->", Ginv, T)
-    return tensorcalc._jlin((1.0, T), (-0.5, tensorcalc._jeinsum(",ij->ij", tr, G)))
 
 
 def _relative_gap(got, want):
@@ -918,5 +1019,5 @@ class TestSecondOrderOracle:
         (G,) = tensorcalc._metric_jets(g, points, 5e-4)
         gam = tensorcalc._christoffel(G)
         want = tensorcalc._sym(np.einsum("...kikj->...ij",
-                                         tensorcalc._riemann_up(gam)))
+                                         _riemann_up(gam)))
         assert _relative_gap(tensorcalc._ricci(gam), want) <= 1e-12
