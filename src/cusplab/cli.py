@@ -482,6 +482,11 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
             "order": g.order, "s": blocks.s, "m2": blocks.m2, "mv": blocks.mv,
             "mt": blocks.mt, "max_coefficient": float(np.abs(coeff.values).max()),
         })
+    # the coordinates the ladder's stencil steps along, and its size
+    axes, points = tensorcalc.stencil_of(stages[-1].field)
+    rep.extra["stencil"] = {
+        "coordinates": [chart.coordinate_names[i] for i in axes],
+        "points": points}
     rows = []
     background = expansion._BackgroundCache(chart)  # Q(h, h) on the samples
     for g in stages:

@@ -293,9 +293,19 @@ class ExpansionMetric:
         """The metric as one array-native field object, built once, so both
         slots of Q_at(g.field, g.field, p) share a jet.  The fields of two
         stages of one ladder share their evaluations: in Q_at(g_j.field,
-        g_1.field, p), g_1's values are g_j's partial sums."""
-        return MetricField(self.bd.chart, _Ladder(self.bd, self.terms),
-                           f"g_{self.order}")
+        g_1.field, p), g_1's values are g_j's partial sums.
+
+        The values depend on the chart metric's coordinates, rho (the radial
+        cutoff) and y_1 (psi_y), and on the coordinates of each
+        coefficient: when every coefficient depends on y_1 alone
+        (`of_first_coordinate`), the field declares the chart's coordinates
+        and y_1, and its stencils step along no other."""
+        chart = self.bd.chart
+        coordinates = None
+        if all(getattr(coeff, "first_coordinate", False) for _, coeff in self.terms):
+            coordinates = tuple(sorted({*chart.metric_coordinates, 0, 1}))
+        return MetricField(chart, _Ladder(self.bd, self.terms),
+                           f"g_{self.order}", coordinates)
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:
@@ -525,8 +535,8 @@ class _SplineCoefficient:
     each point it is given.  A stencil array repeats each first tangential
     coordinate many times; an expansion metric hands the spline the
     distinct ones only (`of_first_coordinate`): a 117-point pass of the
-    n = 4 expand ladder has 3,744 stencil points with about 250 distinct
-    first coordinates.
+    n = 4 expand ladder has 2,106 off-centre stencil points with 254
+    distinct first coordinates.
     """
 
     batched = True
@@ -643,7 +653,7 @@ def S_map(
 class VanishingOrderFit:
     """Log-log decay fit of the residual over a family of base points."""
 
-    slope: float  # max over tangential samples of the per-sample slopes
+    slope: float  # max of the per-sample slopes; NaN if one is unresolved
     per_y: list[dict]
     sentinel: bool  # every sample below the floor (exact solution)
 
@@ -659,7 +669,9 @@ def vanishing_order(
 
     Values at or below the floor 1e-13 are left out of the fit; samples with
     all values below it are reported with an infinite sentinel slope and
-    excluded from the headline maximum.  Fits of several metrics on the same
+    excluded from the headline maximum.  A sample with one value above the
+    floor fixes no slope: it is reported unresolved (slope and residual
+    NaN), and so is the headline.  Fits of several metrics on the same
     samples can share one cache, so Q(h, h) is computed once.
     """
     fl = gL.field if isinstance(gL, ExpansionMetric) else gL
@@ -679,6 +691,11 @@ def vanishing_order(
                           "residual": 0.0, "norms": norms.tolist()})
             continue
         keep = norms > 1e-13
+        if keep.sum() < 2:
+            per_y.append({"y": y.tolist(), "slope": math.nan,
+                          "residual": math.nan, "norms": norms.tolist()})
+            slopes.append(math.nan)
+            continue
         logr = np.log(rho_samples[keep])
         logn = np.log(norms[keep])
         slope, intercept = np.polyfit(logr, logn, 1)
@@ -689,7 +706,8 @@ def vanishing_order(
 
     if not slopes:
         return VanishingOrderFit(slope=SLOPE_SENTINEL, per_y=per_y, sentinel=True)
-    return VanishingOrderFit(slope=max(slopes), per_y=per_y, sentinel=False)
+    headline = math.nan if any(map(math.isnan, slopes)) else max(slopes)
+    return VanishingOrderFit(slope=headline, per_y=per_y, sentinel=False)
 
 
 def gauge_term_norm(

@@ -2,26 +2,34 @@
 
 Every operator is evaluated from one derivative kernel: `_jet` samples a
 field on a single central-and-mixed stencil around each point and returns
-its 2-jet (value, first and second partial derivatives), from
-1 + 2n + 2n(n-1) points per point.  The stencils of a whole point set are
-one array, so an array-native field is called once per set; a metric is
-called once more on the points themselves, whose values give the steps and
-the stencil's centre.  Sampling and differencing are two steps
-(`_stencil_points`, `_differences`), so two fields that one evaluation
-yields together share it: with two stages of one expansion ladder in the
-two slots of Q, the longer ladder is evaluated once at the points and once
-on the off-centre stencil points, and the shorter ladder's values are its
-partial sums (`_joint`).  The operators are then product-rule algebra on jets
-(`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives come from
-the metric's 2-jet, covariant derivatives lower a jet's order by one, and
-nothing is differenced twice.  The inverse metric is needed to first order
-only, and the Ricci tensor is contracted from the Christoffel 1-jet without
-forming the curvature tensor.  Every two-operand contraction, each
-product-rule term included, is one stacked matrix product over the batch
-axes (`_contract`); np.einsum is left for permutations and traces.
-Steps are scaled per coordinate by the local metric diagonal, so stencils
-shrink toward degenerate chart boundaries and accuracy is uniform in the
-geometric (unit-frame) sense.
+its 2-jet (value, first and second partial derivatives).  The stencil steps
+only along the coordinates the field's values depend on, as the field
+declares them (`MetricField.coordinates`; a chart metric declares
+`Chart.metric_coordinates`): 1 + 2d + 2d(d-1) = 1 + 2d^2 points per point
+for d such coordinates, so 19 for the n = 4 round collar and its expansion
+ladder (rho, y_1, y_2) where all n = 4 coordinates would take 33.  The
+derivatives along the other coordinates are zeros, which on every chart
+metric and ladder are the bits the full stencil gives, since it would
+difference equal values (`_differences`).  The stencils
+of a whole point set are one array, so an array-native field is called once
+per set; a metric is called once more on the points themselves, whose
+values give the steps and the stencil's centre.  Sampling and differencing
+are two steps (`_stencil_points`, `_differences`), so two fields that one
+evaluation yields together share it: with two stages of one expansion
+ladder in the two slots of Q, the longer ladder is evaluated once at the
+points and once on the off-centre stencil points, and the shorter ladder's
+values are its partial sums (`_joint`).  The operators are then
+product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel symbols and
+their derivatives come from the metric's 2-jet, covariant derivatives lower
+a jet's order by one, and nothing is differenced twice.  The inverse metric
+is needed to first order only, and the Ricci tensor is contracted from the
+Christoffel 1-jet without forming the curvature tensor.  Every two-operand
+contraction, each product-rule term included, is one stacked matrix product
+over the batch axes (`_contract`); np.einsum is left for permutations and
+traces.  Steps are scaled per coordinate by the local metric diagonal, so
+stencils shrink toward degenerate chart boundaries and accuracy is uniform
+in the geometric (unit-frame) sense; the room for the stencil is checked
+along every coordinate, stepped or not.
 
 Points: every public operator takes one point p of shape (n,) and returns
 its value, or an (N, n) array of points and returns the N values stacked
@@ -53,7 +61,14 @@ Sign conventions, fixed once and used everywhere:
     delta_g(G_g t) = delta_g t + d(tr_g t) / 2, since delta_g(f g) = -df;
   * Q(g, g) = Rc(g) + (n-1) g: nabla g = 0 makes G_g g = (1 - n/2) g
     divergence-free, so `Q_at` forms no gauge term when both slots hold the
-    same field object (`Q_gauge_at` forms it in full).
+    same field object (`Q_gauge_at` forms it in full);
+  * the gauge covector is DeTurck's: g t^{-1} delta_g(G_g t) =
+    g_kl g^{ij} (Gamma(g)^l_ij - Gamma(t)^l_ij), exactly, and `Q_at` forms
+    it so from the two Christoffel 1-jets, with no covariant derivative of
+    t and no 2-jet of tr_g t.  `Q_gauge_at` and `deturck_field_at` keep the
+    divergence route, so the gauge checks built on them stay an independent
+    derivation: through the Christoffel difference, Q(g, g)'s gauge term
+    would be Gamma(g) - Gamma(g), zero by construction.
 """
 
 from __future__ import annotations
@@ -62,7 +77,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,12 +103,16 @@ class MetricField:
 
     eval takes one point, or the whole (N, n) array if it is marked with
     `charts.batched`; calling the field accepts one point or an (N, n) array
-    either way.
+    either way.  coordinates, when given, are the indices of the only
+    coordinates the values depend on: moving any other coordinate leaves
+    them the same bits, so its stencil steps along these alone (None: along
+    all n).
     """
 
     chart: Chart
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    coordinates: Optional[tuple[int, ...]] = None
 
     batched = True  # a class attribute: calling a field takes arrays
 
@@ -105,8 +124,17 @@ SymTensorField = Tensor3Field = MetricField
 
 
 def chart_metric(chart: Chart, label: str = "h") -> MetricField:
-    """The chart's own closed-form model metric as a field."""
-    return MetricField(chart, chart.metric_at, label)
+    """The chart's own closed-form model metric as a field, stepped along
+    the coordinates its components depend on (`Chart.metric_coordinates`)."""
+    return MetricField(chart, chart.metric_at, label, chart.metric_coordinates)
+
+
+def stencil_of(field: MetricField) -> tuple[tuple[int, ...], int]:
+    """(the coordinates a field's stencil steps along, the points of one
+    stencil): 1 + 2d^2 points for d coordinates, 33 when all four of n = 4
+    are stepped."""
+    axes = _axes(field, field.chart.n)
+    return axes, len(_stencil(field.chart.n, axes)[0])
 
 
 def coordinate_steps(g: MetricField, p, step: float, g0=None) -> np.ndarray:
@@ -164,23 +192,33 @@ def _on_points(op):
 # -- the jet kernel -------------------------------------------------------------
 
 
+def _axes(field, n: int) -> tuple[int, ...]:
+    """The coordinates a field's stencil steps along: its declared
+    `coordinates`, or all n (a plain callable declares none)."""
+    axes = getattr(field, "coordinates", None)
+    return tuple(range(n)) if axes is None else tuple(axes)
+
+
 @functools.lru_cache(maxsize=None)
-def _stencil(n: int):
-    """Offsets of the stencil in units of the steps: the centre, +e_i, -e_i,
-    then (+e_i +e_j, +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j,
-    and the pairs as two index arrays (i, j)."""
-    eye = np.eye(n)
-    i, j = np.triu_indices(n, 1)
-    mixed = [si * eye[a] + sj * eye[b] for a, b in zip(i, j)
+def _stencil(n: int, axes: tuple[int, ...]):
+    """Offsets of the stencil along the coordinates `axes`, in units of the
+    steps: the centre, +e_i, -e_i for each i in axes, then (+e_i +e_j,
+    +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j of them; the axes
+    as an index array; and the pairs as two index arrays (i, j)."""
+    axes = np.array(axes, dtype=int)
+    eye = np.eye(n)[axes]
+    a, b = np.triu_indices(len(axes), 1)
+    mixed = [si * eye[x] + sj * eye[y] for x, y in zip(a, b)
              for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.vstack([np.zeros((1, n)), eye, -eye, *mixed]), (i, j)
+    offsets = np.vstack([np.zeros((1, n)), eye, -eye, *mixed])
+    return offsets, axes, (axes[a], axes[b])
 
 
-def _stencil_points(p: np.ndarray, h: np.ndarray, centre: bool) -> np.ndarray:
-    """The stencil around each row of p (or around one point p) with steps h
-    of the same shape: shape p.shape[:-1] + (S, n), the centre first, or
-    left out when centre is false."""
-    offsets, _ = _stencil(p.shape[-1])
+def _stencil_points(p: np.ndarray, h: np.ndarray, axes, centre: bool) -> np.ndarray:
+    """The stencil along `axes` around each row of p (or around one point p)
+    with steps h of the same shape: shape p.shape[:-1] + (S, n), the centre
+    first, or left out when centre is false."""
+    offsets, _, _ = _stencil(p.shape[-1], axes)
     if not centre:
         offsets = offsets[1:]
     return p[..., None, :] + offsets * h[..., None, :]
@@ -193,39 +231,48 @@ def _by_offset(vals: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
 
 
-def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray):
+def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray, axes):
     """2-jet from the values f0 at the stencil centres and vals at the
-    off-centre stencil points (the offset axis leading, as `_by_offset`
-    stacks them), with steps h: central differences for the gradient and
-    pure second derivatives, the four-point mixed stencil for the cross
-    derivatives."""
+    off-centre points of the stencil along `axes` (the offset axis leading,
+    as `_by_offset` stacks them), with steps h: central differences for the
+    gradient and pure second derivatives, the four-point mixed stencil for
+    the cross derivatives.  Every derivative along another coordinate is
+    +0.0.  The full stencil would difference equal values there, (a - a),
+    (a - 2a + a) and (a - a - b + b), which give the same +0.0, so the jet
+    is the full stencil's bit for bit whenever the stepped coordinates come
+    before the others, as every chart's and ladder's do.  (For a pair with
+    the other coordinate first the full stencil sums a - b - a + b, which
+    can round to a few ulp of b.)"""
     n, lead = h.shape[-1], h.ndim - 1
-    _, (i, j) = _stencil(n)
-    fp, fm = vals[:n], vals[n:2 * n]
+    _, ax, (i, j) = _stencil(n, axes)
+    m = len(ax)
+    fp, fm = vals[:m], vals[m:2 * m]
     # hs[i] is the step in coordinate i, shaped like the values
     hs = np.moveaxis(h, -1, 0).reshape(
         h.shape[-1:] + h.shape[:-1] + (1,) * (f0.ndim - lead))
-    d = (fp - fm) / (2.0 * hs)
-    dd = np.empty((n, n) + f0.shape)
-    diag = np.arange(n)
-    dd[diag, diag] = (fp - 2.0 * f0 + fm) / hs ** 2
-    pp, pm, mp, mm = vals[2 * n:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
+    d = np.zeros((n,) + f0.shape)
+    d[ax] = (fp - fm) / (2.0 * hs[ax])
+    dd = np.zeros((n, n) + f0.shape)
+    dd[ax, ax] = (fp - 2.0 * f0 + fm) / hs[ax] ** 2
+    pp, pm, mp, mm = vals[2 * m:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
     dd[i, j] = dd[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
     return f0, np.moveaxis(d, 0, lead), np.moveaxis(dd, (0, 1), (lead, lead + 1))
 
 
-def _jet(field, p, h, f0=None):
+def _jet(field, p, h, f0=None, axes=None):
     """2-jet of an array-valued callable at one point p (n,) or at each row
-    of an (N, n) array, with steps h of the same shape.  The stencil points
+    of an (N, n) array, with steps h of the same shape, from the stencil
+    along `axes` (by default the field's own, `_axes`).  The stencil points
     of every row are one array, so an array-native field is called once;
     f0, the field's values at p when the caller has them, is the stencil's
     centre and is not evaluated again."""
     p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
-    points = _stencil_points(p, h, centre=f0 is None)
+    axes = _axes(field, p.shape[-1]) if axes is None else tuple(axes)
+    points = _stencil_points(p, h, axes, centre=f0 is None)
     vals = _by_offset(at_points(field, points.reshape(-1, p.shape[-1])), points)
     if f0 is None:
         f0, vals = vals[0], vals[1:]
-    return _differences(f0, vals, h)
+    return _differences(f0, vals, h, axes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,22 +383,26 @@ def _joint(g: MetricField, fields):
 
 def _metric_jets(g: MetricField, p, step: float, *fields):
     """Steps from g at the points p, then the jets of g and of each further
-    field on that one stencil (a field identical to g reuses g's jet).  g
-    is evaluated at p once: its values give the steps and the centre of its
-    stencil.  A further field that g evaluates jointly (`_joint`) is sampled
-    in g's passes, once at p and once on the off-centre stencil points, and
-    each field's values are differenced on their own."""
+    field with those steps, each from the stencil along its own coordinates
+    (a field identical to g reuses g's jet).  g is evaluated at p once: its
+    values give the steps and the centre of its stencil.  A further field
+    that g evaluates jointly (`_joint`) is sampled in g's passes, once at p
+    and once on the off-centre points of the stencil along the coordinates
+    either field varies in, and each field's values are differenced on
+    their own."""
     joint = _joint(g, fields)
     if joint is None:
         g0 = g(p)
         h = coordinate_steps(g, p, step, g0)
         G = _jet(g, p, h, g0)
         return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
+    n = p.shape[-1]
+    axes = tuple(sorted({*_axes(g, n), *_axes(fields[0], n)}))
     centres = joint(p)
     h = coordinate_steps(g, p, step, centres[0])
-    points = _stencil_points(p, h, centre=False)
-    stencils = joint(points.reshape(-1, p.shape[-1]))
-    return tuple(_differences(f0, _by_offset(vals, points), h)
+    points = _stencil_points(p, h, axes, centre=False)
+    stencils = joint(points.reshape(-1, n))
+    return tuple(_differences(f0, _by_offset(vals, points), h, axes)
                  for f0, vals in zip(centres, stencils))
 
 
@@ -504,6 +555,16 @@ def Q_gauge_at(g: MetricField, t, p, step: float = DEFAULT_STEP) -> np.ndarray:
     return _deltastar(gam, omega)
 
 
+def _deturck_covector(G, Ginv, gam, T):
+    """1-jet of omega_k = g_kl g^{ij} (Gamma(g)^l_ij - Gamma(t)^l_ij) from
+    the 2-jets of g and t, g's inverse 1-jet and Christoffel 1-jet.  It is
+    the gauge covector g t^{-1} delta_g(G_g t): with A = Gamma(g) - Gamma(t),
+    nabla_i t_jk = -A^m_ij t_mk - A^m_ik t_jm, so delta_g(G_g t)_k =
+    t_km g^{ij} A^m_ij, the d tr_g t half cancelling the rest."""
+    difference = tuple(a - b for a, b in zip(gam, _christoffel(T)))
+    return _jeinsum("kl,l->k", G, _jeinsum("ij,kij->k", Ginv, difference))
+
+
 @_on_points
 def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.ndarray:
     """Gauge-adjusted Einstein operator
@@ -511,13 +572,17 @@ def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.nd
 
     Q(g, g) = Rc(g) + (n-1) g comes from g's jet alone: nabla g = 0, so
     G_g g = (1 - n/2) g has no divergence and the gauge term vanishes.
-    `Q_gauge_at` still computes that term in full, as a check."""
+    With two fields, the gauge covector is formed from the difference of
+    their Christoffel symbols (`_deturck_covector`).  `Q_gauge_at` still
+    computes the gauge term by the divergence, as a check."""
     if t is g:
         (G,) = _metric_jets(g, p, step)
         return _ricci(_christoffel(G)) + (g.chart.n - 1.0) * G[0]
-    gam, g0, omega = _gauge_parts(g, t, p, step)
-    gauge = _deltastar(gam, omega)
-    return _ricci(gam) + (g.chart.n - 1.0) * g0 - gauge
+    G, T = _metric_jets(g, p, step, t)
+    Ginv = _jinv(G)
+    gam = _christoffel(G, Ginv)
+    gauge = _deltastar(gam, _deturck_covector(G, Ginv, gam, T))
+    return _ricci(gam) + (g.chart.n - 1.0) * G[0] - gauge
 
 
 @_on_points

@@ -105,6 +105,37 @@ class TestMetricAt:
             cusp41.metric_at([0.5, 0.7, 0.1])
 
 
+def _every_kind(n):
+    return ([Chart.intermediate_cusp(n, f) for f in range(1, n - 1)]
+            + [Chart.maximal_cusp(n), Chart.collar(n),
+               Chart.collar(n, h_u="round_sphere")]
+            + [Chart.upper_half_space(n, f) for f in range(1, n)])
+
+
+class TestMetricCoordinates:
+    """`metric_coordinates` are the coordinates the closed forms depend on:
+    moving only the others leaves `metric_at` the same bits, and moving any
+    declared one moves some component."""
+
+    @pytest.mark.parametrize("chart", _every_kind(4) + _every_kind(5),
+                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+    def test_undeclared_coordinates_leave_the_metric_unchanged(self, chart,
+                                                               rng):
+        declared = list(chart.metric_coordinates)
+        others = [i for i in range(chart.n) if i not in declared]
+        assert declared[0] == 0 and others
+        pts = np.array(sample_points(chart, 20, rng))
+        moved = pts.copy()
+        moved[:, others] = np.array(sample_points(chart, 20, rng))[:, others]
+        want = chart.metric_at(pts)
+        got = chart.metric_at(moved)
+        assert got.tobytes() == want.tobytes()
+        for i in declared:
+            nudged = pts.copy()
+            nudged[:, i] += 0.01
+            assert (chart.metric_at(nudged) != want).any(axis=(1, 2)).all()
+
+
 class TestVolumeDensity:
     def test_cusp_closed_form(self, cusp41):
         # sqrt(r^0 sin^2 / cos^8) at theta0 = pi/4 equals 2 sqrt(2)

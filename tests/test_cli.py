@@ -435,6 +435,28 @@ class TestExpandStages:
         assert stages[0]["max_coefficient"] < 1e-4
         assert stages[1]["max_coefficient"] > 0.1
         assert len(list(tmp_path.glob("*.csv"))) == 1  # the slopes table only
+        # the ladder's stencil steps along rho, y1 and y2, not the azimuth
+        assert payload["stencil"] == {"coordinates": ["rho", "y1", "y2"],
+                                      "points": 19}
+
+    def test_unresolved_slope_fails_its_stage(self, tmp_path, monkeypatch,
+                                              one_rho_bump):
+        # a residual above the floor at one rho only fixes no slope: each
+        # stage headline is NaN, written as null, and fails with exit 3
+        import cusplab.expansion as expansion
+
+        fit = expansion.vanishing_order
+        monkeypatch.setattr(expansion, "vanishing_order",
+                            lambda g, g1, rhos, ys, cache: fit(
+                                one_rho_bump, one_rho_bump, rhos, ys))
+        assert run(tmp_path, *EXPAND_LADDER) == EXIT_NUMERICAL
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        assert payload["status"] == "fail"
+        checks = {c["name"]: c for c in payload["checks"]}
+        for j in (1, 2, 3):
+            assert checks[f"stage{j}_slope"]["value"] is None
+            assert not checks[f"stage{j}_slope"]["passed"]
+            assert checks[f"stage{j}_gauge"]["passed"]
 
     def test_stage_four_is_checked_against_its_threshold(self, tmp_path):
         assert STAGE_SLOPES[4] == 3.7

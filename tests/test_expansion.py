@@ -378,28 +378,32 @@ class TestCorrectionLadder:
 
 class TestFieldReuse:
     def test_both_slots_of_Q_share_one_stencil(self, metric_points):
+        # one stencil of 19 points at n = 4: the ladder steps along rho,
+        # y_1 and y_2, and not along the azimuthal angle y_3
         from cusplab.tensorcalc import Q_at
 
         g1 = T_map(seeded_boundary_data(ROUND, seed=3))
         p = np.concatenate(([0.2], g1.bd._reference_y()))
         metric_points[0] = 0
         assert g1.field is g1.field
+        assert g1.field.coordinates == (0, 1, 2)
         Q_at(g1.field, g1.field, p)
-        assert 33 <= metric_points[0] <= 35
+        assert 19 <= metric_points[0] <= 21
         # two stages of one ladder share it: g_1's values are g_2's partial
         # sums
         g2 = correction_step(g1, g1)
         metric_points[0] = 0
         Q_at(g2.field, g1.field, p)
-        assert 33 <= metric_points[0] <= 35
+        assert 19 <= metric_points[0] <= 21
 
 
     def test_field_calls_per_correction_iteration(self, monkeypatch):
         # each iteration evaluates its 39 (inside) y x 6 rho extraction points
         # in ceil(234 / BATCH_CAP) passes of near-equal size, the longer ones
         # first: per pass, the longer ladder is evaluated once at the points
-        # (steps and both centres) and once on the off-centre stencil
-        # points, and the shorter ladder's values are its partial sums
+        # (steps and both centres) and once on the 18 off-centre points of
+        # the stencil along rho, y_1 and y_2, and the shorter ladder's values
+        # are its partial sums
         from cusplab import expansion
         from cusplab.tensorcalc import BATCH_CAP
 
@@ -416,7 +420,7 @@ class TestFieldReuse:
         passes = math.ceil(39 * 6 / BATCH_CAP)
         base, longer = divmod(39 * 6, passes)
         sizes = [base + 1] * longer + [base] * (passes - longer)
-        rows = [r for size in sizes for r in (size, 32 * size)]
+        rows = [r for size in sizes for r in (size, 18 * size)]
         # iteration 1: Q(g_1, g_1), one shared field; iteration 2: Q(g_2, g_1),
         # one shared ladder
         assert calls == ([("g_1", r) for r in rows] + [("g_2", r) for r in rows])
@@ -503,6 +507,19 @@ class TestVanishingOrderFit:
         fit = vanishing_order(h, h, [0.1, 0.05, 0.025], [y])
         assert fit.sentinel
         assert fit.slope == math.inf
+
+    def test_one_value_above_the_floor_is_unresolved(self, one_rho_bump):
+        # one value above the floor fixes no slope: np.polyfit's
+        # minimum-norm line through it would read 4.3 here, above every
+        # stage's threshold
+        rhos = [2.0 ** (-k) for k in range(3, 9)]
+        y = zero_data()._reference_y()
+        fit = vanishing_order(one_rho_bump, one_rho_bump, rhos, [y, y + 0.01])
+        for sample in fit.per_y:
+            norms = sample["norms"]  # rho = 1/8 first
+            assert norms[0] > 1e-13 and max(norms[1:]) == 0.0
+            assert math.isnan(sample["slope"]) and math.isnan(sample["residual"])
+        assert math.isnan(fit.slope) and not fit.sentinel
 
     def test_prescribed_power_recovered(self, bdata):
         # synthetic residual of known order via a one-term expansion metric

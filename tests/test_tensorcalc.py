@@ -657,20 +657,22 @@ class TestJetKernel:
         assert np.abs(one[1]).max() < 1e-9
 
     def test_metric_evaluations_per_operator(self, metric_points):
-        # one stencil (33 points at n = 4) per field, plus the point the
-        # steps are read from
+        # one stencil per field, along the coordinates it declares: all 33
+        # points at n = 4 for a field that declares none, 3 for the
+        # Euclidean collar's metric, which varies in rho alone
         chart = COLLAR4
         h = chart_metric(chart)
+        assert h.coordinates == (0,)
         g = MetricField(
             chart,
             lambda q: chart.metric_at(q) * (1 + 0.1 * math.sin(q[1] + q[0])),
             "g",
         )
         Q_at(g, h, P4)
-        assert 2 * 33 <= metric_points[0] <= 70
+        assert metric_points[0] == 33 + 3
         metric_points[0] = 0
         ricci_at(h, P4)
-        assert 33 <= metric_points[0] <= 35
+        assert 3 <= metric_points[0] <= 5
 
     def test_one_field_type(self):
         assert MetricField is SymTensorField is tensorcalc.Tensor3Field
@@ -680,7 +682,7 @@ class TestJetKernel:
         """The per-coordinate loop the vectorized stencil differences replace."""
         p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
         n, lead = p.shape[-1], p.ndim - 1
-        offsets, _ = tensorcalc._stencil(n)
+        offsets, _, _ = tensorcalc._stencil(n, tuple(range(n)))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         points = p[..., None, :] + offsets * h[..., None, :]
         vals = at_points(field, points.reshape(-1, n))
@@ -761,22 +763,27 @@ def _nabla_specs(rank):
     return [f"mk{i},{idx[:s]}m{idx[s + 1:]}->k{idx}" for s, i in enumerate(idx)]
 
 
-# every contraction of the jet algebra: the `_jeinsum` specs with their
-# product-rule forms, then the direct `_contract` calls on jet values
-JET_SPECS = sorted({
-    *(s for base in ["kl,lij->kij", "ki,kij->j", "kl,kl->",
-                     ",ij->ij",  # the trace-reversal oracle of TestSecondOrderOracle
-                     "ij,j->i", "ij,jk->ik",
-                     *(x for r in range(4) for x in _nabla_specs(r))]
-      for s in _product_rule_specs(base)),
+# every contraction of the jet algebra: the `_jeinsum` bases, each with the
+# forms the product rule makes from it, then the direct `_contract` calls on
+# jet values
+JET_BASES = [
+    "kl,lij->kij", "ki,kij->j", "kl,kl->",
+    ",ij->ij",  # the trace-reversal oracle of TestSecondOrderOracle
+    "ij,j->i", "ij,jk->ik",
+    "ij,kij->k", "kl,l->k",  # the DeTurck covector of Q(g, t)
+    *(x for r in range(4) for x in _nabla_specs(r)),
+]
+DIRECT_SPECS = [
     # only the reference operators use these five: curvature, difference
     # tensor, Lichnerowicz
     "lim,mjk->lkij", "ljm,mik->lkij", "lm,mkij->ijkl", "pm,ijm->pij",
     "kijl,kl->ij",
-    "lk,lk->", "lk,lka->a", "lk,lkab->ab",
+    "lk,lk->", "lk,lkab->ab",  # rough Laplacians of a scalar and a 2-tensor
     "m,mji->ij", "kjm,mki->ij",  # Ricci
     "akl,bkl->ab", "bkm,ml->bkl", "kl,abkl->ab", "abkl,kl->ab",  # tr_g t
-})
+]
+JET_SPECS = sorted({*(s for base in JET_BASES for s in _product_rule_specs(base)),
+                    *DIRECT_SPECS})
 
 
 class TestContraction:
@@ -798,7 +805,8 @@ class TestContraction:
 
     def test_every_spec_of_the_operators_is_covered(self, monkeypatch):
         # record the contractions the operators, the reference operators and
-        # the grid covariant derivative really make
+        # the grid covariant derivative really make: each is listed, and
+        # each listed base and direct contraction is made
         from cusplab import solver
 
         seen = set()
@@ -823,7 +831,10 @@ class TestContraction:
         grid = solver.collar_grid(COLLAR4, 0.05, nodes=12)
         u = np.random.default_rng(0).standard_normal(grid.shape + (4, 4))
         solver._covariant_derivative(grid, solver._covariant_derivative(grid, u))
+        G, T = tensorcalc._metric_jets(g, P4, DEFAULT_STEP, h)
+        _trace_reversal(_inverse_2jet(G), G, T)
         assert "mkc,abm->kabc" in seen and seen <= set(JET_SPECS)
+        assert sorted({*JET_BASES, *DIRECT_SPECS} - seen) == []
 
 
 # The tracemalloc peak of one Q(g_3, g_1) call on the 234-point extraction
@@ -834,18 +845,98 @@ PASS_PEAK_BYTES = 2_500_000
 
 
 @pytest.fixture(scope="module")
-def extraction_set():
-    """Stages 1 and 3 of the seed-3 ladder at n = 4 and the 39 y x 6 rho
-    extraction points of its correction steps."""
+def ladders():
+    """seed -> (the 3-stage ladder at n = 4, the 39 y x 6 rho extraction
+    points of its correction steps), for seeds 1 and 3."""
     from cusplab.expansion import (DEFAULT_EXTRACTION_RHOS, S_map,
                                    _extraction_grid, _grid_points,
                                    seeded_boundary_data)
 
-    bd = seeded_boundary_data(Chart.collar(4, h_u="round_sphere"), seed=3,
-                              amplitude=0.05)
-    g1, _, g3 = S_map(bd, stages=3)
-    _, _, ys = _extraction_grid(bd)
-    return g1, g3, _grid_points(DEFAULT_EXTRACTION_RHOS, ys).reshape(-1, 4)
+    out = {}
+    for seed in (1, 3):
+        bd = seeded_boundary_data(Chart.collar(4, h_u="round_sphere"),
+                                  seed=seed, amplitude=0.05)
+        _, _, ys = _extraction_grid(bd)
+        out[seed] = (S_map(bd, stages=3),
+                     _grid_points(DEFAULT_EXTRACTION_RHOS, ys).reshape(-1, 4))
+    return out
+
+
+@pytest.fixture(scope="module")
+def extraction_set(ladders):
+    """Stages 1 and 3 of the seed-3 ladder at n = 4 and the 39 y x 6 rho
+    extraction points of its correction steps."""
+    (g1, _, g3), points = ladders[3]
+    return g1, g3, points
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _interior_points(chart, count, rng):
+    """count points in the middle of the chart's finite coordinate ranges,
+    and in (-0.8, 0.8) on the unbounded ones."""
+    pts = rng.uniform(-0.8, 0.8, (count, chart.n))
+    for i, (lo, hi) in enumerate(chart.coordinate_ranges()):
+        if math.isfinite(lo) and math.isfinite(hi):
+            pts[:, i] = rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo),
+                                    count)
+    return pts
+
+
+EVERY_KIND = [
+    Chart.intermediate_cusp(4, 1), Chart.intermediate_cusp(4, 2),
+    Chart.intermediate_cusp(5, 1), Chart.maximal_cusp(4), COLLAR4,
+    Chart.collar(4, h_u="round_sphere"), Chart.upper_half_space(4, 1),
+    Chart.upper_half_space(4, 2), Chart.upper_half_space(4, 3),
+]
+
+
+class TestDeclaredCoordinates:
+    """A field's stencil steps along the coordinates it declares, and its
+    jet is the full stencil's, bit for bit; the two-slot Q forms its gauge
+    covector from the Christoffel difference, and agrees with the
+    divergence route of `Q_gauge_at`."""
+
+    @pytest.mark.parametrize("chart", EVERY_KIND,
+                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+    def test_chart_metric_jet_equals_the_full_stencil(self, chart, rng):
+        h = chart_metric(chart)
+        assert h.coordinates == chart.metric_coordinates
+        assert len(h.coordinates) < chart.n
+        points = _interior_points(chart, 9, rng)
+        hs = coordinate_steps(h, points, DEFAULT_STEP)
+        full = tensorcalc._jet(h, points, hs, axes=range(chart.n))
+        assert all(map(_same_bits, tensorcalc._jet(h, points, hs), full))
+        # a field is not differenced along the coordinates it does not
+        # declare: its values there are exact zeros, as the full stencil's
+        others = [i for i in range(chart.n) if i not in h.coordinates]
+        assert not full[1][:, others].any() and not full[2][:, others].any()
+
+    def test_ladder_jet_equals_the_full_stencil(self, extraction_set):
+        _, g3, points = extraction_set
+        assert g3.field.coordinates == (0, 1, 2)
+        assert tensorcalc.stencil_of(g3.field) == ((0, 1, 2), 19)
+        hs = coordinate_steps(g3.field, points, 5e-4)
+        full = tensorcalc._jet(g3.field, points, hs, axes=range(4))
+        assert all(map(_same_bits, tensorcalc._jet(g3.field, points, hs), full))
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_two_slot_Q_equals_the_divergence_route(self, ladders, seed, stage):
+        # Q(g_j, g_1) with omega from Gamma(g_j) - Gamma(g_1), against
+        # Rc + (n - 1) g - the gauge term through delta_g(G_g t), to 1e-12
+        # of the largest term, in the h-norm
+        stages, points = ladders[seed]
+        g, g1 = stages[stage - 1].field, stages[0].field
+        h0 = g.chart.metric_at(points)
+        ric, gauge = ricci_at(g, points, 5e-4), Q_gauge_at(g, g1, points, 5e-4)
+        terms = (ric, 3.0 * g(points), gauge)
+        want = terms[0] + terms[1] - terms[2]
+        scale = max(tensor_norm(h0, x).max() for x in terms)
+        gap = tensor_norm(h0, Q_at(g, g1, points, 5e-4) - want).max()
+        assert gap <= 1e-12 * scale
 
 
 class TestPointSets:
