@@ -6,6 +6,8 @@ solution is recovered to solver precision.
 Run with: python demos/dirichlet_sweep.py
 """
 
+import sys
+
 from cusplab import Chart, admissible_weights
 from cusplab.solver import (
     assemble,
@@ -29,6 +31,9 @@ print(f"{'eps':>6} {'|u|_mu':>10} {'|f|_mu':>10} {'ratio':>8} {'mms err':>10}")
 for r in rows:
     print(f"{r.eps:6.3f} {r.norm_u:10.4g} {r.norm_f:10.4g} "
           f"{r.ratio:8.4f} {r.mms_error:10.2e}")
+failed = [r for r in rows if r.error is not None]
+if failed:  # the sweep records a failed solve in its row and goes on
+    sys.exit(f"solve failed at eps = {failed[0].eps}: {failed[0].error}")
 print(f"ratio max/min over the family: {plateau_factor(rows):.3f} (<= 2)")
 print()
 

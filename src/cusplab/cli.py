@@ -311,7 +311,9 @@ def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
                 wave = bump * np.sin(3.0 * p[..., 0])
                 return g + wave[..., None, None] * (g * np.eye(chart.n))
 
-            h = tensorcalc.MetricField(chart, ev, "perturbed")
+            # the wave is in p[..., 0], a coordinate of every chart metric
+            h = tensorcalc.MetricField(chart, ev, "perturbed",
+                                       chart.metric_coordinates)
         defect1 = defect2 = 0.0
         for p in _sample_chart_points(chart, per_kind, rng):
             hp = h(p)
@@ -382,7 +384,7 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
               "ratios recorded but boundedness not asserted")
     rows = solver.exhaustion_sweep(
         chart, cfg.K, w, solver.default_bump_recipe(w), cfg.eps,
-        nodes=cfg.nodes, on_error="record")
+        nodes=cfg.nodes)
     table = [[r.eps, r.norm_u, r.norm_f, r.ratio, r.mms_error, r.error or ""]
              for r in rows]
     rep.table("ratios", ["eps", "norm_u", "norm_f", "ratio", "mms_error",
@@ -578,7 +580,7 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ValueError("mu0: explicit --weights give mu0 as their first "
                          "value; set one or the other")
     if cfg.subcommand == "expand":
-        top = min(cfg.stages, cfg.n - 1)  # S_map stops at stage n - 1
+        top = expansion.stage_cap(cfg.n, cfg.stages)
         if top not in STAGE_SLOPES:
             raise ValueError(f"stages: stage {top} of the n = {cfg.n} ladder has "
                              f"no declared slope threshold (stages 1-"

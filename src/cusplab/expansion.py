@@ -9,22 +9,24 @@ inverting the indicial operator of the linearized operator, whose three
 block scalars are closed-form quadratics in the exponent.  The construction
 stops one order before the first characteristic exponent.
 
-Boundary data, expansion metrics and their coefficients evaluate whole
-point arrays: `qhat`, the cutoffs and every coefficient of y take one
-tangential point or an (N, n-1) array, and `ExpansionMetric.field` is an
-array-native field.  Each correction iteration therefore samples its
-41 y x 6 rho extraction grid, and each vanishing-order fit its rho x y
-grid, in a few batched `Q_at` calls; the background Q(h, h) is computed
-once per point set and cached.  Q(h, h), and Q(g_1, g_1) in stage 1's
-extraction and its vanishing-order fit, have both slots on one field, so
+The construction runs along one line through the reference point: each
+correction coefficient is extracted at 41 values of t = y_1 and stored as a
+spline in t.  So `qhat`, the cutoff `psi_y` and every coefficient are
+functions of t alone: each takes an array of t and returns its values
+stacked on the array's shape.  `ExpansionMetric.field` is an array-native
+field that evaluates them once per distinct t of a point array, and its
+stencils step along the chart metric's coordinates, rho and y_1 only.
+Each correction iteration samples its 41 y x 6 rho extraction grid, and
+each vanishing-order fit its rho x y grid, in a few `Q_at` calls on whole
+point arrays; the background Q(h, h) is computed once per point set and
+cached.  Q(h, h), and Q(g_1, g_1) in stage 1's extraction and its
+vanishing-order fit, have both slots on one field, so
 `Q_at` forms them as Rc + (n-1) g with no gauge term (it vanishes there);
 `gauge_term_norm` computes that term in full, as a check.  In Q(g_j, g_1)
 the two slots share one ladder: g_1's terms begin g_j's, and the field adds
 its terms in order, so g_1's values are g_j's partial sum after g_1's terms,
 bit for bit, and the longer ladder is evaluated once per stencil for both
 slots (`_Ladder`).
-User-supplied pointwise callables (a `qhat` or coefficient on one y) go
-through `charts.at_points`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import Chart, COLLAR, at_points, batched, smooth_bump, smooth_step
+from .charts import Chart, COLLAR, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
     MetricField,
@@ -65,14 +67,6 @@ class PositivityError(ValueError):
 # -- boundary data -------------------------------------------------------------
 
 
-def of_first_coordinate(fn):
-    """Mark fn, a function of tangential points y, as depending on y[..., 0]
-    alone: an expansion metric evaluates it once per distinct first
-    coordinate of a point array and gathers the values."""
-    fn.first_coordinate = True
-    return fn
-
-
 def plateau_bump(t, inner: float = 0.5):
     """Smooth plateau on (-1, 1), elementwise: identically 1 on
     [-inner, inner], 0 outside."""
@@ -85,18 +79,16 @@ def plateau_bump(t, inner: float = 0.5):
 class BoundaryData:
     """Compactly supported boundary perturbation on a collar patch.
 
-    qhat maps tangential coordinates y to symmetric (n-1)x(n-1) component
-    matrices, supported strictly inside the cutoff plateau (one y, or an
-    (N, n-1) array if marked with `charts.batched`; a qhat of y[..., 0]
-    alone may be marked with `of_first_coordinate`); psi_y is the
-    tangential cutoff profile, an elementwise function of y[..., 0], with
-    support interval y_support, and the radial cutoff equals 1 for
-    rho <= 1/2 and 0 for rho >= 1.
+    qhat maps an array of t = y_1 values to the symmetric (n-1)x(n-1)
+    component matrices there, shape t.shape + (n-1, n-1), supported strictly
+    inside the cutoff plateau; psi_y is the tangential cutoff profile, an
+    elementwise function of t, with support interval y_support, and the
+    radial cutoff equals 1 for rho <= 1/2 and 0 for rho >= 1.
     """
 
     chart: Chart
     qhat: Callable[[np.ndarray], np.ndarray]
-    psi_y: Callable[[float], float]
+    psi_y: Callable[[np.ndarray], np.ndarray]
     y_support: tuple[float, float]
 
     def __post_init__(self):
@@ -115,26 +107,32 @@ class BoundaryData:
         return plateau_bump(rho)
 
     def validate(self):
-        """Positivity of hhat + qhat at 25 points across the cutoff support,
-        and compact support inside the cutoff."""
+        """qhat's shape on an array of t, positivity of hhat + qhat at 25
+        points across the cutoff support, and compact support inside the
+        cutoff."""
         lo, hi = self.y_support
-        mid = self._reference_y()
-        for t in np.linspace(lo - 1e-9, hi + 1e-9, 25):
-            y = mid.copy()
-            y[0] = min(max(t, lo + 1e-12), hi - 1e-12)
-            g = self.hhat(y) + self.qhat(y)
-            if np.linalg.eigvalsh(g)[0] <= 0:
-                raise PositivityError(
-                    f"hhat + qhat not positive definite at y[0] = {y[0]:.4g}"
-                )
-        for t in (lo - 1e-6, hi + 1e-6):
-            y = mid.copy()
-            y[0] = t
-            if np.abs(self.qhat(y)).max() > 0:
-                raise PositivityError("qhat support leaks outside the cutoff plateau")
+        t = np.clip(np.linspace(lo - 1e-9, hi + 1e-9, 25), lo + 1e-12, hi - 1e-12)
+        q = np.asarray(self.qhat(t))
+        want = t.shape + (self.n - 1, self.n - 1)
+        if q.shape != want:
+            raise ValueError(
+                f"qhat must map an array of t = y_1 values of shape {t.shape} "
+                f"to shape {want}, got shape {q.shape}")
+        bad = np.linalg.eigvalsh(self.hhat(self._line(t)) + q)[:, 0] <= 0
+        if bad.any():
+            raise PositivityError(
+                f"hhat + qhat not positive definite at y[0] = {t[bad][0]:.4g}")
+        if np.abs(self.qhat(np.array([lo - 1e-6, hi + 1e-6]))).max() > 0:
+            raise PositivityError("qhat support leaks outside the cutoff plateau")
 
     def _reference_y(self) -> np.ndarray:
         return _reference_y(self.chart)
+
+    def _line(self, t: np.ndarray) -> np.ndarray:
+        """The points (len(t), n-1) through the reference point with y_1 = t."""
+        ys = np.tile(self._reference_y(), (len(t), 1))
+        ys[:, 0] = t
+        return ys
 
 
 def _reference_y(chart: Chart) -> np.ndarray:
@@ -165,21 +163,14 @@ def seeded_boundary_data(
     A *= amplitude / np.abs(A).max()
     center = float(_reference_y(chart)[0])
 
-    @of_first_coordinate
-    @batched
-    def qhat(y):
-        bump = smooth_bump((np.asarray(y)[..., 0] - center) / 0.25)
+    def qhat(t):
+        bump = smooth_bump((np.asarray(t) - center) / 0.25)
         return np.asarray(bump)[..., None, None] * A
 
     def psi_y(t):
         return plateau_bump((t - center) / 0.45, inner=0.25 / 0.45)
 
-    bd = BoundaryData(
-        chart=chart,
-        qhat=qhat,
-        psi_y=psi_y,
-        y_support=(center - 0.45, center + 0.45),
-    )
+    bd = BoundaryData(chart, qhat, psi_y, (center - 0.45, center + 0.45))
     bd.validate()
     return bd
 
@@ -216,28 +207,23 @@ class _Ladder:
     def _sums(self, p: np.ndarray, k: int):
         """(the sum after the first k terms, the full sum) at p.
 
-        Each term is coeff(y) * scale, added in order.  A stencil array
-        repeats each first tangential coordinate many times, so psi_y and
-        the coefficients that depend on it alone (`of_first_coordinate`)
-        are evaluated once per distinct value and gathered."""
+        Each term is coeff(y_1) * rho^power times the cutoffs (psi_y on the
+        first term only), added in order.  A stencil array repeats each y_1
+        many times, so psi_y and every coefficient are evaluated once on its
+        distinct values and gathered."""
         bd = self.bd
         q = p.reshape(-1, p.shape[-1])
-        rho, y = q[:, 0], q[:, 1:]
+        rho = q[:, 0]
         out = bd.chart.metric_at(q)
         prefix = None
         if self.terms:
             psi_r = bd.psi_rho(rho)
-            distinct, first, at = np.unique(y[:, 0], return_index=True,
-                                            return_inverse=True)
-        for i, (t, coeff) in enumerate(self.terms):
-            scale = (rho ** t) * psi_r
+            distinct, at = np.unique(q[:, 1], return_inverse=True)
+        for i, (power, coeff) in enumerate(self.terms):
+            scale = (rho ** power) * psi_r
             if i == 0:
                 scale = scale * bd.psi_y(distinct)[at]
-            if getattr(coeff, "first_coordinate", False):
-                term = at_points(coeff, y[first])[at]
-                term *= scale[:, None, None]
-            else:
-                term = at_points(coeff, y) * scale[:, None, None]
+            term = coeff(distinct)[at] * scale[:, None, None]
             if i == k:  # the prefix ends here: add into a new array
                 prefix, out = out, out + term
             else:
@@ -268,11 +254,12 @@ class _Ladder:
 class ExpansionMetric:
     """Conformally rescaled extension plus power-law correction terms.
 
-    terms hold (component exponent, coefficient function of y) pairs with
-    strictly increasing exponents starting at -2; the stage-1 term is the
-    cutoff boundary perturbation itself, later coefficients come out of the
-    indicial solves.  Radial cutoff factors keep every term supported in the
-    collar.
+    terms hold (component exponent, coefficient) pairs with strictly
+    increasing exponents starting at -2; a coefficient maps an array of
+    t = y_1 values to the n x n component matrices there, shape
+    t.shape + (n, n).  The stage-1 term is the cutoff boundary perturbation
+    itself, later coefficients come out of the indicial solves.  Radial
+    cutoff factors keep every term supported in the collar.
     """
 
     bd: BoundaryData
@@ -295,29 +282,21 @@ class ExpansionMetric:
         stages of one ladder share their evaluations: in Q_at(g_j.field,
         g_1.field, p), g_1's values are g_j's partial sums.
 
-        The values depend on the chart metric's coordinates, rho (the radial
-        cutoff) and y_1 (psi_y), and on the coordinates of each
-        coefficient: when every coefficient depends on y_1 alone
-        (`of_first_coordinate`), the field declares the chart's coordinates
-        and y_1, and its stencils step along no other."""
+        The values depend on the chart metric's coordinates, rho (the
+        cutoffs and powers) and y_1 (psi_y and the coefficients) alone, so
+        the field declares those, and its stencils step along no other."""
         chart = self.bd.chart
-        coordinates = None
-        if all(getattr(coeff, "first_coordinate", False) for _, coeff in self.terms):
-            coordinates = tuple(sorted({*chart.metric_coordinates, 0, 1}))
-        return MetricField(chart, _Ladder(self.bd, self.terms),
-                           f"g_{self.order}", coordinates)
+        return MetricField(chart, _Ladder(self.bd, self.terms), f"g_{self.order}",
+                           tuple(sorted({*chart.metric_coordinates, 0, 1})))
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:
     """Conformal rescaling of the extension: h + rho^{-2} psi qbar."""
     n = bd.n
 
-    @batched
-    def qbar(y):
-        return _embed_tangential(n, at_points(bd.qhat, y))
+    def qbar(t):
+        return _embed_tangential(n, bd.qhat(t))
 
-    if getattr(bd.qhat, "first_coordinate", False):
-        qbar = of_first_coordinate(qbar)
     return ExpansionMetric(bd=bd, terms=((-2, qbar),), order=1)
 
 
@@ -446,8 +425,7 @@ class _BackgroundCache:
 
     def q_hh(self, p: np.ndarray) -> np.ndarray:
         """Q(h, h) on the background at the rows of p, computed in one
-        batched call the first time this point set (rounded to 1e-12) is
-        seen."""
+        call the first time this point set (rounded to 1e-12) is seen."""
         key = (p.shape, np.round(p, 12).tobytes())
         if key not in self.values:
             h = chart_metric(self.chart)
@@ -465,27 +443,25 @@ def extract_residual_coefficient(
     g_j: ExpansionMetric,
     g_1: ExpansionMetric,
     t: int,
-    y: np.ndarray,
+    ys: np.ndarray,
     cache: Optional[_BackgroundCache] = None,
 ):
-    """Leading Taylor coefficient {Q(g_j, g_1)}_t of the residual at fixed y.
+    """Leading Taylor coefficient {Q(g_j, g_1)}_t of the residual at each
+    row of ys, an (M, n-1) array of tangential points.
 
-    y is one tangential point (n-1,) or an (M, n-1) array; all M x 6
-    extraction points are evaluated in one batched call, and each y gets its
-    own fit, returned stacked.  The same-point evaluation of the operator on
+    All M x 6 extraction points are evaluated in one call, and each
+    row gets its own fit: returns (c0, absolute fit residual, data scale),
+    stacked over the rows.  The same-point evaluation of the operator on
     the exact background is subtracted first: it vanishes identically in
     exact arithmetic, and the subtraction cancels the dominant
     finite-difference truncation error.
     """
     cache = cache or _BackgroundCache(g_j.chart)
-    y = np.asarray(y, dtype=float)
-    ys = np.atleast_2d(y)
-    points = _grid_points(DEFAULT_EXTRACTION_RHOS, ys)
+    points = _grid_points(DEFAULT_EXTRACTION_RHOS, np.asarray(ys, dtype=float))
     vals = _residuals(g_j.field, g_1.field,
                       points.reshape(-1, points.shape[-1]), cache)
-    fit = _fit_leading_coefficient(
+    return _fit_leading_coefficient(
         DEFAULT_EXTRACTION_RHOS, vals.reshape(points.shape[:2] + vals.shape[1:]), t)
-    return fit if y.ndim == 2 else tuple(part[0] for part in fit)
 
 
 def _natural_spline_coefficients(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -525,22 +501,18 @@ def _natural_spline_coefficients(grid: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _SplineCoefficient:
-    """Componentwise natural cubic spline in the first tangential
-    coordinate, identically zero outside the cutoff support; evaluates one
-    y or an (N, n-1) array.
+    """Componentwise natural cubic spline in t = y_1, identically zero
+    outside the cutoff support: maps an array of t to
+    t.shape + values.shape[1:].
 
     Values equal scipy's CubicSpline(grid, values, axis=0,
     bc_type="natural") bit for bit: the interval is found and the cubic
     summed in PPoly's order, from one gather of the coefficient block, at
-    each point it is given.  A stencil array repeats each first tangential
-    coordinate many times; an expansion metric hands the spline the
-    distinct ones only (`of_first_coordinate`): a 117-point pass of the
-    n = 4 expand ladder has 2,106 off-centre stencil points with 254
-    distinct first coordinates.
+    each t it is given.  An expansion metric hands the spline the distinct
+    t of a stencil array only: a 117-point pass of the n = 4 expand ladder
+    has 2,106 off-centre stencil points with 254 distinct first
+    coordinates.
     """
-
-    batched = True
-    first_coordinate = True
 
     def __init__(self, grid: np.ndarray, values: np.ndarray,
                  support: tuple[float, float]):
@@ -552,8 +524,8 @@ class _SplineCoefficient:
         self.coefficients = _natural_spline_coefficients(
             self.grid, values.reshape(len(self.grid), -1))
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        t = np.asarray(y, dtype=float)[..., 0]
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         x = t.ravel()
         lo, hi = self.support
         i = np.clip(np.searchsorted(self.grid, x, side="right") - 1,
@@ -575,9 +547,7 @@ def _extraction_grid(bd: BoundaryData):
     pad = 0.02 * (hi - lo)
     ygrid = np.linspace(lo - pad, hi + pad, 41)
     inside = (lo < ygrid) & (ygrid < hi)
-    ys = np.tile(bd._reference_y(), (int(inside.sum()), 1))
-    ys[:, 0] = ygrid[inside]
-    return ygrid, inside, ys
+    return ygrid, inside, bd._line(ygrid[inside])
 
 
 def correction_step(
@@ -588,7 +558,7 @@ def correction_step(
     """One order-raising step: cancel the leading residual coefficient.
 
     The residual coefficient at the current component exponent is extracted
-    on a 41-point tangential grid (all its extraction points in one batched
+    on a 41-point tangential grid (all its extraction points in one
     evaluation), divided pointwise by the closed-form indicial block scalar
     of each component type (`indicial_blocks`), and the correction
     re-extracted once so that quadratic cross terms at the same order are
@@ -632,16 +602,21 @@ def correction_step(
     return current
 
 
+def stage_cap(n: int, stages: Optional[int] = None) -> int:
+    """The last stage `S_map` builds in dimension n: `stages`, at most
+    n - 1, one order before the first characteristic exponent."""
+    return n - 1 if stages is None else min(stages, n - 1)
+
+
 def S_map(
     bd: BoundaryData,
     stages: Optional[int] = None,
 ) -> list[ExpansionMetric]:
-    """Build the expansion ladder g_1, g_2, ..., up to stage n - 1 (or the
-    first characteristic exponent, whichever comes first)."""
-    cap = bd.n - 1 if stages is None else min(stages, bd.n - 1)
+    """Build the expansion ladder g_1, g_2, ..., up to stage
+    `stage_cap(n, stages)`."""
     out = [T_map(bd)]
     cache = _BackgroundCache(bd.chart)
-    while out[-1].order < cap:
+    while out[-1].order < stage_cap(bd.n, stages):
         out.append(correction_step(out[-1], out[0], cache=cache))
     return out
 

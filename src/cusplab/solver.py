@@ -687,7 +687,6 @@ def exhaustion_sweep(
     f_recipe: Callable,
     eps_list: Sequence[float],
     nodes: int = 48,
-    on_error: str = "raise",
 ) -> list[SweepRow]:
     """Dirichlet solves over a shrinking family of truncation parameters.
 
@@ -698,15 +697,13 @@ def exhaustion_sweep(
     solution: the stencil form applies Delta + K to it (apply_to_values) and
     the result is solved for again to measure the solver error.
 
-    Solver failures propagate per eps: with on_error='record' the row keeps
-    the error message and the sweep continues, so partial tables survive.
-    A source that leaves the grid or touches its boundary raises ValueError
-    (check_source) in either mode.
+    A solver failure (NonConvergence) at one eps is recorded in its row,
+    which keeps the error message, and the sweep continues, so partial
+    tables survive.  A source that leaves the grid or touches its boundary
+    raises ValueError (check_source).
     """
     if any(b >= a for a, b in zip(eps_list, list(eps_list)[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if on_error not in ("raise", "record"):
-        raise ValueError("on_error must be 'raise' or 'record'")
     rows = []
     for eps in eps_list:
         grid = cusp_grid(chart, eps, nodes=nodes)
@@ -724,8 +721,6 @@ def exhaustion_sweep(
             scale = float(np.abs(f.values).max()) or 1.0
             mms = float(np.abs(u_sol.values - f.values).max()) / scale
         except NonConvergence as exc:
-            if on_error == "raise":
-                raise
             rows.append(SweepRow(eps, math.nan, math.nan, math.nan, math.nan,
                                  grid.shape, error=str(exc), probe_steps=op.probe_steps))
             continue

@@ -43,7 +43,7 @@ def ladder(bdata):
 
 def zero_data(chart=ROUND):
     bd = seeded_boundary_data(chart, seed=0, amplitude=0.05)
-    return BoundaryData(chart=chart, qhat=lambda y: np.zeros((3, 3)),
+    return BoundaryData(chart=chart, qhat=lambda t: np.zeros(np.shape(t) + (3, 3)),
                         psi_y=bd.psi_y, y_support=bd.y_support)
 
 
@@ -73,7 +73,7 @@ class TestExtension:
         y = p[1:]
         diff = E(p) - extension(zero_data())(p)
         # psi = 1 here, so the difference is exactly the tangential block
-        assert np.allclose(diff[1:, 1:], bdata.qhat(y), atol=1e-14)
+        assert np.allclose(diff[1:, 1:], bdata.qhat(y[0]), atol=1e-14)
         assert diff[0, 0] == 0.0
         assert np.abs(diff[0, 1:]).max() == 0.0
 
@@ -87,9 +87,27 @@ class TestExtension:
 
     def test_positivity_guard(self):
         bd = seeded_boundary_data(ROUND, seed=1, amplitude=0.05)
+
+        def negative(t):
+            return -10.0 * np.ones(np.shape(t) + (1, 1)) * np.eye(3)
+
         with pytest.raises(PositivityError):
-            BoundaryData(chart=ROUND, qhat=lambda y: -10.0 * np.eye(3),
+            BoundaryData(chart=ROUND, qhat=negative,
                          psi_y=bd.psi_y, y_support=bd.y_support).validate()
+
+    @pytest.mark.parametrize("qhat", [
+        lambda y: np.zeros((3, 3)),  # one tangential point
+        lambda y: np.zeros(np.shape(y)[:-1] + (3, 3)),  # rows of points
+    ], ids=["one-point", "point-rows"])
+    def test_qhat_of_tangential_points_refused(self, qhat):
+        # qhat is a function of t = y_1 alone: on an array of t it returns
+        # one matrix per entry
+        bd = seeded_boundary_data(ROUND, seed=1, amplitude=0.05)
+        with pytest.raises(ValueError, match=r"^qhat must map an array of "
+                           r"t = y_1 values of shape \(25,\) to shape "
+                           r"\(25, 3, 3\), got shape \(3, 3\)$"):
+            BoundaryData(chart=ROUND, qhat=qhat, psi_y=bd.psi_y,
+                         y_support=bd.y_support).validate()
 
 
 class TestConformalRescaling:
@@ -103,7 +121,7 @@ class TestConformalRescaling:
         y = mid_point(bdata)[1:]
         target = np.zeros((4, 4))
         target[0, 0] = 1.0
-        target[1:, 1:] = bdata.hhat(y) + bdata.qhat(y)
+        target[1:, 1:] = bdata.hhat(y) + bdata.qhat(y[0])
         defects = []
         for rho in (1e-2, 1e-3):
             p = np.concatenate(([rho], y))
@@ -303,19 +321,17 @@ class TestSplineCoefficient:
             lo + (hi - lo) * 1e-9 * np.arange(1, 4),
             hi - (hi - lo) * 1e-9 * np.arange(1, 4),
         ])
-        y = np.column_stack([t, rng.uniform(0.0, 1.0, (len(t), n - 2))])
-        got = ours(y)
+        got = ours(t)
         assert got.shape == (len(t), n, n)
         assert np.array_equal(got, reference(t))
-        assert np.array_equal(ours(y[7]), got[7])
+        assert np.array_equal(ours(t[7]), got[7])
 
     def test_zero_outside_the_support(self, rng):
         grid = np.linspace(-0.1, 1.1, 41)
         ours = _SplineCoefficient(grid, rng.standard_normal((41, 4, 4)),
                                   (0.0, 1.0))
         t = np.array([-0.1, -0.05, 0.0, 1.0, 1.05, 1.1, -3.0, 4.0])
-        y = np.column_stack([t, np.zeros((len(t), 2))])
-        out = ours(y)
+        out = ours(t)
         assert np.all(out == 0.0)
         assert not np.signbit(out).any()
 
@@ -327,7 +343,7 @@ class TestCorrectionLadder:
         g2 = correction_step(g1, g1)
         p = mid_point(bd0)
         assert np.allclose(g2.field(p), ROUND.metric_at(p), atol=1e-12)
-        assert np.abs(g2.terms[1][1](p[1:])).max() == 0.0
+        assert np.abs(g2.terms[1][1](p[1])).max() == 0.0
 
     def test_orders_and_exponents(self, ladder):
         assert [g.order for g in ladder] == [1, 2, 3]
@@ -350,7 +366,7 @@ class TestCorrectionLadder:
         y_out = bdata._reference_y()
         y_out[0] = bdata.y_support[1] + 0.1
         for t, coeff in ladder[-1].terms[1:]:
-            assert np.abs(coeff(y_out)).max() == 0.0
+            assert np.abs(coeff(y_out[0])).max() == 0.0
 
     def test_characteristic_exponent_stops_construction(self, bdata, ladder):
         with pytest.raises(CharacteristicExponentHit,
@@ -365,7 +381,7 @@ class TestCorrectionLadder:
         y = mid_point(bdata)[1:]
         target = np.zeros((4, 4))
         target[0, 0] = 1.0
-        target[1:, 1:] = bdata.hhat(y) + bdata.qhat(y)
+        target[1:, 1:] = bdata.hhat(y) + bdata.qhat(y[0])
         for g in ladder:
             p = np.concatenate(([1e-3], y))
             assert np.abs(p[0] ** 2 * g.field(p) - target).max() < 5e-3
@@ -396,6 +412,56 @@ class TestFieldReuse:
         Q_at(g2.field, g1.field, p)
         assert 19 <= metric_points[0] <= 21
 
+    def test_constant_qhat_ladder_steps_along_rho_y1_y2(self, metric_points):
+        # every ladder is a function of the chart metric's coordinates, rho
+        # and y_1, whatever its boundary data: 19 points per stencil at
+        # n = 4, not 33
+        from cusplab.tensorcalc import Q_at, stencil_of
+
+        g1 = T_map(zero_data())
+        assert g1.field.coordinates == (0, 1, 2)
+        assert stencil_of(g1.field) == ((0, 1, 2), 19)
+        metric_points[0] = 0
+        Q_at(g1.field, g1.field, mid_point(g1.bd))
+        assert 19 <= metric_points[0] <= 21
+
+    def test_each_coefficient_once_per_pass_on_distinct_y1(self, ladder,
+                                                           monkeypatch):
+        # each evaluation of a ladder calls every coefficient once, on the
+        # distinct values of y_1 among its points
+        from cusplab import expansion
+        from cusplab.tensorcalc import Q_at
+
+        g3 = ladder[-1]
+        passes = []
+        sums = expansion._Ladder._sums
+
+        def recorded(self, p, k):
+            if self.terms is terms:
+                passes.append((p.reshape(-1, p.shape[-1])[:, 1], []))
+            return sums(self, p, k)
+
+        def counted(i, fn):
+            def call(t):
+                passes[-1][1].append((i, np.array(t)))
+                return fn(t)
+            return call
+
+        monkeypatch.setattr(expansion._Ladder, "_sums", recorded)
+        bd = g3.bd
+        terms = tuple((t, counted(i, coeff))
+                      for i, (t, coeff) in enumerate(g3.terms))
+        counting = ExpansionMetric(bd, terms, g3.order)
+        p = np.array([mid_point(bd, rho, dy)
+                      for rho in (0.1, 0.2) for dy in (-0.1, 0.0, 0.1)])
+        assert np.array_equal(Q_at(counting.field, counting.field, p),
+                              Q_at(g3.field, g3.field, p))
+        assert len(passes) == 2  # the points, then the offsets
+        for y1, calls in passes:
+            assert [i for i, _ in calls] == [0, 1, 2]
+            assert all(np.array_equal(t, np.unique(y1)) for _, t in calls)
+        offsets = passes[1][0]
+        assert len(np.unique(offsets)) < len(offsets)
 
     def test_field_calls_per_correction_iteration(self, monkeypatch):
         # each iteration evaluates its 39 (inside) y x 6 rho extraction points

@@ -638,7 +638,7 @@ class TestBrokenFactorIsNonConvergence:
 
     def test_sweep_records_the_rows(self, broken_factor):
         rows = exhaustion_sweep(CUSP, 1.0, W41, default_bump_recipe(W41),
-                                [0.2, 0.1], nodes=16, on_error="record")
+                                [0.2, 0.1], nodes=16)
         assert len(rows) == 2
         assert all(r.error is not None and math.isnan(r.ratio) for r in rows)
 
@@ -751,14 +751,13 @@ class TestSweep:
         ([0.6, 0.5, 0.3], "nonzero on a boundary node"),
         ([0.3], "nonzero on a boundary node"),
     ], ids=["bump-off-the-grid", "bump-on-the-boundary", "theta-edge-below-1"])
-    @pytest.mark.parametrize("on_error", ["raise", "record"])
     def test_source_off_the_grid_or_on_its_boundary_rejected(self, eps_list,
-                                                            message, on_error):
+                                                            message):
         # the bump lives in r in [0.55, 0.85], theta0 in [0.45, 1]; the grid
         # of eps has r >= sqrt(eps) and theta0 <= arccos(sqrt(eps))
         with pytest.raises(ValueError, match=f"eps = {eps_list[0]}: .*{message}"):
             exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41), eps_list,
-                             nodes=24, on_error=on_error)
+                             nodes=24)
 
     def test_source_sampled_once_per_grid(self):
         recipe = default_bump_recipe(W41)
@@ -929,16 +928,11 @@ class TestSweepErrorRecording:
     def test_record_mode_keeps_partial_rows(self):
         rows = exhaustion_sweep(
             CUSP, -50.0, W41, default_bump_recipe(W41), [0.2, 0.1],
-            nodes=16, on_error="record",
+            nodes=16,
         )
         assert len(rows) == 2
         assert all(r.error is not None for r in rows)
         assert math.isnan(plateau_factor(rows))
-
-    def test_raise_mode_propagates(self):
-        with pytest.raises(NonConvergence):
-            exhaustion_sweep(CUSP, -50.0, W41, default_bump_recipe(W41),
-                             [0.2], nodes=16)
 
 
 class TestCoercivityProbeFailure:
