@@ -163,13 +163,13 @@ class Chart:
     value of the defining-function direction (r, rho or u range (0, edge]).
     h_u_name names the collar family, a key of H_U_FAMILIES.
 
-    metric_coordinates declares, from each closed form, the coordinates the
-    metric components depend on: r alone on the maximal cusp, rho alone on
-    the Euclidean collar, all but the azimuthal angle on the round collar,
-    r, theta0 and the polar angles (no torus coordinate) on the intermediate
-    cusp, and u and v on the upper half space.  Moving only the other
-    coordinates leaves `metric_at` the same bits, so a finite-difference
-    stencil need not step along them.
+    metric_stepped declares, from each closed form, the number of leading
+    coordinates the metric components depend on: r alone on the maximal
+    cusp, rho alone on the Euclidean collar, all but the azimuthal angle on
+    the round collar, r, theta0 and the polar angles (no torus coordinate)
+    on the intermediate cusp, and u and v on the upper half space.  Moving
+    only the later coordinates leaves `metric_at` the same bits, so a
+    finite-difference stencil need not step along them.
     """
 
     kind: str
@@ -271,17 +271,17 @@ class Chart:
         """coordinate_ranges() as the two arrays (lo, hi)."""
         return np.array(self.coordinate_ranges()).T
 
-    @functools.cached_property
-    def metric_coordinates(self) -> tuple[int, ...]:
-        """Indices of the coordinates `metric_at` depends on (see the class
-        docstring)."""
+    @property
+    def metric_stepped(self) -> int:
+        """The number of leading coordinates `metric_at` depends on (see the
+        class docstring)."""
         if self.kind == INTERMEDIATE_CUSP:
-            return tuple(range(max(self.b, 2)))
+            return max(self.b, 2)
         if self.kind == COLLAR and self.h_u_name == "round_sphere":
-            return tuple(range(self.n - 1))
+            return self.n - 1
         if self.kind == UPPER_HALF_SPACE:
-            return tuple(range(1 + self.b))
-        return (0,)
+            return 1 + self.b
+        return 1
 
     def validate_point(self, p) -> np.ndarray:
         """p as a float array, one point (n,) or an (N, n) array of points.

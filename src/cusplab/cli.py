@@ -313,7 +313,7 @@ def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
 
             # the wave is in p[..., 0], a coordinate of every chart metric
             h = tensorcalc.MetricField(chart, ev, "perturbed",
-                                       chart.metric_coordinates)
+                                       chart.metric_stepped)
         defect1 = defect2 = 0.0
         for p in _sample_chart_points(chart, per_kind, rng):
             hp = h(p)
@@ -485,9 +485,9 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
             "mt": blocks.mt, "max_coefficient": float(np.abs(coeff.values).max()),
         })
     # the coordinates the ladder's stencil steps along, and its size
-    axes, points = tensorcalc.stencil_of(stages[-1].field)
+    stepped, points = tensorcalc.stencil_of(stages[-1].field)
     rep.extra["stencil"] = {
-        "coordinates": [chart.coordinate_names[i] for i in axes],
+        "coordinates": list(chart.coordinate_names[:stepped]),
         "points": points}
     rows = []
     background = expansion._BackgroundCache(chart)  # Q(h, h) on the samples

@@ -15,7 +15,7 @@ spline in t.  So `qhat`, the cutoff `psi_y` and every coefficient are
 functions of t alone: each takes an array of t and returns its values
 stacked on the array's shape.  `ExpansionMetric.field` is an array-native
 field that evaluates them once per distinct t of a point array, and its
-stencils step along the chart metric's coordinates, rho and y_1 only.
+stencils step along no coordinate after the chart metric's, rho's and y_1's.
 Each correction iteration samples its 41 y x 6 rho extraction grid, and
 each vanishing-order fit its rho x y grid, in a few `Q_at` calls on whole
 point arrays; the background Q(h, h) is computed once per point set and
@@ -282,12 +282,13 @@ class ExpansionMetric:
         stages of one ladder share their evaluations: in Q_at(g_j.field,
         g_1.field, p), g_1's values are g_j's partial sums.
 
-        The values depend on the chart metric's coordinates, rho (the
-        cutoffs and powers) and y_1 (psi_y and the coefficients) alone, so
-        the field declares those, and its stencils step along no other."""
+        The values depend on the chart metric's leading coordinates, rho
+        (the cutoffs and powers) and y_1 (psi_y and the coefficients) alone,
+        so the field declares the wider of the chart metric's count and 2,
+        and its stencils step along no later coordinate."""
         chart = self.bd.chart
         return MetricField(chart, _Ladder(self.bd, self.terms), f"g_{self.order}",
-                           tuple(sorted({*chart.metric_coordinates, 0, 1})))
+                           max(chart.metric_stepped, 2))
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:

@@ -16,9 +16,13 @@ axis.  Timed on 2 vCPUs, the OpenBLAS instance numpy loaded ran them faster
 capped at one thread than on both in the solves up to 768 nodes, and slower
 in the solves from 896 nodes; the coercivity probe ran as fast or faster
 capped up to 1024 nodes and took more wall but less CPU time capped at
-1536.  So the probe, and the solves on grids of up to ONE_THREAD_NODES
-nodes per axis, run capped, the previous count restored afterwards; wider
-solves keep every thread.  When numpy loaded no OpenBLAS the solver can
+1536.  So the probe, and the axis eigendecompositions and solves on grids
+of up to ONE_THREAD_NODES nodes per axis, run capped, the previous counts
+restored afterwards; wider grids keep every thread.  The cap binds each
+OpenBLAS bundled with numpy or scipy that is loaded: numpy's runs the dense
+products, scipy's ARPACK and the tridiagonal eigensolver.  Left at two
+threads, scipy's kept a worker spinning through the probe, nearly doubling
+its CPU time.  When neither package loaded an OpenBLAS the solver can
 find, BLAS is left as it is.
 """
 
@@ -34,6 +38,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
@@ -64,36 +69,42 @@ class SupportViolation(ValueError):
 
 # -- OpenBLAS thread cap -------------------------------------------------------
 
-# Thread-count entry points of the 64-bit-integer OpenBLAS bundled with numpy's
-# wheels: scipy-openblas from numpy 2.0 on, plain OpenBLAS before.
-_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_")
+# Thread-count entry points of the OpenBLAS libraries bundled with numpy's and
+# scipy's wheels: scipy-openblas with 64-bit integers (numpy 2.0 on) and with
+# 32-bit integers (scipy), and plain OpenBLAS before.
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_", "openblas_{}_num_threads",
+)
 
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS library numpy loaded,
-    or None.  The library is looked up among the shared objects bundled with
-    numpy and bound only if it is already loaded (RTLD_NOLOAD), so no second
-    copy of OpenBLAS is ever loaded."""
+    """(get, set) thread-count functions of each OpenBLAS library numpy and
+    scipy loaded, numpy's first; empty when there is none.  The libraries
+    are looked up among the shared objects bundled with the two packages
+    and bound only if already loaded (RTLD_NOLOAD), so no further copy of
+    OpenBLAS is ever loaded."""
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
-        return None
-    root = Path(np.__file__).parent
-    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
-                        *root.glob(".dylibs/*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path), mode=noload)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SYMBOLS:
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is None or set_ is None:
+        return ()
+    found = []
+    for root in (Path(np.__file__).parent, Path(scipy.__file__).parent):
+        for path in sorted([*root.parent.glob(f"{root.name}.libs/*openblas*"),
+                            *root.glob(".dylibs/*openblas*")]):
+            try:
+                lib = ctypes.CDLL(str(path), mode=noload)
+            except OSError:
                 continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
-    return None
+            for name in _OPENBLAS_SYMBOLS:
+                get = getattr(lib, name.format("get"), None)
+                set_ = getattr(lib, name.format("set"), None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    found.append((get, set_))
+                    break
+    return tuple(found)
 
 
 # Widest grid, in nodes per axis, whose factor solves run on one OpenBLAS
@@ -125,26 +136,25 @@ def solve_blas_threads(nodes: int) -> Optional[int]:
     OpenBLAS above, None when no OpenBLAS was found and BLAS is left as it
     is."""
     threads = _openblas_threads()
-    if threads is None:
+    if not threads:
         return None
-    return 1 if nodes <= ONE_THREAD_NODES else threads[0]()
+    return 1 if nodes <= ONE_THREAD_NODES else threads[0][0]()
 
 
 @contextlib.contextmanager
 def _one_blas_thread(cap: bool = True):
-    """Cap OpenBLAS at one thread for the block when cap is true; the
-    previous count is restored however the block ends."""
-    threads = _openblas_threads()
-    if threads is None or not cap:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
+    """Cap every OpenBLAS library found at one thread for the block when cap
+    is true; each library's previous count is restored however the block
+    ends."""
+    threads = _openblas_threads() if cap else ()
+    before = [get() for get, _ in threads]
+    for _, set_ in threads:
+        set_(1)
     try:
         yield
     finally:
-        set_(before)
+        for (_, set_), count in zip(threads, before):
+            set_(count)
 
 
 @dataclass(frozen=True)
@@ -521,12 +531,13 @@ class SparseOperator:
     def factor(self) -> SeparableFactor:
         """Fast-diagonalization factorization of the symmetric form, computed
         on first use from each stencil's generalized tridiagonal
-        eigendecomposition; every Dirichlet solve on this operator applies
-        it.  A failed eigendecomposition or a zero or non-finite pencil
+        eigendecomposition (on one BLAS thread up to ONE_THREAD_NODES nodes
+        per axis); every Dirichlet solve on this operator applies it.  A failed eigendecomposition or a zero or non-finite pencil
         eigenvalue raises NonConvergence."""
         if self._factorization is None:
             try:
-                (lam0, v0), (lam1, v1) = [st.eigenpairs() for st in self.stencils]
+                with _one_blas_thread(max(self.grid.shape) <= ONE_THREAD_NODES):
+                    (lam0, v0), (lam1, v1) = [st.eigenpairs() for st in self.stencils]
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
             pencil = lam0[:, None] + lam1[None, :]

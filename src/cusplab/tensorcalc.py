@@ -1,35 +1,34 @@
 """Finite-difference tensor calculus on chart metrics.
 
-Every operator is evaluated from one derivative kernel: `_jet` samples a
-field on a single central-and-mixed stencil around each point and returns
-its 2-jet (value, first and second partial derivatives).  The stencil steps
-only along the coordinates the field's values depend on, as the field
-declares them (`MetricField.coordinates`; a chart metric declares
-`Chart.metric_coordinates`): 1 + 2d + 2d(d-1) = 1 + 2d^2 points per point
-for d such coordinates, so 19 for the n = 4 round collar and its expansion
-ladder (rho, y_1, y_2) where all n = 4 coordinates would take 33.  The
-derivatives along the other coordinates are zeros, which on every chart
-metric and ladder are the bits the full stencil gives, since it would
-difference equal values (`_differences`).  The stencils
-of a whole point set are one array, so an array-native field is called once
-per set; a metric is called once more on the points themselves, whose
-values give the steps and the stencil's centre.  Sampling and differencing
+Every operator is evaluated from one derivative kernel: `_metric_jets`
+samples the fields of an operator on a single central-and-mixed stencil
+around each point and returns their 2-jets (value, first and second partial
+derivatives).  Each field declares the number d of leading coordinates its
+values depend on (`MetricField.stepped`; a chart metric declares
+`Chart.metric_stepped`), and the stencil steps along the first d of the
+widest field: 1 + 2d + 2d(d-1) = 1 + 2d^2 points per point, so 19 for the
+n = 4 round collar and its expansion ladder (rho, y_1, y_2) where all
+n = 4 coordinates would take 33.  The derivatives along the later coordinates are
+zeros, and a field sampled on a wider stencil than its own differences equal
+values there, which gives the same zeros (`_differences`).  Each field is
+evaluated once at the points themselves (the metric's values give the steps)
+and once on the off-centre points of the stencils of a pass, one array, so
+an array-native field is called twice per pass.  Sampling and differencing
 are two steps (`_stencil_points`, `_differences`), so two fields that one
-evaluation yields together share it: with two stages of one expansion
-ladder in the two slots of Q, the longer ladder is evaluated once at the
-points and once on the off-centre stencil points, and the shorter ladder's
-values are its partial sums (`_joint`).  The operators are then
-product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel symbols and
-their derivatives come from the metric's 2-jet, covariant derivatives lower
-a jet's order by one, and nothing is differenced twice.  The inverse metric
-is needed to first order only, and the Ricci tensor is contracted from the
-Christoffel 1-jet without forming the curvature tensor.  Every two-operand
-contraction, each product-rule term included, is one stacked matrix product
-over the batch axes (`_contract`); np.einsum is left for permutations and
-traces.  Steps are scaled per coordinate by the local metric diagonal, so
-stencils shrink toward degenerate chart boundaries and accuracy is uniform
-in the geometric (unit-frame) sense; the room for the stencil is checked
-along every coordinate, stepped or not.
+evaluation yields together share it: with two stages of one expansion ladder
+in the two slots of Q, the longer ladder is evaluated for both, and the
+shorter ladder's values are its partial sums (`_joint`).  The operators are
+then product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel symbols
+and their derivatives come from the metric's 2-jet, covariant derivatives
+lower a jet's order by one, and nothing is differenced twice.  The inverse
+metric is needed to first order only, and the Ricci tensor is contracted
+from the Christoffel 1-jet without forming the curvature tensor.  Every
+two-operand contraction, each product-rule term included, is one stacked
+matrix product over the batch axes (`_contract`); np.einsum is left for
+permutations and traces.  Steps are scaled per coordinate by the local
+metric diagonal, so stencils shrink toward degenerate chart boundaries and
+accuracy is uniform in the geometric (unit-frame) sense; the room for the
+stencil is checked along every coordinate, stepped or not.
 
 Points: every public operator takes one point p of shape (n,) and returns
 its value, or an (N, n) array of points and returns the N values stacked
@@ -41,7 +40,7 @@ set is split.
 
 Fields: a field maps points to component arrays.  An array-native field
 (`chart_metric`, `ExpansionMetric.field`, anything marked with
-`charts.batched`) takes the (N, n) stencil array in one call and returns
+`charts.batched`) takes an (N, n) array of points in one call and returns
 (N, ...).  Any other callable, such as a lambda on one point, is sampled
 one point at a time through `charts.at_points`, the one fallback.  A
 field's eval may also offer `joint(other_eval)`: a callable p -> (its
@@ -103,18 +102,24 @@ class MetricField:
 
     eval takes one point, or the whole (N, n) array if it is marked with
     `charts.batched`; calling the field accepts one point or an (N, n) array
-    either way.  coordinates, when given, are the indices of the only
-    coordinates the values depend on: moving any other coordinate leaves
-    them the same bits, so its stencil steps along these alone (None: along
-    all n).
+    either way.  stepped, when given, is the number d of leading coordinates
+    the values depend on: moving any later coordinate leaves them the same
+    bits, so a stencil for this field alone steps along the first d (None:
+    all n).  A count outside 1..n raises ValueError.
     """
 
     chart: Chart
     eval: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-    coordinates: Optional[tuple[int, ...]] = None
+    stepped: Optional[int] = None
 
     batched = True  # a class attribute: calling a field takes arrays
+
+    def __post_init__(self):
+        if self.stepped is not None and not 1 <= self.stepped <= self.chart.n:
+            raise ValueError(
+                f"field {self.label!r} declares {self.stepped} stepped "
+                f"coordinates; a count is 1..{self.chart.n}")
 
     def __call__(self, p) -> np.ndarray:
         return at_points(self.eval, p)
@@ -125,16 +130,17 @@ SymTensorField = Tensor3Field = MetricField
 
 def chart_metric(chart: Chart, label: str = "h") -> MetricField:
     """The chart's own closed-form model metric as a field, stepped along
-    the coordinates its components depend on (`Chart.metric_coordinates`)."""
-    return MetricField(chart, chart.metric_at, label, chart.metric_coordinates)
+    the leading coordinates its components depend on
+    (`Chart.metric_stepped`)."""
+    return MetricField(chart, chart.metric_at, label, chart.metric_stepped)
 
 
-def stencil_of(field: MetricField) -> tuple[tuple[int, ...], int]:
-    """(the coordinates a field's stencil steps along, the points of one
-    stencil): 1 + 2d^2 points for d coordinates, 33 when all four of n = 4
+def stencil_of(field: MetricField) -> tuple[int, int]:
+    """(the number d of leading coordinates a field's stencil steps along,
+    the points of one stencil): 1 + 2d^2 points, 33 when all four of n = 4
     are stepped."""
-    axes = _axes(field, field.chart.n)
-    return axes, len(_stencil(field.chart.n, axes)[0])
+    d = _stepped(field, field.chart.n)
+    return d, 1 + 2 * d * d
 
 
 def coordinate_steps(g: MetricField, p, step: float, g0=None) -> np.ndarray:
@@ -192,35 +198,31 @@ def _on_points(op):
 # -- the jet kernel -------------------------------------------------------------
 
 
-def _axes(field, n: int) -> tuple[int, ...]:
-    """The coordinates a field's stencil steps along: its declared
-    `coordinates`, or all n (a plain callable declares none)."""
-    axes = getattr(field, "coordinates", None)
-    return tuple(range(n)) if axes is None else tuple(axes)
+def _stepped(field, n: int) -> int:
+    """The number of leading coordinates a field's values depend on: its
+    declared `stepped`, or all n (a plain callable declares none)."""
+    d = getattr(field, "stepped", None)
+    return n if d is None else d
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil(n: int, axes: tuple[int, ...]):
-    """Offsets of the stencil along the coordinates `axes`, in units of the
-    steps: the centre, +e_i, -e_i for each i in axes, then (+e_i +e_j,
-    +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j of them; the axes
-    as an index array; and the pairs as two index arrays (i, j)."""
-    axes = np.array(axes, dtype=int)
-    eye = np.eye(n)[axes]
-    a, b = np.triu_indices(len(axes), 1)
-    mixed = [si * eye[x] + sj * eye[y] for x, y in zip(a, b)
+def _stencil(n: int, d: int):
+    """Offsets of the stencil along the first d of n coordinates, in units of
+    the steps, its centre left out: +e_i, -e_i for each i < d, then
+    (+e_i +e_j, +e_i -e_j, -e_i +e_j, -e_i -e_j) for each pair i < j < d;
+    and the pairs as two index arrays (i, j)."""
+    eye = np.eye(n)[:d]
+    i, j = np.triu_indices(d, 1)
+    mixed = [si * eye[x] + sj * eye[y] for x, y in zip(i, j)
              for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    offsets = np.vstack([np.zeros((1, n)), eye, -eye, *mixed])
-    return offsets, axes, (axes[a], axes[b])
+    return np.vstack([eye, -eye, *mixed]), (i, j)
 
 
-def _stencil_points(p: np.ndarray, h: np.ndarray, axes, centre: bool) -> np.ndarray:
-    """The stencil along `axes` around each row of p (or around one point p)
-    with steps h of the same shape: shape p.shape[:-1] + (S, n), the centre
-    first, or left out when centre is false."""
-    offsets, _, _ = _stencil(p.shape[-1], axes)
-    if not centre:
-        offsets = offsets[1:]
+def _stencil_points(p: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
+    """The off-centre points of the stencil along the first d coordinates
+    around each row of p (or around one point p), with steps h of the same
+    shape: shape p.shape[:-1] + (S, n)."""
+    offsets, _ = _stencil(p.shape[-1], d)
     return p[..., None, :] + offsets * h[..., None, :]
 
 
@@ -231,48 +233,30 @@ def _by_offset(vals: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
 
 
-def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray, axes):
+def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray, d: int):
     """2-jet from the values f0 at the stencil centres and vals at the
-    off-centre points of the stencil along `axes` (the offset axis leading,
-    as `_by_offset` stacks them), with steps h: central differences for the
-    gradient and pure second derivatives, the four-point mixed stencil for
-    the cross derivatives.  Every derivative along another coordinate is
-    +0.0.  The full stencil would difference equal values there, (a - a),
-    (a - 2a + a) and (a - a - b + b), which give the same +0.0, so the jet
-    is the full stencil's bit for bit whenever the stepped coordinates come
-    before the others, as every chart's and ladder's do.  (For a pair with
-    the other coordinate first the full stencil sums a - b - a + b, which
-    can round to a few ulp of b.)"""
+    off-centre points of the stencil along the first d coordinates (the
+    offset axis leading, as `_by_offset` stacks them), with steps h: central
+    differences for the gradient and pure second derivatives, the
+    four-point mixed stencil for the cross derivatives.  Every derivative
+    along a later coordinate is +0.0.  A field that varies in fewer than d
+    coordinates has equal values along the rest, and differencing them,
+    (a - a), (a - 2a + a) and ((a - a) - b) + b, gives the same +0.0: its
+    jet does not depend on how wide a stencil it is sampled on."""
     n, lead = h.shape[-1], h.ndim - 1
-    _, ax, (i, j) = _stencil(n, axes)
-    m = len(ax)
-    fp, fm = vals[:m], vals[m:2 * m]
-    # hs[i] is the step in coordinate i, shaped like the values
-    hs = np.moveaxis(h, -1, 0).reshape(
-        h.shape[-1:] + h.shape[:-1] + (1,) * (f0.ndim - lead))
-    d = np.zeros((n,) + f0.shape)
-    d[ax] = (fp - fm) / (2.0 * hs[ax])
-    dd = np.zeros((n, n) + f0.shape)
-    dd[ax, ax] = (fp - 2.0 * f0 + fm) / hs[ax] ** 2
-    pp, pm, mp, mm = vals[2 * m:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
-    dd[i, j] = dd[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
-    return f0, np.moveaxis(d, 0, lead), np.moveaxis(dd, (0, 1), (lead, lead + 1))
-
-
-def _jet(field, p, h, f0=None, axes=None):
-    """2-jet of an array-valued callable at one point p (n,) or at each row
-    of an (N, n) array, with steps h of the same shape, from the stencil
-    along `axes` (by default the field's own, `_axes`).  The stencil points
-    of every row are one array, so an array-native field is called once;
-    f0, the field's values at p when the caller has them, is the stencil's
-    centre and is not evaluated again."""
-    p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
-    axes = _axes(field, p.shape[-1]) if axes is None else tuple(axes)
-    points = _stencil_points(p, h, axes, centre=f0 is None)
-    vals = _by_offset(at_points(field, points.reshape(-1, p.shape[-1])), points)
-    if f0 is None:
-        f0, vals = vals[0], vals[1:]
-    return _differences(f0, vals, h, axes)
+    _, (i, j) = _stencil(n, d)
+    fp, fm = vals[:d], vals[d:2 * d]
+    # hs[i] is the step in coordinate i < d, shaped like the values
+    hs = np.moveaxis(h, -1, 0)[:d].reshape(
+        (d,) + h.shape[:-1] + (1,) * (f0.ndim - lead))
+    grad = np.zeros((n,) + f0.shape)
+    grad[:d] = (fp - fm) / (2.0 * hs)
+    hess = np.zeros((n, n) + f0.shape)
+    k = np.arange(d)
+    hess[k, k] = (fp - 2.0 * f0 + fm) / hs ** 2
+    pp, pm, mp, mm = vals[2 * d:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * hs[i] * hs[j])
+    return f0, np.moveaxis(grad, 0, lead), np.moveaxis(hess, (0, 1), (lead, lead + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,41 +353,40 @@ def _sym(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
-def _joint(g: MetricField, fields):
+def _joint(g: MetricField, others):
     """p -> (values of g, values of the one further field) from one
     evaluation, if g's eval offers one for that field's eval
     (`eval.joint(other)`, as the partial sums of one expansion ladder do);
     otherwise None."""
-    if len(fields) != 1 or fields[0] is g:
+    if len(others) != 1:
         return None
     joint = getattr(g.eval, "joint", None)
-    other = getattr(fields[0], "eval", None)
+    other = getattr(others[0], "eval", None)
     return None if joint is None or other is None else joint(other)
 
 
 def _metric_jets(g: MetricField, p, step: float, *fields):
-    """Steps from g at the points p, then the jets of g and of each further
-    field with those steps, each from the stencil along its own coordinates
-    (a field identical to g reuses g's jet).  g is evaluated at p once: its
-    values give the steps and the centre of its stencil.  A further field
-    that g evaluates jointly (`_joint`) is sampled in g's passes, once at p
-    and once on the off-centre points of the stencil along the coordinates
-    either field varies in, and each field's values are differenced on
-    their own."""
-    joint = _joint(g, fields)
-    if joint is None:
-        g0 = g(p)
-        h = coordinate_steps(g, p, step, g0)
-        G = _jet(g, p, h, g0)
-        return (G,) + tuple(G if f is g else _jet(f, p, h) for f in fields)
+    """Jets of g and of each further field at the points p, all from one
+    stencil with the steps g gives there.  Each distinct field is evaluated
+    at p, and g's values give the steps; a field identical to g reuses g's
+    values and jet.  The stencil steps along the leading coordinates that
+    any of the fields varies in (`_stepped`): each field is evaluated on its
+    off-centre points, through g's `_joint` evaluation when it offers one
+    and field by field otherwise, and its values are differenced on their
+    own (`_differences`).  This is the one place jets are sampled."""
     n = p.shape[-1]
-    axes = tuple(sorted({*_axes(g, n), *_axes(fields[0], n)}))
-    centres = joint(p)
+    distinct = [g, *(f for f in fields if f is not g)]
+    evaluate = _joint(g, distinct[1:]) or (
+        lambda q: [at_points(f, q) for f in distinct])
+    centres = evaluate(p)
     h = coordinate_steps(g, p, step, centres[0])
-    points = _stencil_points(p, h, axes, centre=False)
-    stencils = joint(points.reshape(-1, n))
-    return tuple(_differences(f0, _by_offset(vals, points), h, axes)
-                 for f0, vals in zip(centres, stencils))
+    d = max(_stepped(f, n) for f in distinct)
+    points = _stencil_points(p, h, d)
+    stencils = evaluate(points.reshape(-1, n))
+    jets = iter([_differences(f0, _by_offset(vals, points), h, d)
+                 for f0, vals in zip(centres, stencils)])
+    G = next(jets)
+    return (G,) + tuple(G if f is g else next(jets) for f in fields)
 
 
 # -- connection and Ricci curvature on jets ------------------------------------
@@ -506,12 +489,13 @@ def _reversed_divergence(Ginv, G, T, div):
 def _gauge_parts(g: MetricField, t, p, step: float):
     """(the Christoffel 1-jet of g, g at p, the 1-jet of the gauge covector
     omega = g t^{-1} delta_g(G_g t)) at the points p, from one pair of
-    metric jets."""
+    metric jets (one inverse jet when t is g)."""
     G, T = _metric_jets(g, p, step, t)
     Ginv = _jinv(G)
     gam = _christoffel(G, Ginv)
     div = _reversed_divergence(Ginv, G, T, _divergence(Ginv, gam, T))
-    return gam, G[0], _jeinsum("ij,j->i", _jeinsum("ij,jk->ik", G, _jinv(T)), div)
+    Tinv = Ginv if T is G else _jinv(T)
+    return gam, G[0], _jeinsum("ij,j->i", _jeinsum("ij,jk->ik", G, Tinv), div)
 
 
 # -- operators ----------------------------------------------------------------

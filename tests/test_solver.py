@@ -508,19 +508,21 @@ class TestGramProbe:
 
 @pytest.fixture
 def blas_threads():
-    """The solver's OpenBLAS (get, set) pair, set to two threads for the test
-    so that a cap left in place shows; the prior count comes back after."""
+    """A reader of the thread counts of every OpenBLAS the solver binds, each
+    set to two threads for the test so that a cap left in place shows; the
+    prior counts come back after."""
     import cusplab.solver as sv
 
     threads = sv._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy loaded no OpenBLAS the solver can bind; "
+    if not threads:
+        pytest.skip("numpy and scipy loaded no OpenBLAS the solver can bind; "
                     "the solver leaves BLAS as it is")
-    get, set_ = threads
-    prior = get()
-    set_(2)
-    yield get
-    set_(prior)
+    prior = [get() for get, _ in threads]
+    for _, set_ in threads:
+        set_(2)
+    yield lambda: tuple(get() for get, _ in threads)
+    for (_, set_), count in zip(threads, prior):
+        set_(count)
 
 
 class TestBlasThreadCap:
@@ -530,23 +532,57 @@ class TestBlasThreadCap:
         assert solve_blas_threads(ONE_THREAD_NODES) == 1
         assert solve_blas_threads(ONE_THREAD_NODES + 1) == 2
 
-    @pytest.mark.parametrize("nodes, calls", [(10, [1, 2]), (11, [])])
-    def test_solve_capped_up_to_threshold(self, blas_threads, monkeypatch, nodes, calls):
+    def test_cap_binds_scipys_openblas(self, blas_threads):
+        # scipy's wheels bundle a second OpenBLAS, which ARPACK and the
+        # tridiagonal eigensolver run on: the cap sets it to one thread and
+        # restores it, read here through the library itself
+        import ctypes
+        import os
+        from pathlib import Path
+
+        import scipy
+        import scipy.linalg  # noqa: F401
         import cusplab.solver as sv
 
-        get, set_ = sv._openblas_threads()
-        seen = []
+        root = Path(scipy.__file__).parent
+        paths = sorted([*root.parent.glob("scipy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")])
+        if not paths or not hasattr(os, "RTLD_NOLOAD"):
+            pytest.skip("scipy bundles no OpenBLAS of its own here")
+        lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
+        get = next(getattr(lib, name.format("get"))
+                   for name in sv._OPENBLAS_SYMBOLS
+                   if hasattr(lib, name.format("get")))
+        get.restype, get.argtypes = ctypes.c_int, []
+        bound = blas_threads()
+        assert len(bound) >= 2 and get() == 2
+        with sv._one_blas_thread():
+            assert get() == 1
+            assert blas_threads() == (1,) * len(bound)
+        assert get() == 2 and blas_threads() == bound
 
-        def recording_set(n):
-            seen.append(n)
-            set_(n)
+    @pytest.mark.parametrize("nodes, calls", [(10, [1, 2]), (11, [])])
+    def test_solve_capped_up_to_threshold(self, blas_threads, monkeypatch, nodes, calls):
+        # every library is capped, by the solves' size rule, for the axis
+        # eigendecompositions, the solve and its refinement step
+        import cusplab.solver as sv
 
-        monkeypatch.setattr(sv, "_openblas_threads", lambda: (get, recording_set))
+        threads = sv._openblas_threads()
+        seen = [[] for _ in threads]
+
+        def recording(k, set_):
+            def recording_set(n):
+                seen[k].append(n)
+                set_(n)
+            return recording_set
+
+        monkeypatch.setattr(sv, "_openblas_threads", lambda: tuple(
+            (get, recording(k, set_)) for k, (get, set_) in enumerate(threads)))
         monkeypatch.setattr(sv, "ONE_THREAD_NODES", 10)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=nodes), 6.0)
         solve_dirichlet(op, np.ones(op.grid.shape))
-        assert seen == calls * 2  # the solve and its refinement step
-        assert blas_threads() == 2
+        assert seen == [calls * 3] * len(threads)
+        assert blas_threads() == (2,) * len(threads)
 
     def test_probe_runs_on_one_thread(self, blas_threads, monkeypatch):
         import cusplab.solver as sv
@@ -560,13 +596,14 @@ class TestBlasThreadCap:
         monkeypatch.setattr(sv.spla, "eigsh", watched)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
         op.smallest_eigenvalue()
-        assert seen == [1]
-        assert blas_threads() == 2
+        count = len(blas_threads())
+        assert seen == [(1,) * count]
+        assert blas_threads() == (2,) * count
 
     def test_count_restored_after_solve(self, blas_threads):
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), 6.0)
         solve_dirichlet(op, np.ones(op.grid.shape))
-        assert blas_threads() == 2
+        assert set(blas_threads()) == {2}
 
     def test_count_restored_after_nonconvergence(self, blas_threads, monkeypatch):
         import cusplab.solver as sv
@@ -579,7 +616,7 @@ class TestBlasThreadCap:
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
         with pytest.raises(NonConvergence):
             op.smallest_eigenvalue()
-        assert blas_threads() == 2
+        assert set(blas_threads()) == {2}
         assert op.probe_steps == 0
 
 

@@ -633,18 +633,22 @@ class TestJetKernel:
 
         return ev, grad, a
 
+    @staticmethod
+    def _quadratic_jet(ev, points=P4):
+        """ev's jet at the points, sampled with the steps of the Euclidean
+        collar's metric (step 0.05) on the stencil of all four coordinates."""
+        return tensorcalc._metric_jets(chart_metric(COLLAR4), points, 0.05, ev)[1]
+
     def test_exact_on_quadratic_components(self):
         ev, grad, hess = self._quadratic()
-        hs = coordinate_steps(chart_metric(COLLAR4), P4, 0.05)
-        f0, d, dd = tensorcalc._jet(ev, P4, hs)
+        f0, d, dd = self._quadratic_jet(ev)
         assert np.abs(f0 - ev(P4)).max() == 0.0
         assert np.abs(d - grad(P4)).max() < 1e-9 * np.abs(grad(P4)).max()
         assert np.abs(dd - hess).max() < 1e-9 * np.abs(hess).max()
 
     def test_inverse_jet(self):
         ev, grad, _ = self._quadratic(seed=1)
-        hs = coordinate_steps(chart_metric(COLLAR4), P4, 0.05)
-        jet = tensorcalc._jet(ev, P4, hs)
+        jet = self._quadratic_jet(ev)
         inv = np.linalg.inv(ev(P4))
         ijet = tensorcalc._jinv(jet)
         want = -np.einsum("ij,ajk,kl->ail", inv, grad(P4), inv)
@@ -657,19 +661,20 @@ class TestJetKernel:
         assert np.abs(one[1]).max() < 1e-9
 
     def test_metric_evaluations_per_operator(self, metric_points):
-        # one stencil per field, along the coordinates it declares: all 33
-        # points at n = 4 for a field that declares none, 3 for the
-        # Euclidean collar's metric, which varies in rho alone
+        # one stencil per operator, along the leading coordinates of its
+        # widest field: all 33 points at n = 4 for a field that declares no
+        # count, and 3 for the Euclidean collar's metric alone, which
+        # varies in rho only; with both, the metric is sampled on the 33
         chart = COLLAR4
         h = chart_metric(chart)
-        assert h.coordinates == (0,)
+        assert h.stepped == 1
         g = MetricField(
             chart,
             lambda q: chart.metric_at(q) * (1 + 0.1 * math.sin(q[1] + q[0])),
             "g",
         )
         Q_at(g, h, P4)
-        assert metric_points[0] == 33 + 3
+        assert metric_points[0] == 33 + 33
         metric_points[0] = 0
         ricci_at(h, P4)
         assert 3 <= metric_points[0] <= 5
@@ -677,33 +682,11 @@ class TestJetKernel:
     def test_one_field_type(self):
         assert MetricField is SymTensorField is tensorcalc.Tensor3Field
 
-    @staticmethod
-    def _reference_jet(field, p, h):
-        """The per-coordinate loop the vectorized stencil differences replace."""
-        p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
-        n, lead = p.shape[-1], p.ndim - 1
-        offsets, _, _ = tensorcalc._stencil(n, tuple(range(n)))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        points = p[..., None, :] + offsets * h[..., None, :]
-        vals = at_points(field, points.reshape(-1, n))
-        vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]),
-                           lead, 0)
-        f0, fp, fm = vals[0], vals[1:n + 1], vals[n + 1:2 * n + 1]
-        tail = (None,) * (f0.ndim - lead)
-
-        def hh(i):
-            return h[(..., i) + tail]
-
-        d = np.stack([(fp[i] - fm[i]) / (2.0 * hh(i)) for i in range(n)],
-                     axis=lead)
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = (fp[i] - 2.0 * f0 + fm[i]) / hh(i) ** 2
-        for k, (i, j) in enumerate(pairs):
-            pp, pm, mp, mm = vals[2 * n + 1 + 4 * k:2 * n + 5 + 4 * k]
-            rows[i][j] = rows[j][i] = (pp - pm - mp + mm) / (4.0 * hh(i) * hh(j))
-        dd = np.stack([np.stack(row, axis=lead) for row in rows], axis=lead)
-        return f0, d, dd
+    @pytest.mark.parametrize("count", [0, 5, -1])
+    def test_count_outside_the_coordinates_raises(self, count):
+        # a count of zero would give zero jets, one above n an index error
+        with pytest.raises(ValueError, match="'bad' declares .* 1..4"):
+            MetricField(COLLAR4, COLLAR4.metric_at, "bad", count)
 
     @pytest.mark.parametrize("points", [P4, np.array([P4 + 0.01 * k for k in range(7)])],
                              ids=["point", "array"])
@@ -713,18 +696,21 @@ class TestJetKernel:
         lambda q: np.outer(q, q) * np.exp(q[0]),
     ], ids=["metric", "scalar", "matrix"])
     def test_vectorized_jet_equals_the_coordinate_loop(self, field, points):
-        hs = coordinate_steps(chart_metric(COLLAR4), points, 0.05)
-        want = self._reference_jet(field, points, hs)
-        for f0 in (None, want[0]):
-            got = tensorcalc._jet(field, points, hs, f0)
-            assert all(a.shape == b.shape and np.array_equal(a, b)
-                       for a, b in zip(got, want))
+        # both fields of a pass, the stepping metric's and the further
+        # field's, against the per-coordinate loop on the stencil along the
+        # wider of their counts
+        g = chart_metric(COLLAR4)
+        hs = coordinate_steps(g, points, 0.05)
+        d = max(tensorcalc._stepped(f, 4) for f in (g, field))
+        got = tensorcalc._metric_jets(g, points, 0.05, field)
+        for f, jet in zip((g, field), got):
+            want = _reference_jet(f, points, hs, d)
+            assert all(map(_same_bits, jet, want))
 
     def test_metric_jets_evaluate_g_at_p_once(self):
-        # per pass: g once on its points (the steps and the stencil's
-        # centre) and once on the 32 offset points; a second field once on
-        # all 33 stencil points.  BATCH_CAP + 5 points run in two balanced
-        # passes, the first one point longer
+        # per pass: each field once on its points (g's values give the
+        # steps) and once on the 32 offset points.  BATCH_CAP + 5 points
+        # run in two balanced passes, the first one point longer
         rows = {"g": [], "t": []}
 
         def counted(label, scale):
@@ -742,11 +728,58 @@ class TestJetKernel:
         assert rows["g"] == [a, 32 * a, b, 32 * b]
         rows["g"].clear()
         Q_at(g, t, points)
-        assert rows["g"] == [a, 32 * a, b, 32 * b]
-        assert rows["t"] == [33 * a, 33 * b]
+        assert rows["g"] == rows["t"] == [a, 32 * a, b, 32 * b]
         rows["g"].clear()
         tensorcalc._metric_jets(g, P4, 1e-3)
         assert rows["g"] == [1, 32]
+
+
+def _reference_jet(field, p, h, d, f0=None):
+    """The per-coordinate loop that the vectorized stencil differences
+    replace: the 2-jet of a field from the stencil along the first d
+    coordinates (the centre, +e_i, -e_i, then the four mixed points of each
+    pair i < j), with zeros along the later ones; f0, the values at p when
+    given, is not evaluated again."""
+    p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
+    n, lead = p.shape[-1], p.ndim - 1
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    offsets = np.array([np.zeros(n), *eye[:d], *-eye[:d],
+                        *(si * eye[i] + sj * eye[j] for i, j in pairs
+                          for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)))])
+    points = p[..., None, :] + offsets * h[..., None, :]
+    vals = at_points(field, points.reshape(-1, n))
+    vals = np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
+    f0 = vals[0] if f0 is None else f0
+    fp, fm = vals[1:d + 1], vals[d + 1:2 * d + 1]
+    tail = (None,) * (f0.ndim - lead)
+
+    def hh(i):
+        return h[(..., i) + tail]
+
+    zero = np.zeros(f0.shape)
+    d1 = np.stack([(fp[i] - fm[i]) / (2.0 * hh(i)) if i < d else zero
+                   for i in range(n)], axis=lead)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(d):
+        rows[i][i] = (fp[i] - 2.0 * f0 + fm[i]) / hh(i) ** 2
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = vals[2 * d + 1 + 4 * k:2 * d + 5 + 4 * k]
+        rows[i][j] = rows[j][i] = (pp - pm - mp + mm) / (4.0 * hh(i) * hh(j))
+    d2 = np.stack([np.stack(row, axis=lead) for row in rows], axis=lead)
+    return f0, d1, d2
+
+
+def _per_field_jets(g, p, step, *fields):
+    """The sampler the single stencil replaced, kept as an oracle: steps
+    from g at the points, then each field differenced on the stencil along
+    its own leading coordinates (a field identical to g reuses g's jet)."""
+    n, g0 = g.chart.n, g(p)
+    h = coordinate_steps(g, p, step, g0)
+    G = _reference_jet(g, p, h, tensorcalc._stepped(g, n), g0)
+    return (G,) + tuple(G if f is g else
+                        _reference_jet(f, p, h, tensorcalc._stepped(f, n))
+                        for f in fields)
 
 
 def _product_rule_specs(spec):
@@ -893,34 +926,50 @@ EVERY_KIND = [
 ]
 
 
-class TestDeclaredCoordinates:
-    """A field's stencil steps along the coordinates it declares, and its
-    jet is the full stencil's, bit for bit; the two-slot Q forms its gauge
-    covector from the Christoffel difference, and agrees with the
+def _every_kind(n):
+    return ([Chart.intermediate_cusp(n, f) for f in range(1, n - 1)]
+            + [Chart.maximal_cusp(n), Chart.collar(n),
+               Chart.collar(n, h_u="round_sphere")]
+            + [Chart.upper_half_space(n, f) for f in range(1, n)])
+
+
+def _chart_id(chart):
+    return f"{chart.kind}-{chart.n}-{chart.f}-{chart.h_u_name}"
+
+
+class TestStepped:
+    """A field's stencil steps along the leading coordinates it counts, and
+    its jet is the full stencil's, bit for bit; the two-slot Q forms its
+    gauge covector from the Christoffel difference, and agrees with the
     divergence route of `Q_gauge_at`."""
 
-    @pytest.mark.parametrize("chart", EVERY_KIND,
-                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+    @pytest.mark.parametrize("chart", EVERY_KIND, ids=_chart_id)
     def test_chart_metric_jet_equals_the_full_stencil(self, chart, rng):
         h = chart_metric(chart)
-        assert h.coordinates == chart.metric_coordinates
-        assert len(h.coordinates) < chart.n
+        assert h.stepped == chart.metric_stepped < chart.n
+        full = MetricField(chart, chart.metric_at, "full")
         points = _interior_points(chart, 9, rng)
-        hs = coordinate_steps(h, points, DEFAULT_STEP)
-        full = tensorcalc._jet(h, points, hs, axes=range(chart.n))
-        assert all(map(_same_bits, tensorcalc._jet(h, points, hs), full))
-        # a field is not differenced along the coordinates it does not
-        # declare: its values there are exact zeros, as the full stencil's
-        others = [i for i in range(chart.n) if i not in h.coordinates]
-        assert not full[1][:, others].any() and not full[2][:, others].any()
+        (want,) = tensorcalc._metric_jets(full, points, DEFAULT_STEP)
+        (got,) = tensorcalc._metric_jets(h, points, DEFAULT_STEP)
+        assert all(map(_same_bits, got, want))
+        # sampled on the full stencil beside a field that counts every
+        # coordinate, the metric's jet is the same bits again
+        beside = tensorcalc._metric_jets(h, points, DEFAULT_STEP, full)
+        assert all(_same_bits(a, b) for jet in beside for a, b in zip(jet, want))
+        # along the coordinates after its count the full stencil differences
+        # equal values, and its derivatives there are exact zeros
+        d = h.stepped
+        assert not want[1][:, d:].any() and not want[2][:, d:].any()
 
     def test_ladder_jet_equals_the_full_stencil(self, extraction_set):
         _, g3, points = extraction_set
-        assert g3.field.coordinates == (0, 1, 2)
-        assert tensorcalc.stencil_of(g3.field) == ((0, 1, 2), 19)
-        hs = coordinate_steps(g3.field, points, 5e-4)
-        full = tensorcalc._jet(g3.field, points, hs, axes=range(4))
-        assert all(map(_same_bits, tensorcalc._jet(g3.field, points, hs), full))
+        assert g3.field.stepped == 3
+        assert tensorcalc.stencil_of(g3.field) == (3, 19)
+        full = MetricField(g3.chart, g3.field.eval, "full")
+        assert tensorcalc.stencil_of(full) == (4, 33)
+        (want,) = tensorcalc._metric_jets(full, points, 5e-4)
+        (got,) = tensorcalc._metric_jets(g3.field, points, 5e-4)
+        assert all(map(_same_bits, got, want))
 
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("stage", [2, 3])
@@ -937,6 +986,53 @@ class TestDeclaredCoordinates:
         scale = max(tensor_norm(h0, x).max() for x in terms)
         gap = tensor_norm(h0, Q_at(g, g1, points, 5e-4) - want).max()
         assert gap <= 1e-12 * scale
+
+
+class TestOneSampler:
+    """The one sampler gives the bits of the per-field sampler it replaced
+    (`_per_field_jets`) where the two differ in what they sample: a chart
+    metric beside a field that counts every coordinate is now sampled on
+    that field's wider stencil."""
+
+    @staticmethod
+    def _wide_fields(chart):
+        """A pointwise scalar, a batched symmetric 2-tensor and a batched
+        metric, each varying in every coordinate and declaring no count."""
+        def u(q):
+            return math.sin(q[0] + 0.3 * q[-1]) + 0.2 * q[1] * q[-1]
+
+        @batched
+        def r(q):
+            q = np.asarray(q)
+            t = np.sin(q[..., :, None] + 0.5 * q[..., None, :])
+            return t + np.swapaxes(t, -1, -2)
+
+        @batched
+        def t(q):
+            q = np.asarray(q)
+            wave = 1.0 + 0.1 * np.sin(q[..., 0] + q[..., -1])
+            return chart.metric_at(q) * wave[..., None, None]
+
+        return u, MetricField(chart, r, "r"), MetricField(chart, t, "t")
+
+    @pytest.mark.parametrize("chart", _every_kind(4) + _every_kind(5),
+                             ids=_chart_id)
+    def test_operators_give_the_per_field_samplers_bits(self, chart, rng,
+                                                        monkeypatch):
+        h = chart_metric(chart)
+        u, r, t = self._wide_fields(chart)
+        points = _interior_points(chart, 4, rng)
+        ops = {
+            "laplacian(h, u)": lambda: laplacian_scalar_at(h, u, points),
+            "L(h, r)": lambda: L_at(h, r, points),
+            "Q(h, t)": lambda: Q_at(h, t, points),
+            "Q(t, h)": lambda: Q_at(t, h, points),
+            "Q_gauge(h, t)": lambda: Q_gauge_at(h, t, points),
+        }
+        got = {name: op() for name, op in ops.items()}
+        monkeypatch.setattr(tensorcalc, "_metric_jets", _per_field_jets)
+        for name, op in ops.items():
+            assert _same_bits(got[name], op()), name
 
 
 class TestPointSets:
