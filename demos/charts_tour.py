@@ -20,8 +20,9 @@ print("volume density:", cusp.volume_density_at(p), " (= 2 sqrt 2)")
 print("sigma:", cusp.sigma_at(p), " (= r cos theta0 inside the tube)")
 print()
 
-print("=== maximal-rank cusp, n = 3 ===")
+print("=== maximal-rank cusp, n = 3: the cusp collar family of rank 2 ===")
 mx = Chart.maximal_cusp(3)
+print("coordinates:", mx.coordinate_names, " (r = u)")
 print("metric at r = 1 is the identity:")
 print(mx.metric_at([1.0, 0.1, 0.2]))
 print()
@@ -39,13 +40,15 @@ for eps in (0.05, 0.1, 0.2):
     print(f"  in M_eps for eps={eps}?", cusp.in_exhaustion(p_small, eps))
 print()
 
-print("=== every chart kind is positive definite on samples ===")
+print("=== every chart is positive definite on samples ===")
 rng = np.random.default_rng(1)
-for chart in (cusp, mx, collar, Chart.upper_half_space(4, 1)):
+charts = {"intermediate_cusp": cusp, "maximal_cusp": mx, "collar": collar,
+          "upper_half_space": Chart.upper_half_space(4, 1)}
+for label, chart in charts.items():
     lows = []
     for _ in range(200):
         p = [rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
              if np.isfinite(lo) and np.isfinite(hi) else rng.uniform(-0.8, 0.8)
              for lo, hi in chart.coordinate_ranges()]
         lows.append(np.linalg.eigvalsh(chart.metric_at(p))[0])
-    print(f"  {chart.kind:20s} min eigenvalue over 200 points: {min(lows):.4f}")
+    print(f"  {label:20s} min eigenvalue over 200 points: {min(lows):.4f}")

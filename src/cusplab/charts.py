@@ -1,9 +1,13 @@
 """Model coordinate charts for hyperbolic metrics with cusp ends.
 
-Four chart families cover the ends of a geometrically finite hyperbolic
-manifold: the blown-up intermediate-rank cusp, the maximal-rank cusp, the
-conformally compact collar near the infinite-volume face, and the
-pre-blow-up upper-half-space picture of a cusp.  Every chart carries exact
+Two chart kinds cover the ends of a geometrically finite hyperbolic
+manifold.  A collar chart is (d rho^2 + F(rho, y)) / rho^2 for a tangential
+family F: Euclidean near the infinite-volume face, the round sphere, or the
+rank-f cusp family F_f(u, (v, z)) = dv^2 + (u^2 + |v|^2)^2 dz^2, which is
+H^n over a lattice of parabolic translations (the pre-blow-up upper half
+space; the maximal cusp at f = n - 1, with r = u).  The blown-up
+intermediate-rank cusp is F_f in polar form but keeps its own kind: its
+sigma is truncate(r) cos theta0, not truncate(u).  Every chart carries exact
 closed-form metric components, the volume density, the (truncated) total
 boundary defining function sigma, and membership tests for the exhaustion
 domains {sigma >= eps}; the boundary rescalings of the Schauder step carry
@@ -24,11 +28,9 @@ from typing import Optional
 import numpy as np
 
 INTERMEDIATE_CUSP = "intermediate_cusp"
-MAXIMAL_CUSP = "maximal_cusp"
 COLLAR = "collar"
-UPPER_HALF_SPACE = "upper_half_space"
 
-_KINDS = (INTERMEDIATE_CUSP, MAXIMAL_CUSP, COLLAR, UPPER_HALF_SPACE)
+_KINDS = (INTERMEDIATE_CUSP, COLLAR)
 
 POLE_MARGIN = 1e-3  # excludes the coordinate-singular polar axes
 TRUNC_FRACTION = 0.2  # where sigma blends to 1 near the chart edge
@@ -143,6 +145,17 @@ def round_collar_family(rho, y) -> np.ndarray:
     return g
 
 
+def cusp_collar_family(rho, y, f: int) -> np.ndarray:
+    """Family F_f = dv^2 + (rho^2 + |v|^2)^2 dz^2 of a rank-f cusp, with v the
+    first n-1-f coordinates of y and z the last f (the chart binds f)."""
+    y = np.asarray(y, dtype=float)
+    v = y[..., : y.shape[-1] - f]
+    s2 = rho * rho + np.einsum("...i,...i->...", v, v)
+    g = euclidean_collar_family(rho, y)
+    g[..., -f:, -f:] *= _matrix_scale(s2 * s2)
+    return g
+
+
 def _matrix_scale(s) -> np.ndarray:
     """A scalar per point, shaped to multiply a stack of matrices."""
     return np.asarray(s)[..., None, None]
@@ -151,6 +164,7 @@ def _matrix_scale(s) -> np.ndarray:
 H_U_FAMILIES = {
     "euclidean": euclidean_collar_family,
     "round_sphere": round_collar_family,
+    "cusp": cusp_collar_family,
 }
 
 
@@ -158,16 +172,17 @@ H_U_FAMILIES = {
 class Chart:
     """A model coordinate patch with closed-form metric components.
 
-    kind selects the family; n is the manifold dimension; f the cusp rank
-    (cusp kinds and the pre-blow-up chart).  edge is the outer coordinate
-    value of the defining-function direction (r, rho or u range (0, edge]).
-    h_u_name names the collar family, a key of H_U_FAMILIES.
+    kind is the intermediate cusp or a collar; n is the manifold dimension;
+    f the cusp rank (of the intermediate cusp or the cusp family).  edge is
+    the outer coordinate value of the defining-function direction (r, rho or
+    u range (0, edge]).  h_u_name names the collar family, a key of
+    H_U_FAMILIES.
 
     metric_stepped declares, from each closed form, the number of leading
-    coordinates the metric components depend on: r alone on the maximal
-    cusp, rho alone on the Euclidean collar, all but the azimuthal angle on
-    the round collar, r, theta0 and the polar angles (no torus coordinate)
-    on the intermediate cusp, and u and v on the upper half space.  Moving
+    coordinates the metric components depend on: rho alone on the Euclidean
+    collar, all but the azimuthal angle on the round collar, u and v (1 + b)
+    on the cusp family, so u alone on the maximal cusp, and r, theta0 and the
+    polar angles (no torus coordinate) on the intermediate cusp.  Moving
     only the later coordinates leaves `metric_at` the same bits, so a
     finite-difference stencil need not step along them.
     """
@@ -183,19 +198,19 @@ class Chart:
             raise ValueError(f"unknown chart kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
-        if self.kind == INTERMEDIATE_CUSP:
-            if self.f is None or not (1 <= self.f <= self.n - 2):
-                raise ValueError("intermediate cusp needs rank 1 <= f <= n-2")
-        elif self.kind == MAXIMAL_CUSP:
-            object.__setattr__(self, "f", self.n - 1)
-        elif self.kind == UPPER_HALF_SPACE:
-            if self.f is None or not (1 <= self.f <= self.n - 1):
-                raise ValueError("upper-half-space chart needs rank 1 <= f <= n-1")
         if self.edge <= 0:
             raise ValueError("edge must be positive")
         if self.h_u_name not in H_U_FAMILIES:
             raise ValueError(f"unknown collar family {self.h_u_name!r}; "
                              f"known: {', '.join(H_U_FAMILIES)}")
+        if self.kind == INTERMEDIATE_CUSP:
+            if self.f is None or not (1 <= self.f <= self.n - 2):
+                raise ValueError("intermediate cusp needs rank 1 <= f <= n-2")
+        elif self.h_u_name == "cusp":
+            if self.f is None or not (1 <= self.f <= self.n - 1):
+                raise ValueError("the cusp collar family needs rank 1 <= f <= n-1")
+        elif self.f is not None:
+            raise ValueError(f"the {self.h_u_name} collar family takes no rank f")
         if self.kind == COLLAR and self.h_u_name == "round_sphere" and self.edge >= 2:
             raise ValueError("round-sphere collar degenerates at rho = 2")
 
@@ -207,7 +222,8 @@ class Chart:
 
     @classmethod
     def maximal_cusp(cls, n: int, **kw) -> "Chart":
-        return cls(MAXIMAL_CUSP, n, f=n - 1, **kw)
+        """The cusp family of rank n - 1, with r = u."""
+        return cls.upper_half_space(n, n - 1, **kw)
 
     @classmethod
     def collar(cls, n: int, h_u: str = "euclidean", **kw) -> "Chart":
@@ -215,20 +231,21 @@ class Chart:
 
     @classmethod
     def upper_half_space(cls, n: int, f: int, **kw) -> "Chart":
-        return cls(UPPER_HALF_SPACE, n, f=f, **kw)
+        return cls(COLLAR, n, f=f, h_u_name="cusp", **kw)
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def h_u(self):
-        """The collar family named by h_u_name."""
-        return H_U_FAMILIES[self.h_u_name]
+        """The collar family named by h_u_name (the cusp family with f bound)."""
+        fam = H_U_FAMILIES[self.h_u_name]
+        return fam if self.h_u_name != "cusp" else functools.partial(fam, f=self.f)
 
     @property
     def b(self) -> int:
-        """Transverse sphere dimension n - 1 - f (cusp kinds only)."""
+        """Transverse dimension n - 1 - f (charts with a cusp rank only)."""
         if self.f is None:
-            raise AttributeError("b is defined only for cusp-type charts")
+            raise AttributeError("b is defined only for charts with a cusp rank")
         return self.n - 1 - self.f
 
     @property
@@ -236,9 +253,7 @@ class Chart:
         if self.kind == INTERMEDIATE_CUSP:
             sph = tuple(f"theta_{a}" for a in range(1, self.b))
             return ("r", "theta0") + sph + tuple(f"w{j}" for j in range(1, self.f + 1))
-        if self.kind == MAXIMAL_CUSP:
-            return ("r",) + tuple(f"w{j}" for j in range(1, self.n))
-        if self.kind == COLLAR:
+        if self.f is None:
             return ("rho",) + tuple(f"y{j}" for j in range(1, self.n))
         return ("u",) + tuple(f"v{j}" for j in range(1, self.b + 1)) + tuple(
             f"z{j}" for j in range(1, self.f + 1)
@@ -255,16 +270,10 @@ class Chart:
                 rng += [(-big, big)]  # azimuthal angle of the transverse sphere
             rng += [(-big, big)] * self.f
             return rng
-        if self.kind == MAXIMAL_CUSP:
-            return [(0.0, self.edge)] + [(-big, big)] * (self.n - 1)
-        if self.kind == COLLAR:
-            rng = [(0.0, self.edge)]
-            if self.h_u_name == "round_sphere":
-                rng += [(m, math.pi - m)] * (self.n - 2) + [(-big, big)]
-            else:
-                rng += [(-big, big)] * (self.n - 1)
-            return rng
-        return [(0.0, self.edge)] + [(-big, big)] * (self.n - 1)
+        rng = [(0.0, self.edge)]
+        if self.h_u_name == "round_sphere":
+            return rng + [(m, math.pi - m)] * (self.n - 2) + [(-big, big)]
+        return rng + [(-big, big)] * (self.n - 1)
 
     @functools.cached_property
     def coordinate_bounds(self) -> np.ndarray:
@@ -277,11 +286,9 @@ class Chart:
         class docstring)."""
         if self.kind == INTERMEDIATE_CUSP:
             return max(self.b, 2)
-        if self.kind == COLLAR and self.h_u_name == "round_sphere":
+        if self.h_u_name == "round_sphere":
             return self.n - 1
-        if self.kind == UPPER_HALF_SPACE:
-            return 1 + self.b
-        return 1
+        return 1 if self.f is None else 1 + self.b
 
     def validate_point(self, p) -> np.ndarray:
         """p as a float array, one point (n,) or an (N, n) array of points.
@@ -338,21 +345,10 @@ class Chart:
                 ) * round_sphere_metric(p[..., 2 : 1 + b])
             out[..., 1 + b :, 1 + b :] = _matrix_scale(x * x / c2) * np.eye(self.f)
             return out
-        if self.kind == MAXIMAL_CUSP:
-            out[..., 0, 0] = 1.0 / (x * x)
-            out[..., 1:, 1:] = _matrix_scale(x * x) * np.eye(n - 1)
-            return out
-        if self.kind == COLLAR:
-            out[..., 0, 0] = 1.0
-            out[..., 1:, 1:] = self.h_u(x, p[..., 1:])
-            out /= _matrix_scale(x * x)
-            return out
-        b = self.b
-        v = p[..., 1 : 1 + b]
-        s2 = x * x + np.einsum("...i,...i->...", v, v)
-        out[..., : 1 + b, : 1 + b] = np.eye(1 + b)
-        out[..., 1 + b :, 1 + b :] = _matrix_scale(s2 * s2) * np.eye(self.f)
-        return out / _matrix_scale(x * x)
+        out[..., 0, 0] = 1.0
+        out[..., 1:, 1:] = self.h_u(x, p[..., 1:])
+        out /= _matrix_scale(x * x)
+        return out
 
     @batched
     def volume_density_at(self, p):
@@ -370,12 +366,7 @@ class Chart:
                 dens = dens * np.sqrt(
                     np.linalg.det(round_sphere_metric(p[..., 2 : 1 + self.b])))
             return dens
-        if self.kind == MAXIMAL_CUSP:
-            return x ** (n - 2)
-        if self.kind == COLLAR:
-            return np.sqrt(np.linalg.det(self.h_u(x, p[..., 1:]))) / x ** n
-        v = p[..., 1 : 1 + self.b]
-        return (x * x + np.einsum("...i,...i->...", v, v)) ** self.f / x ** n
+        return np.sqrt(np.linalg.det(self.h_u(x, p[..., 1:]))) / x ** n
 
     @batched
     def sigma_at(self, p):
@@ -388,7 +379,7 @@ class Chart:
         sigma = truncate_bdf(p[..., 0], self.edge, TRUNC_FRACTION)
         if self.kind == INTERMEDIATE_CUSP:
             return sigma * np.cos(p[..., 1])
-        # r, rho, or u = r * rho, which descends to the total defining function
+        # rho, or u on the cusp family (r on the maximal cusp)
         return sigma
 
     def in_exhaustion(self, p, eps: float):
@@ -471,11 +462,9 @@ def rescaled_metric_at(case: RescalingCase, q) -> np.ndarray:
             case.eps * np.exp(s), case.v0 + case.eps * q[..., 1:]
         )
         return out
-    bdim = case.n - 1 - case.f
-    shifted = case.v0 / case.eps + q[..., 1 : 1 + bdim]
-    coeff = shrink * (np.exp(2.0 * s) + np.einsum("...i,...i->...", shifted, shifted)) ** 2
+    # F_f at u = e^s, v shifted by v0 / eps (z does not enter)
+    f, y = case.f, q[..., 1:] + np.append(case.v0 / case.eps, np.zeros(case.f))
+    out[..., 1:, 1:] = _matrix_scale(shrink) * cusp_collar_family(np.exp(s), y, f)
     if case.case == CUSP_OFF_AXIS:
-        coeff = coeff / (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
-    out[..., 1 : 1 + bdim, 1 : 1 + bdim] = _matrix_scale(shrink) * np.eye(bdim)
-    out[..., 1 + bdim :, 1 + bdim :] = _matrix_scale(coeff) * np.eye(case.f)
+        out[..., -f:, -f:] /= (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
     return out

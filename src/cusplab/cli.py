@@ -285,13 +285,14 @@ def _sample_chart_points(chart: Chart, count: int, rng) -> list[np.ndarray]:
     return pts
 
 
-def _all_chart_kinds(n: int, f: int) -> list[Chart]:
-    return [
-        Chart.intermediate_cusp(n, f),
-        Chart.maximal_cusp(n),
-        Chart.collar(n),
-        Chart.upper_half_space(n, f),
-    ]
+def _curvature_charts(n: int, f: int) -> dict[str, Chart]:
+    """The charts `curvature` checks, by the row label of its table."""
+    return {
+        "intermediate_cusp": Chart.intermediate_cusp(n, f),
+        "maximal_cusp": Chart.maximal_cusp(n),
+        "collar": Chart.collar(n),
+        "upper_half_space": Chart.upper_half_space(n, f),
+    }
 
 
 def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
@@ -300,7 +301,7 @@ def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
     rows = []
     worst, worst_order = 0.0, math.inf
     per_kind = max(1, 200 // 4 + 1)
-    for chart in _all_chart_kinds(cfg.n, cfg.f):
+    for label, chart in _curvature_charts(cfg.n, cfg.f).items():
         h = tensorcalc.chart_metric(chart)
         if cfg.perturb:
             bump = cfg.perturb
@@ -324,7 +325,7 @@ def cmd_curvature(cfg: argparse.Namespace, rep: Report) -> None:
                 hp, tensorcalc.ricci_at(h, p, cfg.step / 2) + (n - 1) * hp)
             defect1, defect2 = max(defect1, d1), max(defect2, d2)
         order = math.log2(defect1 / defect2) if defect2 > 0 else math.inf
-        rows.append([chart.kind, defect1, defect2, order])
+        rows.append([label, defect1, defect2, order])
         worst = max(worst, defect1)
         worst_order = min(worst_order, order)
     rep.table("defects", ["chart", "defect_step", "defect_half", "order"], rows)

@@ -1,8 +1,10 @@
 """Discrete Dirichlet problems on truncated chart grids.
 
 The reduced operator Delta + K is discretized in flux (divergence) form on
-structured 2D grids over the (r, theta0), (rho, y) or (r,) coordinates; for
-data independent of the remaining angles the reduction is exact because the
+structured 2D grids over the (r, theta0) coordinates of the intermediate
+cusp, or over the (rho, y) or (r,) coordinates of a collar whose metric
+depends on rho alone (the Euclidean collar, the maximal cusp); for data
+independent of the remaining coordinates the reduction is exact because the
 transverse Laplacian blocks annihilate such functions.  Multiplying through
 by the volume density gives a symmetric form, and every such form is a
 Kronecker sum of 1-D tridiagonal stencils, one per axis, built once per
@@ -45,7 +47,6 @@ from scipy.linalg import eigh_tridiagonal
 from .charts import (
     Chart,
     INTERMEDIATE_CUSP,
-    MAXIMAL_CUSP,
     COLLAR,
     NonConvergence,
     smooth_bump,
@@ -217,14 +218,12 @@ class Grid2D:
     # -- chart-geometry samples on nodes ---------------------------------
 
     def _sigma_factors(self) -> tuple[np.ndarray, ...]:
-        """Per-axis factors of sigma: r cos(theta0) on the cusp, rho on the
-        collar, r on the maximal cusp."""
+        """Per-axis factors of sigma: r cos(theta0) on the cusp, on a collar
+        rho (u, or r on the maximal cusp) and ones on any second axis."""
         if self.chart.kind == INTERMEDIATE_CUSP:
             r, th = self.axes
             return r, np.cos(th)
-        if self.chart.kind == MAXIMAL_CUSP:
-            return self.axes
-        return self.axes[0], np.ones(len(self.axes[1]))
+        return (self.axes[0],) + tuple(np.ones(len(ax)) for ax in self.axes[1:])
 
     def sigma(self) -> np.ndarray:
         """Raw defining-function product on nodes, without edge truncation.
@@ -237,11 +236,11 @@ class Grid2D:
 
     def sigma_mu(self, w: WeightVector) -> np.ndarray:
         """Multi-weight sigma^mu on nodes (the cusp weight of end 0): each
-        factor of sigma raised to the weight of its end, r to mu_1 and
-        cos(theta0) or rho to mu0 (the collar's unit factor to mu0 too), and
-        their outer product taken as in sigma.  The maximal cusp's one
-        factor r takes the first weight only."""
-        mu = (w.mu0, w.mu0) if self.chart.kind == COLLAR else (w.mus[0], w.mu0)
+        factor of sigma raised to the weight of its end, and their outer
+        product taken as in sigma.  On a chart with a cusp rank r takes mu_1
+        and cos(theta0) mu0 (the maximal cusp's one factor r takes mu_1
+        only); on a collar without one rho and its unit factor take mu0."""
+        mu = (w.mu0, w.mu0) if self.chart.f is None else (w.mus[0], w.mu0)
         return functools.reduce(
             np.multiply.outer, [f ** m for f, m in zip(self._sigma_factors(), mu)])
 
@@ -249,33 +248,34 @@ class Grid2D:
 def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
     """Per-axis 1-D factors of the reduced volume density W and of the flux
     coefficients A_d = W * h^{dd}: W = w[0] x w[1] and A_d = a[d][0] x a[d][1]
-    (outer products), where the factors on axis e depend on axes[e] only."""
-    kind = chart.kind
-    n = chart.n
-    if kind == INTERMEDIATE_CUSP:
+    (outer products), where the factors on axis e depend on axes[e] only.
+    The intermediate cusp has them in closed form.  On a collar whose metric
+    depends on rho alone (metric_stepped == 1: the Euclidean collar, the
+    maximal cusp) W is the chart's volume density and A_d = W / h_dd, both
+    on the axis-0 nodes, with unit factors on the other axis."""
+    if chart.kind == INTERMEDIATE_CUSP:
         f, b = chart.f, chart.b
         r, th = axes
         w_r = r ** (f - 1)
         c = np.cos(th)
-        w_th = np.sin(th) ** (b - 1) / c ** n
+        w_th = np.sin(th) ** (b - 1) / c ** chart.n
         a_th = w_th * c * c
         return (w_r, w_th), [(w_r * r * r, a_th), (w_r, a_th)]
-    if kind == COLLAR:
-        _require_euclidean_collar(chart)
-        rho, y = axes
-        w_rho = rho ** (-float(n))
-        one = np.ones(len(y))
-        return (w_rho, one), [(w_rho * rho * rho, one)] * 2
-    if kind == MAXIMAL_CUSP:
-        (r,) = axes
-        w = r ** (n - 2.0)
-        return (w,), [(w * r * r,)]
-    raise ValueError(f"no reduced operator for chart kind {kind!r}")
+    if chart.metric_stepped != 1:
+        family = ("" if chart.f is None else f"rank-{chart.f} ") + chart.h_u_name
+        raise ValueError(f"no reduced operator on the {family} collar: its metric "
+                         f"depends on {chart.metric_stepped} coordinates, not rho alone")
+    pts = np.zeros((len(axes[0]), chart.n))
+    pts[:, 0] = axes[0]
+    w = chart.volume_density_at(pts)
+    h = np.diagonal(chart.metric_at(pts), axis1=1, axis2=2)
+    ones = tuple(np.ones(len(ax)) for ax in axes[1:])
+    return (w,) + ones, [(w / h[:, d],) + ones for d in range(len(axes))]
 
 
 def _require_euclidean_collar(chart: Chart) -> None:
-    """The closed-form collar densities, Christoffels and norms in this module
-    hold for the Euclidean collar family only."""
+    """The closed-form collar Christoffels and norms in this module hold for
+    the Euclidean collar family only."""
     if chart.h_u_name != "euclidean":
         raise ValueError(f"this collar formula assumes the Euclidean family, "
                          f"the chart has {chart.h_u_name!r}")
@@ -321,7 +321,7 @@ def compact_patch_grid(
 
 
 def maximal_grid(chart: Chart, eps: float, nodes: int = 64) -> Grid2D:
-    if chart.kind != MAXIMAL_CUSP:
+    if chart.f != chart.n - 1:
         raise ValueError("maximal_grid needs a maximal-rank cusp chart")
     return Grid2D(chart, ("r",), (np.linspace(eps, chart.edge, nodes),), eps)
 
@@ -770,7 +770,7 @@ def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrinciple
     spc = max(grid.spacing)
     if grid.chart.kind == INTERMEDIATE_CUSP:
         delta = cusp_margin(K, w.mus[0], w.mu0, grid.chart.f, w.n).delta
-    elif grid.chart.kind == MAXIMAL_CUSP:
+    elif grid.chart.f is not None:
         delta = maximal_margin(K, w.mus[0], w.n).delta
     else:
         delta = h0_margin(K, w.mu0, w.n).delta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cusplab.charts import (
+    TRUNC_FRACTION,
     Chart,
     ChartDomainError,
     RescalingCase,
@@ -106,10 +107,17 @@ class TestMetricAt:
 
 
 def _every_kind(n):
+    """Every chart at dimension n; the maximal cusp is the cusp family of
+    rank n - 1."""
     return ([Chart.intermediate_cusp(n, f) for f in range(1, n - 1)]
-            + [Chart.maximal_cusp(n), Chart.collar(n),
-               Chart.collar(n, h_u="round_sphere")]
+            + [Chart.collar(n), Chart.collar(n, h_u="round_sphere")]
             + [Chart.upper_half_space(n, f) for f in range(1, n)])
+
+
+def _chart_id(chart):
+    """The intermediate cusp's kind or a collar's family, n and f."""
+    label = chart.h_u_name if chart.kind == "collar" else chart.kind
+    return f"{label}-{chart.n}-{chart.f}"
 
 
 class TestMetricStepped:
@@ -118,7 +126,7 @@ class TestMetricStepped:
     and moving any of the counted ones moves some component."""
 
     @pytest.mark.parametrize("chart", _every_kind(4) + _every_kind(5),
-                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+                             ids=_chart_id)
     def test_later_coordinates_leave_the_metric_unchanged(self, chart, rng):
         d = chart.metric_stepped
         assert 1 <= d < chart.n
@@ -233,7 +241,7 @@ class TestBatchedEqualsSingle:
     """An (N, n) array gives, row by row, exactly the one-point values."""
 
     @pytest.mark.parametrize("chart", EVERY_KIND,
-                             ids=lambda c: f"{c.kind}-{c.n}-{c.f}-{c.h_u_name}")
+                             ids=_chart_id)
     def test_chart_quantities(self, chart, rng):
         pts = np.array(sample_points(chart, 12, rng))
         # the last rows reach into the truncation band and to the edge
@@ -286,6 +294,96 @@ class TestCollarFamilies:
     def test_unknown_family_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown collar family 'hyperbolic'"):
             Chart.collar(4, h_u="hyperbolic")
+
+    def test_only_the_cusp_family_takes_a_rank(self):
+        with pytest.raises(ValueError, match="cusp collar family needs rank"):
+            Chart.collar(4, h_u="cusp")
+        with pytest.raises(ValueError, match="cusp collar family needs rank"):
+            Chart.upper_half_space(4, 4)
+        with pytest.raises(ValueError, match="euclidean collar family takes no rank"):
+            Chart.collar(4, f=2)
+
+    def test_cusp_family_reads_the_chart_rank(self):
+        # F_1 at u = 0.5, v = (0.3, 0.4): (u^2 + |v|^2)^2 = 0.25 on the z entry
+        y = np.array([0.3, 0.4, 7.0])
+        got = Chart.upper_half_space(4, 1).h_u(0.5, y)
+        assert np.allclose(got, np.diag([1.0, 1.0, 0.25]), rtol=1e-15)
+        assert np.array_equal(Chart.maximal_cusp(4).h_u(0.5, y), np.eye(3) / 16)
+
+
+# Closed forms of the upper half space and the maximal cusp, written out
+# apart from the cusp collar family, as references for it.
+
+
+def _upper_half_space_metric(chart, p):
+    x, b = p[..., 0], chart.b
+    v = p[..., 1 : 1 + b]
+    s2 = x * x + np.einsum("...i,...i->...", v, v)
+    out = np.zeros(p.shape + (chart.n,))
+    out[..., : 1 + b, : 1 + b] = np.eye(1 + b)
+    out[..., 1 + b :, 1 + b :] = (s2 * s2)[..., None, None] * np.eye(chart.f)
+    return out / (x * x)[..., None, None]
+
+
+def _upper_half_space_density(chart, p):
+    x, v = p[..., 0], p[..., 1 : 1 + chart.b]
+    return (x * x + np.einsum("...i,...i->...", v, v)) ** chart.f / x ** chart.n
+
+
+def _maximal_cusp_metric(chart, p):
+    x = p[..., 0]
+    out = np.zeros(p.shape + (chart.n,))
+    out[..., 0, 0] = 1.0 / (x * x)
+    out[..., 1:, 1:] = (x * x)[..., None, None] * np.eye(chart.n - 1)
+    return out
+
+
+def _maximal_cusp_density(chart, p):
+    return p[..., 0] ** (chart.n - 2)
+
+
+def _truncated_first_coordinate(chart, p):
+    """sigma of both: u (r on the maximal cusp), truncated toward the edge."""
+    return truncate_bdf(p[..., 0], chart.edge, TRUNC_FRACTION)
+
+
+class TestCuspFamilyKeepsTheOldClosedForms:
+    """On 200 points per chart, 20 of them in the truncation band, the cusp
+    family gives the upper half space's metric and sigma bit for bit and the
+    maximal cusp's metric to 1 ulp ((u^2)^2 / u^2 is not u^2 in floating
+    point), and both densities to rtol 1e-14 (sqrt det against a power)."""
+
+    @staticmethod
+    def _points(chart, rng):
+        pts = np.array(sample_points(chart, 200, rng))
+        pts[-20:, 0] = chart.edge * rng.uniform(1.0 - TRUNC_FRACTION, 1.0, 20)
+        return pts
+
+    @pytest.mark.parametrize("chart", [Chart.upper_half_space(n, f)
+                                       for n in range(3, 7) for f in range(1, n)],
+                             ids=_chart_id)
+    def test_upper_half_space(self, chart, rng):
+        pts = self._points(chart, rng)
+        assert (chart.metric_at(pts).tobytes()
+                == _upper_half_space_metric(chart, pts).tobytes())
+        np.testing.assert_allclose(chart.volume_density_at(pts),
+                                   _upper_half_space_density(chart, pts),
+                                   rtol=1e-14, atol=0)
+        assert (chart.sigma_at(pts).tobytes()
+                == _truncated_first_coordinate(chart, pts).tobytes())
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_maximal_cusp(self, n, rng):
+        chart = Chart.maximal_cusp(n)
+        assert chart == Chart.upper_half_space(n, n - 1)
+        pts = self._points(chart, rng)
+        got, want = chart.metric_at(pts), _maximal_cusp_metric(chart, pts)
+        assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+        np.testing.assert_allclose(chart.volume_density_at(pts),
+                                   _maximal_cusp_density(chart, pts),
+                                   rtol=1e-14, atol=0)
+        assert (chart.sigma_at(pts).tobytes()
+                == _truncated_first_coordinate(chart, pts).tobytes())
 
 
 def sample_points(chart, count, rng):

@@ -211,6 +211,13 @@ class TestCurvatureCommand:
         payload = json.loads((tmp_path / "curvature_summary.json").read_text())
         assert payload["status"] == "pass"
 
+    def test_defects_table_keeps_its_four_rows_in_order(self, tmp_path):
+        run(tmp_path, "curvature", "--n", "4")
+        lines = (tmp_path / "curvature_defects.csv").read_text().splitlines()
+        assert lines[0].split(",")[0] == "chart"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "intermediate_cusp", "maximal_cusp", "collar", "upper_half_space"]
+
     def test_stencil_failure_is_numerical(self, tmp_path, capsys):
         # a step this large pushes the stencil out of the chart ranges
         assert run(tmp_path, "curvature", "--step", "0.5") == EXIT_NUMERICAL

@@ -251,6 +251,37 @@ class TestOneConstruction:
         assert calls["_flux_factors"] == 2
 
 
+class TestFluxFactorsClosedForms:
+    """_flux_factors reads the chart's density and metric on a collar; here
+    they meet the closed forms W = rho^-n, A_d = W rho^2 on the Euclidean
+    collar and W = r^(n-2), A = W r^2 on the maximal cusp."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_euclidean_collar(self, n):
+        rho, y = np.linspace(0.05, 1.0, 17), np.linspace(-1.0, 1.0, 9)
+        (w_rho, w_y), a = _flux_factors(Chart.collar(n), (rho, y))
+        np.testing.assert_allclose(w_rho, rho ** -float(n), rtol=1e-14, atol=0)
+        assert np.array_equal(w_y, np.ones(len(y)))
+        for a_rho, a_y in a:
+            np.testing.assert_allclose(a_rho, w_rho * rho * rho, rtol=1e-14, atol=0)
+            assert np.array_equal(a_y, np.ones(len(y)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_maximal_cusp(self, n):
+        r = np.linspace(0.05, 1.0, 17)
+        (w,), [(a,)] = _flux_factors(Chart.maximal_cusp(n), (r,))
+        np.testing.assert_allclose(w, r ** (n - 2.0), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(a, w * r * r, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (4, 2), (5, 3)])
+    def test_upper_half_space_below_maximal_rank_is_refused(self, n, f):
+        grid = compact_patch_grid(Chart.upper_half_space(n, f), 8, (0.5, 1.0),
+                                  (-0.5, 0.5))
+        with pytest.raises(ValueError, match=f"rank-{f} cusp collar: its metric "
+                                             f"depends on {n - f} coordinates"):
+            assemble(grid, -2.0)
+
+
 class TestGridGeometryMatchesChart:
     """Grid2D.sigma and the operator's W against the chart's own functions.
 
@@ -1020,7 +1051,8 @@ class TestEuclideanCollarOnly:
 
     def test_flux_coefficients(self):
         grid = compact_patch_grid(self.ROUND, 8, (0.5, 1.0), (1.0, 1.5))
-        with pytest.raises(ValueError, match="Euclidean family"):
+        with pytest.raises(ValueError, match="round_sphere collar: its metric "
+                                             "depends on 3 coordinates"):
             assemble(grid, -2.0)
 
     def test_koiso_quadrature(self):

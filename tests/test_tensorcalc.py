@@ -918,23 +918,25 @@ def _interior_points(chart, count, rng):
     return pts
 
 
+# the maximal cusp is the cusp family of rank n - 1
 EVERY_KIND = [
     Chart.intermediate_cusp(4, 1), Chart.intermediate_cusp(4, 2),
-    Chart.intermediate_cusp(5, 1), Chart.maximal_cusp(4), COLLAR4,
+    Chart.intermediate_cusp(5, 1), COLLAR4,
     Chart.collar(4, h_u="round_sphere"), Chart.upper_half_space(4, 1),
-    Chart.upper_half_space(4, 2), Chart.upper_half_space(4, 3),
+    Chart.upper_half_space(4, 2), Chart.maximal_cusp(4),
 ]
 
 
 def _every_kind(n):
     return ([Chart.intermediate_cusp(n, f) for f in range(1, n - 1)]
-            + [Chart.maximal_cusp(n), Chart.collar(n),
-               Chart.collar(n, h_u="round_sphere")]
+            + [Chart.collar(n), Chart.collar(n, h_u="round_sphere")]
             + [Chart.upper_half_space(n, f) for f in range(1, n)])
 
 
 def _chart_id(chart):
-    return f"{chart.kind}-{chart.n}-{chart.f}-{chart.h_u_name}"
+    """The intermediate cusp's kind or a collar's family, n and f."""
+    label = chart.h_u_name if chart.kind == "collar" else chart.kind
+    return f"{label}-{chart.n}-{chart.f}"
 
 
 class TestStepped:
