@@ -1,17 +1,17 @@
 """Model coordinate charts for hyperbolic metrics with cusp ends.
 
-Two chart kinds cover the ends of a geometrically finite hyperbolic
-manifold.  A collar chart is (d rho^2 + F(rho, y)) / rho^2 for a tangential
-family F: Euclidean near the infinite-volume face, the round sphere, or the
-rank-f cusp family F_f(u, (v, z)) = dv^2 + (u^2 + |v|^2)^2 dz^2, which is
-H^n over a lattice of parabolic translations (the pre-blow-up upper half
-space; the maximal cusp at f = n - 1, with r = u).  The blown-up
-intermediate-rank cusp is F_f in polar form but keeps its own kind: its
-sigma is truncate(r) cos theta0, not truncate(u).  Every chart carries exact
-closed-form metric components, the volume density, the (truncated) total
-boundary defining function sigma, and membership tests for the exhaustion
-domains {sigma >= eps}; the boundary rescalings of the Schauder step carry
-their pulled-back metrics.
+One field, `Chart.kind`, names the end a chart describes: the blown-up
+intermediate-rank cusp, or one of the collar families of H_U_FAMILIES.  A
+collar chart is (d rho^2 + F(rho, y)) / rho^2 for its tangential family F:
+`euclidean` near the infinite-volume face, `round_sphere`, or `cusp`, the
+rank-f family F_f(u, (v, z)) = dv^2 + (u^2 + |v|^2)^2 dz^2, which is H^n
+over a lattice of parabolic translations (the pre-blow-up upper half space;
+the maximal cusp at f = n - 1, with r = u).  The intermediate cusp is F_f in
+polar form but keeps its own kind: its sigma is truncate(r) cos theta0, not
+truncate(u).  Every chart carries exact closed-form metric components, the
+volume density, the (truncated) total boundary defining function sigma, and
+membership tests for the exhaustion domains {sigma >= eps}; the boundary
+rescalings of the Schauder step carry their pulled-back metrics.
 
 Every chart quantity takes one point (n,) or an (N, n) array of points and
 returns one value (or matrix) per point, stacked on a leading axis for an
@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 INTERMEDIATE_CUSP = "intermediate_cusp"
-COLLAR = "collar"
-
-_KINDS = (INTERMEDIATE_CUSP, COLLAR)
 
 POLE_MARGIN = 1e-3  # excludes the coordinate-singular polar axes
 TRUNC_FRACTION = 0.2  # where sigma blends to 1 near the chart edge
@@ -172,11 +169,10 @@ H_U_FAMILIES = {
 class Chart:
     """A model coordinate patch with closed-form metric components.
 
-    kind is the intermediate cusp or a collar; n is the manifold dimension;
-    f the cusp rank (of the intermediate cusp or the cusp family).  edge is
-    the outer coordinate value of the defining-function direction (r, rho or
-    u range (0, edge]).  h_u_name names the collar family, a key of
-    H_U_FAMILIES.
+    kind names the end: the intermediate cusp, or a collar family (a key of
+    H_U_FAMILIES); n is the manifold dimension; f the cusp rank (of the
+    intermediate cusp or the cusp family).  edge is the outer coordinate
+    value of the defining-function direction (r, rho or u range (0, edge]).
 
     metric_stepped declares, from each closed form, the number of leading
     coordinates the metric components depend on: rho alone on the Euclidean
@@ -191,27 +187,24 @@ class Chart:
     n: int
     f: Optional[int] = None
     edge: float = 1.0
-    h_u_name: str = "euclidean"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown chart kind {self.kind!r}")
+        if self.kind != INTERMEDIATE_CUSP and self.kind not in H_U_FAMILIES:
+            raise ValueError(f"unknown chart kind {self.kind!r}; known: "
+                             f"{', '.join((INTERMEDIATE_CUSP, *H_U_FAMILIES))}")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         if self.edge <= 0:
             raise ValueError("edge must be positive")
-        if self.h_u_name not in H_U_FAMILIES:
-            raise ValueError(f"unknown collar family {self.h_u_name!r}; "
-                             f"known: {', '.join(H_U_FAMILIES)}")
         if self.kind == INTERMEDIATE_CUSP:
             if self.f is None or not (1 <= self.f <= self.n - 2):
                 raise ValueError("intermediate cusp needs rank 1 <= f <= n-2")
-        elif self.h_u_name == "cusp":
+        elif self.kind == "cusp":
             if self.f is None or not (1 <= self.f <= self.n - 1):
                 raise ValueError("the cusp collar family needs rank 1 <= f <= n-1")
         elif self.f is not None:
-            raise ValueError(f"the {self.h_u_name} collar family takes no rank f")
-        if self.kind == COLLAR and self.h_u_name == "round_sphere" and self.edge >= 2:
+            raise ValueError(f"the {self.kind} collar family takes no rank f")
+        if self.kind == "round_sphere" and self.edge >= 2:
             raise ValueError("round-sphere collar degenerates at rho = 2")
 
     # -- constructors ------------------------------------------------------
@@ -227,19 +220,26 @@ class Chart:
 
     @classmethod
     def collar(cls, n: int, h_u: str = "euclidean", **kw) -> "Chart":
-        return cls(COLLAR, n, h_u_name=h_u, **kw)
+        """The collar chart of the family h_u, a key of H_U_FAMILIES."""
+        if h_u not in H_U_FAMILIES:
+            raise ValueError(f"unknown collar family {h_u!r}; "
+                             f"known: {', '.join(H_U_FAMILIES)}")
+        return cls(h_u, n, **kw)
 
     @classmethod
     def upper_half_space(cls, n: int, f: int, **kw) -> "Chart":
-        return cls(COLLAR, n, f=f, h_u_name="cusp", **kw)
+        return cls("cusp", n, f=f, **kw)
 
     # -- structure ---------------------------------------------------------
 
     @functools.cached_property
     def h_u(self):
-        """The collar family named by h_u_name (the cusp family with f bound)."""
-        fam = H_U_FAMILIES[self.h_u_name]
-        return fam if self.h_u_name != "cusp" else functools.partial(fam, f=self.f)
+        """The collar family the kind names (the cusp family with f bound)."""
+        if self.kind == INTERMEDIATE_CUSP:
+            raise ValueError("the intermediate cusp is not a collar chart: it "
+                             "has no tangential family h_u")
+        fam = H_U_FAMILIES[self.kind]
+        return fam if self.kind != "cusp" else functools.partial(fam, f=self.f)
 
     @property
     def b(self) -> int:
@@ -271,7 +271,7 @@ class Chart:
             rng += [(-big, big)] * self.f
             return rng
         rng = [(0.0, self.edge)]
-        if self.h_u_name == "round_sphere":
+        if self.kind == "round_sphere":
             return rng + [(m, math.pi - m)] * (self.n - 2) + [(-big, big)]
         return rng + [(-big, big)] * (self.n - 1)
 
@@ -286,7 +286,7 @@ class Chart:
         class docstring)."""
         if self.kind == INTERMEDIATE_CUSP:
             return max(self.b, 2)
-        if self.h_u_name == "round_sphere":
+        if self.kind == "round_sphere":
             return self.n - 1
         return 1 if self.f is None else 1 + self.b
 
@@ -401,44 +401,46 @@ COLLAR_CASE = "collar"
 class RescalingCase:
     """One family of boundary rescalings of the exhaustion domain.
 
-    v0 holds the transverse part of the base boundary point (eps, v0, z0);
-    the z0 block never enters the pulled-back metric.  The near-axis case
-    requires |v0| <= eps, the off-axis case eps < |v0| < 1.  The collar case
-    rescales the Euclidean collar family.
+    v0 holds the transverse part of the base boundary point (eps, v0, z0):
+    n - 1 - f components in the cusp cases, where the z0 block never enters
+    the pulled-back metric, and n - 1 in the collar case, which rescales the
+    Euclidean collar family and takes no rank f.  An omitted v0 is the
+    origin.  The near-axis case requires |v0| <= eps, the off-axis case
+    eps < |v0| < 1.
     """
 
     case: str
     n: int
     eps: float
-    v0: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v0: Optional[np.ndarray] = None
     f: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "v0", np.asarray(self.v0, dtype=float))
         if self.eps <= 0:
             raise RescalingCaseError("eps must be positive")
-        r = float(np.linalg.norm(self.v0))
-        if self.case == CUSP_NEAR_AXIS:
-            self._need_rank()
-            if r > self.eps:
-                raise RescalingCaseError(
-                    f"near-axis case needs |v0| <= eps, got |v0|={r}, eps={self.eps}"
-                )
-        elif self.case == CUSP_OFF_AXIS:
-            self._need_rank()
-            if not (self.eps < r < 1.0):
-                raise RescalingCaseError(
-                    f"off-axis case needs eps < |v0| < 1, got |v0|={r}, eps={self.eps}"
-                )
-        elif self.case != COLLAR_CASE:
+        if self.case == COLLAR_CASE:
+            if self.f is not None:
+                raise RescalingCaseError("the collar rescaling takes no rank f")
+            dim = self.n - 1
+        elif self.case in (CUSP_NEAR_AXIS, CUSP_OFF_AXIS):
+            if self.f is None or not (1 <= self.f <= self.n - 1):
+                raise RescalingCaseError("cusp rescaling needs a rank 1 <= f <= n-1")
+            dim = self.n - 1 - self.f
+        else:
             raise RescalingCaseError(f"unknown rescaling case {self.case!r}")
-
-    def _need_rank(self):
-        if self.f is None or not (1 <= self.f <= self.n - 1):
-            raise RescalingCaseError("cusp rescaling needs a rank 1 <= f <= n-1")
-        if len(self.v0) != self.n - 1 - self.f:
+        v0 = np.zeros(dim) if self.v0 is None else np.asarray(self.v0, dtype=float)
+        if v0.shape != (dim,):
             raise RescalingCaseError(
-                f"v0 must have n-1-f = {self.n - 1 - self.f} components"
+                f"v0 must have {dim} components, got shape {v0.shape}")
+        object.__setattr__(self, "v0", v0)
+        r = float(np.linalg.norm(v0))
+        if self.case == CUSP_NEAR_AXIS and r > self.eps:
+            raise RescalingCaseError(
+                f"near-axis case needs |v0| <= eps, got |v0|={r}, eps={self.eps}"
+            )
+        if self.case == CUSP_OFF_AXIS and not (self.eps < r < 1.0):
+            raise RescalingCaseError(
+                f"off-axis case needs eps < |v0| < 1, got |v0|={r}, eps={self.eps}"
             )
 
 

@@ -456,12 +456,6 @@ def cmd_schauder(cfg: argparse.Namespace, rep: Report) -> None:
     rep.extra["spread"] = spread
 
 
-# The residual vanishing order each stage of the expand ladder must reach:
-# stage j decays like rho^j, less the slack of the differencing.  A ladder
-# that would run past the last declared stage is a usage error.
-STAGE_SLOPES = {1: 0.9, 2: 1.85, 3: 2.7, 4: 3.7}
-
-
 def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
     """Boundary expansion ladder."""
     chart = Chart.collar(cfg.n, h_u="round_sphere")
@@ -497,7 +491,7 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         gauge = expansion.gauge_term_norm(
             g, [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)],
             step=cfg.step)
-        thr = STAGE_SLOPES[g.order]
+        thr = expansion.stage_slope(g.order)
         rep.check(f"stage{g.order}_slope", fit.slope, thr,
                         fit.slope >= thr, "residual-vanishing-order")
         gauge_bound = 10.0 * cfg.step ** 2
@@ -580,13 +574,6 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(cfg, "weights_mode", "auto") != "auto" and cfg.mu0 is not None:
         raise ValueError("mu0: explicit --weights give mu0 as their first "
                          "value; set one or the other")
-    if cfg.subcommand == "expand":
-        top = expansion.stage_cap(cfg.n, cfg.stages)
-        if top not in STAGE_SLOPES:
-            raise ValueError(f"stages: stage {top} of the n = {cfg.n} ladder has "
-                             f"no declared slope threshold (stages 1-"
-                             f"{max(STAGE_SLOPES)} do); pass --stages "
-                             f"{max(STAGE_SLOPES)} or fewer")
     cfg.out_dir = Path(args.out_dir or os.environ.get("CUSPLAB_OUT")
                        or "cusplab_out")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)

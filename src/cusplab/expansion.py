@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import Chart, COLLAR, smooth_bump, smooth_step
+from .charts import Chart, INTERMEDIATE_CUSP, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
     MetricField,
@@ -92,7 +92,7 @@ class BoundaryData:
     y_support: tuple[float, float]
 
     def __post_init__(self):
-        if self.chart.kind != COLLAR:
+        if self.chart.kind == INTERMEDIATE_CUSP:
             raise ValueError("boundary data lives on a collar chart")
 
     @property
@@ -607,6 +607,13 @@ def stage_cap(n: int, stages: Optional[int] = None) -> int:
     """The last stage `S_map` builds in dimension n: `stages`, at most
     n - 1, one order before the first characteristic exponent."""
     return n - 1 if stages is None else min(stages, n - 1)
+
+
+def stage_slope(j: int) -> float:
+    """The residual vanishing order stage j of the ladder must reach: j, less
+    the slack of the differencing; 0.9 at stage 1, 1.85 at stage 2 and
+    j - 0.3 from stage 3 on."""
+    return {1: 0.9, 2: 1.85}.get(j, j - 0.3)
 
 
 def S_map(

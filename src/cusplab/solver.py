@@ -44,20 +44,9 @@ import scipy
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from .charts import (
-    Chart,
-    INTERMEDIATE_CUSP,
-    COLLAR,
-    NonConvergence,
-    smooth_bump,
-)
+from .charts import Chart, INTERMEDIATE_CUSP, NonConvergence, smooth_bump
 from .tensorcalc import _nabla
-from .weights import (
-    WeightVector,
-    cusp_margin,
-    h0_margin,
-    maximal_margin,
-)
+from .weights import WeightVector, cusp_margin, h0_margin
 
 
 class IndefiniteOperator(NonConvergence):
@@ -163,19 +152,18 @@ class Grid2D:
     """Structured grid over the two active coordinates of a truncated chart.
 
     axes holds the node coordinates per active axis, the chart's leading
-    coordinates in order (the maximal-rank cusp uses a single axis).  Every
-    node lies in the chart's coordinate ranges and satisfies sigma >= eps;
-    all outer sides carry Dirichlet data.
+    coordinates in order, named by chart.coordinate_names (the maximal-rank
+    cusp uses a single axis).  Every node lies in the chart's coordinate
+    ranges and satisfies sigma >= eps; all outer sides carry Dirichlet data.
     """
 
     chart: Chart
-    axis_names: tuple[str, ...]
     axes: tuple[np.ndarray, ...]
     eps: float
 
     def __post_init__(self):
         ranges = self.chart.coordinate_ranges()
-        for name, ax, (lo, hi) in zip(self.axis_names, self.axes, ranges):
+        for name, ax, (lo, hi) in zip(self.chart.coordinate_names, self.axes, ranges):
             if len(ax) < 8:
                 raise ValueError("grids need at least 8 nodes per axis")
             # spacings of a uniform axis differ by the rounding of its node
@@ -262,7 +250,7 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
         a_th = w_th * c * c
         return (w_r, w_th), [(w_r * r * r, a_th), (w_r, a_th)]
     if chart.metric_stepped != 1:
-        family = ("" if chart.f is None else f"rank-{chart.f} ") + chart.h_u_name
+        family = ("" if chart.f is None else f"rank-{chart.f} ") + chart.kind
         raise ValueError(f"no reduced operator on the {family} collar: its metric "
                          f"depends on {chart.metric_stepped} coordinates, not rho alone")
     pts = np.zeros((len(axes[0]), chart.n))
@@ -274,11 +262,13 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
 
 
 def _require_euclidean_collar(chart: Chart) -> None:
-    """The closed-form collar Christoffels and norms in this module hold for
-    the Euclidean collar family only."""
-    if chart.h_u_name != "euclidean":
+    """The one guard of the closed-form collar Christoffels and tensor norms
+    in this module (koiso_quadrature, _covariant_derivative and tensor-mode
+    weighted_sup_norm): they hold for the Euclidean collar family only, so
+    every other chart kind is refused."""
+    if chart.kind != "euclidean":
         raise ValueError(f"this collar formula assumes the Euclidean family, "
-                         f"the chart has {chart.h_u_name!r}")
+                         f"the chart is {chart.kind!r}")
 
 
 def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
@@ -293,14 +283,13 @@ def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
         raise ValueError(f"eps = {eps} leaves no room in the chart")
     return Grid2D(
         chart,
-        ("r", "theta0"),
         (np.linspace(r_lo, chart.edge, nodes), np.linspace(0.2, th_hi, nodes)),
         eps,
     )
 
 
 def collar_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
-    if chart.kind != COLLAR:
+    if chart.kind == INTERMEDIATE_CUSP:
         raise ValueError("collar_grid needs a collar chart")
     return compact_patch_grid(chart, nodes, (eps, chart.edge), (-1.0, 1.0))
 
@@ -314,7 +303,6 @@ def compact_patch_grid(
     """Compact patch well inside a collar chart, for quadrature tests."""
     return Grid2D(
         chart,
-        ("rho", "y"),
         (np.linspace(*rho_range, nodes), np.linspace(*y_range, nodes)),
         rho_range[0],
     )
@@ -323,7 +311,7 @@ def compact_patch_grid(
 def maximal_grid(chart: Chart, eps: float, nodes: int = 64) -> Grid2D:
     if chart.f != chart.n - 1:
         raise ValueError("maximal_grid needs a maximal-rank cusp chart")
-    return Grid2D(chart, ("r",), (np.linspace(eps, chart.edge, nodes),), eps)
+    return Grid2D(chart, (np.linspace(eps, chart.edge, nodes),), eps)
 
 
 @dataclass
@@ -655,8 +643,6 @@ def weighted_sup_norm(u: DiscreteField, w: WeightVector) -> float:
 
 def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
     grid = u.grid
-    if grid.chart.kind != COLLAR:
-        raise NotImplementedError("tensor-mode norms are used on collar patches")
     _require_euclidean_collar(grid.chart)
     rho = grid.meshes()[0]
     return rho ** 2 * np.sqrt(np.einsum("xyij,xyij->xy", u.values, u.values))
@@ -665,15 +651,23 @@ def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
 # -- exhaustion sweep ---------------------------------------------------------
 
 
+def box_bump(coords, center, width, scale=1.0) -> np.ndarray:
+    """scale times a product of smooth bumps over a coordinate box, one per
+    axis, multiplied in axis order: scale at center, supported where each
+    |coords[d] - center[d]| < width[d] / 2."""
+    return functools.reduce(np.multiply, [
+        smooth_bump((2 * x - 2 * c) / h) for x, c, h in zip(coords, center, width)],
+        scale)
+
+
 def default_bump_recipe(w: WeightVector):
     """sigma^mu times a smooth bump supported in the coordinate box
     r in [0.55, 0.85], theta0 in [0.45, 1]."""
     (r0, r1), (t0, t1) = (0.55, 0.85), (0.45, 1.0)
+    center, width = ((r0 + r1) / 2, (t0 + t1) / 2), (r1 - r0, t1 - t0)
 
     def recipe(r, th):
-        br = smooth_bump((2 * r - (r0 + r1)) / (r1 - r0))
-        bt = smooth_bump((2 * th - (t0 + t1)) / (t1 - t0))
-        return np.cos(th) ** w.mu0 * r ** w.mus[0] * br * bt
+        return box_bump((r, th), center, width, np.cos(th) ** w.mu0 * r ** w.mus[0])
 
     return recipe
 
@@ -770,10 +764,9 @@ def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrinciple
     spc = max(grid.spacing)
     if grid.chart.kind == INTERMEDIATE_CUSP:
         delta = cusp_margin(K, w.mus[0], w.mu0, grid.chart.f, w.n).delta
-    elif grid.chart.f is not None:
-        delta = maximal_margin(K, w.mus[0], w.n).delta
-    else:
-        delta = h0_margin(K, w.mu0, w.n).delta
+    else:  # a collar: the maximal cusp's r^mu is the face's rho^nu at nu = -mu
+        nu = w.mu0 if grid.chart.f is None else -w.mus[0]
+        delta = h0_margin(K, nu, w.n).delta
     tol = 50.0 * spc * spc
     min_ratio = float(ratio.min())
     return MaxPrincipleReport(
@@ -857,8 +850,7 @@ def koiso_quadrature(grid: Grid2D, u: DiscreteField, K: float = -2.0) -> KoisoRe
     (n, n)), compactly supported away from the patch boundary so that no
     boundary terms arise.
     """
-    if grid.chart.kind != COLLAR:
-        raise ValueError("the quadrature patch must be a collar chart")
+    _require_euclidean_collar(grid.chart)
     n = grid.chart.n
     vals = u.values
     if vals.shape != grid.shape + (n, n):
@@ -919,15 +911,9 @@ def random_bump_tensor(
     patch metric.
     """
     n = grid.chart.n
-    rho, y = grid.meshes()
+    meshes = grid.meshes()
     lo = [ax[0] + 0.2 * (ax[-1] - ax[0]) for ax in grid.axes]
     hi = [ax[-1] - 0.2 * (ax[-1] - ax[0]) for ax in grid.axes]
-
-    def bump(center, width):
-        tr = (2 * rho - 2 * center[0]) / width[0]
-        ty = (2 * y - 2 * center[1]) / width[1]
-        return smooth_bump(tr) * smooth_bump(ty)
-
     vals = np.zeros(grid.shape + (n, n))
     for _ in range(2):
         center = [rng.uniform(l + 0.3 * (h - l), h - 0.3 * (h - l))
@@ -938,7 +924,7 @@ def random_bump_tensor(
         A = 0.5 * (A + A.T)
         if trace_free:
             A -= np.trace(A) / n * np.eye(n)
-        vals += bump(center, width)[..., None, None] * A
+        vals += box_bump(meshes, center, width)[..., None, None] * A
     return DiscreteField(grid, vals)
 
 

@@ -2,7 +2,9 @@
 closed forms, admissible weight windows and indicial roots.
 
 All formulas here are exact closed forms; the finite-difference Laplacian
-cross-checks them in the test suite.
+cross-checks them in the test suite.  Each barrier quadratic has one copy:
+the maximal cusp's r^mu is the face's rho^nu at nu = -mu, so
+`barrier_maximal` is `barrier_H0` there, bit for bit.
 """
 
 from __future__ import annotations
@@ -105,15 +107,16 @@ def barrier_cusp(K: float, mu: float, nu: float, f: int, n: int) -> tuple[float,
     return c_cos, barrier_H0(K, nu, n)
 
 
-def barrier_maximal(K: float, mu: float, n: int) -> float:
-    """(Delta + K) r^mu = (K - mu(mu + n - 1)) r^mu on a maximal-rank cusp."""
-    return K - mu * (mu + (n - 1))
-
-
 def barrier_H0(K: float, nu: float, n: int) -> float:
     """(Delta + K) rho^nu = (K - nu(nu - (n - 1))) rho^nu near the
     infinite-volume boundary face."""
     return K - nu * (nu - (n - 1))
+
+
+def barrier_maximal(K: float, mu: float, n: int) -> float:
+    """(Delta + K) r^mu = (K - mu(mu + n - 1)) r^mu on a maximal-rank cusp:
+    the face's barrier at nu = -mu, bit for bit (negation is exact)."""
+    return barrier_H0(K, -mu, n)
 
 
 def cusp_margin(K: float, mu: float, nu: float, f: int, n: int) -> EstimateMargin:
@@ -131,14 +134,6 @@ def h0_margin(K: float, nu: float, n: int) -> EstimateMargin:
         delta=barrier_H0(K, nu, n),
         end_kind="collar",
         parameters={"K": K, "nu": nu, "n": n},
-    )
-
-
-def maximal_margin(K: float, mu: float, n: int) -> EstimateMargin:
-    return EstimateMargin(
-        delta=barrier_maximal(K, mu, n),
-        end_kind="maximal_cusp",
-        parameters={"K": K, "mu": mu, "n": n},
     )
 
 

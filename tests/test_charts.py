@@ -115,9 +115,8 @@ def _every_kind(n):
 
 
 def _chart_id(chart):
-    """The intermediate cusp's kind or a collar's family, n and f."""
-    label = chart.h_u_name if chart.kind == "collar" else chart.kind
-    return f"{label}-{chart.n}-{chart.f}"
+    """The chart's kind, n and f."""
+    return f"{chart.kind}-{chart.n}-{chart.f}"
 
 
 class TestMetricStepped:
@@ -236,6 +235,32 @@ class TestRescaling:
         with pytest.raises(ChartDomainError):
             rescaled_metric_at(case, [-0.1, 0.0, 0.0, 0.0])
 
+    def test_collar_case_takes_no_rank(self):
+        with pytest.raises(RescalingCaseError, match="collar rescaling takes no rank"):
+            RescalingCase("collar", 4, 0.1, f=2)
+
+    @pytest.mark.parametrize("case, f, v0, want", [
+        ("collar", None, [0.01], r"v0 must have 3 components, got shape \(1,\)"),
+        ("collar", None, np.zeros((1, 3)), r"3 components, got shape \(1, 3\)"),
+        ("cusp_near_axis", 1, [0.0], "v0 must have 2 components"),
+    ], ids=["collar-one-component", "collar-2d", "cusp-one-component"])
+    def test_v0_length_is_checked(self, case, f, v0, want):
+        with pytest.raises(RescalingCaseError, match=want):
+            RescalingCase(case, 4, 0.1, v0=v0, f=f)
+
+    @pytest.mark.parametrize("case, f, dim", [
+        ("collar", None, 3), ("cusp_near_axis", 1, 2), ("cusp_near_axis", 2, 1),
+    ])
+    def test_omitted_v0_is_the_origin(self, case, f, dim):
+        omitted = RescalingCase(case, 4, 0.1, f=f)
+        origin = RescalingCase(case, 4, 0.1, v0=np.zeros(dim), f=f)
+        assert np.array_equal(omitted.v0, np.zeros(dim))
+        lattice = half_ball_lattice(5)
+        q = np.zeros((len(lattice), 4))
+        q[:, [0, 1, 3]] = lattice
+        assert np.array_equal(rescaled_metric_at(omitted, q),
+                              rescaled_metric_at(origin, q))
+
 
 class TestBatchedEqualsSingle:
     """An (N, n) array gives, row by row, exactly the one-point values."""
@@ -289,7 +314,24 @@ class TestCollarFamilies:
 
         chart = Chart.collar(4, h_u="round_sphere")
         assert chart.h_u is H_U_FAMILIES["round_sphere"]
-        assert Chart.collar(4).h_u_name == "euclidean"
+        assert Chart.collar(4).kind == "euclidean"
+
+    def test_one_field_names_the_end(self):
+        assert [c.kind for c in (Chart.intermediate_cusp(4, 1), Chart.collar(4),
+                                 Chart.collar(4, h_u="round_sphere"),
+                                 Chart.upper_half_space(4, 1), Chart.maximal_cusp(4))] \
+            == ["intermediate_cusp", "euclidean", "round_sphere", "cusp", "cusp"]
+        assert Chart("round_sphere", 4) == Chart.collar(4, h_u="round_sphere")
+        with pytest.raises(TypeError):
+            Chart.intermediate_cusp(4, 1, h_u_name="round_sphere")
+        with pytest.raises(ValueError, match="unknown chart kind 'collar'"):
+            Chart("collar", 4)
+        with pytest.raises(ValueError, match="unknown collar family 'intermediate_cusp'"):
+            Chart.collar(4, h_u="intermediate_cusp", f=1)
+
+    def test_the_intermediate_cusp_has_no_family(self):
+        with pytest.raises(ValueError, match="intermediate cusp is not a collar"):
+            Chart.intermediate_cusp(4, 1).h_u
 
     def test_unknown_family_is_a_value_error(self):
         with pytest.raises(ValueError, match="unknown collar family 'hyperbolic'"):

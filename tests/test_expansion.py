@@ -22,6 +22,7 @@ from cusplab.expansion import (
     indicial_blocks,
     recompose_types,
     seeded_boundary_data,
+    stage_slope,
     vanishing_order,
 )
 from cusplab.tensorcalc import L_at, SymTensorField, chart_metric
@@ -296,6 +297,57 @@ class TestIndicialStructure:
         assert np.allclose(back, R, rtol=1e-10, atol=1e-10)
 
 
+def _cusp_coframe_field(chart, s, T):
+    """u^s T on the maximal cusp, T constant in the coframe (du/u, u dz):
+    its components are u^s a_i a_j T_ij with a = (1/u, u, ..., u)."""
+    n = chart.n
+
+    @batched
+    def ev(q):
+        u = q[..., 0, None]
+        a = np.concatenate([1.0 / u, np.repeat(u, n - 1, axis=-1)], axis=-1)
+        return (u[..., 0] ** s)[..., None, None] * (
+            a[..., :, None] * a[..., None, :] * T)
+
+    return SymTensorField(chart, ev, f"u^{s} T", 1)
+
+
+def _cusp_coframe_block(n, block):
+    """A frame tensor T of one indicial block at the maximal cusp."""
+    T = np.zeros((n, n))
+    if block == "normal-normal":
+        T[0, 0] = 1.0
+    elif block == "tangential-trace":
+        T[1:, 1:] = np.eye(n - 1)
+    elif block == "normal-tangential":
+        T[0, 1] = T[1, 0] = 1.0
+    else:
+        T[1, 1], T[2, 2] = 1.0, -1.0
+    return T
+
+
+class TestMaximalCuspBlocks:
+    """The maximal cusp is homogeneous in u, so L maps u^s T, T constant in
+    the coframe (du/u, u dz), to itself times a block scalar: exactly the
+    face's indicial block at -s (Mazzeo & Melrose 1987)."""
+
+    SCALAR = {"normal-normal": "m2", "tangential-trace": "m2",
+              "normal-tangential": "mv", "trace-free": "mt"}
+
+    @pytest.mark.parametrize("block", list(SCALAR))
+    @pytest.mark.parametrize("s", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_blocks_are_the_face_blocks_at_minus_s(self, n, s, block):
+        chart = Chart.maximal_cusp(n)
+        field = _cusp_coframe_field(chart, s, _cusp_coframe_block(n, block))
+        points = np.array([[u] + [0.3 - 0.1 * k for k in range(n - 1)]
+                           for u in (0.2, 0.5, 0.8)])
+        scalar = getattr(indicial_blocks(-s, n), self.SCALAR[block])
+        got = L_at(chart_metric(chart), field, points, 1e-4)
+        values = field(points)
+        assert np.abs(got - scalar * values).max() <= 1e-5 * np.abs(values).max()
+
+
 class TestSplineCoefficient:
     """The natural cubic spline of the correction coefficients equals
     scipy's CubicSpline, the reference it replaced, bit for bit."""
@@ -376,6 +428,11 @@ class TestCorrectionLadder:
 
     def test_stage_cap(self, bdata):
         assert len(S_map(bdata, stages=10)) == 3  # n - 1 caps the ladder
+
+    def test_stage_slopes(self):
+        # one rule, and the thresholds of stages 1-4 keep their values exactly
+        assert [stage_slope(j) for j in (1, 2, 3, 4)] == [0.9, 1.85, 2.7, 3.7]
+        assert [stage_slope(j) for j in (5, 6)] == [5 - 0.3, 6 - 0.3]
 
     def test_conformal_infinity_fidelity(self, bdata, ladder):
         y = mid_point(bdata)[1:]

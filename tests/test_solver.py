@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cusplab.charts import Chart
+from cusplab.charts import Chart, smooth_bump
 from cusplab.solver import (
     DiscreteField,
     IndefiniteOperator,
@@ -72,7 +72,7 @@ class TestGrids:
         axes = [ax.copy() for ax in cusp_grid(CUSP, 0.1, nodes=64).axes]
         axes[axis][20] += 1e-9 * (axes[axis][1] - axes[axis][0])
         with pytest.raises(ValueError, match="spacing must be uniform"):
-            Grid2D(CUSP, ("r", "theta0"), tuple(axes), 0.1)
+            Grid2D(CUSP, tuple(axes), 0.1)
 
     @pytest.mark.parametrize("chart, axes", [
         (CUSP, (np.linspace(0.3, 0.9, 12), np.linspace(0.2, 1.3, 12))),
@@ -81,9 +81,8 @@ class TestGrids:
     def test_grid_below_eps_rejected(self, chart, axes):
         from cusplab.solver import Grid2D
 
-        names = ("r", "theta0") if chart is CUSP else ("rho", "y")
         with pytest.raises(ValueError, match="leaves the exhaustion domain"):
-            Grid2D(chart, names, axes, 0.1)
+            Grid2D(chart, axes, 0.1)
 
 
 def _dense_form(op):
@@ -1038,11 +1037,11 @@ class TestGridsLieInTheirChart:
 
         axes = (np.linspace(0.5, 2.0, 12), np.linspace(0.2, 1.0, 12))
         with pytest.raises(ValueError, match=r"axis r has a node at 1\.0\d*, outside"):
-            Grid2D(CUSP, ("r", "theta0"), axes, 0.1)
+            Grid2D(CUSP, axes, 0.1)
 
     def test_round_collar_polar_angle_below_the_pole(self):
         chart = Chart.collar(4, h_u="round_sphere")
-        with pytest.raises(ValueError, match=r"axis y has a node at -1\.0, outside"):
+        with pytest.raises(ValueError, match=r"axis y1 has a node at -1\.0, outside"):
             collar_grid(chart, 0.1)
 
 
@@ -1067,3 +1066,22 @@ class TestEuclideanCollarOnly:
         w = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
         with pytest.raises(ValueError, match="Euclidean family"):
             weighted_sup_norm(u, w)
+
+    def test_one_guard_refuses_the_cusp(self):
+        grid = cusp_grid(CUSP, 0.1, nodes=17)
+        u = DiscreteField(grid, np.zeros(grid.shape + (4, 4)))
+        with pytest.raises(ValueError, match="Euclidean family, the chart is "
+                                             "'intermediate_cusp'"):
+            weighted_sup_norm(u, W41)
+        with pytest.raises(ValueError, match="Euclidean family"):
+            koiso_quadrature(grid, u)
+
+
+class TestBoxBump:
+    def test_default_recipe_keeps_its_bits(self):
+        # the box's centre (r0 + r1) / 2 doubles back to r0 + r1 exactly
+        r, th = cusp_grid(CUSP, 0.05, nodes=64).meshes()
+        want = (np.cos(th) ** W41.mu0 * r ** W41.mus[0]
+                * smooth_bump((2 * r - (0.55 + 0.85)) / (0.85 - 0.55))
+                * smooth_bump((2 * th - (0.45 + 1.0)) / (1.0 - 0.45)))
+        assert np.array_equal(default_bump_recipe(W41)(r, th), want)

@@ -934,9 +934,8 @@ def _every_kind(n):
 
 
 def _chart_id(chart):
-    """The intermediate cusp's kind or a collar's family, n and f."""
-    label = chart.h_u_name if chart.kind == "collar" else chart.kind
-    return f"{label}-{chart.n}-{chart.f}"
+    """The chart's kind, n and f."""
+    return f"{chart.kind}-{chart.n}-{chart.f}"
 
 
 class TestStepped:

@@ -148,6 +148,19 @@ def test_maximal_barrier_monotone_obstruction(mu, dmu, n):
     assert barrier_maximal(-2.0, mu + dmu, n) < barrier_maximal(-2.0, mu, n)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=-20.0, max_value=20.0),
+    st.integers(min_value=2, max_value=12),
+)
+def test_maximal_barrier_is_the_face_barrier_at_minus_mu(K, mu, n):
+    # negation is exact, so the face's quadratic at -mu is the cusp's
+    # K - mu(mu + n - 1) bit for bit
+    assert barrier_maximal(K, mu, n) == K - mu * (mu + (n - 1))
+    assert barrier_maximal(K, mu, n) == barrier_H0(K, -mu, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=4, max_value=9),
