@@ -2,7 +2,7 @@
 the boundary metric, extend and rescale, then cancel residual coefficients
 with indicial solves until the characteristic exponent stops the ladder.
 
-Run with: python demos/boundary_expansion.py   (about half a minute)
+Run with: python demos/boundary_expansion.py   (under a second)
 """
 
 import numpy as np
@@ -37,11 +37,7 @@ print("building the expansion ladder (two indicial solves)...")
 stages = S_map(bd, stages=3)
 rhos = [2.0 ** (-k) for k in range(3, 9)]
 center = 0.5 * (bd.y_support[0] + bd.y_support[1])
-ys = []
-for dy in (-0.15, 0.0, 0.12):
-    y = bd._reference_y()
-    y[0] = center + dy
-    ys.append(y)
+ys = bd._line(center + np.array([-0.15, 0.0, 0.12]))
 
 print("residual decay |Q(g_j, g_1)|_h ~ rho^slope:")
 for g in stages:

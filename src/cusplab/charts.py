@@ -51,6 +51,12 @@ class RescalingCaseError(ValueError):
     """Rescaling-case invariants violated (base point vs eps mismatch)."""
 
 
+def point_text(q: np.ndarray) -> str:
+    """One point as numpy prints it, on one line however many coordinates it
+    has, for an error message."""
+    return np.array2string(q, max_line_width=np.inf)
+
+
 def batched(fn):
     """Mark fn as array-native: it takes one point (n,) or an (N, n) array of
     points and returns the values, stacked on a leading axis for an array."""
@@ -313,7 +319,7 @@ class Chart:
                 reason = f"degenerate point: {name} = {x} <= 0"
             else:
                 reason = f"{name} = {x} outside allowed range [{lo}, {hi}]"
-            raise ChartDomainError(f"{reason} at point {q}")
+            raise ChartDomainError(f"{reason} at point {point_text(q)}")
         return p
 
     def contains(self, p) -> bool:

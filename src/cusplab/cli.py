@@ -75,6 +75,7 @@ def _boolean(text: str) -> bool:
 
 
 _finite = _checked(float, math.isfinite, "must be finite")
+_step = _checked(_finite, lambda v: v > 0, "must be positive")
 _positives = _checked(lambda text: tuple(float(x) for x in text.split(",")),
                       lambda v: all(math.isfinite(x) and x > 0 for x in v),
                       "must be finite and positive")
@@ -98,7 +99,8 @@ class Option:
     key; ``parse`` turns flag and file text alike into the value or raises
     ValueError; ``commands`` are the subcommands that read it. A name has
     one entry per meaning (``eps`` is an exhaustion level for solve and
-    sweep, a rescaling scale for schauder)."""
+    sweep, a rescaling scale for schauder; ``step`` is curvature's Ricci
+    stencil step and expand's gauge-check step)."""
 
     name: str
     flag: str
@@ -132,8 +134,11 @@ OPTIONS = (
                     "an identity order needs at least two strictly increasing "
                     "node counts"),
            (17, 33, 65), ("koiso",), "comma-separated node counts"),
-    Option("step", "--step", _checked(_finite, lambda v: v > 0, "must be positive"),
-           1e-3, ("curvature", "expand")),
+    Option("step", "--step", _step, 1e-3, ("curvature",),
+           "Ricci stencil step; the Richardson order halves it"),
+    Option("step", "--step", _step, 1e-3, ("expand",),
+           "step of the gauge-term check, whose bound is 10 step^2; "
+           "extraction and slope fits use expansion.EXTRACTION_STEP"),
     Option("seed", "--seed", _checked(int, lambda v: v >= 0, "must be non-negative"),
            0, ("curvature", "koiso", "expand")),
     Option("stages", "--stages", _checked(int, lambda v: v >= 1, "must be >= 1"),
@@ -463,12 +468,7 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
     stages = expansion.S_map(bd, stages=cfg.stages)
     rhos = [2.0 ** (-k) for k in range(3, 9)]
     center = 0.5 * (bd.y_support[0] + bd.y_support[1])
-    y0 = bd._reference_y()
-    ys = []
-    for dy in (-0.15, 0.0, 0.12):
-        y = y0.copy()
-        y[0] = center + dy
-        ys.append(y)
+    ys = bd._line(center + np.array([-0.15, 0.0, 0.12]))
     # each correction stage: its exponent, the closed-form block scalars it
     # divided by, and its largest |coefficient| on the tangential grid
     rep.extra["stages"] = []
@@ -480,7 +480,7 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
             "mt": blocks.mt, "max_coefficient": float(np.abs(coeff.values).max()),
         })
     # the coordinates the ladder's stencil steps along, and its size
-    stepped, points = tensorcalc.stencil_of(stages[-1].field)
+    stepped, points = tensorcalc.stencil_of(stages[-1])
     rep.extra["stencil"] = {
         "coordinates": list(chart.coordinate_names[:stepped]),
         "points": points}

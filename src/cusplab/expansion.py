@@ -13,9 +13,10 @@ The construction runs along one line through the reference point: each
 correction coefficient is extracted at 41 values of t = y_1 and stored as a
 spline in t.  So `qhat`, the cutoff `psi_y` and every coefficient are
 functions of t alone: each takes an array of t and returns its values
-stacked on the array's shape.  `ExpansionMetric.field` is an array-native
-field that evaluates them once per distinct t of a point array, and its
-stencils step along no coordinate after the chart metric's, rho's and y_1's.
+stacked on the array's shape.  Each stage g_j, an `ExpansionMetric`, is an
+array-native field that evaluates them once per distinct t of a point array,
+and its stencils step along no coordinate after the chart metric's, rho's
+and y_1's.
 Each correction iteration samples its 41 y x 6 rho extraction grid, and
 each vanishing-order fit its rho x y grid, in a few `Q_at` calls on whole
 point arrays; the background Q(h, h) is computed once per point set and
@@ -23,15 +24,14 @@ cached.  Q(h, h), and Q(g_1, g_1) in stage 1's extraction and its
 vanishing-order fit, have both slots on one field, so
 `Q_at` forms them as Rc + (n-1) g with no gauge term (it vanishes there);
 `gauge_term_norm` computes that term in full, as a check.  In Q(g_j, g_1)
-the two slots share one ladder: g_1's terms begin g_j's, and the field adds
-its terms in order, so g_1's values are g_j's partial sum after g_1's terms,
-bit for bit, and the longer ladder is evaluated once per stencil for both
-slots (`_Ladder`).
+the two slots share one evaluation: g_1's terms begin g_j's, and a stage
+adds its terms in order, so g_1's values are g_j's partial sum after g_1's
+terms, bit for bit, and g_j is evaluated once per stencil for both slots
+(`ExpansionMetric.joint`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -41,7 +41,6 @@ import numpy as np
 from .charts import Chart, INTERMEDIATE_CUSP, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
-    MetricField,
     Q_at,
     Q_gauge_at,
     chart_metric,
@@ -185,21 +184,51 @@ def _embed_tangential(n: int, q_tan: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Ladder:
-    """The values of an expansion metric: the background metric with its
-    terms added in order.  An array-native field eval.
+@dataclass(frozen=True)
+class ExpansionMetric:
+    """Conformally rescaled extension plus power-law correction terms: the
+    background metric with its terms added in order, an array-native metric
+    field (`chart`, `label`, `stepped`, called on (N, n) arrays).
 
-    A ladder whose terms begin with another ladder's terms (the same
-    callables, on the same boundary data) passes through that ladder's
-    values on the way: after the shared terms, its running sum is the other
-    ladder's value bit for bit.  `joint` evaluates both in that one pass.
+    terms hold (component exponent, coefficient) pairs with strictly
+    increasing exponents starting at -2; a coefficient maps an array of
+    t = y_1 values to the n x n component matrices there, shape
+    t.shape + (n, n).  The stage-1 term is the cutoff boundary perturbation
+    itself, later coefficients come out of the indicial solves.  Radial
+    cutoff factors keep every term supported in the collar.
+
+    The values depend on the chart metric's leading coordinates, rho (the
+    cutoffs and powers) and y_1 (psi_y and the coefficients) alone, so the
+    field declares the wider of the chart metric's count and 2, and its
+    stencils step along no later coordinate.  A stage whose terms begin with
+    another stage's terms (the same callables, on the same boundary data)
+    passes through that stage's values on the way: after the shared terms,
+    its running sum is the other stage's value bit for bit.  `joint`
+    evaluates both in that one pass.
     """
 
-    batched = True
+    bd: BoundaryData
+    terms: tuple[tuple[int, Callable[[np.ndarray], np.ndarray]], ...]
+    order: int
 
-    def __init__(self, bd: BoundaryData, terms):
-        self.bd = bd
-        self.terms = terms
+    batched = True  # a class attribute: calling a stage takes arrays
+
+    def __post_init__(self):
+        exps = [t for t, _ in self.terms]
+        if exps and (exps[0] != -2 or any(b <= a for a, b in zip(exps, exps[1:]))):
+            raise ValueError("term exponents must increase strictly from -2")
+
+    @property
+    def chart(self) -> Chart:
+        return self.bd.chart
+
+    @property
+    def label(self) -> str:
+        return f"g_{self.order}"
+
+    @property
+    def stepped(self) -> int:
+        return max(self.chart.metric_stepped, 2)
 
     def __call__(self, p) -> np.ndarray:
         return self._sums(np.asarray(p, dtype=float), len(self.terms))[1]
@@ -233,9 +262,9 @@ class _Ladder:
 
     def joint(self, other):
         """p -> (self's values, other's values) from one pass of the longer
-        ladder, if other is a ladder on the same boundary data and one
-        ladder's terms are a prefix of the other's; otherwise None."""
-        if not isinstance(other, _Ladder) or other.bd is not self.bd:
+        stage, if other is a stage on the same boundary data and one stage's
+        terms are a prefix of the other's; otherwise None."""
+        if getattr(other, "bd", None) is not self.bd:
             return None
         short, full = sorted((self, other), key=lambda ladder: len(ladder.terms))
         if any(a[0] != b[0] or a[1] is not b[1]
@@ -248,47 +277,6 @@ class _Ladder:
             return (out, prefix) if full is self else (prefix, out)
 
         return both
-
-
-@dataclass(frozen=True)
-class ExpansionMetric:
-    """Conformally rescaled extension plus power-law correction terms.
-
-    terms hold (component exponent, coefficient) pairs with strictly
-    increasing exponents starting at -2; a coefficient maps an array of
-    t = y_1 values to the n x n component matrices there, shape
-    t.shape + (n, n).  The stage-1 term is the cutoff boundary perturbation
-    itself, later coefficients come out of the indicial solves.  Radial
-    cutoff factors keep every term supported in the collar.
-    """
-
-    bd: BoundaryData
-    terms: tuple[tuple[int, Callable[[np.ndarray], np.ndarray]], ...]
-    order: int
-
-    def __post_init__(self):
-        exps = [t for t, _ in self.terms]
-        if exps and (exps[0] != -2 or any(b <= a for a, b in zip(exps, exps[1:]))):
-            raise ValueError("term exponents must increase strictly from -2")
-
-    @property
-    def chart(self) -> Chart:
-        return self.bd.chart
-
-    @functools.cached_property
-    def field(self) -> MetricField:
-        """The metric as one array-native field object, built once, so both
-        slots of Q_at(g.field, g.field, p) share a jet.  The fields of two
-        stages of one ladder share their evaluations: in Q_at(g_j.field,
-        g_1.field, p), g_1's values are g_j's partial sums.
-
-        The values depend on the chart metric's leading coordinates, rho
-        (the cutoffs and powers) and y_1 (psi_y and the coefficients) alone,
-        so the field declares the wider of the chart metric's count and 2,
-        and its stencils step along no later coordinate."""
-        chart = self.bd.chart
-        return MetricField(chart, _Ladder(self.bd, self.terms), f"g_{self.order}",
-                           max(chart.metric_stepped, 2))
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:
@@ -434,9 +422,8 @@ class _BackgroundCache:
         return self.values[key]
 
 
-def _residuals(gl: MetricField, gr: MetricField, points: np.ndarray,
-               cache: _BackgroundCache) -> np.ndarray:
-    """Q(gl, gr) - Q(h, h) at the rows of points."""
+def _residuals(gl, gr, points: np.ndarray, cache: _BackgroundCache) -> np.ndarray:
+    """Q(gl, gr) - Q(h, h) at the rows of points, for two fields."""
     return Q_at(gl, gr, points, EXTRACTION_STEP) - cache.q_hh(points)
 
 
@@ -459,8 +446,7 @@ def extract_residual_coefficient(
     """
     cache = cache or _BackgroundCache(g_j.chart)
     points = _grid_points(DEFAULT_EXTRACTION_RHOS, np.asarray(ys, dtype=float))
-    vals = _residuals(g_j.field, g_1.field,
-                      points.reshape(-1, points.shape[-1]), cache)
+    vals = _residuals(g_j, g_1, points.reshape(-1, points.shape[-1]), cache)
     return _fit_leading_coefficient(
         DEFAULT_EXTRACTION_RHOS, vals.reshape(points.shape[:2] + vals.shape[1:]), t)
 
@@ -642,13 +628,14 @@ class VanishingOrderFit:
 
 
 def vanishing_order(
-    gL: MetricField | ExpansionMetric,
-    gR: MetricField | ExpansionMetric,
+    gL,
+    gR,
     rho_samples: Sequence[float],
     y_samples: Sequence[np.ndarray],
     cache: Optional[_BackgroundCache] = None,
 ) -> VanishingOrderFit:
-    """Least-squares slope of log |Q(gL, gR) - Q(h, h)|_h against log rho.
+    """Least-squares slope of log |Q(gL, gR) - Q(h, h)|_h against log rho,
+    for two fields (expansion stages, or any field of `tensorcalc`).
 
     Values at or below the floor 1e-13 are left out of the fit; samples with
     all values below it are reported with an infinite sentinel slope and
@@ -657,13 +644,11 @@ def vanishing_order(
     NaN), and so is the headline.  Fits of several metrics on the same
     samples can share one cache, so Q(h, h) is computed once.
     """
-    fl = gL.field if isinstance(gL, ExpansionMetric) else gL
-    fr = gR.field if isinstance(gR, ExpansionMetric) else gR
-    chart = fl.chart
+    chart = gL.chart
     rho_samples = np.asarray(sorted(rho_samples, reverse=True), dtype=float)
     ys = np.array(y_samples, dtype=float)
     points = _grid_points(rho_samples, ys).reshape(-1, chart.n)
-    q = _residuals(fl, fr, points, cache or _BackgroundCache(chart))
+    q = _residuals(gL, gR, points, cache or _BackgroundCache(chart))
     all_norms = tensor_norm(chart.metric_at(points), q).reshape(len(ys), -1)
 
     per_y = []
@@ -693,13 +678,10 @@ def vanishing_order(
     return VanishingOrderFit(slope=headline, per_y=per_y, sentinel=False)
 
 
-def gauge_term_norm(
-    g: MetricField | ExpansionMetric, points: Sequence[np.ndarray],
-    step: float = DEFAULT_STEP,
-) -> float:
-    """Max |gauge term of Q(g, g)|_h over the sampled points (vanishes in
-    exact arithmetic when both slots agree)."""
-    f = g.field if isinstance(g, ExpansionMetric) else g
+def gauge_term_norm(g, points: Sequence[np.ndarray],
+                    step: float = DEFAULT_STEP) -> float:
+    """Max |gauge term of Q(g, g)|_h over the sampled points of a field
+    (vanishes in exact arithmetic when both slots agree)."""
     points = np.array(points, dtype=float)
-    val = Q_gauge_at(f, f, points, step)
-    return float(tensor_norm(f.chart.metric_at(points), val).max())
+    val = Q_gauge_at(g, g, points, step)
+    return float(tensor_norm(g.chart.metric_at(points), val).max())

@@ -38,14 +38,17 @@ near-equal size, as few as the memory of the stencil arrays allows; each
 pass carries a fixed Python cost, and the values do not depend on how the
 set is split.
 
-Fields: a field maps points to component arrays.  An array-native field
-(`chart_metric`, `ExpansionMetric.field`, anything marked with
-`charts.batched`) takes an (N, n) array of points in one call and returns
-(N, ...).  Any other callable, such as a lambda on one point, is sampled
-one point at a time through `charts.at_points`, the one fallback.  A
-field's eval may also offer `joint(other_eval)`: a callable p -> (its
-values, the other eval's values) from one evaluation, or None when it has
-none for that eval.
+Fields: a field maps points to component arrays.  It has a `chart`, a
+`label` for messages and a `stepped` count (None: all n), and calling it on
+an (N, n) array of points returns (N, ...) in one call (it is marked
+`batched`).  It may also offer `joint(other)`: a callable p -> (its values,
+the other field's values) from one evaluation, or None when it has none for
+that field.  An expansion stage (`expansion.ExpansionMetric`) is such a
+field itself.  `MetricField` is the adapter for a bare callable
+(`chart_metric` wraps the chart's own metric_at): an array-native callable,
+marked with `charts.batched`, gets the whole array, and any other, such as
+a lambda on one point, is sampled one point at a time through
+`charts.at_points`, the one fallback.
 
 A jet is a tuple (value, d, dd) with d[..., a, :] = d_a value and
 dd[..., a, b, :] = d_a d_b value, where the leading `...` is the batch of
@@ -80,7 +83,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import Chart, ChartDomainError, at_points
+from .charts import Chart, ChartDomainError, at_points, point_text
 
 DEFAULT_STEP = 1e-3
 # Points per pass of an operator.  It bounds the heap of a pass: one
@@ -153,7 +156,7 @@ def coordinate_steps(g: MetricField, p, step: float, g0=None) -> np.ndarray:
     if bad.any():
         q = np.atleast_2d(p)[np.argmax(bad)]
         raise StencilError(
-            f"metric field {g.label!r} has a nonpositive diagonal at {q}"
+            f"metric field {g.label!r} has a nonpositive diagonal at {point_text(q)}"
         )
     h = step / np.sqrt(diag)
     lo, hi = g.chart.coordinate_bounds
@@ -163,7 +166,7 @@ def coordinate_steps(g: MetricField, p, step: float, g0=None) -> np.ndarray:
         q, hq = np.atleast_2d(p)[k], np.atleast_2d(h)[k]
         raise StencilError(
             f"stencil around coordinate {i} (value {q[i]}, step {hq[i]}) "
-            f"of the point {q} leaves the range ({lo[i]}, {hi[i]}); "
+            f"of the point {point_text(q)} leaves the range ({lo[i]}, {hi[i]}); "
             "reduce step or move inward"
         )
     return h
@@ -355,14 +358,12 @@ def _sym(t: np.ndarray) -> np.ndarray:
 
 def _joint(g: MetricField, others):
     """p -> (values of g, values of the one further field) from one
-    evaluation, if g's eval offers one for that field's eval
-    (`eval.joint(other)`, as the partial sums of one expansion ladder do);
-    otherwise None."""
+    evaluation, if g offers one for that field (`g.joint(other)`, as two
+    stages of one expansion ladder do); otherwise None."""
     if len(others) != 1:
         return None
-    joint = getattr(g.eval, "joint", None)
-    other = getattr(others[0], "eval", None)
-    return None if joint is None or other is None else joint(other)
+    joint = getattr(g, "joint", None)
+    return None if joint is None else joint(others[0])
 
 
 def _metric_jets(g: MetricField, p, step: float, *fields):

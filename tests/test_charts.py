@@ -105,6 +105,17 @@ class TestMetricAt:
         with pytest.raises(ChartDomainError):
             cusp41.metric_at([0.5, 0.7, 0.1])
 
+    def test_seven_coordinates_fit_one_message_line(self):
+        # numpy's str wraps this point at 75 characters; the message does not
+        p = np.array([1.5, 0.60481928, 0.85021825, 0.81184318, 2.0625668,
+                      0.66040892, 0.17061724])
+        assert "\n" in str(p)
+        with pytest.raises(ChartDomainError) as info:
+            Chart.intermediate_cusp(7, 1).validate_point(p)
+        assert str(info.value) == (
+            "r = 1.5 outside allowed range [0.0, 1.0] at point [1.5        "
+            "0.60481928 0.85021825 0.81184318 2.0625668  0.66040892 0.17061724]")
+
 
 def _every_kind(n):
     """Every chart at dimension n; the maximal cusp is the cusp family of

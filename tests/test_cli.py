@@ -162,6 +162,11 @@ class TestEveryCommandWritesItsSummary:
         (("expand", "--step", "0.5", "--stages", "1"), EXIT_NUMERICAL,
          "numerical-failure"),
         (("curvature", "--step", "0.5"), EXIT_NUMERICAL, "numerical-failure"),
+        # seven coordinates: the failing point prints wider than numpy wraps
+        (("expand", "--n", "7", "--stages", "6"), EXIT_NUMERICAL,
+         "numerical-failure"),
+        (("curvature", "--n", "7", "--step", "0.5"), EXIT_NUMERICAL,
+         "numerical-failure"),
         (("sweep", "--K", "-8", "--weights", "2.5,0.5", "--eps", "0.2,0.025",
           "--nodes", "40"), EXIT_NUMERICAL, "numerical-failure"),
         (("solve", "--nodes", "4"), EXIT_USAGE, "configuration-error"),

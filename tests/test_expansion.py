@@ -51,7 +51,7 @@ def zero_data(chart=ROUND):
 def extension(bd):
     """The extension E of the perturbed boundary metric: rho^2 times the
     stage-1 metric T_map(bd)."""
-    g1 = T_map(bd).field
+    g1 = T_map(bd)
     return lambda p: p[0] ** 2 * g1(p)
 
 
@@ -115,7 +115,7 @@ class TestConformalRescaling:
     def test_zero_data_gives_background(self):
         g1 = T_map(zero_data())
         p = mid_point(zero_data())
-        assert np.allclose(g1.field(p), ROUND.metric_at(p), atol=1e-14)
+        assert np.allclose(g1(p), ROUND.metric_at(p), atol=1e-14)
 
     def test_boundary_recovery(self, bdata):
         g1 = T_map(bdata)
@@ -126,7 +126,7 @@ class TestConformalRescaling:
         defects = []
         for rho in (1e-2, 1e-3):
             p = np.concatenate(([rho], y))
-            defects.append(np.abs(rho ** 2 * g1.field(p) - target).max())
+            defects.append(np.abs(rho ** 2 * g1(p) - target).max())
         assert defects[0] < 5e-4
         # first-order convergence to the boundary representative
         assert defects[1] < 0.2 * defects[0]
@@ -394,7 +394,7 @@ class TestCorrectionLadder:
         g1 = T_map(bd0)
         g2 = correction_step(g1, g1)
         p = mid_point(bd0)
-        assert np.allclose(g2.field(p), ROUND.metric_at(p), atol=1e-12)
+        assert np.allclose(g2(p), ROUND.metric_at(p), atol=1e-12)
         assert np.abs(g2.terms[1][1](p[1])).max() == 0.0
 
     def test_orders_and_exponents(self, ladder):
@@ -441,7 +441,7 @@ class TestCorrectionLadder:
         target[1:, 1:] = bdata.hhat(y) + bdata.qhat(y[0])
         for g in ladder:
             p = np.concatenate(([1e-3], y))
-            assert np.abs(p[0] ** 2 * g.field(p) - target).max() < 5e-3
+            assert np.abs(p[0] ** 2 * g(p) - target).max() < 5e-3
 
     def test_gauge_term_small_on_diagonal(self, bdata, ladder):
         pts = [mid_point(bdata, rho) for rho in (0.15, 0.35)]
@@ -458,15 +458,14 @@ class TestFieldReuse:
         g1 = T_map(seeded_boundary_data(ROUND, seed=3))
         p = np.concatenate(([0.2], g1.bd._reference_y()))
         metric_points[0] = 0
-        assert g1.field is g1.field
-        assert g1.field.stepped == 3
-        Q_at(g1.field, g1.field, p)
+        assert g1.stepped == 3
+        Q_at(g1, g1, p)
         assert 19 <= metric_points[0] <= 21
         # two stages of one ladder share it: g_1's values are g_2's partial
         # sums
         g2 = correction_step(g1, g1)
         metric_points[0] = 0
-        Q_at(g2.field, g1.field, p)
+        Q_at(g2, g1, p)
         assert 19 <= metric_points[0] <= 21
 
     def test_constant_qhat_ladder_steps_along_rho_y1_y2(self, metric_points):
@@ -476,10 +475,10 @@ class TestFieldReuse:
         from cusplab.tensorcalc import Q_at, stencil_of
 
         g1 = T_map(zero_data())
-        assert g1.field.stepped == 3
-        assert stencil_of(g1.field) == (3, 19)
+        assert g1.stepped == 3
+        assert stencil_of(g1) == (3, 19)
         metric_points[0] = 0
-        Q_at(g1.field, g1.field, mid_point(g1.bd))
+        Q_at(g1, g1, mid_point(g1.bd))
         assert 19 <= metric_points[0] <= 21
 
     def test_each_coefficient_once_per_pass_on_distinct_y1(self, ladder,
@@ -491,7 +490,7 @@ class TestFieldReuse:
 
         g3 = ladder[-1]
         passes = []
-        sums = expansion._Ladder._sums
+        sums = expansion.ExpansionMetric._sums
 
         def recorded(self, p, k):
             if self.terms is terms:
@@ -504,15 +503,15 @@ class TestFieldReuse:
                 return fn(t)
             return call
 
-        monkeypatch.setattr(expansion._Ladder, "_sums", recorded)
+        monkeypatch.setattr(expansion.ExpansionMetric, "_sums", recorded)
         bd = g3.bd
         terms = tuple((t, counted(i, coeff))
                       for i, (t, coeff) in enumerate(g3.terms))
         counting = ExpansionMetric(bd, terms, g3.order)
         p = np.array([mid_point(bd, rho, dy)
                       for rho in (0.1, 0.2) for dy in (-0.1, 0.0, 0.1)])
-        assert np.array_equal(Q_at(counting.field, counting.field, p),
-                              Q_at(g3.field, g3.field, p))
+        assert np.array_equal(Q_at(counting, counting, p),
+                              Q_at(g3, g3, p))
         assert len(passes) == 2  # the points, then the offsets
         for y1, calls in passes:
             assert [i for i, _ in calls] == [0, 1, 2]
@@ -532,13 +531,13 @@ class TestFieldReuse:
 
         g1 = T_map(seeded_boundary_data(ROUND, seed=3))
         calls = []
-        original = expansion._Ladder._sums
+        original = expansion.ExpansionMetric._sums
 
         def recorded(self, p, k):
             calls.append((f"g_{len(self.terms)}", len(np.atleast_2d(p))))
             return original(self, p, k)
 
-        monkeypatch.setattr(expansion._Ladder, "_sums", recorded)
+        monkeypatch.setattr(expansion.ExpansionMetric, "_sums", recorded)
         correction_step(g1, g1)
         passes = math.ceil(39 * 6 / BATCH_CAP)
         base, longer = divmod(39 * 6, passes)
@@ -567,38 +566,61 @@ class TestFieldReuse:
         monkeypatch.setattr(expansion, "Q_at", recorded)
         g2 = correction_step(g1, g1)
         (gl, gr, points, args), = [c for c in seen if c[1] is not c[0]
-                                   and c[1] is g1.field]
-        plain = MetricField(g1.chart, g1.field, g1.field.label)
-        assert gl.eval.joint(gr.eval) is not None
-        assert gl.eval.joint(plain.eval) is None
+                                   and c[1] is g1]
+        plain = MetricField(g1.chart, g1, g1.label)
+        assert gl.joint(gr) is not None
+        assert gl.joint(plain) is None
         assert len(points) == 39 * 6
         shared = Q_at(gl, gr, points, *args)
         assert np.array_equal(shared, Q_at(gl, plain, points, *args))
         # and with the slots swapped, the shorter ladder first
-        assert np.array_equal(Q_at(g1.field, g2.field, points, *args),
-                              Q_at(plain, g2.field, points, *args))
+        assert np.array_equal(Q_at(g1, g2, points, *args),
+                              Q_at(plain, g2, points, *args))
+
+    def test_stage_equals_its_plain_wrapping(self, ladder):
+        # the seed-3 g_3 passed as itself, and wrapped as a plain field that
+        # samples per field rather than through `joint`, gives the same bits
+        # in every diagnostic
+        from cusplab import tensorcalc
+        from cusplab.tensorcalc import MetricField, Q_at
+
+        g1, g3 = ladder[0], ladder[-1]
+        plain = MetricField(g3.chart, g3, g3.label, g3.stepped)
+        assert tensorcalc._joint(g3, (g1,)) is not None
+        assert tensorcalc._joint(plain, (g1,)) is None
+        rhos = [2.0 ** (-k) for k in range(3, 9)]
+        center = 0.5 * (g3.bd.y_support[0] + g3.bd.y_support[1])
+        ys = g3.bd._line(center + np.array([-0.15, 0.0, 0.12]))
+        pts = [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)]
+        fits = [vanishing_order(g, g1, rhos, ys) for g in (g3, plain)]
+        assert fits[0].per_y == fits[1].per_y
+        assert fits[0].slope == fits[1].slope
+        assert gauge_term_norm(g3, pts) == gauge_term_norm(plain, pts)
+        points = _grid_points(rhos, ys).reshape(-1, 4)
+        assert np.array_equal(Q_at(g3, g1, points, 5e-4),
+                              Q_at(plain, g1, points, 5e-4))
 
     def test_only_prefix_ladders_of_one_boundary_datum_share(self):
         bd = seeded_boundary_data(ROUND, seed=3)
         g1 = T_map(bd)
         g2 = correction_step(g1, g1)
         p = np.array([[0.2, *bd._reference_y()], [0.1, *bd._reference_y()]])
-        g2_values = g2.field(p)
-        g1_values = g1.field(p)
+        g2_values = g2(p)
+        g1_values = g1(p)
         for a, b, want in ((g2, g1, (g2_values, g1_values)),
                            (g1, g2, (g1_values, g2_values)),
                            (g1, ExpansionMetric(bd, g1.terms, 1),
                             (g1_values, g1_values))):
-            both = a.field.eval.joint(b.field.eval)
+            both = a.joint(b)
             assert all(np.array_equal(x, y) for x, y in zip(both(p), want))
         # another boundary datum, or the same exponents with other callables
         other = T_map(seeded_boundary_data(ROUND, seed=4))
-        assert g2.field.eval.joint(other.field.eval) is None
-        assert g2.field.eval.joint(T_map(bd).field.eval) is None
+        assert g2.joint(other) is None
+        assert g2.joint(T_map(bd)) is None
         rewired = ExpansionMetric(bd, ((-2, g1.terms[0][1]),
                                        (g2.terms[1][0], lambda y: 0.0)), 2)
-        assert g2.field.eval.joint(rewired.field.eval) is None
-        assert rewired.field.eval.joint(g1.field.eval) is not None
+        assert g2.joint(rewired) is None
+        assert rewired.joint(g1) is not None
 
     def test_background_once_per_point_set_in_expand(self, monkeypatch,
                                                       tmp_path):
@@ -612,7 +634,7 @@ class TestFieldReuse:
         q_at = expansion.Q_at
 
         def recorded(g, t, p, *args):
-            if g is t and g.eval == g.chart.metric_at:
+            if g is t and getattr(g, "eval", None) == g.chart.metric_at:
                 sets.append(np.round(p, 12).tobytes())
             return q_at(g, t, p, *args)
 

@@ -447,8 +447,8 @@ class TestGaugeAdjusted:
 
     def test_Q_of_g_and_g_on_the_ladder(self, extraction_set):
         g1, _, points = extraction_set
-        want = ricci_at(g1.field, points, 5e-4) + 3.0 * g1.field(points)
-        assert np.array_equal(Q_at(g1.field, g1.field, points, 5e-4), want)
+        want = ricci_at(g1, points, 5e-4) + 3.0 * g1(points)
+        assert np.array_equal(Q_at(g1, g1, points, 5e-4), want)
 
     def test_the_gauge_check_still_computes_the_gauge_term(self, monkeypatch,
                                                           extraction_set):
@@ -964,12 +964,12 @@ class TestStepped:
 
     def test_ladder_jet_equals_the_full_stencil(self, extraction_set):
         _, g3, points = extraction_set
-        assert g3.field.stepped == 3
-        assert tensorcalc.stencil_of(g3.field) == (3, 19)
-        full = MetricField(g3.chart, g3.field.eval, "full")
+        assert g3.stepped == 3
+        assert tensorcalc.stencil_of(g3) == (3, 19)
+        full = MetricField(g3.chart, g3, "full")
         assert tensorcalc.stencil_of(full) == (4, 33)
         (want,) = tensorcalc._metric_jets(full, points, 5e-4)
-        (got,) = tensorcalc._metric_jets(g3.field, points, 5e-4)
+        (got,) = tensorcalc._metric_jets(g3, points, 5e-4)
         assert all(map(_same_bits, got, want))
 
     @pytest.mark.parametrize("seed", [1, 3])
@@ -979,7 +979,7 @@ class TestStepped:
         # Rc + (n - 1) g - the gauge term through delta_g(G_g t), to 1e-12
         # of the largest term, in the h-norm
         stages, points = ladders[seed]
-        g, g1 = stages[stage - 1].field, stages[0].field
+        g, g1 = stages[stage - 1], stages[0]
         h0 = g.chart.metric_at(points)
         ric, gauge = ricci_at(g, points, 5e-4), Q_gauge_at(g, g1, points, 5e-4)
         terms = (ric, 3.0 * g(points), gauge)
@@ -1050,11 +1050,11 @@ class TestPointSets:
         # same bits.  Q(g_3, g_1) takes the shared-ladder path
         g1, g3, points = extraction_set
         assert len(points) == 234
-        assert tensorcalc._joint(g3.field, (g1.field,)) is not None
+        assert tensorcalc._joint(g3, (g1,)) is not None
         h = chart_metric(g1.chart)
-        f = {"Q(g_3, g_1)": lambda p: Q_at(g3.field, g1.field, p, 5e-4),
-             "L(h, g_3)": lambda p: L_at(h, g3.field, p),
-             "Rc(g_3)": lambda p: ricci_at(g3.field, p)}[op]
+        f = {"Q(g_3, g_1)": lambda p: Q_at(g3, g1, p, 5e-4),
+             "L(h, g_3)": lambda p: L_at(h, g3, p),
+             "Rc(g_3)": lambda p: ricci_at(g3, p)}[op]
         whole = f(points)
         monkeypatch.setattr(tensorcalc, "BATCH_CAP", len(points))
         pieces = np.concatenate([f(points[i:i + size])
@@ -1063,10 +1063,10 @@ class TestPointSets:
 
     def test_heap_peak_of_the_extraction_set(self, extraction_set):
         g1, g3, points = extraction_set
-        Q_at(g3.field, g1.field, points, 5e-4)  # contraction plans built
+        Q_at(g3, g1, points, 5e-4)  # contraction plans built
         tracemalloc.start()
         try:
-            Q_at(g3.field, g1.field, points, 5e-4)
+            Q_at(g3, g1, points, 5e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1088,9 +1088,9 @@ class TestPointSets:
         ys[:, 0] = np.linspace(lo - 0.02 * (hi - lo), hi + 0.02 * (hi - lo), 41)
         points = _grid_points(DEFAULT_EXTRACTION_RHOS, ys).reshape(-1, 4)
         assert len(points) > BATCH_CAP
-        for op in (lambda p: Q_at(g2.field, g1.field, p, 5e-4),
-                   lambda p: L_at(h, g2.field, p),
-                   lambda p: ricci_at(g1.field, p)):
+        for op in (lambda p: Q_at(g2, g1, p, 5e-4),
+                   lambda p: L_at(h, g2, p),
+                   lambda p: ricci_at(g1, p)):
             batch = op(points)
             single = np.array([op(p) for p in points])
             assert batch.shape == single.shape == (len(points), 4, 4)
@@ -1181,8 +1181,8 @@ class TestSecondOrderOracle:
     @pytest.mark.parametrize("slot", ["g_1", "r"])
     def test_trace_jet_and_gauge_covector(self, extraction_set, slot):
         g1, g3, points = extraction_set
-        t = g1.field if slot == "g_1" else self._symmetric_field(g1.chart)
-        G, T = tensorcalc._metric_jets(g3.field, points, 5e-4, t)
+        t = g1 if slot == "g_1" else self._symmetric_field(g1.chart)
+        G, T = tensorcalc._metric_jets(g3, points, 5e-4, t)
         Ginv, Ginv2 = tensorcalc._jinv(G), _inverse_2jet(G)
         got = tensorcalc._g_trace_jet(Ginv, G, T)
         want = tensorcalc._jeinsum("kl,kl->", Ginv2, T)
@@ -1196,14 +1196,14 @@ class TestSecondOrderOracle:
         assert all(_relative_gap(a, b) <= 1e-12 for a, b in zip(got, want))
         if slot == "g_1":
             # the gauge covector omega = g t^{-1} delta_g(G_g t)
-            omega = deturck_field_at(g3.field, t, points, 5e-4)
+            omega = deturck_field_at(g3, t, points, 5e-4)
             want = G[0] @ np.linalg.inv(T[0]) @ want[0][..., None]
             assert _relative_gap(omega, want[..., 0]) <= 1e-12
 
     @pytest.mark.parametrize("field", ["g_3", "h"])
     def test_ricci_is_the_trace_of_the_curvature(self, extraction_set, field):
         g1, g3, points = extraction_set
-        g = g3.field if field == "g_3" else chart_metric(g1.chart)
+        g = g3 if field == "g_3" else chart_metric(g1.chart)
         (G,) = tensorcalc._metric_jets(g, points, 5e-4)
         gam = tensorcalc._christoffel(G)
         want = tensorcalc._sym(np.einsum("...kikj->...ij",
