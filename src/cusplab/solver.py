@@ -101,23 +101,26 @@ def _openblas_threads():
 # thread.  Timed on 2 vCPUs with `sweep --K 6` (solves only, no probe):
 # capped it took 0.69 s against 0.97 s at 640 nodes and 1.10 s against
 # 1.25 s at 768, but 1.67 s against 1.60 s at 896 and 2.43 s against 2.08 s
-# at 1024.  The probe is capped at every size.  Timed with its 10-vector
+# at 1024.  The probe is capped at every size.  Timed with a 10-vector
 # basis on cusp grids at eps 0.05, capped against uncapped (medians): 0.004 s
 # either way at 96 nodes, 0.63 s against 0.87 s at 768 and 1.72 s either way
 # at 1024, but 4.1 s against 3.8 s wall (6.0 s against 7.4 s CPU) at 1536.
 ONE_THREAD_NODES = 832
 
-# Lanczos basis of the coercivity probe.  ARPACK builds the whole basis
-# before its first convergence test, so a probe makes PROBE_BASIS + 1
-# Gram-form applications (21 at ARPACK's default basis of 20).  Ten is the
-# smallest basis that keeps a margin at K = -2: on cusp, collar and
-# maximal-cusp grids of 16^2 to 192^2 and 30 to 1024 nodes it moved
-# lambda_min from the default basis's value by at most 6e-16 relative, where
-# 9 vectors moved the collar by 1e-13 and 8 by 2e-11.  The top of the Gram
-# form's spectrum stands less apart as K grows: on the collar at 14 and 30
-# nodes ten vectors move lambda_min by up to 8e-13 for K in (-2, 0) and by
-# up to 7e-12 at K = 1.
-PROBE_BASIS = 10
+# Lanczos basis of the coercivity probe.  The probe starts at the factor's
+# lowest mode and ARPACK stops it by its residual test at tol 1e-8, so the
+# basis bounds its memory, not its accuracy: a Ritz value's error is at most
+# |r|^2 / gap (Parlett 1980).  A probe whose first Ritz value passes the test
+# makes PROBE_BASIS + 1 Gram-form applications; one that restarts makes more.
+# Against a 24-vector basis run to machine precision (tol 0) it read
+# lambda_min within 2e-15 relative at K = -2 and K = 1 on cusp grids of
+# ranks (n, f) in {(4, 1), (5, 1), (5, 2), (6, 2), (6, 3)} at 16 to 96 nodes
+# per axis, on collar grids of 16 to 192 and on maximal-cusp grids of 30 to
+# 1024 nodes, at eps 0.2 to 0.003.  At K = -2 it took 7 steps on every
+# collar, maximal and n = 4 cusp grid, 7 or 10 on the (5, 1) cusp and 10 to
+# 13 on the rank-2 and rank-3 cusps, where ARPACK restarts.  The basis size alone does not fix the accuracy: at tol 1e-4 six
+# vectors from the same start read the (5, 2) cusp about 1e-8 off.
+PROBE_BASIS = 6
 
 
 def solve_blas_threads(nodes: int) -> Optional[int]:
@@ -169,7 +172,7 @@ class Grid2D:
             # spacings of a uniform axis differ by the rounding of its node
             # coordinates, a few ulp of its largest |node|
             d = np.diff(ax)
-            if not np.allclose(d, d[0], rtol=0, atol=8 * np.spacing(np.abs(ax).max())):
+            if not np.abs(d - d[0]).max() <= 8 * np.spacing(np.abs(ax).max()):
                 raise ValueError("grid spacing must be uniform per axis")
             out = ax[(ax < lo) | (ax > hi) | ((ax <= lo) & (lo == 0.0))]
             if out.size:
@@ -334,7 +337,14 @@ class DiscreteField:
 
 
 def sample_field(grid: Grid2D, fn: Callable) -> DiscreteField:
-    return DiscreteField(grid, fn(*grid.meshes()))
+    """fn evaluated on the grid's nodes.  fn takes one coordinate array per
+    axis and combines them elementwise; it is called on the open axes
+    (np.ix_), so it computes one value per axis node rather than per grid
+    node, in the same order of operations and so to the same bits as on the
+    full meshes, and its result is broadcast to a writable array of
+    grid.shape."""
+    values = np.broadcast_to(fn(*np.ix_(*grid.axes)), grid.shape)
+    return DiscreteField(grid, np.array(values, dtype=float))
 
 
 def check_source(f: DiscreteField) -> None:
@@ -544,16 +554,18 @@ class SparseOperator:
         it when it is not zero.  Otherwise the smallest eigenvalue is
         1 / theta_max for the largest eigenvalue theta_max of the factor's
         Gram form B = P^{-1/2} (G_0 x G_1) P^{-1/2}, which has the spectrum of
-        L^{-1} (SeparableFactor).  Lanczos finds theta_max from a fixed start
-        vector, so the value repeats run to run; each step applies B as
+        L^{-1} (SeparableFactor).  Lanczos finds theta_max, starting at the
+        unit vector of the pencil's smallest entry: the factor's lowest mode,
+        which already carries most of theta_max's eigenvector, and a fixed
+        start, so the value repeats run to run.  Each step applies B as
         Z -> s (G_0 (s Z) G_1), s = pencil^{-1/2}, two dense products on one
-        BLAS thread.  The Lanczos basis holds PROBE_BASIS = 10 vectors (every
-        unknown on smaller grids), so a probe applies B 11 times.  Ten
-        suffice because theta_max lies well clear of the rest of B's
-        spectrum, which crowds towards zero: at K = -2 they give it within
-        6e-16 of ARPACK's default 20-vector basis.  The gap narrows as K
-        grows (figures at PROBE_BASIS); solve_dirichlet runs the probe at
-        K < 0 only.  probe_steps records the number of B applications.
+        BLAS thread.  ARPACK's residual test at tol 1e-8 stops the iteration,
+        so a Ritz value within |r|^2 / gap of theta_max is accepted; the basis
+        holds at most PROBE_BASIS = 6 vectors (every unknown on smaller grids)
+        and a probe that passes the test at its first Ritz value applies B 7
+        times, one that restarts more (figures at PROBE_BASIS).
+        solve_dirichlet runs the probe at K < 0 only.  probe_steps records
+        the number of B applications.
         """
         if self.min_eigenvalue is None:
             fac = self.factor()
@@ -564,6 +576,8 @@ class SparseOperator:
                     "(inertia of its fast-diagonalization pencil); the discrete "
                     "problem is not coercive")
             s = 1.0 / np.sqrt(fac.pencil)
+            start = np.zeros(self.n_unknowns)
+            start[np.argmin(fac.pencil)] = 1.0
             steps = 0
 
             def gram_form(z):
@@ -575,9 +589,8 @@ class SparseOperator:
             try:
                 with _one_blas_thread():
                     g0, g1 = (v.T @ v for v in fac.vectors)
-                    vals = spla.eigsh(form, k=1, which="LA", tol=1e-4,
-                                      ncv=min(PROBE_BASIS, self.n_unknowns),
-                                      v0=np.ones(self.n_unknowns),
+                    vals = spla.eigsh(form, k=1, which="LA", tol=1e-8,
+                                      ncv=min(PROBE_BASIS, self.n_unknowns), v0=start,
                                       return_eigenvectors=False)
             except spla.ArpackError as exc:
                 raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
@@ -727,7 +740,9 @@ def exhaustion_sweep(
             mms = float(np.abs(u_sol.values - f.values).max()) / scale
         except NonConvergence as exc:
             rows.append(SweepRow(eps, math.nan, math.nan, math.nan, math.nan,
-                                 grid.shape, error=str(exc), probe_steps=op.probe_steps))
+                                 grid.shape, error=str(exc),
+                                 min_eigenvalue=op.min_eigenvalue,
+                                 probe_steps=op.probe_steps))
             continue
         rows.append(SweepRow(eps, nu, nf, nu / nf, mms, grid.shape,
                              min_eigenvalue=op.min_eigenvalue,

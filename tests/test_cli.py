@@ -195,10 +195,10 @@ class TestEveryCommandWritesItsSummary:
                                          subcommand, message, want):
         import cusplab.solver as sv
 
-        def out_of_memory(grid):
+        def out_of_memory(grid, fn):
             raise MemoryError(message)
 
-        monkeypatch.setattr(sv.Grid2D, "meshes", out_of_memory)
+        monkeypatch.setattr(sv, "sample_field", out_of_memory)
         assert run(tmp_path, subcommand, "--nodes", "16") == EXIT_USAGE
         assert capsys.readouterr().err == f"configuration error: {want}\n"
         payload = json.loads((tmp_path / f"{subcommand}_summary.json").read_text(),
@@ -290,14 +290,14 @@ class TestSolveAndSweep:
         assert cap in (None, 1)
         assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
-        assert payload["probe_steps"] == PROBE_BASIS + 1 == 11
+        assert payload["probe_steps"] == PROBE_BASIS + 1 == 7
         assert payload["blas_threads"] == cap
         assert run(tmp_path, "solve", "--nodes", "24", "--K", "6") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())
         assert payload["probe_steps"] is None
         assert run(tmp_path, "sweep", "--eps", "0.2,0.1,0.05", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "sweep_summary.json").read_text())
-        assert payload["probe_steps"] == [11, 11, 11]
+        assert payload["probe_steps"] == [7, 7, 7]
         assert payload["blas_threads"] == cap
         assert run(tmp_path, "sweep", "--eps", "0.2,0.1", "--nodes", "24",
                    "--K", "6") == EXIT_PASS

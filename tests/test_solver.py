@@ -459,9 +459,28 @@ class TestFactorOnce:
         assert op.smallest_eigenvalue() == lam
 
     def test_probe_repeats_on_fresh_operators(self):
-        grid = cusp_grid(CUSP, 0.05, nodes=48)
-        values = {assemble(grid, -2.0).smallest_eigenvalue() for _ in range(8)}
-        assert len(values) == 1
+        # on the maximal grid and on n = 4, f = 1 cusp grids one Gram factor
+        # is the identity to 1e-15, so the first Lanczos residual is tiny; a
+        # random restart vector drawn by ARPACK would show as a second value
+        # or step count
+        for grid in [cusp_grid(CUSP, 0.05, nodes=48), *TestGramProbe.GRIDS.values()]:
+            ops = [assemble(grid, -2.0) for _ in range(8)]
+            values = {op.smallest_eigenvalue() for op in ops}
+            assert len(values) == 1
+            assert len({op.probe_steps for op in ops}) == 1
+
+    @pytest.mark.parametrize("f, eps", [(1, 0.003), (2, 0.0125)])
+    def test_convergence_test_stops_the_probe(self, f, eps):
+        # ten vectors from the all-ones start with no convergence test read
+        # the f = 1 grid 1.5e-9 off; the f = 2 probe restarts
+        op = assemble(cusp_grid(Chart.intermediate_cusp(5, f), eps, nodes=40), -2.0)
+        lam = op.smallest_eigenvalue()
+        want = spla.eigsh(spla.LinearOperator((op.n_unknowns,) * 2, _gram_form(op)),
+                          k=1, which="LA", tol=0, ncv=24, v0=np.ones(op.n_unknowns),
+                          return_eigenvectors=False)
+        assert lam == pytest.approx(1.0 / want[0], rel=1e-13, abs=0)
+        if f == 2:
+            assert op.probe_steps > 7
 
 
 def _gram_form(op):
@@ -498,15 +517,12 @@ class TestGramProbe:
 
         op = assemble(self.GRIDS[kind], K)
         lam = op.smallest_eigenvalue()
-        assert op.probe_steps == sv.PROBE_BASIS + 1 == 11
+        assert op.probe_steps == sv.PROBE_BASIS + 1 == 7
         # ARPACK's default basis for k = 1 is min(n, 20) vectors
         want = spla.eigsh(spla.LinearOperator((op.n_unknowns,) * 2, _gram_form(op)),
                           k=1, which="LA", tol=1e-4, v0=np.ones(op.n_unknowns),
                           return_eigenvectors=False)
-        # at K = 1, where no solve runs the probe, the top of the Gram form's
-        # spectrum stands less apart and the collar reads 3.6e-12
-        assert lam == pytest.approx(1.0 / want[0], rel=1e-12 if K < 0 else 1e-11,
-                                    abs=0)
+        assert lam == pytest.approx(1.0 / want[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("kind", list(GRIDS))
     def test_gram_form_has_the_spectrum_of_the_inverse(self, kind):
@@ -709,6 +725,19 @@ class TestBrokenFactorIsNonConvergence:
         assert len(rows) == 2
         assert all(r.error is not None and math.isnan(r.ratio) for r in rows)
 
+    def test_failed_sweep_row_keeps_the_probe(self, monkeypatch):
+        import cusplab.solver as sv
+
+        want = assemble(cusp_grid(CUSP, 0.2, nodes=16), -2.0)
+        lam = want.smallest_eigenvalue()
+        # the residual fails after a successful probe
+        monkeypatch.setattr(sv.SeparableFactor, "solve", _nan_solve)
+        (row,) = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
+                                  [0.2], nodes=16)
+        assert row.error.startswith("residual nan exceeds")
+        assert row.min_eigenvalue == lam > 0
+        assert row.probe_steps == want.probe_steps == 7
+
 
 class TestSolve:
     def test_zero_source(self):
@@ -794,6 +823,26 @@ class TestWeightedNorm:
         idx = np.unravel_index(np.argmax(extra / 1.0), grid.shape)
         assert weighted_sup_norm(u, w) == pytest.approx(extra.max(), rel=1e-12)
         assert extra[idx] == extra.max()
+
+
+class TestSampleField:
+    """sample_field evaluates a recipe on the open axes and broadcasts."""
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.025])
+    def test_axes_match_meshes_bit_for_bit(self, eps):
+        grid = cusp_grid(CUSP, eps, nodes=96)
+        recipe = default_bump_recipe(W41)
+        f = sample_field(grid, recipe)
+        assert f.values.shape == grid.shape and f.values.flags.writeable
+        assert np.array_equal(f.values, recipe(*grid.meshes()))
+
+    def test_one_coordinate_recipe_broadcasts(self):
+        grid = cusp_grid(CUSP, 0.1, nodes=16)
+        f = sample_field(grid, lambda r, th: np.cos(th))
+        assert f.values.shape == grid.shape and f.values.flags.writeable
+        assert np.array_equal(f.values, np.cos(grid.meshes()[1]))
+        f.values[0, 0] = 7.0
+        assert f.values[1, 0] != 7.0  # no entry aliases another
 
 
 class TestSweep:
