@@ -41,8 +41,8 @@ EXIT_OBSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 # exceptions that end a run with EXIT_NUMERICAL (StencilError is a
-# ChartDomainError). The solver, and with it scipy, is imported only by the
-# subcommands that solve: solve, sweep, koiso and schauder.
+# ChartDomainError). The solver is imported only by the subcommands that
+# solve: solve, sweep, koiso and schauder.
 NUMERICAL_FAILURES = (
     charts.NonConvergence,
     charts.ChartDomainError,

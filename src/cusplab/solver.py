@@ -14,18 +14,14 @@ the fast-diagonalization factor (one generalized eigendecomposition per
 axis, serving the coercivity check and every solve) all read the stencils.
 
 The factor's dense products are (n - 2) x (n - 2) on a grid of n nodes per
-axis.  Timed on 2 vCPUs, the OpenBLAS instance numpy loaded ran them faster
-capped at one thread than on both in the solves up to 768 nodes, and slower
-in the solves from 896 nodes; the coercivity probe ran as fast or faster
-capped up to 1024 nodes and took more wall but less CPU time capped at
-1536.  So the probe, and the axis eigendecompositions and solves on grids
-of up to ONE_THREAD_NODES nodes per axis, run capped, the previous counts
-restored afterwards; wider grids keep every thread.  The cap binds each
-OpenBLAS bundled with numpy or scipy that is loaded: numpy's runs the dense
-products, scipy's ARPACK and the tridiagonal eigensolver.  Left at two
-threads, scipy's kept a worker spinning through the probe, nearly doubling
-its CPU time.  When neither package loaded an OpenBLAS the solver can
-find, BLAS is left as it is.
+axis.  On grids of up to ONE_THREAD_NODES nodes per axis, where a second
+thread saves no wall time, the axis eigendecompositions, the coercivity
+probe and the solves run with numpy's OpenBLAS capped at one thread, the
+previous count restored afterwards; wider grids keep every thread.  The
+axis eigendecompositions and the probe's Ritz values come from LAPACK
+dstevd in the same OpenBLAS, so the solver loads no second BLAS.  Where
+numpy bundles no OpenBLAS the solver can find, BLAS is left as it is and
+the eigendecompositions fall back to scipy.
 """
 
 from __future__ import annotations
@@ -33,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -40,9 +37,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from .charts import Chart, INTERMEDIATE_CUSP, NonConvergence, smooth_bump
 from .tensorcalc import _nabla
@@ -57,11 +51,11 @@ class SupportViolation(ValueError):
     """A nominally compactly supported field touches the grid boundary."""
 
 
-# -- OpenBLAS thread cap -------------------------------------------------------
+# -- numpy's OpenBLAS: thread cap and tridiagonal eigensolver -----------------
 
-# Thread-count entry points of the OpenBLAS libraries bundled with numpy's and
-# scipy's wheels: scipy-openblas with 64-bit integers (numpy 2.0 on) and with
-# 32-bit integers (scipy), and plain OpenBLAS before.
+# Thread-count entry points of the OpenBLAS bundled with numpy's wheels:
+# scipy-openblas with 64-bit integers (numpy 2.0 on) and with 32-bit
+# integers, and plain OpenBLAS before.
 _OPENBLAS_SYMBOLS = (
     "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
     "openblas_{}_num_threads64_", "openblas_{}_num_threads",
@@ -69,58 +63,127 @@ _OPENBLAS_SYMBOLS = (
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of each OpenBLAS library numpy and
-    scipy loaded, numpy's first; empty when there is none.  The libraries
-    are looked up among the shared objects bundled with the two packages
-    and bound only if already loaded (RTLD_NOLOAD), so no further copy of
-    OpenBLAS is ever loaded."""
+def _numpy_openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS library bundled with numpy, None when there is none.  It
+    is looked up among the shared objects of numpy's wheel and bound only if
+    numpy already loaded it (RTLD_NOLOAD), so no further copy of OpenBLAS is
+    ever loaded."""
     noload = getattr(os, "RTLD_NOLOAD", None)
     if noload is None:
-        return ()
-    found = []
-    for root in (Path(np.__file__).parent, Path(scipy.__file__).parent):
-        for path in sorted([*root.parent.glob(f"{root.name}.libs/*openblas*"),
-                            *root.glob(".dylibs/*openblas*")]):
-            try:
-                lib = ctypes.CDLL(str(path), mode=noload)
-            except OSError:
-                continue
-            for name in _OPENBLAS_SYMBOLS:
-                get = getattr(lib, name.format("get"), None)
-                set_ = getattr(lib, name.format("set"), None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    found.append((get, set_))
-                    break
-    return tuple(found)
+        return None
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob(f"{root.name}.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            return ctypes.CDLL(str(path), mode=noload)
+        except OSError:
+            continue
+    return None
 
 
-# Widest grid, in nodes per axis, whose factor solves run on one OpenBLAS
-# thread.  Timed on 2 vCPUs with `sweep --K 6` (solves only, no probe):
-# capped it took 0.69 s against 0.97 s at 640 nodes and 1.10 s against
-# 1.25 s at 768, but 1.67 s against 1.60 s at 896 and 2.43 s against 2.08 s
-# at 1024.  The probe is capped at every size.  Timed with a 10-vector
-# basis on cusp grids at eps 0.05, capped against uncapped (medians): 0.004 s
-# either way at 96 nodes, 0.63 s against 0.87 s at 768 and 1.72 s either way
-# at 1024, but 4.1 s against 3.8 s wall (6.0 s against 7.4 s CPU) at 1536.
-ONE_THREAD_NODES = 832
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's OpenBLAS, None when it
+    has none the solver can find."""
+    lib = _numpy_openblas()
+    if lib is None:
+        return None
+    for name in _OPENBLAS_SYMBOLS:
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
 
-# Lanczos basis of the coercivity probe.  The probe starts at the factor's
-# lowest mode and ARPACK stops it by its residual test at tol 1e-8, so the
-# basis bounds its memory, not its accuracy: a Ritz value's error is at most
-# |r|^2 / gap (Parlett 1980).  A probe whose first Ritz value passes the test
-# makes PROBE_BASIS + 1 Gram-form applications; one that restarts makes more.
-# Against a 24-vector basis run to machine precision (tol 0) it read
+
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapacke_dstevd():
+    """LAPACKE's dstevd in numpy's OpenBLAS (numpy 2.0 on, 64-bit integers),
+    None when numpy bundles none."""
+    lib = _numpy_openblas()
+    fn = None if lib is None else getattr(lib, "scipy_LAPACKE_dstevd64_", None)
+    if fn is not None:
+        array = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                       array, array, array, ctypes.c_int64]
+    return fn
+
+
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
+    """(w, z): eigenvalues in ascending order and orthonormal eigenvectors,
+    the columns of the Fortran-ordered z, of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e.  LAPACK dstevd, the routine
+    scipy.linalg.eigh_tridiagonal runs, called in numpy's OpenBLAS, or
+    scipy's routine where numpy bundles none; the two give the same bits.
+    A failed decomposition raises LinAlgError."""
+    dstevd = _lapacke_dstevd()
+    if dstevd is None:
+        from scipy.linalg import eigh_tridiagonal
+
+        return eigh_tridiagonal(d, e)
+    w = np.array(d, dtype=float)  # dstevd overwrites d with w and destroys e
+    n = len(w)
+    z = np.empty((n, n), order="F")
+    info = dstevd(_LAPACK_COL_MAJOR, b"V", n, w, np.array(e, dtype=float), z, n)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dstevd failed with info = {info}")
+    return w, z
+
+
+class _DeferredModule:
+    """A module imported on first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# scipy.sparse.linalg, unused and not imported by the solver itself: the
+# per-layer tracer of bench/layer_trace.py reads solver.spla and wraps its
+# spsolve and cg.  ROADMAP item 1's next benchmark change drops that hook,
+# and this handle with it.
+spla = _DeferredModule("scipy.sparse.linalg")
+
+
+# Widest grid, in nodes per axis, whose factor and probe run on one OpenBLAS
+# thread.  Timed on 2 vCPUs, one thread against both, medians of 10
+# alternating pairs of fresh `sweep --K 6` processes (the whole op; its
+# solves alone in brackets): 0.036 s against 0.037 s (0.009 s either way)
+# at 128 nodes and 0.080 s against 0.076 s (0.028 s against 0.023 s) at
+# 192, where the second thread nearly doubles the CPU time for no wall
+# time, but 0.166 s against 0.131 s (0.071 s against 0.046 s) at 256,
+# 0.70 s against 0.60 s at 512, 2.20 s against 1.60 s at 768 and 4.71 s
+# against 3.16 s at 1024.  The probe on cusp grids at eps 0.05 (8 pairs):
+# 0.003 s either way at 96 nodes, 0.030 s against 0.027 s at 256, 0.178 s
+# against 0.118 s at 512 and 0.82 s against 0.62 s at 1024.
+ONE_THREAD_NODES = 224
+
+# Lanczos basis of the coercivity probe, which holds at most PROBE_BASIS + 1
+# vectors and restarts from its top Ritz vector when they are all taken.
+# The probe starts at the factor's lowest mode and stops by ARPACK's
+# residual test at tol 1e-8, so the basis bounds its memory, not its
+# accuracy: a Ritz value's error is at most |r|^2 / gap (Parlett 1980).
+# Against a 24-vector ARPACK basis run to machine precision (tol 0) it read
 # lambda_min within 2e-15 relative at K = -2 and K = 1 on cusp grids of
 # ranks (n, f) in {(4, 1), (5, 1), (5, 2), (6, 2), (6, 3)} at 16 to 96 nodes
 # per axis, on collar grids of 16 to 192 and on maximal-cusp grids of 30 to
-# 1024 nodes, at eps 0.2 to 0.003.  At K = -2 it took 7 steps on every
-# collar, maximal and n = 4 cusp grid, 7 or 10 on the (5, 1) cusp and 10 to
-# 13 on the rank-2 and rank-3 cusps, where ARPACK restarts.  The basis size alone does not fix the accuracy: at tol 1e-4 six
-# vectors from the same start read the (5, 2) cusp about 1e-8 off.
+# 1024 nodes, at eps 0.2 to 0.003.  It took 7 steps on the n = 4 cusp grids,
+# 6 or 7 on the collars, 7 to 9 on the (5, 1) cusp and 11 to 18 on the
+# rank-2 and rank-3 cusps, which restart; on the maximal cusp, whose Gram
+# form is diagonal to rounding, the start vector is an eigenvector and one
+# step passes the test.
 PROBE_BASIS = 6
+PROBE_TOL = 1e-8
+# Gram-form applications after which the probe gives up (NonConvergence).
+PROBE_MAX_STEPS = 300
 
 
 def solve_blas_threads(nodes: int) -> Optional[int]:
@@ -129,25 +192,27 @@ def solve_blas_threads(nodes: int) -> Optional[int]:
     OpenBLAS above, None when no OpenBLAS was found and BLAS is left as it
     is."""
     threads = _openblas_threads()
-    if not threads:
+    if threads is None:
         return None
-    return 1 if nodes <= ONE_THREAD_NODES else threads[0][0]()
+    return 1 if nodes <= ONE_THREAD_NODES else threads[0]()
 
 
 @contextlib.contextmanager
-def _one_blas_thread(cap: bool = True):
-    """Cap every OpenBLAS library found at one thread for the block when cap
-    is true; each library's previous count is restored however the block
-    ends."""
-    threads = _openblas_threads() if cap else ()
-    before = [get() for get, _ in threads]
-    for _, set_ in threads:
-        set_(1)
+def _one_blas_thread(nodes: int):
+    """Cap numpy's OpenBLAS at one thread for the block on a grid whose
+    widest axis has `nodes` nodes, up to ONE_THREAD_NODES (solve_blas_threads);
+    its previous count is restored however the block ends."""
+    threads = _openblas_threads() if nodes <= ONE_THREAD_NODES else None
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(threads, before):
-            set_(count)
+        set_(before)
 
 
 @dataclass(frozen=True)
@@ -387,7 +452,7 @@ class SeparableFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         v0, v1 = self.vectors
         # the grid's nodes per axis are the interior's plus its two boundary nodes
-        with _one_blas_thread(max(self.pencil.shape) + 2 <= ONE_THREAD_NODES):
+        with _one_blas_thread(max(self.pencil.shape) + 2):
             y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
             return (v0 @ y @ v1.T).reshape(rhs.shape)
 
@@ -411,8 +476,8 @@ class _AxisStencil(NamedTuple):
     def eigenpairs(self):
         """(lam, V) with T V = diag(mass) V diag(lam) and V^T diag(mass) V = I."""
         s = 1.0 / np.sqrt(self.mass)
-        lam, y = eigh_tridiagonal(self.diagonal * s * s,
-                                  -self.coupling[1:-1] * s[:-1] * s[1:])
+        lam, y = _eigh_tridiagonal(self.diagonal * s * s,
+                                   -self.coupling[1:-1] * s[:-1] * s[1:])
         return lam, s[:, None] * y
 
 
@@ -534,7 +599,7 @@ class SparseOperator:
         eigenvalue raises NonConvergence."""
         if self._factorization is None:
             try:
-                with _one_blas_thread(max(self.grid.shape) <= ONE_THREAD_NODES):
+                with _one_blas_thread(max(self.grid.shape)):
                     (lam0, v0), (lam1, v1) = [st.eigenpairs() for st in self.stencils]
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
@@ -554,18 +619,15 @@ class SparseOperator:
         it when it is not zero.  Otherwise the smallest eigenvalue is
         1 / theta_max for the largest eigenvalue theta_max of the factor's
         Gram form B = P^{-1/2} (G_0 x G_1) P^{-1/2}, which has the spectrum of
-        L^{-1} (SeparableFactor).  Lanczos finds theta_max, starting at the
-        unit vector of the pencil's smallest entry: the factor's lowest mode,
-        which already carries most of theta_max's eigenvector, and a fixed
-        start, so the value repeats run to run.  Each step applies B as
-        Z -> s (G_0 (s Z) G_1), s = pencil^{-1/2}, two dense products on one
-        BLAS thread.  ARPACK's residual test at tol 1e-8 stops the iteration,
-        so a Ritz value within |r|^2 / gap of theta_max is accepted; the basis
-        holds at most PROBE_BASIS = 6 vectors (every unknown on smaller grids)
-        and a probe that passes the test at its first Ritz value applies B 7
-        times, one that restarts more (figures at PROBE_BASIS).
+        L^{-1} (SeparableFactor).  Lanczos (_lanczos_largest) finds
+        theta_max, starting at the unit vector of the pencil's smallest
+        entry: the factor's lowest mode, which already carries most of
+        theta_max's eigenvector, and a fixed start, so the value repeats run
+        to run.  Each step applies B as Z -> s (G_0 (s Z) G_1),
+        s = pencil^{-1/2}, two dense products (on one BLAS thread up to
+        ONE_THREAD_NODES nodes per axis).
         solve_dirichlet runs the probe at K < 0 only.  probe_steps records
-        the number of B applications.
+        the number of B applications, also when the probe fails.
         """
         if self.min_eigenvalue is None:
             fac = self.factor()
@@ -578,26 +640,65 @@ class SparseOperator:
             s = 1.0 / np.sqrt(fac.pencil)
             start = np.zeros(self.n_unknowns)
             start[np.argmin(fac.pencil)] = 1.0
-            steps = 0
+            self.probe_steps = 0
 
             def gram_form(z):
-                nonlocal steps
-                steps += 1
+                self.probe_steps += 1
                 return (s * (g0 @ (s * z.reshape(s.shape)) @ g1)).reshape(-1)
 
-            form = spla.LinearOperator((self.n_unknowns,) * 2, gram_form, dtype=float)
-            try:
-                with _one_blas_thread():
-                    g0, g1 = (v.T @ v for v in fac.vectors)
-                    vals = spla.eigsh(form, k=1, which="LA", tol=1e-8,
-                                      ncv=min(PROBE_BASIS, self.n_unknowns), v0=start,
-                                      return_eigenvectors=False)
-            except spla.ArpackError as exc:
-                raise NonConvergence(f"coercivity probe did not converge: {exc}") from exc
-            finally:
-                self.probe_steps = steps
-            self.min_eigenvalue = float(1.0 / vals[0])
+            with _one_blas_thread(max(self.grid.shape)):
+                g0, g1 = (v.T @ v for v in fac.vectors)
+                self.min_eigenvalue = 1.0 / _lanczos_largest(gram_form, start)
         return self.min_eigenvalue
+
+
+def _lanczos_largest(apply: Callable[[np.ndarray], np.ndarray],
+                     start: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric positive definite operator, by
+    Lanczos from the unit vector start (Parlett, The Symmetric Eigenvalue
+    Problem, 1980).
+
+    Step k applies the operator to the newest basis vector, reorthogonalizes
+    the result against the whole basis (classical Gram-Schmidt, twice, the
+    second pass's correction added to T's diagonal as ARPACK adds it) and
+    takes the Ritz values of the k x k tridiagonal T from dstevd.  ARPACK's
+    residual test stops it: beta_k |s_k| <= PROBE_TOL theta, theta the top
+    Ritz value, s its eigenvector of T and beta_k the norm of the new
+    residual.  The basis holds PROBE_BASIS + 1 vectors; when it is full the
+    iteration restarts from the top Ritz vector.  A non-finite value, or
+    PROBE_MAX_STEPS applications without passing the test, raises
+    NonConvergence.
+    """
+    basis = np.empty((PROBE_BASIS + 1, start.size))
+    basis[0] = start
+    alpha, beta = [], []
+    for step in range(1, PROBE_MAX_STEPS + 1):
+        k = len(alpha)
+        w = apply(basis[k])
+        alpha.append(0.0)
+        for _ in range(2):
+            coefficients = basis[:k + 1] @ w
+            w -= coefficients @ basis[:k + 1]
+            alpha[-1] += float(coefficients[k])
+        norm = float(np.linalg.norm(w))
+        if not (math.isfinite(alpha[-1]) and math.isfinite(norm)):
+            raise NonConvergence(f"coercivity probe met a non-finite value at "
+                                 f"step {step}")
+        try:
+            theta, y = _eigh_tridiagonal(np.array(alpha), np.array(beta))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"coercivity probe failed: {exc}") from exc
+        if norm * abs(y[-1, -1]) <= PROBE_TOL * theta[-1]:
+            return float(theta[-1])
+        if k + 1 < len(basis):
+            beta.append(norm)
+            basis[k + 1] = w / norm
+        else:
+            ritz = y[:, -1] @ basis
+            basis[0] = ritz / np.linalg.norm(ritz)
+            alpha, beta = [], []
+    raise NonConvergence(f"coercivity probe did not converge in "
+                         f"{PROBE_MAX_STEPS} steps")
 
 
 def assemble(grid: Grid2D, K: float) -> SparseOperator:

@@ -728,7 +728,7 @@ def probe_scipy(tmp_path, runs):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-class TestScipyLoadsOnlyToSolve:
+class TestScipyStaysUnloaded:
     def test_import_expand_curvature_and_weights_stay_scipy_free(self, tmp_path):
         seen = probe_scipy(tmp_path, [
             ["expand", "--n", "4", "--stages", "2"],  # one correction step
@@ -738,9 +738,17 @@ class TestScipyLoadsOnlyToSolve:
         assert seen == [[None, False], [EXIT_PASS, False],
                         [EXIT_NUMERICAL, False], [EXIT_PASS, False]]
 
-    def test_sweep_loads_scipy(self, tmp_path):
-        seen = probe_scipy(tmp_path, [["sweep", *SMALL_RUNS["sweep"]]])
-        assert seen == [[None, False], [EXIT_PASS, True]]
+    def test_solving_commands_stay_scipy_free(self, tmp_path):
+        # the solver runs dstevd in numpy's OpenBLAS and its own Lanczos
+        # probe; scipy's eigh_tridiagonal is only its fallback
+        from cusplab import solver
+
+        if solver._lapacke_dstevd() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE's dstevd here, "
+                        "so the solver falls back to scipy.linalg.eigh_tridiagonal")
+        subcommands = ["solve", "sweep", "koiso", "schauder"]
+        seen = probe_scipy(tmp_path, [[sub, *SMALL_RUNS[sub]] for sub in subcommands])
+        assert seen == [[None, False]] + [[EXIT_PASS, False]] * len(subcommands)
 
     def test_solver_failures_are_the_exit_map_class(self):
         from cusplab import charts, cli, solver

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -412,13 +413,13 @@ class TestFactorOnce:
         import cusplab.solver as sv
 
         # one factorization is one tridiagonal eigendecomposition per axis
-        factors = _count_calls(monkeypatch, sv, ["eigh_tridiagonal"])
-        probes = _count_calls(monkeypatch, sv.spla, ["eigsh"])
+        factors = _count_calls(monkeypatch, sv._AxisStencil, ["eigenpairs"])
+        probes = _count_calls(monkeypatch, sv, ["_lanczos_largest"])
         eps_list = [0.2, 0.1, 0.05, 0.025]
         rows = exhaustion_sweep(CUSP, -2.0, W41, default_bump_recipe(W41),
                                 eps_list, nodes=24)
-        assert factors == {"eigh_tridiagonal": 2 * len(eps_list)}
-        assert probes == {"eigsh": len(eps_list)}
+        assert factors == {"eigenpairs": 2 * len(eps_list)}
+        assert probes == {"_lanczos_largest": len(eps_list)}
         assert all(r.min_eigenvalue > 0 for r in rows)
 
     @pytest.mark.parametrize("K, eps, nodes", [
@@ -440,7 +441,7 @@ class TestFactorOnce:
     def test_unusable_factorization_is_nonconvergence(self, eigh, monkeypatch):
         import cusplab.solver as sv
 
-        monkeypatch.setattr(sv, "eigh_tridiagonal", eigh)
+        monkeypatch.setattr(sv, "_eigh_tridiagonal", eigh)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=12), -2.0)
         with pytest.raises(NonConvergence) as exc:
             op.smallest_eigenvalue()
@@ -455,14 +456,13 @@ class TestFactorOnce:
         lam = op.smallest_eigenvalue()
         assert lam == pytest.approx(want, rel=1e-6)
         assert op.min_eigenvalue == lam
-        monkeypatch.setattr(sv.spla, "eigsh", None)  # a second probe would fail
+        monkeypatch.setattr(sv, "_lanczos_largest", None)  # a second probe would fail
         assert op.smallest_eigenvalue() == lam
 
     def test_probe_repeats_on_fresh_operators(self):
         # on the maximal grid and on n = 4, f = 1 cusp grids one Gram factor
         # is the identity to 1e-15, so the first Lanczos residual is tiny; a
-        # random restart vector drawn by ARPACK would show as a second value
-        # or step count
+        # random restart vector would show as a second value or step count
         for grid in [cusp_grid(CUSP, 0.05, nodes=48), *TestGramProbe.GRIDS.values()]:
             ops = [assemble(grid, -2.0) for _ in range(8)]
             values = {op.smallest_eigenvalue() for op in ops}
@@ -517,6 +517,13 @@ class TestGramProbe:
 
         op = assemble(self.GRIDS[kind], K)
         lam = op.smallest_eigenvalue()
+        if kind == "maximal":
+            # the Gram form is diagonal to rounding, so the start vector is
+            # its top eigenvector and one step passes the residual test
+            assert op.probe_steps == 1
+            pencil_min = op.factor().pencil.min()
+            assert lam == pytest.approx(pencil_min, rel=1e-15, abs=0)
+            return
         assert op.probe_steps == sv.PROBE_BASIS + 1 == 7
         # ARPACK's default basis for k = 1 is min(n, 20) vectors
         want = spla.eigsh(spla.LinearOperator((op.n_unknowns,) * 2, _gram_form(op)),
@@ -554,21 +561,65 @@ class TestGramProbe:
 
 @pytest.fixture
 def blas_threads():
-    """A reader of the thread counts of every OpenBLAS the solver binds, each
-    set to two threads for the test so that a cap left in place shows; the
-    prior counts come back after."""
+    """A reader of the thread count of numpy's OpenBLAS, which the solver
+    binds, set to two threads for the test so that a cap left in place
+    shows; the prior count comes back after."""
     import cusplab.solver as sv
 
     threads = sv._openblas_threads()
-    if not threads:
-        pytest.skip("numpy and scipy loaded no OpenBLAS the solver can bind; "
-                    "the solver leaves BLAS as it is")
-    prior = [get() for get, _ in threads]
-    for _, set_ in threads:
-        set_(2)
-    yield lambda: tuple(get() for get, _ in threads)
-    for (_, set_), count in zip(threads, prior):
-        set_(count)
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS the solver can bind; the "
+                    "solver leaves BLAS as it is")
+    get, set_ = threads
+    prior = get()
+    set_(2)
+    yield get
+    set_(prior)
+
+
+def _scipy_openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    scipy, loaded here through scipy.linalg; None where scipy bundles none
+    of its own."""
+    import ctypes
+    import os
+    from pathlib import Path
+
+    import scipy
+    import scipy.linalg  # noqa: F401
+    import cusplab.solver as sv
+
+    root = Path(scipy.__file__).parent
+    paths = sorted([*root.parent.glob("scipy.libs/*openblas*"),
+                    *root.glob(".dylibs/*openblas*")])
+    if not paths or not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
+    for name in sv._OPENBLAS_SYMBOLS:
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def _watch_gram_form(monkeypatch, watch, *, poison=False):
+    """Run watch() inside each application of the probe's Gram form; with
+    poison, every product it returns is NaN."""
+    import cusplab.solver as sv
+
+    lanczos = sv._lanczos_largest
+
+    def watched(apply, start):
+        def applied(z):
+            watch()
+            out = apply(z)
+            return out * np.nan if poison else out
+        return lanczos(applied, start)
+
+    monkeypatch.setattr(sv, "_lanczos_largest", watched)
 
 
 class TestBlasThreadCap:
@@ -578,92 +629,74 @@ class TestBlasThreadCap:
         assert solve_blas_threads(ONE_THREAD_NODES) == 1
         assert solve_blas_threads(ONE_THREAD_NODES + 1) == 2
 
-    def test_cap_binds_scipys_openblas(self, blas_threads):
-        # scipy's wheels bundle a second OpenBLAS, which ARPACK and the
-        # tridiagonal eigensolver run on: the cap sets it to one thread and
-        # restores it, read here through the library itself
-        import ctypes
-        import os
-        from pathlib import Path
-
-        import scipy
-        import scipy.linalg  # noqa: F401
+    def test_cap_binds_numpys_openblas_only(self, blas_threads):
+        # the solver runs no scipy code, so the OpenBLAS scipy bundles, once
+        # scipy.linalg loads it, keeps its count through the cap
         import cusplab.solver as sv
 
-        root = Path(scipy.__file__).parent
-        paths = sorted([*root.parent.glob("scipy.libs/*openblas*"),
-                        *root.glob(".dylibs/*openblas*")])
-        if not paths or not hasattr(os, "RTLD_NOLOAD"):
+        scipys = _scipy_openblas_threads()
+        if scipys is None:
             pytest.skip("scipy bundles no OpenBLAS of its own here")
-        lib = ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD)
-        get = next(getattr(lib, name.format("get"))
-                   for name in sv._OPENBLAS_SYMBOLS
-                   if hasattr(lib, name.format("get")))
-        get.restype, get.argtypes = ctypes.c_int, []
-        bound = blas_threads()
-        assert len(bound) >= 2 and get() == 2
-        with sv._one_blas_thread():
-            assert get() == 1
-            assert blas_threads() == (1,) * len(bound)
-        assert get() == 2 and blas_threads() == bound
+        before = scipys[0]()
+        with sv._one_blas_thread(sv.ONE_THREAD_NODES):
+            assert blas_threads() == 1
+            assert scipys[0]() == before
+        assert blas_threads() == 2 and scipys[0]() == before
 
     @pytest.mark.parametrize("nodes, calls", [(10, [1, 2]), (11, [])])
     def test_solve_capped_up_to_threshold(self, blas_threads, monkeypatch, nodes, calls):
-        # every library is capped, by the solves' size rule, for the axis
+        # the library is capped, by the solves' size rule, for the axis
         # eigendecompositions, the solve and its refinement step
         import cusplab.solver as sv
 
-        threads = sv._openblas_threads()
-        seen = [[] for _ in threads]
+        get, set_ = sv._openblas_threads()
+        seen = []
 
-        def recording(k, set_):
-            def recording_set(n):
-                seen[k].append(n)
-                set_(n)
-            return recording_set
+        def recording_set(n):
+            seen.append(n)
+            set_(n)
 
-        monkeypatch.setattr(sv, "_openblas_threads", lambda: tuple(
-            (get, recording(k, set_)) for k, (get, set_) in enumerate(threads)))
+        monkeypatch.setattr(sv, "_openblas_threads", lambda: (get, recording_set))
         monkeypatch.setattr(sv, "ONE_THREAD_NODES", 10)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=nodes), 6.0)
         solve_dirichlet(op, np.ones(op.grid.shape))
-        assert seen == [calls * 3] * len(threads)
-        assert blas_threads() == (2,) * len(threads)
+        assert seen == calls * 3
+        assert blas_threads() == 2
 
     def test_probe_runs_on_one_thread(self, blas_threads, monkeypatch):
-        import cusplab.solver as sv
-
-        seen, eigsh = [], sv.spla.eigsh
-
-        def watched(*args, **kwargs):
-            seen.append(blas_threads())
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(sv.spla, "eigsh", watched)
+        seen = []
+        _watch_gram_form(monkeypatch, lambda: seen.append(blas_threads()))
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
         op.smallest_eigenvalue()
-        count = len(blas_threads())
-        assert seen == [(1,) * count]
-        assert blas_threads() == (2,) * count
+        assert seen == [1] * op.probe_steps == [1] * 7
+        assert blas_threads() == 2
+
+    def test_probe_keeps_every_thread_above_threshold(self, blas_threads, monkeypatch):
+        import cusplab.solver as sv
+
+        seen = []
+        _watch_gram_form(monkeypatch, lambda: seen.append(blas_threads()))
+        monkeypatch.setattr(sv, "ONE_THREAD_NODES", 23)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
+        op.smallest_eigenvalue()
+        assert seen == [2] * 7
+        assert blas_threads() == 2
 
     def test_count_restored_after_solve(self, blas_threads):
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), 6.0)
         solve_dirichlet(op, np.ones(op.grid.shape))
-        assert set(blas_threads()) == {2}
+        assert blas_threads() == 2
 
     def test_count_restored_after_nonconvergence(self, blas_threads, monkeypatch):
-        import cusplab.solver as sv
-
-        def failing(*args, **kwargs):
-            raise sv.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                              np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(sv.spla, "eigsh", failing)
+        # a non-finite Gram product ends the probe at its first step
+        seen = []
+        _watch_gram_form(monkeypatch, lambda: seen.append(blas_threads()), poison=True)
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="non-finite value at step 1"):
             op.smallest_eigenvalue()
-        assert set(blas_threads()) == {2}
-        assert op.probe_steps == 0
+        assert seen == [1]
+        assert blas_threads() == 2
+        assert op.probe_steps == 1 and op.min_eigenvalue is None
 
 
 class TestSeparableFactor:
@@ -691,6 +724,94 @@ class TestSeparableFactor:
             assert op.smallest_eigenvalue() == pytest.approx(dense[0], rel=1e-6)
 
 
+@contextlib.contextmanager
+def _one_thread_everywhere(monkeypatch):
+    """numpy's and scipy's OpenBLAS both on one thread inside the block, the
+    solver's size rule switched off."""
+    import cusplab.solver as sv
+
+    pools = [p for p in (sv._openblas_threads(), _scipy_openblas_threads()) if p]
+    before = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    with monkeypatch.context() as m:
+        m.setattr(sv, "ONE_THREAD_NODES", 0)  # the cap now leaves counts alone
+        try:
+            yield
+        finally:
+            for (_, set_), count in zip(pools, before):
+                set_(count)
+
+
+def _axis_grids(nodes):
+    return [cusp_grid(CUSP, 0.05, nodes=nodes),
+            collar_grid(Chart.collar(4), 0.05, nodes=nodes),
+            maximal_grid(Chart.maximal_cusp(4), 0.05, nodes=nodes)]
+
+
+class TestTridiagonalEigensolver:
+    """The axis eigendecompositions call LAPACK dstevd in numpy's OpenBLAS;
+    scipy.linalg.eigh_tridiagonal, which runs the same routine in scipy's,
+    is the reference and the fallback.  Both run on one thread here: on two,
+    each library's dstevd moves some bits from 256 nodes on, and the two
+    libraries part on one collar stencil at 510 nodes (1e-16)."""
+
+    @pytest.mark.parametrize("nodes", [16, 64, 256, 510, 1024])
+    def test_binding_matches_scipy_bit_for_bit(self, nodes, monkeypatch):
+        from scipy.linalg import eigh_tridiagonal
+        import cusplab.solver as sv
+
+        binding, pairs = sv._eigh_tridiagonal, []
+
+        def both(d, e):
+            got, want = binding(d, e), eigh_tridiagonal(d, e)
+            pairs.append((got, want))
+            return got
+
+        monkeypatch.setattr(sv, "_eigh_tridiagonal", both)
+        with _one_thread_everywhere(monkeypatch):
+            for grid in _axis_grids(nodes):
+                assemble(grid, -2.0).factor()
+        assert len(pairs) == 6  # two axes per grid, the maximal grid's second of one node
+        for (lam, z), (want_lam, want_z) in pairs:
+            assert np.array_equal(lam, want_lam) and np.array_equal(z, want_z)
+            assert z.flags.f_contiguous and want_z.flags.f_contiguous
+
+    @pytest.mark.parametrize("nodes", [16, 1024])
+    def test_fallback_gives_the_same_bits(self, nodes, monkeypatch):
+        import cusplab.solver as sv
+
+        for grid in _axis_grids(nodes):
+            with _one_thread_everywhere(monkeypatch):
+                got = assemble(grid, -2.0).factor()
+                with monkeypatch.context() as m:
+                    m.setattr(sv, "_lapacke_dstevd", lambda: None)
+                    want = assemble(grid, -2.0).factor()
+            assert np.array_equal(got.pencil, want.pencil)
+            for v, w in zip(got.vectors, want.vectors):
+                assert np.array_equal(v, w)
+
+    def test_nonzero_info_is_nonconvergence(self, monkeypatch):
+        import cusplab.solver as sv
+
+        monkeypatch.setattr(sv, "_lapacke_dstevd", lambda: lambda *args: 7)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=12), -2.0)
+        with pytest.raises(NonConvergence, match="dstevd failed with info = 7"):
+            op.smallest_eigenvalue()
+        assert op.probe_steps is None
+
+    def test_binding_reports_lapack_info(self):
+        import cusplab.solver as sv
+
+        if sv._lapacke_dstevd() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE's dstevd here")
+        # LAPACKE checks its input: a NaN in d is argument 4
+        with pytest.raises(np.linalg.LinAlgError, match="info = -4"):
+            sv._eigh_tridiagonal(np.array([1.0, np.nan, 2.0]), np.array([0.5, 0.5]))
+        lam, z = sv._eigh_tridiagonal(np.array([3.0]), np.array([]))
+        assert lam.tolist() == [3.0] and z.tolist() == [[1.0]]
+
+
 def _nan_solve(factor, rhs):
     return np.full(rhs.shape, np.nan)
 
@@ -702,7 +823,7 @@ def broken_factor(request, monkeypatch):
     if request.param == "nan-solve":
         monkeypatch.setattr(sv.SeparableFactor, "solve", _nan_solve)
     else:
-        monkeypatch.setattr(sv, "eigh_tridiagonal", _zero_eigh)
+        monkeypatch.setattr(sv, "_eigh_tridiagonal", _zero_eigh)
     return request.param
 
 
@@ -793,13 +914,13 @@ class TestSolve:
 
         grid = cusp_grid(CUSP, 0.05, nodes=256)
         op = assemble(grid, 6.0)
-        calls = _count_calls(monkeypatch, sv, ["eigh_tridiagonal"])
+        calls = _count_calls(monkeypatch, sv, ["_eigh_tridiagonal"])
         u_star = sample_field(grid, default_bump_recipe(W41))
         rhs = np.zeros(grid.shape)
         rhs[grid.interior] = op.apply_to_values(u_star.values)
         u1 = solve_dirichlet(op, rhs)
         u2 = solve_dirichlet(op, 2.0 * rhs)
-        assert calls == {"eigh_tridiagonal": 2}  # one factorization: r and theta0
+        assert calls == {"_eigh_tridiagonal": 2}  # one factorization: r and theta0
         assert np.array_equal(2.0 * u1.values, u2.values)
         err = np.abs(u1.values - u_star.values).max() / np.abs(u_star.values).max()
         assert err < 1e-12
@@ -1052,19 +1173,29 @@ class TestSweepErrorRecording:
 
 
 class TestCoercivityProbeFailure:
-    def test_arpack_nonconvergence_becomes_nonconvergence(self, monkeypatch):
+    def test_step_cap_is_nonconvergence(self, monkeypatch):
         import cusplab.solver as sv
 
-        def failing(*args, **kwargs):
-            raise sv.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                              np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(sv.spla, "eigsh", failing)
+        monkeypatch.setattr(sv, "PROBE_MAX_STEPS", 3)  # this grid takes 7
         grid = cusp_grid(CUSP, 0.1, nodes=24)
         op = assemble(grid, -2.0)
-        assert op.n_unknowns > 400
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="did not converge in 3 steps"):
             solve_dirichlet(op, np.ones(grid.shape))
+        assert op.probe_steps == 3 and op.min_eigenvalue is None
+
+    def test_non_finite_value_is_nonconvergence(self):
+        import dataclasses
+
+        grid = cusp_grid(CUSP, 0.1, nodes=24)
+        op = assemble(grid, -2.0)
+        fac = op.factor()
+        # a NaN eigenvector entry leaves the pencil usable and poisons G_0
+        v0 = fac.vectors[0].copy()
+        v0[3, 5] = np.nan
+        op._factorization = dataclasses.replace(fac, vectors=(v0, fac.vectors[1]))
+        with pytest.raises(NonConvergence, match="non-finite value at step 1"):
+            solve_dirichlet(op, np.ones(grid.shape))
+        assert op.probe_steps == 1 and op.min_eigenvalue is None
 
 
 class TestTensorModeNorm:
