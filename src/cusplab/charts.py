@@ -7,10 +7,11 @@ collar chart is (d rho^2 + F(rho, y)) / rho^2 for its tangential family F:
 rank-f family F_f(u, (v, z)) = dv^2 + (u^2 + |v|^2)^2 dz^2, which is H^n
 over a lattice of parabolic translations (the pre-blow-up upper half space;
 the maximal cusp at f = n - 1, with r = u).  The intermediate cusp is F_f in
-polar form but keeps its own kind: its sigma is truncate(r) cos theta0, not
-truncate(u).  Every chart carries exact closed-form metric components, the
-volume density, the (truncated) total boundary defining function sigma, and
-membership tests for the exhaustion domains {sigma >= eps}; the boundary
+polar form, u = r cos theta0 and |v| = r sin theta0, but keeps its own kind:
+its sigma is truncate(r) cos theta0, not truncate(u).  Every chart's metric
+is B / x^2 and its volume density sqrt(det B) / x^n (Chart._conformal_block);
+every chart carries the (truncated) total boundary defining function sigma
+and membership tests for the exhaustion domains {sigma >= eps}; the boundary
 rescalings of the Schauder step carry their pulled-back metrics.
 
 Every chart quantity takes one point (n,) or an (N, n) array of points and
@@ -173,20 +174,20 @@ H_U_FAMILIES = {
 
 @dataclass(frozen=True)
 class Chart:
-    """A model coordinate patch with closed-form metric components.
+    """A model coordinate patch with exact metric components.
 
     kind names the end: the intermediate cusp, or a collar family (a key of
     H_U_FAMILIES); n is the manifold dimension; f the cusp rank (of the
     intermediate cusp or the cusp family).  edge is the outer coordinate
     value of the defining-function direction (r, rho or u range (0, edge]).
 
-    metric_stepped declares, from each closed form, the number of leading
-    coordinates the metric components depend on: rho alone on the Euclidean
-    collar, all but the azimuthal angle on the round collar, u and v (1 + b)
-    on the cusp family, so u alone on the maximal cusp, and r, theta0 and the
-    polar angles (no torus coordinate) on the intermediate cusp.  Moving
-    only the later coordinates leaves `metric_at` the same bits, so a
-    finite-difference stencil need not step along them.
+    metric_stepped declares, from each block B and coordinate x, the number
+    of leading coordinates the metric components depend on: rho alone on the
+    Euclidean collar, all but the azimuthal angle on the round collar, u and
+    v (1 + b) on the cusp family, so u alone on the maximal cusp, and r,
+    theta0 and the polar angles (no torus coordinate) on the intermediate
+    cusp.  Moving only the later coordinates leaves `metric_at` the same
+    bits, so a finite-difference stencil need not step along them.
     """
 
     kind: str
@@ -331,48 +332,39 @@ class Chart:
 
     # -- metric data -------------------------------------------------------
 
-    @batched
-    def metric_at(self, p) -> np.ndarray:
-        """Exact closed-form metric components (symmetric positive definite)
-        at one point (n,), or stacked (N, n, n) at the rows of an (N, n)
-        array."""
-        p = self.validate_point(p)
-        n = self.n
-        out = np.zeros(p.shape + (n,))
+    def _conformal_block(self, p):
+        """(B, x) at validated points, the metric being B / x^2: on a collar
+        B = 1 + h_u(rho, y) and x = rho; on the intermediate cusp, F_f pulled
+        back by the polar map, B = 1 + r^2 round(theta0, ..., theta_{b-1}) +
+        r^4 I_f and x = r cos(theta0) (direct sums)."""
+        B = np.zeros(p.shape + (self.n,))
+        B[..., 0, 0] = 1.0
         x = p[..., 0]
         if self.kind == INTERMEDIATE_CUSP:
-            b, th = self.b, p[..., 1]
-            c2 = np.cos(th) ** 2
-            out[..., 0, 0] = 1.0 / (x * x * c2)
-            out[..., 1, 1] = 1.0 / c2
-            if b >= 2:
-                out[..., 2 : 1 + b, 2 : 1 + b] = _matrix_scale(
-                    np.sin(th) ** 2 / c2
-                ) * round_sphere_metric(p[..., 2 : 1 + b])
-            out[..., 1 + b :, 1 + b :] = _matrix_scale(x * x / c2) * np.eye(self.f)
-            return out
-        out[..., 0, 0] = 1.0
-        out[..., 1:, 1:] = self.h_u(x, p[..., 1:])
-        out /= _matrix_scale(x * x)
-        return out
+            b, r2 = self.b, x * x
+            sphere = round_sphere_metric(p[..., 1 : 1 + b])
+            B[..., 1 : 1 + b, 1 : 1 + b] = _matrix_scale(r2) * sphere
+            B[..., 1 + b :, 1 + b :] = _matrix_scale(r2 * r2) * np.eye(self.f)
+            return B, x * np.cos(p[..., 1])
+        B[..., 1:, 1:] = self.h_u(x, p[..., 1:])
+        return B, x
+
+    @batched
+    def metric_at(self, p) -> np.ndarray:
+        """Metric components B / x^2 (symmetric positive definite) at one
+        point (n,), or stacked (N, n, n) at the rows of an (N, n) array."""
+        B, x = self._conformal_block(self.validate_point(p))
+        return B / _matrix_scale(x * x)
 
     @batched
     def volume_density_at(self, p):
-        """sqrt(det h) from the closed-form determinant of each family, at
-        one point (a scalar) or at each row of an (N, n) array."""
+        """sqrt(det B) / x^n (sqrt(det g) overflows from rho = 1e-25 at n = 7)
+        at one point (a scalar) or at each row of an (N, n) array."""
         p = self.validate_point(p)
         if p.ndim == 1:  # the one-row array, so a point and a batch agree bit for bit
             return self.volume_density_at(p[None])[0]
-        n = self.n
-        x = p[..., 0]
-        if self.kind == INTERMEDIATE_CUSP:
-            th = p[..., 1]
-            dens = x ** (self.f - 1) * np.sin(th) ** (self.b - 1) / np.cos(th) ** n
-            if self.b >= 2:
-                dens = dens * np.sqrt(
-                    np.linalg.det(round_sphere_metric(p[..., 2 : 1 + self.b])))
-            return dens
-        return np.sqrt(np.linalg.det(self.h_u(x, p[..., 1:]))) / x ** n
+        B, x = self._conformal_block(p)
+        return np.sqrt(np.linalg.det(B[..., 1:, 1:])) / x ** self.n
 
     @batched
     def sigma_at(self, p):

@@ -1,14 +1,14 @@
 """Discrete Dirichlet problems on truncated chart grids.
 
 The reduced operator Delta + K is discretized in flux (divergence) form on
-structured 2D grids over the (r, theta0) coordinates of the intermediate
-cusp, or over the (rho, y) or (r,) coordinates of a collar whose metric
-depends on rho alone (the Euclidean collar, the maximal cusp); for data
-independent of the remaining coordinates the reduction is exact because the
-transverse Laplacian blocks annihilate such functions.  Multiplying through
-by the volume density gives a symmetric form, and every such form is a
-Kronecker sum of 1-D tridiagonal stencils, one per axis, built once per
-grid (a one-axis grid gets a second axis of one node).  No matrix is
+structured grids over a chart's first one or two coordinates, by one rule:
+the volume density and the metric's diagonal are read from the chart, whose
+metric must be diagonal in the grid axes and factor across them
+(_flux_factors); for data independent of the other coordinates the
+reduction is exact because the transverse Laplacian blocks annihilate such
+functions.  Multiplying through by the volume density gives a symmetric
+form, a Kronecker sum of 1-D tridiagonal stencils, one per axis, built once
+per grid (a one-axis grid gets a second axis of one node).  No matrix is
 assembled: the form's product, the pointwise apply with Dirichlet data and
 the fast-diagonalization factor (one generalized eigendecomposition per
 axis, serving the coercivity check and every solve) all read the stencils.
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .charts import Chart, INTERMEDIATE_CUSP, NonConvergence, smooth_bump
+from .charts import Chart, INTERMEDIATE_CUSP, POLE_MARGIN, NonConvergence, smooth_bump
 from .tensorcalc import _nabla
 from .weights import WeightVector, cusp_margin, h0_margin
 
@@ -165,6 +165,10 @@ spla = _DeferredModule("scipy.sparse.linalg")
 # 0.003 s either way at 96 nodes, 0.030 s against 0.027 s at 256, 0.178 s
 # against 0.118 s at 512 and 0.82 s against 0.62 s at 1024.
 ONE_THREAD_NODES = 224
+
+# Relative spread within which chart values count as a product or a constant:
+# their rounding reaches 1e-14 (n = 7), a metric that does not factor far more.
+_SEPARABLE_RTOL = 1e-12
 
 # Lanczos basis of the coercivity probe, which holds at most PROBE_BASIS + 1
 # vectors and restarts from its top Ritz vector when they are all taken.
@@ -303,37 +307,49 @@ class Grid2D:
 
 def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
     """Per-axis 1-D factors of the reduced volume density W and of the flux
-    coefficients A_d = W * h^{dd}: W = w[0] x w[1] and A_d = a[d][0] x a[d][1]
+    coefficients A_d = W / h_dd: W = w[0] x w[1] and A_d = a[d][0] x a[d][1]
     (outer products), where the factors on axis e depend on axes[e] only.
-    The intermediate cusp has them in closed form.  On a collar whose metric
-    depends on rho alone (metric_stepped == 1: the Euclidean collar, the
-    maximal cusp) W is the chart's volume density and A_d = W / h_dd, both
-    on the axis-0 nodes, with unit factors on the other axis."""
-    if chart.kind == INTERMEDIATE_CUSP:
-        f, b = chart.f, chart.b
-        r, th = axes
-        w_r = r ** (f - 1)
-        c = np.cos(th)
-        w_th = np.sin(th) ** (b - 1) / c ** chart.n
-        a_th = w_th * c * c
-        return (w_r, w_th), [(w_r * r * r, a_th), (w_r, a_th)]
-    if chart.metric_stepped != 1:
-        family = ("" if chart.f is None else f"rank-{chart.f} ") + chart.kind
-        raise ValueError(f"no reduced operator on the {family} collar: its metric "
-                         f"depends on {chart.metric_stepped} coordinates, not rho alone")
-    pts = np.zeros((len(axes[0]), chart.n))
-    pts[:, 0] = axes[0]
-    w = chart.volume_density_at(pts)
-    h = np.diagonal(chart.metric_at(pts), axis1=1, axis2=2)
-    ones = tuple(np.ones(len(ax)) for ax in axes[1:])
-    return (w,) + ones, [(w / h[:, d],) + ones for d in range(len(axes))]
+
+    One rule for every chart: W and h_dd are read from the chart at a fixed
+    reference point (the middle of each finite coordinate range, else 0), on
+    the line along each axis through it and at the grid's corners; axis 1's
+    factors are divided by the reference point's values.  A chart whose
+    metric is not diagonal in the grid axes, or does not factor across them
+    at the corners, is refused with the reason."""
+    ndim, names = len(axes), chart.coordinate_names[: len(axes)]
+    refusal = f"no reduced operator on the {chart.kind} chart over ({', '.join(names)})"
+    ref = np.array([0.5 * (lo + hi) if math.isfinite(hi - lo) else 0.0
+                    for lo, hi in chart.coordinate_ranges()])
+    lines = [np.where(np.arange(chart.n) == d, ax[:, None], ref)
+             for d, ax in enumerate(axes)] + [ref[None]]
+    if ndim == 2:  # the grid's corners
+        corners = np.tile(ref, (4, 1))
+        corners[:, 0], corners[:, 1] = axes[0][[0, 0, -1, -1]], axes[1][[0, -1, 0, -1]]
+        lines.append(corners)
+    pts = np.concatenate(lines)
+    g = chart.metric_at(pts)
+    if np.count_nonzero(g[:, :ndim]) > len(pts) * ndim:  # an entry off the diagonal
+        raise ValueError(f"{refusal}: its metric is not diagonal in them")
+    q = np.column_stack([chart.volume_density_at(pts),  # W, then each h_dd
+                         np.diagonal(g, axis1=1, axis2=2)[:, :ndim]])
+    *near, at_ref, at_corners = np.split(q, np.cumsum([len(ax) for ax in axes] + [1]))
+    factors = [near[0]] + [v / at_ref for v in near[1:]]
+    if ndim == 2:
+        want = (factors[0][[0, -1], None] * factors[1][None, [0, -1]]).reshape(4, -1)
+        off = (np.abs(at_corners - want) > _SEPARABLE_RTOL * np.abs(want)).any(axis=0)
+        if off.any():
+            what = ["the volume density"] + [f"the metric's ({x}, {x}) entry"
+                                             for x in names]
+            raise ValueError(f"{refusal}: {what[np.argmax(off)]} does not factor "
+                             f"across {names[0]} and {names[1]}")
+    return (tuple(v[:, 0] for v in factors),
+            [tuple(v[:, 0] / v[:, 1 + d] for v in factors) for d in range(ndim)])
 
 
 def _require_euclidean_collar(chart: Chart) -> None:
     """The one guard of the closed-form collar Christoffels and tensor norms
-    in this module (koiso_quadrature, _covariant_derivative and tensor-mode
-    weighted_sup_norm): they hold for the Euclidean collar family only, so
-    every other chart kind is refused."""
+    of koiso_quadrature and _covariant_derivative: they hold for the
+    Euclidean collar family only, so every other chart kind is refused."""
     if chart.kind != "euclidean":
         raise ValueError(f"this collar formula assumes the Euclidean family, "
                          f"the chart is {chart.kind!r}")
@@ -347,6 +363,10 @@ def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
         raise ValueError("cusp_grid needs an intermediate-rank cusp chart")
     r_lo = math.sqrt(eps)
     th_hi = math.acos(math.sqrt(eps))
+    if th_hi > chart.coordinate_ranges()[1][1]:
+        raise ValueError(f"eps = {eps} is below the cusp grid's floor "
+                         f"sin^2(POLE_MARGIN) = {math.sin(POLE_MARGIN) ** 2:.4g}: "
+                         f"theta0 would run past pi/2 - POLE_MARGIN")
     if not (r_lo < chart.edge and 0.2 < th_hi):
         raise ValueError(f"eps = {eps} leaves no room in the chart")
     return Grid2D(
@@ -357,8 +377,6 @@ def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
 
 
 def collar_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
-    if chart.kind == INTERMEDIATE_CUSP:
-        raise ValueError("collar_grid needs a collar chart")
     return compact_patch_grid(chart, nodes, (eps, chart.edge), (-1.0, 1.0))
 
 
@@ -395,10 +413,6 @@ class DiscreteField:
             raise ValueError("field shape does not match the grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-
-    @property
-    def is_tensor(self) -> bool:
-        return self.values.ndim > self.grid.ndim
 
 
 def sample_field(grid: Grid2D, fn: Callable) -> DiscreteField:
@@ -483,34 +497,32 @@ class _AxisStencil(NamedTuple):
 
 def _axis_stencils(grid: Grid2D, K: float):
     """(stencils, w): the per-axis stencils of assemble(grid, K) and the
-    factors of W on the interior nodes, from one _flux_factors call on the
-    interior nodes and one on the midpoints.
-
-    With W = w_0 x w_1 and A_d = a[d][0] x a[d][1] the interior form is
-    T_0 x diag(a[0][1]) + diag(a[1][0]) x T_1 + K diag(w_0) x diag(w_1),
-    T_d the flux stencil of a[d][d].  The K W term joins the axis whose
-    partner's mass is also its W factor: theta0 on the cusp (w_r = a[1][0]),
-    rho on the Euclidean collar (w_y = a[0][1] = 1).  A one-axis operator is
-    T_0 + K diag(w_0) with unit mass, and its second stencil has one node,
-    unit mass and no couplings.
+    factors of W on the interior nodes, from one _flux_factors call on each
+    axis's nodes and midpoints.  The interior form is T_0 x diag(a[0][1]) +
+    diag(a[1][0]) x T_1 + K W, T_d the flux stencil of a[d][d].  K W joins
+    the stencil of the axis d whose h_dd does not vary along the other axis
+    e (theta0 on the cusp, rho on a collar): there w_e = c a[d][e] for a
+    constant c, so K W = diag(a[d][e]) x diag(K c w_d).  A one-axis operator
+    is T_0 + K diag(w_0) with unit mass, beside a one-node second stencil.
     """
-    inner = [ax[1:-1] for ax in grid.axes]
-    w, a = _flux_factors(grid.chart, inner)
-    a_mid = _flux_factors(grid.chart, [0.5 * (ax[1:] + ax[:-1]) for ax in grid.axes])[1]
+    refined = [np.append(np.column_stack([ax[:-1], (ax[1:] + ax[:-1]) / 2]), ax[-1])
+               for ax in grid.axes]  # nodes at even entries, midpoints at odd ones
+    w, a = _flux_factors(grid.chart, refined)
+    w = [f[2:-2:2] for f in w]
+    couplings = [a[d][d][1::2] / (dx * dx) for d, dx in enumerate(grid.spacing)]
     if grid.ndim == 1:
-        masses, fold = (np.ones(len(inner[0])),), 0
+        return (_AxisStencil(couplings[0], K * w[0], np.ones(len(w[0]))),
+                _AxisStencil(np.zeros(2), np.zeros(1), np.ones(1))), w
+    masses = (a[1][0][2:-2:2], a[0][1][2:-2:2])
+    for fold in (1, 0):
+        c = w[1 - fold] / masses[1 - fold]
+        if (np.abs(c - c[0]) <= _SEPARABLE_RTOL * abs(c[0])).all():
+            break
     else:
-        masses = (a[1][0], a[0][1])
-        fold = 1 if np.array_equal(w[0], masses[0]) else 0
-        if not np.array_equal(w[1 - fold], masses[1 - fold]):
-            raise ValueError(f"K W is not separable on a {grid.chart.kind} grid")
-    stencils = [
-        _AxisStencil(a_mid[d][d] / (dx * dx),
-                     K * w[d] if d == fold else np.zeros(len(inner[d])), masses[d])
-        for d, dx in enumerate(grid.spacing)]
-    if grid.ndim == 1:
-        stencils.append(_AxisStencil(np.zeros(2), np.zeros(1), np.ones(1)))
-    return tuple(stencils), w
+        raise ValueError(f"K W joins neither stencil on the {grid.chart.kind} grid: "
+                         "each h_dd varies along the other axis")
+    return tuple(_AxisStencil(couplings[d], K * c[0] * w[d] if d == fold
+                              else np.zeros(len(w[d])), masses[d]) for d in (0, 1)), w
 
 
 @dataclass
@@ -749,17 +761,8 @@ def solve_dirichlet(op: SparseOperator, f: DiscreteField | np.ndarray) -> Discre
 
 
 def weighted_sup_norm(u: DiscreteField, w: WeightVector) -> float:
-    """Weighted sup norm max |u| / sigma^mu over the grid nodes; tensor-mode
-    fields are reduced to the pointwise metric norm of their components."""
-    vals = _pointwise_tensor_norm(u) if u.is_tensor else np.abs(u.values)
-    return float((vals / u.grid.sigma_mu(w)).max())
-
-
-def _pointwise_tensor_norm(u: DiscreteField) -> np.ndarray:
-    grid = u.grid
-    _require_euclidean_collar(grid.chart)
-    rho = grid.meshes()[0]
-    return rho ** 2 * np.sqrt(np.einsum("xyij,xyij->xy", u.values, u.values))
+    """Weighted sup norm max |u| / sigma^mu over the grid nodes."""
+    return float((np.abs(u.values) / u.grid.sigma_mu(w)).max())
 
 
 # -- exhaustion sweep ---------------------------------------------------------
@@ -873,16 +876,20 @@ def maximum_principle_check(op: SparseOperator, w: WeightVector) -> MaxPrinciple
     """Apply the operator's stencil form to sigma^mu (apply_to_values),
     evaluate (Delta + K) sigma^mu / sigma^mu over the interior nodes and
     compare its minimum against the closed-form margin, within 50 h^2 for
-    the largest spacing h."""
-    grid, K = op.grid, op.K
+    the largest spacing h.  The margin is exact on the intermediate cusp, the
+    Euclidean collar and the maximal cusp; every other chart is refused."""
+    grid, K, chart = op.grid, op.K, op.grid.chart
+    if chart.kind == INTERMEDIATE_CUSP:
+        delta = cusp_margin(K, w.mus[0], w.mu0, chart.f, w.n).delta
+    elif chart.kind == "euclidean" or chart.f == chart.n - 1:
+        # the maximal cusp's r^mu is the face's rho^nu at nu = -mu
+        delta = h0_margin(K, w.mu0 if chart.f is None else -w.mus[0], w.n).delta
+    else:
+        raise ValueError(f"no closed-form barrier margin on the {chart.kind} collar: "
+                         f"(Delta + K) rho^nu / rho^nu is not constant on its family")
     smu = grid.sigma_mu(w)
     ratio = op.apply_to_values(smu) / smu[grid.interior]
     spc = max(grid.spacing)
-    if grid.chart.kind == INTERMEDIATE_CUSP:
-        delta = cusp_margin(K, w.mus[0], w.mu0, grid.chart.f, w.n).delta
-    else:  # a collar: the maximal cusp's r^mu is the face's rho^nu at nu = -mu
-        nu = w.mu0 if grid.chart.f is None else -w.mus[0]
-        delta = h0_margin(K, nu, w.n).delta
     tol = 50.0 * spc * spc
     min_ratio = float(ratio.min())
     return MaxPrincipleReport(

@@ -10,6 +10,7 @@ from cusplab.charts import (
     RescalingCase,
     RescalingCaseError,
     rescaled_metric_at,
+    round_sphere_metric,
     truncate_bdf,
 )
 from cusplab.solver import half_ball_lattice
@@ -437,6 +438,86 @@ class TestCuspFamilyKeepsTheOldClosedForms:
                                    rtol=1e-14, atol=0)
         assert (chart.sigma_at(pts).tobytes()
                 == _truncated_first_coordinate(chart, pts).tobytes())
+
+
+class TestIntermediateCuspIsPolarF_f:
+    """The intermediate cusp's metric is F_f pulled back by the polar map
+    u = r cos(theta0), v = r sin(theta0) omega(theta_1, ...), z = w: it
+    equals J^T F_f(P(p)) J, J the map's Jacobian by complex step, within
+    1e-14 relative, and the parent's closed forms, written out below as
+    references, to 4 ulp (the metric) and rtol 1e-14 (the density)."""
+
+    CHARTS = [Chart.intermediate_cusp(n, f)
+              for n, f in [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 2)]]
+
+    @pytest.mark.parametrize("chart", CHARTS, ids=_chart_id)
+    def test_metric_is_the_pullback(self, chart, rng):
+        pts = np.array(sample_points(chart, 200, rng))
+        step = 1e-30
+        jac = np.stack([_polar_map(chart, pts + 1j * step * e).imag / step
+                        for e in np.eye(chart.n)], axis=-1)
+        flat = Chart.upper_half_space(chart.n, chart.f).metric_at(_polar_map(chart, pts).real)
+        want = np.einsum("...ki,...kl,...lj->...ij", jac, flat, jac)
+        got = chart.metric_at(pts)
+        diag = np.diagonal(want, axis1=1, axis2=2)
+        scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+    @pytest.mark.parametrize("chart", CHARTS, ids=_chart_id)
+    def test_parent_closed_forms(self, chart, rng):
+        pts = np.array(sample_points(chart, 200, rng))
+        got, want = chart.metric_at(pts), _intermediate_cusp_metric(chart, pts)
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+        np.testing.assert_allclose(chart.volume_density_at(pts),
+                                   _intermediate_cusp_density(chart, pts),
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("rho, want", [(1e-25, 1e175), (1e-40, 1e280)])
+    def test_density_divides_by_x_to_the_n(self, rho, want):
+        # sqrt(det g) = rho^-7 overflows from rho = 1e-25 through det's rho^-14
+        got = Chart.collar(7).volume_density_at(np.r_[rho, np.zeros(6)])
+        assert math.isfinite(got) and got == 1.0 / rho ** 7
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+def _polar_map(chart, p):
+    """(u, v, z) of the upper half space at intermediate-cusp points (r,
+    theta0, ..., theta_{b-1}, w): r times the unit vector with spherical
+    angles theta0, ..., theta_{b-1} (the coordinates of round_sphere_metric),
+    then w.  Takes complex points for the complex-step Jacobian."""
+    b = chart.b
+    sphere, acc = [], 1.0
+    for k in range(1, 1 + b):
+        sphere.append(acc * np.cos(p[..., k]))
+        acc = acc * np.sin(p[..., k])
+    sphere.append(acc)
+    return np.concatenate([p[..., :1] * np.stack(sphere, axis=-1), p[..., 1 + b :]],
+                          axis=-1)
+
+
+# The intermediate cusp's closed forms before it was read as polar F_f, as
+# references for it.
+
+
+def _intermediate_cusp_metric(chart, p):
+    x, th, b = p[..., 0], p[..., 1], chart.b
+    c2 = np.cos(th) ** 2
+    out = np.zeros(p.shape + (chart.n,))
+    out[..., 0, 0] = 1.0 / (x * x * c2)
+    out[..., 1, 1] = 1.0 / c2
+    if b >= 2:
+        out[..., 2 : 1 + b, 2 : 1 + b] = ((np.sin(th) ** 2 / c2)[..., None, None]
+                                          * round_sphere_metric(p[..., 2 : 1 + b]))
+    out[..., 1 + b :, 1 + b :] = (x * x / c2)[..., None, None] * np.eye(chart.f)
+    return out
+
+
+def _intermediate_cusp_density(chart, p):
+    x, th, b = p[..., 0], p[..., 1], chart.b
+    dens = x ** (chart.f - 1) * np.sin(th) ** (b - 1) / np.cos(th) ** chart.n
+    if b >= 2:
+        dens = dens * np.sqrt(np.linalg.det(round_sphere_metric(p[..., 2 : 1 + b])))
+    return dens
 
 
 def sample_points(chart, count, rng):

@@ -128,6 +128,19 @@ class TestBadInput:
             "configuration error: eps: must be finite and positive\n")
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--eps", "1e-12", "--nodes", "16"),
+        ("sweep", "--eps", "0.1,1e-7"),
+    ], ids=" ".join)
+    def test_eps_below_the_cusp_grids_floor(self, tmp_path, capsys, argv):
+        # theta0 runs to arccos(sqrt(eps)), which must stay below
+        # pi/2 - POLE_MARGIN: eps >= sin^2(POLE_MARGIN), about 1e-6
+        eps = float(argv[2].split(",")[-1])
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"configuration error: eps = {eps} is below the cusp grid's floor "
+            "sin^2(POLE_MARGIN) = 1e-06: theta0 would run past pi/2 - POLE_MARGIN\n")
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cusplab.charts import Chart, smooth_bump
+from cusplab.charts import Chart, batched, euclidean_collar_family, smooth_bump
 from cusplab.solver import (
     DiscreteField,
     IndefiniteOperator,
@@ -237,8 +237,7 @@ class TestStencilForm:
 
 
 class TestOneConstruction:
-    def test_flux_factors_evaluated_once_on_nodes_and_once_on_midpoints(
-            self, monkeypatch):
+    def test_flux_factors_evaluated_once_on_nodes_and_midpoints(self, monkeypatch):
         import cusplab.solver as sv
 
         calls = _count_calls(monkeypatch, sv, ["_flux_factors"])
@@ -248,13 +247,16 @@ class TestOneConstruction:
         solve_dirichlet(op, f)  # K < 0: factors and probes
         op.apply_to_values(f.values)
         assert op.min_eigenvalue is not None
-        assert calls["_flux_factors"] == 2
+        assert calls["_flux_factors"] == 1
 
 
 class TestFluxFactorsClosedForms:
-    """_flux_factors reads the chart's density and metric on a collar; here
-    they meet the closed forms W = rho^-n, A_d = W rho^2 on the Euclidean
-    collar and W = r^(n-2), A = W r^2 on the maximal cusp."""
+    """_flux_factors reads the chart's density and metric on every chart;
+    here they meet the closed forms W = rho^-n, A_d = W rho^2 on the
+    Euclidean collar, W = r^(n-2), A = W r^2 on the maximal cusp, and on the
+    intermediate cusp the parent's W = r^(f-1) sin^(b-1) / cos^n,
+    A_r = W r^2 cos^2, A_theta0 = W cos^2 up to the one constant factor that
+    the density's other coordinates contribute."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_euclidean_collar(self, n):
@@ -273,12 +275,129 @@ class TestFluxFactorsClosedForms:
         np.testing.assert_allclose(w, r ** (n - 2.0), rtol=1e-14, atol=0)
         np.testing.assert_allclose(a, w * r * r, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 3), (7, 2)])
+    def test_intermediate_cusp(self, n, f):
+        chart = Chart.intermediate_cusp(n, f)
+        r, th = np.linspace(0.1, 1.0, 17), np.linspace(0.2, 1.5, 13)
+        w, a = _flux_factors(chart, (r, th))
+        rr, tt = np.meshgrid(r, th, indexing="ij")
+        c = np.cos(tt)
+        want_w = rr ** (f - 1) * np.sin(tt) ** (chart.b - 1) / c ** n
+        scale = np.multiply.outer(*w) / want_w
+        np.testing.assert_allclose(scale, scale[0, 0], rtol=1e-13, atol=0)
+        for a_d, h_dd in zip(a, (rr * rr * c * c, c * c)):
+            np.testing.assert_allclose(np.multiply.outer(*a_d),
+                                       scale[0, 0] * want_w * h_dd, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (4, 2), (5, 3)])
     def test_upper_half_space_below_maximal_rank_is_refused(self, n, f):
         grid = compact_patch_grid(Chart.upper_half_space(n, f), 8, (0.5, 1.0),
                                   (-0.5, 0.5))
-        with pytest.raises(ValueError, match=f"rank-{f} cusp collar: its metric "
-                                             f"depends on {n - f} coordinates"):
+        with pytest.raises(ValueError, match=r"on the cusp chart over \(u, v1\): "
+                                             "the volume density does not factor "
+                                             "across u and v1"):
+            assemble(grid, -2.0)
+
+
+@batched
+def _smooth_on_two_axes(p):
+    return np.sin(1.3 * p[..., 0] + 0.4) * np.cos(0.7 * p[..., 1] - 0.2) + p[..., 0] * p[..., 1] ** 2
+
+
+@batched
+def _smooth_on_one_axis(p):
+    return np.sin(1.3 * p[..., 0] + 0.4) + p[..., 0] ** 2
+
+
+class TestOneRuleMatchesTheJetLaplacian:
+    """On every chart the one flux-factor rule accepts, the assembled operator
+    applied to a smooth u of the grid coordinates converges at second order
+    to the jet Laplacian of the chart's own metric plus K u.  The jet values
+    are taken on the interior nodes of the 17-node grid, which the 33- and
+    65-node grids share, with every other coordinate at 0.3."""
+
+    ROUND = Chart.collar(4, h_u="round_sphere", edge=1.9)
+    GRIDS = {
+        "cusp41": lambda nodes: cusp_grid(CUSP, 0.1, nodes),
+        "cusp52": lambda nodes: cusp_grid(Chart.intermediate_cusp(5, 2), 0.1, nodes),
+        "euclidean": lambda nodes: compact_patch_grid(Chart.collar(4), nodes,
+                                                      (0.1, 1.0), (-0.5, 0.5)),
+        "maximal": lambda nodes: maximal_grid(Chart.maximal_cusp(4), 0.1, nodes),
+        "round_sphere": lambda nodes: compact_patch_grid(
+            TestOneRuleMatchesTheJetLaplacian.ROUND, nodes, (0.5, 1.5), (0.5, 2.5)),
+    }
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_second_order_against_the_jet_laplacian(self, kind):
+        from cusplab.tensorcalc import chart_metric, laplacian_scalar_at
+
+        K = -2.0
+        coarse = self.GRIDS[kind](17)
+        chart = coarse.chart
+        u = _smooth_on_two_axes if coarse.ndim == 2 else _smooth_on_one_axis
+        pts = np.full(coarse.shape + (chart.n,), 0.3)
+        for d, mesh in enumerate(coarse.meshes()):
+            pts[..., d] = mesh
+        pts = pts[coarse.interior].reshape(-1, chart.n)
+        want = laplacian_scalar_at(chart_metric(chart), u, pts) + K * u(pts)
+        errs = []
+        for nodes in (17, 33, 65):
+            grid = self.GRIDS[kind](nodes)
+            full = np.zeros(grid.shape)
+            full[grid.interior] = assemble(grid, K).apply_to_values(
+                u(np.stack(grid.meshes(), axis=-1)))
+            shared = full[(slice(None, None, (nodes - 1) // 16),) * grid.ndim]
+            errs.append(np.abs(shared[coarse.interior].reshape(-1) - want).max())
+        assert min(math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])) >= 1.9
+
+
+def _sheared_family(rho, y):
+    """The identity with a (y1, y2) entry: not diagonal in the grid axes."""
+    g = euclidean_collar_family(rho, y)
+    g[..., 0, 1] = g[..., 1, 0] = 0.1
+    return g
+
+
+def _unfactored_family(rho, y):
+    """diag(phi, 1 / phi, 1), phi = 1 + rho y1^2: W = rho^-n factors, the
+    (y1, y1) entry phi / rho^2 does not."""
+    rho, y = np.asarray(rho, dtype=float), np.asarray(y, dtype=float)
+    g = euclidean_collar_family(rho, y)
+    phi = 1.0 + rho * y[..., 0] ** 2
+    g[..., 0, 0], g[..., 1, 1] = phi, 1.0 / phi
+    return g
+
+
+class TestOneRuleRefuses:
+    """Every chart the rule cannot reduce is refused with the reason, in
+    terms of the grid's coordinates."""
+
+    @pytest.mark.parametrize("family, reason", [
+        (_sheared_family, r"over \(rho, y1\): its metric is not diagonal in them"),
+        (_unfactored_family, r"over \(rho, y1\): the metric's \(y1, y1\) entry does "
+                             r"not factor across rho and y1"),
+    ], ids=["not-diagonal", "not-factoring"])
+    def test_collar_family(self, monkeypatch, family, reason):
+        from cusplab.charts import H_U_FAMILIES
+
+        monkeypatch.setitem(H_U_FAMILIES, "test_family", family)
+        grid = compact_patch_grid(Chart("test_family", 4), 8, (0.5, 1.0), (-0.5, 0.5))
+        with pytest.raises(ValueError, match=reason):
+            assemble(grid, -2.0)
+
+    def test_no_axis_takes_K_W(self, monkeypatch):
+        # h_rhorho made to vary along y1 while h_y1y1 varies along rho: both
+        # factor, but neither is constant along the other axis
+        metric_at = Chart.metric_at
+
+        def tilted(self, p):
+            g = metric_at(self, p)
+            g[..., 0, 0] *= 1.0 + np.asarray(p)[..., 1] ** 2
+            return g
+
+        monkeypatch.setattr(Chart, "metric_at", tilted)
+        grid = compact_patch_grid(Chart.collar(4), 8, (0.5, 1.0), (-0.5, 0.5))
+        with pytest.raises(ValueError, match="K W joins neither stencil"):
             assemble(grid, -2.0)
 
 
@@ -1043,6 +1162,16 @@ class TestMaximumPrincipleCheck:
         assert ratio.max() < 0  # negative everywhere: no positive weights work
         assert rep.closed_form_delta < 0
 
+    def test_round_collar_refused(self):
+        # the one flux-factor rule assembles this collar's (rho, y1)
+        # reduction, but (Delta + K) rho^nu / rho^nu varies on its family
+        chart = Chart.collar(4, h_u="round_sphere", edge=1.9)
+        op = assemble(compact_patch_grid(chart, 17, (0.5, 1.5), (0.5, 2.5)), -2.0)
+        w = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
+        with pytest.raises(ValueError, match="no closed-form barrier margin on the "
+                                             "round_sphere collar"):
+            maximum_principle_check(op, w)
+
 
 class TestKoiso:
     def patch(self, nodes):
@@ -1198,19 +1327,6 @@ class TestCoercivityProbeFailure:
         assert op.probe_steps == 1 and op.min_eigenvalue is None
 
 
-class TestTensorModeNorm:
-    def test_pointwise_metric_norm_reduction(self):
-        chart = Chart.collar(4, edge=2.5)
-        grid = compact_patch_grid(chart, 17, (1.0, 2.0), (-0.5, 0.5))
-        rho = grid.meshes()[0]
-        w = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
-        vals = np.zeros(grid.shape + (4, 4))
-        vals[..., 0, 0] = 1.0  # |u|_h = rho^2 pointwise
-        u = DiscreteField(grid, vals)
-        want = float((rho ** 2 / rho ** 1.75).max())
-        assert weighted_sup_norm(u, w) == pytest.approx(want, rel=1e-12)
-
-
 class TestGridsLieInTheirChart:
     def test_cusp_radius_beyond_the_edge(self):
         from cusplab.solver import Grid2D
@@ -1228,32 +1344,17 @@ class TestGridsLieInTheirChart:
 class TestEuclideanCollarOnly:
     ROUND = Chart.collar(4, h_u="round_sphere", edge=1.9)
 
-    def test_flux_coefficients(self):
-        grid = compact_patch_grid(self.ROUND, 8, (0.5, 1.0), (1.0, 1.5))
-        with pytest.raises(ValueError, match="round_sphere collar: its metric "
-                                             "depends on 3 coordinates"):
-            assemble(grid, -2.0)
-
     def test_koiso_quadrature(self):
         grid = compact_patch_grid(self.ROUND, 17, (1.0, 1.5), (0.5, 1.5))
         u = random_bump_tensor(grid, np.random.default_rng(0))
         with pytest.raises(ValueError, match="Euclidean family"):
             koiso_quadrature(grid, u)
 
-    def test_tensor_norm(self):
-        grid = compact_patch_grid(self.ROUND, 17, (1.0, 1.5), (0.5, 1.5))
-        u = DiscreteField(grid, np.ones(grid.shape + (4, 4)))
-        w = WeightVector(mu0=1.75, mus=(), ranks=(), n=4)
-        with pytest.raises(ValueError, match="Euclidean family"):
-            weighted_sup_norm(u, w)
-
     def test_one_guard_refuses_the_cusp(self):
         grid = cusp_grid(CUSP, 0.1, nodes=17)
         u = DiscreteField(grid, np.zeros(grid.shape + (4, 4)))
         with pytest.raises(ValueError, match="Euclidean family, the chart is "
                                              "'intermediate_cusp'"):
-            weighted_sup_norm(u, W41)
-        with pytest.raises(ValueError, match="Euclidean family"):
             koiso_quadrature(grid, u)
 
 
