@@ -349,22 +349,38 @@ class Chart:
         B[..., 1:, 1:] = self.h_u(x, p[..., 1:])
         return B, x
 
+    @staticmethod
+    def _metric(B, x):
+        """B / x^2 from the conformal blocks."""
+        return B / _matrix_scale(x * x)
+
+    def _density(self, B, x):
+        """sqrt(det B) / x^n from the conformal blocks (B's first row and
+        column are the identity's)."""
+        return np.sqrt(np.linalg.det(B[..., 1:, 1:])) / x ** self.n
+
     @batched
     def metric_at(self, p) -> np.ndarray:
         """Metric components B / x^2 (symmetric positive definite) at one
         point (n,), or stacked (N, n, n) at the rows of an (N, n) array."""
-        B, x = self._conformal_block(self.validate_point(p))
-        return B / _matrix_scale(x * x)
+        p = self.validate_point(p)
+        # one point as the one-row array, so a point and a batch agree bit for bit
+        g = self._metric(*self._conformal_block(np.atleast_2d(p)))
+        return g if p.ndim == 2 else g[0]
 
     @batched
     def volume_density_at(self, p):
         """sqrt(det B) / x^n (sqrt(det g) overflows from rho = 1e-25 at n = 7)
         at one point (a scalar) or at each row of an (N, n) array."""
         p = self.validate_point(p)
-        if p.ndim == 1:  # the one-row array, so a point and a batch agree bit for bit
-            return self.volume_density_at(p[None])[0]
-        B, x = self._conformal_block(p)
-        return np.sqrt(np.linalg.det(B[..., 1:, 1:])) / x ** self.n
+        w = self._density(*self._conformal_block(np.atleast_2d(p)))
+        return w if p.ndim == 2 else w[0]
+
+    def metric_and_density_at(self, points):
+        """(metric_at, volume_density_at) at the rows of an (N, n) array,
+        from one validation and one conformal block."""
+        B, x = self._conformal_block(np.atleast_2d(self.validate_point(points)))
+        return self._metric(B, x), self._density(B, x)
 
     @batched
     def sigma_at(self, p):

@@ -252,7 +252,8 @@ class ExpansionMetric:
             scale = (rho ** power) * psi_r
             if i == 0:
                 scale = scale * bd.psi_y(distinct)[at]
-            term = coeff(distinct)[at] * scale[:, None, None]
+            term = coeff(distinct)[at]
+            term *= scale[:, None, None]
             if i == k:  # the prefix ends here: add into a new array
                 prefix, out = out, out + term
             else:

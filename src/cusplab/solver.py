@@ -327,11 +327,10 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
         corners[:, 0], corners[:, 1] = axes[0][[0, 0, -1, -1]], axes[1][[0, -1, 0, -1]]
         lines.append(corners)
     pts = np.concatenate(lines)
-    g = chart.metric_at(pts)
+    g, w = chart.metric_and_density_at(pts)
     if np.count_nonzero(g[:, :ndim]) > len(pts) * ndim:  # an entry off the diagonal
         raise ValueError(f"{refusal}: its metric is not diagonal in them")
-    q = np.column_stack([chart.volume_density_at(pts),  # W, then each h_dd
-                         np.diagonal(g, axis1=1, axis2=2)[:, :ndim]])
+    q = np.column_stack([w, np.diagonal(g, axis1=1, axis2=2)[:, :ndim]])  # W, h_dd
     *near, at_ref, at_corners = np.split(q, np.cumsum([len(ax) for ax in axes] + [1]))
     factors = [near[0]] + [v / at_ref for v in near[1:]]
     if ndim == 2:

@@ -8,8 +8,9 @@ values depend on (`MetricField.stepped`; a chart metric declares
 `Chart.metric_stepped`), and the stencil steps along the first d of the
 widest field: 1 + 2d + 2d(d-1) = 1 + 2d^2 points per point, so 19 for the
 n = 4 round collar and its expansion ladder (rho, y_1, y_2) where all
-n = 4 coordinates would take 33.  The derivatives along the later coordinates are
-zeros, and a field sampled on a wider stencil than its own differences equal
+n = 4 coordinates would take 33.  A jet carries the derivatives along those d
+coordinates only; the ones along the later coordinates are zeros and are not
+stored, and a field sampled on a wider stencil than its own differences equal
 values there, which gives the same zeros (`_differences`).  Each field is
 evaluated once at the points themselves (the metric's values give the steps)
 and once on the off-centre points of the stencils of a pass, one array, so
@@ -51,9 +52,23 @@ a lambda on one point, is sampled one point at a time through
 `charts.at_points`, the one fallback.
 
 A jet is a tuple (value, d, dd) with d[..., a, :] = d_a value and
-dd[..., a, b, :] = d_a d_b value, where the leading `...` is the batch of
-points (empty for one point); shorter tuples are jets of lower order, and
-combining jets keeps the lowest order present.
+dd[..., a, b, :] = d_a d_b value for a, b < d, the stepped count of the pass,
+where the leading `...` is the batch of points (empty for one point); shorter
+tuples are jets of lower order, and combining jets keeps the lowest order
+present.  Product-rule algebra keeps the derivative axes d long.  A
+derivative index becomes a tensor index, n long, in four places: the
+Christoffel symbols of the first kind (`_christoffel`), the d_j Gamma^k_ki
+trace of `_ricci`, the dT term of `_nabla`, and d(tr_g t) in
+`_reversed_divergence`.  Each puts its d slices into an n-wide array whose
+later entries are the zeros of the derivatives not stored (a copy of the
+metric's derivatives in the first kind, the result in the other three) and
+sums in the order of the sum over all n, so every entry has the bits it
+would have from jets carrying all n derivatives.  A matrix product with a
+derivative axis among its free axes may round differently with d rows than
+with n (BLAS picks its kernel by shape): of the operators, only the gauge
+term of `Q_gauge_at` does, at 1e-15.  A jet whose derivative axes run over
+all n (a pass that steps every coordinate, or `solver._covariant_derivative`'s
+grid jets) goes through the same code.
 
 Sign conventions, fixed once and used everywhere:
   * Laplacian is the nonnegative rough Laplacian, Delta = nabla* nabla;
@@ -88,8 +103,8 @@ from .charts import Chart, ChartDomainError, at_points, point_text
 DEFAULT_STEP = 1e-3
 # Points per pass of an operator.  It bounds the heap of a pass: one
 # Q(g_3, g_1) call on the 234-point extraction set of the n = 4 ladder, in
-# two passes of 117 points, peaks at 2.2 MB of live numpy arrays
-# (tracemalloc), against 4.4 MB in one pass and 1.2 MB in 48-point passes.
+# two passes of 117 points, peaks at 1.6 MB of live numpy arrays
+# (tracemalloc), against 2.9 MB in one pass and 0.7 MB in 48-point passes.
 BATCH_CAP = 128
 
 
@@ -224,37 +239,32 @@ def _stencil(n: int, d: int):
 def _stencil_points(p: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     """The off-centre points of the stencil along the first d coordinates
     around each row of p (or around one point p), with steps h of the same
-    shape: shape p.shape[:-1] + (S, n)."""
+    shape, the stencil offset as their leading axis: shape (S,) + p.shape,
+    so values taken at points.reshape(-1, n) reshape to (S,) + p.shape[:-1]
+    + the value shape, stacked by offset."""
     offsets, _ = _stencil(p.shape[-1], d)
-    return p[..., None, :] + offsets * h[..., None, :]
-
-
-def _by_offset(vals: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Values taken at points.reshape(-1, n), stacked with the stencil
-    offset as their leading axis."""
-    lead = points.ndim - 2
-    return np.moveaxis(vals.reshape(points.shape[:-1] + vals.shape[1:]), lead, 0)
+    return p + offsets.reshape((len(offsets),) + (1,) * (p.ndim - 1) + (-1,)) * h
 
 
 def _differences(f0: np.ndarray, vals: np.ndarray, h: np.ndarray, d: int):
     """2-jet from the values f0 at the stencil centres and vals at the
     off-centre points of the stencil along the first d coordinates (the
-    offset axis leading, as `_by_offset` stacks them), with steps h: central
-    differences for the gradient and pure second derivatives, the
-    four-point mixed stencil for the cross derivatives.  Every derivative
-    along a later coordinate is +0.0.  A field that varies in fewer than d
-    coordinates has equal values along the rest, and differencing them,
-    (a - a), (a - 2a + a) and ((a - a) - b) + b, gives the same +0.0: its
-    jet does not depend on how wide a stencil it is sampled on."""
-    n, lead = h.shape[-1], h.ndim - 1
-    _, (i, j) = _stencil(n, d)
+    offset axis leading, as `_stencil_points` stacks them), with steps h:
+    central differences for the gradient and pure second derivatives, the
+    four-point mixed stencil for the cross derivatives.  The derivative axes
+    have length d: a gradient (..., d, ...) and a Hessian (..., d, d, ...).
+    A field that varies in fewer than d coordinates has equal values along
+    the rest, and differencing them, (a - a), (a - 2a + a) and
+    ((a - a) - b) + b, gives +0.0, the derivative along a coordinate it does
+    not vary in."""
+    lead = h.ndim - 1
+    _, (i, j) = _stencil(h.shape[-1], d)
     fp, fm = vals[:d], vals[d:2 * d]
     # hs[i] is the step in coordinate i < d, shaped like the values
     hs = np.moveaxis(h, -1, 0)[:d].reshape(
         (d,) + h.shape[:-1] + (1,) * (f0.ndim - lead))
-    grad = np.zeros((n,) + f0.shape)
-    grad[:d] = (fp - fm) / (2.0 * hs)
-    hess = np.zeros((n, n) + f0.shape)
+    grad = (fp - fm) / (2.0 * hs)
+    hess = np.empty((d, d) + f0.shape)
     k = np.arange(d)
     hess[k, k] = (fp - 2.0 * f0 + fm) / hs ** 2
     pp, pm, mp, mm = vals[2 * d:].reshape((len(i), 4) + f0.shape).swapaxes(0, 1)
@@ -384,8 +394,8 @@ def _metric_jets(g: MetricField, p, step: float, *fields):
     d = max(_stepped(f, n) for f in distinct)
     points = _stencil_points(p, h, d)
     stencils = evaluate(points.reshape(-1, n))
-    jets = iter([_differences(f0, _by_offset(vals, points), h, d)
-                 for f0, vals in zip(centres, stencils)])
+    jets = iter([_differences(f0, v.reshape(points.shape[:-1] + v.shape[1:]), h, d)
+                 for f0, v in zip(centres, stencils)])
     G = next(jets)
     return (G,) + tuple(G if f is g else next(jets) for f in fields)
 
@@ -397,10 +407,12 @@ def _christoffel(G, Ginv=None):
     """1-jet of Gamma[..., k, i, j] = Gamma^k_ij from the metric's 2-jet
     (and the jet of its inverse, if the caller has it)."""
 
-    def first_kind(dg):  # dg[..., a, b, c] = d_a g_bc -> Gamma_{l,ij}
-        return 0.5 * (
-            np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-        )
+    def first_kind(dg):  # dg[..., a, b, c] = d_a g_bc, a < d -> Gamma_{l,ij}
+        d, n = dg.shape[-3], dg.shape[-1]
+        full = np.zeros(dg.shape[:-3] + (n, n, n))  # d_a g_bc for every a
+        full[..., :d, :, :] = dg
+        jil = full.swapaxes(-1, -3)  # [l, i, j] = d_j g_il
+        return 0.5 * (jil.swapaxes(-1, -2) + jil - full)
 
     Ginv = _jinv(G) if Ginv is None else Ginv
     return _jeinsum("kl,lij->kij", Ginv, tuple(map(first_kind, G[1:])))
@@ -409,13 +421,13 @@ def _christoffel(G, Ginv=None):
 def _ricci(gam) -> np.ndarray:
     """Ric_ij = d_k G^k_ji - d_j G^k_ki + G^k_km G^m_ji - G^k_jm G^m_ki, the
     trace R^k_ikj contracted from the Christoffel 1-jet directly."""
-    g0, dg = gam
-    return _sym(
-        np.einsum("...kkji->...ij", dg)
-        - np.einsum("...jkki->...ij", dg)
-        + _contract("m,mji->ij", np.einsum("...kkm->...m", g0), g0)
-        - _contract("kjm,mki->ij", g0, g0)
-    )
+    g0, dg = gam  # dg[..., a, k, j, i] = d_a G^k_ji, a < d
+    d = dg.shape[-4]
+    ric = np.einsum("...kkji->...ij", dg[..., :d, :, :])
+    ric[..., :d] -= np.einsum("...jkki->...ij", dg)
+    ric += _contract("m,mji->ij", np.einsum("...kkm->...m", g0), g0)
+    ric -= _contract("kjm,mki->ij", g0, g0)
+    return _sym(ric)
 
 
 def _indices(gam, T) -> str:
@@ -426,15 +438,24 @@ def _indices(gam, T) -> str:
 
 def _nabla(gam, T):
     """Jet of nabla T, nab[..., k, i1, ...] = nabla_k T_{i1 ...}, for a
-    covariant tensor jet T; one order lower than T."""
+    covariant tensor jet T; one order lower than T.  The last derivative
+    axis of T's derivative jet is the slot k: its d slices are added into
+    the n-wide result, and each connection term is subtracted from it."""
     idx = _indices(gam, T)
-    out = T[1:]
+    lead, n = gam[0].ndim - 3, gam[0].shape[-1]
+    out = []
+    for o, part in enumerate(T[1:]):
+        k = lead + o
+        acc = np.zeros(part.shape[:k] + (n,) + part.shape[k + 1:])
+        acc[tuple(map(slice, part.shape))] += part
+        out.append(acc)
     order = len(out)  # the orders of gam and T the result needs
     for s, i in enumerate(idx):
         slot = idx[:s] + "m" + idx[s + 1:]
-        out = _jlin((1.0, out), (-1.0, _jeinsum(f"mk{i},{slot}->k{idx}",
-                                                gam[:order], T[:order])))
-    return out
+        terms = _jeinsum(f"mk{i},{slot}->k{idx}", gam[:order], T[:order])
+        for acc, term in zip(out, terms):
+            acc -= term
+    return tuple(out)
 
 
 def _rough_laplacian(G, gam, U) -> np.ndarray:
@@ -483,8 +504,12 @@ def _g_trace_jet(Ginv, G, T):
 
 def _reversed_divergence(Ginv, G, T, div):
     """1-jet of delta_g(G_g t) = delta_g t + d(tr_g t) / 2, from div, the
-    1-jet of delta_g t."""
-    return _jlin((1.0, div), (0.5, _g_trace_jet(Ginv, G, T)[1:]))
+    1-jet of delta_g t.  The last derivative axis of d(tr_g t) is the
+    covector slot: its d slices are added into div's n-wide slot."""
+    out = _jlin((1.0, div))
+    for acc, part in zip(out, _g_trace_jet(Ginv, G, T)[1:]):
+        acc[tuple(map(slice, part.shape))] += 0.5 * part
+    return out
 
 
 def _gauge_parts(g: MetricField, t, p, step: float):

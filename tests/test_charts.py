@@ -283,10 +283,14 @@ class TestBatchedEqualsSingle:
         pts = np.array(sample_points(chart, 12, rng))
         # the last rows reach into the truncation band and to the edge
         pts[-3:, 0] = chart.edge * np.array([0.85, 0.95, 1.0])
-        for quantity in (chart.volume_density_at, chart.sigma_at):
+        for quantity in (chart.metric_at, chart.volume_density_at, chart.sigma_at):
             batch = quantity(pts)
-            assert batch.shape == (len(pts),)
+            assert batch.shape == (len(pts),) + np.shape(quantity(pts[0]))
             assert np.array_equal(batch, [quantity(p) for p in pts])
+        # the metric and the density read from one conformal block
+        g, w = chart.metric_and_density_at(pts)
+        assert np.array_equal(g, chart.metric_at(pts))
+        assert np.array_equal(w, chart.volume_density_at(pts))
         eps = float(np.median(chart.sigma_at(pts)))
         inside = chart.in_exhaustion(pts, eps)
         assert inside.any() and not inside.all()

@@ -387,15 +387,16 @@ class TestOneRuleRefuses:
 
     def test_no_axis_takes_K_W(self, monkeypatch):
         # h_rhorho made to vary along y1 while h_y1y1 varies along rho: both
-        # factor, but neither is constant along the other axis
-        metric_at = Chart.metric_at
+        # factor, but neither is constant along the other axis.  The rule
+        # reads the metric and W together, and W is left as it is
+        metric_and_density_at = Chart.metric_and_density_at
 
         def tilted(self, p):
-            g = metric_at(self, p)
+            g, w = metric_and_density_at(self, p)
             g[..., 0, 0] *= 1.0 + np.asarray(p)[..., 1] ** 2
-            return g
+            return g, w
 
-        monkeypatch.setattr(Chart, "metric_at", tilted)
+        monkeypatch.setattr(Chart, "metric_and_density_at", tilted)
         grid = compact_patch_grid(Chart.collar(4), 8, (0.5, 1.0), (-0.5, 0.5))
         with pytest.raises(ValueError, match="K W joins neither stencil"):
             assemble(grid, -2.0)

@@ -47,11 +47,16 @@ def flat_field(chart=COLLAR4):
 
 def _riemann_up(gam):
     """R[..., l, k, i, j] = R^l_kij
-    = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    g0, dg = gam
-    return (np.einsum("...iljk->...lkij", dg) - np.einsum("...jlik->...lkij", dg)
-            + tensorcalc._contract("lim,mjk->lkij", g0, g0)
-            - tensorcalc._contract("ljm,mik->lkij", g0, g0))
+    = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik; the d
+    stepped derivative slices are added into the n-wide slots i and j."""
+    g0, dg = gam  # dg[..., a, l, j, k] = d_a G^l_jk, a < d
+    d = dg.shape[-4]
+    up = np.zeros(g0.shape[:-3] + g0.shape[-1:] * 4)
+    up[..., :d, :] += np.einsum("...iljk->...lkij", dg)
+    up[..., :d] -= np.einsum("...jlik->...lkij", dg)
+    up += tensorcalc._contract("lim,mjk->lkij", g0, g0)
+    up -= tensorcalc._contract("ljm,mik->lkij", g0, g0)
+    return up
 
 
 def _riemann_down(G, up):
@@ -703,9 +708,11 @@ class TestJetKernel:
         hs = coordinate_steps(g, points, 0.05)
         d = max(tensorcalc._stepped(f, 4) for f in (g, field))
         got = tensorcalc._metric_jets(g, points, 0.05, field)
+        lead = points.ndim - 1
         for f, jet in zip((g, field), got):
             want = _reference_jet(f, points, hs, d)
-            assert all(map(_same_bits, jet, want))
+            assert all(map(_same_bits, jet, _leading(want, d, lead)))
+            assert _zero_beyond(want, d, lead)
 
     def test_metric_jets_evaluate_g_at_p_once(self):
         # per pass: each field once on its points (g's values give the
@@ -734,12 +741,31 @@ class TestJetKernel:
         assert rows["g"] == [1, 32]
 
 
+def _leading(jet, d, lead=1):
+    """A jet whose derivative axes (after `lead` batch axes) run over every
+    coordinate, cut to the first d: the layout of a jet stepped along d."""
+    f0, d1, d2 = jet
+    batch = (slice(None),) * lead
+    return f0, d1[batch + (slice(d),)], d2[batch + (slice(d), slice(d))]
+
+
+def _zero_beyond(jet, d, lead=1) -> bool:
+    """Whether every derivative of the jet along a coordinate after the
+    first d is +0.0 (the sign bit clear too)."""
+    _, d1, d2 = jet
+    batch = (slice(None),) * lead
+    rest = (d1[batch + (slice(d, None),)], d2[batch + (slice(d, None),)],
+            d2[batch + (slice(None), slice(d, None))])
+    return not any(x.any() or np.signbit(x).any() for x in rest)
+
+
 def _reference_jet(field, p, h, d, f0=None):
     """The per-coordinate loop that the vectorized stencil differences
     replace: the 2-jet of a field from the stencil along the first d
     coordinates (the centre, +e_i, -e_i, then the four mixed points of each
-    pair i < j), with zeros along the later ones; f0, the values at p when
-    given, is not evaluated again."""
+    pair i < j), with derivative axes over all n coordinates, zeros along
+    the later ones (`_leading` cuts them to the stepped layout); f0, the
+    values at p when given, is not evaluated again."""
     p, h = np.asarray(p, dtype=float), np.asarray(h, dtype=float)
     n, lead = p.shape[-1], p.ndim - 1
     eye = np.eye(n)
@@ -871,10 +897,11 @@ class TestContraction:
 
 
 # The tracemalloc peak of one Q(g_3, g_1) call on the 234-point extraction
-# set, declared so that the passes cannot grow unnoticed: it reads 2.23 MB
-# in two 117-point passes (BATCH_CAP = 128), 4.4 MB in one 234-point pass
-# and 0.96 MB in 48-point passes.
-PASS_PEAK_BYTES = 2_500_000
+# set, declared so that the passes cannot grow unnoticed: with jets stepped
+# along (rho, y_1, y_2) it reads 1.61 MB in two 117-point passes
+# (BATCH_CAP = 128), 2.89 MB in one 234-point pass and 0.67 MB in 48-point
+# passes.
+PASS_PEAK_BYTES = 1_800_000
 
 
 @pytest.fixture(scope="module")
@@ -952,15 +979,18 @@ class TestStepped:
         points = _interior_points(chart, 9, rng)
         (want,) = tensorcalc._metric_jets(full, points, DEFAULT_STEP)
         (got,) = tensorcalc._metric_jets(h, points, DEFAULT_STEP)
-        assert all(map(_same_bits, got, want))
+        # the jet's derivative axes run over the d stepped coordinates, and
+        # are the full stencil's leading d slices
+        d, n = h.stepped, chart.n
+        assert got[1].shape == (9, d, n, n) and got[2].shape == (9, d, d, n, n)
+        assert all(map(_same_bits, got, _leading(want, d)))
         # sampled on the full stencil beside a field that counts every
-        # coordinate, the metric's jet is the same bits again
+        # coordinate, the metric's jet is the full stencil's bits
         beside = tensorcalc._metric_jets(h, points, DEFAULT_STEP, full)
         assert all(_same_bits(a, b) for jet in beside for a, b in zip(jet, want))
         # along the coordinates after its count the full stencil differences
         # equal values, and its derivatives there are exact zeros
-        d = h.stepped
-        assert not want[1][:, d:].any() and not want[2][:, d:].any()
+        assert _zero_beyond(want, d)
 
     def test_ladder_jet_equals_the_full_stencil(self, extraction_set):
         _, g3, points = extraction_set
@@ -970,7 +1000,64 @@ class TestStepped:
         assert tensorcalc.stencil_of(full) == (4, 33)
         (want,) = tensorcalc._metric_jets(full, points, 5e-4)
         (got,) = tensorcalc._metric_jets(g3, points, 5e-4)
-        assert all(map(_same_bits, got, want))
+        assert got[1].shape == (234, 3, 4, 4) and got[2].shape == (234, 3, 3, 4, 4)
+        assert all(map(_same_bits, got, _leading(want, 3)))
+        assert _zero_beyond(want, 3)
+
+    @staticmethod
+    def _operators(g, t, h, u, points, step):
+        """The operators on a metric g, a second metric t, the chart metric
+        h and a scalar u, at the points."""
+        return {
+            "Q(g, g)": Q_at(g, g, points, step),
+            "Q(g, t)": Q_at(g, t, points, step),
+            "Rc(g)": ricci_at(g, points, step),
+            "Gamma(g)": christoffels_at(g, points, step),
+            "L(h, g)": L_at(h, g, points, step),
+            "laplacian(g, u)": laplacian_scalar_at(g, u, points, step),
+            "Q_gauge(g, t)": Q_gauge_at(g, t, points, step),
+        }
+
+    @staticmethod
+    def _scalar(chart, stepped):
+        """A scalar field varying in the first `stepped` coordinates."""
+        k = stepped - 1
+        return MetricField(chart, batched(
+            lambda q: np.sin(q[:, 0] + 0.3 * q[:, k]) + 0.2 * q[:, k] ** 2),
+            "u", stepped)
+
+    def _check_against_full_stencil(self, g, t, h, u, points, step):
+        # each field against its wrapping with no count, whose stencils step
+        # along every coordinate and whose jets run over all n: the same
+        # bits, but for the gauge route's d(tr_g t) contraction, whose
+        # matrix product sums over d derivative rows instead of n
+        stepped = self._operators(g, t, h, u, points, step)
+        full = self._operators(*(MetricField(f.chart, f, f.label)
+                                 for f in (g, t, h, u)), points, step)
+        gauge = stepped.pop("Q_gauge(g, t)"), full.pop("Q_gauge(g, t)")
+        for name, value in stepped.items():
+            assert _same_bits(value, full[name]), name
+        assert _relative_gap(*gauge) <= 1e-12
+
+    def test_operators_on_the_ladder_equal_the_full_stencil(self, extraction_set):
+        g1, g3, points = extraction_set
+        self._check_against_full_stencil(
+            g3, g1, chart_metric(g1.chart), self._scalar(g1.chart, 2), points, 5e-4)
+
+    @pytest.mark.parametrize("chart", EVERY_KIND, ids=_chart_id)
+    def test_operators_on_every_kind_equal_the_full_stencil(self, chart, rng):
+        h = chart_metric(chart)
+        k = min(h.stepped, chart.n - 1)  # t varies in one coordinate more
+
+        @batched
+        def wave(q):
+            bump = 1.0 + 0.1 * np.sin(q[:, 0] + q[:, k])
+            return chart.metric_at(q) * bump[:, None, None]
+
+        t = MetricField(chart, wave, "t", k + 1)
+        self._check_against_full_stencil(
+            h, t, h, self._scalar(chart, h.stepped),
+            _interior_points(chart, 9, rng), DEFAULT_STEP)
 
     @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("stage", [2, 3])
