@@ -41,9 +41,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
     "expand_n4_seed3": ["expand", "--n", "4", "--stages", "3", "--seed", "3"],
     "expand_n5_seed2": ["expand", "--n", "5", "--stages", "4", "--seed", "2"],
+    "expand_n6": ["expand", "--n", "6", "--stages", "5"],
     "curvature_n4": ["curvature", "--n", "4"],
+    "curvature_n5": ["curvature", "--n", "5"],
+    "curvature_n6": ["curvature", "--n", "6"],
+    "curvature_n4_perturb": ["curvature", "--n", "4", "--perturb", "0.1"],
     "koiso": ["koiso"],
     "sweep_96": ["sweep", "--nodes", "96"],
+    "solve": ["solve"],
+    "solve_indefinite": ["solve", "--expect-indefinite"],
+    "schauder": ["schauder"],
+    "weights_n5_ranks12": ["weights", "--n", "5", "--ranks", "1,2"],
+    "weights_n4_rank2": ["weights", "--n", "4", "--ranks", "2"],
 }
 
 RTOL, ATOL = 1e-12, 1e-13

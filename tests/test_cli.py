@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import re
@@ -6,14 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cusplab import charts, cli, tensorcalc
 from cusplab.cli import (
     EXIT_NUMERICAL,
     EXIT_OBSTRUCTION,
     EXIT_PASS,
     EXIT_USAGE,
+    _curvature_charts,
     _load_config,
+    _sample_chart_points,
     build_parser,
     main,
 )
@@ -244,6 +249,98 @@ class TestCurvatureCommand:
         assert code == EXIT_NUMERICAL
         payload = json.loads((tmp_path / "curvature_summary.json").read_text())
         assert payload["status"] == "fail"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the underflow's 0/0
+    def test_nan_defects_fail_both_checks(self, tmp_path):
+        # the step's square underflows, so every defect is NaN
+        assert run(tmp_path / "default", "curvature") == EXIT_PASS
+        assert run(tmp_path / "tiny", "curvature", "--step", "1e-170") == \
+            EXIT_NUMERICAL
+        for out, passed in (("default", True), ("tiny", False)):
+            payload = json.loads((tmp_path / out / "curvature_summary.json")
+                                 .read_text(), parse_constant=_no_constant)
+            checks = {c["name"]: c for c in payload["checks"]}
+            assert [c["passed"] for c in checks.values()] == [passed, passed]
+            assert (checks["max_defect"]["value"] is None) == (not passed)
+            assert (checks["richardson_order"]["value"] is None) == (not passed)
+
+    def test_one_ricci_call_per_chart_and_step(self, tmp_path, monkeypatch):
+        calls = []
+        original = tensorcalc.ricci_at
+
+        def counted(g, p, step=tensorcalc.DEFAULT_STEP):
+            calls.append(np.shape(p))
+            return original(g, p, step)
+
+        monkeypatch.setattr(cli.tensorcalc, "ricci_at", counted)
+        assert run(tmp_path, "curvature") == EXIT_PASS
+        assert calls == [(51, 4)] * 8
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_sample_is_the_per_coordinate_draws(self, n):
+        for f in range(1, n - 1):
+            for chart in _curvature_charts(n, f).values():
+                want_rng, got_rng = (np.random.default_rng(5) for _ in range(2))
+                want = np.array(_scalar_draws(chart, 51, want_rng))
+                got = _sample_chart_points(chart, 51, got_rng)
+                assert got.shape == (51, n)
+                assert np.array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("perturb", [0.0, 0.1])
+    def test_defects_match_the_per_point_loop(self, tmp_path, n, seed, perturb):
+        run(tmp_path, "curvature", "--n", str(n), "--seed", str(seed),
+            "--perturb", str(perturb))
+        lines = (tmp_path / "curvature_defects.csv").read_text().splitlines()
+        got = [[float(x) for x in line.split(",")[1:3]] for line in lines[1:]]
+        assert got == _per_point_defects(n, seed, perturb)
+
+
+def _scalar_draws(chart, count, rng):
+    """The sample drawn one coordinate at a time, kept in the chart by
+    rejection: the draw `_sample_chart_points` makes as one array."""
+    pts = []
+    while len(pts) < count:
+        p = []
+        for lo, hi in chart.coordinate_ranges():
+            if math.isinf(lo) or math.isinf(hi):
+                p.append(rng.uniform(-0.8, 0.8))
+            else:
+                span = hi - lo
+                p.append(rng.uniform(lo + 0.25 * span, hi - 0.25 * span))
+        p = np.array(p)
+        if chart.contains(p):
+            pts.append(p)
+    return pts
+
+
+def _per_point_defects(n, seed, perturb, step=1e-3):
+    """[defect at step, defect at step / 2] per chart of a default
+    `curvature` run, from one-point `ricci_at` calls on the scalar draws."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for chart in _curvature_charts(n, 1).values():
+        h = tensorcalc.chart_metric(chart)
+        if perturb:
+            @charts.batched
+            def ev(p, chart=chart):
+                g = chart.metric_at(p)
+                wave = perturb * np.sin(3.0 * p[..., 0])
+                return g + wave[..., None, None] * (g * np.eye(chart.n))
+
+            h = tensorcalc.MetricField(chart, ev, "perturbed",
+                                       chart.metric_stepped)
+        defect1 = defect2 = 0.0
+        for p in _scalar_draws(chart, 51, rng):
+            hp = h(p)
+            d1, d2 = (tensorcalc.tensor_norm(
+                hp, tensorcalc.ricci_at(h, p, s) + (n - 1) * hp)
+                for s in (step, step / 2))
+            defect1, defect2 = max(defect1, d1), max(defect2, d2)
+        rows.append([defect1, defect2])
+    return rows
 
 
 class TestSolveAndSweep:
