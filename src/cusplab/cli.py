@@ -41,13 +41,15 @@ EXIT_OBSTRUCTION = 2
 EXIT_NUMERICAL = 3
 
 # exceptions that end a run with EXIT_NUMERICAL (StencilError is a
-# ChartDomainError). The solver is imported only by the subcommands that
-# solve: solve, sweep, koiso and schauder.
+# ChartDomainError; numpy raises RuntimeWarning where warnings are errors,
+# as under python -W error). The solver is imported only by the subcommands
+# that solve: solve, sweep, koiso and schauder.
 NUMERICAL_FAILURES = (
     charts.NonConvergence,
     charts.ChartDomainError,
     expansion.CharacteristicExponentHit,
     expansion.IndicialExtractionFailure,
+    RuntimeWarning,
 )
 
 
@@ -348,7 +350,7 @@ def cmd_solve(cfg: argparse.Namespace, rep: Report) -> None:
     finally:  # the coercivity probe's estimate and steps; null when K >= 0
         rep.extra["min_eigenvalue"] = op.min_eigenvalue
         rep.extra["probe_steps"] = op.probe_steps
-        rep.extra["blas_threads"] = solver.solve_blas_threads(max(grid.shape))
+        rep.extra["blas_threads"] = solver.solve_blas_threads()
     ratio = solver.weighted_sup_norm(u, w) / solver.weighted_sup_norm(f_field, w)
     mp = solver.maximum_principle_check(op, w)
     print(f"ratio |u|_mu / |f|_mu = {ratio:.6g}; min barrier ratio "
@@ -379,7 +381,7 @@ def cmd_sweep(cfg: argparse.Namespace, rep: Report) -> None:
                          "error"], table)
     rep.extra["min_eigenvalues"] = [r.min_eigenvalue for r in rows]
     rep.extra["probe_steps"] = [r.probe_steps for r in rows]
-    rep.extra["blas_threads"] = solver.solve_blas_threads(cfg.nodes)
+    rep.extra["blas_threads"] = solver.solve_blas_threads()
     failures = [r for r in rows if r.error is not None]
     if failures:
         raise solver.NonConvergence(

@@ -13,15 +13,14 @@ assembled: the form's product, the pointwise apply with Dirichlet data and
 the fast-diagonalization factor (one generalized eigendecomposition per
 axis, serving the coercivity check and every solve) all read the stencils.
 
-The factor's dense products are (n - 2) x (n - 2) on a grid of n nodes per
-axis.  On grids of up to ONE_THREAD_NODES nodes per axis, where a second
-thread saves no wall time, the axis eigendecompositions, the coercivity
-probe and the solves run with numpy's OpenBLAS capped at one thread, the
-previous count restored afterwards; wider grids keep every thread.  The
-axis eigendecompositions and the probe's Ritz values come from LAPACK
+The axis eigendecompositions, the coercivity probe and the solves run
+with numpy's OpenBLAS capped at one thread, the previous count restored
+afterwards, so the solver's numbers do not depend on the thread count.
+The axis eigendecompositions and the probe's Ritz values come from LAPACK
 dstevd in the same OpenBLAS, so the solver loads no second BLAS.  Where
-numpy bundles no OpenBLAS the solver can find, BLAS is left as it is and
-the eigendecompositions fall back to scipy.
+numpy bundles no OpenBLAS the solver can find, BLAS is left as it is (its
+thread count, reported as null, is then the host's) and the
+eigendecompositions fall back to scipy.
 """
 
 from __future__ import annotations
@@ -153,19 +152,6 @@ class _DeferredModule:
 spla = _DeferredModule("scipy.sparse.linalg")
 
 
-# Widest grid, in nodes per axis, whose factor and probe run on one OpenBLAS
-# thread.  Timed on 2 vCPUs, one thread against both, medians of 10
-# alternating pairs of fresh `sweep --K 6` processes (the whole op; its
-# solves alone in brackets): 0.036 s against 0.037 s (0.009 s either way)
-# at 128 nodes and 0.080 s against 0.076 s (0.028 s against 0.023 s) at
-# 192, where the second thread nearly doubles the CPU time for no wall
-# time, but 0.166 s against 0.131 s (0.071 s against 0.046 s) at 256,
-# 0.70 s against 0.60 s at 512, 2.20 s against 1.60 s at 768 and 4.71 s
-# against 3.16 s at 1024.  The probe on cusp grids at eps 0.05 (8 pairs):
-# 0.003 s either way at 96 nodes, 0.030 s against 0.027 s at 256, 0.178 s
-# against 0.118 s at 512 and 0.82 s against 0.62 s at 1024.
-ONE_THREAD_NODES = 224
-
 # Relative spread within which chart values count as a product or a constant:
 # their rounding reaches 1e-14 (n = 7), a metric that does not factor far more.
 _SEPARABLE_RTOL = 1e-12
@@ -190,23 +176,17 @@ PROBE_TOL = 1e-8
 PROBE_MAX_STEPS = 300
 
 
-def solve_blas_threads(nodes: int) -> Optional[int]:
-    """OpenBLAS thread count of the factor solves on a grid whose widest axis
-    has `nodes` nodes: 1 up to ONE_THREAD_NODES, the count of numpy's
-    OpenBLAS above, None when no OpenBLAS was found and BLAS is left as it
-    is."""
-    threads = _openblas_threads()
-    if threads is None:
-        return None
-    return 1 if nodes <= ONE_THREAD_NODES else threads[0]()
+def solve_blas_threads() -> Optional[int]:
+    """OpenBLAS thread count of the solver's BLAS work: 1, None when no
+    OpenBLAS was found and BLAS is left as it is."""
+    return None if _openblas_threads() is None else 1
 
 
 @contextlib.contextmanager
-def _one_blas_thread(nodes: int):
-    """Cap numpy's OpenBLAS at one thread for the block on a grid whose
-    widest axis has `nodes` nodes, up to ONE_THREAD_NODES (solve_blas_threads);
-    its previous count is restored however the block ends."""
-    threads = _openblas_threads() if nodes <= ONE_THREAD_NODES else None
+def _one_blas_thread():
+    """Cap numpy's OpenBLAS at one thread for the block; its previous count
+    is restored however the block ends."""
+    threads = _openblas_threads()
     if threads is None:
         yield
         return
@@ -447,16 +427,14 @@ class SeparableFactor:
     tridiagonal S_d and positive diagonal M_d.  Each axis has one generalized
     eigendecomposition S_d V_d = M_d V_d diag(lam_d) with V_d^T M_d V_d = I,
     so (V_0 x V_1)^T L (V_0 x V_1) = diag(lam_0[i] + lam_1[j]), the pencil.
-    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, four dense products
-    (on one BLAS thread up to ONE_THREAD_NODES nodes per axis), and by
-    Sylvester's law of inertia L has as many
-    nonpositive eigenvalues as the pencil has nonpositive entries.  With
-    V = V_0 x V_1 and P = diag(pencil), L^{-1} = V P^{-1} V^T = C C^T for
-    C = V P^{-1/2}, so for a positive pencil the Gram form
-    C^T C = P^{-1/2} (G_0 x G_1) P^{-1/2}, G_d = V_d^T V_d, has exactly the
-    spectrum of L^{-1} and is applied with two dense products.  A 1-D
-    operator carries a second axis with one node, V = G = [[1]] and
-    lam = [0].
+    A solve is X = V_0 [(V_0^T B V_1) / pencil] V_1^T, four dense products,
+    and by Sylvester's law of inertia L has as many nonpositive eigenvalues
+    as the pencil has nonpositive entries.  With V = V_0 x V_1 and
+    P = diag(pencil), L^{-1} = V P^{-1} V^T = C C^T for C = V P^{-1/2}, so
+    for a positive pencil the Gram form C^T C = P^{-1/2} (G_0 x G_1) P^{-1/2},
+    G_d = V_d^T V_d, has exactly the spectrum of L^{-1} and is applied with
+    two dense products.  A 1-D operator carries a second axis with one node,
+    V = G = [[1]] and lam = [0].
     """
 
     vectors: tuple[np.ndarray, np.ndarray]
@@ -464,8 +442,7 @@ class SeparableFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         v0, v1 = self.vectors
-        # the grid's nodes per axis are the interior's plus its two boundary nodes
-        with _one_blas_thread(max(self.pencil.shape) + 2):
+        with _one_blas_thread():
             y = (v0.T @ rhs.reshape(self.pencil.shape) @ v1) / self.pencil
             return (v0 @ y @ v1.T).reshape(rhs.shape)
 
@@ -605,12 +582,12 @@ class SparseOperator:
     def factor(self) -> SeparableFactor:
         """Fast-diagonalization factorization of the symmetric form, computed
         on first use from each stencil's generalized tridiagonal
-        eigendecomposition (on one BLAS thread up to ONE_THREAD_NODES nodes
-        per axis); every Dirichlet solve on this operator applies it.  A failed eigendecomposition or a zero or non-finite pencil
+        eigendecomposition; every Dirichlet solve on this operator applies
+        it.  A failed eigendecomposition or a zero or non-finite pencil
         eigenvalue raises NonConvergence."""
         if self._factorization is None:
             try:
-                with _one_blas_thread(max(self.grid.shape)):
+                with _one_blas_thread():
                     (lam0, v0), (lam1, v1) = [st.eigenpairs() for st in self.stencils]
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(f"axis eigendecomposition failed: {exc}") from exc
@@ -635,8 +612,7 @@ class SparseOperator:
         entry: the factor's lowest mode, which already carries most of
         theta_max's eigenvector, and a fixed start, so the value repeats run
         to run.  Each step applies B as Z -> s (G_0 (s Z) G_1),
-        s = pencil^{-1/2}, two dense products (on one BLAS thread up to
-        ONE_THREAD_NODES nodes per axis).
+        s = pencil^{-1/2}, two dense products.
         solve_dirichlet runs the probe at K < 0 only.  probe_steps records
         the number of B applications, also when the probe fails.
         """
@@ -657,7 +633,7 @@ class SparseOperator:
                 self.probe_steps += 1
                 return (s * (g0 @ (s * z.reshape(s.shape)) @ g1)).reshape(-1)
 
-            with _one_blas_thread(max(self.grid.shape)):
+            with _one_blas_thread():
                 g0, g1 = (v.T @ v for v in fac.vectors)
                 self.min_eigenvalue = 1.0 / _lanczos_largest(gram_form, start)
         return self.min_eigenvalue

@@ -48,6 +48,8 @@ COMMANDS = {
     "curvature_n4_perturb": ["curvature", "--n", "4", "--perturb", "0.1"],
     "koiso": ["koiso"],
     "sweep_96": ["sweep", "--nodes", "96"],
+    "sweep_K6_256": ["sweep", "--K", "6", "--nodes", "256"],
+    "sweep_rank2_40": ["sweep", "--n", "5", "--f", "2", "--nodes", "40"],
     "solve": ["solve"],
     "solve_indefinite": ["solve", "--expect-indefinite"],
     "schauder": ["schauder"],

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,38 @@ class TestEveryCommandWritesItsSummary:
         assert payload["status"] == status
         assert payload["error"]["type"]
 
+    @pytest.mark.parametrize("argv", [
+        ("curvature", "--step", "1e-170"),
+        ("expand", "--step", "1e-170", "--stages", "1"),
+        ("sweep", "--K", "1e308"),
+    ], ids=" ".join)
+    def test_warning_raised_as_error_leaves_summary(self, tmp_path, capsys, argv):
+        # a step that underflows its differences, a K that overflows the margin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, *argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        payload = json.loads((tmp_path / f"{argv[0]}_summary.json").read_text(),
+                             parse_constant=_no_constant)
+        assert payload["status"] == "numerical-failure"
+        assert payload["error"]["type"] == "RuntimeWarning"
+
+    def test_warning_raised_as_error_under_python_w_error(self, tmp_path):
+        import cusplab
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cusplab.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cusplab.cli", "--out-dir",
+             str(tmp_path), "curvature", "--step", "1e-170"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == EXIT_NUMERICAL
+        assert out.stderr.startswith("numerical failure: ")
+        assert len(out.stderr.strip().splitlines()) == 1
+        payload = json.loads((tmp_path / "curvature_summary.json").read_text())
+        assert payload["status"] == "numerical-failure"
+        assert payload["error"]["type"] == "RuntimeWarning"
+
     @pytest.mark.parametrize("message, want", [
         ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
          "and data type float64",
@@ -396,7 +429,7 @@ class TestSolveAndSweep:
     def test_summaries_record_probe_steps_and_blas_threads(self, tmp_path):
         from cusplab.solver import PROBE_BASIS, solve_blas_threads
 
-        cap = solve_blas_threads(24)
+        cap = solve_blas_threads()
         assert cap in (None, 1)
         assert run(tmp_path, "solve", "--nodes", "24") == EXIT_PASS
         payload = json.loads((tmp_path / "solve_summary.json").read_text())

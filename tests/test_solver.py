@@ -744,10 +744,9 @@ def _watch_gram_form(monkeypatch, watch, *, poison=False):
 
 class TestBlasThreadCap:
     def test_cap_reported(self, blas_threads):
-        from cusplab.solver import ONE_THREAD_NODES, solve_blas_threads
+        from cusplab.solver import solve_blas_threads
 
-        assert solve_blas_threads(ONE_THREAD_NODES) == 1
-        assert solve_blas_threads(ONE_THREAD_NODES + 1) == 2
+        assert solve_blas_threads() == 1
 
     def test_cap_binds_numpys_openblas_only(self, blas_threads):
         # the solver runs no scipy code, so the OpenBLAS scipy bundles, once
@@ -758,15 +757,14 @@ class TestBlasThreadCap:
         if scipys is None:
             pytest.skip("scipy bundles no OpenBLAS of its own here")
         before = scipys[0]()
-        with sv._one_blas_thread(sv.ONE_THREAD_NODES):
+        with sv._one_blas_thread():
             assert blas_threads() == 1
             assert scipys[0]() == before
         assert blas_threads() == 2 and scipys[0]() == before
 
-    @pytest.mark.parametrize("nodes, calls", [(10, [1, 2]), (11, [])])
-    def test_solve_capped_up_to_threshold(self, blas_threads, monkeypatch, nodes, calls):
-        # the library is capped, by the solves' size rule, for the axis
-        # eigendecompositions, the solve and its refinement step
+    def test_solve_capped(self, blas_threads, monkeypatch):
+        # the library is capped for the axis eigendecompositions, the solve
+        # and its refinement step
         import cusplab.solver as sv
 
         get, set_ = sv._openblas_threads()
@@ -777,10 +775,9 @@ class TestBlasThreadCap:
             set_(n)
 
         monkeypatch.setattr(sv, "_openblas_threads", lambda: (get, recording_set))
-        monkeypatch.setattr(sv, "ONE_THREAD_NODES", 10)
-        op = assemble(cusp_grid(CUSP, 0.1, nodes=nodes), 6.0)
+        op = assemble(cusp_grid(CUSP, 0.1, nodes=10), 6.0)
         solve_dirichlet(op, np.ones(op.grid.shape))
-        assert seen == calls * 3
+        assert seen == [1, 2] * 3
         assert blas_threads() == 2
 
     def test_probe_runs_on_one_thread(self, blas_threads, monkeypatch):
@@ -789,17 +786,6 @@ class TestBlasThreadCap:
         op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
         op.smallest_eigenvalue()
         assert seen == [1] * op.probe_steps == [1] * 7
-        assert blas_threads() == 2
-
-    def test_probe_keeps_every_thread_above_threshold(self, blas_threads, monkeypatch):
-        import cusplab.solver as sv
-
-        seen = []
-        _watch_gram_form(monkeypatch, lambda: seen.append(blas_threads()))
-        monkeypatch.setattr(sv, "ONE_THREAD_NODES", 23)
-        op = assemble(cusp_grid(CUSP, 0.1, nodes=24), -2.0)
-        op.smallest_eigenvalue()
-        assert seen == [2] * 7
         assert blas_threads() == 2
 
     def test_count_restored_after_solve(self, blas_threads):
@@ -817,6 +803,25 @@ class TestBlasThreadCap:
         assert seen == [1]
         assert blas_threads() == 2
         assert op.probe_steps == 1 and op.min_eigenvalue is None
+
+    def test_numbers_do_not_depend_on_the_thread_count(self, blas_threads):
+        # a 512-node grid, where two threads of dstevd and of the dense
+        # products move the last bits unless the solver caps them
+        import cusplab.solver as sv
+
+        _, set_ = sv._openblas_threads()
+        runs = []
+        for count in (2, 1):
+            set_(count)
+            if blas_threads() != count:
+                pytest.skip(f"numpy's OpenBLAS does not take {count} threads here")
+            op = assemble(cusp_grid(CUSP, 0.1, nodes=512), -2.0)
+            u = solve_dirichlet(op, np.ones(op.grid.shape))
+            runs.append((op.factor().pencil, op.min_eigenvalue, op.probe_steps, u.values))
+        (pencil, lam, steps, u), (pencil1, lam1, steps1, u1) = runs
+        assert np.array_equal(pencil, pencil1)
+        assert lam == lam1 and steps == steps1
+        assert np.array_equal(u, u1)
 
 
 class TestSeparableFactor:
@@ -845,22 +850,20 @@ class TestSeparableFactor:
 
 
 @contextlib.contextmanager
-def _one_thread_everywhere(monkeypatch):
-    """numpy's and scipy's OpenBLAS both on one thread inside the block, the
-    solver's size rule switched off."""
-    import cusplab.solver as sv
-
-    pools = [p for p in (sv._openblas_threads(), _scipy_openblas_threads()) if p]
-    before = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
-    with monkeypatch.context() as m:
-        m.setattr(sv, "ONE_THREAD_NODES", 0)  # the cap now leaves counts alone
-        try:
-            yield
-        finally:
-            for (_, set_), count in zip(pools, before):
-                set_(count)
+def _scipy_on_one_thread():
+    """scipy's OpenBLAS, where it bundles its own, on one thread inside the
+    block, as the solver caps numpy's."""
+    threads = _scipy_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _axis_grids(nodes):
@@ -872,9 +875,10 @@ def _axis_grids(nodes):
 class TestTridiagonalEigensolver:
     """The axis eigendecompositions call LAPACK dstevd in numpy's OpenBLAS;
     scipy.linalg.eigh_tridiagonal, which runs the same routine in scipy's,
-    is the reference and the fallback.  Both run on one thread here: on two,
-    each library's dstevd moves some bits from 256 nodes on, and the two
-    libraries part on one collar stencil at 510 nodes (1e-16)."""
+    is the reference and the fallback.  The solver runs dstevd on one
+    thread, and scipy's runs on one here too: on two, each library's dstevd
+    moves some bits from 256 nodes on, and the two libraries part on one
+    collar stencil at 510 nodes (1e-16)."""
 
     @pytest.mark.parametrize("nodes", [16, 64, 256, 510, 1024])
     def test_binding_matches_scipy_bit_for_bit(self, nodes, monkeypatch):
@@ -889,7 +893,7 @@ class TestTridiagonalEigensolver:
             return got
 
         monkeypatch.setattr(sv, "_eigh_tridiagonal", both)
-        with _one_thread_everywhere(monkeypatch):
+        with _scipy_on_one_thread():
             for grid in _axis_grids(nodes):
                 assemble(grid, -2.0).factor()
         assert len(pairs) == 6  # two axes per grid, the maximal grid's second of one node
@@ -902,7 +906,7 @@ class TestTridiagonalEigensolver:
         import cusplab.solver as sv
 
         for grid in _axis_grids(nodes):
-            with _one_thread_everywhere(monkeypatch):
+            with _scipy_on_one_thread():
                 got = assemble(grid, -2.0).factor()
                 with monkeypatch.context() as m:
                     m.setattr(sv, "_lapacke_dstevd", lambda: None)
