@@ -9,10 +9,11 @@ over a lattice of parabolic translations (the pre-blow-up upper half space;
 the maximal cusp at f = n - 1, with r = u).  The intermediate cusp is F_f in
 polar form, u = r cos theta0 and |v| = r sin theta0, but keeps its own kind:
 its sigma is truncate(r) cos theta0, not truncate(u).  Every chart's metric
-is B / x^2 and its volume density sqrt(det B) / x^n (Chart._conformal_block);
-every chart carries the (truncated) total boundary defining function sigma
-and membership tests for the exhaustion domains {sigma >= eps}; the boundary
-rescalings of the Schauder step carry their pulled-back metrics.
+is diagonal in its coordinates, diag(b) / x^2, and its volume density is
+sqrt(prod b) / x^n (Chart._conformal_block); every chart carries the
+(truncated) total boundary defining function sigma and membership tests for
+the exhaustion domains {sigma >= eps}; the boundary rescalings of the
+Schauder step carry their pulled-back metrics.
 
 Every chart quantity takes one point (n,) or an (N, n) array of points and
 returns one value (or matrix) per point, stacked on a leading axis for an
@@ -111,42 +112,38 @@ def smooth_bump(t):
     return np.where(inside, np.exp(1.0 - 1.0 / (1.0 - s * s)), 0.0)[()]
 
 
-def round_sphere_metric(angles) -> np.ndarray:
-    """Round metric on S^d in spherical coordinates (d = angles.shape[-1]),
-    for one point or for each row of an array of points.
-
-    Coordinates are (xi_1, ..., xi_d) with xi_1..xi_{d-1} polar and xi_d
-    azimuthal; the component matrix is diag(1, sin^2 xi_1, sin^2 xi_1
-    sin^2 xi_2, ...).
-    """
-    angles = np.asarray(angles, dtype=float)
-    d = angles.shape[-1]
-    g = np.zeros(angles.shape + (d,))
-    acc = np.ones(angles.shape[:-1])
-    for k in range(d):
-        g[..., k, k] = acc
-        acc = acc * np.sin(angles[..., k]) ** 2
-    return g
+def diagonal_matrices(d) -> np.ndarray:
+    """The diagonal matrices with entries d (..., k), stacked (..., k, k)."""
+    out = np.zeros(np.shape(d) + np.shape(d)[-1:])
+    np.einsum("...ii->...i", out)[...] = d  # a writable view of the diagonals
+    return out
 
 
-# A collar family maps (rho, y) to the tangential block: one point, or
-# arrays rho (N,) and y (N, n-1) to (N, n-1, n-1).
+def round_sphere_diagonal(angles) -> np.ndarray:
+    """Diagonal (1, sin^2 xi_1, sin^2 xi_1 sin^2 xi_2, ...) of the round
+    metric on S^d in spherical coordinates (xi_1, ..., xi_d), polar then
+    azimuthal (d = angles.shape[-1]), at one point or each row of an array."""
+    factors = np.ones(np.shape(angles))
+    factors[..., 1:] = np.sin(np.asarray(angles, dtype=float)[..., :-1]) ** 2
+    return np.cumprod(factors, axis=-1)
+
+
+# A collar family maps (rho, y) to the diagonal of its tangential block,
+# shaped like y: one point (n-1,), or arrays rho (N,) and y (N, n-1) to
+# (N, n-1).  Every model end is diagonal in its chart coordinates, so no
+# family has an off-diagonal entry to return.
 
 
 def euclidean_collar_family(rho, y) -> np.ndarray:
     """Default boundary family: the identity for every rho."""
-    y = np.asarray(y, dtype=float)
-    d = y.shape[-1]
-    return np.broadcast_to(np.eye(d), y.shape[:-1] + (d, d)).copy()
+    return np.ones(np.shape(y))
 
 
 def round_collar_family(rho, y) -> np.ndarray:
     """Family (1 - rho^2/4)^2 * round(S^{n-1}); the collar metric it induces
     is exactly hyperbolic (ball model in normal form around the boundary)."""
-    rho = np.asarray(rho, dtype=float)
-    g = round_sphere_metric(y)
-    g *= _matrix_scale((1.0 - rho * rho / 4.0) ** 2)
-    return g
+    rho = np.asarray(rho, dtype=float)[..., None]
+    return round_sphere_diagonal(y) * (1.0 - rho * rho / 4.0) ** 2
 
 
 def cusp_collar_family(rho, y, f: int) -> np.ndarray:
@@ -154,15 +151,10 @@ def cusp_collar_family(rho, y, f: int) -> np.ndarray:
     first n-1-f coordinates of y and z the last f (the chart binds f)."""
     y = np.asarray(y, dtype=float)
     v = y[..., : y.shape[-1] - f]
-    s2 = rho * rho + np.einsum("...i,...i->...", v, v)
-    g = euclidean_collar_family(rho, y)
-    g[..., -f:, -f:] *= _matrix_scale(s2 * s2)
-    return g
-
-
-def _matrix_scale(s) -> np.ndarray:
-    """A scalar per point, shaped to multiply a stack of matrices."""
-    return np.asarray(s)[..., None, None]
+    s2 = np.asarray(rho * rho + np.einsum("...i,...i->...", v, v))[..., None]
+    h = euclidean_collar_family(rho, y)
+    h[..., -f:] *= s2 * s2
+    return h
 
 
 H_U_FAMILIES = {
@@ -181,7 +173,7 @@ class Chart:
     intermediate cusp or the cusp family).  edge is the outer coordinate
     value of the defining-function direction (r, rho or u range (0, edge]).
 
-    metric_stepped declares, from each block B and coordinate x, the number
+    metric_stepped declares, from each diagonal b and coordinate x, the number
     of leading coordinates the metric components depend on: rho alone on the
     Euclidean collar, all but the azimuthal angle on the round collar, u and
     v (1 + b) on the cusp family, so u alone on the maximal cusp, and r,
@@ -333,54 +325,61 @@ class Chart:
     # -- metric data -------------------------------------------------------
 
     def _conformal_block(self, p):
-        """(B, x) at validated points, the metric being B / x^2: on a collar
-        B = 1 + h_u(rho, y) and x = rho; on the intermediate cusp, F_f pulled
-        back by the polar map, B = 1 + r^2 round(theta0, ..., theta_{b-1}) +
-        r^4 I_f and x = r cos(theta0) (direct sums)."""
-        B = np.zeros(p.shape + (self.n,))
-        B[..., 0, 0] = 1.0
-        x = p[..., 0]
+        """(b, x) at validated points (N, n), the metric being diag(b) / x^2:
+        on a collar b = (1, h_u(rho, y)) and x = rho; on the intermediate
+        cusp, F_f pulled back by the polar map, b = (1, r^2 round(theta0,
+        ...), r^4, ..., r^4) over (r, the transverse angles, w) and
+        x = r cos(theta0)."""
+        b, x = np.ones(p.shape), p[:, 0]
         if self.kind == INTERMEDIATE_CUSP:
-            b, r2 = self.b, x * x
-            sphere = round_sphere_metric(p[..., 1 : 1 + b])
-            B[..., 1 : 1 + b, 1 : 1 + b] = _matrix_scale(r2) * sphere
-            B[..., 1 + b :, 1 + b :] = _matrix_scale(r2 * r2) * np.eye(self.f)
-            return B, x * np.cos(p[..., 1])
-        B[..., 1:, 1:] = self.h_u(x, p[..., 1:])
-        return B, x
+            r2, k = (x * x)[:, None], 1 + self.b
+            b[:, 1:k] = r2 * round_sphere_diagonal(p[:, 1:k])
+            b[:, k:] = r2 * r2
+            return b, x * np.cos(p[:, 1])
+        y = p[:, 1:]
+        h = np.asarray(self.h_u(x, y))
+        if h.shape != y.shape:
+            raise ValueError(f"collar family {self.kind!r} must return the diagonal "
+                             f"of its tangential block, shaped like y {y.shape}; "
+                             f"got shape {h.shape}")
+        b[:, 1:] = h
+        return b, x
 
     @staticmethod
-    def _metric(B, x):
-        """B / x^2 from the conformal blocks."""
-        return B / _matrix_scale(x * x)
+    def _diagonal(b, x):
+        """The metric's diagonal b / x^2 from the conformal block."""
+        return b / (x * x)[:, None]
 
-    def _density(self, B, x):
-        """sqrt(det B) / x^n from the conformal blocks (B's first row and
-        column are the identity's)."""
-        return np.sqrt(np.linalg.det(B[..., 1:, 1:])) / x ** self.n
+    def _density(self, b, x):
+        """sqrt(det diag(b)) / x^n from the conformal block (b[:, 0] is 1).
+        numpy's det goes through log and exp: a plain product of b moves the
+        density by up to 3e-14 relative, which the barrier ratio of `solve`
+        amplifies past the golden record's rtol 1e-12."""
+        return np.sqrt(np.linalg.det(diagonal_matrices(b[:, 1:]))) / x ** self.n
 
     @batched
     def metric_at(self, p) -> np.ndarray:
-        """Metric components B / x^2 (symmetric positive definite) at one
-        point (n,), or stacked (N, n, n) at the rows of an (N, n) array."""
+        """Metric components diag(b) / x^2 (diagonal, positive) at one point
+        (n,), or stacked (N, n, n) at the rows of an (N, n) array."""
         p = self.validate_point(p)
         # one point as the one-row array, so a point and a batch agree bit for bit
-        g = self._metric(*self._conformal_block(np.atleast_2d(p)))
+        g = diagonal_matrices(self._diagonal(*self._conformal_block(np.atleast_2d(p))))
         return g if p.ndim == 2 else g[0]
 
     @batched
     def volume_density_at(self, p):
-        """sqrt(det B) / x^n (sqrt(det g) overflows from rho = 1e-25 at n = 7)
-        at one point (a scalar) or at each row of an (N, n) array."""
+        """sqrt(det diag(b)) / x^n (sqrt(det g) overflows from rho = 1e-25 at
+        n = 7) at one point (a scalar) or at each row of an (N, n) array."""
         p = self.validate_point(p)
         w = self._density(*self._conformal_block(np.atleast_2d(p)))
         return w if p.ndim == 2 else w[0]
 
-    def metric_and_density_at(self, points):
-        """(metric_at, volume_density_at) at the rows of an (N, n) array,
-        from one validation and one conformal block."""
-        B, x = self._conformal_block(np.atleast_2d(self.validate_point(points)))
-        return self._metric(B, x), self._density(B, x)
+    def metric_diagonal_and_density_at(self, points):
+        """(the diagonal of metric_at, volume_density_at) at the rows of an
+        (N, n) array, shapes (N, n) and (N,), from one validation and one
+        conformal block."""
+        b, x = self._conformal_block(np.atleast_2d(self.validate_point(points)))
+        return self._diagonal(b, x), self._density(b, x)
 
     @batched
     def sigma_at(self, p):
@@ -470,17 +469,13 @@ def rescaled_metric_at(case: RescalingCase, q) -> np.ndarray:
     s = q[..., 0]
     if not ((s >= 0.0) & (np.einsum("...i,...i->...", q, q) < 1.0)).all():
         raise ChartDomainError("reference point outside the unit half-ball B+")
-    shrink = np.exp(-2.0 * s)
-    out = np.zeros(q.shape + (case.n,))
-    out[..., 0, 0] = 1.0
+    shrink, out = np.exp(-2.0 * s)[:, None], np.ones(q.shape)
     if case.case == COLLAR_CASE:
-        out[..., 1:, 1:] = _matrix_scale(shrink) * euclidean_collar_family(
-            case.eps * np.exp(s), case.v0 + case.eps * q[..., 1:]
-        )
-        return out
-    # F_f at u = e^s, v shifted by v0 / eps (z does not enter)
-    f, y = case.f, q[..., 1:] + np.append(case.v0 / case.eps, np.zeros(case.f))
-    out[..., 1:, 1:] = _matrix_scale(shrink) * cusp_collar_family(np.exp(s), y, f)
-    if case.case == CUSP_OFF_AXIS:
-        out[..., -f:, -f:] /= (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
-    return out
+        out[:, 1:] = shrink * euclidean_collar_family(
+            case.eps * np.exp(s), case.v0 + case.eps * q[:, 1:])
+    else:  # F_f at u = e^s, v shifted by v0 / eps (z does not enter)
+        f, y = case.f, q[:, 1:] + np.append(case.v0 / case.eps, np.zeros(case.f))
+        out[:, 1:] = shrink * cusp_collar_family(np.exp(s), y, f)
+        if case.case == CUSP_OFF_AXIS:
+            out[:, -f:] /= (1.0 + float(case.v0 @ case.v0) / case.eps ** 2) ** 2
+    return diagonal_matrices(out)

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import Chart, INTERMEDIATE_CUSP, smooth_bump, smooth_step
+from .charts import Chart, INTERMEDIATE_CUSP, diagonal_matrices, smooth_bump, smooth_step
 from .tensorcalc import (
     DEFAULT_STEP,
     Q_at,
@@ -99,8 +99,8 @@ class BoundaryData:
         return self.chart.n
 
     def hhat(self, y: np.ndarray) -> np.ndarray:
-        """Boundary representative: the collar family at rho = 0."""
-        return self.chart.h_u(0.0, np.asarray(y, dtype=float))
+        """Boundary representative: the collar family at rho = 0, as matrices."""
+        return diagonal_matrices(self.chart.h_u(0.0, np.asarray(y, dtype=float)))
 
     def psi_rho(self, rho: float) -> float:
         return plateau_bump(rho)

@@ -293,9 +293,9 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
     One rule for every chart: W and h_dd are read from the chart at a fixed
     reference point (the middle of each finite coordinate range, else 0), on
     the line along each axis through it and at the grid's corners; axis 1's
-    factors are divided by the reference point's values.  A chart whose
-    metric is not diagonal in the grid axes, or does not factor across them
-    at the corners, is refused with the reason."""
+    factors are divided by the reference point's values.  A chart whose W or
+    h_dd does not factor across the axes at the corners is refused with the
+    reason (every chart's metric is diagonal in its coordinates)."""
     ndim, names = len(axes), chart.coordinate_names[: len(axes)]
     refusal = f"no reduced operator on the {chart.kind} chart over ({', '.join(names)})"
     ref = np.array([0.5 * (lo + hi) if math.isfinite(hi - lo) else 0.0
@@ -307,10 +307,8 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
         corners[:, 0], corners[:, 1] = axes[0][[0, 0, -1, -1]], axes[1][[0, -1, 0, -1]]
         lines.append(corners)
     pts = np.concatenate(lines)
-    g, w = chart.metric_and_density_at(pts)
-    if np.count_nonzero(g[:, :ndim]) > len(pts) * ndim:  # an entry off the diagonal
-        raise ValueError(f"{refusal}: its metric is not diagonal in them")
-    q = np.column_stack([w, np.diagonal(g, axis1=1, axis2=2)[:, :ndim]])  # W, h_dd
+    h, w = chart.metric_diagonal_and_density_at(pts)
+    q = np.column_stack([w, h[:, :ndim]])  # W, h_dd
     *near, at_ref, at_corners = np.split(q, np.cumsum([len(ax) for ax in axes] + [1]))
     factors = [near[0]] + [v / at_ref for v in near[1:]]
     if ndim == 2:

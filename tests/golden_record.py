@@ -12,19 +12,23 @@ class (`differences` applies them):
   * skipped: `elapsed_seconds` and paths (the output directory and the
     table paths of a summary).
 
-Regenerate the record after a change that moves a number, and list the keys
-it prints in CHANGES.md:
+Check what a change moves, and regenerate the record after a change that
+moves a number, listing the keys it prints in CHANGES.md:
 
+    python tests/golden_record.py --check
     python tests/golden_record.py
 
-It runs every command into tests/golden/<case>/, with the exit code in
-record.json, and prints each key whose value moved at all, old and new,
-marking those beyond the float class.  tests/test_golden.py runs the same
-commands and compares them with the record.
+Both run every command into a temporary directory, with the exit code in
+record.json, and print each key whose value moved at all against
+tests/golden/<case>/: old value, new value, and whether the float class
+forgives the move.  --check writes nothing and exits 1 if any key moved;
+without it the runs replace tests/golden/.  tests/test_golden.py runs the
+same commands and compares them with the record, forgiving the float class.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -124,31 +128,49 @@ def differences(got, want, key: str = ""):
         yield key, got, want, False
 
 
-def regenerate() -> None:
-    """Rewrite tests/golden/ from the commands, printing what moved against
-    the record it replaces."""
+def record_case(case: str, out_dir: Path) -> None:
+    """Run one command of the record into out_dir as the record keeps it: no
+    host path or timing in its summaries, its exit code in record.json."""
+    code = run_case(case, out_dir)
+    for summary in out_dir.glob("*.json"):
+        payload = json.loads(summary.read_text().replace(str(out_dir), "<out-dir>"))
+        payload["elapsed_seconds"] = None
+        summary.write_text(json.dumps(payload, indent=2))
+    (out_dir / "record.json").write_text(json.dumps(
+        {"command": COMMANDS[case], "exit_code": code}, indent=2) + "\n")
+
+
+def main(argv=None) -> int:
+    """Rerun every command of the record, print each key that moved against
+    tests/golden/, and either rewrite the record or, with --check, exit 1 if
+    any key moved."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tests/golden/ and write nothing")
+    check = parser.parse_args(argv).check
+    moved = 0
     for case in COMMANDS:
         target = GOLDEN / case
         old = read_case(target) if target.is_dir() else None
         with tempfile.TemporaryDirectory() as tmp:
-            code = run_case(case, Path(tmp))
-            for summary in Path(tmp).glob("*.json"):  # no host path or timing kept
-                payload = json.loads(summary.read_text().replace(tmp, "<out-dir>"))
-                payload["elapsed_seconds"] = None
-                summary.write_text(json.dumps(payload, indent=2))
-            (Path(tmp) / "record.json").write_text(json.dumps(
-                {"command": COMMANDS[case], "exit_code": code}, indent=2) + "\n")
-            if target.exists():
-                shutil.rmtree(target)
-            shutil.copytree(tmp, target)
+            record_case(case, Path(tmp))
+            new = read_case(Path(tmp))
+            if not check:
+                if target.exists():
+                    shutil.rmtree(target)
+                shutil.copytree(tmp, target)
         if old is None:
-            print(f"{case}: recorded")
+            print(f"{case}: {'not recorded' if check else 'recorded'}")
+            moved += check
             continue
-        for key, new, was, within in differences(read_case(target), old):
-            mark = "" if within else "  BEYOND TOLERANCE"
-            print(f"{case}{key}: {was!r} -> {new!r}{mark}")
+        for key, got, was, within in differences(new, old):
+            verdict = "within the float class" if within else "BEYOND TOLERANCE"
+            print(f"{case}{key}: {was!r} -> {got!r}  {verdict}")
+            moved += 1
+    print(f"{moved} key(s) moved" if moved else "no key moved")
+    return 1 if check and moved else 0
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    regenerate()
+    sys.exit(main())

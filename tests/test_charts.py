@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from cusplab.charts import (
+    H_U_FAMILIES,
+    INTERMEDIATE_CUSP,
     TRUNC_FRACTION,
     Chart,
     ChartDomainError,
     RescalingCase,
     RescalingCaseError,
+    diagonal_matrices,
     rescaled_metric_at,
-    round_sphere_metric,
+    round_sphere_diagonal,
     truncate_bdf,
 )
 from cusplab.solver import half_ball_lattice
@@ -287,9 +290,9 @@ class TestBatchedEqualsSingle:
             batch = quantity(pts)
             assert batch.shape == (len(pts),) + np.shape(quantity(pts[0]))
             assert np.array_equal(batch, [quantity(p) for p in pts])
-        # the metric and the density read from one conformal block
-        g, w = chart.metric_and_density_at(pts)
-        assert np.array_equal(g, chart.metric_at(pts))
+        # the metric's diagonal and the density read from one conformal block
+        h, w = chart.metric_diagonal_and_density_at(pts)
+        assert np.array_equal(h, np.diagonal(chart.metric_at(pts), axis1=1, axis2=2))
         assert np.array_equal(w, chart.volume_density_at(pts))
         eps = float(np.median(chart.sigma_at(pts)))
         inside = chart.in_exhaustion(pts, eps)
@@ -326,8 +329,6 @@ class TestBatchedEqualsSingle:
 
 class TestCollarFamilies:
     def test_family_looked_up_by_name(self):
-        from cusplab.charts import H_U_FAMILIES
-
         chart = Chart.collar(4, h_u="round_sphere")
         assert chart.h_u is H_U_FAMILIES["round_sphere"]
         assert Chart.collar(4).kind == "euclidean"
@@ -365,8 +366,44 @@ class TestCollarFamilies:
         # F_1 at u = 0.5, v = (0.3, 0.4): (u^2 + |v|^2)^2 = 0.25 on the z entry
         y = np.array([0.3, 0.4, 7.0])
         got = Chart.upper_half_space(4, 1).h_u(0.5, y)
-        assert np.allclose(got, np.diag([1.0, 1.0, 0.25]), rtol=1e-15)
-        assert np.array_equal(Chart.maximal_cusp(4).h_u(0.5, y), np.eye(3) / 16)
+        assert np.allclose(got, [1.0, 1.0, 0.25], rtol=1e-15)
+        assert np.array_equal(Chart.maximal_cusp(4).h_u(0.5, y), np.ones(3) / 16)
+
+    def test_a_family_of_matrices_is_refused(self, monkeypatch):
+        # a family in the (..., n-1, n-1) matrix format, not the diagonal
+        monkeypatch.setitem(H_U_FAMILIES, "matrices",
+                            lambda rho, y: np.eye(3) * np.ones(np.shape(y))[..., None])
+        chart = Chart("matrices", 4)
+        want = (r"collar family 'matrices' must return the diagonal of its tangential "
+                r"block, shaped like y \(2, 3\); got shape \(2, 3, 3\)")
+        for quantity in (chart.metric_at, chart.volume_density_at):
+            with pytest.raises(ValueError, match=want):
+                quantity([[0.5, 0.0, 0.0, 0.0], [0.6, 0.1, 0.0, 0.0]])
+
+
+class TestDiagonalFormat:
+    """Every chart's metric is diag(b) / x^2 for its conformal block (b, x):
+    zero off the diagonal and positive on it, with volume density
+    sqrt(prod b[1:]) / x^n; every collar family returns the diagonal of its
+    tangential block, shaped like y."""
+
+    @pytest.mark.parametrize("chart", [c for n in range(3, 8) for c in _every_kind(n)],
+                             ids=_chart_id)
+    def test_metric_is_the_diagonal_of_the_block(self, chart, rng):
+        pts = np.array(sample_points(chart, 12, rng))
+        pts[-3:, 0] = chart.edge * np.array([0.85, 0.95, 1.0])
+        b, x = chart._conformal_block(pts)
+        g = chart.metric_at(pts)
+        assert (g[:, ~np.eye(chart.n, dtype=bool)] == 0.0).all()
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        assert (diag > 0.0).all()
+        assert np.array_equal(diag, b / (x * x)[:, None])
+        np.testing.assert_allclose(chart.volume_density_at(pts),
+                                   np.sqrt(np.prod(b[:, 1:], axis=1)) / x ** chart.n,
+                                   rtol=1e-14, atol=0)
+        if chart.kind != INTERMEDIATE_CUSP:
+            assert chart.h_u(pts[:, 0], pts[:, 1:]).shape == pts[:, 1:].shape
+            assert chart.h_u(0.0, pts[0, 1:]).shape == (chart.n - 1,)
 
 
 # Closed forms of the upper half space and the maximal cusp, written out
@@ -487,7 +524,7 @@ class TestIntermediateCuspIsPolarF_f:
 def _polar_map(chart, p):
     """(u, v, z) of the upper half space at intermediate-cusp points (r,
     theta0, ..., theta_{b-1}, w): r times the unit vector with spherical
-    angles theta0, ..., theta_{b-1} (the coordinates of round_sphere_metric),
+    angles theta0, ..., theta_{b-1} (the coordinates of round_sphere_diagonal),
     then w.  Takes complex points for the complex-step Jacobian."""
     b = chart.b
     sphere, acc = [], 1.0
@@ -510,8 +547,9 @@ def _intermediate_cusp_metric(chart, p):
     out[..., 0, 0] = 1.0 / (x * x * c2)
     out[..., 1, 1] = 1.0 / c2
     if b >= 2:
-        out[..., 2 : 1 + b, 2 : 1 + b] = ((np.sin(th) ** 2 / c2)[..., None, None]
-                                          * round_sphere_metric(p[..., 2 : 1 + b]))
+        out[..., 2 : 1 + b, 2 : 1 + b] = (
+            (np.sin(th) ** 2 / c2)[..., None, None]
+            * diagonal_matrices(round_sphere_diagonal(p[..., 2 : 1 + b])))
     out[..., 1 + b :, 1 + b :] = (x * x / c2)[..., None, None] * np.eye(chart.f)
     return out
 
@@ -520,7 +558,7 @@ def _intermediate_cusp_density(chart, p):
     x, th, b = p[..., 0], p[..., 1], chart.b
     dens = x ** (chart.f - 1) * np.sin(th) ** (b - 1) / np.cos(th) ** chart.n
     if b >= 2:
-        dens = dens * np.sqrt(np.linalg.det(round_sphere_metric(p[..., 2 : 1 + b])))
+        dens = dens * np.sqrt(np.prod(round_sphere_diagonal(p[..., 2 : 1 + b]), axis=-1))
     return dens
 
 

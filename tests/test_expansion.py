@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab.charts import Chart, batched
+from cusplab.charts import Chart, batched, diagonal_matrices
 from cusplab.expansion import (
     BoundaryData,
     CharacteristicExponentHit,
@@ -147,7 +147,7 @@ def stencil_blocks(s, chart, step=1e-3):
     n = chart.n
     h = chart_metric(chart)
     y_ref = _reference_y(chart)
-    hhat = chart.h_u(0.0, y_ref)
+    hhat = np.diag(chart.h_u(0.0, y_ref))
     e_nn = np.zeros((n, n))
     e_nn[0, 0] = 1.0
     e_nt = np.zeros((n, n))
@@ -246,7 +246,7 @@ class TestIndicialStructure:
     def test_vanishing_block_named(self, rng):
         R = rng.standard_normal((4, 4))
         R = R + R.T
-        hhat = FLAT.h_u(0.0, _reference_y(FLAT))
+        hhat = np.diag(FLAT.h_u(0.0, _reference_y(FLAT)))
         with pytest.raises(CharacteristicExponentHit,
                            match=r"^trace-free block \(K = 0\) vanishes at "
                                  r"s = 3 = n - 1$"):
@@ -284,7 +284,7 @@ class TestIndicialStructure:
         blocks = indicial_blocks(1.0, n)
         ys = np.tile(_reference_y(chart), (9, 1))
         ys[:, 0] += rng.uniform(-0.4, 0.4, 9)
-        hhats = chart.h_u(0.0, ys)
+        hhats = diagonal_matrices(chart.h_u(0.0, ys))
         R = rng.standard_normal((9, n, n))
         R = R + np.swapaxes(R, -1, -2)
         stacked = blocks.solve(R, hhats)

@@ -351,21 +351,14 @@ class TestOneRuleMatchesTheJetLaplacian:
         assert min(math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])) >= 1.9
 
 
-def _sheared_family(rho, y):
-    """The identity with a (y1, y2) entry: not diagonal in the grid axes."""
-    g = euclidean_collar_family(rho, y)
-    g[..., 0, 1] = g[..., 1, 0] = 0.1
-    return g
-
-
 def _unfactored_family(rho, y):
-    """diag(phi, 1 / phi, 1), phi = 1 + rho y1^2: W = rho^-n factors, the
-    (y1, y1) entry phi / rho^2 does not."""
+    """The diagonal (phi, 1 / phi, 1), phi = 1 + rho y1^2: W = rho^-n
+    factors, the (y1, y1) entry phi / rho^2 does not."""
     rho, y = np.asarray(rho, dtype=float), np.asarray(y, dtype=float)
-    g = euclidean_collar_family(rho, y)
+    h = euclidean_collar_family(rho, y)
     phi = 1.0 + rho * y[..., 0] ** 2
-    g[..., 0, 0], g[..., 1, 1] = phi, 1.0 / phi
-    return g
+    h[..., 0], h[..., 1] = phi, 1.0 / phi
+    return h
 
 
 class TestOneRuleRefuses:
@@ -373,10 +366,9 @@ class TestOneRuleRefuses:
     terms of the grid's coordinates."""
 
     @pytest.mark.parametrize("family, reason", [
-        (_sheared_family, r"over \(rho, y1\): its metric is not diagonal in them"),
         (_unfactored_family, r"over \(rho, y1\): the metric's \(y1, y1\) entry does "
                              r"not factor across rho and y1"),
-    ], ids=["not-diagonal", "not-factoring"])
+    ], ids=["not-factoring"])
     def test_collar_family(self, monkeypatch, family, reason):
         from cusplab.charts import H_U_FAMILIES
 
@@ -389,14 +381,14 @@ class TestOneRuleRefuses:
         # h_rhorho made to vary along y1 while h_y1y1 varies along rho: both
         # factor, but neither is constant along the other axis.  The rule
         # reads the metric and W together, and W is left as it is
-        metric_and_density_at = Chart.metric_and_density_at
+        metric_diagonal_and_density_at = Chart.metric_diagonal_and_density_at
 
         def tilted(self, p):
-            g, w = metric_and_density_at(self, p)
-            g[..., 0, 0] *= 1.0 + np.asarray(p)[..., 1] ** 2
-            return g, w
+            h, w = metric_diagonal_and_density_at(self, p)
+            h[..., 0] *= 1.0 + np.asarray(p)[..., 1] ** 2
+            return h, w
 
-        monkeypatch.setattr(Chart, "metric_and_density_at", tilted)
+        monkeypatch.setattr(Chart, "metric_diagonal_and_density_at", tilted)
         grid = compact_patch_grid(Chart.collar(4), 8, (0.5, 1.0), (-0.5, 0.5))
         with pytest.raises(ValueError, match="K W joins neither stencil"):
             assemble(grid, -2.0)
