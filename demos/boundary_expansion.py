@@ -37,7 +37,7 @@ print("building the expansion ladder (two indicial solves)...")
 stages = S_map(bd, stages=3)
 rhos = [2.0 ** (-k) for k in range(3, 9)]
 center = 0.5 * (bd.y_support[0] + bd.y_support[1])
-ys = bd._line(center + np.array([-0.15, 0.0, 0.12]))
+ys = bd.line(center + np.array([-0.15, 0.0, 0.12]))
 
 print("residual decay |Q(g_j, g_1)|_h ~ rho^slope:")
 for g in stages:

@@ -452,7 +452,7 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
     stages = expansion.S_map(bd, stages=cfg.stages)
     rhos = [2.0 ** (-k) for k in range(3, 9)]
     center = 0.5 * (bd.y_support[0] + bd.y_support[1])
-    ys = bd._line(center + np.array([-0.15, 0.0, 0.12]))
+    ys = bd.line(center + np.array([-0.15, 0.0, 0.12]))
     # each correction stage: its exponent, the closed-form block scalars it
     # divided by, and its largest |coefficient| on the tangential grid
     rep.extra["stages"] = []
@@ -469,9 +469,8 @@ def cmd_expand(cfg: argparse.Namespace, rep: Report) -> None:
         "coordinates": list(chart.coordinate_names[:stepped]),
         "points": points}
     rows = []
-    background = expansion._BackgroundCache(chart)  # Q(h, h) on the samples
     for g in stages:
-        fit = expansion.vanishing_order(g, stages[0], rhos, ys, background)
+        fit = expansion.vanishing_order(g, stages[0], rhos, ys)
         gauge = expansion.gauge_term_norm(
             g, [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)],
             step=cfg.step)
@@ -569,14 +568,14 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
 # and twice that for the trim threshold, as that rule pairs them.  Left
 # dynamic, the trim threshold sits near twice the largest freed mmapped
 # block.  A pass of Q(g_3, g_1) peaks at about 2.2 MB of live numpy
-# temporaries (tracemalloc; 1.3 MB in the 48-point passes these figures were
-# taken with), so the heap top went back to the OS after every pass and was
-# faulted in again for the next.  In process, after warm-up, on 2 vCPUs: an
-# expand --n 4 --stages 3 op fell from about 6,700 minor faults and 11-19 ms
-# of system time to under 10 faults and under 2 ms, a sweep --nodes 96 op
-# from about 1,100 faults to 1-2.  In fresh processes, the peak RSS of
-# sweep --K 6 --nodes 1024 (238 MB) and koiso (116 MB) did not move; that
-# of solve --nodes 512 --eps 0.05 rose by 0.3 MB, to 123.4 MB.
+# temporaries (tracemalloc), so the heap top went back to the OS after every
+# pass and was faulted in again for the next.  In process, with getrusage
+# over 40 ops after 5 warm-up ops, on 2 vCPUs: an expand --n 4 --stages 3
+# --seed 3 op takes about 1,900 minor faults and a mean 3.3-3.6 ms of system
+# time without the thresholds, 1 fault and 0.1-0.3 ms with them; a
+# sweep --nodes 96 op 228 faults without them, 0 with.  In fresh processes,
+# the peak RSS of sweep --K 6 --nodes 1024 (238 MB) and koiso (116 MB) did
+# not move; that of solve --nodes 512 --eps 0.05 rose by 0.3 MB, to 123.4 MB.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
 

@@ -20,8 +20,8 @@ and y_1's.
 Each correction iteration samples its 41 y x 6 rho extraction grid, and
 each vanishing-order fit its rho x y grid, in a few `Q_at` calls on whole
 point arrays; the background Q(h, h) is computed once per point set and
-cached.  Q(h, h), and Q(g_1, g_1) in stage 1's extraction and its
-vanishing-order fit, have both slots on one field, so
+kept on the ladder's `BoundaryData`.  Q(h, h), and Q(g_1, g_1) in stage 1's
+extraction and its vanishing-order fit, have both slots on one field, so
 `Q_at` forms them as Rc + (n-1) g with no gauge term (it vanishes there);
 `gauge_term_norm` computes that term in full, as a check.  In Q(g_j, g_1)
 the two slots share one evaluation: g_1's terms begin g_j's, and a stage
@@ -89,6 +89,8 @@ class BoundaryData:
     qhat: Callable[[np.ndarray], np.ndarray]
     psi_y: Callable[[np.ndarray], np.ndarray]
     y_support: tuple[float, float]
+    _backgrounds: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.chart.kind == INTERMEDIATE_CUSP:
@@ -117,7 +119,7 @@ class BoundaryData:
             raise ValueError(
                 f"qhat must map an array of t = y_1 values of shape {t.shape} "
                 f"to shape {want}, got shape {q.shape}")
-        bad = np.linalg.eigvalsh(self.hhat(self._line(t)) + q)[:, 0] <= 0
+        bad = np.linalg.eigvalsh(self.hhat(self.line(t)) + q)[:, 0] <= 0
         if bad.any():
             raise PositivityError(
                 f"hhat + qhat not positive definite at y[0] = {t[bad][0]:.4g}")
@@ -127,11 +129,19 @@ class BoundaryData:
     def _reference_y(self) -> np.ndarray:
         return _reference_y(self.chart)
 
-    def _line(self, t: np.ndarray) -> np.ndarray:
+    def line(self, t: np.ndarray) -> np.ndarray:
         """The points (len(t), n-1) through the reference point with y_1 = t."""
         ys = np.tile(self._reference_y(), (len(t), 1))
         ys[:, 0] = t
         return ys
+
+    def background(self, points: np.ndarray) -> np.ndarray:
+        """Q(h, h) at the rows of points, computed the first time this
+        point set (its exact bytes) is seen."""
+        key = (points.shape, points.tobytes())
+        if key not in self._backgrounds:
+            self._backgrounds[key] = _background(self.chart, points)
+        return self._backgrounds[key]
 
 
 def _reference_y(chart: Chart) -> np.ndarray:
@@ -408,24 +418,18 @@ def _fit_leading_coefficient(rhos: np.ndarray, values: np.ndarray, t: int):
     return c0, resid, scale
 
 
-@dataclass
-class _BackgroundCache:
-    chart: Chart
-    values: dict = field(default_factory=dict)
-
-    def q_hh(self, p: np.ndarray) -> np.ndarray:
-        """Q(h, h) on the background at the rows of p, computed in one
-        call the first time this point set (rounded to 1e-12) is seen."""
-        key = (p.shape, np.round(p, 12).tobytes())
-        if key not in self.values:
-            h = chart_metric(self.chart)
-            self.values[key] = Q_at(h, h, p, EXTRACTION_STEP)
-        return self.values[key]
+def _background(chart: Chart, points: np.ndarray) -> np.ndarray:
+    """Q(h, h) on the chart's background at the rows of points."""
+    h = chart_metric(chart)
+    return Q_at(h, h, points, EXTRACTION_STEP)
 
 
-def _residuals(gl, gr, points: np.ndarray, cache: _BackgroundCache) -> np.ndarray:
-    """Q(gl, gr) - Q(h, h) at the rows of points, for two fields."""
-    return Q_at(gl, gr, points, EXTRACTION_STEP) - cache.q_hh(points)
+def _residuals(gl, gr, points: np.ndarray) -> np.ndarray:
+    """Q(gl, gr) - Q(h, h) at the rows of points, for two fields; Q(h, h)
+    comes from gl's boundary data when it has one."""
+    bd = getattr(gl, "bd", None)
+    background = bd.background(points) if bd else _background(gl.chart, points)
+    return Q_at(gl, gr, points, EXTRACTION_STEP) - background
 
 
 def extract_residual_coefficient(
@@ -433,7 +437,6 @@ def extract_residual_coefficient(
     g_1: ExpansionMetric,
     t: int,
     ys: np.ndarray,
-    cache: Optional[_BackgroundCache] = None,
 ):
     """Leading Taylor coefficient {Q(g_j, g_1)}_t of the residual at each
     row of ys, an (M, n-1) array of tangential points.
@@ -445,9 +448,8 @@ def extract_residual_coefficient(
     exact arithmetic, and the subtraction cancels the dominant
     finite-difference truncation error.
     """
-    cache = cache or _BackgroundCache(g_j.chart)
     points = _grid_points(DEFAULT_EXTRACTION_RHOS, np.asarray(ys, dtype=float))
-    vals = _residuals(g_j, g_1, points.reshape(-1, points.shape[-1]), cache)
+    vals = _residuals(g_j, g_1, points.reshape(-1, points.shape[-1]))
     return _fit_leading_coefficient(
         DEFAULT_EXTRACTION_RHOS, vals.reshape(points.shape[:2] + vals.shape[1:]), t)
 
@@ -535,13 +537,12 @@ def _extraction_grid(bd: BoundaryData):
     pad = 0.02 * (hi - lo)
     ygrid = np.linspace(lo - pad, hi + pad, 41)
     inside = (lo < ygrid) & (ygrid < hi)
-    return ygrid, inside, bd._line(ygrid[inside])
+    return ygrid, inside, bd.line(ygrid[inside])
 
 
 def correction_step(
     g_j: ExpansionMetric,
     g_1: ExpansionMetric,
-    cache: Optional[_BackgroundCache] = None,
 ) -> ExpansionMetric:
     """One order-raising step: cancel the leading residual coefficient.
 
@@ -560,7 +561,6 @@ def correction_step(
     if vanishing:
         raise CharacteristicExponentHit(
             f"stage {g_j.order + 1}: {vanishing}; the construction stops here")
-    cache = cache or _BackgroundCache(g_j.chart)
     ygrid, inside, ys = _extraction_grid(bd)
     hhats = bd.hhat(ys)
     n = bd.n
@@ -568,8 +568,7 @@ def correction_step(
     coeff = np.zeros((len(ygrid), n, n))
     current = g_j
     for _ in range(2):
-        raw, resids, scales = extract_residual_coefficient(
-            current, g_1, t, ys, cache=cache)
+        raw, resids, scales = extract_residual_coefficient(current, g_1, t, ys)
         scale = float(scales.max())
         if scale > 0 and resids.max() > 0.05 * scale:
             raise IndicialExtractionFailure(
@@ -610,9 +609,8 @@ def S_map(
     """Build the expansion ladder g_1, g_2, ..., up to stage
     `stage_cap(n, stages)`."""
     out = [T_map(bd)]
-    cache = _BackgroundCache(bd.chart)
     while out[-1].order < stage_cap(bd.n, stages):
-        out.append(correction_step(out[-1], out[0], cache=cache))
+        out.append(correction_step(out[-1], out[0]))
     return out
 
 
@@ -633,7 +631,6 @@ def vanishing_order(
     gR,
     rho_samples: Sequence[float],
     y_samples: Sequence[np.ndarray],
-    cache: Optional[_BackgroundCache] = None,
 ) -> VanishingOrderFit:
     """Least-squares slope of log |Q(gL, gR) - Q(h, h)|_h against log rho,
     for two fields (expansion stages, or any field of `tensorcalc`).
@@ -642,14 +639,15 @@ def vanishing_order(
     all values below it are reported with an infinite sentinel slope and
     excluded from the headline maximum.  A sample with one value above the
     floor fixes no slope: it is reported unresolved (slope and residual
-    NaN), and so is the headline.  Fits of several metrics on the same
-    samples can share one cache, so Q(h, h) is computed once.
+    NaN), and so is the headline.  Q(h, h) comes from gL's boundary data,
+    so fits of every stage of one ladder on the same samples compute it
+    once; a field with no boundary data computes it in the call.
     """
     chart = gL.chart
     rho_samples = np.asarray(sorted(rho_samples, reverse=True), dtype=float)
     ys = np.array(y_samples, dtype=float)
     points = _grid_points(rho_samples, ys).reshape(-1, chart.n)
-    q = _residuals(gL, gR, points, cache or _BackgroundCache(chart))
+    q = _residuals(gL, gR, points)
     all_norms = tensor_norm(chart.metric_at(points), q).reshape(len(ys), -1)
 
     per_y = []

@@ -53,6 +53,22 @@ class TestWeightsCommand:
     def test_maximal_rank_obstruction(self, tmp_path):
         assert run(tmp_path, "weights", "--n", "4", "--ranks", "1,3") == EXIT_OBSTRUCTION
 
+    @pytest.mark.parametrize("mu0, reason", [
+        ("2.5", "requested mu0 = 2.5 outside window (1.5, 2.0)"),
+        # inside the window, but so close to its end that the margin is gone
+        ("1.9999999", "margins fell below delta_min = 1e-06: "),
+    ])
+    def test_mu0_obstruction(self, tmp_path, capsys, mu0, reason):
+        assert run(tmp_path, "weights", "--n", "4", "--mu0", mu0) == EXIT_OBSTRUCTION
+        err = capsys.readouterr().err
+        assert err.startswith(f"obstruction: {reason}")
+        assert err.count("\n") == 1
+        payload = json.loads((tmp_path / "weights_summary.json").read_text())
+        assert payload["status"] == "obstruction"
+        assert payload["error"]["type"] == "AdmissibilityObstruction"
+        assert payload["error"]["reason"].startswith(reason)
+        assert payload["report"]["obstruction"] == payload["error"]["reason"]
+
     @pytest.mark.parametrize("ranks", ["9", "1,4"])
     def test_rank_above_n_minus_1_is_a_usage_error(self, tmp_path, capsys, ranks):
         assert run(tmp_path, "weights", "--n", "4", "--ranks", ranks) == EXIT_USAGE
@@ -600,7 +616,7 @@ class TestExpandStages:
 
         fit = expansion.vanishing_order
         monkeypatch.setattr(expansion, "vanishing_order",
-                            lambda g, g1, rhos, ys, cache: fit(
+                            lambda g, g1, rhos, ys: fit(
                                 one_rho_bump, one_rho_bump, rhos, ys))
         assert run(tmp_path, *EXPAND_LADDER) == EXIT_NUMERICAL
         payload = json.loads((tmp_path / "expand_summary.json").read_text())
@@ -619,6 +635,29 @@ class TestExpandStages:
         assert [checks[f"stage{j}_slope"]["tolerance"] for j in (1, 2, 3, 4)] == [
             0.9, 1.85, 2.7, 3.7]
         assert checks["stage4_slope"]["value"] >= 3.7
+
+    def test_unstable_extraction_is_a_numerical_failure(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a leading-coefficient fit whose residual exceeds 5% of its data
+        # scale stops the ladder at stage 1
+        import cusplab.expansion as expansion
+
+        fit = expansion._fit_leading_coefficient
+
+        def unstable(rhos, values, t):
+            c0, _, scale = fit(rhos, values, t)
+            return c0, 0.1 * scale, scale
+
+        monkeypatch.setattr(expansion, "_fit_leading_coefficient", unstable)
+        assert run(tmp_path, *EXPAND_LADDER) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: residual coefficient "
+                              "extraction unstable (fit residual ")
+        assert err.endswith(" at stage 1\n") and err.count("\n") == 1
+        payload = json.loads((tmp_path / "expand_summary.json").read_text())
+        assert payload["status"] == "numerical-failure"
+        assert payload["error"]["type"] == "IndicialExtractionFailure"
+        assert payload["error"]["message"] == err[len("numerical failure: "):-1]
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_ladder_to_stage_n_minus_one_is_a_numerical_failure(self, tmp_path,

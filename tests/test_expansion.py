@@ -42,6 +42,24 @@ def ladder(bdata):
     return S_map(bdata, stages=3)
 
 
+@pytest.fixture
+def background_sets(monkeypatch):
+    """The point sets, as bytes, of every Q(h, h) evaluation of the
+    expansion module, one entry per evaluation."""
+    from cusplab import expansion
+
+    sets = []
+    q_at = expansion.Q_at
+
+    def recorded(g, t, p, *args):
+        if g is t and getattr(g, "eval", None) == g.chart.metric_at:
+            sets.append(np.asarray(p).tobytes())
+        return q_at(g, t, p, *args)
+
+    monkeypatch.setattr(expansion, "Q_at", recorded)
+    return sets
+
+
 def zero_data(chart=ROUND):
     bd = seeded_boundary_data(chart, seed=0, amplitude=0.05)
     return BoundaryData(chart=chart, qhat=lambda t: np.zeros(np.shape(t) + (3, 3)),
@@ -590,7 +608,7 @@ class TestFieldReuse:
         assert tensorcalc._joint(plain, (g1,)) is None
         rhos = [2.0 ** (-k) for k in range(3, 9)]
         center = 0.5 * (g3.bd.y_support[0] + g3.bd.y_support[1])
-        ys = g3.bd._line(center + np.array([-0.15, 0.0, 0.12]))
+        ys = g3.bd.line(center + np.array([-0.15, 0.0, 0.12]))
         pts = [np.concatenate(([r], ys[1])) for r in (0.15, 0.35)]
         fits = [vanishing_order(g, g1, rhos, ys) for g in (g3, plain)]
         assert fits[0].per_y == fits[1].per_y
@@ -622,27 +640,38 @@ class TestFieldReuse:
         assert g2.joint(rewired) is None
         assert rewired.joint(g1) is not None
 
-    def test_background_once_per_point_set_in_expand(self, monkeypatch,
+    def test_background_once_per_point_set_in_expand(self, background_sets,
                                                       tmp_path):
         # one expand run samples Q(h, h) on two point sets: the extraction
         # grid of every correction step and the vanishing-order grid of
         # every stage
-        from cusplab import expansion
         from cusplab.cli import main
 
-        sets = []
-        q_at = expansion.Q_at
-
-        def recorded(g, t, p, *args):
-            if g is t and getattr(g, "eval", None) == g.chart.metric_at:
-                sets.append(np.round(p, 12).tobytes())
-            return q_at(g, t, p, *args)
-
-        monkeypatch.setattr(expansion, "Q_at", recorded)
         code = main(["--out-dir", str(tmp_path), "expand", "--n", "4",
                      "--stages", "3", "--seed", "3"])
         assert code == 0
-        assert len(sets) == len(set(sets)) == 2
+        assert len(background_sets) == len(set(background_sets)) == 2
+
+    def test_background_once_per_point_set_in_library_ladder(self,
+                                                             background_sets):
+        # the ladder keeps its own Q(h, h): S_map and a plain vanishing-order
+        # fit of each stage share one evaluation per point set
+        bd = seeded_boundary_data(ROUND, seed=3)
+        stages = S_map(bd, stages=3)
+        rhos = [2.0 ** (-k) for k in range(3, 9)]
+        center = 0.5 * (bd.y_support[0] + bd.y_support[1])
+        ys = bd.line(center + np.array([-0.15, 0.0, 0.12]))
+        for g in stages:
+            vanishing_order(g, stages[0], rhos, ys)
+        assert len(stages) == 3
+        assert len(background_sets) == len(set(background_sets)) == 2
+        # a field with no boundary data computes Q(h, h) in the call: the
+        # fit of h against itself records Q(h, h) twice per call, its own
+        # residual term and the background
+        h = chart_metric(ROUND)
+        vanishing_order(h, h, rhos, ys)
+        vanishing_order(h, h, rhos, ys)
+        assert len(background_sets) == 2 + 2 * 2
 
 
 class TestVanishingOrderFit:
