@@ -10,24 +10,29 @@ block scalars are closed-form quadratics in the exponent.  The construction
 stops one order before the first characteristic exponent.
 
 The construction runs along one line through the reference point: each
-correction coefficient is extracted at 41 values of t = y_1 and stored as a
-spline in t.  So `qhat`, the cutoff `psi_y` and every coefficient are
-functions of t alone: each takes an array of t and returns its values
-stacked on the array's shape.  Each stage g_j, an `ExpansionMetric`, is an
-array-native field that evaluates them once per distinct t of a point array,
-and its stencils step along no coordinate after the chart metric's, rho's
-and y_1's.
-Each correction iteration samples its 41 y x 6 rho extraction grid, and
-each vanishing-order fit its rho x y grid, in a few `Q_at` calls on whole
-point arrays; the background Q(h, h) is computed once per point set and
-kept on the ladder's `BoundaryData`.  Q(h, h), and Q(g_1, g_1) in stage 1's
-extraction and its vanishing-order fit, have both slots on one field, so
-`Q_at` forms them as Rc + (n-1) g with no gauge term (it vanishes there);
-`gauge_term_norm` computes that term in full, as a check.  In Q(g_j, g_1)
-the two slots share one evaluation: g_1's terms begin g_j's, and a stage
-adds its terms in order, so g_1's values are g_j's partial sum after g_1's
-terms, bit for bit, and g_j is evaluated once per stencil for both slots
-(`ExpansionMetric.joint`).
+correction coefficient is extracted at the 39 values of t = y_1 that a
+41-node grid across the padded cutoff support has inside it, and stored as
+a spline in t on all 41 nodes.  So `qhat`, the cutoff `psi_y` and every
+coefficient are functions of t alone: each takes an array of t and returns
+its values stacked on the array's shape.  Each stage g_j, an
+`ExpansionMetric`, is its list of j coefficients: coefficient i multiplies
+rho^(i-2) times the radial cutoff, and the first is psi_y qhat.  A stage is
+an array-native field that evaluates each coefficient once per distinct t
+of a point array, and its stencils step along no coordinate after the chart
+metric's, rho's and y_1's.
+Each correction iteration samples its 39 y x 6 rho = 234 extraction points,
+and each vanishing-order fit its rho x y grid, in a few `Q_at` calls on
+whole point arrays; the background Q(h, h) is computed once per point set
+and kept on the ladder's `BoundaryData`.
+Q(h, h), and Q(g_1, g_1) in stage 1's extraction and its vanishing-order
+fit, have both slots on one field, so `Q_at` forms them as Rc + (n-1) g with
+no gauge term (it vanishes there); `gauge_term_norm` computes that term in
+full, as a check.  In Q(g_j, g_1) the two slots share one evaluation: g_1's
+coefficients begin g_j's, and a stage adds its terms in order, so g_1's
+values are g_j's partial sum after its first term, bit for bit, and g_j is
+evaluated once per stencil for both slots (`ExpansionMetric.joint`, which
+the longer stage in the first slot offers; a stage does not evaluate a
+longer one).
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ class BoundaryData:
     qhat maps an array of t = y_1 values to the symmetric (n-1)x(n-1)
     component matrices there, shape t.shape + (n-1, n-1), supported strictly
     inside the cutoff plateau; psi_y is the tangential cutoff profile, an
-    elementwise function of t, with support interval y_support, and the
-    radial cutoff equals 1 for rho <= 1/2 and 0 for rho >= 1.
+    elementwise function of t, with support interval y_support.  The
+    radial cutoff, `plateau_bump` of rho, equals 1 for rho <= 1/2 and 0 for
+    rho >= 1.
     """
 
     chart: Chart
@@ -103,9 +109,6 @@ class BoundaryData:
     def hhat(self, y: np.ndarray) -> np.ndarray:
         """Boundary representative: the collar family at rho = 0, as matrices."""
         return diagonal_matrices(self.chart.h_u(0.0, np.asarray(y, dtype=float)))
-
-    def psi_rho(self, rho: float) -> float:
-        return plateau_bump(rho)
 
     def validate(self):
         """qhat's shape on an array of t, positivity of hhat + qhat at 25
@@ -197,40 +200,39 @@ def _embed_tangential(n: int, q_tan: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ExpansionMetric:
     """Conformally rescaled extension plus power-law correction terms: the
-    background metric with its terms added in order, an array-native metric
-    field (`chart`, `label`, `stepped`, called on (N, n) arrays).
+    background metric with its coefficients added in order, an array-native
+    metric field (`chart`, `label`, `stepped`, called on (N, n) arrays).
 
-    terms hold (component exponent, coefficient) pairs with strictly
-    increasing exponents starting at -2; a coefficient maps an array of
-    t = y_1 values to the n x n component matrices there, shape
-    t.shape + (n, n).  The stage-1 term is the cutoff boundary perturbation
-    itself, later coefficients come out of the indicial solves.  Radial
-    cutoff factors keep every term supported in the collar.
+    Coefficient i maps an array of t = y_1 values to the n x n component
+    matrices there, shape t.shape + (n, n), and multiplies
+    rho^(i-2) psi_rho(rho), the radial cutoff (`plateau_bump`) that keeps
+    every term supported in the collar; the stage's order is the number of
+    coefficients.  The first coefficient is the boundary perturbation times
+    its tangential cutoff (`T_map`), later ones come out of the indicial
+    solves.
 
     The values depend on the chart metric's leading coordinates, rho (the
-    cutoffs and powers) and y_1 (psi_y and the coefficients) alone, so the
-    field declares the wider of the chart metric's count and 2, and its
-    stencils step along no later coordinate.  A stage whose terms begin with
-    another stage's terms (the same callables, on the same boundary data)
-    passes through that stage's values on the way: after the shared terms,
+    cutoff and powers) and y_1 (the coefficients) alone, so the field
+    declares the wider of the chart metric's count and 2, and its stencils
+    step along no later coordinate.  A stage whose coefficients begin with
+    another stage's (the same callables, on the same boundary data) passes
+    through that stage's values on the way: after the shared coefficients,
     its running sum is the other stage's value bit for bit.  `joint`
     evaluates both in that one pass.
     """
 
     bd: BoundaryData
-    terms: tuple[tuple[int, Callable[[np.ndarray], np.ndarray]], ...]
-    order: int
+    coefficients: tuple[Callable[[np.ndarray], np.ndarray], ...]
 
     batched = True  # a class attribute: calling a stage takes arrays
-
-    def __post_init__(self):
-        exps = [t for t, _ in self.terms]
-        if exps and (exps[0] != -2 or any(b <= a for a, b in zip(exps, exps[1:]))):
-            raise ValueError("term exponents must increase strictly from -2")
 
     @property
     def chart(self) -> Chart:
         return self.bd.chart
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients)
 
     @property
     def label(self) -> str:
@@ -241,29 +243,23 @@ class ExpansionMetric:
         return max(self.chart.metric_stepped, 2)
 
     def __call__(self, p) -> np.ndarray:
-        return self._sums(np.asarray(p, dtype=float), len(self.terms))[1]
+        return self._sums(np.asarray(p, dtype=float), self.order)[1]
 
     def _sums(self, p: np.ndarray, k: int):
-        """(the sum after the first k terms, the full sum) at p.
+        """(the sum after the first k coefficients' terms, the full sum) at p.
 
-        Each term is coeff(y_1) * rho^power times the cutoffs (psi_y on the
-        first term only), added in order.  A stencil array repeats each y_1
-        many times, so psi_y and every coefficient are evaluated once on its
-        distinct values and gathered."""
-        bd = self.bd
+        Term i is coefficient i at y_1 times rho^(i-2) psi_rho(rho), added
+        in order.  A stencil array repeats each y_1 many times, so every
+        coefficient is evaluated once on its distinct values and gathered."""
         q = p.reshape(-1, p.shape[-1])
         rho = q[:, 0]
-        out = bd.chart.metric_at(q)
+        out = self.bd.chart.metric_at(q)
         prefix = None
-        if self.terms:
-            psi_r = bd.psi_rho(rho)
-            distinct, at = np.unique(q[:, 1], return_inverse=True)
-        for i, (power, coeff) in enumerate(self.terms):
-            scale = (rho ** power) * psi_r
-            if i == 0:
-                scale = scale * bd.psi_y(distinct)[at]
+        psi_r = plateau_bump(rho)
+        distinct, at = np.unique(q[:, 1], return_inverse=True)
+        for i, coeff in enumerate(self.coefficients):
             term = coeff(distinct)[at]
-            term *= scale[:, None, None]
+            term *= ((rho ** (i - 2)) * psi_r)[:, None, None]
             if i == k:  # the prefix ends here: add into a new array
                 prefix, out = out, out + term
             else:
@@ -272,32 +268,27 @@ class ExpansionMetric:
         return (out if prefix is None else prefix).reshape(shape), out.reshape(shape)
 
     def joint(self, other):
-        """p -> (self's values, other's values) from one pass of the longer
-        stage, if other is a stage on the same boundary data and one stage's
-        terms are a prefix of the other's; otherwise None."""
-        if getattr(other, "bd", None) is not self.bd:
+        """p -> (self's values, other's values) from one pass of self, if
+        other is a stage on the same boundary data whose coefficients begin
+        self's; otherwise None."""
+        if not isinstance(other, ExpansionMetric) or other.bd is not self.bd:
             return None
-        short, full = sorted((self, other), key=lambda ladder: len(ladder.terms))
-        if any(a[0] != b[0] or a[1] is not b[1]
-               for a, b in zip(short.terms, full.terms)):
+        k = other.order
+        if k > self.order or any(
+                a is not b for a, b in zip(self.coefficients, other.coefficients)):
             return None
-        k = len(short.terms)
-
-        def both(p):
-            prefix, out = full._sums(np.asarray(p, dtype=float), k)
-            return (out, prefix) if full is self else (prefix, out)
-
-        return both
+        return lambda p: self._sums(np.asarray(p, dtype=float), k)[::-1]
 
 
 def T_map(bd: BoundaryData) -> ExpansionMetric:
-    """Conformal rescaling of the extension: h + rho^{-2} psi qbar."""
+    """Conformal rescaling of the extension: h + rho^{-2} psi_rho psi_y qbar,
+    one coefficient psi_y(t) qhat(t) embedded as the tangential block."""
     n = bd.n
 
     def qbar(t):
-        return _embed_tangential(n, bd.qhat(t))
+        return _embed_tangential(n, bd.psi_y(t)[..., None, None] * bd.qhat(t))
 
-    return ExpansionMetric(bd=bd, terms=((-2, qbar),), order=1)
+    return ExpansionMetric(bd, (qbar,))
 
 
 # -- indicial operator ----------------------------------------------------------
@@ -547,11 +538,12 @@ def correction_step(
     """One order-raising step: cancel the leading residual coefficient.
 
     The residual coefficient at the current component exponent is extracted
-    on a 41-point tangential grid (all its extraction points in one
-    evaluation), divided pointwise by the closed-form indicial block scalar
-    of each component type (`indicial_blocks`), and the correction
-    re-extracted once so that quadratic cross terms at the same order are
-    swept up as well.  Coefficients vanish identically outside the cutoff
+    at the 39 inside values of a 41-node tangential grid (39 x 6 = 234
+    points, in one evaluation), divided pointwise by the closed-form
+    indicial block scalar of each component type (`indicial_blocks`), and
+    the correction re-extracted once so that quadratic cross terms at the
+    same order are swept up as well.  The new coefficient is stored as a
+    spline on all 41 nodes and vanishes identically outside the cutoff
     support.  Raises CharacteristicExponentHit at a singular exponent.
     """
     bd = g_j.bd
@@ -579,11 +571,7 @@ def correction_step(
         new_vals[inside] = blocks.solve(-raw, hhats)
         coeff = coeff + new_vals
         fn = _SplineCoefficient(ygrid, coeff, bd.y_support)
-        current = ExpansionMetric(
-            bd=bd,
-            terms=g_j.terms + ((t, fn),),
-            order=g_j.order + 1,
-        )
+        current = ExpansionMetric(bd, g_j.coefficients + (fn,))
         if float(np.abs(new_vals).max()) < 1e-9:
             break
     return current

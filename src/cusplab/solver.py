@@ -339,13 +339,14 @@ def cusp_grid(chart: Chart, eps: float, nodes: int = 48) -> Grid2D:
     if chart.kind != INTERMEDIATE_CUSP:
         raise ValueError("cusp_grid needs an intermediate-rank cusp chart")
     r_lo = math.sqrt(eps)
-    th_hi = math.acos(math.sqrt(eps))
+    # the room first: arccos(sqrt(eps)) is defined for eps <= 1 only
+    if not (r_lo < chart.edge and r_lo < math.cos(0.2)):
+        raise ValueError(f"eps = {eps} leaves no room in the chart")
+    th_hi = math.acos(r_lo)
     if th_hi > chart.coordinate_ranges()[1][1]:
         raise ValueError(f"eps = {eps} is below the cusp grid's floor "
                          f"sin^2(POLE_MARGIN) = {math.sin(POLE_MARGIN) ** 2:.4g}: "
                          f"theta0 would run past pi/2 - POLE_MARGIN")
-    if not (r_lo < chart.edge and 0.2 < th_hi):
-        raise ValueError(f"eps = {eps} leaves no room in the chart")
     return Grid2D(
         chart,
         (np.linspace(r_lo, chart.edge, nodes), np.linspace(0.2, th_hi, nodes)),

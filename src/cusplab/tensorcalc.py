@@ -17,8 +17,9 @@ and once on the off-centre points of the stencils of a pass, one array, so
 an array-native field is called twice per pass.  Sampling and differencing
 are two steps (`_stencil_points`, `_differences`), so two fields that one
 evaluation yields together share it: with two stages of one expansion ladder
-in the two slots of Q, the longer ladder is evaluated for both, and the
-shorter ladder's values are its partial sums (`_joint`).  The operators are
+in the two slots of Q, the longer one first, the longer ladder is evaluated
+for both, and the shorter ladder's values are its partial sums (`_joint`).
+The operators are
 then product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel symbols
 and their derivatives come from the metric's 2-jet, covariant derivatives
 lower a jet's order by one, and nothing is differenced twice.  The inverse
@@ -44,8 +45,10 @@ Fields: a field maps points to component arrays.  It has a `chart`, a
 an (N, n) array of points returns (N, ...) in one call (it is marked
 `batched`).  It may also offer `joint(other)`: a callable p -> (its values,
 the other field's values) from one evaluation, or None when it has none for
-that field.  An expansion stage (`expansion.ExpansionMetric`) is such a
-field itself.  `MetricField` is the adapter for a bare callable
+that field.  An expansion stage (`expansion.ExpansionMetric`), a list of
+coefficients on boundary data, is such a field itself: it offers `joint` for
+a stage whose coefficients begin its own, and for no longer stage.
+`MetricField` is the adapter for a bare callable
 (`chart_metric` wraps the chart's own metric_at): an array-native callable,
 marked with `charts.batched`, gets the whole array, and any other, such as
 a lambda on one point, is sampled one point at a time through

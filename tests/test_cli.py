@@ -163,6 +163,18 @@ class TestBadInput:
             f"configuration error: eps = {eps} is below the cusp grid's floor "
             "sin^2(POLE_MARGIN) = 1e-06: theta0 would run past pi/2 - POLE_MARGIN\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--eps", "1.5"),
+        ("sweep", "--eps", "2,1"),
+    ], ids=" ".join)
+    def test_eps_that_leaves_no_room(self, tmp_path, capsys, argv):
+        # the cusp grid checks its room before it takes arccos(sqrt(eps)),
+        # which has no value for eps > 1
+        eps = float(argv[2].split(",")[0])
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"configuration error: eps = {eps} leaves no room in the chart\n")
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,
@@ -471,6 +483,21 @@ class TestSolveAndSweep:
         assert "IndefiniteOperator" in payload["error"]["type"]
         # partial artifacts are still written before the exit
         assert (tmp_path / "solve_summary.json").exists()
+
+
+class TestKoisoCommand:
+    def test_overflowed_slack_fails_the_lower_bound(self, tmp_path):
+        # at K = 1e308 the pairing overflows: the slacks read inf or NaN,
+        # and neither is a slack the check can pass on
+        out = run_plain(tmp_path, "koiso", "--K", "1e308")
+        assert out.returncode == EXIT_NUMERICAL
+        assert "RuntimeWarning: overflow" in out.stderr
+        payload = json.loads((tmp_path / "koiso_summary.json").read_text())
+        assert payload["status"] == "fail"
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["lower_bound_slack"]["value"] is None
+        assert not checks["lower_bound_slack"]["passed"]
+        assert checks["identity_order"]["passed"]
 
 
 class TestSchauderCommand:
@@ -908,6 +935,20 @@ def probe_scipy(tmp_path, runs):
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(runs), str(tmp_path)],
         env=env, capture_output=True, text=True, check=True, timeout=300)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_plain(tmp_path, *argv):
+    """`python -m cusplab.cli --out-dir tmp_path *argv` in a subprocess,
+    under Python's default warnings filter, as a user runs the command
+    (pytest's `filterwarnings = error` turns every warning of an in-process
+    run into exit 3)."""
+    import cusplab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cusplab.__file__).parent.parent))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "cusplab.cli", "--out-dir", str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestScipyStaysUnloaded:

@@ -20,6 +20,7 @@ from cusplab.expansion import (
     decompose_types,
     gauge_term_norm,
     indicial_blocks,
+    plateau_bump,
     recompose_types,
     seeded_boundary_data,
     stage_slope,
@@ -148,11 +149,6 @@ class TestConformalRescaling:
         assert defects[0] < 5e-4
         # first-order convergence to the boundary representative
         assert defects[1] < 0.2 * defects[0]
-
-    def test_term_exponents_validated(self, bdata):
-        with pytest.raises(ValueError):
-            ExpansionMetric(bd=bdata, terms=((-1, lambda y: np.zeros((4, 4))),),
-                            order=1)
 
 
 def stencil_blocks(s, chart, step=1e-3):
@@ -413,11 +409,17 @@ class TestCorrectionLadder:
         g2 = correction_step(g1, g1)
         p = mid_point(bd0)
         assert np.allclose(g2(p), ROUND.metric_at(p), atol=1e-12)
-        assert np.abs(g2.terms[1][1](p[1])).max() == 0.0
+        assert np.abs(g2.coefficients[1](p[1])).max() == 0.0
 
     def test_orders_and_exponents(self, ladder):
+        # a stage is its coefficients: its order is their count, the power
+        # of each is its position (checked in `TestStageSum`), and each stage
+        # begins with the coefficients of the one before
         assert [g.order for g in ladder] == [1, 2, 3]
-        assert [t for t, _ in ladder[-1].terms] == [-2, -1, 0]
+        assert all(g.order == len(g.coefficients) for g in ladder)
+        assert [g.label for g in ladder] == ["g_1", "g_2", "g_3"]
+        for a, b in zip(ladder, ladder[1:]):
+            assert b.coefficients[:-1] == a.coefficients
 
     def test_vanishing_order_ladder(self, bdata, ladder):
         rhos = [2.0 ** (-k) for k in range(3, 9)]
@@ -435,7 +437,7 @@ class TestCorrectionLadder:
     def test_locality_of_corrections(self, bdata, ladder):
         y_out = bdata._reference_y()
         y_out[0] = bdata.y_support[1] + 0.1
-        for t, coeff in ladder[-1].terms[1:]:
+        for coeff in ladder[-1].coefficients[1:]:
             assert np.abs(coeff(y_out[0])).max() == 0.0
 
     def test_characteristic_exponent_stops_construction(self, bdata, ladder):
@@ -465,6 +467,40 @@ class TestCorrectionLadder:
         pts = [mid_point(bdata, rho) for rho in (0.15, 0.35)]
         for g in ladder:
             assert gauge_term_norm(g, pts, step=1e-3) < 10 * 1e-3 ** 2
+
+
+class TestStageSum:
+    """A stage is its list of coefficients: coefficient i at y_1 times
+    rho^(i-2) times the radial cutoff, added to the chart metric."""
+
+    @staticmethod
+    def independent_sum(bd, coefficients, p):
+        """h + sum_i c_i(y_1) rho^(i-2) plateau_bump(rho), with c_0 formed
+        from the boundary data: psi_y qhat as the tangential block."""
+        rho, t = p[:, 0], p[:, 1]
+        first = np.zeros((len(p), 4, 4))
+        first[:, 1:, 1:] = bd.psi_y(t)[:, None, None] * bd.qhat(t)
+        out = ROUND.metric_at(p)
+        for i, c in enumerate([first] + [c(t) for c in coefficients[1:]]):
+            out = out + c * (rho ** (i - 2) * plateau_bump(rho))[:, None, None]
+        return out
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_values_are_the_sum_of_the_coefficients(self, bdata, ladder, j):
+        # rho on both sides of 1/2, where the radial cutoff leaves 1; y_1 on
+        # qhat's support, where psi_y leaves 1, beside it, and outside the
+        # cutoff support
+        g = T_map(bdata) if j == 1 else ladder[j - 1]
+        assert g.order == len(g.coefficients) == j
+        p = np.array([mid_point(bdata, rho, dy)
+                      for rho in (0.05, 0.3, 0.6, 0.85)
+                      for dy in (-0.6, -0.3, -0.1, 0.0, 0.2, 0.35, 0.6)])
+        want = self.independent_sum(bdata, g.coefficients, p)
+        assert np.abs(g(p) - want).max() <= 1e-14 * np.abs(want).max()
+        # every coefficient vanishes outside the cutoff support
+        outside = [k for k, q in enumerate(p)
+                   if not bdata.y_support[0] < q[1] < bdata.y_support[1]]
+        assert np.array_equal(g(p[outside]), ROUND.metric_at(p[outside]))
 
 
 class TestFieldReuse:
@@ -511,7 +547,7 @@ class TestFieldReuse:
         sums = expansion.ExpansionMetric._sums
 
         def recorded(self, p, k):
-            if self.terms is terms:
+            if self.coefficients is coefficients:
                 passes.append((p.reshape(-1, p.shape[-1])[:, 1], []))
             return sums(self, p, k)
 
@@ -523,9 +559,9 @@ class TestFieldReuse:
 
         monkeypatch.setattr(expansion.ExpansionMetric, "_sums", recorded)
         bd = g3.bd
-        terms = tuple((t, counted(i, coeff))
-                      for i, (t, coeff) in enumerate(g3.terms))
-        counting = ExpansionMetric(bd, terms, g3.order)
+        coefficients = tuple(counted(i, coeff)
+                             for i, coeff in enumerate(g3.coefficients))
+        counting = ExpansionMetric(bd, coefficients)
         p = np.array([mid_point(bd, rho, dy)
                       for rho in (0.1, 0.2) for dy in (-0.1, 0.0, 0.1)])
         assert np.array_equal(Q_at(counting, counting, p),
@@ -552,7 +588,7 @@ class TestFieldReuse:
         original = expansion.ExpansionMetric._sums
 
         def recorded(self, p, k):
-            calls.append((f"g_{len(self.terms)}", len(np.atleast_2d(p))))
+            calls.append((self.label, len(np.atleast_2d(p))))
             return original(self, p, k)
 
         monkeypatch.setattr(expansion.ExpansionMetric, "_sums", recorded)
@@ -591,7 +627,8 @@ class TestFieldReuse:
         assert len(points) == 39 * 6
         shared = Q_at(gl, gr, points, *args)
         assert np.array_equal(shared, Q_at(gl, plain, points, *args))
-        # and with the slots swapped, the shorter ladder first
+        # and with the slots swapped, the shorter ladder first: it offers
+        # no joint evaluation of the longer one, so each is sampled alone
         assert np.array_equal(Q_at(g1, g2, points, *args),
                               Q_at(plain, g2, points, *args))
 
@@ -606,6 +643,7 @@ class TestFieldReuse:
         plain = MetricField(g3.chart, g3, g3.label, g3.stepped)
         assert tensorcalc._joint(g3, (g1,)) is not None
         assert tensorcalc._joint(plain, (g1,)) is None
+        assert g1.joint(g3) is None  # a stage evaluates no longer stage
         rhos = [2.0 ** (-k) for k in range(3, 9)]
         center = 0.5 * (g3.bd.y_support[0] + g3.bd.y_support[1])
         ys = g3.bd.line(center + np.array([-0.15, 0.0, 0.12]))
@@ -626,17 +664,17 @@ class TestFieldReuse:
         g2_values = g2(p)
         g1_values = g1(p)
         for a, b, want in ((g2, g1, (g2_values, g1_values)),
-                           (g1, g2, (g1_values, g2_values)),
-                           (g1, ExpansionMetric(bd, g1.terms, 1),
+                           (g1, ExpansionMetric(bd, g1.coefficients),
                             (g1_values, g1_values))):
             both = a.joint(b)
             assert all(np.array_equal(x, y) for x, y in zip(both(p), want))
-        # another boundary datum, or the same exponents with other callables
+        # one direction only: a stage does not evaluate a longer one
+        assert g1.joint(g2) is None
+        # another boundary datum, or as many coefficients with other callables
         other = T_map(seeded_boundary_data(ROUND, seed=4))
         assert g2.joint(other) is None
         assert g2.joint(T_map(bd)) is None
-        rewired = ExpansionMetric(bd, ((-2, g1.terms[0][1]),
-                                       (g2.terms[1][0], lambda y: 0.0)), 2)
+        rewired = ExpansionMetric(bd, (g1.coefficients[0], lambda y: 0.0))
         assert g2.joint(rewired) is None
         assert rewired.joint(g1) is not None
 

@@ -52,6 +52,13 @@ class TestGrids:
         with pytest.raises(ValueError):
             cusp_grid(CUSP, 0.1, nodes=4)
 
+    @pytest.mark.parametrize("eps", [1.5, 4.0])
+    def test_eps_above_one_leaves_no_room(self, eps):
+        # arccos(sqrt(eps)) has no value here: the room check comes first
+        with pytest.raises(ValueError,
+                           match=rf"^eps = {eps} leaves no room in the chart$"):
+            cusp_grid(CUSP, eps)
+
     def test_collar_and_maximal(self):
         g = collar_grid(Chart.collar(4), 0.05, nodes=12)
         assert g.sigma().min() == pytest.approx(0.05)
