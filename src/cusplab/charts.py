@@ -280,6 +280,20 @@ class Chart:
         return np.array(self.coordinate_ranges()).T
 
     @property
+    def reference_point(self) -> np.ndarray:
+        """The chart's base point, a new array on each call: the middle of
+        each finite coordinate range, 0.3 on an unbounded one."""
+        return np.array([0.5 * (lo + hi) if math.isfinite(hi - lo) else 0.3
+                         for lo, hi in self.coordinate_ranges()])
+
+    def line(self, d: int, values) -> np.ndarray:
+        """The points (len(values), n) through reference_point along
+        coordinate d, which takes the values."""
+        p = np.tile(self.reference_point, (len(values), 1))
+        p[:, d] = values
+        return p
+
+    @property
     def metric_stepped(self) -> int:
         """The number of leading coordinates `metric_at` depends on (see the
         class docstring)."""

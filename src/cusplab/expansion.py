@@ -9,7 +9,7 @@ inverting the indicial operator of the linearized operator, whose three
 block scalars are closed-form quadratics in the exponent.  The construction
 stops one order before the first characteristic exponent.
 
-The construction runs along one line through the reference point: each
+The construction runs along one line through the chart's base point: each
 correction coefficient is extracted at the 39 values of t = y_1 that a
 41-node grid across the padded cutoff support has inside it, and stored as
 a spline in t on all 41 nodes.  So `qhat`, the cutoff `psi_y` and every
@@ -130,13 +130,12 @@ class BoundaryData:
             raise PositivityError("qhat support leaks outside the cutoff plateau")
 
     def _reference_y(self) -> np.ndarray:
-        return _reference_y(self.chart)
+        """The tangential part of the chart's base point."""
+        return self.chart.reference_point[1:]
 
     def line(self, t: np.ndarray) -> np.ndarray:
-        """The points (len(t), n-1) through the reference point with y_1 = t."""
-        ys = np.tile(self._reference_y(), (len(t), 1))
-        ys[:, 0] = t
-        return ys
+        """The points (len(t), n-1) through the chart's base point with y_1 = t."""
+        return self.chart.line(1, t)[:, 1:]
 
     def background(self, points: np.ndarray) -> np.ndarray:
         """Q(h, h) at the rows of points, computed the first time this
@@ -147,18 +146,6 @@ class BoundaryData:
         return self._backgrounds[key]
 
 
-def _reference_y(chart: Chart) -> np.ndarray:
-    """A tangential base point in the middle of the coordinate ranges (0.3
-    on an unbounded range)."""
-    out = []
-    for lo, hi in chart.coordinate_ranges()[1:]:
-        if math.isinf(lo) or math.isinf(hi):
-            out.append(0.3)
-        else:
-            out.append(0.5 * (lo + hi))
-    return np.array(out)
-
-
 def seeded_boundary_data(
     chart: Chart,
     seed: int = 0,
@@ -166,14 +153,14 @@ def seeded_boundary_data(
 ) -> BoundaryData:
     """Boundary data with a seeded random symmetric coefficient matrix times
     a smooth bump of half-width 0.25 in the first tangential coordinate,
-    inside a cutoff plateau of half-width 0.45 around the reference point;
+    inside a cutoff plateau of half-width 0.45 around the chart's base point;
     sup of the component matrix equals `amplitude`."""
     rng = np.random.default_rng(seed)
     n = chart.n
     A = rng.standard_normal((n - 1, n - 1))
     A = 0.5 * (A + A.T)
     A *= amplitude / np.abs(A).max()
-    center = float(_reference_y(chart)[0])
+    center = float(chart.reference_point[1])
 
     def qhat(t):
         bump = smooth_bump((np.asarray(t) - center) / 0.25)
@@ -523,7 +510,7 @@ def _extraction_grid(bd: BoundaryData):
     """The tangential grid of a correction step: 41 values of the first
     tangential coordinate across the cutoff support padded by 2% each side,
     the mask of those strictly inside it, and the inside ones as (M, n-1)
-    points y through the reference point."""
+    points y through the chart's base point."""
     lo, hi = bd.y_support
     pad = 0.02 * (hi - lo)
     ygrid = np.linspace(lo - pad, hi + pad, 41)

@@ -290,18 +290,16 @@ def _flux_factors(chart: Chart, axes: Sequence[np.ndarray]):
     coefficients A_d = W / h_dd: W = w[0] x w[1] and A_d = a[d][0] x a[d][1]
     (outer products), where the factors on axis e depend on axes[e] only.
 
-    One rule for every chart: W and h_dd are read from the chart at a fixed
-    reference point (the middle of each finite coordinate range, else 0), on
-    the line along each axis through it and at the grid's corners; axis 1's
-    factors are divided by the reference point's values.  A chart whose W or
-    h_dd does not factor across the axes at the corners is refused with the
-    reason (every chart's metric is diagonal in its coordinates)."""
+    One rule for every chart: W and h_dd are read from the chart at its base
+    point (`Chart.reference_point`), on the line along each axis through it
+    (`Chart.line`) and at the grid's corners; axis 1's factors are divided
+    by the base point's values.  A chart whose W or h_dd does not factor
+    across the axes at the corners is refused with the reason (every
+    chart's metric is diagonal in its coordinates)."""
     ndim, names = len(axes), chart.coordinate_names[: len(axes)]
     refusal = f"no reduced operator on the {chart.kind} chart over ({', '.join(names)})"
-    ref = np.array([0.5 * (lo + hi) if math.isfinite(hi - lo) else 0.0
-                    for lo, hi in chart.coordinate_ranges()])
-    lines = [np.where(np.arange(chart.n) == d, ax[:, None], ref)
-             for d, ax in enumerate(axes)] + [ref[None]]
+    ref = chart.reference_point
+    lines = [chart.line(d, ax) for d, ax in enumerate(axes)] + [ref[None]]
     if ndim == 2:  # the grid's corners
         corners = np.tile(ref, (4, 1))
         corners[:, 0], corners[:, 1] = axes[0][[0, 0, -1, -1]], axes[1][[0, -1, 0, -1]]

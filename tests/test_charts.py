@@ -156,6 +156,34 @@ class TestMetricStepped:
             assert (chart.metric_at(nudged) != want).any(axis=(1, 2)).all()
 
 
+class TestReferencePoint:
+    """`reference_point` is each chart's one base point, the middle of each
+    finite coordinate range and 0.3 on an unbounded one; `line(d, x)` moves
+    its coordinate d through the values x and leaves the others."""
+
+    @pytest.mark.parametrize("chart", [c for n in range(2, 8) for c in _every_kind(n)],
+                             ids=_chart_id)
+    def test_base_point_lies_in_the_chart_and_lines_move_one_coordinate(self, chart):
+        ref = chart.reference_point
+        assert np.array_equal(chart.validate_point(ref), ref)
+        for x, (lo, hi) in zip(ref, chart.coordinate_ranges()):
+            assert x == (0.5 * (lo + hi) if math.isfinite(hi - lo) else 0.3)
+        x = np.linspace(0.1, 0.9, 5)
+        for d in range(chart.n):
+            line = chart.line(d, x)
+            assert line.shape == (5, chart.n)
+            assert np.array_equal(line[:, d], x)
+            assert np.array_equal(np.delete(line, d, axis=1),
+                                  np.tile(np.delete(ref, d), (5, 1)))
+
+    def test_each_call_returns_a_new_array(self):
+        chart = Chart.collar(4, h_u="round_sphere")
+        chart.reference_point[:] = 7.0
+        chart.line(0, [0.2])[:] = 7.0
+        assert chart.reference_point[0] == 0.5
+        assert np.array_equal(chart.line(1, [0.2])[0], [0.5, 0.2, math.pi / 2, 0.3])
+
+
 class TestVolumeDensity:
     def test_cusp_closed_form(self, cusp41):
         # sqrt(r^0 sin^2 / cos^8) at theta0 = pi/4 equals 2 sqrt(2)

@@ -95,7 +95,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ("solve", "--nodes", "4"),
         ("koiso", "--refine", "5,9"),
-        ("sweep", "--eps", "0.99"),
+        ("sweep", "--eps", "0.99,0.9"),
         ("curvature", "--n", "2"),
         ("sweep", "--f", "3"),
         ("solve", "--weights", "1"),
@@ -109,10 +109,12 @@ class TestBadInput:
         ("solve", "--weights", "nan,0.5"),
         ("solve", "--weights", "1.75,abc"),
         ("sweep", "--weights", "1.75,inf"),
-        ("sweep", "--eps", "0.8"),
+        ("sweep", "--eps", "0.8,0.7"),
         ("solve", "--eps", "0.8"),
         ("sweep", "--eps", "0.6,0.5,0.3"),
         ("solve", "--eps", "0.3"),
+        ("sweep", "--eps", "0.2"),  # one level: a uniform bound compares two
+        ("schauder", "--eps", "0.1"),
     ], ids=" ".join)
     def test_usage_exit_with_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
@@ -128,11 +130,12 @@ class TestBadInput:
         ("solve", "--weights", "nan,0.5"),
         ("solve", "--weights", "1.75,abc"),
         ("sweep", "--weights", "1.75,inf"),
+        ("sweep", "--eps", "0.2"),
+        ("schauder", "--eps", "0.1"),
     ], ids=" ".join)
     def test_meaningless_run_rejected(self, tmp_path, argv):
         assert run(tmp_path, *argv) == EXIT_USAGE
         assert not (tmp_path / f"{argv[0]}_summary.json").exists()
-
     @pytest.mark.parametrize("argv", [
         ("solve", "--eps", "-1"),
         ("solve", "--eps", "0"),
@@ -219,7 +222,7 @@ class TestEveryCommandWritesItsSummary:
         (("solve", "--nodes", "4"), EXIT_USAGE, "configuration-error"),
         (("solve", "--expect-indefinite", "--nodes", "16"), EXIT_NUMERICAL,
          "numerical-failure"),
-        (("sweep", "--eps", "0.8"), EXIT_USAGE, "configuration-error"),
+        (("sweep", "--eps", "0.8,0.7"), EXIT_USAGE, "configuration-error"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_failed_run_leaves_summary(self, tmp_path, capsys, argv, code, status):
         assert run(tmp_path, *argv) == code
@@ -498,6 +501,16 @@ class TestKoisoCommand:
         assert checks["lower_bound_slack"]["value"] is None
         assert not checks["lower_bound_slack"]["passed"]
         assert checks["identity_order"]["passed"]
+
+    def test_failed_lower_bound_prints_no_comparison_that_fails(self, tmp_path):
+        out = run_plain(tmp_path, "koiso", "--K", "1e308", "--refine", "17,33")
+        assert out.returncode == EXIT_NUMERICAL
+        checks = {c["name"]: c for c in json.loads(
+            (tmp_path / "koiso_summary.json").read_text())["checks"]}
+        order = checks["identity_order"]["value"]
+        bound = checks["lower_bound_slack"]["tolerance"]
+        assert out.stdout.splitlines()[-2] == (
+            f"identity order {order:.3f}; worst slack nan fails the bound {bound:.3e}")
 
 
 class TestSchauderCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cusplab.charts import Chart, batched, diagonal_matrices
+from cusplab.charts import POLE_MARGIN, Chart, batched, diagonal_matrices
 from cusplab.expansion import (
     BoundaryData,
     CharacteristicExponentHit,
@@ -15,7 +15,6 @@ from cusplab.expansion import (
     _embed_tangential,
     _fit_leading_coefficient,
     _grid_points,
-    _reference_y,
     correction_step,
     decompose_types,
     gauge_term_norm,
@@ -130,6 +129,25 @@ class TestExtension:
                          y_support=bd.y_support).validate()
 
 
+class TestBaseLine:
+    """The ladder's line runs through the chart's base point: the tangential
+    base point `_reference_y` keeps its values (the middle of each finite
+    range, 0.3 on an unbounded one), and `line(t)` moves its y_1 alone."""
+
+    @pytest.mark.parametrize("chart, want", [
+        (ROUND, [0.5 * (POLE_MARGIN + (math.pi - POLE_MARGIN))] * 2 + [0.3]),
+        (Chart.upper_half_space(4, 1), [0.3, 0.3, 0.3]),
+    ], ids=["round_sphere", "upper_half_space-4-1"])
+    def test_reference_y_keeps_its_values(self, chart, want):
+        bd = BoundaryData(chart, qhat=lambda t: np.zeros(np.shape(t) + (3, 3)),
+                          psi_y=np.ones_like, y_support=(-0.15, 0.75))
+        assert np.array_equal(bd._reference_y(), want)
+        t = np.array([0.1, 0.3, 0.55])
+        ys = bd.line(t)
+        assert np.array_equal(ys[:, 0], t)
+        assert np.array_equal(ys[:, 1:], np.tile(want[1:], (3, 1)))
+
+
 class TestConformalRescaling:
     def test_zero_data_gives_background(self):
         g1 = T_map(zero_data())
@@ -154,13 +172,13 @@ class TestConformalRescaling:
 def stencil_blocks(s, chart, step=1e-3):
     """Test oracle: the indicial blocks extracted from the finite-difference
     operator.  L_at is applied to rho^{s-2} times frozen component matrices
-    of each type at the chart's reference point, and the leading coefficient
+    of each type at the chart's base point, and the leading coefficient
     as rho -> 0 is fitted over five geometric samples.  Returns the 2x2
     block on (normal-normal, tangential trace / (n-1)) and the
     normal-tangential and trace-free scalars."""
     n = chart.n
     h = chart_metric(chart)
-    y_ref = _reference_y(chart)
+    y_ref = chart.reference_point[1:]
     hhat = np.diag(chart.h_u(0.0, y_ref))
     e_nn = np.zeros((n, n))
     e_nn[0, 0] = 1.0
@@ -260,7 +278,7 @@ class TestIndicialStructure:
     def test_vanishing_block_named(self, rng):
         R = rng.standard_normal((4, 4))
         R = R + R.T
-        hhat = np.diag(FLAT.h_u(0.0, _reference_y(FLAT)))
+        hhat = np.diag(FLAT.h_u(0.0, FLAT.reference_point[1:]))
         with pytest.raises(CharacteristicExponentHit,
                            match=r"^trace-free block \(K = 0\) vanishes at "
                                  r"s = 3 = n - 1$"):
@@ -296,7 +314,7 @@ class TestIndicialStructure:
     def test_stacked_solve_equals_one_matrix_at_a_time(self, n, rng):
         chart = Chart.collar(n, h_u="round_sphere")
         blocks = indicial_blocks(1.0, n)
-        ys = np.tile(_reference_y(chart), (9, 1))
+        ys = np.tile(chart.reference_point[1:], (9, 1))
         ys[:, 0] += rng.uniform(-0.4, 0.4, 9)
         hhats = diagonal_matrices(chart.h_u(0.0, ys))
         R = rng.standard_normal((9, n, n))

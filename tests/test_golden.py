@@ -53,3 +53,10 @@ def test_check_prints_every_moved_key_and_writes_nothing(tmp_path, monkeypatch, 
     shutil.copytree(GOLDEN / "solve", tmp_path / "solve")
     assert golden_record.main(["--check"]) == 0
     assert capsys.readouterr().out == "no key moved\n"
+
+
+def test_every_subcommand_has_a_golden_record():
+    # a new subcommand lands with a record of its own
+    from cusplab.cli import COMMANDS as SUBCOMMANDS
+
+    assert sorted({argv[0] for argv in COMMANDS.values()}) == sorted(SUBCOMMANDS)
