@@ -13,7 +13,10 @@ the key = value config file; a file key that names no option is an error,
 and a key of other subcommands only is skipped. The output directory
 resolves as --out-dir, then $CUSPLAB_OUT, then ./cusplab_out; it is made
 with the configuration, and one that cannot be made is a configuration
-error.
+error. A flag's value may be negative in any float notation (``--K -1e3``):
+argparse takes a word that starts with "-" for a flag unless it is a plain
+decimal, so a value of "-" then a digit or "." is joined to the flag that
+takes it (``--K=-1e3``) before parsing.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -535,6 +539,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the flags that take a value: every option's but the store_const booleans
+_VALUE_FLAGS = frozenset({"--config", "--out-dir"} | {
+    opt.flag for opt in OPTIONS if opt.parse is not _boolean})
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each word of "-" then a digit or "." that follows a flag
+    taking a value joined to it as flag=value; any other word starting
+    with "-", such as "--n" or "-h", stays a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat key = value configuration lines; '#' starts a comment."""
     out: dict[str, str] = {}
@@ -612,7 +634,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     _keep_heap_resident()
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -101,6 +101,9 @@ class BoundaryData:
     def __post_init__(self):
         if self.chart.kind == INTERMEDIATE_CUSP:
             raise ValueError("boundary data lives on a collar chart")
+        if self.chart.kind == "cusp" and self.chart.f == self.chart.n - 1:
+            raise ValueError("the maximal cusp has no conformal infinity: "
+                             "h_u(0, y) is identically 0, and u -> 0 is the cusp")
 
     @property
     def n(self) -> int:

@@ -14,17 +14,18 @@ stored, and a field sampled on a wider stencil than its own differences equal
 values there, which gives the same zeros (`_differences`).  Each field is
 evaluated once at the points themselves (the metric's values give the steps)
 and once on the off-centre points of the stencils of a pass, one array, so
-an array-native field is called twice per pass.  Sampling and differencing
-are two steps (`_stencil_points`, `_differences`), so two fields that one
-evaluation yields together share it: with two stages of one expansion ladder
-in the two slots of Q, the longer one first, the longer ladder is evaluated
-for both, and the shorter ladder's values are its partial sums (`_joint`).
-The operators are
-then product-rule algebra on jets (`_jeinsum`, `_jinv`): Christoffel symbols
-and their derivatives come from the metric's 2-jet, covariant derivatives
-lower a jet's order by one, and nothing is differenced twice.  The inverse
-metric is needed to first order only, and the Ricci tensor is contracted
-from the Christoffel 1-jet without forming the curvature tensor.  Every
+an array-native field is called twice per pass.  `_metric_jets` takes the
+metric and at most one further field, and sampling and differencing are two
+steps (`_stencil_points`, `_differences`), so the two fields share one
+evaluation when the metric offers one (`g.joint(t)`): with two stages of one
+expansion ladder in the two slots of Q, the longer one first, the longer
+ladder is evaluated for both, and the shorter ladder's values are its
+partial sums.  The operators are then product-rule algebra on jets
+(`_jeinsum`, `_jinv`): Christoffel symbols and their derivatives come from
+the metric's 2-jet, covariant derivatives lower a jet's order by one, and
+nothing is differenced twice.  The inverse metric is needed to first order
+only, and the Ricci tensor is contracted from the Christoffel 1-jet without
+forming the curvature tensor.  Every
 two-operand contraction, each product-rule term included, is one stacked
 matrix product over the batch axes (`_contract`); np.einsum is left for
 permutations and traces.  Steps are scaled per coordinate by the local
@@ -369,38 +370,29 @@ def _sym(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
-def _joint(g: MetricField, others):
-    """p -> (values of g, values of the one further field) from one
-    evaluation, if g offers one for that field (`g.joint(other)`, as two
-    stages of one expansion ladder do); otherwise None."""
-    if len(others) != 1:
-        return None
-    joint = getattr(g, "joint", None)
-    return None if joint is None else joint(others[0])
-
-
-def _metric_jets(g: MetricField, p, step: float, *fields):
-    """Jets of g and of each further field at the points p, all from one
-    stencil with the steps g gives there.  Each distinct field is evaluated
-    at p, and g's values give the steps; a field identical to g reuses g's
-    values and jet.  The stencil steps along the leading coordinates that
-    any of the fields varies in (`_stepped`): each field is evaluated on its
-    off-centre points, through g's `_joint` evaluation when it offers one
-    and field by field otherwise, and its values are differenced on their
-    own (`_differences`).  This is the one place jets are sampled."""
+def _metric_jets(g: MetricField, p, step: float, t=None):
+    """Jets of g, and of the one further field t when given, at the points
+    p, from one stencil with the steps g gives there: (G,), or (G, T) with T
+    the same object as G when t is g.  Each field is evaluated at p, and g's
+    values give the steps.  The stencil steps along the leading coordinates
+    that either field varies in (`_stepped`): the fields are evaluated on
+    its off-centre points together when g offers a joint evaluation of t
+    (`g.joint(t)`, as two stages of one expansion ladder do) and one by one
+    otherwise, and each field's values are differenced on their own
+    (`_differences`).  This is the one place jets are sampled."""
     n = p.shape[-1]
-    distinct = [g, *(f for f in fields if f is not g)]
-    evaluate = _joint(g, distinct[1:]) or (
-        lambda q: [at_points(f, q) for f in distinct])
+    fields = (g,) if t is None or t is g else (g, t)
+    joint = getattr(g, "joint", None) if len(fields) == 2 else None
+    evaluate = (joint and joint(t)) or (
+        lambda q: [at_points(f, q) for f in fields])
     centres = evaluate(p)
     h = coordinate_steps(g, p, step, centres[0])
-    d = max(_stepped(f, n) for f in distinct)
+    d = max(_stepped(f, n) for f in fields)
     points = _stencil_points(p, h, d)
     stencils = evaluate(points.reshape(-1, n))
-    jets = iter([_differences(f0, v.reshape(points.shape[:-1] + v.shape[1:]), h, d)
-                 for f0, v in zip(centres, stencils)])
-    G = next(jets)
-    return (G,) + tuple(G if f is g else next(jets) for f in fields)
+    jets = tuple(_differences(f0, v.reshape(points.shape[:-1] + v.shape[1:]), h, d)
+                 for f0, v in zip(centres, stencils))
+    return jets * 2 if t is g else jets
 
 
 # -- connection and Ricci curvature on jets ------------------------------------
@@ -583,19 +575,19 @@ def Q_at(g: MetricField, t: MetricField, p, step: float = DEFAULT_STEP) -> np.nd
     """Gauge-adjusted Einstein operator
     Q(g, t) = Rc(g) + (n-1) g - delta*_g(g t^{-1}(delta_g(G_g t))).
 
-    Q(g, g) = Rc(g) + (n-1) g comes from g's jet alone: nabla g = 0, so
-    G_g g = (1 - n/2) g has no divergence and the gauge term vanishes.
-    With two fields, the gauge covector is formed from the difference of
-    their Christoffel symbols (`_deturck_covector`).  `Q_gauge_at` still
-    computes the gauge term by the divergence, as a check."""
-    if t is g:
-        (G,) = _metric_jets(g, p, step)
-        return _ricci(_christoffel(G)) + (g.chart.n - 1.0) * G[0]
+    Q(g, g) = Rc(g) + (n-1) g comes from g's jet alone, with no gauge term
+    formed: nabla g = 0, so G_g g = (1 - n/2) g has no divergence and the
+    term vanishes.  With two fields, the gauge covector is formed from the
+    difference of their Christoffel symbols (`_deturck_covector`).
+    `Q_gauge_at` still computes the gauge term by the divergence, as a
+    check."""
     G, T = _metric_jets(g, p, step, t)
     Ginv = _jinv(G)
     gam = _christoffel(G, Ginv)
-    gauge = _deltastar(gam, _deturck_covector(G, Ginv, gam, T))
-    return _ricci(gam) + (g.chart.n - 1.0) * G[0] - gauge
+    q = _ricci(gam) + (g.chart.n - 1.0) * G[0]
+    if T is not G:
+        q -= _deltastar(gam, _deturck_covector(G, Ginv, gam, T))
+    return q
 
 
 @_on_points

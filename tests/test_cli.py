@@ -535,6 +535,15 @@ class TestSchauderCommand:
         assert shapes == [(397, 4)] * 12
 
 
+def _summary_without_run_details(out_dir, sub):
+    """A run's summary without its elapsed time and paths."""
+    payload = json.loads((out_dir / f"{sub}_summary.json").read_text())
+    del payload["elapsed_seconds"]
+    payload["config"].pop("out_dir")
+    payload.pop("tables")  # artifact paths differ by construction
+    return payload
+
+
 class TestConfigResolution:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -566,13 +575,33 @@ class TestConfigResolution:
         for out in (a, b):
             main(["--out-dir", str(out), "koiso", "--refine", "17,33",
                   "--seed", "11"])
-        pa = json.loads((a / "koiso_summary.json").read_text())
-        pb = json.loads((b / "koiso_summary.json").read_text())
-        for p in (pa, pb):
-            del p["elapsed_seconds"]
-            p["config"].pop("out_dir")
-            p.pop("tables")  # artifact paths differ by construction
-        assert pa == pb
+        assert (_summary_without_run_details(a, "koiso")
+                == _summary_without_run_details(b, "koiso"))
+
+
+class TestNegativeValues:
+    """A value of "-" then a digit or "." after a flag that takes one is the
+    flag's value in any float notation, as the flag=value form gives it;
+    any other word that starts with "-" stays a flag."""
+
+    @pytest.mark.parametrize("value", ["-1e3", "-2.5e0", "-1000"])
+    def test_exponent_notation_reads_as_flag_equals_value(self, tmp_path, value):
+        for out, argv in ((tmp_path / "apart", ["--K", value]),
+                          (tmp_path / "joined", [f"--K={value}"])):
+            assert run(out, "weights", *argv) == EXIT_OBSTRUCTION
+        assert (_summary_without_run_details(tmp_path / "apart", "weights")
+                == _summary_without_run_details(tmp_path / "joined", "weights"))
+
+    def test_perturb_in_exponent_notation(self, tmp_path):
+        assert (run(tmp_path / "a", "curvature", "--perturb", "-1e-2")
+                == run(tmp_path / "b", "curvature", "--perturb", "-0.01")
+                == EXIT_NUMERICAL)
+
+    @pytest.mark.parametrize("argv", [("weights", "--K", "--n", "4"),
+                                      ("weights", "--K", "-h")], ids=" ".join)
+    def test_a_flag_after_a_flag_stays_a_flag(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == EXIT_USAGE
+        assert not (tmp_path / "weights_summary.json").exists()
 
 
 EXPAND_LADDER = ("expand", "--n", "4", "--stages", "3", "--seed", "3")
@@ -898,11 +927,7 @@ class TestOptionTable:
                           (tmp_path / "file", ["--config", str(cfg), "sweep",
                                                *small])):
             assert main(["--out-dir", str(out), *argv]) == EXIT_PASS
-            p = json.loads((out / "sweep_summary.json").read_text())
-            del p["elapsed_seconds"]
-            p["config"].pop("out_dir")
-            p.pop("tables")  # artifact paths differ by construction
-            payloads.append(p)
+            payloads.append(_summary_without_run_details(out, "sweep"))
         assert payloads[0] == payloads[1]
         assert payloads[0]["config"]["mu0"] == float(mu0)
 
@@ -994,10 +1019,13 @@ class TestScipyStaysUnloaded:
         assert charts.NonConvergence in cli.NUMERICAL_FAILURES
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_command_lines():
     """(argv, exit code) of each `cusplab ...` line in the README's "Command
     line" block: the code its `# exits k` comment states, else 0."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     section = text.split("\n## Command line\n", 1)[1]
     block = section.split("```\n", 2)[1]
     lines = []
@@ -1017,3 +1045,25 @@ class TestReadmeCommands:
 
     def test_block_is_found(self):
         assert len(readme_command_lines()) >= 10
+
+
+def readme_option_table():
+    """{subcommand: the flags its row of README's `| subcommand | options |`
+    table names}."""
+    rows = README.read_text().split("| subcommand | options |\n|---|---|\n", 1)[1]
+    table = {}
+    for row in rows.split("\n\n", 1)[0].splitlines():
+        _, sub, options, _ = row.split("|")
+        table[sub.strip(" `")] = re.findall(r"`(--[\w-]+)`", options)
+    return table
+
+
+class TestReadmeOptionTable:
+    def test_one_row_per_subcommand(self):
+        assert sorted(readme_option_table()) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("sub", sorted(cli.COMMANDS))
+    def test_row_names_exactly_the_options(self, sub):
+        # each flag once, in any order
+        assert (sorted(readme_option_table()[sub])
+                == sorted(opt.flag for opt in cli.options_of(sub)))

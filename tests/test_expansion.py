@@ -114,6 +114,20 @@ class TestExtension:
             BoundaryData(chart=ROUND, qhat=negative,
                          psi_y=bd.psi_y, y_support=bd.y_support).validate()
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_maximal_cusp_refused(self, n):
+        # h_u(0, y) vanishes on the rank-(n-1) cusp family: u -> 0 is the
+        # cusp, and there is no boundary metric to perturb
+        chart = Chart.maximal_cusp(n)
+        assert not chart.h_u(0.0, chart.reference_point[1:]).any()
+        with pytest.raises(ValueError, match="maximal cusp has no conformal "
+                           "infinity"):
+            seeded_boundary_data(chart, seed=1)
+
+    def test_cusp_family_below_maximal_rank_accepted(self):
+        bd = seeded_boundary_data(Chart.upper_half_space(4, 1), seed=1)
+        assert bd.chart.f == 1
+
     @pytest.mark.parametrize("qhat", [
         lambda y: np.zeros((3, 3)),  # one tangential point
         lambda y: np.zeros(np.shape(y)[:-1] + (3, 3)),  # rows of points
@@ -654,13 +668,12 @@ class TestFieldReuse:
         # the seed-3 g_3 passed as itself, and wrapped as a plain field that
         # samples per field rather than through `joint`, gives the same bits
         # in every diagnostic
-        from cusplab import tensorcalc
         from cusplab.tensorcalc import MetricField, Q_at
 
         g1, g3 = ladder[0], ladder[-1]
         plain = MetricField(g3.chart, g3, g3.label, g3.stepped)
-        assert tensorcalc._joint(g3, (g1,)) is not None
-        assert tensorcalc._joint(plain, (g1,)) is None
+        assert g3.joint(g1) is not None
+        assert not hasattr(plain, "joint")
         assert g1.joint(g3) is None  # a stage evaluates no longer stage
         rhos = [2.0 ** (-k) for k in range(3, 9)]
         center = 0.5 * (g3.bd.y_support[0] + g3.bd.y_support[1])

@@ -481,6 +481,26 @@ class TestGaugeAdjusted:
         assert gauge_term_norm(g3, points) <= 10 * 1e-3 ** 2
         assert calls == ["g_3"]
 
+    def test_Q_of_g_and_g_forms_no_deturck_covector(self, monkeypatch,
+                                                    extraction_set):
+        # Q_at subtracts the gauge term only when its slots hold two fields:
+        # Q(g, g) never forms the covector, Q(g_3, g_1) forms it once per pass
+        calls = []
+        covector = tensorcalc._deturck_covector
+
+        def counted(G, *args):
+            calls.append(len(G[0]))  # the points of the pass
+            return covector(G, *args)
+
+        monkeypatch.setattr(tensorcalc, "_deturck_covector", counted)
+        g1, g3, points = extraction_set
+        h = chart_metric(COLLAR4)
+        Q_at(h, h, P4)
+        Q_at(g1, g1, points, 5e-4)
+        assert calls == []
+        Q_at(g3, g1, points, 5e-4)
+        assert calls == [117, 117]
+
 
 class TestLinearizedOperator:
     def test_metric_multiples(self):
@@ -739,6 +759,24 @@ class TestJetKernel:
         rows["g"].clear()
         tensorcalc._metric_jets(g, P4, 1e-3)
         assert rows["g"] == [1, 32]
+
+    def test_metric_jets_of_g_and_g_are_one_jet(self):
+        # with t = g, both slots hold the one jet of g, from one evaluation
+        # of g at the points and one on the off-centre points of the stencils
+        rows = []
+
+        @batched
+        def ev(q):
+            rows.append(len(np.atleast_2d(q)))
+            return COLLAR4.metric_at(q)
+
+        g = MetricField(COLLAR4, ev, "g")
+        points = np.array([P4 + [0.001 * k, 0, 0, 0] for k in range(3)])
+        G, T = tensorcalc._metric_jets(g, points, 1e-3, g)
+        assert T is G
+        assert rows == [3, 32 * 3]
+        (alone,) = tensorcalc._metric_jets(g, points, 1e-3)
+        assert all(map(_same_bits, G, alone))
 
 
 def _leading(jet, d, lead=1):
@@ -1137,7 +1175,7 @@ class TestPointSets:
         # same bits.  Q(g_3, g_1) takes the shared-ladder path
         g1, g3, points = extraction_set
         assert len(points) == 234
-        assert tensorcalc._joint(g3, (g1,)) is not None
+        assert g3.joint(g1) is not None
         h = chart_metric(g1.chart)
         f = {"Q(g_3, g_1)": lambda p: Q_at(g3, g1, p, 5e-4),
              "L(h, g_3)": lambda p: L_at(h, g3, p),
